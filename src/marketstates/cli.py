@@ -13,33 +13,31 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .corrmat import EpochSpec, epoch_correlations, power_map
 from .errors import DataError, NumericError
-from .geometry import classical_mds, dimension_fidelity, similarity_matrix
-from .ingest import ContinuityPolicy, load_panel, load_prices, load_sector_map, log_returns, save_panel
+from .ingest import load_panel, log_returns
 from .pipeline import (
     PipelineConfig,
+    attach_sector_map,
     correlation_arrays,
-    emit_plot_data,
     load_arrays,
     parse_float_grid,
     parse_int_range,
+    rmt_report_payload,
     run_pipeline,
     series_from_arrays,
     trajectory_report_payload,
+    write_displacement,
+    write_fit,
+    write_map,
+    write_panel,
+    write_surface,
+    write_trajectory_report,
 )
-from .rmt import (
-    WishartSpec,
-    l1_to_analytic,
-    outside_support_fraction,
-    pooled_eigenvalues,
-    spectrum_from_eigenvalues,
-)
-from .sector import SECTOR_PRESETS, displacement, sector_state_pipeline
-from .serialize import load_state_model, save_arrays, save_state_model, write_csv, write_json
-from .states import optimize_over_grid, select_optimum
+from .rmt import WishartSpec
+from .sector import SECTOR_PRESETS, sector_state_pipeline
+from .serialize import load_state_model, save_arrays, write_json
+from .states import fit_states, optimize_over_grid, select_optimum
 from .trajectory import analyze_trajectory, classify_catalog, cut_window, load_event_catalog, window_from_dates
 
 
@@ -53,20 +51,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _out_path(raw: str) -> Path:
+    """``raw``, under MARKETSTATES_OUT_DIR when that is set and ``raw`` is relative.
+
+    The parent directory is created; writers create their own output directories.
+    """
     base = os.environ.get("MARKETSTATES_OUT_DIR", "")
     path = Path(raw)
     if base and not path.is_absolute():
         path = Path(base) / path
     path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _out_dir(raw: str) -> Path:
-    base = os.environ.get("MARKETSTATES_OUT_DIR", "")
-    path = Path(raw)
-    if base and not path.is_absolute():
-        path = Path(base) / path
-    path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -82,12 +75,8 @@ def _add_epoch_flags(parser) -> None:
 
 
 def _cmd_ingest(args) -> int:
-    panel = load_prices(args.prices, ContinuityPolicy(max_consecutive_missing=args.max_gap))
-    if args.sectors:
-        mapping = load_sector_map(args.sectors)
-        panel.sector_of = {t: mapping[t] for t in panel.tickers if t in mapping}
     out = _out_path(args.out)
-    save_panel(panel, out)
+    panel = write_panel(args.prices, args.sectors, args.max_gap, out)
     print(f"kept {panel.n_stocks} stocks x {panel.n_days} days -> {out}")
     for name, reason in panel.dropped.items():
         print(f"dropped {name}: {reason}")
@@ -109,21 +98,8 @@ def _cmd_corr(args) -> int:
 def _cmd_rmt_validate(args) -> int:
     spec = WishartSpec(N=args.n, T=args.t, sigma2=args.sigma2,
                        ensemble_size=args.realizations, seed=args.seed)
-    eigenvalues = pooled_eigenvalues(spec, epsilon=args.epsilon, workers=args.workers)
-    density = spectrum_from_eigenvalues(eigenvalues, bins=args.bins,
-                                        Q=spec.Q, sigma2=args.sigma2)
-    report = {
-        "N": spec.N,
-        "T": spec.T,
-        "Q": spec.Q,
-        "realizations": spec.ensemble_size,
-        "epsilon": args.epsilon,
-        "support": [float(density.lambda_min), float(density.lambda_max)],
-        "l1_to_analytic": float(l1_to_analytic(density, sigma2=args.sigma2)),
-        "outside_support_fraction": float(outside_support_fraction(
-            eigenvalues, spec.Q, sigma2=args.sigma2)),
-        "zero_fraction": float(density.zero_fraction),
-    }
+    report = rmt_report_payload(spec, args.bins, epsilon=args.epsilon, workers=args.workers)
+    report["epsilon"] = args.epsilon
     for key in ("Q", "support", "l1_to_analytic", "outside_support_fraction", "zero_fraction"):
         print(f"{key}: {report[key]}")
     if args.out:
@@ -132,26 +108,9 @@ def _cmd_rmt_validate(args) -> int:
 
 
 def _cmd_mds(args) -> int:
-    arrays = load_arrays(args.corr)
-    series = series_from_arrays(arrays, EpochSpec())
-    sim = similarity_matrix(series)
-    embedding = classical_mds(sim, D=args.dim, warn=False)
-    out = _out_dir(args.out_dir)
-    coords = embedding.coordinates
-    padded = np.zeros((coords.shape[0], 3))
-    padded[:, :min(coords.shape[1], 3)] = coords[:, :3]
-    dates = [m.start_date for m in series.matrices]
-    write_csv(out / "map_coords.csv", ["epoch", "date", "x", "y", "z"],
-              [(i + 1, dates[i], padded[i, 0], padded[i, 1], padded[i, 2])
-               for i in range(coords.shape[0])])
-    dims = [d for d in (1, 2, 3, 4) if d <= sim.size - 1]
-    write_json(out / "map_meta.json", {
-        "eigenvalues": [float(v) for v in embedding.eigenvalues],
-        "n_clipped": embedding.n_clipped,
-        "clipped_mass": embedding.clipped_mass,
-        "dimension_fidelity": {str(d): float(v) for d, v in dimension_fidelity(sim, dims)},
-    })
-    print(f"{coords.shape[0]} epochs -> {out / 'map_coords.csv'}")
+    series = series_from_arrays(load_arrays(args.corr), EpochSpec())
+    coords_path, _ = write_map(series, args.dim, _out_path(args.out_dir))
+    print(f"{series.n_epochs} epochs -> {coords_path}")
     return 0
 
 
@@ -162,9 +121,7 @@ def _cmd_states_optimize(args) -> int:
                                  parse_float_grid(args.epsilon_grid), args.n_inits,
                                  args.seed, dim=args.dim, workers=args.workers)
     out = _out_path(args.out)
-    write_csv(out, ["k", "epsilon", "sigma_d_intra", "mean_d_intra", "n_inits"],
-              [(g.k, g.epsilon, g.sigma_d_intra, g.mean_d_intra, g.n_inits)
-               for g in surface.grid])
+    write_surface(surface, out)
     k, epsilon = select_optimum(surface, k_min=args.k_min)
     print(f"surface -> {out}")
     print(f"optimum (k >= {args.k_min}): k={k} epsilon={epsilon}")
@@ -172,17 +129,13 @@ def _cmd_states_optimize(args) -> int:
 
 
 def _cmd_states_fit(args) -> int:
-    from .states import fit_states
-
     panel = load_panel(args.panel)
-    model, run, embedding = fit_states(log_returns(panel), _epoch_spec(args),
-                                       args.k, args.epsilon, args.n_inits,
-                                       args.seed, dim=args.dim)
-    out = _out_dir(args.out_dir)
-    save_state_model(model, out / "model.json")
-    emit_plot_data(model, embedding, out, prefix="states_")
+    model, _, embedding = fit_states(log_returns(panel), _epoch_spec(args), args.k,
+                                     args.epsilon, args.n_inits, args.seed, dim=args.dim)
+    out = _out_path(args.out_dir) / "model.json"
+    write_fit(model, embedding, out, "states_")
     occupancy = ", ".join(f"S{s + 1}={c}" for s, c in enumerate(model.occupancy()))
-    print(f"model -> {out / 'model.json'}")
+    print(f"model -> {out}")
     print(f"occupancy: {occupancy}")
     print(f"mean correlation by state: "
           + ", ".join(repr(round(v, 6)) for v in model.state_mean_corr))
@@ -192,39 +145,31 @@ def _cmd_states_fit(args) -> int:
 def _cmd_sectors_fit(args) -> int:
     panel = load_panel(args.panel)
     if args.sectors:
-        mapping = load_sector_map(args.sectors)
-        panel.sector_of = {t: mapping[t] for t in panel.tickers if t in mapping}
+        attach_sector_map(panel, args.sectors)
     if args.preset:
         k, epsilon = SECTOR_PRESETS[args.preset]
     else:
         if args.k is None or args.epsilon is None:
             raise DataError("pass --k and --epsilon, or --preset")
         k, epsilon = args.k, args.epsilon
-    model, run, embedding = sector_state_pipeline(
+    model, _, embedding = sector_state_pipeline(
         log_returns(panel), _epoch_spec(args), k, epsilon, args.n_inits,
         args.seed, dim=args.dim, include_self_pairs=args.include_self_pairs,
     )
-    out = _out_dir(args.out_dir)
-    save_state_model(model, out / "sector_model.json")
-    emit_plot_data(model, embedding, out, prefix="sectors_")
-    print(f"sector model ({len(model.labels)} sectors, k={k}, epsilon={epsilon}) "
-          f"-> {out / 'sector_model.json'}")
+    out = _out_path(args.out_dir) / "sector_model.json"
+    write_fit(model, embedding, out, "sectors_")
+    print(f"sector model ({len(model.labels)} sectors, k={k}, epsilon={epsilon}) -> {out}")
     return 0
 
 
 def _cmd_sectors_displace(args) -> int:
     stock = load_state_model(args.stock_model)
     sect = load_state_model(args.sector_model)
-    report = displacement(stock.state_of, sect.state_of)
-    payload = {
-        "histogram": {str(d): c for d, c in report.histogram.items()},
-        "max_abs_displacement": report.max_abs_displacement,
-        "n_epochs": report.n_epochs,
-    }
-    write_json(_out_path(args.out), payload)
+    out = _out_path(args.out)
+    report = write_displacement(stock.state_of, sect.state_of, out)
     for d in sorted(report.histogram):
         print(f"d={d:+d}: {report.histogram[d]} epochs")
-    print(f"report -> {_out_path(args.out)}")
+    print(f"report -> {out}")
     return 0
 
 
@@ -239,9 +184,7 @@ def _cmd_trajectory(args) -> int:
         reports, failures = classify_catalog(returns, catalog, threshold=args.threshold,
                                              width_days=args.width, epsilon=args.epsilon,
                                              spec=spec, workers=args.workers)
-        payload = {"events": [trajectory_report_payload(r) for r in reports],
-                   "failures": failures}
-        write_json(_out_path(args.out), payload)
+        write_trajectory_report(reports, failures, _out_path(args.out))
         for report in reports:
             print(f"{report.name}: var_ratio={report.var_ratio:.4f} {report.classification}")
         for name, message in failures.items():
@@ -266,7 +209,7 @@ def _cmd_trajectory(args) -> int:
 def _cmd_run(args) -> int:
     cfg = PipelineConfig.from_file(args.config)
     if args.out_dir:
-        cfg.out_dir = str(_out_dir(args.out_dir))
+        cfg.out_dir = str(_out_path(args.out_dir))
     code, manifest = run_pipeline(cfg, force=args.force, workers=args.workers)
     for name, entry in manifest["stages"].items():
         detail = entry.get("error") or entry.get("reason") or ""

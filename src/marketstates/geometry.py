@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corrmat import power_map
 from .errors import NumericError
 
 
@@ -80,19 +81,6 @@ def similarity_matrix(series) -> SimilarityMatrix:
     return SimilarityMatrix(values=out, epoch_dates=dates)
 
 
-def max_triangle_violation(sim: SimilarityMatrix, n_triples: int = 1000, seed: int = 0) -> float:
-    """Largest zeta(a,c) - zeta(a,b) - zeta(b,c) over random triples.
-
-    Non-positive results mean the triangle inequality held on every sampled
-    triple.
-    """
-    Z = sim.values
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, Z.shape[0], size=(n_triples, 3))
-    a, b, c = idx[:, 0], idx[:, 1], idx[:, 2]
-    return float((Z[a, c] - Z[a, b] - Z[b, c]).max())
-
-
 def _double_center(squared: np.ndarray) -> np.ndarray:
     row = squared.mean(axis=1, keepdims=True)
     col = squared.mean(axis=0, keepdims=True)
@@ -156,6 +144,18 @@ def classical_mds(dissim: SimilarityMatrix, D: int, warn: bool = True) -> Embedd
         n_clipped=n_clipped,
         clipped_mass=clipped_mass,
     )
+
+
+def embed_epochs(stack: np.ndarray, epsilon: float, dim: int) -> Embedding:
+    """Power map, dissimilarity and ``dim``-axis classical MDS of an epoch stack.
+
+    The one geometry chain behind the grid search, the state fit and the
+    event trajectories.  At epsilon 0 the stack is used as it is (the
+    dissimilarity never writes to its input); missing axes are zero-padded
+    without a warning.
+    """
+    mapped = power_map(stack, epsilon) if epsilon else stack
+    return classical_mds(similarity_matrix(mapped), D=dim, warn=False)
 
 
 def step_lengths(coordinates: np.ndarray) -> np.ndarray:

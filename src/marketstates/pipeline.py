@@ -5,25 +5,21 @@ states, sectors, trajectory, rmt — each writing its artifacts under the
 output directory plus a manifest entry (input hashes, parameters, output
 hashes).  A stage whose inputs, parameters, and outputs all hash the same as
 the previous run is skipped, so reruns are cheap and `--force` is explicit.
-Worker counts never appear in artifacts: a run is byte-reproducible.
+Worker counts never appear in artifacts: a run is byte-reproducible.  Each
+artifact has one writer here, which the CLI subcommands call as well.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import traceback
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .corrmat import (
-    CorrelationMatrix,
-    EpochCorrelationSeries,
-    EpochSpec,
-    epoch_correlations,
-    power_map,
-)
+from .corrmat import CorrelationMatrix, EpochCorrelationSeries, EpochSpec, epoch_correlations
 from .errors import DataError, NumericError
 from .geometry import classical_mds, dimension_fidelity, similarity_matrix
 from .ingest import ContinuityPolicy, load_panel, load_prices, load_sector_map, log_returns, save_panel
@@ -44,7 +40,7 @@ from .serialize import (
     write_csv,
     write_json,
 )
-from .states import best_kmeans, build_state_model, optimize_over_grid, select_optimum
+from .states import fit_series, optimize_over_grid, select_optimum
 from .trajectory import classify_catalog, load_event_catalog
 
 STAGE_ORDER = ("ingest", "corr", "mds", "states", "sectors", "trajectory", "rmt")
@@ -210,16 +206,21 @@ def correlation_arrays(series: EpochCorrelationSeries) -> dict[str, np.ndarray]:
     }
 
 
+def _xyz(coords: np.ndarray) -> np.ndarray:
+    """The first three map axes, zero-padded when the map has fewer."""
+    padded = np.zeros((coords.shape[0], 3))
+    padded[:, :min(coords.shape[1], 3)] = coords[:, :3]
+    return padded
+
+
 def emit_plot_data(model, embedding, out_dir: str | Path, prefix: str = "") -> list[Path]:
     """Plot-ready CSVs for a fitted model: the map, transitions, state averages."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    coords = embedding.coordinates
-    n, dim = coords.shape
+    n = embedding.coordinates.shape[0]
     if len(model.state_of) != n:
         raise ValueError(f"{len(model.state_of)} states for {n} embedded epochs")
-    padded = np.zeros((n, 3))
-    padded[:, :min(dim, 3)] = coords[:, :3]
+    padded = _xyz(embedding.coordinates)
     dates = model.epoch_dates or [""] * n
     coords_path = out_dir / f"{prefix}coords.csv"
     write_csv(
@@ -272,23 +273,113 @@ def trajectory_report_payload(report) -> dict:
 
 
 # --------------------------------------------------------------------------
+# artifact writers, shared by the pipeline stages and the CLI
+
+
+def attach_sector_map(panel, sectors: str | Path) -> None:
+    """Attach a ``ticker,sector`` file to a panel, restricted to its tickers."""
+    mapping = load_sector_map(sectors)
+    panel.sector_of = {t: mapping[t] for t in panel.tickers if t in mapping}
+
+
+def write_panel(prices: str | Path, sectors: str | Path, max_gap: int, path: Path):
+    """Load prices under the continuity policy, attach the sector map, save.
+
+    Writes ``path`` and its ``.meta.json`` sidecar; returns the kept panel.
+    """
+    panel = load_prices(prices, ContinuityPolicy(max_consecutive_missing=max_gap))
+    if sectors:
+        attach_sector_map(panel, sectors)
+    save_panel(panel, path)
+    return panel
+
+
+def write_map(series: EpochCorrelationSeries, dim: int, out_dir: Path) -> list[Path]:
+    """Classical MDS map of a correlation series: coordinates plus eigenvalue and fidelity meta."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    sim = similarity_matrix(series)
+    embedding = classical_mds(sim, D=dim, warn=False)
+    padded = _xyz(embedding.coordinates)
+    dates = [m.start_date for m in series.matrices]
+    write_csv(
+        out_dir / "map_coords.csv",
+        ["epoch", "date", "x", "y", "z"],
+        [(i + 1, dates[i], padded[i, 0], padded[i, 1], padded[i, 2])
+         for i in range(padded.shape[0])],
+    )
+    dims = [d for d in (1, 2, 3, 4) if d <= sim.size - 1]
+    fidelity = dimension_fidelity(sim, dims)
+    write_json(
+        out_dir / "map_meta.json",
+        {
+            "eigenvalues": [float(v) for v in embedding.eigenvalues],
+            "n_clipped": embedding.n_clipped,
+            "clipped_mass": embedding.clipped_mass,
+            "dimension_fidelity": {str(d): float(v) for d, v in fidelity},
+        },
+    )
+    return [out_dir / "map_coords.csv", out_dir / "map_meta.json"]
+
+
+def write_surface(surface, path: Path) -> None:
+    """One CSV row per (k, epsilon) grid point, in grid order."""
+    write_csv(
+        path,
+        ["k", "epsilon", "sigma_d_intra", "mean_d_intra", "n_inits"],
+        [(g.k, g.epsilon, g.sigma_d_intra, g.mean_d_intra, g.n_inits) for g in surface.grid],
+    )
+
+
+def write_fit(model, embedding, path: Path, prefix: str) -> list[Path]:
+    """A fitted state model at ``path`` plus its plot CSVs beside it; returns every path."""
+    plots = emit_plot_data(model, embedding, path.parent, prefix=prefix)
+    return save_state_model(model, path) + plots
+
+
+def write_displacement(stock_states, sector_states, path: Path):
+    """Stock-vs-sector state displacement histogram; returns the report."""
+    report = displacement(stock_states, sector_states)
+    write_json(
+        path,
+        {
+            "histogram": {str(d): c for d, c in report.histogram.items()},
+            "max_abs_displacement": report.max_abs_displacement,
+            "n_epochs": report.n_epochs,
+        },
+    )
+    return report
+
+
+def write_trajectory_report(reports, failures: dict[str, str], path: Path) -> None:
+    """Catalog classification: one payload per event plus the failed events."""
+    write_json(path, {"events": [trajectory_report_payload(r) for r in reports],
+                      "failures": failures})
+
+
+def rmt_report_payload(spec: WishartSpec, bins: int, epsilon: float = 0.0,
+                       workers: int = 1) -> dict:
+    """A sampled Wishart ensemble compared with the analytic law, JSON-safe."""
+    eigenvalues = pooled_eigenvalues(spec, epsilon=epsilon, workers=workers)
+    density = spectrum_from_eigenvalues(eigenvalues, bins=bins, Q=spec.Q, sigma2=spec.sigma2)
+    return {
+        "N": spec.N,
+        "T": spec.T,
+        "Q": spec.Q,
+        "realizations": spec.ensemble_size,
+        "support": [float(density.lambda_min), float(density.lambda_max)],
+        "l1_to_analytic": float(l1_to_analytic(density, sigma2=spec.sigma2)),
+        "outside_support_fraction": float(outside_support_fraction(
+            eigenvalues, spec.Q, sigma2=spec.sigma2)),
+        "zero_fraction": float(density.zero_fraction),
+    }
+
+
+# --------------------------------------------------------------------------
 # stage implementations
 
 
-def _fit_on_series(series, k, epsilon, n_inits, seed, dim):
-    sim = similarity_matrix(power_map(series.values_stack(), epsilon))
-    embedding = classical_mds(sim, D=dim, warn=False)
-    run = best_kmeans(embedding.coordinates, k, n_inits, seed, epsilon)
-    return build_state_model(series, run), run, embedding
-
-
 def _stage_ingest(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
-    policy = ContinuityPolicy(max_consecutive_missing=cfg.max_gap)
-    panel = load_prices(cfg.prices, policy)
-    if cfg.sectors:
-        mapping = load_sector_map(cfg.sectors)
-        panel.sector_of = {t: mapping[t] for t in panel.tickers if t in mapping}
-    save_panel(panel, out / "panel.csv")
+    write_panel(cfg.prices, cfg.sectors, cfg.max_gap, out / "panel.csv")
     return [out / "panel.csv", out / "panel.csv.meta.json"]
 
 
@@ -301,31 +392,8 @@ def _stage_corr(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
 
 def _stage_mds(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
     arrays = load_arrays(out / "corr_raw.npz")
-    series = series_from_arrays(arrays, EpochSpec(cfg.window, cfg.shift))
-    sim = similarity_matrix(series)
-    embedding = classical_mds(sim, D=cfg.mds_dim, warn=False)
-    coords = embedding.coordinates
-    padded = np.zeros((coords.shape[0], 3))
-    padded[:, :min(coords.shape[1], 3)] = coords[:, :3]
-    dates = [m.start_date for m in series.matrices]
-    write_csv(
-        out / "map_coords.csv",
-        ["epoch", "date", "x", "y", "z"],
-        [(i + 1, dates[i], padded[i, 0], padded[i, 1], padded[i, 2])
-         for i in range(coords.shape[0])],
-    )
-    dims = [d for d in (1, 2, 3, 4) if d <= sim.size - 1]
-    fidelity = dimension_fidelity(sim, dims)
-    write_json(
-        out / "map_meta.json",
-        {
-            "eigenvalues": [float(v) for v in embedding.eigenvalues],
-            "n_clipped": embedding.n_clipped,
-            "clipped_mass": embedding.clipped_mass,
-            "dimension_fidelity": {str(d): float(v) for d, v in fidelity},
-        },
-    )
-    return [out / "map_coords.csv", out / "map_meta.json"]
+    return write_map(series_from_arrays(arrays, EpochSpec(cfg.window, cfg.shift)),
+                     cfg.mds_dim, out)
 
 
 def _stage_states(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
@@ -335,11 +403,7 @@ def _stage_states(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
         series.values_stack(), cfg.k_range, cfg.epsilon_grid,
         cfg.n_inits, cfg.seed, dim=cfg.mds_dim, workers=workers,
     )
-    write_csv(
-        out / "surface.csv",
-        ["k", "epsilon", "sigma_d_intra", "mean_d_intra", "n_inits"],
-        [(g.k, g.epsilon, g.sigma_d_intra, g.mean_d_intra, g.n_inits) for g in surface.grid],
-    )
+    write_surface(surface, out / "surface.csv")
     best_k, best_eps = select_optimum(surface, k_min=cfg.k_min)
     chosen_k = cfg.k if cfg.k > 0 else best_k
     chosen_eps = cfg.epsilon if cfg.epsilon >= 0 else best_eps
@@ -351,14 +415,10 @@ def _stage_states(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
                        "pinned": bool(cfg.k > 0 or cfg.epsilon >= 0)},
         },
     )
-    model, run, embedding = _fit_on_series(
-        series, chosen_k, chosen_eps, cfg.n_inits, cfg.seed, cfg.mds_dim
-    )
-    save_state_model(model, out / "model.json")
-    written = emit_plot_data(model, embedding, out, prefix="states_")
-    extras = [out / "surface.csv", out / "selected.json", out / "model.json"]
-    sidecar = out / "model_avg_corr.npz"
-    return extras + ([sidecar] if sidecar.exists() else []) + written
+    model, _, embedding = fit_series(series, chosen_k, chosen_eps, cfg.n_inits, cfg.seed,
+                                     cfg.mds_dim)
+    return ([out / "surface.csv", out / "selected.json"]
+            + write_fit(model, embedding, out / "model.json", "states_"))
 
 
 def _stage_sectors(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
@@ -371,22 +431,11 @@ def _stage_sectors(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
     fitted = read_json(out / "selected.json")["fitted"]
     k = cfg.sector_k if cfg.sector_k > 0 else int(fitted["k"])
     epsilon = cfg.sector_epsilon if cfg.sector_epsilon >= 0 else float(fitted["epsilon"])
-    model, run, embedding = _fit_on_series(series, k, epsilon, cfg.n_inits, cfg.seed, cfg.mds_dim)
-    save_state_model(model, out / "sector_model.json")
-    written = emit_plot_data(model, embedding, out, prefix="sectors_")
+    model, _, embedding = fit_series(series, k, epsilon, cfg.n_inits, cfg.seed, cfg.mds_dim)
+    written = write_fit(model, embedding, out / "sector_model.json", "sectors_")
     stock_states = np.array(read_json(out / "model.json")["state_of"], dtype=int)
-    report = displacement(stock_states, model.state_of)
-    write_json(
-        out / "displacement.json",
-        {
-            "histogram": {str(d): c for d, c in report.histogram.items()},
-            "max_abs_displacement": report.max_abs_displacement,
-            "n_epochs": report.n_epochs,
-        },
-    )
-    extras = [out / "sector_model.json", out / "displacement.json"]
-    sidecar = out / "sector_model_avg_corr.npz"
-    return extras + ([sidecar] if sidecar.exists() else []) + written
+    write_displacement(stock_states, model.state_of, out / "displacement.json")
+    return written + [out / "displacement.json"]
 
 
 def _stage_trajectory(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
@@ -398,10 +447,7 @@ def _stage_trajectory(cfg: PipelineConfig, out: Path, workers: int) -> list[Path
         epsilon=cfg.trajectory_epsilon, spec=EpochSpec(cfg.window, cfg.shift),
         workers=workers,
     )
-    write_json(
-        out / "trajectory_report.json",
-        {"events": [trajectory_report_payload(r) for r in reports], "failures": failures},
-    )
+    write_trajectory_report(reports, failures, out / "trajectory_report.json")
     write_csv(
         out / "trajectory_table.csv",
         ["name", "start_date", "end_date", "var_x", "var_y", "var_z",
@@ -417,21 +463,7 @@ def _stage_rmt(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
     n_stocks = int(arrays["values"].shape[1])
     spec = WishartSpec(N=n_stocks, T=cfg.window,
                        ensemble_size=cfg.rmt_realizations, seed=cfg.seed)
-    eigenvalues = pooled_eigenvalues(spec, workers=workers)
-    density = spectrum_from_eigenvalues(eigenvalues, bins=cfg.rmt_bins, Q=spec.Q)
-    write_json(
-        out / "rmt_report.json",
-        {
-            "N": spec.N,
-            "T": spec.T,
-            "Q": spec.Q,
-            "realizations": spec.ensemble_size,
-            "support": [float(density.lambda_min), float(density.lambda_max)],
-            "l1_to_analytic": float(l1_to_analytic(density)),
-            "outside_support_fraction": float(outside_support_fraction(eigenvalues, spec.Q)),
-            "zero_fraction": float(density.zero_fraction),
-        },
-    )
+    write_json(out / "rmt_report.json", rmt_report_payload(spec, cfg.rmt_bins, workers=workers))
     return [out / "rmt_report.json"]
 
 
@@ -505,7 +537,8 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
 
     The manifest is also written to ``<out_dir>/manifest.json``.  A failing
     stage records its error, halts everything downstream, and maps to the
-    exit code of its error family (2 data, 3 numeric, 1 other).
+    exit code of its error family (2 data, 3 numeric, 1 any other exception,
+    whose traceback also goes to stderr).
     """
     cfg.validate()
     out = Path(cfg.out_dir)
@@ -555,7 +588,8 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
         except NumericError as exc:
             manifest["stages"][stage.name] = {"status": "failed", "error": str(exc)}
             exit_code, failed = 3, True
-        except (ValueError, OSError) as exc:
+        except Exception as exc:  # noqa: BLE001 - any failure still ends in a manifest
+            traceback.print_exc()
             manifest["stages"][stage.name] = {"status": "failed",
                                               "error": f"{type(exc).__name__}: {exc}"}
             exit_code, failed = 1, True

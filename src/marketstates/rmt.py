@@ -62,11 +62,6 @@ def sample_realization(spec: WishartSpec, index: int) -> np.ndarray:
     return (W + W.T) / 2.0
 
 
-def sample_woe(spec: WishartSpec) -> list[np.ndarray]:
-    """All ``ensemble_size`` realizations, ordered by index."""
-    return [sample_realization(spec, i) for i in range(spec.ensemble_size)]
-
-
 def _realization_eigenvalues(task: tuple[WishartSpec, float, int]) -> np.ndarray:
     spec, epsilon, index = task
     W = sample_realization(spec, index)

@@ -4,9 +4,9 @@ Each stock-level correlation matrix collapses to an N_S x N_S matrix whose
 (a, b) entry is the mean correlation between the stocks of sector a and those
 of sector b; on the diagonal blocks the self-pairs i == j are excluded by
 default, so the diagonal is an intra-sector coupling, not identically 1.
-These small matrices run through the same dissimilarity / MDS / k-means
-machinery as the stock-level pipeline, and the two state sequences are
-compared epoch by epoch as a displacement histogram.
+These small matrices go through the same fit function as the stock-level
+matrices (``states.fit_series``), and the two state sequences are compared
+epoch by epoch as a displacement histogram.
 """
 
 from __future__ import annotations
@@ -16,17 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corrmat import (
-    CorrelationMatrix,
-    EpochCorrelationSeries,
-    EpochSpec,
-    epoch_correlations,
-    power_map,
-)
+from .corrmat import CorrelationMatrix, EpochCorrelationSeries, EpochSpec, epoch_correlations
 from .errors import DataError
-from .geometry import classical_mds, similarity_matrix
 from .ingest import ReturnPanel
-from .states import StateModel, best_kmeans, build_state_model
+from .states import fit_series
 
 #: Published operating points for the sector-level fit, by market.  The
 #: Nikkei 225 has two: the grid optimum and the point preferred for the final
@@ -203,20 +196,16 @@ def sector_state_pipeline(panel: ReturnPanel, spec: EpochSpec, k: int,
                           include_self_pairs: bool = False):
     """Fit sector-level market states on a return panel.
 
-    Same shape as the stock-level fit: correlations per epoch, block-averaged
-    to sector matrices, power map, dissimilarity, 3-D map, best-of-ensemble
-    k-means; the model's average matrices come from the raw sector matrices.
-    Returns (model, best run, embedding).
+    Correlations per epoch, block-averaged to sector matrices, then the
+    stock-level fit (``fit_series``); the model's average matrices come from
+    the raw sector matrices.  Returns (model, best run, embedding).
     """
     mapping = sector_of if sector_of is not None else panel.sector_of
     if not mapping:
         raise DataError("no sector map: pass sector_of or attach one to the panel")
-    raw = sector_series(epoch_correlations(panel, spec), mapping,
-                        include_self_pairs=include_self_pairs)
-    sim = similarity_matrix(power_map(raw.values_stack(), epsilon))
-    embedding = classical_mds(sim, D=dim, warn=False)
-    run = best_kmeans(embedding.coordinates, k, n_inits, seed, epsilon)
-    return build_state_model(raw, run), run, embedding
+    series = sector_series(epoch_correlations(panel, spec), mapping,
+                           include_self_pairs=include_self_pairs)
+    return fit_series(series, k, epsilon, n_inits, seed, dim)
 
 
 def displacement(stock_states, sector_states) -> DisplacementReport:
@@ -240,26 +229,3 @@ def displacement(stock_states, sector_states) -> DisplacementReport:
     reach = int(np.abs(deltas).max())
     histogram = {d: int((deltas == d).sum()) for d in range(-reach, reach + 1)}
     return DisplacementReport(histogram=histogram, max_abs_displacement=reach)
-
-
-def averaged_series_correlations(panel: ReturnPanel, spec: EpochSpec = EpochSpec(),
-                                 sector_of=None) -> EpochCorrelationSeries:
-    """Diagnostic-only alternative: average the return series inside each
-    sector first, then correlate the N_S averaged series per epoch.
-
-    Kept for comparison plots; the main pipeline averages correlation
-    matrices instead, which preserves intra-sector structure.
-    """
-    mapping = sector_of if sector_of is not None else panel.sector_of
-    if not mapping:
-        raise DataError("no sector map: pass sector_of or attach one to the panel")
-    sectors, membership = _sector_layout(panel.tickers, mapping)
-    weights = membership / membership.sum(axis=0)
-    reduced = ReturnPanel(
-        tickers=sectors,
-        dates=list(panel.dates),
-        returns=weights.T @ panel.returns,
-    )
-    series = epoch_correlations(reduced, spec)
-    series.meta["method"] = "averaged-return-series (diagnostic only)"
-    return series

@@ -87,11 +87,12 @@ def _avg_corr_sidecar(path: Path) -> Path:
     return path.with_name(path.stem + "_avg_corr.npz")
 
 
-def save_state_model(model, path: str | Path) -> None:
+def save_state_model(model, path: str | Path) -> list[Path]:
     """State model as JSON plus an array sidecar for the average matrices.
 
     The JSON holds everything scalar or label-like; the per-state average
-    correlation matrices go to ``<stem>_avg_corr.npz`` next to it.
+    correlation matrices go to ``<stem>_avg_corr.npz`` next to it.  Returns
+    the paths written.
     """
     path = Path(path)
     write_json(
@@ -106,8 +107,11 @@ def save_state_model(model, path: str | Path) -> None:
             "epoch_dates": list(model.epoch_dates),
         },
     )
-    if model.avg_corr_matrix:
-        save_arrays(_avg_corr_sidecar(path), avg_corr=np.stack(model.avg_corr_matrix))
+    if not model.avg_corr_matrix:
+        return [path]
+    sidecar = _avg_corr_sidecar(path)
+    save_arrays(sidecar, avg_corr=np.stack(model.avg_corr_matrix))
+    return [path, sidecar]
 
 
 def load_state_model(path: str | Path):

@@ -9,15 +9,13 @@ are renamed S1..Sk by ascending mean correlation so Sk is the crisis state.
 
 from __future__ import annotations
 
-import warnings
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corrmat import EpochCorrelationSeries, EpochSpec, epoch_correlations, power_map
-from .geometry import SimilarityMatrix, classical_mds, similarity_matrix
+from .corrmat import EpochCorrelationSeries, EpochSpec, epoch_correlations
+from .geometry import embed_epochs
 from .ingest import ReturnPanel
 
 MAX_LLOYD_ITERATIONS = 300
@@ -169,16 +167,9 @@ def best_kmeans(points: np.ndarray, k: int, n_inits: int, seed: int,
     return min(runs, key=lambda r: r.objective)
 
 
-def _powermap_stack(stack: np.ndarray, epsilon: float) -> np.ndarray:
-    if epsilon == 0.0:
-        return stack
-    return np.sign(stack) * np.abs(stack) ** (1.0 + epsilon)
-
-
 def _grid_epsilon_task(args) -> list[GridPoint]:
     stack, eps, k_list, dim, seed_block = args
-    sim = similarity_matrix(_powermap_stack(stack, eps))
-    coords = classical_mds(sim, D=dim, warn=False).coordinates
+    coords = embed_epochs(stack, eps, dim).coordinates
     rows = []
     for ki, k in enumerate(k_list):
         radii = np.array([kmeans(coords, k, int(s), eps).d_intra for s in seed_block[ki]])
@@ -220,32 +211,15 @@ def optimize_over_grid(stack: np.ndarray, k_range, epsilon_grid, n_inits: int,
     return OptimizationSurface(grid=[row for block in blocks for row in block])
 
 
-def optimize_states(panel: ReturnPanel, spec: EpochSpec, k_range, epsilon_grid,
-                    n_inits: int, seed: int, dim: int = 3,
-                    workers: int = 1) -> OptimizationSurface:
-    """Grid search for the market-state operating point on a return panel."""
-    raw = epoch_correlations(panel, spec)
-    return optimize_over_grid(raw.values_stack(), k_range, epsilon_grid,
-                              n_inits, seed, dim=dim, workers=workers)
-
-
-def select_optimum(surface: OptimizationSurface, k_min: int = 4,
-                   score_override=None) -> tuple[int, float]:
+def select_optimum(surface: OptimizationSurface, k_min: int = 4) -> tuple[int, float]:
     """Minimum sigma_d_intra among entries with k >= k_min.
 
-    Ties prefer larger k, then smaller epsilon.  ``score_override`` may map
-    (k, epsilon) to a quality score ranked before sigma (used to prefer
-    transition matrices without long jumps); None leaves it off.
+    Ties prefer larger k, then smaller epsilon.
     """
     candidates = surface.entries(k_min)
     if not candidates:
         raise ValueError(f"no grid entry has k >= {k_min}")
-
-    def key(g: GridPoint):
-        head = (score_override(g.k, g.epsilon),) if score_override else ()
-        return head + (g.sigma_d_intra, -g.k, g.epsilon)
-
-    best = min(candidates, key=key)
+    best = min(candidates, key=lambda g: (g.sigma_d_intra, -g.k, g.epsilon))
     return best.k, best.epsilon
 
 
@@ -285,61 +259,19 @@ def build_state_model(series: EpochCorrelationSeries, run: ClusteringRun) -> Sta
     )
 
 
-def fit_states(panel: ReturnPanel, spec: EpochSpec, k: int, epsilon: float,
-               n_inits: int, seed: int, dim: int = 3):
-    """Full fit at a chosen operating point.
+def fit_series(series, k: int, epsilon: float, n_inits: int, seed: int, dim: int = 3):
+    """Fit market states to a raw (epsilon 0) series at one operating point.
 
     Returns (model, best run, embedding): clustering happens on the MDS map
-    of power-mapped matrices, the model averages the raw ones.
+    of power-mapped matrices, the model averages the raw ones.  Stock-level
+    and sector-level series go through this same path.
     """
-    raw = epoch_correlations(panel, spec)
-    sim = similarity_matrix(power_map(raw, epsilon))
-    embedding = classical_mds(sim, D=dim, warn=False)
+    embedding = embed_epochs(series.values_stack(), epsilon, dim)
     run = best_kmeans(embedding.coordinates, k, n_inits, seed, epsilon)
-    return build_state_model(raw, run), run, embedding
+    return build_state_model(series, run), run, embedding
 
 
-def topdown_cluster(dissim: SimilarityMatrix, radius_threshold: float,
-                    seed: int = 0) -> np.ndarray:
-    """Recursive bisection until every cluster is tighter than the threshold.
-
-    All epochs start as one cluster; any cluster whose mean point-to-centroid
-    distance on its own 3-D sub-map exceeds the threshold is split by k=2
-    k-means.  Surviving clusters are numbered 1, 2, ... in the order they are
-    accepted.  A tiny threshold legally produces singletons (with a warning).
-    """
-    if radius_threshold <= 0:
-        raise ValueError(f"radius threshold must be > 0, got {radius_threshold}")
-    n = dissim.size
-    labels = np.zeros(n, dtype=int)
-    queue = deque([np.arange(n)])
-    next_label = 0
-    split_index = 0
-    singletons = 0
-    while queue:
-        members = queue.popleft()
-        m = members.size
-        if m == 1:
-            next_label += 1
-            labels[members] = next_label
-            singletons += 1
-            continue
-        sub = SimilarityMatrix(values=dissim.values[np.ix_(members, members)])
-        coords = classical_mds(sub, D=min(3, m - 1), warn=False).coordinates
-        radius = float(np.linalg.norm(coords - coords.mean(axis=0), axis=1).mean())
-        if radius <= radius_threshold:
-            next_label += 1
-            labels[members] = next_label
-            continue
-        sub_seed = int(np.random.SeedSequence([seed, split_index]).generate_state(1)[0])
-        split_index += 1
-        run = kmeans(coords, 2, sub_seed)
-        queue.append(members[run.labels == 1])
-        queue.append(members[run.labels == 2])
-    if singletons:
-        warnings.warn(
-            f"radius threshold {radius_threshold} produced {singletons} singleton cluster(s)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return labels
+def fit_states(panel: ReturnPanel, spec: EpochSpec, k: int, epsilon: float,
+               n_inits: int, seed: int, dim: int = 3):
+    """Full fit at a chosen operating point on a return panel; see fit_series."""
+    return fit_series(epoch_correlations(panel, spec), k, epsilon, n_inits, seed, dim)

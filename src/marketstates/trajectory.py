@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .corrmat import EpochCorrelationSeries, EpochSpec, epoch_correlations, power_map
+from .corrmat import EpochCorrelationSeries, EpochSpec, epoch_correlations
 from .errors import DataError
-from .geometry import classical_mds, similarity_matrix, step_lengths
+from .geometry import embed_epochs, step_lengths
 from .ingest import ReturnPanel
 
 CRITICAL = "CRITICAL"
@@ -160,9 +160,7 @@ def analyze_trajectory(window: EventWindow, threshold: float = DEFAULT_THRESHOLD
     """
     if dim < 2:
         raise ValueError(f"need at least 2 axes for a variance ratio, got dim={dim}")
-    stack = power_map(window.epochs.values_stack(), epsilon)
-    embedding = classical_mds(similarity_matrix(stack), D=dim, warn=False)
-    coords = embedding.coordinates
+    coords = embed_epochs(window.epochs.values_stack(), epsilon, dim).coordinates
     variances = coords.var(axis=0)
     var_x, var_y = float(variances[0]), float(variances[1])
     var_z = float(variances[2]) if dim >= 3 else 0.0

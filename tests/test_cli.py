@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from marketstates.cli import main
+from marketstates.pipeline import run_pipeline
 from marketstates.serialize import load_arrays, read_json
 
-from test_pipeline import write_market
+from test_pipeline import market_config, write_market
 
 
 @pytest.fixture(scope="module")
@@ -290,3 +291,44 @@ def test_out_dir_env_redirects_relative_outputs(workspace, tmp_path, monkeypatch
     assert main(["corr", "--panel", str(workspace["panel"]),
                  "--out", "nested/corr.npz"]) == 0
     assert (tmp_path / "nested" / "corr.npz").exists()
+
+
+# --------------------------------------------------------------------------
+# one writer per artifact
+
+
+def test_cli_writes_the_pipeline_artifacts_byte_for_byte(market, tmp_path):
+    staged = tmp_path / "pipeline"
+    assert run_pipeline(market_config(market, staged))[0] == 0
+    cli = tmp_path / "cli"
+    panel, corr = str(cli / "panel.csv"), str(cli / "corr_raw.npz")
+    fit = ["--k", "2", "--epsilon", "0.0", "--n-inits", "4", "--seed", "0", "--dim", "3"]
+    for argv in (
+        ["ingest", "--prices", str(market / "prices.csv"),
+         "--sectors", str(market / "sectors.csv"), "--out", panel],
+        ["corr", "--panel", panel, "--out", corr],
+        ["mds", "--corr", corr, "--dim", "3", "--out-dir", str(cli)],
+        ["states", "optimize", "--panel", panel, "--k-range", "2,3",
+         "--epsilon-grid", "0,0.5", "--n-inits", "4", "--seed", "0", "--k-min", "2",
+         "--out", str(cli / "surface.csv")],
+        ["states", "fit", "--panel", panel, *fit, "--out-dir", str(cli)],
+        ["sectors", "fit", "--panel", panel, *fit, "--out-dir", str(cli)],
+        ["sectors", "displace", "--stock-model", str(cli / "model.json"),
+         "--sector-model", str(cli / "sector_model.json"),
+         "--out", str(cli / "displacement.json")],
+        ["trajectory", "catalog", "--panel", panel, "--events", str(market / "events.csv"),
+         "--width", "45", "--threshold", "0.4", "--out", str(cli / "trajectory_report.json")],
+        ["rmt-validate", "--n", "8", "--t", "20", "--realizations", "4", "--bins", "20",
+         "--seed", "0", "--out", str(cli / "rmt.json")],
+    ):
+        assert main(argv) == 0, argv
+
+    rmt = read_json(cli / "rmt.json")
+    assert rmt.pop("epsilon") == 0.0
+    assert json.dumps(rmt, indent=2, sort_keys=True) + "\n" == (
+        staged / "rmt_report.json").read_text()
+    stage_only = {"manifest.json", "selected.json", "trajectory_table.csv", "rmt_report.json"}
+    names = sorted(p.name for p in cli.iterdir() if p.name != "rmt.json")
+    assert names == sorted(p.name for p in staged.iterdir() if p.name not in stage_only)
+    for name in names:
+        assert (cli / name).read_bytes() == (staged / name).read_bytes(), name

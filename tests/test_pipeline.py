@@ -349,6 +349,36 @@ def test_failing_stage_halts_downstream(tmp_path):
     assert (out / "manifest.json").exists()  # manifest still written
 
 
+def test_negative_grid_epsilon_fails_states_before_surface(market, tmp_path):
+    out = tmp_path / "out"
+    cfg = market_config(market, out)
+    cfg.epsilon_grid = parse_float_grid("-0.5,0")
+    code, manifest = run_pipeline(cfg)
+    assert code == 1
+    assert manifest["stages"]["states"]["status"] == "failed"
+    assert "epsilon must be >= 0" in manifest["stages"]["states"]["error"]
+    assert not (out / "surface.csv").exists()
+
+
+def test_unexpected_error_still_writes_manifest(market, tmp_path, monkeypatch, capsys):
+    import marketstates.pipeline as pipeline
+
+    def out_of_memory(cfg, out, workers):
+        raise MemoryError("stack does not fit")
+
+    monkeypatch.setattr(pipeline, "_stage_corr", out_of_memory)
+    out = tmp_path / "out"
+    code, manifest = run_pipeline(market_config(market, out))
+    assert code == 1
+    stages = manifest["stages"]
+    assert stages["ingest"]["status"] == "ok"
+    assert stages["corr"] == {"status": "failed", "error": "MemoryError: stack does not fit"}
+    for name in STAGE_ORDER[STAGE_ORDER.index("corr") + 1:]:
+        assert stages[name]["status"] == "halted"
+    assert read_json(out / "manifest.json") == manifest
+    assert "Traceback" in capsys.readouterr().err
+
+
 def test_pinned_choice_is_recorded(market, tmp_path):
     out = tmp_path / "out"
     run_pipeline(market_config(market, out))

@@ -30,7 +30,7 @@ def test_sampling_is_deterministic_and_subseeded_by_xor():
 
 def test_realizations_are_symmetric_psd():
     spec = WishartSpec(N=30, T=25, ensemble_size=4, seed=1)
-    for W in rmt.sample_woe(spec):
+    for W in (rmt.sample_realization(spec, i) for i in range(spec.ensemble_size)):
         np.testing.assert_array_equal(W, W.T)
         assert np.linalg.eigvalsh(W).min() > -1e-8
 

@@ -5,13 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from marketstates import corrmat, geometry, sector, states
+from marketstates import corrmat, sector, states
 from marketstates.corrmat import EpochSpec, epoch_correlations, pearson_correlation
 from marketstates.errors import DataError
 from marketstates.ingest import ReturnPanel
 from marketstates.sector import (
     SECTOR_PRESETS,
-    averaged_series_correlations,
     displacement,
     sector_average,
     sector_series,
@@ -153,11 +152,7 @@ def test_sector_series_matches_per_epoch_averages():
 
 
 def test_sector_pipeline_reuses_the_stock_level_machinery():
-    assert sector.similarity_matrix is geometry.similarity_matrix
-    assert sector.classical_mds is geometry.classical_mds
-    assert sector.best_kmeans is states.best_kmeans
-    assert sector.build_state_model is states.build_state_model
-    assert sector.power_map is corrmat.power_map
+    assert sector.fit_series is states.fit_series
     assert sector.epoch_correlations is corrmat.epoch_correlations
 
 
@@ -257,22 +252,6 @@ def test_displacement_validation():
         displacement([], [])
     with pytest.raises(ValueError, match="1-D"):
         displacement([[1, 2]], [[1, 2]])
-
-
-def test_averaged_series_diagnostic_matches_oracle():
-    panel = regime_panel(seed=6)
-    spec = EpochSpec(window=20, shift=40)
-    series = averaged_series_correlations(panel, spec)
-    assert series.labels == ["A", "B", "C"]
-    assert "diagnostic" in series.meta["method"]
-    # oracle: correlate the per-sector mean return series directly
-    groups = {s: [i for i, t in enumerate(panel.tickers) if panel.sector_of[t] == s]
-              for s in ["A", "B", "C"]}
-    averaged = np.stack([panel.returns[groups[s]].mean(axis=0) for s in ["A", "B", "C"]])
-    for m in series.matrices:
-        lo = (m.epoch_index - 1) * spec.shift
-        want = pearson_correlation(averaged[:, lo:lo + spec.window])
-        np.testing.assert_allclose(m.values, want, atol=1e-14)
 
 
 def test_preset_table():

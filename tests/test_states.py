@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from marketstates.corrmat import EpochCorrelationSeries, EpochSpec
-from marketstates.geometry import SimilarityMatrix
 from marketstates.ingest import ReturnPanel
 from marketstates.states import (
     ClusteringRun,
@@ -13,9 +12,7 @@ from marketstates.states import (
     fit_states,
     kmeans,
     optimize_over_grid,
-    optimize_states,
     select_optimum,
-    topdown_cluster,
 )
 
 
@@ -147,14 +144,12 @@ def test_planted_regime_count_shows_up_as_radius_elbow():
     # four planted correlation regimes: the best-of-inits cluster radius
     # collapses at k=4 and the best k=4 run recovers the planted partition,
     # under both raw and power-mapped geometry
-    from marketstates.geometry import classical_mds, similarity_matrix
-    from marketstates.states import _powermap_stack
+    from marketstates.geometry import embed_epochs
 
     stack = regime_stack()
     truth = np.repeat(np.arange(4), 12)
     for eps in (0.0, 0.5):
-        sim = similarity_matrix(_powermap_stack(stack, eps))
-        coords = classical_mds(sim, D=3, warn=False).coordinates
+        coords = embed_epochs(stack, eps, 3).coordinates
         best = {k: best_kmeans(coords, k, 40, seed=11) for k in range(2, 7)}
         drop34 = best[3].d_intra - best[4].d_intra
         drop45 = best[4].d_intra - best[5].d_intra
@@ -169,20 +164,13 @@ def test_optimize_over_grid_worker_invariance():
     assert a.grid == b.grid
 
 
-def test_optimize_states_wraps_panel_pipeline():
-    rng = np.random.default_rng(5)
-    panel = ReturnPanel(
-        tickers=[f"S{i}" for i in range(6)],
-        dates=[f"d{t}" for t in range(80)],
-        returns=rng.normal(size=(6, 80)),
-    )
-    surface = optimize_states(
-        panel, EpochSpec(window=20, shift=10), k_range=[2, 3],
-        epsilon_grid=[0.0], n_inits=5, seed=1,
-    )
-    assert [(g.k, g.epsilon) for g in surface.grid] == [(2, 0.0), (3, 0.0)]
-    with pytest.raises(ValueError):
-        optimize_states(panel, EpochSpec(20, 10), [2], [0.0], n_inits=1, seed=1)
+def test_optimize_over_grid_rejects_bad_parameters():
+    stack = regime_stack(per_regime=3)
+    with pytest.raises(ValueError, match="n_inits"):
+        optimize_over_grid(stack, [2], [0.0], n_inits=1, seed=1)
+    # a negative epsilon is refused, not scored
+    with pytest.raises(ValueError, match="epsilon"):
+        optimize_over_grid(stack, [2, 3], [-0.5, 0.0], n_inits=4, seed=1)
 
 
 def test_select_optimum_rules():
@@ -207,11 +195,6 @@ def test_select_optimum_rules():
 
     with pytest.raises(ValueError):
         select_optimum(surface, k_min=7)
-
-    # override hook outranks sigma (prefer fewer bad transitions)
-    scores = {(4, 0.5): 0.0, (5, 0.9): 3.0}
-    assert select_optimum(surface, k_min=4,
-                          score_override=lambda k, e: scores[(k, e)]) == (4, 0.5)
 
 
 def fake_series(stack, dates=None):
@@ -326,32 +309,3 @@ def test_fit_states_end_to_end_on_regime_panel():
     # high-correlation epochs live in the later half
     late = model.state_of[-6:]
     assert np.all(late == 2)
-
-
-def test_topdown_single_cluster_when_threshold_loose():
-    rng = np.random.default_rng(8)
-    points = rng.normal(size=(30, 2))
-    dist = np.linalg.norm(points[:, None] - points[None, :], axis=2)
-    sim = SimilarityMatrix(values=dist)
-    global_radius = kmeans(points, 1, seed=0).d_intra
-    labels = topdown_cluster(sim, radius_threshold=global_radius * 2.0)
-    assert set(labels) == {1}
-
-
-def test_topdown_splits_two_blobs():
-    points, truth = planted_blobs(9, [[0.0, 0.0], [30.0, 0.0]], per_blob=20, sigma=1.0)
-    dist = np.linalg.norm(points[:, None] - points[None, :], axis=2)
-    labels = topdown_cluster(SimilarityMatrix(values=dist), radius_threshold=4.0)
-    assert set(labels) == {1, 2}
-    assert partitions_equal(labels, truth)
-
-
-def test_topdown_tiny_threshold_warns_on_singletons():
-    rng = np.random.default_rng(10)
-    points = rng.normal(size=(6, 2))
-    dist = np.linalg.norm(points[:, None] - points[None, :], axis=2)
-    with pytest.warns(RuntimeWarning, match="singleton"):
-        labels = topdown_cluster(SimilarityMatrix(values=dist), radius_threshold=1e-9)
-    assert sorted(labels) == list(range(1, 7))
-    with pytest.raises(ValueError):
-        topdown_cluster(SimilarityMatrix(values=dist), radius_threshold=0.0)
