@@ -47,6 +47,34 @@ class Embedding:
     clipped_mass: float
 
 
+def _packed_epochs(mats) -> np.ndarray:
+    """Pack each epoch into one row: 2 x its strict upper triangle, then its diagonal.
+
+    The L1 distance between two packed rows equals the one between the full
+    matrices, because every off-diagonal difference appears twice there.
+    Raises NumericError naming the first epoch that is non-finite or not
+    exactly symmetric, the two conditions under which that equality fails.
+    """
+    shape = mats[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
+        raise NumericError(f"epochs must be non-empty square matrices, got shape {shape}")
+    N = shape[0]
+    iu = np.triu_indices(N, 1)
+    k = iu[0].size
+    X = np.empty((len(mats), k + N))
+    for e, m in enumerate(mats):
+        if m.shape != shape:
+            raise NumericError("epochs have mismatched matrix sizes")
+        row = X[e]
+        np.multiply(m[iu], 2.0, out=row[:k])
+        row[k:] = np.diagonal(m)
+        if not np.isfinite(row).all():
+            raise NumericError(f"epoch {e} has a non-finite entry")
+        if not np.array_equal(m, m.T):
+            raise NumericError(f"epoch {e} is not exactly symmetric")
+    return X
+
+
 def similarity_matrix(series) -> SimilarityMatrix:
     """Mean absolute element-wise difference between every pair of epochs.
 
@@ -54,30 +82,40 @@ def similarity_matrix(series) -> SimilarityMatrix:
     differences are zero for raw correlation matrices, so they only dilute
     by a constant factor).  Accepts any series object exposing ``matrices``
     with per-epoch ``values`` and ``start_date``, or a bare (Fr, N, N) stack.
+
+    Every epoch must be finite and exactly symmetric, as correlation,
+    power-mapped and sector-averaged matrices are; otherwise NumericError.
+    The kernel then sums over the packed upper triangle and diagonal only,
+    streaming row differences through one buffer of about 512 KB, so its
+    working set beyond the input is the half-size packed stack.
     """
     if isinstance(series, np.ndarray):
         if series.ndim != 3:
             raise NumericError(f"stack must be 3-D (epochs, N, N), got shape {series.shape}")
-        mats = list(series.astype(float, copy=False))
+        mats = series.astype(float, copy=False)
         dates = [""] * len(mats)
     else:
         mats = [np.asarray(m.values, dtype=float) for m in series.matrices]
         dates = [getattr(m, "start_date", "") for m in series.matrices]
-    if len(mats) < 2:
-        raise NumericError(f"need at least 2 epochs, got {len(mats)}")
-    shape = mats[0].shape
-    if any(m.shape != shape for m in mats):
-        raise NumericError("epochs have mismatched matrix sizes")
-    X = np.stack([m.ravel() for m in mats])
-    n, width = X.shape
+    n = len(mats)
+    if n < 2:
+        raise NumericError(f"need at least 2 epochs, got {n}")
+    X = _packed_epochs(mats)
+    width = X.shape[1]
     out = np.zeros((n, n))
-    # keep the broadcast temporaries around 256 MB
-    block = max(1, (1 << 25) // max(width, 1))
-    for i in range(n):
+    # one reused difference buffer of about 2^16 float64 (512 KB) stays in cache
+    block = max(1, (1 << 16) // width)
+    buf = np.empty((min(block, n - 1), width))
+    for i in range(n - 1):
         for j0 in range(i + 1, n, block):
             j1 = min(j0 + block, n)
-            out[i, j0:j1] = np.abs(X[j0:j1] - X[i]).mean(axis=1)
-    out = out + out.T
+            b = buf[: j1 - j0]
+            np.subtract(X[j0:j1], X[i], out=b)
+            np.abs(b, out=b)
+            b.sum(axis=1, out=out[i, j0:j1])
+    N = mats[0].shape[0]
+    out /= N * N
+    out += out.T
     return SimilarityMatrix(values=out, epoch_dates=dates)
 
 

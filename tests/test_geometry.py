@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from marketstates.corrmat import EpochSpec, epoch_correlations
+from marketstates.corrmat import EpochSpec, epoch_correlations, power_map
 from marketstates.errors import NumericError
 from marketstates.geometry import (
     Embedding,
@@ -12,6 +14,7 @@ from marketstates.geometry import (
     step_lengths,
 )
 from marketstates.ingest import ReturnPanel
+from marketstates.sector import sector_series
 
 
 class FakeMatrix:
@@ -69,6 +72,62 @@ def test_similarity_matches_triple_loop_oracle():
             assert abs(sim.values[a, b] - total / N**2) < 1e-14
 
 
+def row_by_row_similarity(stack):
+    """The dissimilarity kernel before upper-triangle packing: full N^2 rows."""
+    X = np.stack([m.ravel() for m in stack])
+    n, width = X.shape
+    out = np.zeros((n, n))
+    block = max(1, (1 << 25) // max(width, 1))
+    for i in range(n):
+        for j0 in range(i + 1, n, block):
+            j1 = min(j0 + block, n)
+            out[i, j0:j1] = np.abs(X[j0:j1] - X[i]).mean(axis=1)
+    return out + out.T
+
+
+def symmetric_stack(seed, n, N):
+    a = np.random.default_rng(seed).normal(size=(n, N, N))
+    return (a + a.transpose(0, 2, 1)) / 2
+
+
+def _oracle_cases():
+    series = random_corr_series(10, n_stocks=9, n_returns=120)
+    sector_of = {f"S{i}": f"x{i % 3}" for i in range(9)}
+    return {
+        "raw": series.values_stack(),
+        "power_mapped": power_map(series.values_stack(), 0.6),
+        "sectors": sector_series(series, sector_of).values_stack(),
+        "sectors_self_pairs": sector_series(
+            series, sector_of, include_self_pairs=True
+        ).values_stack(),
+        "one_stock": symmetric_stack(11, 7, 1),
+        "two_epochs": symmetric_stack(12, 2, 30),
+        # width 7 260: a row of 19 pairs spans three 9-row buffer blocks
+        "multi_block": symmetric_stack(13, 20, 120),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_oracle_cases()))
+def test_packed_kernel_matches_row_by_row_oracle(case):
+    stack = _oracle_cases()[case]
+    got = similarity_matrix(stack).values
+    want = row_by_row_similarity(stack)
+    np.testing.assert_array_equal(got, got.T)
+    assert np.all(np.diag(got) == 0.0)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_similarity_working_set_is_below_the_input_stack():
+    stack = symmetric_stack(14, 30, 300)
+    tracemalloc.start()
+    try:
+        similarity_matrix(stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * stack.nbytes
+
+
 def test_similarity_metric_properties():
     sim = similarity_matrix(random_corr_series(2))
     Z = sim.values
@@ -84,6 +143,21 @@ def test_similarity_input_validation():
         similarity_matrix(FakeSeries([np.eye(3)]))
     with pytest.raises(NumericError):
         similarity_matrix(FakeSeries([np.eye(3), np.eye(4)]))
+    for shape in ((3, 2, 3), (3, 0, 0)):
+        with pytest.raises(NumericError, match="non-empty square"):
+            similarity_matrix(np.zeros(shape))
+    nonfinite = np.stack([np.eye(3)] * 4)
+    nonfinite[2, 1, 1] = np.nan
+    with pytest.raises(NumericError, match="epoch 2 has a non-finite"):
+        similarity_matrix(nonfinite)
+    nonfinite[2, 1, 1] = np.inf
+    with pytest.raises(NumericError, match="epoch 2 has a non-finite"):
+        similarity_matrix(FakeSeries(list(nonfinite)))
+    # packing would silently read only the upper triangle of this stack
+    asymmetric = np.stack([np.eye(3)] * 3)
+    asymmetric[0, 0, 1] = 0.5
+    with pytest.raises(NumericError, match="epoch 0 is not exactly symmetric"):
+        similarity_matrix(asymmetric)
 
 
 def test_mds_unit_square():
