@@ -39,8 +39,8 @@ panel = ReturnPanel(
 
 # --- 2. epochs, distances, map ------------------------------------------------
 series = epoch_correlations(panel, EpochSpec(window=20, shift=1))
-zeta = similarity_matrix(series)
-print(f"{series.n_epochs} epochs -> {zeta.size}x{zeta.size} distance table")
+zeta = similarity_matrix(series.values_stack())
+print(f"{series.n_epochs} epochs -> {zeta.shape[0]}x{zeta.shape[1]} distance table")
 
 embedding = classical_mds(zeta, D=3, warn=False)
 print(f"3-D map spans x: [{embedding.coordinates[:, 0].min():.3f}, "

@@ -17,7 +17,7 @@ from marketstates import (
     displacement,
     epoch_correlations,
     fit_states,
-    sector_average,
+    sector_series,
     sector_state_pipeline,
 )
 
@@ -43,12 +43,12 @@ for ticker in tickers:
 panel = ReturnPanel(tickers=tickers, dates=[f"d{i:03d}" for i in range(days)],
                     returns=np.array(rows), sector_of=sector_of)
 
-# --- 2. one epoch, averaged by sector ------------------------------------------
+# --- 2. every epoch, averaged by sector ----------------------------------------
 series = epoch_correlations(panel, EpochSpec(window=20, shift=1))
-example = series.matrices[0]
-small = sector_average(example.values, tickers, sector_of)
+by_sector = sector_series(series, sector_of)  # the same series type, sector labels
+example, small = series.matrices[0], by_sector.matrices[0]
 print(f"stock matrix {example.values.shape} -> sector matrix {small.values.shape}")
-print(f"sectors (sorted): {small.sectors}")
+print(f"sectors (sorted): {by_sector.labels}")
 print("sector matrix for the first epoch:")
 print(np.round(small.values, 3))
 print("note the diagonal: intra-sector averages are informative, not 1.\n")

@@ -108,8 +108,10 @@ def _cmd_rmt_validate(args) -> int:
 
 
 def _cmd_mds(args) -> int:
-    series = series_from_arrays(load_arrays(args.corr), EpochSpec())
-    coords_path, _ = write_map(series, args.dim, _out_path(args.out_dir))
+    arrays = load_arrays(args.corr)
+    series = series_from_arrays(arrays)
+    dates = [m.start_date for m in series.matrices]
+    coords_path, _ = write_map(arrays["values"], dates, args.dim, _out_path(args.out_dir))
     print(f"{series.n_epochs} epochs -> {coords_path}")
     return 0
 

@@ -9,7 +9,7 @@ yields ``floor((L - window)/shift) + 1`` epochs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,28 +47,25 @@ def epoch_bounds(epoch_index: int, spec: EpochSpec) -> tuple[int, int]:
 
 @dataclass
 class CorrelationMatrix:
-    """One epoch's correlation matrix.
-
-    ``epsilon_applied`` records the power-map exponent already applied to
-    ``values`` (0.0 means plain Pearson).
-    """
+    """One epoch's correlation matrix and the first and last return day it covers."""
 
     values: np.ndarray
-    epoch_index: int
     start_date: str
     end_date: str
-    epsilon_applied: float = 0.0
 
 
 @dataclass
 class EpochCorrelationSeries:
-    """Ordered correlation matrices for every epoch of a panel."""
+    """Ordered correlation matrices of every epoch, one row and column per label.
 
-    spec: EpochSpec
+    The one epoch-stack type: stock-level series carry tickers as labels,
+    sector-averaged ones sector names.  ``epsilon`` records the power-map
+    exponent already applied to every matrix (0.0 means plain Pearson).
+    """
+
     labels: list[str]
     matrices: list[CorrelationMatrix]
     epsilon: float = 0.0
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_epochs(self) -> int:
@@ -128,15 +125,8 @@ def epoch_correlations(panel: ReturnPanel, spec: EpochSpec = EpochSpec()) -> Epo
             values = pearson_correlation(panel.returns[:, lo:hi])
         for w in caught:
             warnings.warn(f"epoch {index}: {w.message}", RuntimeWarning, stacklevel=2)
-        matrices.append(
-            CorrelationMatrix(
-                values=values,
-                epoch_index=index,
-                start_date=panel.dates[lo],
-                end_date=panel.dates[hi - 1],
-            )
-        )
-    return EpochCorrelationSeries(spec=spec, labels=list(panel.tickers), matrices=matrices)
+        matrices.append(CorrelationMatrix(values, panel.dates[lo], panel.dates[hi - 1]))
+    return EpochCorrelationSeries(labels=list(panel.tickers), matrices=matrices)
 
 
 def _power(values: np.ndarray, epsilon: float) -> np.ndarray:
@@ -151,27 +141,14 @@ def power_map(obj, epsilon: float):
 
     Shrinks small (mostly noise) correlations toward zero faster than strong
     ones, which also breaks the rank degeneracy of short-window correlation
-    matrices.  Accepts a bare array, a CorrelationMatrix, or a whole series
-    and returns the same kind of object.
+    matrices.  Accepts a bare array or a whole series and returns the same
+    kind of object; a series keeps its labels and dates.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     if isinstance(obj, np.ndarray):
         return _power(obj, epsilon)
-    if isinstance(obj, CorrelationMatrix):
-        return CorrelationMatrix(
-            values=_power(obj.values, epsilon),
-            epoch_index=obj.epoch_index,
-            start_date=obj.start_date,
-            end_date=obj.end_date,
-            epsilon_applied=epsilon,
-        )
     if isinstance(obj, EpochCorrelationSeries):
-        return EpochCorrelationSeries(
-            spec=obj.spec,
-            labels=list(obj.labels),
-            matrices=[power_map(m, epsilon) for m in obj.matrices],
-            epsilon=epsilon,
-            meta=dict(obj.meta),
-        )
+        matrices = [replace(m, values=_power(m.values, epsilon)) for m in obj.matrices]
+        return EpochCorrelationSeries(list(obj.labels), matrices, epsilon)
     raise TypeError(f"cannot power-map a {type(obj).__name__}")

@@ -9,24 +9,12 @@ becomes one point and market history becomes a trajectory through that map.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .corrmat import power_map
 from .errors import NumericError
-
-
-@dataclass
-class SimilarityMatrix:
-    """Pairwise epoch dissimilarities (symmetric, zero diagonal, >= 0)."""
-
-    values: np.ndarray
-    epoch_dates: list[str] = field(default_factory=list)
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass
@@ -47,7 +35,7 @@ class Embedding:
     clipped_mass: float
 
 
-def _packed_epochs(mats) -> np.ndarray:
+def _packed_epochs(stack: np.ndarray) -> np.ndarray:
     """Pack each epoch into one row: 2 x its strict upper triangle, then its diagonal.
 
     The L1 distance between two packed rows equals the one between the full
@@ -55,16 +43,13 @@ def _packed_epochs(mats) -> np.ndarray:
     Raises NumericError naming the first epoch that is non-finite or not
     exactly symmetric, the two conditions under which that equality fails.
     """
-    shape = mats[0].shape
-    if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
-        raise NumericError(f"epochs must be non-empty square matrices, got shape {shape}")
-    N = shape[0]
-    iu = np.triu_indices(N, 1)
+    n, rows, cols = stack.shape
+    if rows != cols or rows == 0:
+        raise NumericError(f"epochs must be non-empty square matrices, got shape {(rows, cols)}")
+    iu = np.triu_indices(rows, 1)
     k = iu[0].size
-    X = np.empty((len(mats), k + N))
-    for e, m in enumerate(mats):
-        if m.shape != shape:
-            raise NumericError("epochs have mismatched matrix sizes")
+    X = np.empty((n, k + rows))
+    for e, m in enumerate(stack):
         row = X[e]
         np.multiply(m[iu], 2.0, out=row[:k])
         row[k:] = np.diagonal(m)
@@ -75,13 +60,13 @@ def _packed_epochs(mats) -> np.ndarray:
     return X
 
 
-def similarity_matrix(series) -> SimilarityMatrix:
+def similarity_matrix(stack: np.ndarray) -> np.ndarray:
     """Mean absolute element-wise difference between every pair of epochs.
 
-    The mean runs over all N^2 ordered entries, diagonal included (diagonal
-    differences are zero for raw correlation matrices, so they only dilute
-    by a constant factor).  Accepts any series object exposing ``matrices``
-    with per-epoch ``values`` and ``start_date``, or a bare (Fr, N, N) stack.
+    Takes an (epochs, N, N) stack and returns the symmetric (epochs, epochs)
+    dissimilarity matrix with a zero diagonal.  The mean runs over all N^2
+    ordered entries, diagonal included (diagonal differences are zero for
+    raw correlation matrices, so they only dilute by a constant factor).
 
     Every epoch must be finite and exactly symmetric, as correlation,
     power-mapped and sector-averaged matrices are; otherwise NumericError.
@@ -89,18 +74,14 @@ def similarity_matrix(series) -> SimilarityMatrix:
     streaming row differences through one buffer of about 512 KB, so its
     working set beyond the input is the half-size packed stack.
     """
-    if isinstance(series, np.ndarray):
-        if series.ndim != 3:
-            raise NumericError(f"stack must be 3-D (epochs, N, N), got shape {series.shape}")
-        mats = series.astype(float, copy=False)
-        dates = [""] * len(mats)
-    else:
-        mats = [np.asarray(m.values, dtype=float) for m in series.matrices]
-        dates = [getattr(m, "start_date", "") for m in series.matrices]
-    n = len(mats)
+    if not isinstance(stack, np.ndarray):
+        raise TypeError(f"expected an (epochs, N, N) ndarray, got {type(stack).__name__}")
+    if stack.ndim != 3:
+        raise NumericError(f"stack must be 3-D (epochs, N, N), got shape {stack.shape}")
+    n = stack.shape[0]
     if n < 2:
         raise NumericError(f"need at least 2 epochs, got {n}")
-    X = _packed_epochs(mats)
+    X = _packed_epochs(stack.astype(float, copy=False))
     width = X.shape[1]
     out = np.zeros((n, n))
     # one reused difference buffer of about 2^16 float64 (512 KB) stays in cache
@@ -113,10 +94,17 @@ def similarity_matrix(series) -> SimilarityMatrix:
             np.subtract(X[j0:j1], X[i], out=b)
             np.abs(b, out=b)
             b.sum(axis=1, out=out[i, j0:j1])
-    N = mats[0].shape[0]
+    N = stack.shape[1]
     out /= N * N
     out += out.T
-    return SimilarityMatrix(values=out, epoch_dates=dates)
+    return out
+
+
+def _n_epochs(dissim: np.ndarray) -> int:
+    """Side length of a square dissimilarity matrix (its ``size`` is the square)."""
+    if dissim.ndim != 2 or dissim.shape[0] != dissim.shape[1]:
+        raise ValueError(f"dissimilarities must be a square matrix, got shape {dissim.shape}")
+    return dissim.shape[0]
 
 
 def _double_center(squared: np.ndarray) -> np.ndarray:
@@ -162,18 +150,19 @@ def _mds_coordinates(values: np.ndarray, D: int, warn: bool = True):
     return _fix_signs(coords), retained, eigval, negatives.size, clipped_mass
 
 
-def classical_mds(dissim: SimilarityMatrix, D: int, warn: bool = True) -> Embedding:
+def classical_mds(dissim: np.ndarray, D: int, warn: bool = True) -> Embedding:
     """Torgerson MDS: double-center the squared dissimilarities, eigendecompose.
 
     B = -1/2 J (Z*Z) J with J = I - (1/n) 1 1'; coordinates are eigenvectors
     scaled by the square root of the top D non-negative eigenvalues.
     Negative eigenvalues (non-Euclidean input) are dropped; if fewer than D
     non-negative remain, the missing axes are zero with a warning.
+    ``dissim`` is a square (epochs, epochs) matrix such as similarity_matrix's.
     """
-    n = dissim.size
+    n = _n_epochs(dissim)
     if not 1 <= D <= n - 1:
         raise ValueError(f"D must be in 1..{n - 1}, got {D}")
-    coords, retained, full, n_clipped, clipped_mass = _mds_coordinates(dissim.values, D, warn)
+    coords, retained, full, n_clipped, clipped_mass = _mds_coordinates(dissim, D, warn)
     return Embedding(
         coordinates=coords,
         eigenvalues=retained,
@@ -201,15 +190,16 @@ def step_lengths(coordinates: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.diff(coordinates, axis=0), axis=1)
 
 
-def dimension_fidelity(dissim: SimilarityMatrix, dims: list[int]) -> list[tuple[int, float]]:
+def dimension_fidelity(dissim: np.ndarray, dims: list[int]) -> list[tuple[int, float]]:
     """How well each low dimension reproduces the full map's local motion.
 
     For every requested D the length-(Fr-1) sequence of consecutive-epoch
     embedded distances is correlated (Pearson) against the same sequence at
     the reference dimension D_max = Fr-1.  Truncation is nested: dimension D
-    uses the first D axes of the full embedding.
+    uses the first D axes of the full embedding.  ``dissim`` is a square
+    (epochs, epochs) matrix, as for classical_mds.
     """
-    n = dissim.size
+    n = _n_epochs(dissim)
     if n < 3:
         raise NumericError(f"need at least 3 epochs, got {n}")
     if not dims:
@@ -218,7 +208,7 @@ def dimension_fidelity(dissim: SimilarityMatrix, dims: list[int]) -> list[tuple[
     for D in dims:
         if not 1 <= D <= d_max:
             raise ValueError(f"dimension {D} outside 1..{d_max}")
-    coords, _, _, _, _ = _mds_coordinates(dissim.values, d_max, warn=False)
+    coords, _, _, _, _ = _mds_coordinates(dissim, d_max, warn=False)
     diffs = np.diff(coords, axis=0)
     # nested truncation: cumulative squared steps along axes
     cumulative = np.cumsum(diffs * diffs, axis=1)

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import csv
 import datetime
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
+from .serialize import read_json, write_json
 
 _MISSING = {"", "nan"}
 
@@ -238,10 +238,7 @@ def save_panel(panel: PricePanel, path: str | Path) -> None:
         "dropped": panel.dropped,
         "sector_of": panel.sector_of,
     }
-    sidecar = path.with_name(path.name + ".meta.json")
-    with sidecar.open("w", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path.with_name(path.name + ".meta.json"), meta)
 
 
 def load_panel(path: str | Path) -> PricePanel:
@@ -250,7 +247,9 @@ def load_panel(path: str | Path) -> PricePanel:
     panel = load_prices(path, ContinuityPolicy(max_consecutive_missing=0))
     sidecar = path.with_name(path.name + ".meta.json")
     if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
+        meta = read_json(sidecar)
+        if not isinstance(meta, dict):
+            raise DataError(f"{sidecar} does not hold a JSON object")
         panel.sector_of = meta.get("sector_of")
         panel.dropped = meta.get("dropped", {})
     return panel

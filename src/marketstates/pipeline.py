@@ -176,8 +176,11 @@ def _portable_path(path: str | Path, out_dir: Path) -> str:
         return str(path)
 
 
-def series_from_arrays(arrays: dict[str, np.ndarray], spec: EpochSpec) -> EpochCorrelationSeries:
-    """Rebuild an epoch correlation series from a saved array archive."""
+def series_from_arrays(arrays: dict[str, np.ndarray]) -> EpochCorrelationSeries:
+    """Rebuild an epoch correlation series from a saved array archive.
+
+    The records' matrices are views into ``arrays["values"]``, not copies.
+    """
     try:
         stack = arrays["values"]
         labels = [str(s) for s in arrays["labels"]]
@@ -186,14 +189,8 @@ def series_from_arrays(arrays: dict[str, np.ndarray], spec: EpochSpec) -> EpochC
     except KeyError as exc:
         raise DataError(f"correlation archive is missing array {exc}") from exc
     epsilon = float(arrays["epsilon"]) if "epsilon" in arrays else 0.0
-    matrices = [
-        CorrelationMatrix(values=stack[i], epoch_index=i + 1,
-                          start_date=starts[i], end_date=ends[i],
-                          epsilon_applied=epsilon)
-        for i in range(stack.shape[0])
-    ]
-    return EpochCorrelationSeries(spec=spec, labels=labels, matrices=matrices,
-                                  epsilon=epsilon)
+    matrices = [CorrelationMatrix(stack[i], starts[i], ends[i]) for i in range(stack.shape[0])]
+    return EpochCorrelationSeries(labels, matrices, epsilon)
 
 
 def correlation_arrays(series: EpochCorrelationSeries) -> dict[str, np.ndarray]:
@@ -294,20 +291,22 @@ def write_panel(prices: str | Path, sectors: str | Path, max_gap: int, path: Pat
     return panel
 
 
-def write_map(series: EpochCorrelationSeries, dim: int, out_dir: Path) -> list[Path]:
-    """Classical MDS map of a correlation series: coordinates plus eigenvalue and fidelity meta."""
+def write_map(stack: np.ndarray, dates: list[str], dim: int, out_dir: Path) -> list[Path]:
+    """Classical MDS map of an epoch stack: coordinates plus eigenvalue and fidelity meta.
+
+    ``dates`` labels the coordinate rows, one per epoch of ``stack``.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
-    sim = similarity_matrix(series)
+    sim = similarity_matrix(stack)
     embedding = classical_mds(sim, D=dim, warn=False)
     padded = _xyz(embedding.coordinates)
-    dates = [m.start_date for m in series.matrices]
     write_csv(
         out_dir / "map_coords.csv",
         ["epoch", "date", "x", "y", "z"],
         [(i + 1, dates[i], padded[i, 0], padded[i, 1], padded[i, 2])
          for i in range(padded.shape[0])],
     )
-    dims = [d for d in (1, 2, 3, 4) if d <= sim.size - 1]
+    dims = [d for d in (1, 2, 3, 4) if d <= len(sim) - 1]
     fidelity = dimension_fidelity(sim, dims)
     write_json(
         out_dir / "map_meta.json",
@@ -392,15 +391,15 @@ def _stage_corr(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
 
 def _stage_mds(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
     arrays = load_arrays(out / "corr_raw.npz")
-    return write_map(series_from_arrays(arrays, EpochSpec(cfg.window, cfg.shift)),
-                     cfg.mds_dim, out)
+    dates = [m.start_date for m in series_from_arrays(arrays).matrices]
+    return write_map(arrays["values"], dates, cfg.mds_dim, out)
 
 
 def _stage_states(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
     arrays = load_arrays(out / "corr_raw.npz")
-    series = series_from_arrays(arrays, EpochSpec(cfg.window, cfg.shift))
+    series = series_from_arrays(arrays)
     surface = optimize_over_grid(
-        series.values_stack(), cfg.k_range, cfg.epsilon_grid,
+        arrays["values"], cfg.k_range, cfg.epsilon_grid,
         cfg.n_inits, cfg.seed, dim=cfg.mds_dim, workers=workers,
     )
     write_surface(surface, out / "surface.csv")
@@ -426,8 +425,7 @@ def _stage_sectors(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
     if not panel.sector_of:
         raise DataError("panel has no sector map; configure 'sectors'")
     arrays = load_arrays(out / "corr_raw.npz")
-    stock_series = series_from_arrays(arrays, EpochSpec(cfg.window, cfg.shift))
-    series = sector_series(stock_series, panel.sector_of)
+    series = sector_series(series_from_arrays(arrays), panel.sector_of)
     fitted = read_json(out / "selected.json")["fitted"]
     k = cfg.sector_k if cfg.sector_k > 0 else int(fitted["k"])
     epsilon = cfg.sector_epsilon if cfg.sector_epsilon >= 0 else float(fitted["epsilon"])

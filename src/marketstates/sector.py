@@ -12,11 +12,11 @@ epoch by epoch as a displacement histogram.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corrmat import CorrelationMatrix, EpochCorrelationSeries, EpochSpec, epoch_correlations
+from .corrmat import EpochCorrelationSeries, EpochSpec, epoch_correlations
 from .errors import DataError
 from .ingest import ReturnPanel
 from .states import fit_series
@@ -29,44 +29,6 @@ SECTOR_PRESETS: dict[str, tuple[int, float]] = {
     "nikkei225-optimum": (5, 0.3),
     "nikkei225-preferred": (8, 0.7),
 }
-
-
-@dataclass
-class SectorMatrix:
-    """One epoch's sector-averaged correlation matrix (symmetric, N_S x N_S)."""
-
-    values: np.ndarray
-    epoch_index: int
-    sectors: list[str]
-    start_date: str = ""
-    end_date: str = ""
-    self_pairs_included: bool = False
-
-
-@dataclass
-class SectorSeries:
-    """Ordered sector matrices for every epoch of a panel."""
-
-    spec: EpochSpec
-    sectors: list[str]
-    matrices: list[SectorMatrix]
-    epsilon: float = 0.0
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def labels(self) -> list[str]:
-        return list(self.sectors)
-
-    @property
-    def n_epochs(self) -> int:
-        return len(self.matrices)
-
-    @property
-    def n_sectors(self) -> int:
-        return len(self.sectors)
-
-    def values_stack(self) -> np.ndarray:
-        return np.stack([m.values for m in self.matrices])
 
 
 @dataclass
@@ -101,8 +63,8 @@ def _sector_layout(tickers, sector_of) -> tuple[list[str], np.ndarray]:
 
 
 def _block_average(values: np.ndarray, membership: np.ndarray,
-                   include_self_pairs: bool) -> tuple[np.ndarray, list[int]]:
-    """Average ``values`` over sector blocks; returns (matrix, singleton columns)."""
+                   include_self_pairs: bool) -> np.ndarray:
+    """Average ``values`` over sector blocks; a singleton's undefined diagonal is 1.0."""
     sizes = membership.sum(axis=0)
     sums = membership.T @ values @ membership
     pairs = np.outer(sizes, sizes)
@@ -114,51 +76,24 @@ def _block_average(values: np.ndarray, membership: np.ndarray,
     averaged = sums / np.where(pairs == 0.0, 1.0, pairs)
     for j in singletons:
         averaged[j, j] = 1.0
-    return (averaged + averaged.T) / 2.0, singletons
-
-
-def sector_average(matrix, tickers, sector_of,
-                   include_self_pairs: bool = False) -> SectorMatrix:
-    """Collapse one N x N correlation matrix to its N_S x N_S sector means.
-
-    Entry (a, b) is the mean of C_ij over i in sector a and j in sector b; on
-    the diagonal a == b the pairs i == j are excluded unless
-    ``include_self_pairs`` is set (the convention travels with the result).
-    A singleton sector leaves its intra-sector mean undefined, which falls
-    back to 1.0 with a warning.
-    """
-    if isinstance(matrix, CorrelationMatrix):
-        values = matrix.values
-        epoch_index, start_date, end_date = matrix.epoch_index, matrix.start_date, matrix.end_date
-    else:
-        values = np.asarray(matrix, dtype=float)
-        epoch_index, start_date, end_date = 0, "", ""
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {values.shape}")
-    if values.shape[0] != len(tickers):
-        raise ValueError(f"{values.shape[0]} rows for {len(tickers)} tickers")
-    sectors, membership = _sector_layout(tickers, sector_of)
-    averaged, singleton_cols = _block_average(values, membership, include_self_pairs)
-    if singleton_cols:
-        names = ", ".join(sectors[j] for j in singleton_cols)
-        warnings.warn(
-            f"singleton sector(s) {names}: intra-sector mean undefined, set to 1.0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return SectorMatrix(
-        values=averaged,
-        epoch_index=epoch_index,
-        sectors=sectors,
-        start_date=start_date,
-        end_date=end_date,
-        self_pairs_included=include_self_pairs,
-    )
+    return (averaged + averaged.T) / 2.0
 
 
 def sector_series(series: EpochCorrelationSeries, sector_of,
-                  include_self_pairs: bool = False) -> SectorSeries:
-    """Sector-average every epoch of a stock-level correlation series."""
+                  include_self_pairs: bool = False) -> EpochCorrelationSeries:
+    """Collapse every epoch's N x N matrix to its N_S x N_S sector means.
+
+    Entry (a, b) is the mean of C_ij over i in sector a and j in sector b; on
+    the diagonal a == b the pairs i == j are excluded unless
+    ``include_self_pairs`` is set.  A singleton sector leaves its
+    intra-sector mean undefined, which falls back to 1.0 with a warning.
+    The result is a series like its source: the sorted sector names as
+    labels, the source epochs' dates and epsilon.
+    """
+    n = series.n_labels
+    for m in series.matrices:
+        if m.values.shape != (n, n):
+            raise ValueError(f"epoch matrix of shape {m.values.shape} for {n} labels")
     sectors, membership = _sector_layout(series.labels, sector_of)
     sizes = membership.sum(axis=0)
     if not include_self_pairs and (sizes == 1).any():
@@ -168,26 +103,11 @@ def sector_series(series: EpochCorrelationSeries, sector_of,
             RuntimeWarning,
             stacklevel=2,
         )
-    matrices = []
-    for m in series.matrices:
-        averaged, _ = _block_average(m.values, membership, include_self_pairs)
-        matrices.append(
-            SectorMatrix(
-                values=averaged,
-                epoch_index=m.epoch_index,
-                sectors=sectors,
-                start_date=m.start_date,
-                end_date=m.end_date,
-                self_pairs_included=include_self_pairs,
-            )
-        )
-    return SectorSeries(
-        spec=series.spec,
-        sectors=sectors,
-        matrices=matrices,
-        epsilon=series.epsilon,
-        meta={"self_pairs_included": include_self_pairs, **series.meta},
-    )
+    matrices = [
+        replace(m, values=_block_average(m.values, membership, include_self_pairs))
+        for m in series.matrices
+    ]
+    return EpochCorrelationSeries(sectors, matrices, series.epsilon)
 
 
 def sector_state_pipeline(panel: ReturnPanel, spec: EpochSpec, k: int,

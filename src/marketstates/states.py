@@ -225,7 +225,7 @@ def select_optimum(surface: OptimizationSurface, k_min: int = 4) -> tuple[int, f
 
 def build_state_model(series: EpochCorrelationSeries, run: ClusteringRun) -> StateModel:
     """Average matrix per cluster, rename by ascending mean correlation, count transitions."""
-    if getattr(series, "epsilon", 0.0) != 0.0:
+    if series.epsilon != 0.0:
         raise ValueError("state averages must come from raw (epsilon 0) matrices")
     stack = series.values_stack()
     n_epochs = stack.shape[0]
@@ -254,12 +254,13 @@ def build_state_model(series: EpochCorrelationSeries, run: ClusteringRun) -> Sta
         state_mean_corr=[float(means[c]) for c in order],
         avg_corr_matrix=[averages[c] for c in order],
         transition_counts=transition_counts,
-        labels=list(getattr(series, "labels", [])),
+        labels=list(series.labels),
         epoch_dates=[m.start_date for m in series.matrices],
     )
 
 
-def fit_series(series, k: int, epsilon: float, n_inits: int, seed: int, dim: int = 3):
+def fit_series(series: EpochCorrelationSeries, k: int, epsilon: float, n_inits: int,
+               seed: int, dim: int = 3):
     """Fit market states to a raw (epsilon 0) series at one operating point.
 
     Returns (model, best run, embedding): clustering happens on the MDS map

@@ -29,7 +29,7 @@ from marketstates.corrmat import (
     power_map,
 )
 from marketstates.errors import DataError
-from marketstates.geometry import SimilarityMatrix, classical_mds, dimension_fidelity, similarity_matrix
+from marketstates.geometry import classical_mds, dimension_fidelity, similarity_matrix
 from marketstates.ingest import ContinuityPolicy, ReturnPanel, load_prices, log_returns
 from marketstates.rmt import (
     WishartSpec,
@@ -111,9 +111,7 @@ def test_mds_recovery_and_metric_axioms(acceptance):
     points = rng.standard_normal((50, 3))
     diffs = points[:, None, :] - points[None, :, :]
     distances = np.sqrt((diffs * diffs).sum(axis=2))
-    embedding = classical_mds(
-        SimilarityMatrix(values=distances, epoch_dates=[str(i) for i in range(50)]), D=3,
-        warn=False)
+    embedding = classical_mds(distances, D=3, warn=False)
     rec = embedding.coordinates
     rec_diffs = rec[:, None, :] - rec[None, :, :]
     rec_distances = np.sqrt((rec_diffs * rec_diffs).sum(axis=2))
@@ -122,7 +120,7 @@ def test_mds_recovery_and_metric_axioms(acceptance):
     stack = np.stack([
         pearson_correlation(rng.standard_normal((12, 30))) for _ in range(40)
     ])
-    zeta = similarity_matrix(stack).values
+    zeta = similarity_matrix(stack)
     symmetric = np.array_equal(zeta, zeta.T)
     zero_diag = np.all(np.diag(zeta) == 0.0)
     non_negative = np.all(zeta >= 0.0)
@@ -192,7 +190,7 @@ def test_transition_count_identities(acceptance):
     pool = [
         CorrelationMatrix(
             values=pearson_correlation(rng.standard_normal((4, 8))),
-            epoch_index=t + 1, start_date=f"d{t:03d}", end_date=f"d{t:03d}")
+            start_date=f"d{t:03d}", end_date=f"d{t:03d}")
         for t in range(60)
     ]
     exact = 0
@@ -202,7 +200,7 @@ def test_transition_count_identities(acceptance):
         labels = rng.integers(1, k + 1, size=n_epochs)
         labels[:k] = rng.permutation(np.arange(1, k + 1))  # every state occupied
         series = EpochCorrelationSeries(
-            spec=EpochSpec(), labels=["a", "b", "c", "d"], matrices=pool[:n_epochs])
+            labels=["a", "b", "c", "d"], matrices=pool[:n_epochs])
         run = ClusteringRun(
             k=k, epsilon=0.0, seed=trial, labels=labels,
             centroids=np.zeros((k, 3)), d_intra=0.0, objective_trace=[0.0],
@@ -243,10 +241,8 @@ def test_variance_ratio_classifier_on_planted_trajectories(acceptance):
     stack = planted_window(0.3, 7).epochs.values_stack()
     zeta = similarity_matrix(stack)
     for factor in (2.75, 1e3):
-        scaled = SimilarityMatrix(values=factor * zeta.values,
-                                  epoch_dates=zeta.epoch_dates)
         a = classical_mds(zeta, D=3, warn=False).coordinates
-        b = classical_mds(scaled, D=3, warn=False).coordinates
+        b = classical_mds(factor * zeta, D=3, warn=False).coordinates
         ratio_a = np.var(a[:, 1]) / np.var(a[:, 0])
         ratio_b = np.var(b[:, 1]) / np.var(b[:, 0])
         drift = max(drift, abs(ratio_a - ratio_b))

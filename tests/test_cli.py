@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from marketstates.cli import main
+from marketstates.errors import DataError
+from marketstates.ingest import load_panel
 from marketstates.pipeline import run_pipeline
 from marketstates.serialize import load_arrays, read_json
 
@@ -57,6 +59,18 @@ def test_data_error_maps_to_two(tmp_path, capsys):
                  "--out", str(tmp_path / "panel.csv")])
     assert code == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_corrupt_panel_sidecar_is_a_data_error(workspace, tmp_path, capsys):
+    panel = tmp_path / "panel.csv"
+    panel.write_bytes(workspace["panel"].read_bytes())
+    sidecar = tmp_path / "panel.csv.meta.json"
+    for text in ("{not json", "[1, 2]"):
+        sidecar.write_text(text)
+        with pytest.raises(DataError, match="panel.csv.meta.json"):
+            load_panel(panel)
+        assert main(["corr", "--panel", str(panel), "--out", str(tmp_path / "c.npz")]) == 2
+        assert "data error" in capsys.readouterr().err
 
 
 def test_bad_parameter_maps_to_one(workspace, tmp_path, capsys):

@@ -107,12 +107,12 @@ def test_pearson_raw_matrices_are_psd():
 def test_epoch_correlations_epochs_and_dates():
     rng = np.random.default_rng(5)
     panel = make_panel(rng.normal(size=(4, 47)))
-    series = epoch_correlations(panel, EpochSpec(window=20, shift=10))
+    spec = EpochSpec(window=20, shift=10)
+    series = epoch_correlations(panel, spec)
     assert series.n_epochs == 3
     assert series.labels == panel.tickers
     for k, mat in enumerate(series.matrices):
-        assert mat.epoch_index == k + 1
-        lo, hi = epoch_bounds(mat.epoch_index, series.spec)
+        lo, hi = epoch_bounds(k + 1, spec)
         assert mat.start_date == panel.dates[lo]
         assert mat.end_date == panel.dates[hi - 1]
         np.testing.assert_allclose(
@@ -177,7 +177,8 @@ def test_power_map_on_series_preserves_structure():
     assert mapped.epsilon == 0.5
     assert mapped.n_epochs == series.n_epochs
     assert mapped.labels == series.labels
-    assert all(m.epsilon_applied == 0.5 for m in mapped.matrices)
+    assert [(m.start_date, m.end_date) for m in mapped.matrices] == [
+        (m.start_date, m.end_date) for m in series.matrices]
     # original untouched
     assert series.epsilon == 0.0
     np.testing.assert_allclose(

@@ -7,7 +7,6 @@ from marketstates.corrmat import EpochSpec, epoch_correlations, power_map
 from marketstates.errors import NumericError
 from marketstates.geometry import (
     Embedding,
-    SimilarityMatrix,
     classical_mds,
     dimension_fidelity,
     similarity_matrix,
@@ -15,17 +14,6 @@ from marketstates.geometry import (
 )
 from marketstates.ingest import ReturnPanel
 from marketstates.sector import sector_series
-
-
-class FakeMatrix:
-    def __init__(self, values, start_date="d0"):
-        self.values = values
-        self.start_date = start_date
-
-
-class FakeSeries:
-    def __init__(self, arrays):
-        self.matrices = [FakeMatrix(a, f"d{i}") for i, a in enumerate(arrays)]
 
 
 def euclidean_matrix(points):
@@ -45,21 +33,20 @@ def random_corr_series(seed, n_stocks=6, n_returns=60):
 def test_similarity_identical_matrices_is_zero():
     block = np.random.default_rng(0).normal(size=(4, 4))
     block = (block + block.T) / 2
-    sim = similarity_matrix(FakeSeries([block, block.copy(), block.copy()]))
-    np.testing.assert_array_equal(sim.values, np.zeros((3, 3)))
-    assert sim.epoch_dates == ["d0", "d1", "d2"]
+    sim = similarity_matrix(np.stack([block, block, block]))
+    np.testing.assert_array_equal(sim, np.zeros((3, 3)))
 
 
 def test_similarity_all_ones_vs_identity():
-    sim = similarity_matrix(FakeSeries([np.ones((2, 2)), np.eye(2)]))
-    assert sim.values[0, 1] == 0.5  # (0 + 1 + 1 + 0) / 4
-    assert sim.values[1, 0] == 0.5
-    assert sim.values[0, 0] == 0.0
+    sim = similarity_matrix(np.stack([np.ones((2, 2)), np.eye(2)]))
+    assert sim[0, 1] == 0.5  # (0 + 1 + 1 + 0) / 4
+    assert sim[1, 0] == 0.5
+    assert sim[0, 0] == 0.0
 
 
 def test_similarity_matches_triple_loop_oracle():
     series = random_corr_series(1, n_stocks=5, n_returns=45)
-    sim = similarity_matrix(series)
+    sim = similarity_matrix(series.values_stack())
     mats = [m.values for m in series.matrices]
     n = len(mats)
     N = mats[0].shape[0]
@@ -69,7 +56,7 @@ def test_similarity_matches_triple_loop_oracle():
             for i in range(N):
                 for j in range(N):
                     total += abs(mats[a][i, j] - mats[b][i, j])
-            assert abs(sim.values[a, b] - total / N**2) < 1e-14
+            assert abs(sim[a, b] - total / N**2) < 1e-14
 
 
 def row_by_row_similarity(stack):
@@ -110,7 +97,7 @@ def _oracle_cases():
 @pytest.mark.parametrize("case", sorted(_oracle_cases()))
 def test_packed_kernel_matches_row_by_row_oracle(case):
     stack = _oracle_cases()[case]
-    got = similarity_matrix(stack).values
+    got = similarity_matrix(stack)
     want = row_by_row_similarity(stack)
     np.testing.assert_array_equal(got, got.T)
     assert np.all(np.diag(got) == 0.0)
@@ -129,8 +116,7 @@ def test_similarity_working_set_is_below_the_input_stack():
 
 
 def test_similarity_metric_properties():
-    sim = similarity_matrix(random_corr_series(2))
-    Z = sim.values
+    Z = similarity_matrix(random_corr_series(2).values_stack())
     np.testing.assert_array_equal(Z, Z.T)
     assert np.all(np.diag(Z) == 0.0)
     assert np.all(Z >= 0.0)
@@ -140,9 +126,11 @@ def test_similarity_metric_properties():
 
 def test_similarity_input_validation():
     with pytest.raises(NumericError):
-        similarity_matrix(FakeSeries([np.eye(3)]))
-    with pytest.raises(NumericError):
-        similarity_matrix(FakeSeries([np.eye(3), np.eye(4)]))
+        similarity_matrix(np.eye(3)[None])
+    with pytest.raises(NumericError, match="3-D"):
+        similarity_matrix(np.eye(3))
+    with pytest.raises(TypeError, match="ndarray"):
+        similarity_matrix(random_corr_series(0))
     for shape in ((3, 2, 3), (3, 0, 0)):
         with pytest.raises(NumericError, match="non-empty square"):
             similarity_matrix(np.zeros(shape))
@@ -152,7 +140,7 @@ def test_similarity_input_validation():
         similarity_matrix(nonfinite)
     nonfinite[2, 1, 1] = np.inf
     with pytest.raises(NumericError, match="epoch 2 has a non-finite"):
-        similarity_matrix(FakeSeries(list(nonfinite)))
+        similarity_matrix(nonfinite)
     # packing would silently read only the upper triangle of this stack
     asymmetric = np.stack([np.eye(3)] * 3)
     asymmetric[0, 0, 1] = 0.5
@@ -162,20 +150,20 @@ def test_similarity_input_validation():
 
 def test_mds_unit_square():
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    emb = classical_mds(SimilarityMatrix(values=euclidean_matrix(square)), D=2)
+    emb = classical_mds(euclidean_matrix(square), D=2)
     recovered = euclidean_matrix(emb.coordinates)
     np.testing.assert_allclose(recovered, euclidean_matrix(square), atol=1e-9)
 
 
 def test_mds_zero_dissimilarity_gives_origin():
-    emb = classical_mds(SimilarityMatrix(values=np.zeros((5, 5))), D=2)
+    emb = classical_mds(np.zeros((5, 5)), D=2)
     np.testing.assert_array_equal(emb.coordinates, np.zeros((5, 2)))
 
 
 def test_mds_recovers_random_3d_configuration():
     rng = np.random.default_rng(4)
     points = rng.normal(size=(50, 3))
-    emb = classical_mds(SimilarityMatrix(values=euclidean_matrix(points)), D=3)
+    emb = classical_mds(euclidean_matrix(points), D=3)
     err = np.abs(euclidean_matrix(emb.coordinates) - euclidean_matrix(points)).max()
     assert err < 1e-8
     # eigenvalue bookkeeping
@@ -188,7 +176,7 @@ def test_mds_recovers_random_3d_configuration():
 def test_mds_centering_and_sign_convention():
     rng = np.random.default_rng(5)
     points = rng.normal(size=(20, 4))
-    emb = classical_mds(SimilarityMatrix(values=euclidean_matrix(points)), D=4)
+    emb = classical_mds(euclidean_matrix(points), D=4)
     assert np.abs(emb.coordinates.mean(axis=0)).max() < 1e-9
     for m in range(4):
         column = emb.coordinates[:, m]
@@ -200,13 +188,13 @@ def test_mds_permutation_equivariance():
     points = rng.normal(size=(15, 3))
     Z = euclidean_matrix(points)
     perm = rng.permutation(15)
-    base = classical_mds(SimilarityMatrix(values=Z), D=3).coordinates
-    shuffled = classical_mds(SimilarityMatrix(values=Z[np.ix_(perm, perm)]), D=3).coordinates
+    base = classical_mds(Z, D=3).coordinates
+    shuffled = classical_mds(Z[np.ix_(perm, perm)], D=3).coordinates
     np.testing.assert_allclose(shuffled, base[perm], atol=1e-9)
 
 
 def test_mds_is_deterministic():
-    sim = similarity_matrix(random_corr_series(7))
+    sim = similarity_matrix(random_corr_series(7).values_stack())
     a = classical_mds(sim, D=3).coordinates
     b = classical_mds(sim, D=3).coordinates
     assert a.tobytes() == b.tobytes()
@@ -219,7 +207,7 @@ def test_mds_clips_negative_eigenvalues_and_pads():
     gap = np.abs(ang[:, None] - ang[None, :])
     geo = np.minimum(gap, 2 * np.pi - gap)
     with pytest.warns(RuntimeWarning, match="zero-padded"):
-        emb = classical_mds(SimilarityMatrix(values=geo), D=7)
+        emb = classical_mds(geo, D=7)
     assert emb.n_clipped >= 3
     assert emb.clipped_mass > 0.1
     assert np.all(emb.coordinates[:, -1] == 0.0)
@@ -227,10 +215,13 @@ def test_mds_clips_negative_eigenvalues_and_pads():
 
 
 def test_mds_dimension_validation():
-    sim = SimilarityMatrix(values=np.zeros((4, 4)))
+    sim = np.zeros((4, 4))
     for bad in (0, 4, -1):
         with pytest.raises(ValueError):
             classical_mds(sim, D=bad)
+    # an epoch stack is not a dissimilarity matrix
+    with pytest.raises(ValueError, match="square"):
+        classical_mds(np.zeros((4, 3, 3)), D=2)
 
 
 def test_step_lengths():
@@ -239,8 +230,8 @@ def test_step_lengths():
 
 
 def test_dimension_fidelity_reference_dimension_is_exact():
-    sim = similarity_matrix(random_corr_series(8))
-    d_max = sim.size - 1
+    sim = similarity_matrix(random_corr_series(8).values_stack())
+    d_max = len(sim) - 1  # an ndarray's size is the square
     results = dict(dimension_fidelity(sim, [1, d_max]))
     assert results[d_max] == 1.0
     assert -1.0 <= results[1] <= 1.0
@@ -250,18 +241,20 @@ def test_dimension_fidelity_monotone_on_anisotropic_cloud():
     rng = np.random.default_rng(3)
     scales = np.array([5.0, 2.5, 1.2, 0.6, 0.3, 0.15])
     points = rng.normal(size=(40, 6)) * scales
-    sim = SimilarityMatrix(values=euclidean_matrix(points))
+    sim = euclidean_matrix(points)
     values = [r for _, r in dimension_fidelity(sim, [1, 2, 3, 4])]
     assert all(values[i] <= values[i + 1] + 1e-12 for i in range(3))
     assert values[3] > 0.9
 
 
 def test_dimension_fidelity_validation_and_degenerate_input():
-    sim = SimilarityMatrix(values=np.zeros((2, 2)))
+    sim = np.zeros((2, 2))
     with pytest.raises(NumericError):
         dimension_fidelity(sim, [1])
+    with pytest.raises(ValueError, match="square"):
+        dimension_fidelity(np.zeros((4, 5)), [1])
     line = np.arange(5.0)[:, None]
-    sim_line = SimilarityMatrix(values=euclidean_matrix(line))
+    sim_line = euclidean_matrix(line)
     with pytest.raises(ValueError):
         dimension_fidelity(sim_line, [])
     with pytest.raises(ValueError):

@@ -118,21 +118,19 @@ def corr_series(n_epochs=4, n=3, seed=0, epsilon=0.5):
 
 def test_correlation_arrays_round_trip():
     series = corr_series(epsilon=0.5)
-    back = series_from_arrays(correlation_arrays(series), EpochSpec(window=10, shift=1))
+    back = series_from_arrays(correlation_arrays(series))
     assert back.labels == series.labels
     assert back.epsilon == 0.5
     np.testing.assert_array_equal(back.values_stack(), series.values_stack())
     for got, want in zip(back.matrices, series.matrices):
-        assert (got.epoch_index, got.start_date, got.end_date) == (
-            want.epoch_index, want.start_date, want.end_date)
-        assert got.epsilon_applied == 0.5
+        assert (got.start_date, got.end_date) == (want.start_date, want.end_date)
 
 
 def test_series_from_arrays_requires_all_arrays(tmp_path):
     arrays = correlation_arrays(corr_series())
     del arrays["start_dates"]
     with pytest.raises(DataError, match="missing array"):
-        series_from_arrays(arrays, EpochSpec(10, 1))
+        series_from_arrays(arrays)
 
 
 # --------------------------------------------------------------------------
@@ -144,7 +142,7 @@ def fitted_toy():
     from marketstates.states import best_kmeans, build_state_model
 
     series = corr_series(n_epochs=12, epsilon=0.0)
-    embedding = classical_mds(similarity_matrix(series), D=3, warn=False)
+    embedding = classical_mds(similarity_matrix(series.values_stack()), D=3, warn=False)
     run = best_kmeans(embedding.coordinates, 2, 4, seed=0, epsilon=0.0)
     return build_state_model(series, run), run, embedding
 

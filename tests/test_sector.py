@@ -6,22 +6,44 @@ import numpy as np
 import pytest
 
 from marketstates import corrmat, sector, states
-from marketstates.corrmat import EpochSpec, epoch_correlations, pearson_correlation
+from marketstates.corrmat import (
+    CorrelationMatrix,
+    EpochCorrelationSeries,
+    EpochSpec,
+    epoch_correlations,
+    pearson_correlation,
+    power_map,
+)
 from marketstates.errors import DataError
+from marketstates.geometry import embed_epochs
 from marketstates.ingest import ReturnPanel
 from marketstates.sector import (
     SECTOR_PRESETS,
     displacement,
-    sector_average,
     sector_series,
     sector_state_pipeline,
 )
+from marketstates.states import fit_series
 
 
 def random_correlation(n, seed):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, 5 * n))
     return pearson_correlation(X)
+
+
+def series_of(matrices, tickers):
+    """A stock-level series holding the given matrices, one epoch each."""
+    return EpochCorrelationSeries(
+        list(tickers),
+        [CorrelationMatrix(np.asarray(C, dtype=float), f"d{i}", f"d{i}")
+         for i, C in enumerate(matrices)],
+    )
+
+
+def sector_matrix(C, tickers, sector_of, **kwargs):
+    """The sector-averaged matrix of a one-epoch series holding C."""
+    return sector_series(series_of([C], tickers), sector_of, **kwargs).matrices[0].values
 
 
 def loop_average(C, tickers, sector_of, sectors, include_self_pairs=False):
@@ -47,12 +69,12 @@ def test_sector_average_matches_loop_oracle():
                  "B1": "tech", "B2": "tech", "B3": "tech"}
     C = random_correlation(6, seed=0)
     for flag in (False, True):
-        got = sector_average(C, tickers, sector_of, include_self_pairs=flag)
-        assert got.sectors == ["fin", "tech"]
-        want = loop_average(C, tickers, sector_of, got.sectors, include_self_pairs=flag)
-        np.testing.assert_allclose(got.values, want, atol=1e-14)
-        assert got.self_pairs_included is flag
-        np.testing.assert_allclose(got.values, got.values.T, atol=0)
+        got = sector_series(series_of([C], tickers), sector_of, include_self_pairs=flag)
+        assert got.labels == ["fin", "tech"]
+        values = got.matrices[0].values
+        want = loop_average(C, tickers, sector_of, got.labels, include_self_pairs=flag)
+        np.testing.assert_allclose(values, want, atol=1e-14)
+        np.testing.assert_allclose(values, values.T, atol=0)
 
 
 def test_constant_offdiagonal_matrix_averages_to_constant():
@@ -61,56 +83,56 @@ def test_constant_offdiagonal_matrix_averages_to_constant():
     np.fill_diagonal(C, 1.0)
     tickers = [f"t{i}" for i in range(7)]
     sector_of = {t: ("x" if i < 3 else "y") for i, t in enumerate(tickers)}
-    got = sector_average(C, tickers, sector_of)
-    np.testing.assert_allclose(got.values, np.full((2, 2), c), atol=1e-15)
+    got = sector_matrix(C, tickers, sector_of)
+    np.testing.assert_allclose(got, np.full((2, 2), c), atol=1e-15)
 
 
 def test_sector_diagonal_is_informative_not_unit():
     C = random_correlation(8, seed=1)
     tickers = [f"t{i}" for i in range(8)]
     sector_of = {t: ("x" if i < 4 else "y") for i, t in enumerate(tickers)}
-    got = sector_average(C, tickers, sector_of)
-    assert abs(got.values[0, 0] - 1.0) > 1e-3
-    assert abs(got.values[1, 1] - 1.0) > 1e-3
+    got = sector_matrix(C, tickers, sector_of)
+    assert abs(got[0, 0] - 1.0) > 1e-3
+    assert abs(got[1, 1] - 1.0) > 1e-3
 
 
 def test_singleton_sector_falls_back_to_one_with_warning():
     C = np.array([[1.0, 0.3], [0.3, 1.0]])
     with pytest.warns(RuntimeWarning, match="singleton sector"):
-        got = sector_average(C, ["a", "b"], {"a": "s1", "b": "s2"})
-    np.testing.assert_allclose(got.values, [[1.0, 0.3], [0.3, 1.0]], atol=0)
+        got = sector_matrix(C, ["a", "b"], {"a": "s1", "b": "s2"})
+    np.testing.assert_allclose(got, [[1.0, 0.3], [0.3, 1.0]], atol=0)
     # with self-pairs the diagonal is the lone C_ii and no warning fires
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        kept = sector_average(C, ["a", "b"], {"a": "s1", "b": "s2"},
-                              include_self_pairs=True)
-    np.testing.assert_allclose(kept.values, [[1.0, 0.3], [0.3, 1.0]], atol=0)
+        kept = sector_matrix(C, ["a", "b"], {"a": "s1", "b": "s2"},
+                             include_self_pairs=True)
+    np.testing.assert_allclose(kept, [[1.0, 0.3], [0.3, 1.0]], atol=0)
 
 
 def test_unmapped_ticker_raises():
     C = np.eye(3)
     with pytest.raises(DataError, match="t2"):
-        sector_average(C, ["t0", "t1", "t2"], {"t0": "x", "t1": "x"})
+        sector_matrix(C, ["t0", "t1", "t2"], {"t0": "x", "t1": "x"})
 
 
 def test_shape_validation():
-    with pytest.raises(ValueError, match="square"):
-        sector_average(np.zeros((2, 3)), ["a", "b"], {"a": "x", "b": "x"})
-    with pytest.raises(ValueError, match="tickers"):
-        sector_average(np.eye(3), ["a", "b"], {"a": "x", "b": "x"})
+    with pytest.raises(ValueError, match=r"shape \(2, 3\)"):
+        sector_matrix(np.zeros((2, 3)), ["a", "b"], {"a": "x", "b": "x"})
+    with pytest.raises(ValueError, match="for 2 labels"):
+        sector_matrix(np.eye(3), ["a", "b"], {"a": "x", "b": "x"})
 
 
 def test_permutation_within_sectors_is_invariant():
     tickers = ["A1", "A2", "A3", "B1", "B2"]
     sector_of = {"A1": "f", "A2": "f", "A3": "f", "B1": "g", "B2": "g"}
     C = random_correlation(5, seed=2)
-    base = sector_average(C, tickers, sector_of)
+    base = sector_series(series_of([C], tickers), sector_of)
     # swap A1<->A3 and B1<->B2: rows/cols move with their tickers
     perm = [2, 1, 0, 4, 3]
     shuffled = [tickers[p] for p in perm]
-    got = sector_average(C[np.ix_(perm, perm)], shuffled, sector_of)
-    np.testing.assert_allclose(got.values, base.values, atol=1e-15)
-    assert got.sectors == base.sectors
+    got = sector_series(series_of([C[np.ix_(perm, perm)]], shuffled), sector_of)
+    np.testing.assert_allclose(got.matrices[0].values, base.matrices[0].values, atol=1e-15)
+    assert got.labels == base.labels
 
 
 def test_iid_stocks_give_statistically_flat_blocks():
@@ -118,17 +140,14 @@ def test_iid_stocks_give_statistically_flat_blocks():
     rng = np.random.default_rng(7)
     tickers = [f"t{i}" for i in range(12)]
     sector_of = {t: "abc"[min(i // 4, 2)] for i, t in enumerate(tickers)}
-    reps = np.stack([
-        sector_average(pearson_correlation(rng.standard_normal((12, 40))),
-                       tickers, sector_of).values
-        for _ in range(300)
-    ])
+    draws = [pearson_correlation(rng.standard_normal((12, 40))) for _ in range(300)]
+    reps = sector_series(series_of(draws, tickers), sector_of).values_stack()
     means = reps.mean(axis=0)
     errors = reps.std(axis=0) / np.sqrt(reps.shape[0])
     assert (np.abs(means) <= 3.0 * errors).all()
 
 
-def test_sector_series_matches_per_epoch_averages():
+def small_panel_series():
     rng = np.random.default_rng(3)
     panel = ReturnPanel(
         tickers=["a", "b", "c", "d"],
@@ -136,19 +155,40 @@ def test_sector_series_matches_per_epoch_averages():
         returns=rng.standard_normal((4, 30)),
     )
     mapping = {"a": "x", "b": "x", "c": "y", "d": "y"}
-    raw = epoch_correlations(panel, EpochSpec(window=10, shift=4))
+    return panel, mapping, epoch_correlations(panel, EpochSpec(window=10, shift=4))
+
+
+def test_sector_series_matches_per_epoch_averages():
+    panel, mapping, raw = small_panel_series()
     series = sector_series(raw, mapping)
-    assert series.sectors == ["x", "y"]
+    assert isinstance(series, EpochCorrelationSeries)
     assert series.labels == ["x", "y"]
     assert series.n_epochs == raw.n_epochs
     assert series.epsilon == 0.0
-    assert series.meta["self_pairs_included"] is False
     for got, src in zip(series.matrices, raw.matrices):
-        want = sector_average(src, panel.tickers, mapping)
-        np.testing.assert_allclose(got.values, want.values, atol=0)
-        assert got.epoch_index == src.epoch_index
+        want = loop_average(src.values, panel.tickers, mapping, series.labels)
+        np.testing.assert_allclose(got.values, want, atol=1e-14)
         assert got.start_date == src.start_date
         assert got.end_date == src.end_date
+
+
+def test_power_mapped_sector_series_goes_through_the_chain():
+    _, mapping, raw = small_panel_series()
+    sectors = sector_series(raw, mapping)
+    mapped = power_map(sectors, 0.3)
+    assert isinstance(mapped, EpochCorrelationSeries)
+    assert mapped.labels == ["x", "y"]
+    assert mapped.epsilon == 0.3
+    assert [(m.start_date, m.end_date) for m in mapped.matrices] == [
+        (m.start_date, m.end_date) for m in raw.matrices]
+    np.testing.assert_array_equal(mapped.values_stack(),
+                                  power_map(sectors.values_stack(), 0.3))
+    model, _, embedding = fit_series(sectors, 2, 0.3, n_inits=4, seed=0)
+    assert model.labels == ["x", "y"]
+    assert model.epoch_dates == [m.start_date for m in raw.matrices]
+    # the fit clusters the map of exactly those power-mapped matrices
+    want = embed_epochs(mapped.values_stack(), 0.0, 3).coordinates
+    np.testing.assert_array_equal(embedding.coordinates, want)
 
 
 def test_sector_pipeline_reuses_the_stock_level_machinery():
@@ -204,7 +244,7 @@ def test_single_sector_reduces_to_scalar_mean_correlation():
     spec = EpochSpec(window=20, shift=10)
     raw = epoch_correlations(panel, spec)
     series = sector_series(raw, mapping)
-    assert series.sectors == ["all"]
+    assert series.labels == ["all"]
     stack = series.values_stack()
     assert stack.shape == (raw.n_epochs, 1, 1)
     n = panel.n_stocks

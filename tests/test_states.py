@@ -201,11 +201,10 @@ def fake_series(stack, dates=None):
     from marketstates.corrmat import CorrelationMatrix
 
     mats = [
-        CorrelationMatrix(values=m, epoch_index=i + 1,
-                          start_date=(dates[i] if dates else f"d{i}"), end_date="")
+        CorrelationMatrix(values=m, start_date=(dates[i] if dates else f"d{i}"), end_date="")
         for i, m in enumerate(stack)
     ]
-    return EpochCorrelationSeries(spec=EpochSpec(20, 1), labels=["a", "b"], matrices=mats)
+    return EpochCorrelationSeries(labels=["a", "b"], matrices=mats)
 
 
 def fake_run(labels, k, epsilon=0.0):

@@ -66,14 +66,13 @@ def planted_window(ratio, seed, n_epochs=105, n=12, scale=1.0):
     mats = [
         CorrelationMatrix(
             values=np.eye(n) + a[t] * first + b[t] * second,
-            epoch_index=t + 1,
             start_date=f"d{t:04d}",
             end_date=f"d{t:04d}",
         )
         for t in range(n_epochs)
     ]
     series = EpochCorrelationSeries(
-        spec=EpochSpec(), labels=[f"s{i}" for i in range(n)], matrices=mats
+        labels=[f"s{i}" for i in range(n)], matrices=mats
     )
     return EventWindow(
         name=f"planted-{ratio}",
@@ -170,7 +169,6 @@ def test_reversal_keeps_variances_and_reverses_steps():
     window = planted_window(0.5, seed=9, n_epochs=60)
     forward = analyze_trajectory(window)
     reversed_series = EpochCorrelationSeries(
-        spec=window.epochs.spec,
         labels=list(window.epochs.labels),
         matrices=list(reversed(window.epochs.matrices)),
     )
@@ -194,7 +192,7 @@ def test_reversal_keeps_variances_and_reverses_steps():
 def test_constant_window_reports_zero_variance_normal():
     n, n_epochs = 5, 30
     mats = [
-        CorrelationMatrix(np.eye(n), epoch_index=t + 1, start_date=f"d{t}", end_date=f"d{t}")
+        CorrelationMatrix(np.eye(n), start_date=f"d{t}", end_date=f"d{t}")
         for t in range(n_epochs)
     ]
     window = EventWindow(
@@ -202,7 +200,7 @@ def test_constant_window_reports_zero_variance_normal():
         start_date="d0",
         end_date=f"d{n_epochs - 1}",
         center_date=f"d{n_epochs // 2}",
-        epochs=EpochCorrelationSeries(spec=EpochSpec(), labels=list("abcde"), matrices=mats),
+        epochs=EpochCorrelationSeries(labels=list("abcde"), matrices=mats),
     )
     report = analyze_trajectory(window)
     assert report.zero_variance
