@@ -202,14 +202,25 @@ def dimension_fidelity(dissim: np.ndarray, dims: list[int]) -> list[tuple[int, f
     n = _n_epochs(dissim)
     if n < 3:
         raise NumericError(f"need at least 3 epochs, got {n}")
+    return step_fidelity(_mds_coordinates(dissim, n - 1, warn=False)[0], dims)
+
+
+def step_fidelity(coordinates: np.ndarray, dims: list[int]) -> list[tuple[int, float]]:
+    """dimension_fidelity on a full map already computed.
+
+    ``coordinates`` holds all Fr-1 axes of a classical MDS map of Fr epochs,
+    such as ``classical_mds(dissim, Fr - 1).coordinates``.
+    """
+    n = coordinates.shape[0]
+    if n < 3:
+        raise NumericError(f"need at least 3 epochs, got {n}")
     if not dims:
         raise ValueError("dims must not be empty")
     d_max = n - 1
     for D in dims:
         if not 1 <= D <= d_max:
             raise ValueError(f"dimension {D} outside 1..{d_max}")
-    coords, _, _, _, _ = _mds_coordinates(dissim, d_max, warn=False)
-    diffs = np.diff(coords, axis=0)
+    diffs = np.diff(coordinates, axis=0)
     # nested truncation: cumulative squared steps along axes
     cumulative = np.cumsum(diffs * diffs, axis=1)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -98,13 +99,38 @@ def _parse_iso_dates(raw: list[str]) -> None:
         prev = current
 
 
-def _filter_column(raw: list[str], policy: ContinuityPolicy) -> tuple[np.ndarray | None, str]:
+def _clean_column(raw: tuple[str, ...]) -> np.ndarray | None:
+    """The column as floats when every cell is a finite price > 0, else None.
+
+    One ``float`` per cell and no per-cell branching, so a gap-free column
+    costs only the conversion.
+    """
+    try:
+        values = np.fromiter(map(float, raw), float, len(raw))
+    except ValueError:
+        return None
+    if np.isfinite(values).all() and (values > 0).all():
+        return values
+    return None
+
+
+def _longest_run(flags: np.ndarray) -> int:
+    """Length of the longest run of True in a boolean vector."""
+    edges = np.diff(flags.astype(np.int8), prepend=0, append=0)
+    return int((np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)).max(initial=0))
+
+
+def _filter_column(raw: tuple[str, ...], policy: ContinuityPolicy) -> tuple[np.ndarray | None, str]:
     """Apply the continuity rules to one raw ticker column.
 
     Returns (filled values, "") on success or (None, reason) when the ticker
-    must be dropped.  Gaps are tested on the raw column first, then the
-    survivors are forward-filled.
+    must be dropped.  A column with a missing, NaN, infinite, non-positive or
+    unparsable cell goes cell by cell: gaps are tested on the raw column
+    first, then the survivors are forward-filled.
     """
+    clean = _clean_column(raw)
+    if clean is not None:
+        return clean, ""
     values = np.full(len(raw), np.nan)
     for i, cell in enumerate(raw):
         token = cell.strip()
@@ -114,7 +140,7 @@ def _filter_column(raw: list[str], policy: ContinuityPolicy) -> tuple[np.ndarray
             price = float(token)
         except ValueError:
             return None, f"unparsable price {token!r} on {i + 1}-th row"
-        if not np.isfinite(price) or price <= 0:
+        if not math.isfinite(price) or price <= 0:
             return None, f"non-positive price {price} on {i + 1}-th row"
         values[i] = price
 
@@ -123,20 +149,16 @@ def _filter_column(raw: list[str], policy: ContinuityPolicy) -> tuple[np.ndarray
         return None, "no prices at all"
     if missing[0]:
         return None, "missing first entry (nothing to forward-fill from)"
-    run = longest = 0
-    for gap in missing:
-        run = run + 1 if gap else 0
-        longest = max(longest, run)
+    longest = _longest_run(missing)
     if longest > policy.max_consecutive_missing:
         return None, (
             f"{longest} consecutive missing entries exceed the allowed "
             f"{policy.max_consecutive_missing}"
         )
-    # forward fill: a missing day takes the previous day's value
-    for i in range(1, len(values)):
-        if missing[i]:
-            values[i] = values[i - 1]
-    return values, ""
+    # forward fill: a missing day takes the last present day's value
+    source = np.where(missing, 0, np.arange(len(values)))
+    np.maximum.accumulate(source, out=source)
+    return values[source], ""
 
 
 def load_prices(path: str | Path, policy: ContinuityPolicy = ContinuityPolicy()) -> PricePanel:
@@ -174,8 +196,9 @@ def load_prices(path: str | Path, policy: ContinuityPolicy = ContinuityPolicy())
     kept_names: list[str] = []
     kept_cols: list[np.ndarray] = []
     dropped: dict[str, str] = {}
-    for j, name in enumerate(tickers):
-        column = [row[j + 1] for row in body]
+    columns = zip(*body)  # lazily, one column at a time
+    next(columns)  # the dates
+    for name, column in zip(tickers, columns):
         filled, reason = _filter_column(column, policy)
         if filled is None:
             dropped[name] = reason
@@ -229,9 +252,8 @@ def save_panel(panel: PricePanel, path: str | Path) -> None:
     path = Path(path)
     with path.open("w", newline="\n") as fh:
         fh.write(",".join(["date"] + panel.tickers) + "\n")
-        for t, date in enumerate(panel.dates):
-            cells = [repr(float(v)) for v in panel.prices[:, t]]
-            fh.write(",".join([date] + cells) + "\n")
+        for date, row in zip(panel.dates, panel.prices.T.astype(float, copy=False).tolist()):
+            fh.write(",".join([date, *map(repr, row)]) + "\n")
     meta = {
         "n_stocks": panel.n_stocks,
         "n_days": panel.n_days,

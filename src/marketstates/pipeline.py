@@ -21,7 +21,7 @@ import numpy as np
 
 from .corrmat import CorrelationMatrix, EpochCorrelationSeries, EpochSpec, epoch_correlations
 from .errors import DataError, NumericError
-from .geometry import classical_mds, dimension_fidelity, similarity_matrix
+from .geometry import classical_mds, similarity_matrix, step_fidelity
 from .ingest import ContinuityPolicy, load_panel, load_prices, load_sector_map, log_returns, save_panel
 from .rmt import (
     WishartSpec,
@@ -243,7 +243,7 @@ def emit_plot_data(model, embedding, out_dir: str | Path, prefix: str = "") -> l
     for s, avg in enumerate(model.avg_corr_matrix, start=1):
         path = out_dir / f"{prefix}state_avg_corr_S{s}.csv"
         write_csv(path, header, [
-            [model.labels[i]] + [float(v) for v in avg[i]] for i in range(avg.shape[0])
+            [model.labels[i]] + avg[i].tolist() for i in range(avg.shape[0])
         ])
         written.append(path)
     return written
@@ -294,26 +294,29 @@ def write_panel(prices: str | Path, sectors: str | Path, max_gap: int, path: Pat
 def write_map(stack: np.ndarray, dates: list[str], dim: int, out_dir: Path) -> list[Path]:
     """Classical MDS map of an epoch stack: coordinates plus eigenvalue and fidelity meta.
 
-    ``dates`` labels the coordinate rows, one per epoch of ``stack``.
+    ``dates`` labels the coordinate rows, one per epoch of ``stack``.  One
+    eigendecomposition serves both: the ``dim``-axis map is the leading
+    ``dim`` axes of the full map that the fidelity needs.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     sim = similarity_matrix(stack)
-    embedding = classical_mds(sim, D=dim, warn=False)
-    padded = _xyz(embedding.coordinates)
+    full = classical_mds(sim, D=len(sim) - 1, warn=False)
+    if not 1 <= dim <= full.D:
+        raise ValueError(f"D must be in 1..{full.D}, got {dim}")
+    padded = _xyz(full.coordinates[:, :dim])
     write_csv(
         out_dir / "map_coords.csv",
         ["epoch", "date", "x", "y", "z"],
         [(i + 1, dates[i], padded[i, 0], padded[i, 1], padded[i, 2])
          for i in range(padded.shape[0])],
     )
-    dims = [d for d in (1, 2, 3, 4) if d <= len(sim) - 1]
-    fidelity = dimension_fidelity(sim, dims)
+    fidelity = step_fidelity(full.coordinates, [d for d in (1, 2, 3, 4) if d <= full.D])
     write_json(
         out_dir / "map_meta.json",
         {
-            "eigenvalues": [float(v) for v in embedding.eigenvalues],
-            "n_clipped": embedding.n_clipped,
-            "clipped_mass": embedding.clipped_mass,
+            "eigenvalues": [float(v) for v in full.eigenvalues[:dim]],
+            "n_clipped": full.n_clipped,
+            "clipped_mass": full.clipped_mass,
             "dimension_fidelity": {str(d): float(v) for d, v in fidelity},
         },
     )
@@ -391,7 +394,7 @@ def _stage_corr(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
 
 def _stage_mds(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
     arrays = load_arrays(out / "corr_raw.npz")
-    dates = [m.start_date for m in series_from_arrays(arrays).matrices]
+    dates = [str(s) for s in arrays["start_dates"]]
     return write_map(arrays["values"], dates, cfg.mds_dim, out)
 
 
@@ -504,12 +507,19 @@ def _plan(cfg: PipelineConfig, out: Path) -> list[_Stage]:
     return stages
 
 
-def _hash_inputs(stage: _Stage, out: Path) -> dict[str, str]:
+def _digest(path: Path, digests: dict[Path, str]) -> str:
+    """sha256 of a file, hashed at most once while ``digests`` lives."""
+    if path not in digests:
+        digests[path] = sha256_file(path)
+    return digests[path]
+
+
+def _hash_inputs(stage: _Stage, out: Path, digests: dict[Path, str]) -> dict[str, str]:
     hashes = {}
     for path in stage.inputs:
         if not path.exists():
             raise DataError(f"stage '{stage.name}' input {path} does not exist")
-        hashes[_portable_path(path, out)] = sha256_file(path)
+        hashes[_portable_path(path, out)] = _digest(path, digests)
     return hashes
 
 
@@ -518,13 +528,13 @@ def _stage_key(input_hashes: dict[str, str], params: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _outputs_fresh(entry: dict, out: Path) -> bool:
+def _outputs_fresh(entry: dict, out: Path, digests: dict[Path, str]) -> bool:
     outputs = entry.get("outputs", {})
     if not outputs:
         return False
     for rel, digest in outputs.items():
         path = out / rel
-        if not path.exists() or sha256_file(path) != digest:
+        if not path.exists() or _digest(path, digests) != digest:
             return False
     return True
 
@@ -546,6 +556,10 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
     if manifest_path.exists() and not force:
         previous = read_json(manifest_path).get("stages", {})
     manifest: dict = {"config": cfg.as_manifest_dict(out), "stages": {}}
+    # one digest per file for this call: a later stage reading a file, or the
+    # freshness check, reuses the digest taken when the file was written or
+    # first read; a stage that writes a path takes a new one
+    digests: dict[Path, str] = {}
     exit_code = 0
     failed = False
     for stage in _plan(cfg, out):
@@ -558,12 +572,12 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
                                               "reason": stage.reason}
             continue
         try:
-            input_hashes = _hash_inputs(stage, out)
+            input_hashes = _hash_inputs(stage, out, digests)
             key = _stage_key(input_hashes, stage.params)
             prior = previous.get(stage.name, {})
             if (not force and prior.get("key") == key
                     and prior.get("status") in ("ok", "skipped")
-                    and _outputs_fresh(prior, out)):
+                    and _outputs_fresh(prior, out, digests)):
                 manifest["stages"][stage.name] = {
                     "status": "skipped",
                     "key": key,
@@ -573,12 +587,14 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
                 }
                 continue
             written = stage.run(cfg, out, workers)
+            for path in written:
+                digests.pop(path, None)
             manifest["stages"][stage.name] = {
                 "status": "ok",
                 "key": key,
                 "inputs": input_hashes,
                 "params": stage.params,
-                "outputs": {_portable_path(p, out): sha256_file(p) for p in written},
+                "outputs": {_portable_path(p, out): _digest(p, digests) for p in written},
             }
         except DataError as exc:
             manifest["stages"][stage.name] = {"status": "failed", "error": str(exc)}

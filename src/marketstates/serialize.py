@@ -9,7 +9,6 @@ read-back is bit-exact.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import zipfile
 from pathlib import Path
@@ -49,27 +48,38 @@ def read_json(path: str | Path):
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _cell(value) -> str:
+    if type(value) is float:  # the common case: repr without a float() round trip
+        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return format_float(value)
+    return str(value)
+
+
 def write_csv(path: str | Path, header: list[str], rows) -> None:
     """Plain CSV with a header row; floats via repr, everything else via str."""
     with Path(path).open("w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = [
-                format_float(cell) if isinstance(cell, (float, np.floating)) else str(cell)
-                for cell in row
-            ]
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
 def save_arrays(path: str | Path, **arrays) -> None:
-    """npz-compatible archive with fixed timestamps (byte-stable across runs)."""
-    with zipfile.ZipFile(Path(path), "w", compression=zipfile.ZIP_DEFLATED) as zf:
+    """npz-compatible archive with fixed timestamps (byte-stable across runs).
+
+    Members are stored, not deflated: correlation stacks barely compress, and
+    deflate cost far more than the bytes it saved.  Each array streams into
+    its member without an in-memory copy of the file.
+    """
+    with zipfile.ZipFile(Path(path), "w", compression=zipfile.ZIP_STORED) as zf:
         for name in sorted(arrays):
-            buffer = io.BytesIO()
-            np.lib.format.write_array(buffer, np.asarray(arrays[name]), allow_pickle=False)
+            array = np.asarray(arrays[name])
             info = zipfile.ZipInfo(f"{name}.npy", date_time=_EPOCH_STAMP)
-            info.compress_type = zipfile.ZIP_DEFLATED
-            zf.writestr(info, buffer.getvalue())
+            # zipfile's own rule for a member whose size it knows up front; the
+            # .npy header adds well under 64 KiB
+            zip64 = (array.nbytes + (1 << 16)) * 1.05 > zipfile.ZIP64_LIMIT
+            with zf.open(info, "w", force_zip64=zip64) as member:
+                np.lib.format.write_array(member, array, allow_pickle=False)
 
 
 def load_arrays(path: str | Path) -> dict[str, np.ndarray]:

@@ -227,8 +227,8 @@ def build_state_model(series: EpochCorrelationSeries, run: ClusteringRun) -> Sta
     """Average matrix per cluster, rename by ascending mean correlation, count transitions."""
     if series.epsilon != 0.0:
         raise ValueError("state averages must come from raw (epsilon 0) matrices")
-    stack = series.values_stack()
-    n_epochs = stack.shape[0]
+    matrices = [m.values for m in series.matrices]
+    n_epochs = len(matrices)
     if len(run.labels) != n_epochs:
         raise ValueError(f"{len(run.labels)} labels for {n_epochs} epochs")
     k = run.k
@@ -238,7 +238,8 @@ def build_state_model(series: EpochCorrelationSeries, run: ClusteringRun) -> Sta
         members = run.labels == c
         if not members.any():
             raise ValueError(f"cluster {c} is empty")
-        avg = stack[members].mean(axis=0)
+        # one cluster's matrices at a time, not a copy of the whole stack
+        avg = np.stack([matrices[i] for i in np.flatnonzero(members)]).mean(axis=0)
         averages.append(avg)
         means[c - 1] = avg.mean()
     order = np.argsort(means, kind="stable")  # old label order by mean corr

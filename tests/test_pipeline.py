@@ -2,6 +2,9 @@
 
 import datetime
 import math
+import zipfile
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from marketstates.pipeline import (
     trajectory_report_payload,
 )
 from marketstates.serialize import load_arrays, read_json, save_arrays, sha256_file, write_csv
+from test_serialize import save_arrays_deflated
 
 
 # --------------------------------------------------------------------------
@@ -131,6 +135,38 @@ def test_series_from_arrays_requires_all_arrays(tmp_path):
     del arrays["start_dates"]
     with pytest.raises(DataError, match="missing array"):
         series_from_arrays(arrays)
+
+
+def test_write_map_uses_one_eigendecomposition(tmp_path, monkeypatch):
+    from marketstates import geometry
+    from marketstates.geometry import classical_mds, dimension_fidelity, similarity_matrix
+    from marketstates.pipeline import write_map
+
+    stack = corr_series(n_epochs=15, n=5, epsilon=0.0).values_stack()
+    dates = [f"d{i}" for i in range(len(stack))]
+    sim = similarity_matrix(stack)
+    for dim in (2, 3):
+        # oracle: the map and the fidelity each from their own eigendecomposition
+        embedding = classical_mds(sim, D=dim, warn=False)
+        fidelity = dict(dimension_fidelity(sim, [1, 2, 3, 4]))
+
+        calls = []
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(geometry.np.linalg, "eigh", lambda m: calls.append(1) or real_eigh(m))
+        write_map(stack, dates, dim, tmp_path)
+        monkeypatch.undo()
+        assert len(calls) == 1
+
+        meta = read_json(tmp_path / "map_meta.json")
+        assert meta["eigenvalues"] == embedding.eigenvalues.tolist()
+        assert (meta["n_clipped"], meta["clipped_mass"]) == (embedding.n_clipped,
+                                                             embedding.clipped_mass)
+        assert meta["dimension_fidelity"] == {str(d): v for d, v in fidelity.items()}
+        rows = (tmp_path / "map_coords.csv").read_text().splitlines()[1:]
+        coords = np.array([[float(v) for v in row.split(",")[2:2 + dim]] for row in rows])
+        assert coords.tobytes() == embedding.coordinates.tobytes()
+    with pytest.raises(ValueError, match="D must be in"):
+        write_map(stack, dates, len(stack), tmp_path)
 
 
 # --------------------------------------------------------------------------
@@ -288,6 +324,47 @@ def test_rerun_skips_and_force_rewrites(market, tmp_path):
 
     after = {p.name: sha256_file(p) for p in out.iterdir() if p.name != "manifest.json"}
     assert after == before  # reruns are byte-identical
+
+
+def test_each_file_is_hashed_once_per_run(market, tmp_path, monkeypatch):
+    import marketstates.pipeline as pipeline
+
+    calls = []
+
+    def counting_sha256(path):
+        calls.append(Path(path).resolve())
+        return sha256_file(path)
+
+    monkeypatch.setattr(pipeline, "sha256_file", counting_sha256)
+    cfg = market_config(market, tmp_path / "out")
+    for label in ("cold run", "rerun"):
+        calls.clear()
+        code, _ = run_pipeline(cfg)
+        assert code == 0
+        repeated = {str(p): n for p, n in Counter(calls).items() if n > 1}
+        assert not repeated, f"{label} hashed these files more than once: {repeated}"
+        assert tmp_path.joinpath("out", "corr_raw.npz").resolve() in calls
+
+
+def test_rerun_over_deflated_archives_skips_every_stage(market, tmp_path, monkeypatch):
+    import marketstates.pipeline as pipeline
+    import marketstates.serialize as serialize
+
+    # an output tree whose .npz archives were deflated by the earlier writer
+    cfg = market_config(market, tmp_path / "out")
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "save_arrays", save_arrays_deflated)
+        patch.setattr(serialize, "save_arrays", save_arrays_deflated)
+        assert run_pipeline(cfg)[0] == 0
+    archives = sorted((tmp_path / "out").glob("*.npz"))
+    assert len(archives) == 3
+    for archive in archives:
+        with zipfile.ZipFile(archive) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+
+    code, manifest = run_pipeline(cfg)
+    assert code == 0
+    assert {entry["status"] for entry in manifest["stages"].values()} == {"skipped"}
 
 
 def test_changed_input_triggers_rerun(market, tmp_path):

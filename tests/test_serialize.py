@@ -1,6 +1,8 @@
 """Deterministic artifact I/O: byte stability, round trips, error wrapping."""
 
+import io
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -74,6 +76,68 @@ def test_save_arrays_round_trip_and_byte_identity(tmp_path):
     assert back["values"].dtype == np.float64
 
 
+def save_arrays_deflated(path, **arrays):
+    """The earlier archive writer: deflated members, fixed timestamps."""
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
+        for name in sorted(arrays):
+            buffer = io.BytesIO()
+            np.lib.format.write_array(buffer, np.asarray(arrays[name]), allow_pickle=False)
+            info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+            info.compress_type = zipfile.ZIP_DEFLATED
+            zf.writestr(info, buffer.getvalue())
+
+
+def sample_arrays():
+    rng = np.random.default_rng(5)
+    return {
+        "values": rng.standard_normal((6, 4, 4)),
+        "labels": np.array(["a", "bb", "ccc", "dddd"]),
+        "start_dates": np.array([f"2020-01-{d + 1:02d}" for d in range(6)]),
+        "epsilon": np.array(0.25),
+        "counts": np.arange(12, dtype=np.int32).reshape(3, 4),
+    }
+
+
+def test_save_arrays_stores_members_uncompressed(tmp_path):
+    arrays = sample_arrays()
+    path = tmp_path / "stack.npz"
+    save_arrays(path, **arrays)
+    with zipfile.ZipFile(path) as zf:
+        infos = zf.infolist()
+    assert [info.filename for info in infos] == [f"{name}.npy" for name in sorted(arrays)]
+    for info in infos:
+        assert info.compress_type == zipfile.ZIP_STORED
+        assert info.compress_size == info.file_size
+        assert info.date_time == (1980, 1, 1, 0, 0, 0)
+    again = tmp_path / "again.npz"
+    save_arrays(again, **load_arrays(path))
+    assert again.read_bytes() == path.read_bytes()  # write -> read -> write is byte-stable
+
+
+def test_load_arrays_reads_deflated_archives(tmp_path):
+    arrays = sample_arrays()
+    path = tmp_path / "old.npz"
+    save_arrays_deflated(path, **arrays)
+    with zipfile.ZipFile(path) as zf:
+        assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+    back = load_arrays(path)
+    assert sorted(back) == sorted(arrays)
+    for name, want in arrays.items():
+        assert back[name].dtype == want.dtype
+        assert back[name].tobytes() == want.tobytes()
+
+
+def test_save_arrays_marks_large_members_zip64(tmp_path, monkeypatch):
+    # a member past zipfile's 2 GiB limit needs zip64 headers, which a streamed
+    # member only gets when asked up front; shrink the limit to test that path
+    monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 4096)
+    big = np.arange(1024.0)
+    path = tmp_path / "big.npz"
+    save_arrays(path, big=big, small=np.array(1.5))
+    back = load_arrays(path)
+    assert back["big"].tobytes() == big.tobytes() and float(back["small"]) == 1.5
+
+
 def test_load_arrays_wraps_errors(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
         load_arrays(tmp_path / "absent.npz")
@@ -81,6 +145,22 @@ def test_load_arrays_wraps_errors(tmp_path):
     junk.write_bytes(b"this is not a zip archive")
     with pytest.raises(DataError):
         load_arrays(junk)
+
+
+def test_write_csv_bytes_match_per_cell_formatting(tmp_path):
+    rows = [
+        (1, "a", 0.1 + 0.2, np.float64(1 / 3), np.float32(0.1), True),
+        (np.int64(2), "b", 1e300, np.float64(-0.0), np.float32(2.5), None),
+        [3, "c"] + np.array([1e-300, 2.0]).tolist() + [np.float16(0.5), 7],
+    ]
+    path = tmp_path / "rows.csv"
+    write_csv(path, ["i", "s", "x", "y", "z", "w"], rows)
+    want = ["i,s,x,y,z,w"] + [
+        ",".join(format_float(c) if isinstance(c, (float, np.floating)) else str(c)
+                 for c in row)
+        for row in rows
+    ]
+    assert path.read_text() == "\n".join(want) + "\n"
 
 
 def test_sha256_file_matches_content_not_name(tmp_path):
