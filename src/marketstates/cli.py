@@ -98,7 +98,7 @@ def _cmd_corr(args) -> int:
 def _cmd_rmt_validate(args) -> int:
     spec = WishartSpec(N=args.n, T=args.t, sigma2=args.sigma2,
                        ensemble_size=args.realizations, seed=args.seed)
-    report = rmt_report_payload(spec, args.bins, epsilon=args.epsilon, workers=args.workers)
+    report = rmt_report_payload(spec, args.bins, epsilon=args.epsilon)
     report["epsilon"] = args.epsilon
     for key in ("Q", "support", "l1_to_analytic", "outside_support_fraction", "zero_fraction"):
         print(f"{key}: {report[key]}")
@@ -261,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--bins", type=int, default=100)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="")
     p.set_defaults(func=_cmd_rmt_validate)
 

@@ -9,6 +9,7 @@ becomes one point and market history becomes a trajectory through that map.
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,20 @@ def _packed_epochs(stack: np.ndarray) -> np.ndarray:
     return X
 
 
-def similarity_matrix(stack: np.ndarray) -> np.ndarray:
+def _l1_rows(X: np.ndarray, out: np.ndarray, first: int, step: int, block: int) -> None:
+    """Upper-triangle rows first, first + step, ... of ``out``, through a buffer of its own."""
+    n, width = X.shape
+    buf = np.empty((min(block, n - 1), width))
+    for i in range(first, n - 1, step):
+        for j0 in range(i + 1, n, block):
+            j1 = min(j0 + block, n)
+            b = buf[: j1 - j0]
+            np.subtract(X[j0:j1], X[i], out=b)
+            np.abs(b, out=b)
+            b.sum(axis=1, out=out[i, j0:j1])
+
+
+def similarity_matrix(stack: np.ndarray, workers: int = 1) -> np.ndarray:
     """Mean absolute element-wise difference between every pair of epochs.
 
     Takes an (epochs, N, N) stack and returns the symmetric (epochs, epochs)
@@ -71,8 +85,12 @@ def similarity_matrix(stack: np.ndarray) -> np.ndarray:
     Every epoch must be finite and exactly symmetric, as correlation,
     power-mapped and sector-averaged matrices are; otherwise NumericError.
     The kernel then sums over the packed upper triangle and diagonal only,
-    streaming row differences through one buffer of about 512 KB, so its
+    streaming row differences through a buffer of about 512 KB, so its
     working set beyond the input is the half-size packed stack.
+
+    ``workers`` threads share the packed stack; row i goes to thread
+    i mod workers.  Each entry is still summed by one thread over the same
+    blocks, so the result is bit-identical for any thread count.
     """
     if not isinstance(stack, np.ndarray):
         raise TypeError(f"expected an (epochs, N, N) ndarray, got {type(stack).__name__}")
@@ -82,18 +100,16 @@ def similarity_matrix(stack: np.ndarray) -> np.ndarray:
     if n < 2:
         raise NumericError(f"need at least 2 epochs, got {n}")
     X = _packed_epochs(stack.astype(float, copy=False))
-    width = X.shape[1]
     out = np.zeros((n, n))
-    # one reused difference buffer of about 2^16 float64 (512 KB) stays in cache
-    block = max(1, (1 << 16) // width)
-    buf = np.empty((min(block, n - 1), width))
-    for i in range(n - 1):
-        for j0 in range(i + 1, n, block):
-            j1 = min(j0 + block, n)
-            b = buf[: j1 - j0]
-            np.subtract(X[j0:j1], X[i], out=b)
-            np.abs(b, out=b)
-            b.sum(axis=1, out=out[i, j0:j1])
+    # each thread's reused difference buffer of about 2^16 float64 (512 KB) stays in cache
+    block = max(1, (1 << 16) // X.shape[1])
+    threads = max(1, min(workers, n - 1))
+    if threads == 1:
+        _l1_rows(X, out, 0, 1, block)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            # reading every result re-raises a worker's exception here
+            list(pool.map(lambda t: _l1_rows(X, out, t, threads, block), range(threads)))
     N = stack.shape[1]
     out /= N * N
     out += out.T
@@ -173,16 +189,16 @@ def classical_mds(dissim: np.ndarray, D: int, warn: bool = True) -> Embedding:
     )
 
 
-def embed_epochs(stack: np.ndarray, epsilon: float, dim: int) -> Embedding:
+def embed_epochs(stack: np.ndarray, epsilon: float, dim: int, workers: int = 1) -> Embedding:
     """Power map, dissimilarity and ``dim``-axis classical MDS of an epoch stack.
 
     The one geometry chain behind the grid search, the state fit and the
     event trajectories.  At epsilon 0 the stack is used as it is (the
     dissimilarity never writes to its input); missing axes are zero-padded
-    without a warning.
+    without a warning.  ``workers`` threads run the dissimilarity kernel.
     """
     mapped = power_map(stack, epsilon) if epsilon else stack
-    return classical_mds(similarity_matrix(mapped), D=dim, warn=False)
+    return classical_mds(similarity_matrix(mapped, workers), D=dim, warn=False)
 
 
 def step_lengths(coordinates: np.ndarray) -> np.ndarray:

@@ -291,15 +291,17 @@ def write_panel(prices: str | Path, sectors: str | Path, max_gap: int, path: Pat
     return panel
 
 
-def write_map(stack: np.ndarray, dates: list[str], dim: int, out_dir: Path) -> list[Path]:
+def write_map(stack: np.ndarray, dates: list[str], dim: int, out_dir: Path,
+              workers: int = 1) -> list[Path]:
     """Classical MDS map of an epoch stack: coordinates plus eigenvalue and fidelity meta.
 
     ``dates`` labels the coordinate rows, one per epoch of ``stack``.  One
     eigendecomposition serves both: the ``dim``-axis map is the leading
-    ``dim`` axes of the full map that the fidelity needs.
+    ``dim`` axes of the full map that the fidelity needs.  ``workers``
+    threads run the dissimilarity kernel.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    sim = similarity_matrix(stack)
+    sim = similarity_matrix(stack, workers)
     full = classical_mds(sim, D=len(sim) - 1, warn=False)
     if not 1 <= dim <= full.D:
         raise ValueError(f"D must be in 1..{full.D}, got {dim}")
@@ -358,10 +360,9 @@ def write_trajectory_report(reports, failures: dict[str, str], path: Path) -> No
                       "failures": failures})
 
 
-def rmt_report_payload(spec: WishartSpec, bins: int, epsilon: float = 0.0,
-                       workers: int = 1) -> dict:
+def rmt_report_payload(spec: WishartSpec, bins: int, epsilon: float = 0.0) -> dict:
     """A sampled Wishart ensemble compared with the analytic law, JSON-safe."""
-    eigenvalues = pooled_eigenvalues(spec, epsilon=epsilon, workers=workers)
+    eigenvalues = pooled_eigenvalues(spec, epsilon=epsilon)
     density = spectrum_from_eigenvalues(eigenvalues, bins=bins, Q=spec.Q, sigma2=spec.sigma2)
     return {
         "N": spec.N,
@@ -395,7 +396,7 @@ def _stage_corr(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
 def _stage_mds(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
     arrays = load_arrays(out / "corr_raw.npz")
     dates = [str(s) for s in arrays["start_dates"]]
-    return write_map(arrays["values"], dates, cfg.mds_dim, out)
+    return write_map(arrays["values"], dates, cfg.mds_dim, out, workers)
 
 
 def _stage_states(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
@@ -418,21 +419,21 @@ def _stage_states(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
         },
     )
     model, _, embedding = fit_series(series, chosen_k, chosen_eps, cfg.n_inits, cfg.seed,
-                                     cfg.mds_dim)
+                                     cfg.mds_dim, workers)
     return ([out / "surface.csv", out / "selected.json"]
             + write_fit(model, embedding, out / "model.json", "states_"))
 
 
 def _stage_sectors(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
-    panel = load_panel(out / "panel.csv")
-    if not panel.sector_of:
+    sector_of = read_json(out / "panel.csv.meta.json").get("sector_of")
+    if not sector_of:
         raise DataError("panel has no sector map; configure 'sectors'")
-    arrays = load_arrays(out / "corr_raw.npz")
-    series = sector_series(series_from_arrays(arrays), panel.sector_of)
+    series = sector_series(series_from_arrays(load_arrays(out / "corr_raw.npz")), sector_of)
     fitted = read_json(out / "selected.json")["fitted"]
     k = cfg.sector_k if cfg.sector_k > 0 else int(fitted["k"])
     epsilon = cfg.sector_epsilon if cfg.sector_epsilon >= 0 else float(fitted["epsilon"])
-    model, _, embedding = fit_series(series, k, epsilon, cfg.n_inits, cfg.seed, cfg.mds_dim)
+    model, _, embedding = fit_series(series, k, epsilon, cfg.n_inits, cfg.seed, cfg.mds_dim,
+                                     workers)
     written = write_fit(model, embedding, out / "sector_model.json", "sectors_")
     stock_states = np.array(read_json(out / "model.json")["state_of"], dtype=int)
     write_displacement(stock_states, model.state_of, out / "displacement.json")
@@ -460,11 +461,10 @@ def _stage_trajectory(cfg: PipelineConfig, out: Path, workers: int) -> list[Path
 
 
 def _stage_rmt(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
-    arrays = load_arrays(out / "corr_raw.npz")
-    n_stocks = int(arrays["values"].shape[1])
+    n_stocks = len(load_arrays(out / "corr_raw.npz", names=["labels"])["labels"])
     spec = WishartSpec(N=n_stocks, T=cfg.window,
                        ensemble_size=cfg.rmt_realizations, seed=cfg.seed)
-    write_json(out / "rmt_report.json", rmt_report_payload(spec, cfg.rmt_bins, workers=workers))
+    write_json(out / "rmt_report.json", rmt_report_payload(spec, cfg.rmt_bins))
     return [out / "rmt_report.json"]
 
 
@@ -491,7 +491,7 @@ def _plan(cfg: PipelineConfig, out: Path) -> list[_Stage]:
                 "n_inits": cfg.n_inits, "seed": cfg.seed, "mds_dim": cfg.mds_dim,
                 "k_min": cfg.k_min, "k": cfg.k, "epsilon": cfg.epsilon}, _stage_states),
         _Stage("sectors", bool(cfg.sectors), "no sector map configured",
-               [out / "panel.csv", out / "corr_raw.npz", out / "selected.json",
+               [out / "panel.csv.meta.json", out / "corr_raw.npz", out / "selected.json",
                 out / "model.json"],
                {**epoch_params, "sector_k": cfg.sector_k, "sector_epsilon": cfg.sector_epsilon,
                 "n_inits": cfg.n_inits, "seed": cfg.seed, "mds_dim": cfg.mds_dim},

@@ -9,7 +9,6 @@ a pure-noise spectrum.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,26 +61,16 @@ def sample_realization(spec: WishartSpec, index: int) -> np.ndarray:
     return (W + W.T) / 2.0
 
 
-def _realization_eigenvalues(task: tuple[WishartSpec, float, int]) -> np.ndarray:
-    spec, epsilon, index = task
-    W = sample_realization(spec, index)
-    if epsilon != 0.0:
-        W = power_map(W, epsilon)
-    return np.linalg.eigvalsh(W)
-
-
-def pooled_eigenvalues(spec: WishartSpec, epsilon: float = 0.0, workers: int = 1) -> np.ndarray:
+def pooled_eigenvalues(spec: WishartSpec, epsilon: float = 0.0) -> np.ndarray:
     """Eigenvalues of every realization, concatenated in realization order.
 
-    Realizations diagonalize independently (optionally across processes);
-    the reduction order is fixed, so the result is worker-count independent.
+    Realizations are drawn, power-mapped (unless epsilon is 0) and
+    diagonalized one after another in a fixed order.
     """
-    tasks = [(spec, epsilon, i) for i in range(spec.ensemble_size)]
-    if workers <= 1 or spec.ensemble_size == 1:
-        parts = [_realization_eigenvalues(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_realization_eigenvalues, tasks))
+    parts = []
+    for index in range(spec.ensemble_size):
+        W = sample_realization(spec, index)
+        parts.append(np.linalg.eigvalsh(power_map(W, epsilon) if epsilon != 0.0 else W))
     return np.concatenate(parts)
 
 
@@ -194,14 +183,13 @@ def empirical_spectrum(matrices, bins: int = 100,
     return spectrum_from_eigenvalues(np.concatenate(pool), bins=bins, Q=Q, sigma2=sigma2)
 
 
-def wishart_spectrum(spec: WishartSpec, bins: int = 100, workers: int = 1) -> SpectralDensity:
+def wishart_spectrum(spec: WishartSpec, bins: int = 100) -> SpectralDensity:
     """Spectral density of a raw sampled ensemble."""
-    eigs = pooled_eigenvalues(spec, epsilon=0.0, workers=workers)
+    eigs = pooled_eigenvalues(spec)
     return spectrum_from_eigenvalues(eigs, bins=bins, Q=spec.Q, sigma2=spec.sigma2)
 
 
-def powermapped_spectrum(spec: WishartSpec, epsilon: float, bins: int = 100,
-                         workers: int = 1) -> SpectralDensity:
+def powermapped_spectrum(spec: WishartSpec, epsilon: float, bins: int = 100) -> SpectralDensity:
     """Spectral density after the power map hits every realization.
 
     With small T the raw matrices are singular; even a tiny epsilon frees
@@ -209,7 +197,7 @@ def powermapped_spectrum(spec: WishartSpec, epsilon: float, bins: int = 100,
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    eigs = pooled_eigenvalues(spec, epsilon=epsilon, workers=workers)
+    eigs = pooled_eigenvalues(spec, epsilon=epsilon)
     return spectrum_from_eigenvalues(eigs, bins=bins, Q=spec.Q, sigma2=spec.sigma2)
 
 

@@ -82,11 +82,14 @@ def save_arrays(path: str | Path, **arrays) -> None:
                 np.lib.format.write_array(member, array, allow_pickle=False)
 
 
-def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
+def load_arrays(path: str | Path, names: list[str] | None = None) -> dict[str, np.ndarray]:
+    """Every array of an archive, or only the members ``names``, which are all that is read."""
     path = Path(path)
     try:
         with np.load(path, allow_pickle=False) as archive:
-            return {name: archive[name] for name in archive.files}
+            return {name: archive[name] for name in (archive.files if names is None else names)}
+    except KeyError as exc:  # a name not in the archive
+        raise DataError(f"{path}: {exc.args[0]}") from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except (ValueError, zipfile.BadZipFile) as exc:

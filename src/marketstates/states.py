@@ -9,7 +9,6 @@ are renamed S1..Sk by ascending mean correlation so Sk is the crisis state.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,24 +154,18 @@ def init_seeds(seed: int, count: int) -> np.ndarray:
     return np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
 
 
-def kmeans_ensemble(points: np.ndarray, k: int, n_inits: int, seed: int,
-                    epsilon: float = 0.0) -> list[ClusteringRun]:
-    return [kmeans(points, k, int(s), epsilon) for s in init_seeds(seed, n_inits)]
-
-
 def best_kmeans(points: np.ndarray, k: int, n_inits: int, seed: int,
                 epsilon: float = 0.0) -> ClusteringRun:
     """Lowest-objective run over an ensemble of seeded initializations."""
-    runs = kmeans_ensemble(points, k, n_inits, seed, epsilon)
+    runs = [kmeans(points, k, int(s), epsilon) for s in init_seeds(seed, n_inits)]
     return min(runs, key=lambda r: r.objective)
 
 
-def _grid_epsilon_task(args) -> list[GridPoint]:
-    stack, eps, k_list, dim, seed_block = args
-    coords = embed_epochs(stack, eps, dim).coordinates
+def _grid_rows(coords: np.ndarray, eps: float, k_list: list[int], seeds) -> list[GridPoint]:
+    """The grid points of one epsilon: n_inits k-means radii per k on its map."""
     rows = []
     for ki, k in enumerate(k_list):
-        radii = np.array([kmeans(coords, k, int(s), eps).d_intra for s in seed_block[ki]])
+        radii = np.array([kmeans(coords, k, int(s), eps).d_intra for s in seeds[ki]])
         rows.append(
             GridPoint(
                 k=k,
@@ -189,10 +182,10 @@ def optimize_over_grid(stack: np.ndarray, k_range, epsilon_grid, n_inits: int,
                        seed: int, dim: int = 3, workers: int = 1) -> OptimizationSurface:
     """sigma_d_intra over a (k, epsilon) grid for a raw matrix stack.
 
-    For each epsilon the whole geometry is rebuilt: power map, dissimilarity,
-    MDS; then each k runs n_inits independent k-means.  Init seeds come from
-    one SeedSequence spanning the flat (epsilon, k, init) grid, so results do
-    not depend on evaluation order or worker count.
+    For each epsilon in turn the whole geometry is rebuilt: power map,
+    dissimilarity on ``workers`` threads, MDS; then each k runs n_inits
+    independent k-means.  Init seeds come from one SeedSequence spanning the
+    flat (epsilon, k, init) grid, so results do not depend on worker count.
     """
     k_list = list(k_range)
     eps_list = list(epsilon_grid)
@@ -202,13 +195,12 @@ def optimize_over_grid(stack: np.ndarray, k_range, epsilon_grid, n_inits: int,
         raise ValueError(f"need n_inits >= 2 to measure a spread, got {n_inits}")
     seeds = init_seeds(seed, len(eps_list) * len(k_list) * n_inits)
     seeds = seeds.reshape(len(eps_list), len(k_list), n_inits)
-    tasks = [(stack, eps, k_list, dim, seeds[ei]) for ei, eps in enumerate(eps_list)]
-    if workers <= 1 or len(tasks) == 1:
-        blocks = [_grid_epsilon_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_grid_epsilon_task, tasks))
-    return OptimizationSurface(grid=[row for block in blocks for row in block])
+    grid = []
+    for ei, eps in enumerate(eps_list):
+        # no local name holds one epsilon's map while the next one is embedded
+        grid += _grid_rows(embed_epochs(stack, eps, dim, workers).coordinates,
+                           eps, k_list, seeds[ei])
+    return OptimizationSurface(grid=grid)
 
 
 def select_optimum(surface: OptimizationSurface, k_min: int = 4) -> tuple[int, float]:
@@ -261,14 +253,15 @@ def build_state_model(series: EpochCorrelationSeries, run: ClusteringRun) -> Sta
 
 
 def fit_series(series: EpochCorrelationSeries, k: int, epsilon: float, n_inits: int,
-               seed: int, dim: int = 3):
+               seed: int, dim: int = 3, workers: int = 1):
     """Fit market states to a raw (epsilon 0) series at one operating point.
 
     Returns (model, best run, embedding): clustering happens on the MDS map
     of power-mapped matrices, the model averages the raw ones.  Stock-level
-    and sector-level series go through this same path.
+    and sector-level series go through this same path; ``workers`` threads
+    run the dissimilarity kernel.
     """
-    embedding = embed_epochs(series.values_stack(), epsilon, dim)
+    embedding = embed_epochs(series.values_stack(), epsilon, dim, workers)
     run = best_kmeans(embedding.coordinates, k, n_inits, seed, epsilon)
     return build_state_model(series, run), run, embedding
 

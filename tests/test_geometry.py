@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -94,14 +95,48 @@ def _oracle_cases():
     }
 
 
-@pytest.mark.parametrize("case", sorted(_oracle_cases()))
-def test_packed_kernel_matches_row_by_row_oracle(case):
+# 2 and 3 threads; "two_epochs" has fewer rows than threads
+@pytest.mark.parametrize("case, workers", [
+    pytest.param(case, workers, id=case if workers == 1 else f"{case}-{workers}threads")
+    for case in sorted(_oracle_cases()) for workers in (1, 2, 3)
+])
+def test_packed_kernel_matches_row_by_row_oracle(case, workers):
     stack = _oracle_cases()[case]
-    got = similarity_matrix(stack)
+    got = similarity_matrix(stack, workers)
     want = row_by_row_similarity(stack)
     np.testing.assert_array_equal(got, got.T)
     assert np.all(np.diag(got) == 0.0)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert got.tobytes() == similarity_matrix(stack).tobytes()
+
+
+def test_kernel_threads_under_fast_switching_match_one_thread():
+    # more threads than cores, switching as often as the interpreter allows:
+    # a row written twice or never would change the bytes
+    stack = symmetric_stack(16, 40, 12)
+    serial = similarity_matrix(stack)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = similarity_matrix(stack, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.tobytes() == serial.tobytes()
+
+
+def test_failure_in_a_kernel_thread_raises_from_similarity_matrix(monkeypatch):
+    from marketstates import geometry
+
+    real_rows = geometry._l1_rows
+
+    def failing_rows(X, out, first, step, block):
+        if first == 1:
+            raise RuntimeError("injected kernel failure")
+        real_rows(X, out, first, step, block)
+
+    monkeypatch.setattr(geometry, "_l1_rows", failing_rows)
+    with pytest.raises(RuntimeError, match="injected kernel failure"):
+        similarity_matrix(symmetric_stack(15, 6, 5), workers=2)
 
 
 def test_similarity_working_set_is_below_the_input_stack():

@@ -384,6 +384,26 @@ def test_changed_input_triggers_rerun(market, tmp_path):
     assert names == ["burst"]
 
 
+def test_changed_sector_map_refits_sectors(tmp_path):
+    data = write_market(tmp_path / "data")
+    out = tmp_path / "out"
+    cfg = market_config(data, out)
+    run_pipeline(cfg)
+
+    sectors = (data / "sectors.csv").read_text()
+    (data / "sectors.csv").write_text(sectors.replace("S00,alpha", "S00,beta"))
+    code, manifest = run_pipeline(cfg)
+    assert code == 0
+    statuses = {name: entry["status"] for name, entry in manifest["stages"].items()}
+    assert statuses["ingest"] == "ok" and statuses["corr"] == "skipped"
+    assert statuses["sectors"] == "ok"  # the panel's sector map changed
+
+    fresh = tmp_path / "fresh"
+    assert run_pipeline(market_config(data, fresh))[0] == 0
+    for name in ("sector_model.json", "sector_model_avg_corr.npz", "displacement.json"):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
 def test_deleted_output_triggers_rerun(market, tmp_path):
     out = tmp_path / "out"
     cfg = market_config(market, out)

@@ -194,10 +194,3 @@ def test_powermap_can_match_longer_window_variance():
     best = min(ratios, key=lambda e: abs(ratios[e] - 1.0))
     assert abs(ratios[best] - 1.0) < 0.10
     assert abs(ratios[0.265] - 1.0) < 0.10
-
-
-def test_pooled_eigenvalues_worker_count_invariant():
-    spec = WishartSpec(N=25, T=50, ensemble_size=6, seed=13)
-    serial = rmt.pooled_eigenvalues(spec, workers=1)
-    parallel = rmt.pooled_eigenvalues(spec, workers=4)
-    assert serial.tobytes() == parallel.tobytes()

@@ -147,6 +147,16 @@ def test_load_arrays_wraps_errors(tmp_path):
         load_arrays(junk)
 
 
+def test_load_arrays_reads_only_the_named_members(tmp_path):
+    path = tmp_path / "a.npz"
+    save_arrays(path, **sample_arrays())
+    back = load_arrays(path, names=["labels"])
+    assert list(back) == ["labels"]
+    assert back["labels"].tobytes() == sample_arrays()["labels"].tobytes()
+    with pytest.raises(DataError, match="absent"):
+        load_arrays(path, names=["absent"])
+
+
 def test_write_csv_bytes_match_per_cell_formatting(tmp_path):
     rows = [
         (1, "a", 0.1 + 0.2, np.float64(1 / 3), np.float32(0.1), True),
