@@ -133,7 +133,14 @@ def _power(values: np.ndarray, epsilon: float) -> np.ndarray:
     # epsilon 0 must be a bit-for-bit no-op, so short-circuit before pow
     if epsilon == 0.0:
         return values.copy()
-    return np.sign(values) * np.abs(values) ** (1.0 + epsilon)
+    # sign(x) * |x| ** (1 + epsilon) in one output and one temporary;
+    # np.copysign would keep -0.0 where np.sign gives +0.0
+    dtype = np.result_type(values, 1.0)  # integer input maps to float
+    magnitude = np.abs(values, dtype=dtype)
+    magnitude **= 1.0 + epsilon
+    out = np.sign(values, dtype=dtype)
+    out *= magnitude
+    return out
 
 
 def power_map(obj, epsilon: float):

@@ -35,6 +35,23 @@ class Embedding:
     n_clipped: int
     clipped_mass: float
 
+    def leading(self, D: int) -> "Embedding":
+        """This map on its first D axes: the same bytes as classical MDS at D.
+
+        Axes are computed column by column from one eigendecomposition, so a
+        full map truncated to D axes equals ``classical_mds(dissim, D)``.
+        """
+        if not 1 <= D <= self.D:
+            raise ValueError(f"D must be in 1..{self.D}, got {D}")
+        return Embedding(
+            coordinates=self.coordinates[:, :D].copy(),
+            eigenvalues=self.eigenvalues[:D].copy(),
+            D=D,
+            full_eigenvalues=self.full_eigenvalues,
+            n_clipped=self.n_clipped,
+            clipped_mass=self.clipped_mass,
+        )
+
 
 def _packed_epochs(stack: np.ndarray) -> np.ndarray:
     """Pack each epoch into one row: 2 x its strict upper triangle, then its diagonal.
@@ -123,10 +140,17 @@ def _n_epochs(dissim: np.ndarray) -> int:
     return dissim.shape[0]
 
 
-def _double_center(squared: np.ndarray) -> np.ndarray:
-    row = squared.mean(axis=1, keepdims=True)
-    col = squared.mean(axis=0, keepdims=True)
-    return -0.5 * (squared - row - col + squared.mean())
+def _double_center(values: np.ndarray) -> np.ndarray:
+    """-1/2 J (Z*Z) J, built in the one (n, n) array that holds Z*Z."""
+    B = values * values
+    row = B.mean(axis=1, keepdims=True)
+    col = B.mean(axis=0, keepdims=True)
+    grand = B.mean()
+    B -= row
+    B -= col
+    B += grand
+    B *= -0.5
+    return B
 
 
 def _fix_signs(coords: np.ndarray) -> np.ndarray:
@@ -140,7 +164,7 @@ def _fix_signs(coords: np.ndarray) -> np.ndarray:
 
 def _mds_coordinates(values: np.ndarray, D: int, warn: bool = True):
     n = values.shape[0]
-    B = _double_center(values * values)
+    B = _double_center(values)
     eigval, eigvec = np.linalg.eigh(B)
     order = np.argsort(eigval)[::-1]
     eigval = eigval[order]

@@ -14,14 +14,16 @@ from __future__ import annotations
 import hashlib
 import json
 import traceback
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .corrmat import CorrelationMatrix, EpochCorrelationSeries, EpochSpec, epoch_correlations
 from .errors import DataError, NumericError
-from .geometry import classical_mds, similarity_matrix, step_fidelity
+from .geometry import Embedding, classical_mds, embed_epochs, similarity_matrix, step_fidelity
 from .ingest import ContinuityPolicy, load_panel, load_prices, load_sector_map, log_returns, save_panel
 from .rmt import (
     WishartSpec,
@@ -292,20 +294,22 @@ def write_panel(prices: str | Path, sectors: str | Path, max_gap: int, path: Pat
 
 
 def write_map(stack: np.ndarray, dates: list[str], dim: int, out_dir: Path,
-              workers: int = 1) -> list[Path]:
+              workers: int = 1, maps: dict[float, Embedding] | None = None) -> list[Path]:
     """Classical MDS map of an epoch stack: coordinates plus eigenvalue and fidelity meta.
 
     ``dates`` labels the coordinate rows, one per epoch of ``stack``.  One
     eigendecomposition serves both: the ``dim``-axis map is the leading
     ``dim`` axes of the full map that the fidelity needs.  ``workers``
-    threads run the dissimilarity kernel.
+    threads run the dissimilarity kernel.  The ``dim``-axis map is also
+    stored in ``maps`` under epsilon 0 when a dict is given.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     sim = similarity_matrix(stack, workers)
     full = classical_mds(sim, D=len(sim) - 1, warn=False)
-    if not 1 <= dim <= full.D:
-        raise ValueError(f"D must be in 1..{full.D}, got {dim}")
-    padded = _xyz(full.coordinates[:, :dim])
+    embedding = full.leading(dim)
+    if maps is not None:
+        maps[0.0] = embedding
+    padded = _xyz(embedding.coordinates)
     write_csv(
         out_dir / "map_coords.csv",
         ["epoch", "date", "x", "y", "z"],
@@ -316,7 +320,7 @@ def write_map(stack: np.ndarray, dates: list[str], dim: int, out_dir: Path,
     write_json(
         out_dir / "map_meta.json",
         {
-            "eigenvalues": [float(v) for v in full.eigenvalues[:dim]],
+            "eigenvalues": [float(v) for v in embedding.eigenvalues],
             "n_clipped": full.n_clipped,
             "clipped_mass": full.clipped_mass,
             "dimension_fidelity": {str(d): float(v) for d, v in fidelity},
@@ -393,18 +397,21 @@ def _stage_corr(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
     return [out / "corr_raw.npz"]
 
 
-def _stage_mds(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
+def _stage_mds(cfg: PipelineConfig, out: Path, workers: int,
+               epoch_maps: Callable[[], dict[float, Embedding]]) -> list[Path]:
     arrays = load_arrays(out / "corr_raw.npz")
     dates = [str(s) for s in arrays["start_dates"]]
-    return write_map(arrays["values"], dates, cfg.mds_dim, out, workers)
+    return write_map(arrays["values"], dates, cfg.mds_dim, out, workers, maps=epoch_maps())
 
 
-def _stage_states(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
+def _stage_states(cfg: PipelineConfig, out: Path, workers: int,
+                  epoch_maps: Callable[[], dict[float, Embedding]]) -> list[Path]:
     arrays = load_arrays(out / "corr_raw.npz")
     series = series_from_arrays(arrays)
+    maps = epoch_maps()
     surface = optimize_over_grid(
         arrays["values"], cfg.k_range, cfg.epsilon_grid,
-        cfg.n_inits, cfg.seed, dim=cfg.mds_dim, workers=workers,
+        cfg.n_inits, cfg.seed, dim=cfg.mds_dim, workers=workers, maps=maps,
     )
     write_surface(surface, out / "surface.csv")
     best_k, best_eps = select_optimum(surface, k_min=cfg.k_min)
@@ -418,8 +425,10 @@ def _stage_states(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
                        "pinned": bool(cfg.k > 0 or cfg.epsilon >= 0)},
         },
     )
+    if chosen_eps not in maps:  # a pinned epsilon off the grid
+        maps[chosen_eps] = embed_epochs(arrays["values"], chosen_eps, cfg.mds_dim, workers)
     model, _, embedding = fit_series(series, chosen_k, chosen_eps, cfg.n_inits, cfg.seed,
-                                     cfg.mds_dim, workers)
+                                     embedding=maps[chosen_eps])
     return ([out / "surface.csv", out / "selected.json"]
             + write_fit(model, embedding, out / "model.json", "states_"))
 
@@ -478,18 +487,22 @@ class _Stage:
     run: object = None
 
 
-def _plan(cfg: PipelineConfig, out: Path) -> list[_Stage]:
+def _plan(cfg: PipelineConfig, out: Path,
+          epoch_maps: Callable[[], dict[float, Embedding]]) -> list[_Stage]:
+    """The stages of a run; ``epoch_maps()`` gives mds and states the maps of the stack."""
     epoch_params = {"window": cfg.window, "shift": cfg.shift}
     stages = [
         _Stage("ingest", True, "", [Path(cfg.prices)] + ([Path(cfg.sectors)] if cfg.sectors else []),
                {"max_gap": cfg.max_gap}, _stage_ingest),
         _Stage("corr", True, "", [out / "panel.csv"], dict(epoch_params), _stage_corr),
         _Stage("mds", True, "", [out / "corr_raw.npz"],
-               {**epoch_params, "mds_dim": cfg.mds_dim}, _stage_mds),
+               {**epoch_params, "mds_dim": cfg.mds_dim},
+               partial(_stage_mds, epoch_maps=epoch_maps)),
         _Stage("states", True, "", [out / "corr_raw.npz"],
                {**epoch_params, "k_range": cfg.k_range, "epsilon_grid": cfg.epsilon_grid,
                 "n_inits": cfg.n_inits, "seed": cfg.seed, "mds_dim": cfg.mds_dim,
-                "k_min": cfg.k_min, "k": cfg.k, "epsilon": cfg.epsilon}, _stage_states),
+                "k_min": cfg.k_min, "k": cfg.k, "epsilon": cfg.epsilon},
+               partial(_stage_states, epoch_maps=epoch_maps)),
         _Stage("sectors", bool(cfg.sectors), "no sector map configured",
                [out / "panel.csv.meta.json", out / "corr_raw.npz", out / "selected.json",
                 out / "model.json"],
@@ -560,9 +573,18 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
     # freshness check, reuses the digest taken when the file was written or
     # first read; a stage that writes a path takes a new one
     digests: dict[Path, str] = {}
+    # each epsilon's mds_dim-axis map of the epoch stack, built once per call:
+    # the mds stage stores epsilon 0, the grid and the stock fit read and add
+    # to it.  Keyed by the corr_raw.npz digest, so a rewritten archive starts
+    # empty; it holds no distance matrix and nothing of it is written
+    maps: dict[str, dict[float, Embedding]] = {}
+
+    def epoch_maps() -> dict[float, Embedding]:
+        return maps.setdefault(_digest(out / "corr_raw.npz", digests), {})
+
     exit_code = 0
     failed = False
-    for stage in _plan(cfg, out):
+    for stage in _plan(cfg, out, epoch_maps):
         if failed:
             manifest["stages"][stage.name] = {"status": "halted",
                                               "reason": "an upstream stage failed"}

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corrmat import EpochCorrelationSeries, EpochSpec, epoch_correlations
-from .geometry import embed_epochs
+from .geometry import Embedding, embed_epochs
 from .ingest import ReturnPanel
 
 MAX_LLOYD_ITERATIONS = 300
@@ -80,8 +80,15 @@ class StateModel:
 
 
 def _assignment_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centroids[None, :, :]
-    return (diff * diff).sum(axis=2)
+    """Squared point-centroid distances, (n, k), summed one axis at a time.
+
+    Accumulating an (n, k) array per axis avoids the (n, k, D) difference
+    temporary and adds the axes in the same order as a sum over them.
+    """
+    d2 = (points[:, 0, None] - centroids[None, :, 0]) ** 2
+    for d in range(1, points.shape[1]):
+        d2 += (points[:, d, None] - centroids[None, :, d]) ** 2
+    return d2
 
 
 def kmeans(points: np.ndarray, k: int, seed: int, epsilon: float = 0.0) -> ClusteringRun:
@@ -94,8 +101,8 @@ def kmeans(points: np.ndarray, k: int, seed: int, epsilon: float = 0.0) -> Clust
     distances) is recorded once per iteration after the centroid update.
     """
     points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise ValueError(f"points must be 2-D, got shape {points.shape}")
+    if points.ndim != 2 or points.shape[1] == 0:
+        raise ValueError(f"points must be 2-D with at least one axis, got shape {points.shape}")
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
@@ -128,10 +135,13 @@ def kmeans(points: np.ndarray, k: int, seed: int, epsilon: float = 0.0) -> Clust
             converged = True
             break
         labels = new_labels
-        for c in range(k):
-            members = labels == c
-            if members.any():
-                centroids[c] = points[members].mean(axis=0)
+        # cluster means, one weighted bincount per axis; an empty cluster
+        # (no movable point was left to repair it) keeps its centroid
+        filled = np.flatnonzero(counts)
+        sizes = counts[filled]
+        for d in range(points.shape[1]):
+            sums = np.bincount(labels, weights=points[:, d], minlength=k)
+            centroids[filled, d] = sums[filled] / sizes
         final_d2 = ((points - centroids[labels]) ** 2).sum(axis=1)
         trace.append(float(final_d2.sum()))
     d_intra = float(np.sqrt(((points - centroids[labels]) ** 2).sum(axis=1)).mean())
@@ -179,13 +189,16 @@ def _grid_rows(coords: np.ndarray, eps: float, k_list: list[int], seeds) -> list
 
 
 def optimize_over_grid(stack: np.ndarray, k_range, epsilon_grid, n_inits: int,
-                       seed: int, dim: int = 3, workers: int = 1) -> OptimizationSurface:
+                       seed: int, dim: int = 3, workers: int = 1,
+                       maps: dict[float, Embedding] | None = None) -> OptimizationSurface:
     """sigma_d_intra over a (k, epsilon) grid for a raw matrix stack.
 
-    For each epsilon in turn the whole geometry is rebuilt: power map,
-    dissimilarity on ``workers`` threads, MDS; then each k runs n_inits
-    independent k-means.  Init seeds come from one SeedSequence spanning the
-    flat (epsilon, k, init) grid, so results do not depend on worker count.
+    For each distinct epsilon the geometry is built once: power map,
+    dissimilarity on ``workers`` threads, ``dim``-axis MDS; then each k runs
+    n_inits independent k-means.  ``maps`` holds maps of this stack already
+    built, by epsilon: the grid reads an epsilon's map from it, and stores
+    each map it builds there.  Init seeds come from one SeedSequence spanning
+    the flat (epsilon, k, init) grid, so results do not depend on worker count.
     """
     k_list = list(k_range)
     eps_list = list(epsilon_grid)
@@ -195,11 +208,12 @@ def optimize_over_grid(stack: np.ndarray, k_range, epsilon_grid, n_inits: int,
         raise ValueError(f"need n_inits >= 2 to measure a spread, got {n_inits}")
     seeds = init_seeds(seed, len(eps_list) * len(k_list) * n_inits)
     seeds = seeds.reshape(len(eps_list), len(k_list), n_inits)
+    maps = {} if maps is None else maps
     grid = []
     for ei, eps in enumerate(eps_list):
-        # no local name holds one epsilon's map while the next one is embedded
-        grid += _grid_rows(embed_epochs(stack, eps, dim, workers).coordinates,
-                           eps, k_list, seeds[ei])
+        if eps not in maps:
+            maps[eps] = embed_epochs(stack, eps, dim, workers)
+        grid += _grid_rows(maps[eps].coordinates, eps, k_list, seeds[ei])
     return OptimizationSurface(grid=grid)
 
 
@@ -253,15 +267,18 @@ def build_state_model(series: EpochCorrelationSeries, run: ClusteringRun) -> Sta
 
 
 def fit_series(series: EpochCorrelationSeries, k: int, epsilon: float, n_inits: int,
-               seed: int, dim: int = 3, workers: int = 1):
+               seed: int, dim: int = 3, workers: int = 1,
+               embedding: Embedding | None = None):
     """Fit market states to a raw (epsilon 0) series at one operating point.
 
     Returns (model, best run, embedding): clustering happens on the MDS map
     of power-mapped matrices, the model averages the raw ones.  Stock-level
     and sector-level series go through this same path; ``workers`` threads
-    run the dissimilarity kernel.
+    run the dissimilarity kernel.  An ``embedding`` already built for this
+    series at ``epsilon`` is clustered as it is, with no kernel call.
     """
-    embedding = embed_epochs(series.values_stack(), epsilon, dim, workers)
+    if embedding is None:
+        embedding = embed_epochs(series.values_stack(), epsilon, dim, workers)
     run = best_kmeans(embedding.coordinates, k, n_inits, seed, epsilon)
     return build_state_model(series, run), run, embedding
 

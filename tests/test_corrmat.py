@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,31 @@ def test_power_map_values_signs_and_diagonal():
     # odd symmetry
     x = np.linspace(-1, 1, 101)
     np.testing.assert_allclose(power_map(x, eps), -power_map(-x, eps), atol=0)
+
+
+def test_power_map_is_bit_identical_to_the_textbook_form():
+    rng = np.random.default_rng(11)
+    x = np.tanh(rng.normal(size=(4, 9, 9)))
+    x[0, :2, :2] = 0.0
+    x[1, :2, :2] = -0.0
+    x[2, 0, :2] = (1.0, -1.0)
+    for eps in (0.1, 0.3, 0.6, 0.7, 0.9, 1.0, 2.5):
+        want = np.sign(x) * np.abs(x) ** (1.0 + eps)
+        assert power_map(x, eps).tobytes() == want.tobytes(), eps
+    # -0.0 maps to +0.0, as np.sign gives it
+    assert not np.signbit(power_map(x, 0.5)[1, :2, :2]).any()
+    np.testing.assert_array_equal(power_map(np.array([2, -1, 0]), 1.0), [4.0, -1.0, 0.0])
+
+
+def test_power_map_peak_is_one_output_and_one_temporary():
+    x = np.tanh(np.random.default_rng(12).normal(size=(12, 60, 60)))
+    tracemalloc.start()
+    try:
+        power_map(x, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.05 * x.nbytes
 
 
 def test_power_map_on_series_preserves_structure():

@@ -150,6 +150,39 @@ def test_similarity_working_set_is_below_the_input_stack():
     assert peak < 0.75 * stack.nbytes
 
 
+def test_double_centering_works_in_one_square_array():
+    from marketstates.geometry import _double_center
+
+    rng = np.random.default_rng(4)
+    Z = np.abs(rng.normal(size=(600, 600)))
+    Z += Z.T
+    squared = Z * Z
+    want = -0.5 * (squared - squared.mean(axis=1, keepdims=True)
+                   - squared.mean(axis=0, keepdims=True) + squared.mean())
+    tracemalloc.start()
+    try:
+        got = _double_center(Z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak <= 1.05 * Z.nbytes
+
+
+def test_leading_axes_equal_a_map_at_that_dimension():
+    sim = similarity_matrix(power_map(random_corr_series(6).values_stack(), 0.4))
+    full = classical_mds(sim, D=len(sim) - 1, warn=False)
+    for D in (1, 2, 3, 5):
+        got, want = full.leading(D), classical_mds(sim, D=D, warn=False)
+        assert got.coordinates.tobytes() == want.coordinates.tobytes()
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert got.full_eigenvalues.tobytes() == want.full_eigenvalues.tobytes()
+        assert (got.D, got.n_clipped, got.clipped_mass) == (D, want.n_clipped,
+                                                            want.clipped_mass)
+    with pytest.raises(ValueError, match="D must be in"):
+        full.leading(len(sim))
+
+
 def test_similarity_metric_properties():
     Z = similarity_matrix(random_corr_series(2).values_stack())
     np.testing.assert_array_equal(Z, Z.T)

@@ -4,6 +4,7 @@ import datetime
 import math
 import zipfile
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +366,60 @@ def test_rerun_over_deflated_archives_skips_every_stage(market, tmp_path, monkey
     code, manifest = run_pipeline(cfg)
     assert code == 0
     assert {entry["status"] for entry in manifest["stages"].values()} == {"skipped"}
+
+
+@pytest.mark.parametrize("grid, pinned", [
+    ([0.0, 0.5], 0.0),       # the map's epsilon 0, the grid, the fit: two maps
+    ([0.5, 0.5], -1.0),      # a duplicate grid epsilon and the grid's optimum
+    ([0.3, 0.6], 0.9),       # no 0 on the grid and a pinned epsilon off it
+    ([0.0, 0.3, 0.6], 0.6),  # a pinned epsilon on the grid
+])
+def test_each_epsilon_map_is_built_once_per_run(market, tmp_path, monkeypatch, grid, pinned):
+    from marketstates import geometry
+    import marketstates.pipeline as pipeline
+
+    cfg = market_config(market, tmp_path / "out")
+    cfg.sectors, cfg.events = "", ""  # only the stock stack is embedded
+    cfg.epsilon_grid, cfg.epsilon = grid, pinned
+    stock_shape, n_epochs = (100, 8, 8), 100
+    kernel_calls, eigh_calls = [], []
+    real_similarity, real_eigh = geometry.similarity_matrix, np.linalg.eigh
+
+    def counting_similarity(stack, workers=1):
+        kernel_calls.append(stack.shape == stock_shape)
+        return real_similarity(stack, workers)
+
+    def counting_eigh(matrix):
+        eigh_calls.append(matrix.shape == (n_epochs, n_epochs))
+        return real_eigh(matrix)
+
+    for module in (geometry, pipeline):
+        monkeypatch.setattr(module, "similarity_matrix", counting_similarity)
+    monkeypatch.setattr(geometry.np.linalg, "eigh", counting_eigh)
+    code, _ = run_pipeline(cfg)
+    monkeypatch.undo()
+    assert code == 0
+    distinct = len({0.0, *grid} | ({pinned} if pinned >= 0 else set()))
+    assert sum(kernel_calls) == len(kernel_calls) == distinct
+    assert sum(eigh_calls) == distinct
+
+
+def test_rerun_with_only_a_new_k_range_skips_mds_and_matches_a_fresh_run(market, tmp_path):
+    out = tmp_path / "out"
+    cfg = market_config(market, out)
+    assert run_pipeline(cfg)[0] == 0
+    cfg.k_range = [2, 3, 4]
+    code, manifest = run_pipeline(cfg)
+    assert code == 0
+    statuses = {name: entry["status"] for name, entry in manifest["stages"].items()}
+    assert statuses["mds"] == "skipped" and statuses["states"] == "ok"
+
+    fresh = tmp_path / "fresh"
+    assert run_pipeline(replace(cfg, out_dir=str(fresh)))[0] == 0
+    names = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in fresh.iterdir() if p.name != "manifest.json")
+    for name in names:
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def test_changed_input_triggers_rerun(market, tmp_path):

@@ -92,6 +92,110 @@ def test_kmeans_validation():
         kmeans(points, 0, seed=0)
     with pytest.raises(ValueError):
         kmeans(np.zeros(4), 2, seed=0)
+    with pytest.raises(ValueError):
+        kmeans(np.zeros((4, 0)), 2, seed=0)
+
+
+def oracle_kmeans(points, k, seed, epsilon=0.0):
+    """The Lloyd loop as it was before the whole-array step: a per-cluster
+    mean loop and an (n, k, D) difference temporary."""
+    from marketstates.states import MAX_LLOYD_ITERATIONS
+
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    rng = np.random.default_rng(seed)
+    centroids = points[rng.choice(n, size=k, replace=False)].copy()
+    labels = np.full(n, -1)
+    trace = []
+    converged = False
+    iteration = 0
+    n_repairs = 0
+    for iteration in range(1, MAX_LLOYD_ITERATIONS + 1):
+        diff = points[:, None, :] - centroids[None, :, :]
+        d2 = (diff * diff).sum(axis=2)
+        new_labels = d2.argmin(axis=1)
+        counts = np.bincount(new_labels, minlength=k)
+        while (counts == 0).any():
+            empty = int(np.flatnonzero(counts == 0)[0])
+            own = d2[np.arange(n), new_labels]
+            movable = counts[new_labels] > 1
+            if not movable.any():
+                break
+            candidate = int(np.flatnonzero(movable)[own[movable].argmax()])
+            counts[new_labels[candidate]] -= 1
+            new_labels[candidate] = empty
+            counts[empty] += 1
+            centroids[empty] = points[candidate]
+            d2[:, empty] = ((points - points[candidate]) ** 2).sum(axis=1)
+            n_repairs += 1
+        if (new_labels == labels).all():
+            converged = True
+            break
+        labels = new_labels
+        for c in range(k):
+            members = labels == c
+            if members.any():
+                centroids[c] = points[members].mean(axis=0)
+        final_d2 = ((points - centroids[labels]) ** 2).sum(axis=1)
+        trace.append(float(final_d2.sum()))
+    d_intra = float(np.sqrt(((points - centroids[labels]) ** 2).sum(axis=1)).mean())
+    return ClusteringRun(k=k, epsilon=epsilon, seed=seed, labels=labels + 1,
+                         centroids=centroids, d_intra=d_intra, objective_trace=trace,
+                         n_iterations=iteration, converged=converged, n_repairs=n_repairs)
+
+
+def oracle_cases(D):
+    """Random clouds, planted blobs and duplicate-heavy sets (which force
+    empty-cluster repairs) in D dimensions, each with k = 1..9 capped at n,
+    plus k = n on a small set."""
+    rng = np.random.default_rng(100 + D)
+    cases = []
+    for trial in range(12):
+        n = int(rng.integers(9, 60))
+        if trial % 3 == 0:
+            points = rng.normal(size=(n, D))
+        elif trial % 3 == 1:
+            points, _ = planted_blobs(trial, rng.normal(scale=5.0, size=(3, D)), per_blob=n // 3)
+        else:
+            # few distinct values: many k-means runs hit empty clusters
+            points = rng.integers(0, 3, size=(n, D)).astype(float)
+        for k in range(1, min(9, len(points)) + 1):
+            cases.append((points, k, int(rng.integers(0, 2**32))))
+    duplicates = np.repeat(rng.normal(size=(3, D)), 3, axis=0)
+    cases += [(duplicates, len(duplicates), seed) for seed in range(4)]
+    return cases
+
+
+@pytest.mark.parametrize("D", [2, 3, 4])
+def test_kmeans_matches_per_cluster_oracle_bit_for_bit(D):
+    repairs = 0
+    for points, k, seed in oracle_cases(D):
+        got, want = kmeans(points, k, seed, 0.3), oracle_kmeans(points, k, seed, 0.3)
+        assert np.array_equal(got.labels, want.labels)
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert got.objective_trace == want.objective_trace
+        assert got.d_intra == want.d_intra
+        assert (got.n_iterations, got.n_repairs, got.converged) == (
+            want.n_iterations, want.n_repairs, want.converged)
+        repairs += want.n_repairs
+    assert repairs > 0  # the repair path ran
+
+
+def test_kmeans_matches_per_cluster_oracle_in_one_dimension():
+    # a (m, 1) member slice is summed pairwise by mean(), a weighted bincount
+    # sums in order, so centroids may differ in the last bits
+    repairs = 0
+    for points, k, seed in oracle_cases(1):
+        got, want = kmeans(points, k, seed), oracle_kmeans(points, k, seed)
+        assert np.array_equal(got.labels, want.labels)
+        np.testing.assert_allclose(got.centroids, want.centroids, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.objective_trace, want.objective_trace,
+                                   rtol=1e-12, atol=0)
+        assert got.d_intra == pytest.approx(want.d_intra, rel=1e-12, abs=0)
+        assert (got.n_iterations, got.n_repairs, got.converged) == (
+            want.n_iterations, want.n_repairs, want.converged)
+        repairs += want.n_repairs
+    assert repairs > 0
 
 
 def test_kmeans_deterministic_given_seed():
