@@ -143,6 +143,11 @@ def _power(values: np.ndarray, epsilon: float) -> np.ndarray:
     return out
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+
+
 def power_map(obj, epsilon: float):
     """Element-wise x -> sign(x) |x|^(1+epsilon), diagonal included.
 
@@ -151,8 +156,7 @@ def power_map(obj, epsilon: float):
     matrices.  Accepts a bare array or a whole series and returns the same
     kind of object; a series keeps its labels and dates.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    _check_epsilon(epsilon)
     if isinstance(obj, np.ndarray):
         return _power(obj, epsilon)
     if isinstance(obj, EpochCorrelationSeries):

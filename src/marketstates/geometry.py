@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrmat import power_map
+from .corrmat import _check_epsilon, _power
 from .errors import NumericError
 
 
@@ -53,13 +53,16 @@ class Embedding:
         )
 
 
-def _packed_epochs(stack: np.ndarray) -> np.ndarray:
-    """Pack each epoch into one row: 2 x its strict upper triangle, then its diagonal.
+def _packed_epochs(stack: np.ndarray, epsilon: float = 0.0) -> np.ndarray:
+    """Pack each power-mapped epoch into one row: 2 x its strict upper triangle, then its diagonal.
 
     The L1 distance between two packed rows equals the one between the full
     matrices, because every off-diagonal difference appears twice there.
-    Raises NumericError naming the first epoch that is non-finite or not
-    exactly symmetric, the two conditions under which that equality fails.
+    The power map is element-wise, so mapping the packed entries of one
+    epoch at a time gives the bits of mapping the whole stack first, without
+    a stack-sized mapped copy.  Raises NumericError naming the first epoch
+    that is non-finite or not exactly symmetric, the two conditions under
+    which that equality fails.
     """
     n, rows, cols = stack.shape
     if rows != cols or rows == 0:
@@ -69,8 +72,11 @@ def _packed_epochs(stack: np.ndarray) -> np.ndarray:
     X = np.empty((n, k + rows))
     for e, m in enumerate(stack):
         row = X[e]
-        np.multiply(m[iu], 2.0, out=row[:k])
-        row[k:] = np.diagonal(m)
+        upper, diagonal = m[iu], np.diagonal(m)
+        if epsilon:
+            upper, diagonal = _power(upper, epsilon), _power(diagonal, epsilon)
+        np.multiply(upper, 2.0, out=row[:k])
+        row[k:] = diagonal
         if not np.isfinite(row).all():
             raise NumericError(f"epoch {e} has a non-finite entry")
         if not np.array_equal(m, m.T):
@@ -91,24 +97,28 @@ def _l1_rows(X: np.ndarray, out: np.ndarray, first: int, step: int, block: int) 
             b.sum(axis=1, out=out[i, j0:j1])
 
 
-def similarity_matrix(stack: np.ndarray, workers: int = 1) -> np.ndarray:
-    """Mean absolute element-wise difference between every pair of epochs.
+def similarity_matrix(stack: np.ndarray, workers: int = 1, epsilon: float = 0.0) -> np.ndarray:
+    """Mean absolute element-wise difference between every pair of power-mapped epochs.
 
     Takes an (epochs, N, N) stack and returns the symmetric (epochs, epochs)
     dissimilarity matrix with a zero diagonal.  The mean runs over all N^2
     ordered entries, diagonal included (diagonal differences are zero for
     raw correlation matrices, so they only dilute by a constant factor).
+    Each epoch is compared after the power map at ``epsilon`` (0 leaves it
+    as it is), with the bits of ``similarity_matrix(power_map(stack, epsilon))``.
 
     Every epoch must be finite and exactly symmetric, as correlation,
     power-mapped and sector-averaged matrices are; otherwise NumericError.
     The kernel then sums over the packed upper triangle and diagonal only,
     streaming row differences through a buffer of about 512 KB, so its
-    working set beyond the input is the half-size packed stack.
+    working set beyond the input is the half-size packed stack, at any
+    epsilon: the map is applied to one epoch at a time as it is packed.
 
     ``workers`` threads share the packed stack; row i goes to thread
     i mod workers.  Each entry is still summed by one thread over the same
     blocks, so the result is bit-identical for any thread count.
     """
+    _check_epsilon(epsilon)
     if not isinstance(stack, np.ndarray):
         raise TypeError(f"expected an (epochs, N, N) ndarray, got {type(stack).__name__}")
     if stack.ndim != 3:
@@ -116,7 +126,7 @@ def similarity_matrix(stack: np.ndarray, workers: int = 1) -> np.ndarray:
     n = stack.shape[0]
     if n < 2:
         raise NumericError(f"need at least 2 epochs, got {n}")
-    X = _packed_epochs(stack.astype(float, copy=False))
+    X = _packed_epochs(stack.astype(float, copy=False), epsilon)
     out = np.zeros((n, n))
     # each thread's reused difference buffer of about 2^16 float64 (512 KB) stays in cache
     block = max(1, (1 << 16) // X.shape[1])
@@ -217,12 +227,12 @@ def embed_epochs(stack: np.ndarray, epsilon: float, dim: int, workers: int = 1) 
     """Power map, dissimilarity and ``dim``-axis classical MDS of an epoch stack.
 
     The one geometry chain behind the grid search, the state fit and the
-    event trajectories.  At epsilon 0 the stack is used as it is (the
-    dissimilarity never writes to its input); missing axes are zero-padded
-    without a warning.  ``workers`` threads run the dissimilarity kernel.
+    event trajectories.  The dissimilarity kernel power-maps each epoch as
+    it packs it and never writes to its input, so no mapped copy of the
+    stack is made; missing axes are zero-padded without a warning.
+    ``workers`` threads run the dissimilarity kernel.
     """
-    mapped = power_map(stack, epsilon) if epsilon else stack
-    return classical_mds(similarity_matrix(mapped, workers), D=dim, warn=False)
+    return classical_mds(similarity_matrix(stack, workers, epsilon), D=dim, warn=False)
 
 
 def step_lengths(coordinates: np.ndarray) -> np.ndarray:

@@ -188,7 +188,9 @@ def load_prices(path: str | Path, policy: ContinuityPolicy = ContinuityPolicy())
     for row in body:
         if len(row) != len(header):
             raise DataError(f"{path}: row with {len(row)} fields, expected {len(header)}")
-    dates = [row[0].strip() for row in body]
+    # fresh copies: a date that is still the parsed cell's string would keep the
+    # allocator arena it was read into, and every freed cell there, resident
+    dates = [row[0].strip().encode().decode() for row in body]
     if not dates:
         raise DataError(f"{path}: no data rows")
     _parse_iso_dates(dates)

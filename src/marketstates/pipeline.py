@@ -14,9 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import traceback
-from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +22,15 @@ import numpy as np
 from .corrmat import CorrelationMatrix, EpochCorrelationSeries, EpochSpec, epoch_correlations
 from .errors import DataError, NumericError
 from .geometry import Embedding, classical_mds, embed_epochs, similarity_matrix, step_fidelity
-from .ingest import ContinuityPolicy, load_panel, load_prices, load_sector_map, log_returns, save_panel
+from .ingest import (
+    ContinuityPolicy,
+    PricePanel,
+    load_panel,
+    load_prices,
+    load_sector_map,
+    log_returns,
+    save_panel,
+)
 from .rmt import (
     WishartSpec,
     l1_to_analytic,
@@ -243,12 +249,22 @@ def emit_plot_data(model, embedding, out_dir: str | Path, prefix: str = "") -> l
     written = [coords_path, transitions_path]
     header = ["label"] + list(model.labels)
     for s, avg in enumerate(model.avg_corr_matrix, start=1):
+        if not np.array_equal(avg, avg.T):
+            raise NumericError(f"state S{s} average matrix is not exactly symmetric")
         path = out_dir / f"{prefix}state_avg_corr_S{s}.csv"
-        write_csv(path, header, [
-            [model.labels[i]] + avg[i].tolist() for i in range(avg.shape[0])
-        ])
+        rows = zip(model.labels, _mirrored_cells(avg), strict=True)
+        write_csv(path, header, [[label, *cells] for label, cells in rows])
         written.append(path)
     return written
+
+
+def _mirrored_cells(matrix: np.ndarray) -> list[list[str]]:
+    """repr of every entry of a symmetric matrix, each off-diagonal value formatted once."""
+    upper = np.triu_indices(matrix.shape[0])
+    text = np.empty(matrix.shape, dtype=object)
+    text[upper] = list(map(repr, matrix[upper].tolist()))
+    text.T[upper] = text[upper]
+    return text.tolist()
 
 
 def trajectory_report_payload(report) -> dict:
@@ -385,30 +401,81 @@ def rmt_report_payload(spec: WishartSpec, bins: int, epsilon: float = 0.0) -> di
 # stage implementations
 
 
-def _stage_ingest(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
-    write_panel(cfg.prices, cfg.sectors, cfg.max_gap, out / "panel.csv")
-    return [out / "panel.csv", out / "panel.csv.meta.json"]
+@dataclass
+class _Run:
+    """The state one run_pipeline call keeps between its stages; nothing of it is written.
+
+    ``digests`` holds one sha256 per file: a later stage reading a file, or
+    the freshness check, reuses the digest taken when the file was written or
+    first read.  ``maps`` holds each epsilon's mds_dim-axis map of the epoch
+    stack, built once per call: the mds stage stores epsilon 0, the grid and
+    the stock fit read and add to it.  It is keyed by the corr_raw.npz
+    digest, so a rewritten archive starts empty, and holds no distance
+    matrix.  ``panel`` is the panel the ingest stage parsed, under the digest
+    of the panel.csv it wrote, until the corr stage takes it.
+    """
+
+    out: Path
+    workers: int
+    digests: dict[Path, str] = field(default_factory=dict)
+    maps: dict[str, dict[float, Embedding]] = field(default_factory=dict)
+    panel: tuple[str, PricePanel] | None = None
+
+    def digest(self, path: Path) -> str:
+        """sha256 of a file, hashed at most once in this run unless a stage rewrites it."""
+        if path not in self.digests:
+            self.digests[path] = sha256_file(path)
+        return self.digests[path]
+
+    def epoch_maps(self) -> dict[float, Embedding]:
+        return self.maps.setdefault(self.digest(self.out / "corr_raw.npz"), {})
+
+    def hand_over_panel(self, panel: PricePanel) -> None:
+        """Keep the panel just written to panel.csv for the corr stage."""
+        path = self.out / "panel.csv"
+        self.digests.pop(path, None)  # a digest taken before this write is stale
+        self.panel = (self.digest(path), panel)
+
+    def take_panel(self) -> PricePanel:
+        """The panel in panel.csv, parsed by ingest in this run if the file still holds it.
+
+        The handed-over panel is released either way; without one, or when
+        the file changed since, panel.csv is parsed.
+        """
+        handed, self.panel = self.panel, None
+        path = self.out / "panel.csv"
+        if handed is not None and handed[0] == self.digest(path):
+            return handed[1]
+        return load_panel(path)
 
 
-def _stage_corr(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
-    panel = load_panel(out / "panel.csv")
-    series = epoch_correlations(log_returns(panel), EpochSpec(cfg.window, cfg.shift))
-    save_arrays(out / "corr_raw.npz", **correlation_arrays(series))
-    return [out / "corr_raw.npz"]
+def _stage_ingest(cfg: PipelineConfig, run: _Run) -> list[Path]:
+    path = run.out / "panel.csv"
+    run.hand_over_panel(write_panel(cfg.prices, cfg.sectors, cfg.max_gap, path))
+    return [path, run.out / "panel.csv.meta.json"]
 
 
-def _stage_mds(cfg: PipelineConfig, out: Path, workers: int,
-               epoch_maps: Callable[[], dict[float, Embedding]]) -> list[Path]:
-    arrays = load_arrays(out / "corr_raw.npz")
+def _stage_corr(cfg: PipelineConfig, run: _Run) -> list[Path]:
+    returns = log_returns(run.take_panel())
+    series = epoch_correlations(returns, EpochSpec(cfg.window, cfg.shift))
+    arrays = correlation_arrays(series)
+    del series  # the per-epoch records: the archive is written from the one stack
+    save_arrays(run.out / "corr_raw.npz", **arrays)
+    return [run.out / "corr_raw.npz"]
+
+
+def _stage_mds(cfg: PipelineConfig, run: _Run) -> list[Path]:
+    arrays = load_arrays(run.out / "corr_raw.npz")
     dates = [str(s) for s in arrays["start_dates"]]
-    return write_map(arrays["values"], dates, cfg.mds_dim, out, workers, maps=epoch_maps())
+    return write_map(arrays["values"], dates, cfg.mds_dim, run.out, run.workers,
+                     maps=run.epoch_maps())
 
 
-def _stage_states(cfg: PipelineConfig, out: Path, workers: int,
-                  epoch_maps: Callable[[], dict[float, Embedding]]) -> list[Path]:
+def _stage_states(cfg: PipelineConfig, run: _Run) -> list[Path]:
+    out, workers = run.out, run.workers
     arrays = load_arrays(out / "corr_raw.npz")
     series = series_from_arrays(arrays)
-    maps = epoch_maps()
+    maps = run.epoch_maps()
     surface = optimize_over_grid(
         arrays["values"], cfg.k_range, cfg.epsilon_grid,
         cfg.n_inits, cfg.seed, dim=cfg.mds_dim, workers=workers, maps=maps,
@@ -433,7 +500,8 @@ def _stage_states(cfg: PipelineConfig, out: Path, workers: int,
             + write_fit(model, embedding, out / "model.json", "states_"))
 
 
-def _stage_sectors(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
+def _stage_sectors(cfg: PipelineConfig, run: _Run) -> list[Path]:
+    out = run.out
     sector_of = read_json(out / "panel.csv.meta.json").get("sector_of")
     if not sector_of:
         raise DataError("panel has no sector map; configure 'sectors'")
@@ -442,21 +510,22 @@ def _stage_sectors(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
     k = cfg.sector_k if cfg.sector_k > 0 else int(fitted["k"])
     epsilon = cfg.sector_epsilon if cfg.sector_epsilon >= 0 else float(fitted["epsilon"])
     model, _, embedding = fit_series(series, k, epsilon, cfg.n_inits, cfg.seed, cfg.mds_dim,
-                                     workers)
+                                     run.workers)
     written = write_fit(model, embedding, out / "sector_model.json", "sectors_")
     stock_states = np.array(read_json(out / "model.json")["state_of"], dtype=int)
     write_displacement(stock_states, model.state_of, out / "displacement.json")
     return written + [out / "displacement.json"]
 
 
-def _stage_trajectory(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
+def _stage_trajectory(cfg: PipelineConfig, run: _Run) -> list[Path]:
+    out = run.out
     panel = load_panel(out / "panel.csv")
     returns = log_returns(panel)
     catalog = load_event_catalog(cfg.events)
     reports, failures = classify_catalog(
         returns, catalog, threshold=cfg.threshold, width_days=cfg.width_days,
         epsilon=cfg.trajectory_epsilon, spec=EpochSpec(cfg.window, cfg.shift),
-        workers=workers,
+        workers=run.workers,
     )
     write_trajectory_report(reports, failures, out / "trajectory_report.json")
     write_csv(
@@ -469,7 +538,8 @@ def _stage_trajectory(cfg: PipelineConfig, out: Path, workers: int) -> list[Path
     return [out / "trajectory_report.json", out / "trajectory_table.csv"]
 
 
-def _stage_rmt(cfg: PipelineConfig, out: Path, workers: int) -> list[Path]:
+def _stage_rmt(cfg: PipelineConfig, run: _Run) -> list[Path]:
+    out = run.out
     n_stocks = len(load_arrays(out / "corr_raw.npz", names=["labels"])["labels"])
     spec = WishartSpec(N=n_stocks, T=cfg.window,
                        ensemble_size=cfg.rmt_realizations, seed=cfg.seed)
@@ -487,9 +557,8 @@ class _Stage:
     run: object = None
 
 
-def _plan(cfg: PipelineConfig, out: Path,
-          epoch_maps: Callable[[], dict[float, Embedding]]) -> list[_Stage]:
-    """The stages of a run; ``epoch_maps()`` gives mds and states the maps of the stack."""
+def _plan(cfg: PipelineConfig, out: Path) -> list[_Stage]:
+    """The stages of a run, each called with the config and the run's _Run."""
     epoch_params = {"window": cfg.window, "shift": cfg.shift}
     stages = [
         _Stage("ingest", True, "", [Path(cfg.prices)] + ([Path(cfg.sectors)] if cfg.sectors else []),
@@ -497,12 +566,12 @@ def _plan(cfg: PipelineConfig, out: Path,
         _Stage("corr", True, "", [out / "panel.csv"], dict(epoch_params), _stage_corr),
         _Stage("mds", True, "", [out / "corr_raw.npz"],
                {**epoch_params, "mds_dim": cfg.mds_dim},
-               partial(_stage_mds, epoch_maps=epoch_maps)),
+               _stage_mds),
         _Stage("states", True, "", [out / "corr_raw.npz"],
                {**epoch_params, "k_range": cfg.k_range, "epsilon_grid": cfg.epsilon_grid,
                 "n_inits": cfg.n_inits, "seed": cfg.seed, "mds_dim": cfg.mds_dim,
                 "k_min": cfg.k_min, "k": cfg.k, "epsilon": cfg.epsilon},
-               partial(_stage_states, epoch_maps=epoch_maps)),
+               _stage_states),
         _Stage("sectors", bool(cfg.sectors), "no sector map configured",
                [out / "panel.csv.meta.json", out / "corr_raw.npz", out / "selected.json",
                 out / "model.json"],
@@ -520,19 +589,12 @@ def _plan(cfg: PipelineConfig, out: Path,
     return stages
 
 
-def _digest(path: Path, digests: dict[Path, str]) -> str:
-    """sha256 of a file, hashed at most once while ``digests`` lives."""
-    if path not in digests:
-        digests[path] = sha256_file(path)
-    return digests[path]
-
-
-def _hash_inputs(stage: _Stage, out: Path, digests: dict[Path, str]) -> dict[str, str]:
+def _hash_inputs(stage: _Stage, run: _Run) -> dict[str, str]:
     hashes = {}
     for path in stage.inputs:
         if not path.exists():
             raise DataError(f"stage '{stage.name}' input {path} does not exist")
-        hashes[_portable_path(path, out)] = _digest(path, digests)
+        hashes[_portable_path(path, run.out)] = run.digest(path)
     return hashes
 
 
@@ -541,13 +603,13 @@ def _stage_key(input_hashes: dict[str, str], params: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _outputs_fresh(entry: dict, out: Path, digests: dict[Path, str]) -> bool:
+def _outputs_fresh(entry: dict, run: _Run) -> bool:
     outputs = entry.get("outputs", {})
     if not outputs:
         return False
     for rel, digest in outputs.items():
-        path = out / rel
-        if not path.exists() or _digest(path, digests) != digest:
+        path = run.out / rel
+        if not path.exists() or run.digest(path) != digest:
             return False
     return True
 
@@ -569,22 +631,12 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
     if manifest_path.exists() and not force:
         previous = read_json(manifest_path).get("stages", {})
     manifest: dict = {"config": cfg.as_manifest_dict(out), "stages": {}}
-    # one digest per file for this call: a later stage reading a file, or the
-    # freshness check, reuses the digest taken when the file was written or
-    # first read; a stage that writes a path takes a new one
-    digests: dict[Path, str] = {}
-    # each epsilon's mds_dim-axis map of the epoch stack, built once per call:
-    # the mds stage stores epsilon 0, the grid and the stock fit read and add
-    # to it.  Keyed by the corr_raw.npz digest, so a rewritten archive starts
-    # empty; it holds no distance matrix and nothing of it is written
-    maps: dict[str, dict[float, Embedding]] = {}
-
-    def epoch_maps() -> dict[float, Embedding]:
-        return maps.setdefault(_digest(out / "corr_raw.npz", digests), {})
-
+    run = _Run(out, workers)
     exit_code = 0
     failed = False
-    for stage in _plan(cfg, out, epoch_maps):
+    for stage in _plan(cfg, out):
+        if stage.name != "corr":
+            run.panel = None  # ingest hands its panel to corr alone, even a skipped corr
         if failed:
             manifest["stages"][stage.name] = {"status": "halted",
                                               "reason": "an upstream stage failed"}
@@ -594,12 +646,12 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
                                               "reason": stage.reason}
             continue
         try:
-            input_hashes = _hash_inputs(stage, out, digests)
+            input_hashes = _hash_inputs(stage, run)
             key = _stage_key(input_hashes, stage.params)
             prior = previous.get(stage.name, {})
             if (not force and prior.get("key") == key
                     and prior.get("status") in ("ok", "skipped")
-                    and _outputs_fresh(prior, out, digests)):
+                    and _outputs_fresh(prior, run)):
                 manifest["stages"][stage.name] = {
                     "status": "skipped",
                     "key": key,
@@ -608,15 +660,16 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
                     "outputs": prior["outputs"],
                 }
                 continue
-            written = stage.run(cfg, out, workers)
-            for path in written:
-                digests.pop(path, None)
+            before = set(run.digests)
+            written = stage.run(cfg, run)
+            for path in before.intersection(written):
+                del run.digests[path]  # taken before the stage rewrote the file
             manifest["stages"][stage.name] = {
                 "status": "ok",
                 "key": key,
                 "inputs": input_hashes,
                 "params": stage.params,
-                "outputs": {_portable_path(p, out): _digest(p, digests) for p in written},
+                "outputs": {_portable_path(p, out): run.digest(p) for p in written},
             }
         except DataError as exc:
             manifest["stages"][stage.name] = {"status": "failed", "error": str(exc)}

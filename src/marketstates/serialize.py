@@ -51,6 +51,8 @@ def read_json(path: str | Path):
 def _cell(value) -> str:
     if type(value) is float:  # the common case: repr without a float() round trip
         return repr(value)
+    if type(value) is str:  # a cell formatted already
+        return value
     if isinstance(value, (float, np.floating)):
         return format_float(value)
     return str(value)

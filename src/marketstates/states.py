@@ -83,7 +83,9 @@ def _assignment_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarr
     """Squared point-centroid distances, (n, k), summed one axis at a time.
 
     Accumulating an (n, k) array per axis avoids the (n, k, D) difference
-    temporary and adds the axes in the same order as a sum over them.
+    temporary.  It adds the axes in order, as numpy's sum over fewer than 8
+    axes does; from 8 axes on numpy sums pairwise, so the two can differ in
+    the last bits.
     """
     d2 = (points[:, 0, None] - centroids[None, :, 0]) ** 2
     for d in range(1, points.shape[1]):
@@ -98,7 +100,8 @@ def kmeans(points: np.ndarray, k: int, seed: int, epsilon: float = 0.0) -> Clust
     repaired by re-seeding its centroid at the point currently farthest from
     its own centroid (among clusters that can spare a point), which keeps the
     objective non-increasing.  The objective (sum of squared point-centroid
-    distances) is recorded once per iteration after the centroid update.
+    distances) is recorded once per centroid update, read from the next
+    assignment's distances at the labels of that update.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] == 0:
@@ -115,6 +118,8 @@ def kmeans(points: np.ndarray, k: int, seed: int, epsilon: float = 0.0) -> Clust
     n_repairs = 0
     for iteration in range(1, MAX_LLOYD_ITERATIONS + 1):
         d2 = _assignment_distances(points, centroids)
+        if iteration > 1:  # the last update's objective, before a repair moves a centroid
+            trace.append(float(d2[np.arange(n), labels].sum()))
         new_labels = d2.argmin(axis=1)
         # repair empty clusters before the update step
         counts = np.bincount(new_labels, minlength=k)
@@ -142,9 +147,10 @@ def kmeans(points: np.ndarray, k: int, seed: int, epsilon: float = 0.0) -> Clust
         for d in range(points.shape[1]):
             sums = np.bincount(labels, weights=points[:, d], minlength=k)
             centroids[filled, d] = sums[filled] / sizes
-        final_d2 = ((points - centroids[labels]) ** 2).sum(axis=1)
-        trace.append(float(final_d2.sum()))
-    d_intra = float(np.sqrt(((points - centroids[labels]) ** 2).sum(axis=1)).mean())
+    own = ((points - centroids[labels]) ** 2).sum(axis=1)
+    if not converged:  # the iteration cap: no assignment followed the last update
+        trace.append(float(own.sum()))
+    d_intra = float(np.sqrt(own).mean())
     return ClusteringRun(
         k=k,
         epsilon=epsilon,

@@ -1,9 +1,12 @@
-"""Shared test plumbing: the acceptance-criteria summary section.
+"""Shared test plumbing: the acceptance-criteria summary section and a memory probe.
 
 Tests that verify a numbered shipping criterion record exactly one line via
 the ``acceptance`` fixture; the lines are printed together at the end of the
-run so every ``pytest`` invocation shows a compact pass/fail ledger.
+run so every ``pytest`` invocation shows a compact pass/fail ledger.  The
+``peak_bytes`` fixture measures the working set of one call.
 """
+
+import tracemalloc
 
 import pytest
 
@@ -18,6 +21,21 @@ def acceptance():
         _RESULTS.append((number, title, status, detail))
 
     return record
+
+
+def _peak_bytes(fn) -> int:
+    """Peak bytes allocated while ``fn()`` runs, counted from its start (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def peak_bytes():
+    return _peak_bytes
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,4 +1,3 @@
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,15 +184,9 @@ def test_power_map_is_bit_identical_to_the_textbook_form():
     np.testing.assert_array_equal(power_map(np.array([2, -1, 0]), 1.0), [4.0, -1.0, 0.0])
 
 
-def test_power_map_peak_is_one_output_and_one_temporary():
+def test_power_map_peak_is_one_output_and_one_temporary(peak_bytes):
     x = np.tanh(np.random.default_rng(12).normal(size=(12, 60, 60)))
-    tracemalloc.start()
-    try:
-        power_map(x, 0.3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.05 * x.nbytes
+    assert peak_bytes(lambda: power_map(x, 0.3)) <= 2.05 * x.nbytes
 
 
 def test_power_map_on_series_preserves_structure():

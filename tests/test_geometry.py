@@ -1,5 +1,4 @@
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from marketstates.geometry import (
     Embedding,
     classical_mds,
     dimension_fidelity,
+    embed_epochs,
     similarity_matrix,
     step_lengths,
 )
@@ -139,18 +139,37 @@ def test_failure_in_a_kernel_thread_raises_from_similarity_matrix(monkeypatch):
         similarity_matrix(symmetric_stack(15, 6, 5), workers=2)
 
 
-def test_similarity_working_set_is_below_the_input_stack():
+def test_similarity_working_set_is_below_the_input_stack(peak_bytes):
     stack = symmetric_stack(14, 30, 300)
-    tracemalloc.start()
-    try:
-        similarity_matrix(stack)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.75 * stack.nbytes
+    assert peak_bytes(lambda: similarity_matrix(stack)) < 0.75 * stack.nbytes
 
 
-def test_double_centering_works_in_one_square_array():
+def signed_stack(seed):
+    """A symmetric stack with negatives, zeros, -0.0 and +-1 on and off the diagonal."""
+    stack = np.tanh(symmetric_stack(seed, 9, 7))
+    stack[0, :2, :2] = 0.0
+    stack[1, :2, :2] = -0.0
+    stack[2, 0, 1] = stack[2, 1, 0] = -1.0
+    stack[3, 2, 2] = 1.0
+    return stack
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("eps", [0.1, 0.3, 0.7, 0.9])
+def test_kernel_power_map_equals_mapping_the_stack_first(eps, workers):
+    for stack in (signed_stack(3), random_corr_series(4).values_stack()):
+        got = similarity_matrix(stack, workers, epsilon=eps)
+        assert got.tobytes() == similarity_matrix(power_map(stack, eps), workers).tobytes()
+    assert similarity_matrix(stack, epsilon=0.0).tobytes() == similarity_matrix(stack).tobytes()
+
+
+def test_embedding_at_positive_epsilon_holds_no_mapped_stack(peak_bytes):
+    # the kernel maps each epoch as it packs it: only the half-size packed copy
+    stack = symmetric_stack(15, 30, 150)
+    assert peak_bytes(lambda: embed_epochs(stack, 0.3, 3)) < 0.75 * stack.nbytes
+
+
+def test_double_centering_works_in_one_square_array(peak_bytes):
     from marketstates.geometry import _double_center
 
     rng = np.random.default_rng(4)
@@ -159,14 +178,8 @@ def test_double_centering_works_in_one_square_array():
     squared = Z * Z
     want = -0.5 * (squared - squared.mean(axis=1, keepdims=True)
                    - squared.mean(axis=0, keepdims=True) + squared.mean())
-    tracemalloc.start()
-    try:
-        got = _double_center(Z)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert got.tobytes() == want.tobytes()
-    assert peak <= 1.05 * Z.nbytes
+    assert _double_center(Z).tobytes() == want.tobytes()
+    assert peak_bytes(lambda: _double_center(Z)) <= 1.05 * Z.nbytes
 
 
 def test_leading_axes_equal_a_map_at_that_dimension():
@@ -195,6 +208,8 @@ def test_similarity_metric_properties():
 def test_similarity_input_validation():
     with pytest.raises(NumericError):
         similarity_matrix(np.eye(3)[None])
+    with pytest.raises(ValueError, match="epsilon must be >= 0"):
+        similarity_matrix(np.stack([np.eye(3)] * 2), epsilon=-0.1)
     with pytest.raises(NumericError, match="3-D"):
         similarity_matrix(np.eye(3))
     with pytest.raises(TypeError, match="ndarray"):

@@ -256,6 +256,27 @@ def test_column_parser_matches_per_cell_oracle_on_a_wide_random_panel(tmp_path):
     assert_matches_oracle(path, ContinuityPolicy(3))
 
 
+def test_parsed_dates_are_not_the_parsed_cells(tmp_path, monkeypatch):
+    # a date string that is a cell of the parse would keep the parse's memory
+    import marketstates.ingest as ingest
+
+    path = tmp_path / "prices.csv"
+    path.write_text("date,A,B\n2020-01-02,1.0,2.0\n 2020-01-03 ,1.5,2.5\n2020-01-06,2.0,3.0\n")
+    rows = []
+    real_reader = csv.reader
+
+    def recording_reader(fh):
+        parsed = list(real_reader(fh))
+        rows.extend(parsed)
+        return iter(parsed)
+
+    monkeypatch.setattr(ingest.csv, "reader", recording_reader)
+    panel = load_prices(path)
+    assert panel.dates == ["2020-01-02", "2020-01-03", "2020-01-06"]
+    cells = {id(cell) for row in rows for cell in row}
+    assert not any(id(date) in cells for date in panel.dates)
+
+
 def test_save_panel_bytes_match_the_per_cell_writer(tmp_path):
     rng = np.random.default_rng(29)
     panel = PricePanel(

@@ -205,6 +205,39 @@ def test_emit_plot_data_row_counts_and_values(tmp_path):
     assert total == len(model.state_of) - 1
 
 
+def test_state_average_csvs_match_the_row_by_row_writer(tmp_path):
+    model, run, embedding = fitted_toy()
+    rng = np.random.default_rng(7)
+    wide = rng.normal(size=(40, 40))
+    # a wide average with -0.0, integral values and +-1 off the diagonal
+    wide = (wide + wide.T) / 2
+    wide[0, 1] = wide[1, 0] = -0.0
+    wide[2, 3] = wide[3, 2] = 1.0
+    wide[4, 5] = wide[5, 4] = -1.0
+    for case, labels, averages in (("toy", model.labels, model.avg_corr_matrix),
+                                   ("wide", [f"L{i}" for i in range(40)], [wide, np.eye(40)])):
+        model = replace(model, labels=labels, avg_corr_matrix=averages)
+        written = emit_plot_data(model, embedding, tmp_path / case)
+        for s, avg in enumerate(averages, start=1):
+            # oracle: the writer before mirroring, one repr per entry
+            write_csv(tmp_path / "want.csv", ["label"] + list(labels),
+                      [[labels[i]] + avg[i].tolist() for i in range(avg.shape[0])])
+            got = tmp_path / case / f"state_avg_corr_S{s}.csv"
+            assert got in written
+            assert got.read_bytes() == (tmp_path / "want.csv").read_bytes(), (case, s)
+
+
+def test_state_average_csvs_reject_an_asymmetric_average(tmp_path):
+    from marketstates.errors import NumericError
+
+    model, run, embedding = fitted_toy()
+    skewed = model.avg_corr_matrix[1].copy()
+    skewed[0, 1] = np.nextafter(skewed[1, 0], 2.0)
+    model.avg_corr_matrix[1] = skewed
+    with pytest.raises(NumericError, match="state S2 average matrix is not exactly symmetric"):
+        emit_plot_data(model, embedding, tmp_path)
+
+
 def test_emit_plot_data_rejects_mismatched_lengths(tmp_path):
     model, run, embedding = fitted_toy()
     model.state_of = model.state_of[:-1]
@@ -347,6 +380,107 @@ def test_each_file_is_hashed_once_per_run(market, tmp_path, monkeypatch):
         assert tmp_path.joinpath("out", "corr_raw.npz").resolve() in calls
 
 
+def count_price_parses(monkeypatch):
+    """Count load_prices calls, wherever the pipeline reaches it from."""
+    import marketstates.ingest as ingest
+    import marketstates.pipeline as pipeline
+
+    calls = []
+    real = ingest.load_prices
+
+    def counting_load_prices(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for module in (ingest, pipeline):
+        monkeypatch.setattr(module, "load_prices", counting_load_prices)
+    return calls
+
+
+def test_cold_run_parses_prices_once_and_matches_a_run_that_reparses_the_panel(
+        market, tmp_path, monkeypatch):
+    import marketstates.pipeline as pipeline
+
+    cfg = replace(market_config(market, tmp_path / "handed"), events="")
+    calls = count_price_parses(monkeypatch)
+    assert run_pipeline(cfg)[0] == 0
+    assert len(calls) == 1  # ingest's parse of prices.csv; corr takes that panel
+
+    # the same run with corr parsing panel.csv, as a run whose ingest was skipped does
+    monkeypatch.setattr(pipeline._Run, "hand_over_panel", lambda run, panel: None)
+    calls.clear()
+    parsed = replace(cfg, out_dir=str(tmp_path / "parsed"))
+    assert run_pipeline(parsed)[0] == 0
+    assert len(calls) == 2
+    names = sorted(p.name for p in (tmp_path / "handed").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "parsed").iterdir())
+    for name in names:  # manifest.json included
+        assert ((tmp_path / "handed" / name).read_bytes()
+                == (tmp_path / "parsed" / name).read_bytes()), name
+
+
+def test_handed_panel_is_dropped_when_panel_csv_changes(market, tmp_path, monkeypatch):
+    from marketstates.pipeline import _Run, write_panel
+
+    out = tmp_path / "out"
+    out.mkdir()
+    run = _Run(out, workers=1)
+    handed = write_panel(market / "prices.csv", "", 2, out / "panel.csv")
+    run.hand_over_panel(handed)
+    assert run.take_panel() is handed
+    assert run.panel is None  # taken once, then released
+
+    run.hand_over_panel(handed)
+    # a stage rewrites the file, and its old digest is dropped
+    lines = (out / "panel.csv").read_text().splitlines()
+    (out / "panel.csv").write_text("\n".join(lines[:-1]) + "\n")
+    del run.digests[out / "panel.csv"]
+    calls = count_price_parses(monkeypatch)
+    panel = run.take_panel()
+    assert len(calls) == 1 and panel is not handed
+    assert panel.n_days == handed.n_days - 1
+
+
+def test_handed_panel_does_not_outlive_a_skipped_corr_stage(tmp_path, monkeypatch):
+    import marketstates.pipeline as pipeline
+
+    data = write_market(tmp_path / "data")
+    cfg = market_config(data, tmp_path / "out")
+    run_pipeline(cfg)
+    sectors = (data / "sectors.csv").read_text()
+    (data / "sectors.csv").write_text(sectors.replace("S00,alpha", "S00,beta"))
+
+    held = []
+    real_sectors = pipeline._stage_sectors
+
+    def recording_sectors(cfg, run):
+        held.append(run.panel)
+        return real_sectors(cfg, run)
+
+    monkeypatch.setattr(pipeline, "_stage_sectors", recording_sectors)
+    code, manifest = run_pipeline(cfg)
+    assert code == 0
+    statuses = {name: entry["status"] for name, entry in manifest["stages"].items()}
+    assert statuses["ingest"] == "ok" and statuses["corr"] == "skipped"
+    assert held == [None]
+
+
+def test_corr_stage_holds_one_stack_copy_while_writing(tmp_path, peak_bytes):
+    from marketstates.pipeline import _Run, _stage_corr, write_panel
+
+    data = write_market(tmp_path / "data", n=60, n_days=260)
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = market_config(data, out)
+    run = _Run(out, workers=1)
+    run.hand_over_panel(write_panel(data / "prices.csv", "", 2, out / "panel.csv"))
+    stack_bytes = 240 * 60 * 60 * 8  # 259 returns, window 20, shift 1
+    # the records and the stack meet once, when the stack is built; the
+    # archive is then written from the stack alone
+    assert peak_bytes(lambda: _stage_corr(cfg, run)) <= 2.1 * stack_bytes
+    assert load_arrays(out / "corr_raw.npz")["values"].nbytes == stack_bytes
+
+
 def test_rerun_over_deflated_archives_skips_every_stage(market, tmp_path, monkeypatch):
     import marketstates.pipeline as pipeline
     import marketstates.serialize as serialize
@@ -385,9 +519,9 @@ def test_each_epsilon_map_is_built_once_per_run(market, tmp_path, monkeypatch, g
     kernel_calls, eigh_calls = [], []
     real_similarity, real_eigh = geometry.similarity_matrix, np.linalg.eigh
 
-    def counting_similarity(stack, workers=1):
+    def counting_similarity(stack, workers=1, epsilon=0.0):
         kernel_calls.append(stack.shape == stock_shape)
-        return real_similarity(stack, workers)
+        return real_similarity(stack, workers, epsilon)
 
     def counting_eigh(matrix):
         eigh_calls.append(matrix.shape == (n_epochs, n_epochs))
@@ -513,7 +647,7 @@ def test_negative_grid_epsilon_fails_states_before_surface(market, tmp_path):
 def test_unexpected_error_still_writes_manifest(market, tmp_path, monkeypatch, capsys):
     import marketstates.pipeline as pipeline
 
-    def out_of_memory(cfg, out, workers):
+    def out_of_memory(cfg, run):
         raise MemoryError("stack does not fit")
 
     monkeypatch.setattr(pipeline, "_stage_corr", out_of_memory)

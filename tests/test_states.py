@@ -181,6 +181,37 @@ def test_kmeans_matches_per_cluster_oracle_bit_for_bit(D):
     assert repairs > 0  # the repair path ran
 
 
+def test_kmeans_at_the_iteration_cap_matches_the_oracle(monkeypatch):
+    # the last update's objective then has no next assignment to come from
+    from marketstates import states
+
+    monkeypatch.setattr(states, "MAX_LLOYD_ITERATIONS", 2)
+    capped = 0
+    for points, k, seed in oracle_cases(3):
+        got, want = kmeans(points, k, seed), oracle_kmeans(points, k, seed)
+        assert got.objective_trace == want.objective_trace
+        assert got.d_intra == want.d_intra
+        assert (got.n_iterations, got.converged) == (want.n_iterations, want.converged)
+        assert len(got.objective_trace) == got.n_iterations - got.converged
+        capped += not got.converged
+    assert capped > 0
+
+
+@pytest.mark.parametrize("D", [8, 9])
+def test_kmeans_matches_per_cluster_oracle_from_eight_axes(D):
+    # the assignment adds axes in order, numpy's sum over 8 or more pairwise:
+    # the objective trace may differ in the last bits, nothing else does
+    for points, k, seed in oracle_cases(D):
+        got, want = kmeans(points, k, seed), oracle_kmeans(points, k, seed)
+        assert np.array_equal(got.labels, want.labels)
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        np.testing.assert_allclose(got.objective_trace, want.objective_trace,
+                                   rtol=1e-15, atol=0)
+        assert got.d_intra == want.d_intra
+        assert (got.n_iterations, got.n_repairs, got.converged) == (
+            want.n_iterations, want.n_repairs, want.converged)
+
+
 def test_kmeans_matches_per_cluster_oracle_in_one_dimension():
     # a (m, 1) member slice is summed pairwise by mean(), a weighted bincount
     # sums in order, so centroids may differ in the last bits
