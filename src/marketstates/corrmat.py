@@ -9,7 +9,7 @@ yields ``floor((L - window)/shift) + 1`` epochs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,11 +61,26 @@ class EpochCorrelationSeries:
     The one epoch-stack type: stock-level series carry tickers as labels,
     sector-averaged ones sector names.  ``epsilon`` records the power-map
     exponent already applied to every matrix (0.0 means plain Pearson).
+    A series built with ``from_stack`` holds one (epochs, N, N) array: its
+    records are read-only views into it and ``values_stack()`` is that
+    array.  One built record by record stacks its records on every
+    ``values_stack()`` call.
     """
 
     labels: list[str]
     matrices: list[CorrelationMatrix]
     epsilon: float = 0.0
+    _stack: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def from_stack(cls, labels, stack: np.ndarray, start_dates, end_dates,
+                   epsilon: float = 0.0) -> "EpochCorrelationSeries":
+        """A series over ``stack`` itself, not a copy of it; the series cannot write to it."""
+        held = stack.view()
+        held.flags.writeable = False
+        matrices = [CorrelationMatrix(values, start, end)
+                    for values, start, end in zip(held, start_dates, end_dates, strict=True)]
+        return cls(list(labels), matrices, epsilon, held)
 
     @property
     def n_epochs(self) -> int:
@@ -76,7 +91,56 @@ class EpochCorrelationSeries:
         return len(self.labels)
 
     def values_stack(self) -> np.ndarray:
-        return np.stack([m.values for m in self.matrices])
+        if self._stack is None:
+            return np.stack([m.values for m in self.matrices])
+        return self._stack
+
+
+def _epochs_per_chunk(epoch_size: int) -> int:
+    """Epochs of ``epoch_size`` values each that make a chunk of about 2^16 float64 (512 KB)."""
+    return max(1, (1 << 16) // max(epoch_size, 1))
+
+
+def _zero_variance(rows: np.ndarray) -> str:
+    return (f"zero variance in rows {np.flatnonzero(rows).tolist()}; "
+            "their correlations are set to 0")
+
+
+def _pearson_blocks(windows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Pearson correlation of each (N, T) block of ``windows`` into ``out``.
+
+    ``windows`` is (blocks, N, T) with any strides, ``out`` a C-contiguous
+    (blocks, N, N) array.  Blocks go through in chunks of about 2^16 float64
+    (512 KB) of output, one batched product per chunk; every step is the
+    2-D computation done slice by slice, so each block gets the bits it
+    would get alone.  Returns the (blocks, N) mask of zero-variance rows.
+    """
+    n_blocks, n, T = windows.shape
+    flat = np.empty((n_blocks, n), dtype=bool)
+    diagonal = np.arange(n)
+    step = _epochs_per_chunk(n * n)
+    for b0 in range(0, n_blocks, step):
+        # a C-contiguous copy: each row mean is then one pairwise sum over T
+        X = np.array(windows[b0:b0 + step], dtype=float)
+        cov = out[b0:b0 + step]
+        # relative floor catches constant rows whose centering left rounding dust
+        scale = (X * X).mean(axis=2)
+        X -= X.mean(axis=2, keepdims=True)
+        np.matmul(X, X.transpose(0, 2, 1), out=cov)
+        cov /= T
+        var = cov[:, diagonal, diagonal]
+        rows = var <= 1e-24 * np.maximum(scale, 1e-300)
+        var[rows] = 1.0
+        sd = np.sqrt(var)
+        cov /= sd[:, :, None] * sd[:, None, :]
+        cov[rows] = 0.0
+        cov.transpose(0, 2, 1)[rows] = 0.0
+        symmetric = cov + cov.transpose(0, 2, 1)
+        symmetric /= 2.0
+        np.clip(symmetric, -1.0, 1.0, out=cov)
+        cov[:, diagonal, diagonal] = 1.0
+        flat[b0:b0 + step] = rows
+    return flat
 
 
 def pearson_correlation(X: np.ndarray) -> np.ndarray:
@@ -90,43 +154,29 @@ def pearson_correlation(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] < 2:
         raise NumericError(f"need an N x T block with T >= 2, got shape {X.shape}")
-    centered = X - X.mean(axis=1, keepdims=True)
-    cov = centered @ centered.T / X.shape[1]
-    var = np.diag(cov).copy()
-    # relative floor catches constant rows whose centering left rounding dust
-    scale = (X * X).mean(axis=1)
-    flat = var <= 1e-24 * np.maximum(scale, 1e-300)
+    corr = np.empty((1, X.shape[0], X.shape[0]))
+    flat = _pearson_blocks(X[None], corr)[0]
     if flat.any():
-        warnings.warn(
-            f"zero variance in rows {np.flatnonzero(flat).tolist()}; "
-            "their correlations are set to 0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        var[flat] = 1.0
-    sd = np.sqrt(var)
-    corr = cov / np.outer(sd, sd)
-    corr[flat, :] = 0.0
-    corr[:, flat] = 0.0
-    corr = (corr + corr.T) / 2.0
-    np.clip(corr, -1.0, 1.0, out=corr)
-    np.fill_diagonal(corr, 1.0)
-    return corr
+        warnings.warn(_zero_variance(flat), RuntimeWarning, stacklevel=2)
+    return corr[0]
 
 
 def epoch_correlations(panel: ReturnPanel, spec: EpochSpec = EpochSpec()) -> EpochCorrelationSeries:
-    """Correlation matrix of every epoch of a return panel."""
+    """Correlation matrix of every epoch of a return panel, built into one (epochs, N, N) array.
+
+    Each epoch with a zero-variance row warns once, naming its 1-based index.
+    """
     n = epoch_count(panel.n_returns, spec)
-    matrices = []
-    for index in range(1, n + 1):
-        lo, hi = epoch_bounds(index, spec)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            values = pearson_correlation(panel.returns[:, lo:hi])
-        for w in caught:
-            warnings.warn(f"epoch {index}: {w.message}", RuntimeWarning, stacklevel=2)
-        matrices.append(CorrelationMatrix(values, panel.dates[lo], panel.dates[hi - 1]))
-    return EpochCorrelationSeries(labels=list(panel.tickers), matrices=matrices)
+    windows = np.lib.stride_tricks.sliding_window_view(panel.returns, spec.window, axis=1)
+    windows = windows[:, ::spec.shift].transpose(1, 0, 2)  # (epochs, N, window) views
+    stack = np.empty((n, windows.shape[1], windows.shape[1]))
+    flat = _pearson_blocks(windows, stack)
+    for index in np.flatnonzero(flat.any(axis=1)):
+        warnings.warn(f"epoch {index + 1}: {_zero_variance(flat[index])}",
+                      RuntimeWarning, stacklevel=2)
+    starts = panel.dates[::spec.shift][:n]
+    ends = panel.dates[spec.window - 1::spec.shift][:n]
+    return EpochCorrelationSeries.from_stack(panel.tickers, stack, starts, ends)
 
 
 def _power(values: np.ndarray, epsilon: float) -> np.ndarray:
@@ -160,6 +210,13 @@ def power_map(obj, epsilon: float):
     if isinstance(obj, np.ndarray):
         return _power(obj, epsilon)
     if isinstance(obj, EpochCorrelationSeries):
-        matrices = [replace(m, values=_power(m.values, epsilon)) for m in obj.matrices]
-        return EpochCorrelationSeries(list(obj.labels), matrices, epsilon)
+        stack = obj.values_stack()
+        mapped = np.empty(stack.shape, np.result_type(stack, 1.0))
+        # chunk by chunk: the map's temporary stays a chunk, not a second stack
+        step = _epochs_per_chunk(int(np.prod(stack.shape[1:])))
+        for e0 in range(0, len(stack), step):
+            mapped[e0:e0 + step] = _power(stack[e0:e0 + step], epsilon)
+        return EpochCorrelationSeries.from_stack(
+            obj.labels, mapped, [m.start_date for m in obj.matrices],
+            [m.end_date for m in obj.matrices], epsilon)
     raise TypeError(f"cannot power-map a {type(obj).__name__}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrmat import _check_epsilon, _power
+from .corrmat import _check_epsilon, _epochs_per_chunk, _power
 from .errors import NumericError
 
 
@@ -58,29 +58,35 @@ def _packed_epochs(stack: np.ndarray, epsilon: float = 0.0) -> np.ndarray:
 
     The L1 distance between two packed rows equals the one between the full
     matrices, because every off-diagonal difference appears twice there.
-    The power map is element-wise, so mapping the packed entries of one
-    epoch at a time gives the bits of mapping the whole stack first, without
-    a stack-sized mapped copy.  Raises NumericError naming the first epoch
-    that is non-finite or not exactly symmetric, the two conditions under
-    which that equality fails.
+    The power map is element-wise, so mapping the packed entries gives the
+    bits of mapping the whole stack first, without a stack-sized mapped
+    copy: epochs go through in chunks of about 2^16 float64 (512 KB).
+    Raises NumericError naming the first epoch that is non-finite after the
+    map or not exactly symmetric, the two conditions under which that
+    equality fails.
     """
     n, rows, cols = stack.shape
     if rows != cols or rows == 0:
         raise NumericError(f"epochs must be non-empty square matrices, got shape {(rows, cols)}")
-    iu = np.triu_indices(rows, 1)
-    k = iu[0].size
+    row, col = np.triu_indices(rows, 1)
+    upper_at = row * rows + col  # the strict upper triangle in a flattened epoch
+    k = upper_at.size
     X = np.empty((n, k + rows))
-    for e, m in enumerate(stack):
-        row = X[e]
-        upper, diagonal = m[iu], np.diagonal(m)
+    step = _epochs_per_chunk(rows * rows)
+    for e0 in range(0, n, step):
+        chunk, packed = stack[e0:e0 + step], X[e0:e0 + step]
+        flat = chunk.reshape(len(chunk), rows * rows)
+        upper, diag = np.take(flat, upper_at, axis=1), flat[:, ::rows + 1]
         if epsilon:
-            upper, diagonal = _power(upper, epsilon), _power(diagonal, epsilon)
-        np.multiply(upper, 2.0, out=row[:k])
-        row[k:] = diagonal
-        if not np.isfinite(row).all():
-            raise NumericError(f"epoch {e} has a non-finite entry")
-        if not np.array_equal(m, m.T):
-            raise NumericError(f"epoch {e} is not exactly symmetric")
+            upper, diag = _power(upper, epsilon), _power(diag, epsilon)
+        np.multiply(upper, 2.0, out=packed[:, :k])
+        packed[:, k:] = diag
+        finite = np.isfinite(packed).all(axis=1)
+        symmetric = (chunk == chunk.transpose(0, 2, 1)).all(axis=(1, 2))
+        if not (finite & symmetric).all():
+            e = int(np.argmin(finite & symmetric))
+            what = "has a non-finite entry" if not finite[e] else "is not exactly symmetric"
+            raise NumericError(f"epoch {e0 + e} {what}")
     return X
 
 
@@ -112,7 +118,7 @@ def similarity_matrix(stack: np.ndarray, workers: int = 1, epsilon: float = 0.0)
     The kernel then sums over the packed upper triangle and diagonal only,
     streaming row differences through a buffer of about 512 KB, so its
     working set beyond the input is the half-size packed stack, at any
-    epsilon: the map is applied to one epoch at a time as it is packed.
+    epsilon: the map is applied to about 512 KB of epochs at a time as they are packed.
 
     ``workers`` threads share the packed stack; row i goes to thread
     i mod workers.  Each entry is still summed by one thread over the same

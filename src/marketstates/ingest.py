@@ -167,7 +167,8 @@ def load_prices(path: str | Path, policy: ContinuityPolicy = ContinuityPolicy())
     Tickers are dropped (with a reason recorded in ``panel.dropped``) when the
     raw column has a missing first entry, more consecutive missing entries
     than the policy allows, or any non-positive/unparsable price.  Remaining
-    gaps are forward-filled with the previous day's value.
+    gaps are forward-filled with the previous day's value.  A file in which
+    no ticker survives raises DataError.
     """
     path = Path(path)
     try:
@@ -208,7 +209,11 @@ def load_prices(path: str | Path, policy: ContinuityPolicy = ContinuityPolicy())
             kept_names.append(name)
             kept_cols.append(filled)
 
-    prices = np.array(kept_cols, dtype=float) if kept_cols else np.empty((0, len(dates)))
+    if not kept_names:
+        first, reason = next(iter(dropped.items()))
+        raise DataError(f"{path}: no ticker survives the continuity policy; all "
+                        f"{len(dropped)} dropped, the first ({first}) for: {reason}")
+    prices = np.array(kept_cols, dtype=float)
     panel = PricePanel(tickers=kept_names, dates=dates, prices=prices, dropped=dropped)
     panel.validate()
     return panel

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corrmat import CorrelationMatrix, EpochCorrelationSeries, EpochSpec, epoch_correlations
+from .corrmat import EpochCorrelationSeries, EpochSpec, epoch_correlations
 from .errors import DataError, NumericError
 from .geometry import Embedding, classical_mds, embed_epochs, similarity_matrix, step_fidelity
 from .ingest import (
@@ -187,7 +187,7 @@ def _portable_path(path: str | Path, out_dir: Path) -> str:
 def series_from_arrays(arrays: dict[str, np.ndarray]) -> EpochCorrelationSeries:
     """Rebuild an epoch correlation series from a saved array archive.
 
-    The records' matrices are views into ``arrays["values"]``, not copies.
+    The series holds ``arrays["values"]`` itself, not a copy.
     """
     try:
         stack = arrays["values"]
@@ -197,8 +197,7 @@ def series_from_arrays(arrays: dict[str, np.ndarray]) -> EpochCorrelationSeries:
     except KeyError as exc:
         raise DataError(f"correlation archive is missing array {exc}") from exc
     epsilon = float(arrays["epsilon"]) if "epsilon" in arrays else 0.0
-    matrices = [CorrelationMatrix(stack[i], starts[i], ends[i]) for i in range(stack.shape[0])]
-    return EpochCorrelationSeries(labels, matrices, epsilon)
+    return EpochCorrelationSeries.from_stack(labels, stack, starts, ends, epsilon)
 
 
 def correlation_arrays(series: EpochCorrelationSeries) -> dict[str, np.ndarray]:
@@ -458,9 +457,7 @@ def _stage_ingest(cfg: PipelineConfig, run: _Run) -> list[Path]:
 def _stage_corr(cfg: PipelineConfig, run: _Run) -> list[Path]:
     returns = log_returns(run.take_panel())
     series = epoch_correlations(returns, EpochSpec(cfg.window, cfg.shift))
-    arrays = correlation_arrays(series)
-    del series  # the per-epoch records: the archive is written from the one stack
-    save_arrays(run.out / "corr_raw.npz", **arrays)
+    save_arrays(run.out / "corr_raw.npz", **correlation_arrays(series))
     return [run.out / "corr_raw.npz"]
 
 

@@ -12,7 +12,7 @@ epoch by epoch as a displacement histogram.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,11 +103,12 @@ def sector_series(series: EpochCorrelationSeries, sector_of,
             RuntimeWarning,
             stacklevel=2,
         )
-    matrices = [
-        replace(m, values=_block_average(m.values, membership, include_self_pairs))
-        for m in series.matrices
-    ]
-    return EpochCorrelationSeries(sectors, matrices, series.epsilon)
+    averages = np.empty((series.n_epochs, len(sectors), len(sectors)))
+    for average, m in zip(averages, series.matrices):
+        average[...] = _block_average(m.values, membership, include_self_pairs)
+    return EpochCorrelationSeries.from_stack(
+        sectors, averages, [m.start_date for m in series.matrices],
+        [m.end_date for m in series.matrices], series.epsilon)
 
 
 def sector_state_pipeline(panel: ReturnPanel, spec: EpochSpec, k: int,

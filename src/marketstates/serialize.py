@@ -71,7 +71,9 @@ def save_arrays(path: str | Path, **arrays) -> None:
 
     Members are stored, not deflated: correlation stacks barely compress, and
     deflate cost far more than the bytes it saved.  Each array streams into
-    its member without an in-memory copy of the file.
+    its member without an in-memory copy of the file, and a C-contiguous
+    array of plain numbers, strings or bools is written from its own buffer,
+    with the bytes ``np.lib.format.write_array`` would write.
     """
     with zipfile.ZipFile(Path(path), "w", compression=zipfile.ZIP_STORED) as zf:
         for name in sorted(arrays):
@@ -81,7 +83,23 @@ def save_arrays(path: str | Path, **arrays) -> None:
             # .npy header adds well under 64 KiB
             zip64 = (array.nbytes + (1 << 16)) * 1.05 > zipfile.ZIP64_LIMIT
             with zf.open(info, "w", force_zip64=zip64) as member:
-                np.lib.format.write_array(member, array, allow_pickle=False)
+                _write_npy(member, array)
+
+
+def _write_npy(member, array: np.ndarray) -> None:
+    """One .npy file into an open archive member.
+
+    ``write_array`` copies the data through ``tobytes`` chunks of up to
+    16 MiB, so a whole epoch stack of that size; an array whose buffer is
+    already the file's data layout is written as it is.  Such a dtype's
+    header always fits format 1.0, the version write_array tries first.
+    """
+    if array.flags.c_contiguous and array.dtype.kind in "?biufcSU":
+        np.lib.format.write_array_header_1_0(
+            member, np.lib.format.header_data_from_array_1_0(array))
+        member.write(array.reshape(-1).view(np.uint8))
+    else:
+        np.lib.format.write_array(member, array, allow_pickle=False)
 
 
 def load_arrays(path: str | Path, names: list[str] | None = None) -> dict[str, np.ndarray]:

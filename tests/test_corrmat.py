@@ -1,4 +1,6 @@
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -126,13 +128,135 @@ def test_epoch_correlations_flags_offending_epoch():
     returns = np.random.default_rng(6).normal(size=(3, 30))
     returns[1, 10:] = 0.25  # constant tail: later windows degenerate
     panel = make_panel(returns)
-    with pytest.warns(RuntimeWarning, match="epoch 2"):
+    with pytest.warns(RuntimeWarning) as record:
         series = epoch_correlations(panel, EpochSpec(window=10, shift=10))
+    # epochs 2 and 3 both see the constant tail; each warns once, by index
+    assert [str(w.message) for w in record] == [
+        f"epoch {index}: zero variance in rows [1]; their correlations are set to 0"
+        for index in (2, 3)]
     assert series.n_epochs == 3
     assert np.all(series.matrices[1].values[1, [0, 2]] == 0.0)
     assert series.matrices[1].values[1, 1] == 1.0
     # the clean first epoch is untouched
     assert np.all(np.abs(series.matrices[0].values) <= 1.0)
+
+
+def looped_pearson(X):
+    """The 2-D Pearson code before batching; returns the matrix and the zero-variance rows."""
+    centered = X - X.mean(axis=1, keepdims=True)
+    cov = centered @ centered.T / X.shape[1]
+    var = np.diag(cov).copy()
+    scale = (X * X).mean(axis=1)
+    flat = var <= 1e-24 * np.maximum(scale, 1e-300)
+    var[flat] = 1.0
+    sd = np.sqrt(var)
+    corr = cov / np.outer(sd, sd)
+    corr[flat, :] = 0.0
+    corr[:, flat] = 0.0
+    corr = (corr + corr.T) / 2.0
+    np.clip(corr, -1.0, 1.0, out=corr)
+    np.fill_diagonal(corr, 1.0)
+    return corr, flat
+
+
+def looped_epoch_correlations(returns, spec):
+    """The per-epoch loop before batching: one 2-D Pearson per epoch, then np.stack.
+
+    Returns the stack and the warning each degenerate epoch gave.
+    """
+    matrices, messages = [], []
+    for index in range(1, epoch_count(returns.shape[1], spec) + 1):
+        lo, hi = epoch_bounds(index, spec)
+        corr, flat = looped_pearson(returns[:, lo:hi])
+        if flat.any():
+            messages.append(f"epoch {index}: zero variance in rows "
+                            f"{np.flatnonzero(flat).tolist()}; their correlations are set to 0")
+        matrices.append(corr)
+    return np.stack(matrices), messages
+
+
+def _batched_cases():
+    rng = np.random.default_rng(21)
+    wide = rng.normal(size=(9, 140))
+    degenerate = rng.normal(size=(6, 70))
+    degenerate[1, 30:] = 0.25  # constant from day 30: every later epoch
+    degenerate[4, :25] = -1.0  # constant over the first epochs only
+    degenerate[2, 40:52] = 3.0  # one 12-day flat stretch
+    return {
+        "shift_1": (rng.normal(size=(5, 60)), EpochSpec(20, 1)),
+        "shift_4": (rng.normal(size=(7, 91)), EpochSpec(15, 4)),
+        "single_epoch": (rng.normal(size=(8, 30)), EpochSpec(30, 1)),
+        "one_stock": (rng.normal(size=(1, 40)), EpochSpec(10, 3)),
+        # a column slice as the event windows cut it: neither row is contiguous
+        "column_slice": (wide[:, 17:113], EpochSpec(20, 2)),
+        # 60 stocks: 18 epochs per 512 KB chunk, so 61 epochs cross three boundaries
+        "chunk_boundaries": (rng.normal(size=(60, 80)), EpochSpec(20, 1)),
+        "zero_variance": (degenerate, EpochSpec(12, 3)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_batched_cases()))
+def test_batched_epoch_correlations_match_the_per_epoch_loop(case):
+    returns, spec = _batched_cases()[case]
+    want, messages = looped_epoch_correlations(returns, spec)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        series = epoch_correlations(make_panel(returns), spec)
+    assert [str(w.message) for w in caught] == messages
+    assert all(w.category is RuntimeWarning for w in caught)
+    assert series.values_stack().tobytes() == want.tobytes()
+    for index, m in enumerate(series.matrices, start=1):
+        lo, hi = epoch_bounds(index, spec)
+        assert (m.start_date, m.end_date) == (f"d{lo:05d}", f"d{hi - 1:05d}")
+        assert m.values.tobytes() == want[index - 1].tobytes()
+    if case == "zero_variance":
+        assert len(messages) > 3  # the case does exercise the warnings
+
+
+def test_pearson_correlation_is_the_one_block_case():
+    rng = np.random.default_rng(22)
+    for X in (rng.normal(size=(5, 30)), rng.normal(size=(40, 20)), rng.normal(size=(1, 9))):
+        assert pearson_correlation(X).tobytes() == looped_pearson(X)[0].tobytes()
+    X = rng.normal(size=(4, 15))
+    X[2] = 7.0
+    with pytest.warns(RuntimeWarning) as record:
+        C = pearson_correlation(X)
+    assert [str(w.message) for w in record] == [
+        "zero variance in rows [2]; their correlations are set to 0"]
+    assert C.tobytes() == looped_pearson(X)[0].tobytes()
+
+
+def test_epoch_correlations_builds_its_stack_once(peak_bytes):
+    panel = make_panel(np.random.default_rng(23).normal(size=(60, 259)))
+    stack_bytes = 240 * 60 * 60 * 8
+    # the stack plus one chunk's temporaries; stacking per-epoch records took 2x
+    assert peak_bytes(lambda: epoch_correlations(panel).values_stack()) <= 1.35 * stack_bytes
+
+
+def test_series_holds_one_read_only_stack_its_records_view():
+    panel = make_panel(np.random.default_rng(24).normal(size=(6, 50)))
+    series = epoch_correlations(panel, EpochSpec(10, 3))
+    for s in (series, power_map(series, 0.4), power_map(series, 0.0)):
+        stack = s.values_stack()
+        assert stack is s.values_stack()
+        assert not stack.flags.writeable
+        assert stack.shape == (s.n_epochs, 6, 6)
+        for e, m in enumerate(s.matrices):
+            assert np.shares_memory(m.values, stack) and m.values is not stack[e]
+            assert m.values.tobytes() == stack[e].tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        series.matrices[0].values[0, 1] = 0.5
+    assert not np.shares_memory(power_map(series, 0.0).values_stack(), series.values_stack())
+
+
+def test_series_built_record_by_record_stacks_its_records():
+    from marketstates.corrmat import CorrelationMatrix, EpochCorrelationSeries
+
+    mats = [np.full((2, 2), float(i)) for i in range(3)]
+    series = EpochCorrelationSeries(
+        ["a", "b"], [CorrelationMatrix(m, f"d{i}", f"d{i}") for i, m in enumerate(mats)])
+    np.testing.assert_array_equal(series.values_stack(), np.stack(mats))
+    assert power_map(series, 0.0).values_stack().tobytes() == np.stack(mats).tobytes()
 
 
 def test_window_too_long_names_both_lengths():
@@ -187,6 +311,14 @@ def test_power_map_is_bit_identical_to_the_textbook_form():
 def test_power_map_peak_is_one_output_and_one_temporary(peak_bytes):
     x = np.tanh(np.random.default_rng(12).normal(size=(12, 60, 60)))
     assert peak_bytes(lambda: power_map(x, 0.3)) <= 2.05 * x.nbytes
+
+
+def test_power_map_on_a_series_holds_one_mapped_stack(peak_bytes):
+    series = epoch_correlations(make_panel(np.random.default_rng(25).normal(size=(60, 259))))
+    stack = series.values_stack()
+    # the mapped stack plus a chunk's temporaries, not a stack-sized temporary
+    assert peak_bytes(lambda: power_map(series, 0.3)) <= 1.2 * stack.nbytes
+    assert power_map(series, 0.3).values_stack().tobytes() == power_map(stack, 0.3).tobytes()
 
 
 def test_power_map_on_series_preserves_structure():

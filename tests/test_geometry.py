@@ -231,6 +231,51 @@ def test_similarity_input_validation():
         similarity_matrix(asymmetric)
 
 
+def per_epoch_packing(stack, epsilon):
+    """The packing loop before chunking: one epoch's triangle and diagonal at a time."""
+    n, N, _ = stack.shape
+    iu = np.triu_indices(N, 1)
+    k = iu[0].size
+    X = np.empty((n, k + N))
+    for e, m in enumerate(stack):
+        upper, diagonal = m[iu], np.diagonal(m)
+        if epsilon:
+            upper, diagonal = power_map(upper, epsilon), power_map(diagonal, epsilon)
+        X[e, :k] = 2.0 * upper
+        X[e, k:] = diagonal
+    return X
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+def test_chunked_packing_matches_the_per_epoch_loop(eps):
+    from marketstates.geometry import _packed_epochs
+
+    # 100 stocks: 6 epochs per 512 KB chunk, so 20 epochs end in a partial chunk
+    for stack in (np.tanh(symmetric_stack(17, 20, 100)), signed_stack(5)):
+        assert _packed_epochs(stack, eps).tobytes() == per_epoch_packing(stack, eps).tobytes()
+
+
+def test_packing_names_the_lowest_bad_epoch_across_chunks():
+    stack = np.tanh(symmetric_stack(18, 20, 100))  # chunks of epochs 0-5, 6-11, 12-17, 18-19
+    stack[19, 3, 3] = np.nan
+    stack[14, 0, 1] += 0.5
+    with pytest.raises(NumericError, match="epoch 14 is not exactly symmetric"):
+        similarity_matrix(stack, epsilon=0.3)
+    stack[15, 2, 2] = np.inf  # later in the same chunk: the earlier epoch still wins
+    with pytest.raises(NumericError, match="epoch 14 is not exactly symmetric"):
+        similarity_matrix(stack)
+    stack[13, 4, 1] = np.nan  # only below the diagonal: packing would miss it
+    with pytest.raises(NumericError, match="epoch 13 is not exactly symmetric"):
+        similarity_matrix(stack)
+    stack[12, 7, 9] = stack[12, 9, 7] = -np.inf
+    with pytest.raises(NumericError, match="epoch 12 has a non-finite entry"):
+        similarity_matrix(stack, epsilon=0.3)
+    stack[7, 0, 0] = np.nan
+    stack[7, 0, 1] += 0.5  # both faults in one epoch: non-finite is named
+    with pytest.raises(NumericError, match="epoch 7 has a non-finite entry"):
+        similarity_matrix(stack)
+
+
 def test_mds_unit_square():
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     emb = classical_mds(euclidean_matrix(square), D=2)

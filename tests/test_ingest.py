@@ -61,11 +61,22 @@ def test_gap_longer_than_policy_drops_ticker(tmp_path):
 def test_policy_is_tunable(tmp_path):
     csv_path = write_csv(
         tmp_path / "p.csv",
-        "date,AAA\n2020-01-01,1.0\n2020-01-02,\n2020-01-03,3.0\n",
+        "date,AAA,BBB\n2020-01-01,1.0,2.0\n2020-01-02,,2.5\n2020-01-03,3.0,2.0\n",
     )
+    assert load_prices(csv_path).tickers == ["AAA", "BBB"]
     strict = load_prices(csv_path, ContinuityPolicy(max_consecutive_missing=0))
-    assert strict.tickers == []
-    assert strict.prices.shape == (0, 3)
+    assert strict.tickers == ["BBB"]
+    assert strict.prices.shape == (1, 3)
+    assert "1 consecutive missing" in strict.dropped["AAA"]
+
+
+def test_panel_with_no_surviving_ticker_is_a_data_error(tmp_path):
+    csv_path = write_csv(
+        tmp_path / "p.csv",
+        "date,AAA,BBB\n2020-01-01,1.0,\n2020-01-02,,2.5\n2020-01-03,3.0,2.0\n",
+    )
+    with pytest.raises(DataError, match=r"no ticker survives.*all 2 dropped.*\(AAA\).*1 consecutive"):
+        load_prices(csv_path, ContinuityPolicy(max_consecutive_missing=0))
 
 
 def test_leading_gap_drops_ticker(tmp_path):

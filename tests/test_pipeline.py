@@ -131,6 +131,17 @@ def test_correlation_arrays_round_trip():
         assert (got.start_date, got.end_date) == (want.start_date, want.end_date)
 
 
+def test_series_from_arrays_holds_the_archive_stack():
+    arrays = correlation_arrays(corr_series())
+    arrays["values"] = arrays["values"].copy()  # as load_arrays returns it: writeable
+    series = series_from_arrays(arrays)
+    assert correlation_arrays(series)["values"] is series.values_stack()
+    assert np.shares_memory(series.values_stack(), arrays["values"])
+    assert not series.values_stack().flags.writeable
+    assert arrays["values"].flags.writeable  # the caller's array is left as it was
+    assert all(np.shares_memory(m.values, arrays["values"]) for m in series.matrices)
+
+
 def test_series_from_arrays_requires_all_arrays(tmp_path):
     arrays = correlation_arrays(corr_series())
     del arrays["start_dates"]
@@ -475,9 +486,9 @@ def test_corr_stage_holds_one_stack_copy_while_writing(tmp_path, peak_bytes):
     run = _Run(out, workers=1)
     run.hand_over_panel(write_panel(data / "prices.csv", "", 2, out / "panel.csv"))
     stack_bytes = 240 * 60 * 60 * 8  # 259 returns, window 20, shift 1
-    # the records and the stack meet once, when the stack is built; the
-    # archive is then written from the stack alone
-    assert peak_bytes(lambda: _stage_corr(cfg, run)) <= 2.1 * stack_bytes
+    # the epochs are built into the one stack, chunk by chunk, and the archive
+    # is written from that stack's own buffer
+    assert peak_bytes(lambda: _stage_corr(cfg, run)) <= 1.4 * stack_bytes
     assert load_arrays(out / "corr_raw.npz")["values"].nbytes == stack_bytes
 
 
@@ -631,6 +642,30 @@ def test_failing_stage_halts_downstream(tmp_path):
     for name in STAGE_ORDER[1:]:
         assert manifest["stages"][name]["status"] == "halted"
     assert (out / "manifest.json").exists()  # manifest still written
+
+
+def test_panel_with_no_surviving_ticker_fails_ingest(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    start = datetime.date(2020, 1, 2)
+    rows = ["date,LEAD,GAPS"]
+    for t in range(30):
+        lead = "" if t == 0 else f"{10.0 + t}"
+        gaps = "" if 10 <= t < 14 else f"{20.0 + t}"
+        rows.append(f"{(start + datetime.timedelta(days=t)).isoformat()},{lead},{gaps}")
+    (data / "prices.csv").write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    cfg = PipelineConfig(prices=str(data / "prices.csv"), out_dir=str(out),
+                         rmt_realizations=2)
+    code, manifest = run_pipeline(cfg)
+    assert code == 2
+    error = manifest["stages"]["ingest"]["error"]
+    assert manifest["stages"]["ingest"]["status"] == "failed"
+    assert "no ticker survives" in error and "all 2 dropped" in error
+    assert "(LEAD)" in error and "missing first entry" in error
+    for name in STAGE_ORDER[1:]:
+        assert manifest["stages"][name]["status"] == "halted"
+    assert not (out / "corr_raw.npz").exists()
 
 
 def test_negative_grid_epsilon_fails_states_before_surface(market, tmp_path):

@@ -170,6 +170,13 @@ def test_sector_series_matches_per_epoch_averages():
         np.testing.assert_allclose(got.values, want, atol=1e-14)
         assert got.start_date == src.start_date
         assert got.end_date == src.end_date
+    # the averages live in one read-only (epochs, sectors, sectors) array
+    stack = series.values_stack()
+    assert stack is series.values_stack() and not stack.flags.writeable
+    assert all(np.shares_memory(m.values, stack) for m in series.matrices)
+    membership = sector._sector_layout(raw.labels, mapping)[1]
+    want = np.stack([sector._block_average(m.values, membership, False) for m in raw.matrices])
+    assert stack.tobytes() == want.tobytes()
 
 
 def test_power_mapped_sector_series_goes_through_the_chain():

@@ -76,6 +76,55 @@ def test_save_arrays_round_trip_and_byte_identity(tmp_path):
     assert back["values"].dtype == np.float64
 
 
+def save_arrays_via_write_array(path, **arrays):
+    """The stored-member writer that puts every array through np.lib.format.write_array."""
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
+        for name in sorted(arrays):
+            array = np.asarray(arrays[name])
+            info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+            zip64 = (array.nbytes + (1 << 16)) * 1.05 > zipfile.ZIP64_LIMIT
+            with zf.open(info, "w", force_zip64=zip64) as member:
+                np.lib.format.write_array(member, array, allow_pickle=False)
+
+
+def _member_cases():
+    rng = np.random.default_rng(9)
+    return {
+        "float_stack": rng.standard_normal((5, 4, 4)),
+        "float_scalar": np.array(0.25),
+        "int64_vector": np.arange(-3, 9, dtype=np.int64),
+        "labels": np.array(["a", "bbb", "2020-01-02"]),
+        "bools": np.array([[True, False, True], [False, False, True]]),
+        "strided_view": rng.standard_normal((6, 8))[::2, 1:6],
+        "fortran_order": np.asfortranarray(rng.standard_normal((3, 7))),
+        "empty_stack": np.empty((0, 3, 3)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_member_cases()))
+def test_save_arrays_bytes_match_the_write_array_writer(tmp_path, case):
+    array = _member_cases()[case]
+    got, want = tmp_path / "got.npz", tmp_path / "want.npz"
+    save_arrays(got, values=array)
+    save_arrays_via_write_array(want, values=array)
+    assert got.read_bytes() == want.read_bytes()
+    assert load_arrays(got)["values"].tobytes() == np.ascontiguousarray(array).tobytes()
+
+
+def test_save_arrays_archive_of_mixed_members_matches_the_write_array_writer(tmp_path):
+    arrays = _member_cases()
+    save_arrays(tmp_path / "got.npz", **arrays)
+    save_arrays_via_write_array(tmp_path / "want.npz", **arrays)
+    assert (tmp_path / "got.npz").read_bytes() == (tmp_path / "want.npz").read_bytes()
+
+
+def test_save_arrays_writes_a_stack_from_its_own_buffer(tmp_path, peak_bytes):
+    stack = np.random.default_rng(10).standard_normal((40, 60, 60))
+    # write_array would copy the whole 1.15 MB stack through tobytes
+    assert peak_bytes(lambda: save_arrays(tmp_path / "s.npz", values=stack)) < 0.1 * stack.nbytes
+    assert load_arrays(tmp_path / "s.npz")["values"].tobytes() == stack.tobytes()
+
+
 def save_arrays_deflated(path, **arrays):
     """The earlier archive writer: deflated members, fixed timestamps."""
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
