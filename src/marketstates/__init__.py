@@ -48,7 +48,6 @@ from .rmt import (
     mp_zero_weight,
     outside_support_fraction,
     pooled_eigenvalues,
-    powermapped_spectrum,
     spectrum_from_eigenvalues,
     spectral_variance,
     wishart_spectrum,
@@ -88,8 +87,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CRITICAL",
-    "NORMAL",
-    "SECTOR_PRESETS",
     "ClusteringRun",
     "ContinuityPolicy",
     "CorrelationMatrix",
@@ -99,11 +96,13 @@ __all__ = [
     "EpochCorrelationSeries",
     "EpochSpec",
     "EventWindow",
+    "NORMAL",
     "NumericError",
     "OptimizationSurface",
     "PipelineConfig",
     "PricePanel",
     "ReturnPanel",
+    "SECTOR_PRESETS",
     "SpectralDensity",
     "StateModel",
     "TrajectoryReport",
@@ -139,17 +138,16 @@ __all__ = [
     "pearson_correlation",
     "pooled_eigenvalues",
     "power_map",
-    "powermapped_spectrum",
     "run_pipeline",
-    "spectrum_from_eigenvalues",
     "save_panel",
     "sector_series",
     "sector_state_pipeline",
     "select_optimum",
     "similarity_matrix",
     "spectral_variance",
+    "spectrum_from_eigenvalues",
     "step_fidelity",
     "step_lengths",
-    "wishart_spectrum",
     "window_from_dates",
+    "wishart_spectrum",
 ]

@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .corrmat import EpochSpec, epoch_correlations, power_map
+from .corrmat import EpochSpec, epoch_correlations
 from .errors import DataError, NumericError
 from .ingest import load_panel, log_returns
 from .pipeline import (
@@ -86,12 +86,9 @@ def _cmd_ingest(args) -> int:
 def _cmd_corr(args) -> int:
     panel = load_panel(args.panel)
     series = epoch_correlations(log_returns(panel), _epoch_spec(args))
-    if args.epsilon:
-        series = power_map(series, args.epsilon)
     out = _out_path(args.out)
     save_arrays(out, **correlation_arrays(series))
-    print(f"{series.n_epochs} epochs of {series.n_labels}x{series.n_labels} "
-          f"matrices (epsilon {args.epsilon}) -> {out}")
+    print(f"{series.n_epochs} epochs of {series.n_labels}x{series.n_labels} matrices -> {out}")
     return 0
 
 
@@ -108,10 +105,9 @@ def _cmd_rmt_validate(args) -> int:
 
 
 def _cmd_mds(args) -> int:
-    arrays = load_arrays(args.corr)
-    series = series_from_arrays(arrays)
+    series = series_from_arrays(load_arrays(args.corr))
     dates = [m.start_date for m in series.matrices]
-    coords_path, _ = write_map(arrays["values"], dates, args.dim, _out_path(args.out_dir))
+    coords_path, _ = write_map(series.values_stack(), dates, args.dim, _out_path(args.out_dir))
     print(f"{series.n_epochs} epochs -> {coords_path}")
     return 0
 
@@ -247,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corr", help="epoch correlation matrices for a saved panel")
     p.add_argument("--panel", required=True)
     _add_epoch_flags(p)
-    p.add_argument("--epsilon", type=float, default=0.0,
-                   help="power-map exponent applied to the matrices (default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_corr)
 

@@ -9,7 +9,7 @@ yields ``floor((L - window)/shift) + 1`` epochs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,33 +54,25 @@ class CorrelationMatrix:
     end_date: str
 
 
-@dataclass
 class EpochCorrelationSeries:
-    """Ordered correlation matrices of every epoch, one row and column per label.
+    """Ordered raw correlation matrices of every epoch, one row and column per label.
 
     The one epoch-stack type: stock-level series carry tickers as labels,
-    sector-averaged ones sector names.  ``epsilon`` records the power-map
-    exponent already applied to every matrix (0.0 means plain Pearson).
-    A series built with ``from_stack`` holds one (epochs, N, N) array: its
-    records are read-only views into it and ``values_stack()`` is that
-    array.  One built record by record stacks its records on every
-    ``values_stack()`` call.
+    sector-averaged ones sector names.  It holds one (epochs, N, N) array,
+    read-only and not copied; its records are views into it and
+    ``values_stack()`` is that array.  The power map is no part of a series:
+    the dissimilarity applies it as it compares epochs.
     """
 
-    labels: list[str]
-    matrices: list[CorrelationMatrix]
-    epsilon: float = 0.0
-    _stack: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @classmethod
-    def from_stack(cls, labels, stack: np.ndarray, start_dates, end_dates,
-                   epsilon: float = 0.0) -> "EpochCorrelationSeries":
-        """A series over ``stack`` itself, not a copy of it; the series cannot write to it."""
-        held = stack.view()
-        held.flags.writeable = False
-        matrices = [CorrelationMatrix(values, start, end)
-                    for values, start, end in zip(held, start_dates, end_dates, strict=True)]
-        return cls(list(labels), matrices, epsilon, held)
+    def __init__(self, labels, stack: np.ndarray, start_dates, end_dates):
+        self.labels = list(labels)
+        n = len(self.labels)
+        if stack.ndim != 3 or stack.shape[1:] != (n, n):
+            raise ValueError(f"epoch stack of shape {stack.shape} for {n} labels")
+        self._stack = stack.view()
+        self._stack.flags.writeable = False
+        self.matrices = [CorrelationMatrix(values, start, end) for values, start, end
+                         in zip(self._stack, start_dates, end_dates, strict=True)]
 
     @property
     def n_epochs(self) -> int:
@@ -91,8 +83,6 @@ class EpochCorrelationSeries:
         return len(self.labels)
 
     def values_stack(self) -> np.ndarray:
-        if self._stack is None:
-            return np.stack([m.values for m in self.matrices])
         return self._stack
 
 
@@ -176,7 +166,7 @@ def epoch_correlations(panel: ReturnPanel, spec: EpochSpec = EpochSpec()) -> Epo
                       RuntimeWarning, stacklevel=2)
     starts = panel.dates[::spec.shift][:n]
     ends = panel.dates[spec.window - 1::spec.shift][:n]
-    return EpochCorrelationSeries.from_stack(panel.tickers, stack, starts, ends)
+    return EpochCorrelationSeries(panel.tickers, stack, starts, ends)
 
 
 def _power(values: np.ndarray, epsilon: float) -> np.ndarray:
@@ -198,25 +188,15 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
 
 
-def power_map(obj, epsilon: float):
-    """Element-wise x -> sign(x) |x|^(1+epsilon), diagonal included.
+def power_map(values: np.ndarray, epsilon: float) -> np.ndarray:
+    """Element-wise x -> sign(x) |x|^(1+epsilon), diagonal included, into a new array.
 
     Shrinks small (mostly noise) correlations toward zero faster than strong
     ones, which also breaks the rank degeneracy of short-window correlation
-    matrices.  Accepts a bare array or a whole series and returns the same
-    kind of object; a series keeps its labels and dates.
+    matrices.  ``similarity_matrix`` applies it to the epochs it compares, so
+    no series or archive holds mapped matrices.
     """
     _check_epsilon(epsilon)
-    if isinstance(obj, np.ndarray):
-        return _power(obj, epsilon)
-    if isinstance(obj, EpochCorrelationSeries):
-        stack = obj.values_stack()
-        mapped = np.empty(stack.shape, np.result_type(stack, 1.0))
-        # chunk by chunk: the map's temporary stays a chunk, not a second stack
-        step = _epochs_per_chunk(int(np.prod(stack.shape[1:])))
-        for e0 in range(0, len(stack), step):
-            mapped[e0:e0 + step] = _power(stack[e0:e0 + step], epsilon)
-        return EpochCorrelationSeries.from_stack(
-            obj.labels, mapped, [m.start_date for m in obj.matrices],
-            [m.end_date for m in obj.matrices], epsilon)
-    raise TypeError(f"cannot power-map a {type(obj).__name__}")
+    if not isinstance(values, np.ndarray):
+        raise TypeError(f"cannot power-map a {type(values).__name__}")
+    return _power(values, epsilon)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .serialize import read_json, write_json
+from .serialize import check_csv_names, read_json, write_json
 
 _MISSING = {"", "nan"}
 
@@ -161,6 +161,14 @@ def _filter_column(raw: tuple[str, ...], policy: ContinuityPolicy) -> tuple[np.n
     return values[source], ""
 
 
+def _csv_rows(path: str | Path) -> list[list[str]]:
+    try:
+        with Path(path).open(newline="") as fh:
+            return list(csv.reader(fh))
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
 def load_prices(path: str | Path, policy: ContinuityPolicy = ContinuityPolicy()) -> PricePanel:
     """Load a price CSV, drop tickers violating the continuity policy, fill gaps.
 
@@ -170,12 +178,7 @@ def load_prices(path: str | Path, policy: ContinuityPolicy = ContinuityPolicy())
     gaps are forward-filled with the previous day's value.  A file in which
     no ticker survives raises DataError.
     """
-    path = Path(path)
-    try:
-        with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    rows = _csv_rows(path)
     if not rows or len(rows[0]) < 2:
         raise DataError(f"{path}: expected header 'date,TICKER1,...'")
     header = [h.strip() for h in rows[0]]
@@ -184,6 +187,7 @@ def load_prices(path: str | Path, policy: ContinuityPolicy = ContinuityPolicy())
     tickers = header[1:]
     if len(set(tickers)) != len(tickers):
         raise DataError(f"{path}: duplicate ticker columns")
+    check_csv_names(tickers, "ticker", path)
 
     body = [row for row in rows[1:] if row and any(cell.strip() for cell in row)]
     for row in body:
@@ -231,23 +235,28 @@ def log_returns(panel: PricePanel) -> ReturnPanel:
     )
 
 
-def load_sector_map(path: str | Path) -> dict[str, str]:
-    """Read a ``ticker,sector`` CSV into a plain dict."""
-    path = Path(path)
-    try:
-        with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows or [h.strip().lower() for h in rows[0][:2]] != ["ticker", "sector"]:
-        raise DataError(f"{path}: expected header 'ticker,sector'")
-    mapping: dict[str, str] = {}
+def read_csv_pairs(path: str | Path, key: str, value: str) -> dict[str, str]:
+    """A ``key,value`` CSV as a dict; a row without a value or a repeated key is a DataError."""
+    rows = _csv_rows(path)
+    if not rows or [h.strip().lower() for h in rows[0][:2]] != [key, value]:
+        raise DataError(f"{path}: expected header '{key},{value}'")
+    pairs: dict[str, str] = {}
     for row in rows[1:]:
         if not row or not any(cell.strip() for cell in row):
             continue
-        if len(row) < 2:
-            raise DataError(f"{path}: row {row!r} lacks a sector")
-        mapping[row[0].strip()] = row[1].strip()
+        if len(row) < 2 or not row[1].strip():
+            raise DataError(f"{path}: row {row!r} lacks a {value.replace('_', ' ')}")
+        name = row[0].strip()
+        if name in pairs:
+            raise DataError(f"{path}: {key} {name!r} is listed twice")
+        pairs[name] = row[1].strip()
+    return pairs
+
+
+def load_sector_map(path: str | Path) -> dict[str, str]:
+    """Read a ``ticker,sector`` CSV into a plain dict, one row per ticker."""
+    mapping = read_csv_pairs(path, "ticker", "sector")
+    check_csv_names(mapping.values(), "sector", path)
     return mapping
 
 

@@ -187,7 +187,8 @@ def _portable_path(path: str | Path, out_dir: Path) -> str:
 def series_from_arrays(arrays: dict[str, np.ndarray]) -> EpochCorrelationSeries:
     """Rebuild an epoch correlation series from a saved array archive.
 
-    The series holds ``arrays["values"]`` itself, not a copy.
+    The series holds ``arrays["values"]`` itself, not a copy.  An ``epsilon``
+    member, written by earlier versions, must be 0: mapped matrices are refused.
     """
     try:
         stack = arrays["values"]
@@ -196,8 +197,12 @@ def series_from_arrays(arrays: dict[str, np.ndarray]) -> EpochCorrelationSeries:
         ends = [str(s) for s in arrays["end_dates"]]
     except KeyError as exc:
         raise DataError(f"correlation archive is missing array {exc}") from exc
-    epsilon = float(arrays["epsilon"]) if "epsilon" in arrays else 0.0
-    return EpochCorrelationSeries.from_stack(labels, stack, starts, ends, epsilon)
+    if float(arrays.get("epsilon", 0.0)) != 0.0:
+        raise DataError("correlation archive holds power-mapped matrices; rerun corr")
+    try:
+        return EpochCorrelationSeries(labels, stack, starts, ends)
+    except ValueError as exc:
+        raise DataError(f"correlation archive: {exc}") from exc
 
 
 def correlation_arrays(series: EpochCorrelationSeries) -> dict[str, np.ndarray]:
@@ -206,7 +211,6 @@ def correlation_arrays(series: EpochCorrelationSeries) -> dict[str, np.ndarray]:
         "labels": np.array(series.labels),
         "start_dates": np.array([m.start_date for m in series.matrices]),
         "end_dates": np.array([m.end_date for m in series.matrices]),
-        "epsilon": np.array(series.epsilon),
     }
 
 

@@ -183,20 +183,12 @@ def empirical_spectrum(matrices, bins: int = 100,
     return spectrum_from_eigenvalues(np.concatenate(pool), bins=bins, Q=Q, sigma2=sigma2)
 
 
-def wishart_spectrum(spec: WishartSpec, bins: int = 100) -> SpectralDensity:
-    """Spectral density of a raw sampled ensemble."""
-    eigs = pooled_eigenvalues(spec)
-    return spectrum_from_eigenvalues(eigs, bins=bins, Q=spec.Q, sigma2=spec.sigma2)
-
-
-def powermapped_spectrum(spec: WishartSpec, epsilon: float, bins: int = 100) -> SpectralDensity:
-    """Spectral density after the power map hits every realization.
+def wishart_spectrum(spec: WishartSpec, bins: int = 100, epsilon: float = 0.0) -> SpectralDensity:
+    """Spectral density of a sampled ensemble, power-mapped at ``epsilon`` (0: raw).
 
     With small T the raw matrices are singular; even a tiny epsilon frees
     the degenerate zero modes into an emerging bulk near zero.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     eigs = pooled_eigenvalues(spec, epsilon=epsilon)
     return spectrum_from_eigenvalues(eigs, bins=bins, Q=spec.Q, sigma2=spec.sigma2)
 

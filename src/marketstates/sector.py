@@ -88,12 +88,8 @@ def sector_series(series: EpochCorrelationSeries, sector_of,
     ``include_self_pairs`` is set.  A singleton sector leaves its
     intra-sector mean undefined, which falls back to 1.0 with a warning.
     The result is a series like its source: the sorted sector names as
-    labels, the source epochs' dates and epsilon.
+    labels and the source epochs' dates.
     """
-    n = series.n_labels
-    for m in series.matrices:
-        if m.values.shape != (n, n):
-            raise ValueError(f"epoch matrix of shape {m.values.shape} for {n} labels")
     sectors, membership = _sector_layout(series.labels, sector_of)
     sizes = membership.sum(axis=0)
     if not include_self_pairs and (sizes == 1).any():
@@ -104,11 +100,10 @@ def sector_series(series: EpochCorrelationSeries, sector_of,
             stacklevel=2,
         )
     averages = np.empty((series.n_epochs, len(sectors), len(sectors)))
-    for average, m in zip(averages, series.matrices):
-        average[...] = _block_average(m.values, membership, include_self_pairs)
-    return EpochCorrelationSeries.from_stack(
-        sectors, averages, [m.start_date for m in series.matrices],
-        [m.end_date for m in series.matrices], series.epsilon)
+    for average, values in zip(averages, series.values_stack()):
+        average[...] = _block_average(values, membership, include_self_pairs)
+    return EpochCorrelationSeries(sectors, averages, [m.start_date for m in series.matrices],
+                                  [m.end_date for m in series.matrices])
 
 
 def sector_state_pipeline(panel: ReturnPanel, spec: EpochSpec, k: int,

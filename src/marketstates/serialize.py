@@ -58,8 +58,15 @@ def _cell(value) -> str:
     return str(value)
 
 
+def check_csv_names(names, kind: str, source) -> None:
+    """DataError naming the first name with a comma, quote or line break; CSVs here are unquoted."""
+    for name in names:
+        if any(c in name for c in ',"\r\n'):
+            raise DataError(f"{source}: {kind} {name!r} contains a comma, quote or line break")
+
+
 def write_csv(path: str | Path, header: list[str], rows) -> None:
-    """Plain CSV with a header row; floats via repr, everything else via str."""
+    """Plain CSV with a header row, nothing quoted; floats via repr, everything else via str."""
     with Path(path).open("w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:

@@ -25,7 +25,6 @@ class ClusteringRun:
     """One converged k-means run (1-based labels)."""
 
     k: int
-    epsilon: float
     seed: int
     labels: np.ndarray
     centroids: np.ndarray
@@ -93,7 +92,7 @@ def _assignment_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarr
     return d2
 
 
-def kmeans(points: np.ndarray, k: int, seed: int, epsilon: float = 0.0) -> ClusteringRun:
+def kmeans(points: np.ndarray, k: int, seed: int) -> ClusteringRun:
     """Lloyd's algorithm seeded with k distinct data points chosen uniformly.
 
     Runs to an assignment fixed point or 300 iterations.  An empty cluster is
@@ -153,7 +152,6 @@ def kmeans(points: np.ndarray, k: int, seed: int, epsilon: float = 0.0) -> Clust
     d_intra = float(np.sqrt(own).mean())
     return ClusteringRun(
         k=k,
-        epsilon=epsilon,
         seed=seed,
         labels=labels + 1,
         centroids=centroids,
@@ -170,10 +168,9 @@ def init_seeds(seed: int, count: int) -> np.ndarray:
     return np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
 
 
-def best_kmeans(points: np.ndarray, k: int, n_inits: int, seed: int,
-                epsilon: float = 0.0) -> ClusteringRun:
+def best_kmeans(points: np.ndarray, k: int, n_inits: int, seed: int) -> ClusteringRun:
     """Lowest-objective run over an ensemble of seeded initializations."""
-    runs = [kmeans(points, k, int(s), epsilon) for s in init_seeds(seed, n_inits)]
+    runs = [kmeans(points, k, int(s)) for s in init_seeds(seed, n_inits)]
     return min(runs, key=lambda r: r.objective)
 
 
@@ -181,7 +178,7 @@ def _grid_rows(coords: np.ndarray, eps: float, k_list: list[int], seeds) -> list
     """The grid points of one epsilon: n_inits k-means radii per k on its map."""
     rows = []
     for ki, k in enumerate(k_list):
-        radii = np.array([kmeans(coords, k, int(s), eps).d_intra for s in seeds[ki]])
+        radii = np.array([kmeans(coords, k, int(s)).d_intra for s in seeds[ki]])
         rows.append(
             GridPoint(
                 k=k,
@@ -235,12 +232,14 @@ def select_optimum(surface: OptimizationSurface, k_min: int = 4) -> tuple[int, f
     return best.k, best.epsilon
 
 
-def build_state_model(series: EpochCorrelationSeries, run: ClusteringRun) -> StateModel:
-    """Average matrix per cluster, rename by ascending mean correlation, count transitions."""
-    if series.epsilon != 0.0:
-        raise ValueError("state averages must come from raw (epsilon 0) matrices")
-    matrices = [m.values for m in series.matrices]
-    n_epochs = len(matrices)
+def build_state_model(series: EpochCorrelationSeries, run: ClusteringRun,
+                      epsilon: float = 0.0) -> StateModel:
+    """Average raw matrix per cluster, rename by ascending mean correlation, count transitions.
+
+    ``epsilon`` is the power-map exponent the clustering used, recorded on the model.
+    """
+    stack = series.values_stack()
+    n_epochs = len(stack)
     if len(run.labels) != n_epochs:
         raise ValueError(f"{len(run.labels)} labels for {n_epochs} epochs")
     k = run.k
@@ -251,7 +250,7 @@ def build_state_model(series: EpochCorrelationSeries, run: ClusteringRun) -> Sta
         if not members.any():
             raise ValueError(f"cluster {c} is empty")
         # one cluster's matrices at a time, not a copy of the whole stack
-        avg = np.stack([matrices[i] for i in np.flatnonzero(members)]).mean(axis=0)
+        avg = stack[members].mean(axis=0)
         averages.append(avg)
         means[c - 1] = avg.mean()
     order = np.argsort(means, kind="stable")  # old label order by mean corr
@@ -262,7 +261,7 @@ def build_state_model(series: EpochCorrelationSeries, run: ClusteringRun) -> Sta
     np.add.at(transition_counts, (state_of[:-1] - 1, state_of[1:] - 1), 1)
     return StateModel(
         k=k,
-        epsilon=run.epsilon,
+        epsilon=epsilon,
         state_of=state_of,
         state_mean_corr=[float(means[c]) for c in order],
         avg_corr_matrix=[averages[c] for c in order],
@@ -285,8 +284,8 @@ def fit_series(series: EpochCorrelationSeries, k: int, epsilon: float, n_inits: 
     """
     if embedding is None:
         embedding = embed_epochs(series.values_stack(), epsilon, dim, workers)
-    run = best_kmeans(embedding.coordinates, k, n_inits, seed, epsilon)
-    return build_state_model(series, run), run, embedding
+    run = best_kmeans(embedding.coordinates, k, n_inits, seed)
+    return build_state_model(series, run, epsilon), run, embedding
 
 
 def fit_states(panel: ReturnPanel, spec: EpochSpec, k: int, epsilon: float,

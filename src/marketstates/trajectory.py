@@ -10,7 +10,6 @@ below a threshold (default 0.4) classifies the window as CRITICAL.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +20,8 @@ import numpy as np
 from .corrmat import EpochCorrelationSeries, EpochSpec, epoch_correlations
 from .errors import DataError
 from .geometry import embed_epochs, step_lengths
-from .ingest import ReturnPanel
+from .ingest import ReturnPanel, read_csv_pairs
+from .serialize import check_csv_names
 
 CRITICAL = "CRITICAL"
 NORMAL = "NORMAL"
@@ -190,23 +190,10 @@ def analyze_trajectory(window: EventWindow, threshold: float = DEFAULT_THRESHOLD
 
 
 def load_event_catalog(path: str | Path) -> list[tuple[str, str]]:
-    """Read an event list CSV with header ``name,center_date``."""
-    path = Path(path)
-    try:
-        with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows or [h.strip().lower() for h in rows[0][:2]] != ["name", "center_date"]:
-        raise DataError(f"{path}: expected header 'name,center_date'")
-    catalog: list[tuple[str, str]] = []
-    for row in rows[1:]:
-        if not row or not any(cell.strip() for cell in row):
-            continue
-        if len(row) < 2 or not row[1].strip():
-            raise DataError(f"{path}: row {row!r} lacks a center date")
-        catalog.append((row[0].strip(), row[1].strip()))
-    return catalog
+    """Read an event list CSV with header ``name,center_date``, one row per name."""
+    catalog = read_csv_pairs(path, "name", "center_date")
+    check_csv_names(catalog, "event", path)
+    return list(catalog.items())
 
 
 def _catalog_task(args) -> tuple[str, object]:

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from marketstates.corrmat import (
-    CorrelationMatrix,
     EpochCorrelationSeries,
     EpochSpec,
     epoch_correlations,
@@ -187,12 +186,8 @@ def test_kmeans_objective_and_planted_recovery(acceptance):
 
 def test_transition_count_identities(acceptance):
     rng = np.random.default_rng(2)
-    pool = [
-        CorrelationMatrix(
-            values=pearson_correlation(rng.standard_normal((4, 8))),
-            start_date=f"d{t:03d}", end_date=f"d{t:03d}")
-        for t in range(60)
-    ]
+    pool = np.stack([pearson_correlation(rng.standard_normal((4, 8))) for _ in range(60)])
+    dates = [f"d{t:03d}" for t in range(60)]
     exact = 0
     for trial in range(1000):
         k = int(rng.integers(2, 7))
@@ -200,9 +195,9 @@ def test_transition_count_identities(acceptance):
         labels = rng.integers(1, k + 1, size=n_epochs)
         labels[:k] = rng.permutation(np.arange(1, k + 1))  # every state occupied
         series = EpochCorrelationSeries(
-            labels=["a", "b", "c", "d"], matrices=pool[:n_epochs])
+            ["a", "b", "c", "d"], pool[:n_epochs], dates[:n_epochs], dates[:n_epochs])
         run = ClusteringRun(
-            k=k, epsilon=0.0, seed=trial, labels=labels,
+            k=k, seed=trial, labels=labels,
             centroids=np.zeros((k, 3)), d_intra=0.0, objective_trace=[0.0],
             n_iterations=1, converged=True, n_repairs=0)
         model = build_state_model(series, run)

@@ -93,16 +93,18 @@ def test_ingest_reports_and_saves(market, tmp_path, capsys):
 
 
 def test_corr_writes_archive_with_epsilon(workspace, tmp_path, capsys):
+    # corr writes raw matrices only: no --epsilon flag and no epsilon member;
+    # the dissimilarity applies the power map as it compares epochs
     out = tmp_path / "corr_eps.npz"
     assert main(["corr", "--panel", str(workspace["panel"]),
-                 "--epsilon", "0.5", "--out", str(out)]) == 0
+                 "--epsilon", "0.5", "--out", str(out)]) == 1
+    assert "--epsilon" in capsys.readouterr().err and not out.exists()
+    assert main(["corr", "--panel", str(workspace["panel"]), "--out", str(out)]) == 0
+    assert "100 epochs of 8x8 matrices" in capsys.readouterr().out
     arrays = load_arrays(out)
+    assert sorted(arrays) == ["end_dates", "labels", "start_dates", "values"]
     assert arrays["values"].shape == (100, 8, 8)  # 119 returns, window 20
-    assert float(arrays["epsilon"]) == 0.5
-    # epsilon 0.5 shrinks magnitudes below 1
-    raw = load_arrays(workspace["corr"])["values"]
-    off = ~np.eye(8, dtype=bool)
-    assert np.all(np.abs(arrays["values"][:, off]) <= np.abs(raw[:, off]) + 1e-15)
+    assert out.read_bytes() == workspace["corr"].read_bytes()
 
 
 def test_mds_writes_coordinates_and_meta(workspace, tmp_path):

@@ -236,27 +236,35 @@ def test_epoch_correlations_builds_its_stack_once(peak_bytes):
 def test_series_holds_one_read_only_stack_its_records_view():
     panel = make_panel(np.random.default_rng(24).normal(size=(6, 50)))
     series = epoch_correlations(panel, EpochSpec(10, 3))
-    for s in (series, power_map(series, 0.4), power_map(series, 0.0)):
-        stack = s.values_stack()
-        assert stack is s.values_stack()
-        assert not stack.flags.writeable
-        assert stack.shape == (s.n_epochs, 6, 6)
-        for e, m in enumerate(s.matrices):
-            assert np.shares_memory(m.values, stack) and m.values is not stack[e]
-            assert m.values.tobytes() == stack[e].tobytes()
+    stack = series.values_stack()
+    assert stack is series.values_stack()
+    assert not stack.flags.writeable
+    assert stack.shape == (series.n_epochs, 6, 6)
+    for e, m in enumerate(series.matrices):
+        assert np.shares_memory(m.values, stack) and m.values is not stack[e]
+        assert m.values.tobytes() == stack[e].tobytes()
     with pytest.raises(ValueError, match="read-only"):
         series.matrices[0].values[0, 1] = 0.5
-    assert not np.shares_memory(power_map(series, 0.0).values_stack(), series.values_stack())
 
 
-def test_series_built_record_by_record_stacks_its_records():
-    from marketstates.corrmat import CorrelationMatrix, EpochCorrelationSeries
+def test_series_holds_its_stack_itself_and_leaves_it_writeable():
+    from marketstates.corrmat import EpochCorrelationSeries
 
-    mats = [np.full((2, 2), float(i)) for i in range(3)]
-    series = EpochCorrelationSeries(
-        ["a", "b"], [CorrelationMatrix(m, f"d{i}", f"d{i}") for i, m in enumerate(mats)])
-    np.testing.assert_array_equal(series.values_stack(), np.stack(mats))
-    assert power_map(series, 0.0).values_stack().tobytes() == np.stack(mats).tobytes()
+    stack = np.stack([np.eye(2), np.full((2, 2), 0.5)])
+    series = EpochCorrelationSeries(("a", "b"), stack, ["d0", "d1"], ["e0", "e1"])
+    assert series.labels == ["a", "b"] and (series.n_epochs, series.n_labels) == (2, 2)
+    assert np.shares_memory(series.values_stack(), stack) and stack.flags.writeable
+    assert [(m.start_date, m.end_date) for m in series.matrices] == [("d0", "e0"), ("d1", "e1")]
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 3), (2, 2, 3), (4, 4), (2, 2, 2, 2)])
+def test_series_rejects_a_stack_that_does_not_match_its_labels(shape):
+    from marketstates.corrmat import EpochCorrelationSeries
+
+    with pytest.raises(ValueError, match=r"epoch stack of shape .* for 2 labels"):
+        EpochCorrelationSeries(["a", "b"], np.zeros(shape), ["d0", "d1"], ["d0", "d1"])
+    with pytest.raises(ValueError):  # one date per epoch
+        EpochCorrelationSeries(["a", "b"], np.zeros((2, 2, 2)), ["d0"], ["d0"])
 
 
 def test_window_too_long_names_both_lengths():
@@ -313,35 +321,14 @@ def test_power_map_peak_is_one_output_and_one_temporary(peak_bytes):
     assert peak_bytes(lambda: power_map(x, 0.3)) <= 2.05 * x.nbytes
 
 
-def test_power_map_on_a_series_holds_one_mapped_stack(peak_bytes):
-    series = epoch_correlations(make_panel(np.random.default_rng(25).normal(size=(60, 259))))
-    stack = series.values_stack()
-    # the mapped stack plus a chunk's temporaries, not a stack-sized temporary
-    assert peak_bytes(lambda: power_map(series, 0.3)) <= 1.2 * stack.nbytes
-    assert power_map(series, 0.3).values_stack().tobytes() == power_map(stack, 0.3).tobytes()
-
-
-def test_power_map_on_series_preserves_structure():
-    rng = np.random.default_rng(10)
-    panel = make_panel(rng.normal(size=(5, 40)))
-    series = epoch_correlations(panel)
-    mapped = power_map(series, 0.5)
-    assert mapped.epsilon == 0.5
-    assert mapped.n_epochs == series.n_epochs
-    assert mapped.labels == series.labels
-    assert [(m.start_date, m.end_date) for m in mapped.matrices] == [
-        (m.start_date, m.end_date) for m in series.matrices]
-    # original untouched
-    assert series.epsilon == 0.0
-    np.testing.assert_allclose(
-        mapped.matrices[3].values,
-        power_map(series.matrices[3].values, 0.5),
-        atol=0,
-    )
-    with pytest.raises(ValueError):
-        power_map(series, -0.1)
+def test_power_map_takes_arrays_only():
+    series = epoch_correlations(make_panel(np.random.default_rng(10).normal(size=(5, 40))))
+    with pytest.raises(TypeError, match="EpochCorrelationSeries"):
+        power_map(series, 0.5)
     with pytest.raises(TypeError):
         power_map("nope", 0.5)
+    with pytest.raises(ValueError, match="epsilon"):
+        power_map(series.values_stack(), -0.1)
 
 
 def test_power_map_lifts_rank_degeneracy():

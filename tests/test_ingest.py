@@ -353,3 +353,25 @@ def test_sector_map_loading(tmp_path):
     bad = write_csv(tmp_path / "bad.csv", "nope,sector\nAAA,tech\n")
     with pytest.raises(DataError):
         load_sector_map(bad)
+
+
+@pytest.mark.parametrize("ticker", ['"BRK,B"', '"BRK""B"', '"BRK\nB"', '"BRK\rB"'])
+def test_ticker_panel_csv_cannot_hold_is_a_data_error(tmp_path, ticker):
+    # save_panel writes the header unquoted: such a ticker would make a
+    # panel.csv that load_panel cannot read back
+    csv_path = write_csv(tmp_path / "p.csv",
+                         f"date,{ticker},XOM\n2020-01-01,1.0,2.0\n2020-01-02,1.5,2.5\n")
+    with pytest.raises(DataError, match=r"ticker 'BRK.{1,2}B' contains a comma, quote or line break"):
+        load_prices(csv_path)
+
+
+def test_sector_map_ticker_listed_twice_is_a_data_error(tmp_path):
+    csv_path = write_csv(tmp_path / "s.csv", "ticker,sector\nAAA,tech\nBBB,energy\nAAA,energy\n")
+    with pytest.raises(DataError, match="ticker 'AAA' is listed twice"):
+        load_sector_map(csv_path)
+
+
+def test_sector_name_a_csv_cell_cannot_hold_is_a_data_error(tmp_path):
+    csv_path = write_csv(tmp_path / "s.csv", 'ticker,sector\nAAA,"oil, gas"\n')
+    with pytest.raises(DataError, match="sector 'oil, gas' contains a comma"):
+        load_sector_map(csv_path)

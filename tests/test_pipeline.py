@@ -107,8 +107,8 @@ def test_config_validate(tmp_path):
 # correlation archives
 
 
-def corr_series(n_epochs=4, n=3, seed=0, epsilon=0.5):
-    from marketstates.corrmat import epoch_correlations, power_map
+def corr_series(n_epochs=4, n=3, seed=0):
+    from marketstates.corrmat import epoch_correlations
     from marketstates.ingest import ReturnPanel
 
     rng = np.random.default_rng(seed)
@@ -117,18 +117,33 @@ def corr_series(n_epochs=4, n=3, seed=0, epsilon=0.5):
         dates=[f"2020-01-{d + 1:02d}" for d in range(n_epochs + 9)],
         returns=rng.standard_normal((n, n_epochs + 9)),
     )
-    series = epoch_correlations(panel, EpochSpec(window=10, shift=1))
-    return power_map(series, epsilon) if epsilon else series
+    return epoch_correlations(panel, EpochSpec(window=10, shift=1))
 
 
 def test_correlation_arrays_round_trip():
-    series = corr_series(epsilon=0.5)
-    back = series_from_arrays(correlation_arrays(series))
+    series = corr_series()
+    arrays = correlation_arrays(series)
+    assert sorted(arrays) == ["end_dates", "labels", "start_dates", "values"]
+    back = series_from_arrays(arrays)
     assert back.labels == series.labels
-    assert back.epsilon == 0.5
     np.testing.assert_array_equal(back.values_stack(), series.values_stack())
     for got, want in zip(back.matrices, series.matrices):
         assert (got.start_date, got.end_date) == (want.start_date, want.end_date)
+
+
+def test_series_from_arrays_reads_a_zero_epsilon_member_and_refuses_any_other():
+    # archives written before the power map left the series carry epsilon 0
+    arrays = correlation_arrays(corr_series())
+    back = series_from_arrays({**arrays, "epsilon": np.array(0.0)})
+    assert np.shares_memory(back.values_stack(), arrays["values"])
+    with pytest.raises(DataError, match="holds power-mapped matrices; rerun corr"):
+        series_from_arrays({**arrays, "epsilon": np.array(0.5)})
+
+
+def test_series_from_arrays_rejects_a_stack_that_does_not_match_its_labels():
+    arrays = correlation_arrays(corr_series(n=3))
+    with pytest.raises(DataError, match=r"shape \(4, 3, 3\) for 2 labels"):
+        series_from_arrays({**arrays, "labels": arrays["labels"][:2]})
 
 
 def test_series_from_arrays_holds_the_archive_stack():
@@ -154,7 +169,7 @@ def test_write_map_uses_one_eigendecomposition(tmp_path, monkeypatch):
     from marketstates.geometry import classical_mds, dimension_fidelity, similarity_matrix
     from marketstates.pipeline import write_map
 
-    stack = corr_series(n_epochs=15, n=5, epsilon=0.0).values_stack()
+    stack = corr_series(n_epochs=15, n=5).values_stack()
     dates = [f"d{i}" for i in range(len(stack))]
     sim = similarity_matrix(stack)
     for dim in (2, 3):
@@ -189,9 +204,9 @@ def fitted_toy():
     from marketstates.geometry import classical_mds, similarity_matrix
     from marketstates.states import best_kmeans, build_state_model
 
-    series = corr_series(n_epochs=12, epsilon=0.0)
+    series = corr_series(n_epochs=12)
     embedding = classical_mds(similarity_matrix(series.values_stack()), D=3, warn=False)
-    run = best_kmeans(embedding.coordinates, 2, 4, seed=0, epsilon=0.0)
+    run = best_kmeans(embedding.coordinates, 2, 4, seed=0)
     return build_state_model(series, run), run, embedding
 
 
@@ -511,6 +526,32 @@ def test_rerun_over_deflated_archives_skips_every_stage(market, tmp_path, monkey
     code, manifest = run_pipeline(cfg)
     assert code == 0
     assert {entry["status"] for entry in manifest["stages"].values()} == {"skipped"}
+
+
+def test_rerun_over_archives_with_a_zero_epsilon_member_skips_every_stage(
+        market, tmp_path, monkeypatch):
+    import marketstates.pipeline as pipeline
+
+    def arrays_with_epsilon(series):  # the earlier writer's corr_raw.npz members
+        return {**correlation_arrays(series), "epsilon": np.array(0.0)}
+
+    out = tmp_path / "out"
+    cfg = market_config(market, out)
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "correlation_arrays", arrays_with_epsilon)
+        assert run_pipeline(cfg)[0] == 0
+    assert float(load_arrays(out / "corr_raw.npz")["epsilon"]) == 0.0
+
+    code, manifest = run_pipeline(cfg)
+    assert code == 0
+    assert {entry["status"] for entry in manifest["stages"].values()} == {"skipped"}
+    # the stages that build a series from the archive still read it
+    (out / "surface.csv").unlink()
+    (out / "sector_model.json").unlink()
+    code, manifest = run_pipeline(cfg)
+    assert code == 0
+    assert {name: manifest["stages"][name]["status"] for name in ("corr", "states", "sectors")} \
+        == {"corr": "skipped", "states": "ok", "sectors": "ok"}
 
 
 @pytest.mark.parametrize("grid, pinned", [

@@ -154,18 +154,18 @@ def test_marchenko_pastur_agreement_at_reference_ensemble():
 def test_powermapped_spectrum_eps0_matches_raw_exactly():
     spec = WishartSpec(N=30, T=60, ensemble_size=4, seed=6)
     raw = rmt.wishart_spectrum(spec, bins=40)
-    mapped = rmt.powermapped_spectrum(spec, 0.0, bins=40)
+    mapped = rmt.wishart_spectrum(spec, bins=40, epsilon=0.0)
     np.testing.assert_array_equal(raw.density, mapped.density)
     np.testing.assert_array_equal(raw.bin_edges, mapped.bin_edges)
-    with pytest.raises(ValueError):
-        rmt.powermapped_spectrum(spec, -0.5)
+    with pytest.raises(ValueError, match="epsilon"):
+        rmt.wishart_spectrum(spec, epsilon=-0.5)
 
 
 def test_powermap_frees_zero_modes_into_emerging_bulk():
     spec = WishartSpec(N=100, T=20, ensemble_size=5, seed=10)
     raw = rmt.wishart_spectrum(spec, bins=60)
     assert raw.zero_fraction == pytest.approx(0.8, abs=1e-12)
-    lifted = rmt.powermapped_spectrum(spec, 0.01, bins=60)
+    lifted = rmt.wishart_spectrum(spec, bins=60, epsilon=0.01)
     assert lifted.zero_fraction < raw.zero_fraction
     assert lifted.integral() > raw.integral()
 
@@ -189,7 +189,7 @@ def test_powermap_can_match_longer_window_variance():
     base = WishartSpec(N=500, T=1000, ensemble_size=2, seed=7)
     ratios = {}
     for eps in [0.15, 0.20, 0.25, 0.265, 0.30, 0.35]:
-        var = rmt.spectral_variance(rmt.powermapped_spectrum(base, eps, bins=100))
+        var = rmt.spectral_variance(rmt.wishart_spectrum(base, bins=100, epsilon=eps))
         ratios[eps] = var / target
     best = min(ratios, key=lambda e: abs(ratios[e] - 1.0))
     assert abs(ratios[best] - 1.0) < 0.10

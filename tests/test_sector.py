@@ -7,7 +7,6 @@ import pytest
 
 from marketstates import corrmat, sector, states
 from marketstates.corrmat import (
-    CorrelationMatrix,
     EpochCorrelationSeries,
     EpochSpec,
     epoch_correlations,
@@ -34,11 +33,9 @@ def random_correlation(n, seed):
 
 def series_of(matrices, tickers):
     """A stock-level series holding the given matrices, one epoch each."""
-    return EpochCorrelationSeries(
-        list(tickers),
-        [CorrelationMatrix(np.asarray(C, dtype=float), f"d{i}", f"d{i}")
-         for i, C in enumerate(matrices)],
-    )
+    dates = [f"d{i}" for i in range(len(matrices))]
+    return EpochCorrelationSeries(tickers, np.stack([np.asarray(C, dtype=float) for C in matrices]),
+                                  dates, dates)
 
 
 def sector_matrix(C, tickers, sector_of, **kwargs):
@@ -116,7 +113,7 @@ def test_unmapped_ticker_raises():
 
 
 def test_shape_validation():
-    with pytest.raises(ValueError, match=r"shape \(2, 3\)"):
+    with pytest.raises(ValueError, match=r"shape \(1, 2, 3\) for 2 labels"):
         sector_matrix(np.zeros((2, 3)), ["a", "b"], {"a": "x", "b": "x"})
     with pytest.raises(ValueError, match="for 2 labels"):
         sector_matrix(np.eye(3), ["a", "b"], {"a": "x", "b": "x"})
@@ -164,7 +161,6 @@ def test_sector_series_matches_per_epoch_averages():
     assert isinstance(series, EpochCorrelationSeries)
     assert series.labels == ["x", "y"]
     assert series.n_epochs == raw.n_epochs
-    assert series.epsilon == 0.0
     for got, src in zip(series.matrices, raw.matrices):
         want = loop_average(src.values, panel.tickers, mapping, series.labels)
         np.testing.assert_allclose(got.values, want, atol=1e-14)
@@ -179,23 +175,20 @@ def test_sector_series_matches_per_epoch_averages():
     assert stack.tobytes() == want.tobytes()
 
 
-def test_power_mapped_sector_series_goes_through_the_chain():
+def test_sector_fit_clusters_the_power_mapped_map_and_records_epsilon():
     _, mapping, raw = small_panel_series()
     sectors = sector_series(raw, mapping)
-    mapped = power_map(sectors, 0.3)
-    assert isinstance(mapped, EpochCorrelationSeries)
-    assert mapped.labels == ["x", "y"]
-    assert mapped.epsilon == 0.3
-    assert [(m.start_date, m.end_date) for m in mapped.matrices] == [
-        (m.start_date, m.end_date) for m in raw.matrices]
-    np.testing.assert_array_equal(mapped.values_stack(),
-                                  power_map(sectors.values_stack(), 0.3))
-    model, _, embedding = fit_series(sectors, 2, 0.3, n_inits=4, seed=0)
+    model, run, embedding = fit_series(sectors, 2, 0.3, n_inits=4, seed=0)
+    assert model.epsilon == 0.3
     assert model.labels == ["x", "y"]
     assert model.epoch_dates == [m.start_date for m in raw.matrices]
     # the fit clusters the map of exactly those power-mapped matrices
-    want = embed_epochs(mapped.values_stack(), 0.0, 3).coordinates
+    want = embed_epochs(power_map(sectors.values_stack(), 0.3), 0.0, 3).coordinates
     np.testing.assert_array_equal(embedding.coordinates, want)
+    # and averages the raw ones
+    for s, avg in enumerate(model.avg_corr_matrix, start=1):
+        members = sectors.values_stack()[model.state_of == s]
+        assert avg.tobytes() == members.mean(axis=0).tobytes()
 
 
 def test_sector_pipeline_reuses_the_stock_level_machinery():

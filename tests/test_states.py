@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from marketstates.corrmat import EpochCorrelationSeries, EpochSpec
+from marketstates.corrmat import EpochCorrelationSeries, EpochSpec, power_map
 from marketstates.ingest import ReturnPanel
 from marketstates.states import (
     ClusteringRun,
@@ -96,7 +96,7 @@ def test_kmeans_validation():
         kmeans(np.zeros((4, 0)), 2, seed=0)
 
 
-def oracle_kmeans(points, k, seed, epsilon=0.0):
+def oracle_kmeans(points, k, seed):
     """The Lloyd loop as it was before the whole-array step: a per-cluster
     mean loop and an (n, k, D) difference temporary."""
     from marketstates.states import MAX_LLOYD_ITERATIONS
@@ -139,7 +139,7 @@ def oracle_kmeans(points, k, seed, epsilon=0.0):
         final_d2 = ((points - centroids[labels]) ** 2).sum(axis=1)
         trace.append(float(final_d2.sum()))
     d_intra = float(np.sqrt(((points - centroids[labels]) ** 2).sum(axis=1)).mean())
-    return ClusteringRun(k=k, epsilon=epsilon, seed=seed, labels=labels + 1,
+    return ClusteringRun(k=k, seed=seed, labels=labels + 1,
                          centroids=centroids, d_intra=d_intra, objective_trace=trace,
                          n_iterations=iteration, converged=converged, n_repairs=n_repairs)
 
@@ -170,7 +170,7 @@ def oracle_cases(D):
 def test_kmeans_matches_per_cluster_oracle_bit_for_bit(D):
     repairs = 0
     for points, k, seed in oracle_cases(D):
-        got, want = kmeans(points, k, seed, 0.3), oracle_kmeans(points, k, seed, 0.3)
+        got, want = kmeans(points, k, seed), oracle_kmeans(points, k, seed)
         assert np.array_equal(got.labels, want.labels)
         assert got.centroids.tobytes() == want.centroids.tobytes()
         assert got.objective_trace == want.objective_trace
@@ -332,20 +332,15 @@ def test_select_optimum_rules():
         select_optimum(surface, k_min=7)
 
 
-def fake_series(stack, dates=None):
-    from marketstates.corrmat import CorrelationMatrix
-
-    mats = [
-        CorrelationMatrix(values=m, start_date=(dates[i] if dates else f"d{i}"), end_date="")
-        for i, m in enumerate(stack)
-    ]
-    return EpochCorrelationSeries(labels=["a", "b"], matrices=mats)
+def fake_series(stack):
+    dates = [f"d{i}" for i in range(len(stack))]
+    return EpochCorrelationSeries(["a", "b"], stack, dates, [""] * len(stack))
 
 
-def fake_run(labels, k, epsilon=0.0):
+def fake_run(labels, k):
     labels = np.asarray(labels)
     return ClusteringRun(
-        k=k, epsilon=epsilon, seed=0, labels=labels,
+        k=k, seed=0, labels=labels,
         centroids=np.zeros((k, 3)), d_intra=0.0, objective_trace=[0.0],
         n_iterations=1, converged=True,
     )
@@ -411,11 +406,15 @@ def test_state_model_transition_identities_fuzz():
 
 
 def test_state_model_rejects_mapped_series_and_bad_labels():
+    # no series holds mapped matrices, since power_map takes arrays only; the
+    # model averages the raw matrices and records the clustering's epsilon
     stack = low_high_stack([1, 2])
-    series = fake_series(stack)
-    series.epsilon = 0.6
-    with pytest.raises(ValueError, match="raw"):
-        build_state_model(series, fake_run([1, 2], k=2))
+    with pytest.raises(TypeError):
+        power_map(fake_series(stack), 0.6)
+    model = build_state_model(fake_series(stack), fake_run([1, 2], k=2), epsilon=0.6)
+    assert model.epsilon == 0.6
+    assert build_state_model(fake_series(stack), fake_run([1, 2], k=2)).epsilon == 0.0
+    assert np.stack(model.avg_corr_matrix).tobytes() == stack.tobytes()
     with pytest.raises(ValueError):
         build_state_model(fake_series(stack), fake_run([1], k=1))
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from marketstates import geometry, trajectory
-from marketstates.corrmat import CorrelationMatrix, EpochCorrelationSeries, EpochSpec, epoch_correlations
+from marketstates.corrmat import EpochCorrelationSeries, EpochSpec, epoch_correlations
 from marketstates.errors import DataError
 from marketstates.ingest import ReturnPanel
 from marketstates.trajectory import (
@@ -63,17 +63,9 @@ def planted_window(ratio, seed, n_epochs=105, n=12, scale=1.0):
         first[i, j] = first[j, i] = 0.1
     for i, j in [(6, 7), (8, 9), (10, 11)]:
         second[i, j] = second[j, i] = 0.1
-    mats = [
-        CorrelationMatrix(
-            values=np.eye(n) + a[t] * first + b[t] * second,
-            start_date=f"d{t:04d}",
-            end_date=f"d{t:04d}",
-        )
-        for t in range(n_epochs)
-    ]
-    series = EpochCorrelationSeries(
-        labels=[f"s{i}" for i in range(n)], matrices=mats
-    )
+    stack = np.eye(n) + a[:, None, None] * first + b[:, None, None] * second
+    dates = [f"d{t:04d}" for t in range(n_epochs)]
+    series = EpochCorrelationSeries([f"s{i}" for i in range(n)], stack, dates, dates)
     return EventWindow(
         name=f"planted-{ratio}",
         start_date="d0000",
@@ -168,9 +160,11 @@ def test_var_ratio_is_scale_invariant():
 def test_reversal_keeps_variances_and_reverses_steps():
     window = planted_window(0.5, seed=9, n_epochs=60)
     forward = analyze_trajectory(window)
+    epochs = window.epochs
     reversed_series = EpochCorrelationSeries(
-        labels=list(window.epochs.labels),
-        matrices=list(reversed(window.epochs.matrices)),
+        epochs.labels, epochs.values_stack()[::-1],
+        [m.start_date for m in reversed(epochs.matrices)],
+        [m.end_date for m in reversed(epochs.matrices)],
     )
     backward = analyze_trajectory(
         EventWindow(
@@ -191,16 +185,14 @@ def test_reversal_keeps_variances_and_reverses_steps():
 
 def test_constant_window_reports_zero_variance_normal():
     n, n_epochs = 5, 30
-    mats = [
-        CorrelationMatrix(np.eye(n), start_date=f"d{t}", end_date=f"d{t}")
-        for t in range(n_epochs)
-    ]
+    dates = [f"d{t}" for t in range(n_epochs)]
     window = EventWindow(
         name="flat",
         start_date="d0",
         end_date=f"d{n_epochs - 1}",
         center_date=f"d{n_epochs // 2}",
-        epochs=EpochCorrelationSeries(labels=list("abcde"), matrices=mats),
+        epochs=EpochCorrelationSeries(list("abcde"), np.tile(np.eye(n), (n_epochs, 1, 1)),
+                                      dates, dates),
     )
     report = analyze_trajectory(window)
     assert report.zero_variance
@@ -289,3 +281,19 @@ def test_load_event_catalog(tmp_path):
     missing.write_text("name,center_date\nlonely,\n")
     with pytest.raises(DataError, match="lacks a center date"):
         load_event_catalog(missing)
+
+
+def test_event_listed_twice_is_a_data_error(tmp_path):
+    # keyed by name, a repeated event's failure would overwrite the first one's
+    path = tmp_path / "events.csv"
+    path.write_text("name,center_date\ncrash,d9998\ncrash,d9999\nok,d0120\n")
+    with pytest.raises(DataError, match="name 'crash' is listed twice"):
+        load_event_catalog(path)
+
+
+@pytest.mark.parametrize("name", ['"a,b"', '"say ""x"""', '"two\nlines"'])
+def test_event_name_a_csv_cell_cannot_hold_is_a_data_error(tmp_path, name):
+    path = tmp_path / "events.csv"
+    path.write_text(f"name,center_date\n{name},d0120\n")
+    with pytest.raises(DataError, match="event .* contains a comma, quote or line break"):
+        load_event_catalog(path)
