@@ -176,6 +176,12 @@ def _cmd_trajectory(args) -> int:
     returns = log_returns(panel)
     spec = _epoch_spec(args)
     if args.mode == "catalog":
+        # each event's window comes from --events and is mapped on 3 axes
+        ignored = [flag for flag, given in (
+            ("--dim", args.dim != 3), ("--name", args.name), ("--center", args.center),
+            ("--start", args.start), ("--end", args.end)) if given]
+        if ignored:
+            raise ValueError(f"trajectory catalog does not take {', '.join(ignored)}")
         if not args.events:
             raise DataError("trajectory catalog needs --events")
         catalog = load_event_catalog(args.events)

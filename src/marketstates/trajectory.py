@@ -11,7 +11,7 @@ below a threshold (default 0.4) classifies the window as CRITICAL.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -196,37 +196,37 @@ def load_event_catalog(path: str | Path) -> list[tuple[str, str]]:
     return list(catalog.items())
 
 
-def _catalog_task(args) -> tuple[str, object]:
-    panel, name, center, width, threshold, epsilon, spec = args
-    try:
-        window = cut_window(panel, center, width_days=width, name=name, spec=spec)
-        return "ok", analyze_trajectory(window, threshold=threshold, epsilon=epsilon)
-    except Exception as exc:  # noqa: BLE001 - row failures must not kill the batch
-        return "error", f"{type(exc).__name__}: {exc}"
-
-
 def classify_catalog(panel: ReturnPanel, catalog, threshold: float = DEFAULT_THRESHOLD,
                      width_days: int = DEFAULT_WIDTH_DAYS, epsilon: float = 0.0,
                      spec: EpochSpec = EpochSpec(), workers: int = 1,
                      ) -> tuple[list[TrajectoryReport], dict[str, str]]:
     """Cut and analyze every cataloged event; failures are collected, not fatal.
 
-    Returns (reports in catalog order, {event name: error message}).  Rows are
-    independent, so they parallelize; the merge preserves catalog order.
+    Returns (reports in catalog order, {event name: error message}); a name
+    listed twice raises ValueError before any window runs.  Up to ``workers``
+    threads share ``panel``, each holding one window's epoch stack at a time.
     """
     entries = list(catalog)
-    tasks = [(panel, name, center, width_days, threshold, epsilon, spec)
-             for name, center in entries]
-    if workers <= 1 or len(tasks) <= 1:
-        outcomes = [_catalog_task(t) for t in tasks]
+    seen: set[str] = set()
+    for name, _ in entries:
+        if name in seen:
+            raise ValueError(f"event name {name!r} is listed twice in the catalog")
+        seen.add(name)
+
+    def classify(name: str, center: str) -> TrajectoryReport | str:
+        try:
+            window = cut_window(panel, center, width_days=width_days, name=name, spec=spec)
+            return analyze_trajectory(window, threshold=threshold, epsilon=epsilon)
+        except Exception as exc:  # noqa: BLE001 - row failures must not kill the batch
+            return f"{type(exc).__name__}: {exc}"
+
+    threads = min(workers, len(entries))
+    if threads <= 1:
+        outcomes = [classify(name, center) for name, center in entries]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_catalog_task, tasks))
-    reports: list[TrajectoryReport] = []
-    failures: dict[str, str] = {}
-    for (name, _), (status, payload) in zip(entries, outcomes):
-        if status == "ok":
-            reports.append(payload)
-        else:
-            failures[name] = payload
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            outcomes = list(pool.map(classify, *zip(*entries)))
+    reports = [outcome for outcome in outcomes if isinstance(outcome, TrajectoryReport)]
+    failures = {name: outcome for (name, _), outcome in zip(entries, outcomes)
+                if isinstance(outcome, str)}
     return reports, failures

@@ -20,17 +20,28 @@ def test_all_is_sorted_unique_and_every_public_name():
     assert all(hasattr(marketstates, name) for name in exported)
 
 
-def test_package_imports_only_the_standard_library_and_numpy():
-    allowed = set(sys.stdlib_module_names) | {"numpy"}
-    outside = []
+def imported_names():
+    """(file, name) per absolute import in the package; ``from m import x`` gives m and m.x."""
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                yield from ((path.name, alias.name) for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            outside += [f"{path.name}: {name}" for name in names
-                        if name.split(".")[0] not in allowed]
+                yield path.name, node.module
+                yield from ((path.name, f"{node.module}.{alias.name}") for alias in node.names)
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    outside = [f"{file}: {name}" for file, name in imported_names()
+               if name.split(".")[0] not in allowed]
     assert outside == []
+
+
+def test_package_runs_on_threads_only():
+    # every --workers count means threads that share one process's arrays
+    processes = [f"{file}: {name}" for file, name in imported_names()
+                 if name.split(".")[0] == "multiprocessing"
+                 or name.startswith("concurrent.futures.process")
+                 or name.endswith("ProcessPoolExecutor")]
+    assert processes == []

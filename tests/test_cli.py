@@ -243,6 +243,20 @@ def test_trajectory_catalog(workspace, market, tmp_path, capsys):
     assert "burst: var_ratio=" in text and "calm: var_ratio=" in text
 
 
+@pytest.mark.parametrize("flags", [["--dim", "2"], ["--dim", "5"], ["--name", "x"],
+                                   ["--center", "nope"], ["--start", "a", "--end", "b"]])
+def test_trajectory_catalog_rejects_single_window_flags(workspace, market, tmp_path,
+                                                         capsys, flags):
+    out = tmp_path / "catalog.json"
+    code = main(["trajectory", "catalog", "--panel", str(workspace["panel"]),
+                 "--events", str(market / "events.csv"), "--width", "45",
+                 *flags, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "bad parameter" in err and flags[0] in err and flags[-2] in err
+    assert not out.exists()
+
+
 def test_trajectory_catalog_needs_events(workspace, tmp_path, capsys):
     code = main(["trajectory", "catalog", "--panel", str(workspace["panel"]),
                  "--out", str(tmp_path / "r.json")])

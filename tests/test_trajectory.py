@@ -1,6 +1,7 @@
 """Event windows, trajectory shape analysis, and the variance-ratio classifier."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -256,14 +257,32 @@ def test_classify_catalog_on_planted_panel():
 def test_classify_catalog_empty_and_worker_invariance():
     assert classify_catalog(noise_panel(130), []) == ([], {})
     panel = event_panel(seed=2)
-    catalog = [("a", "d0120"), ("b", "d0280"), ("c", "d0200")]
-    serial, fail1 = classify_catalog(panel, catalog, workers=1)
-    parallel, fail2 = classify_catalog(panel, catalog, workers=3)
-    assert fail1 == fail2 == {}
-    assert [r.name for r in serial] == [r.name for r in parallel]
-    for a, b in zip(serial, parallel):
-        assert a.var_ratio == b.var_ratio
-        assert a.coordinates.tobytes() == b.coordinates.tobytes()
+    catalog = [("a", "d0120"), ("b", "d0280"), ("bad", "d9999"), ("c", "d0200"),
+               ("late", "d0390"), ("d", "d0150")]
+
+    def outcome(workers):
+        reports, failures = classify_catalog(panel, catalog, workers=workers)
+        return ([(r.name, repr(r.var_x), repr(r.var_y), repr(r.var_z),
+                  r.coordinates.tobytes()) for r in reports], list(failures.items()))
+
+    serial = outcome(1)
+    assert [row[0] for row in serial[0]] == ["a", "b", "c", "d"]
+    assert [name for name, _ in serial[1]] == ["bad", "late"]
+    # more threads than cores, switching as often as the
+    # interpreter allows: a window merged out of order would change the lists
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = [outcome(workers) for workers in (2, 8)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == [serial, serial]
+
+
+def test_classify_catalog_rejects_a_repeated_event_name():
+    catalog = [("crash", "d9998"), ("crash", "d9999"), ("ok", "d0150")]
+    with pytest.raises(ValueError, match="'crash' is listed twice"):
+        classify_catalog(noise_panel(300), catalog)
 
 
 def test_load_event_catalog(tmp_path):
