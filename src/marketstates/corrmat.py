@@ -91,6 +91,87 @@ def _epochs_per_chunk(epoch_size: int) -> int:
     return max(1, (1 << 16) // max(epoch_size, 1))
 
 
+# The packed layout of an epoch stack: one row per epoch, its strict upper
+# triangle in np.triu_indices(N, 1) order, then its N diagonal entries.
+# corr_raw.npz stores it as the member ``packed``; the dissimilarity kernel
+# packs the same rows with the triangle doubled.
+
+
+def _packed_width(n_labels: int) -> int:
+    """Entries of one packed epoch of ``n_labels`` labels: N(N+1)/2."""
+    return n_labels * (n_labels + 1) // 2
+
+
+def _packed_chunks(stack: np.ndarray, epsilon: float = 0.0, doubled: bool = False,
+                   out: np.ndarray | None = None):
+    """Pack an (epochs, N, N) stack about 2^16 float64 (512 KB) of epochs at a time.
+
+    Yields the packed rows of each chunk in epoch order: rows of ``out``
+    when it is given, the whole (epochs, N(N+1)/2) result, else one buffer
+    reused for every chunk.  Each epoch is power-mapped at ``epsilon`` as
+    it is packed, with the bits of mapping the whole stack first, and its
+    triangle is doubled when ``doubled`` is set.  Raises NumericError
+    naming the first epoch that is non-finite after that or not exactly
+    symmetric: the triangle alone cannot stand for it.
+    """
+    n, rows, cols = stack.shape
+    if rows != cols or rows == 0:
+        raise NumericError(f"epochs must be non-empty square matrices, got shape {(rows, cols)}")
+    row, col = np.triu_indices(rows, 1)
+    upper_at = row * rows + col  # the strict upper triangle in a flattened epoch
+    k = upper_at.size
+    step = _epochs_per_chunk(rows * rows)
+    whole = out is not None
+    if not whole:
+        out = np.empty((min(step, n), k + rows))
+    for e0 in range(0, n, step):
+        chunk = stack[e0:e0 + step]
+        packed = out[e0:e0 + step] if whole else out[:len(chunk)]
+        flat = chunk.reshape(len(chunk), rows * rows)
+        upper, diag = np.take(flat, upper_at, axis=1), flat[:, ::rows + 1]
+        if epsilon:
+            upper, diag = _power(upper, epsilon), _power(diag, epsilon)
+        np.multiply(upper, 2.0 if doubled else 1.0, out=packed[:, :k])
+        packed[:, k:] = diag
+        finite = np.isfinite(packed).all(axis=1)
+        symmetric = (chunk == chunk.transpose(0, 2, 1)).all(axis=(1, 2))
+        if not (finite & symmetric).all():
+            e = int(np.argmin(finite & symmetric))
+            what = "has a non-finite entry" if not finite[e] else "is not exactly symmetric"
+            raise NumericError(f"epoch {e0 + e} {what}")
+        yield packed
+
+
+def _pack_epochs(stack: np.ndarray, epsilon: float = 0.0, doubled: bool = False) -> np.ndarray:
+    """The packed layout of a whole stack, one (epochs, N(N+1)/2) array; see _packed_chunks."""
+    out = np.empty((stack.shape[0], _packed_width(stack.shape[1])))
+    for _ in _packed_chunks(stack, epsilon, doubled, out):
+        pass
+    return out
+
+
+def _unpack_epochs(packed: np.ndarray, n_labels: int) -> np.ndarray:
+    """The (epochs, N, N) stack whose packed layout is ``packed``, mirrored bit for bit.
+
+    Epochs go through about 512 KB at a time into the one new stack.
+    """
+    n = n_labels
+    if packed.ndim != 2 or packed.shape[1] != _packed_width(n) or n == 0:
+        raise ValueError(f"packed epochs of shape {packed.shape} for {n} labels")
+    row, col = np.triu_indices(n, 1)
+    upper_at, lower_at = row * n + col, col * n + row
+    k = upper_at.size
+    stack = np.empty((len(packed), n, n))
+    flat = stack.reshape(len(packed), n * n)
+    step = _epochs_per_chunk(n * n)
+    for e0 in range(0, len(packed), step):
+        rows, epochs = packed[e0:e0 + step], flat[e0:e0 + step]
+        epochs[:, upper_at] = rows[:, :k]
+        epochs[:, lower_at] = rows[:, :k]
+        epochs[:, ::n + 1] = rows[:, k:]
+    return stack
+
+
 def _zero_variance(rows: np.ndarray) -> str:
     return (f"zero variance in rows {np.flatnonzero(rows).tolist()}; "
             "their correlations are set to 0")

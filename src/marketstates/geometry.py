@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrmat import _check_epsilon, _epochs_per_chunk, _power
+from .corrmat import _check_epsilon, _pack_epochs
 from .errors import NumericError
 
 
@@ -51,43 +51,6 @@ class Embedding:
             n_clipped=self.n_clipped,
             clipped_mass=self.clipped_mass,
         )
-
-
-def _packed_epochs(stack: np.ndarray, epsilon: float = 0.0) -> np.ndarray:
-    """Pack each power-mapped epoch into one row: 2 x its strict upper triangle, then its diagonal.
-
-    The L1 distance between two packed rows equals the one between the full
-    matrices, because every off-diagonal difference appears twice there.
-    The power map is element-wise, so mapping the packed entries gives the
-    bits of mapping the whole stack first, without a stack-sized mapped
-    copy: epochs go through in chunks of about 2^16 float64 (512 KB).
-    Raises NumericError naming the first epoch that is non-finite after the
-    map or not exactly symmetric, the two conditions under which that
-    equality fails.
-    """
-    n, rows, cols = stack.shape
-    if rows != cols or rows == 0:
-        raise NumericError(f"epochs must be non-empty square matrices, got shape {(rows, cols)}")
-    row, col = np.triu_indices(rows, 1)
-    upper_at = row * rows + col  # the strict upper triangle in a flattened epoch
-    k = upper_at.size
-    X = np.empty((n, k + rows))
-    step = _epochs_per_chunk(rows * rows)
-    for e0 in range(0, n, step):
-        chunk, packed = stack[e0:e0 + step], X[e0:e0 + step]
-        flat = chunk.reshape(len(chunk), rows * rows)
-        upper, diag = np.take(flat, upper_at, axis=1), flat[:, ::rows + 1]
-        if epsilon:
-            upper, diag = _power(upper, epsilon), _power(diag, epsilon)
-        np.multiply(upper, 2.0, out=packed[:, :k])
-        packed[:, k:] = diag
-        finite = np.isfinite(packed).all(axis=1)
-        symmetric = (chunk == chunk.transpose(0, 2, 1)).all(axis=(1, 2))
-        if not (finite & symmetric).all():
-            e = int(np.argmin(finite & symmetric))
-            what = "has a non-finite entry" if not finite[e] else "is not exactly symmetric"
-            raise NumericError(f"epoch {e0 + e} {what}")
-    return X
 
 
 def _l1_rows(X: np.ndarray, out: np.ndarray, first: int, step: int, block: int) -> None:
@@ -132,7 +95,9 @@ def similarity_matrix(stack: np.ndarray, workers: int = 1, epsilon: float = 0.0)
     n = stack.shape[0]
     if n < 2:
         raise NumericError(f"need at least 2 epochs, got {n}")
-    X = _packed_epochs(stack.astype(float, copy=False), epsilon)
+    # every off-diagonal difference appears twice in the full matrices: the
+    # L1 distance between doubled packed rows equals theirs
+    X = _pack_epochs(stack.astype(float, copy=False), epsilon, doubled=True)
     out = np.zeros((n, n))
     # each thread's reused difference buffer of about 2^16 float64 (512 KB) stays in cache
     block = max(1, (1 << 16) // X.shape[1])

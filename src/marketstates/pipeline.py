@@ -19,12 +19,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .corrmat import EpochCorrelationSeries, EpochSpec, epoch_correlations
+from .corrmat import (
+    EpochCorrelationSeries,
+    EpochSpec,
+    _packed_chunks,
+    _packed_width,
+    _unpack_epochs,
+    epoch_correlations,
+)
 from .errors import DataError, NumericError
 from .geometry import Embedding, classical_mds, embed_epochs, similarity_matrix, step_fidelity
 from .ingest import (
     ContinuityPolicy,
-    PricePanel,
     load_panel,
     load_prices,
     load_sector_map,
@@ -40,6 +46,7 @@ from .rmt import (
 )
 from .sector import displacement, sector_series
 from .serialize import (
+    StreamedArray,
     load_arrays,
     read_json,
     save_arrays,
@@ -165,6 +172,8 @@ class PipelineConfig:
                 raise DataError(f"{label} file {candidate!r} does not exist")
         if self.n_inits < 2:
             raise DataError("n_inits must be at least 2")
+        if self.k_range and max(self.k_range) < self.k_min:
+            raise DataError(f"k_min {self.k_min} exceeds every k in k_range {self.k_range}")
 
     def as_manifest_dict(self, out_dir: Path) -> dict:
         payload = {}
@@ -187,11 +196,14 @@ def _portable_path(path: str | Path, out_dir: Path) -> str:
 def series_from_arrays(arrays: dict[str, np.ndarray]) -> EpochCorrelationSeries:
     """Rebuild an epoch correlation series from a saved array archive.
 
-    The series holds ``arrays["values"]`` itself, not a copy.  An ``epsilon``
+    The ``packed`` member, each epoch's upper triangle and diagonal, is
+    unpacked into one new (epochs, N, N) stack, bit for bit.  Archives of
+    earlier versions hold that stack as a ``values`` member instead, and the
+    series holds ``arrays["values"]`` itself, not a copy.  An ``epsilon``
     member, written by earlier versions, must be 0: mapped matrices are refused.
     """
     try:
-        stack = arrays["values"]
+        stack = arrays["values"] if "values" in arrays else arrays["packed"]
         labels = [str(s) for s in arrays["labels"]]
         starts = [str(s) for s in arrays["start_dates"]]
         ends = [str(s) for s in arrays["end_dates"]]
@@ -200,14 +212,19 @@ def series_from_arrays(arrays: dict[str, np.ndarray]) -> EpochCorrelationSeries:
     if float(arrays.get("epsilon", 0.0)) != 0.0:
         raise DataError("correlation archive holds power-mapped matrices; rerun corr")
     try:
+        if "values" not in arrays:
+            stack = _unpack_epochs(np.asarray(stack), len(labels))
         return EpochCorrelationSeries(labels, stack, starts, ends)
     except ValueError as exc:
         raise DataError(f"correlation archive: {exc}") from exc
 
 
-def correlation_arrays(series: EpochCorrelationSeries) -> dict[str, np.ndarray]:
+def correlation_arrays(series: EpochCorrelationSeries) -> dict:
+    """The members of a correlation archive; ``packed`` streams the stack's packed layout."""
+    stack = series.values_stack()
     return {
-        "values": series.values_stack(),
+        "packed": StreamedArray((series.n_epochs, _packed_width(series.n_labels)),
+                                np.dtype(np.float64), lambda: _packed_chunks(stack)),
         "labels": np.array(series.labels),
         "start_dates": np.array([m.start_date for m in series.matrices]),
         "end_dates": np.array([m.end_date for m in series.matrices]),
@@ -414,15 +431,17 @@ class _Run:
     stack, built once per call: the mds stage stores epsilon 0, the grid and
     the stock fit read and add to it.  It is keyed by the corr_raw.npz
     digest, so a rewritten archive starts empty, and holds no distance
-    matrix.  ``panel`` is the panel the ingest stage parsed, under the digest
-    of the panel.csv it wrote, until the corr stage takes it.
+    matrix.  ``handed`` holds what a stage built and wrote to a file, under
+    that file's digest just after the write: ingest's panel (panel.csv) for
+    corr, and corr's epoch series (corr_raw.npz) for mds, states and sectors.
+    run_pipeline releases each before the first stage that does not take it.
     """
 
     out: Path
     workers: int
     digests: dict[Path, str] = field(default_factory=dict)
     maps: dict[str, dict[float, Embedding]] = field(default_factory=dict)
-    panel: tuple[str, PricePanel] | None = None
+    handed: dict[Path, tuple[str, object]] = field(default_factory=dict)
 
     def digest(self, path: Path) -> str:
         """sha256 of a file, hashed at most once in this run unless a stage rewrites it."""
@@ -433,52 +452,55 @@ class _Run:
     def epoch_maps(self) -> dict[float, Embedding]:
         return self.maps.setdefault(self.digest(self.out / "corr_raw.npz"), {})
 
-    def hand_over_panel(self, panel: PricePanel) -> None:
-        """Keep the panel just written to panel.csv for the corr stage."""
-        path = self.out / "panel.csv"
+    def hand_over(self, path: Path, value) -> None:
+        """Keep ``value``, just written to ``path``, for the later stages that take it."""
         self.digests.pop(path, None)  # a digest taken before this write is stale
-        self.panel = (self.digest(path), panel)
+        self.handed[path] = (self.digest(path), value)
 
-    def take_panel(self) -> PricePanel:
-        """The panel in panel.csv, parsed by ingest in this run if the file still holds it.
-
-        The handed-over panel is released either way; without one, or when
-        the file changed since, panel.csv is parsed.
-        """
-        handed, self.panel = self.panel, None
-        path = self.out / "panel.csv"
+    def read(self, path: Path, load):
+        """The value handed over for ``path`` while the file still has its digest, else ``load(path)``."""
+        handed = self.handed.get(path)
         if handed is not None and handed[0] == self.digest(path):
             return handed[1]
-        return load_panel(path)
+        return load(path)
+
+    def release(self, keep: tuple[Path, ...] = ()) -> None:
+        """Drop every handed-over value but those for the files ``keep``."""
+        self.handed = {path: value for path, value in self.handed.items() if path in keep}
+
+    def epoch_series(self) -> EpochCorrelationSeries:
+        return self.read(self.out / "corr_raw.npz",
+                         lambda path: series_from_arrays(load_arrays(path)))
 
 
 def _stage_ingest(cfg: PipelineConfig, run: _Run) -> list[Path]:
     path = run.out / "panel.csv"
-    run.hand_over_panel(write_panel(cfg.prices, cfg.sectors, cfg.max_gap, path))
+    run.hand_over(path, write_panel(cfg.prices, cfg.sectors, cfg.max_gap, path))
     return [path, run.out / "panel.csv.meta.json"]
 
 
 def _stage_corr(cfg: PipelineConfig, run: _Run) -> list[Path]:
-    returns = log_returns(run.take_panel())
+    path = run.out / "corr_raw.npz"
+    returns = log_returns(run.read(run.out / "panel.csv", load_panel))
     series = epoch_correlations(returns, EpochSpec(cfg.window, cfg.shift))
-    save_arrays(run.out / "corr_raw.npz", **correlation_arrays(series))
-    return [run.out / "corr_raw.npz"]
+    save_arrays(path, **correlation_arrays(series))
+    run.hand_over(path, series)
+    return [path]
 
 
 def _stage_mds(cfg: PipelineConfig, run: _Run) -> list[Path]:
-    arrays = load_arrays(run.out / "corr_raw.npz")
-    dates = [str(s) for s in arrays["start_dates"]]
-    return write_map(arrays["values"], dates, cfg.mds_dim, run.out, run.workers,
+    series = run.epoch_series()
+    dates = [m.start_date for m in series.matrices]
+    return write_map(series.values_stack(), dates, cfg.mds_dim, run.out, run.workers,
                      maps=run.epoch_maps())
 
 
 def _stage_states(cfg: PipelineConfig, run: _Run) -> list[Path]:
     out, workers = run.out, run.workers
-    arrays = load_arrays(out / "corr_raw.npz")
-    series = series_from_arrays(arrays)
+    series = run.epoch_series()
     maps = run.epoch_maps()
     surface = optimize_over_grid(
-        arrays["values"], cfg.k_range, cfg.epsilon_grid,
+        series.values_stack(), cfg.k_range, cfg.epsilon_grid,
         cfg.n_inits, cfg.seed, dim=cfg.mds_dim, workers=workers, maps=maps,
     )
     write_surface(surface, out / "surface.csv")
@@ -494,7 +516,7 @@ def _stage_states(cfg: PipelineConfig, run: _Run) -> list[Path]:
         },
     )
     if chosen_eps not in maps:  # a pinned epsilon off the grid
-        maps[chosen_eps] = embed_epochs(arrays["values"], chosen_eps, cfg.mds_dim, workers)
+        maps[chosen_eps] = embed_epochs(series.values_stack(), chosen_eps, cfg.mds_dim, workers)
     model, _, embedding = fit_series(series, chosen_k, chosen_eps, cfg.n_inits, cfg.seed,
                                      embedding=maps[chosen_eps])
     return ([out / "surface.csv", out / "selected.json"]
@@ -506,7 +528,7 @@ def _stage_sectors(cfg: PipelineConfig, run: _Run) -> list[Path]:
     sector_of = read_json(out / "panel.csv.meta.json").get("sector_of")
     if not sector_of:
         raise DataError("panel has no sector map; configure 'sectors'")
-    series = sector_series(series_from_arrays(load_arrays(out / "corr_raw.npz")), sector_of)
+    series = sector_series(run.epoch_series(), sector_of)
     fitted = read_json(out / "selected.json")["fitted"]
     k = cfg.sector_k if cfg.sector_k > 0 else int(fitted["k"])
     epsilon = cfg.sector_epsilon if cfg.sector_epsilon >= 0 else float(fitted["epsilon"])
@@ -556,6 +578,7 @@ class _Stage:
     inputs: list[Path]
     params: dict
     run: object = None
+    takes: tuple[Path, ...] = ()  # the files whose handed-over values the stage reads
 
 
 def _plan(cfg: PipelineConfig, out: Path) -> list[_Stage]:
@@ -564,21 +587,22 @@ def _plan(cfg: PipelineConfig, out: Path) -> list[_Stage]:
     stages = [
         _Stage("ingest", True, "", [Path(cfg.prices)] + ([Path(cfg.sectors)] if cfg.sectors else []),
                {"max_gap": cfg.max_gap}, _stage_ingest),
-        _Stage("corr", True, "", [out / "panel.csv"], dict(epoch_params), _stage_corr),
+        _Stage("corr", True, "", [out / "panel.csv"], dict(epoch_params), _stage_corr,
+               takes=(out / "panel.csv",)),
         _Stage("mds", True, "", [out / "corr_raw.npz"],
                {**epoch_params, "mds_dim": cfg.mds_dim},
-               _stage_mds),
+               _stage_mds, takes=(out / "corr_raw.npz",)),
         _Stage("states", True, "", [out / "corr_raw.npz"],
                {**epoch_params, "k_range": cfg.k_range, "epsilon_grid": cfg.epsilon_grid,
                 "n_inits": cfg.n_inits, "seed": cfg.seed, "mds_dim": cfg.mds_dim,
                 "k_min": cfg.k_min, "k": cfg.k, "epsilon": cfg.epsilon},
-               _stage_states),
+               _stage_states, takes=(out / "corr_raw.npz",)),
         _Stage("sectors", bool(cfg.sectors), "no sector map configured",
                [out / "panel.csv.meta.json", out / "corr_raw.npz", out / "selected.json",
                 out / "model.json"],
                {**epoch_params, "sector_k": cfg.sector_k, "sector_epsilon": cfg.sector_epsilon,
                 "n_inits": cfg.n_inits, "seed": cfg.seed, "mds_dim": cfg.mds_dim},
-               _stage_sectors),
+               _stage_sectors, takes=(out / "corr_raw.npz",)),
         _Stage("trajectory", bool(cfg.events), "no event catalog configured",
                [out / "panel.csv"] + ([Path(cfg.events)] if cfg.events else []),
                {**epoch_params, "threshold": cfg.threshold, "width_days": cfg.width_days,
@@ -636,8 +660,9 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
     exit_code = 0
     failed = False
     for stage in _plan(cfg, out):
-        if stage.name != "corr":
-            run.panel = None  # ingest hands its panel to corr alone, even a skipped corr
+        # even a skipped or halted stage releases what it does not take: the
+        # panel lives until corr, the epoch series until sectors
+        run.release(keep=stage.takes)
         if failed:
             manifest["stages"][stage.name] = {"status": "halted",
                                               "reason": "an upstream stage failed"}

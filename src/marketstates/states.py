@@ -246,11 +246,15 @@ def build_state_model(series: EpochCorrelationSeries, run: ClusteringRun,
     averages = []
     means = np.empty(k)
     for c in range(1, k + 1):
-        members = run.labels == c
-        if not members.any():
+        members = np.flatnonzero(run.labels == c)
+        if not members.size:
             raise ValueError(f"cluster {c} is empty")
-        # one cluster's matrices at a time, not a copy of the whole stack
-        avg = stack[members].mean(axis=0)
+        # the member epochs summed in epoch order into one N x N array, the
+        # bits of stack[members].mean(axis=0) without copying the members
+        avg = stack[members[0]].copy()
+        for e in members[1:]:
+            avg += stack[e]
+        avg /= members.size
         averages.append(avg)
         means[c - 1] = avg.mean()
     order = np.argsort(means, kind="stable")  # old label order by mean corr

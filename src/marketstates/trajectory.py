@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corrmat import EpochCorrelationSeries, EpochSpec, epoch_correlations
+from .corrmat import EpochCorrelationSeries, EpochSpec, _check_epsilon, epoch_correlations
 from .errors import DataError
 from .geometry import embed_epochs, step_lengths
 from .ingest import ReturnPanel, read_csv_pairs
@@ -80,6 +80,11 @@ class TrajectoryReport:
         return self.coordinates.shape[0]
 
 
+def _check_width(width_days: int) -> None:
+    if width_days < 3 or width_days % 2 == 0:
+        raise ValueError(f"width must be an odd number of price days >= 3, got {width_days}")
+
+
 def cut_window(panel: ReturnPanel, center_date: str,
                width_days: int = DEFAULT_WIDTH_DAYS, name: str = "",
                spec: EpochSpec = EpochSpec()) -> EventWindow:
@@ -89,8 +94,7 @@ def cut_window(panel: ReturnPanel, center_date: str,
     price days on each side, which is width-1 return columns.  Raises when the
     center date is absent or either side falls short of the panel.
     """
-    if width_days < 3 or width_days % 2 == 0:
-        raise ValueError(f"width must be an odd number of price days >= 3, got {width_days}")
+    _check_width(width_days)
     try:
         center = panel.dates.index(center_date)
     except ValueError:
@@ -203,9 +207,12 @@ def classify_catalog(panel: ReturnPanel, catalog, threshold: float = DEFAULT_THR
     """Cut and analyze every cataloged event; failures are collected, not fatal.
 
     Returns (reports in catalog order, {event name: error message}); a name
-    listed twice raises ValueError before any window runs.  Up to ``workers``
-    threads share ``panel``, each holding one window's epoch stack at a time.
+    listed twice, a width no window can have or a negative epsilon raises
+    ValueError before any window runs.  Up to ``workers`` threads share
+    ``panel``, each holding one window's epoch stack at a time.
     """
+    _check_width(width_days)
+    _check_epsilon(epsilon)
     entries = list(catalog)
     seen: set[str] = set()
     for name, _ in entries:

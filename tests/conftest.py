@@ -1,12 +1,14 @@
-"""Shared test plumbing: the acceptance-criteria summary section and a memory probe.
+"""Shared test plumbing: the acceptance-criteria summary section, a memory probe, a tree comparator.
 
 Tests that verify a numbered shipping criterion record exactly one line via
 the ``acceptance`` fixture; the lines are printed together at the end of the
 run so every ``pytest`` invocation shows a compact pass/fail ledger.  The
-``peak_bytes`` fixture measures the working set of one call.
+``peak_bytes`` fixture measures the working set of one call, and
+``tree_diff`` compares two output trees file by file.
 """
 
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,27 @@ def _peak_bytes(fn) -> int:
 @pytest.fixture
 def peak_bytes():
     return _peak_bytes
+
+
+def _tree_diff(a, b, skip=()) -> list[str]:
+    """Relative paths of the files that differ between trees a and b or exist in one only.
+
+    Paths listed in ``skip`` (relative, '/'-separated) are left out on both sides.
+    """
+    def files(root):
+        root = Path(root)
+        return {rel: path for path in root.rglob("*")
+                if path.is_file() and (rel := path.relative_to(root).as_posix()) not in skip}
+
+    left, right = files(a), files(b)
+    return sorted(rel for rel in left.keys() | right.keys()
+                  if rel not in left or rel not in right
+                  or left[rel].read_bytes() != right[rel].read_bytes())
+
+
+@pytest.fixture
+def tree_diff():
+    return _tree_diff
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -253,23 +253,19 @@ def test_variance_ratio_classifier_on_planted_trajectories(acceptance):
 # 7. demo determinism across worker counts
 
 
-def test_demo_artifacts_independent_of_worker_count(acceptance, tmp_path):
+def test_demo_artifacts_independent_of_worker_count(acceptance, tmp_path, tree_diff):
     from marketstates.demo import run_demo
-
-    def tree(root):
-        return {
-            p.relative_to(root).as_posix(): p.read_bytes()
-            for p in sorted(root.rglob("*")) if p.is_file()
-        }
 
     code_1, _ = run_demo(tmp_path / "workers1", workers=1)
     code_8, _ = run_demo(tmp_path / "workers8", workers=8)
-    left, right = tree(tmp_path / "workers1"), tree(tmp_path / "workers8")
+    differ = tree_diff(tmp_path / "workers1", tmp_path / "workers8")
+    n_files = sum(p.is_file() for p in (tmp_path / "workers1").rglob("*"))
 
-    ok = code_1 == 0 and code_8 == 0 and left == right
+    ok = code_1 == 0 and code_8 == 0 and not differ
     check(acceptance, 7, "demo artifacts independent of worker count", ok,
-          f"exit codes ({code_1}, {code_8}); {len(left)} artifacts byte-identical "
-          f"between workers=1 and workers=8")
+          f"exit codes ({code_1}, {code_8}); {n_files - len(differ)} of {n_files} artifacts "
+          f"byte-identical between workers=1 and workers=8"
+          + (f"; differing: {', '.join(differ)}" if differ else ""))
 
 
 # --------------------------------------------------------------------------

@@ -102,8 +102,8 @@ def test_corr_writes_archive_with_epsilon(workspace, tmp_path, capsys):
     assert main(["corr", "--panel", str(workspace["panel"]), "--out", str(out)]) == 0
     assert "100 epochs of 8x8 matrices" in capsys.readouterr().out
     arrays = load_arrays(out)
-    assert sorted(arrays) == ["end_dates", "labels", "start_dates", "values"]
-    assert arrays["values"].shape == (100, 8, 8)  # 119 returns, window 20
+    assert sorted(arrays) == ["end_dates", "labels", "packed", "start_dates"]
+    assert arrays["packed"].shape == (100, 36)  # 119 returns, window 20, 8 stocks
     assert out.read_bytes() == workspace["corr"].read_bytes()
 
 
@@ -257,6 +257,17 @@ def test_trajectory_catalog_rejects_single_window_flags(workspace, market, tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--width", "124"], ["--epsilon", "-0.5"]])
+def test_trajectory_catalog_rejects_a_bad_width_or_epsilon(workspace, market, tmp_path,
+                                                           capsys, flags):
+    out = tmp_path / "catalog.json"
+    code = main(["trajectory", "catalog", "--panel", str(workspace["panel"]),
+                 "--events", str(market / "events.csv"), *flags, "--out", str(out)])
+    assert code == 1
+    assert "bad parameter" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trajectory_catalog_needs_events(workspace, tmp_path, capsys):
     code = main(["trajectory", "catalog", "--panel", str(workspace["panel"]),
                  "--out", str(tmp_path / "r.json")])
@@ -327,7 +338,7 @@ def test_out_dir_env_redirects_relative_outputs(workspace, tmp_path, monkeypatch
 # one writer per artifact
 
 
-def test_cli_writes_the_pipeline_artifacts_byte_for_byte(market, tmp_path):
+def test_cli_writes_the_pipeline_artifacts_byte_for_byte(market, tmp_path, tree_diff):
     staged = tmp_path / "pipeline"
     assert run_pipeline(market_config(market, staged))[0] == 0
     cli = tmp_path / "cli"
@@ -358,7 +369,4 @@ def test_cli_writes_the_pipeline_artifacts_byte_for_byte(market, tmp_path):
     assert json.dumps(rmt, indent=2, sort_keys=True) + "\n" == (
         staged / "rmt_report.json").read_text()
     stage_only = {"manifest.json", "selected.json", "trajectory_table.csv", "rmt_report.json"}
-    names = sorted(p.name for p in cli.iterdir() if p.name != "rmt.json")
-    assert names == sorted(p.name for p in staged.iterdir() if p.name not in stage_only)
-    for name in names:
-        assert (cli / name).read_bytes() == (staged / name).read_bytes(), name
+    assert tree_diff(cli, staged, skip=stage_only | {"rmt.json"}) == []

@@ -343,3 +343,65 @@ def test_power_map_lifts_rank_degeneracy():
     after = np.linalg.eigvalsh(power_map(C, 0.001))
     n_zero_after = int(np.sum(np.abs(after) < 1e-10))
     assert n_zero_after < n_zero_before
+
+
+# --------------------------------------------------------------------------
+# the packed layout of corr_raw.npz
+
+
+def _packing_cases():
+    rng = np.random.default_rng(31)
+    zero_variance = rng.normal(size=(5, 60))
+    zero_variance[3, 10:40] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return {
+            # 100 stocks: 6 epochs per 512 KB chunk, so 20 epochs end in a partial chunk
+            "partial_chunk": epoch_correlations(
+                make_panel(rng.normal(size=(100, 39))), EpochSpec(20, 1)).values_stack(),
+            "one_chunk": epoch_correlations(
+                make_panel(rng.normal(size=(8, 60)))).values_stack(),
+            "zero_variance": epoch_correlations(make_panel(zero_variance)).values_stack(),
+            "one_label": np.ones((5, 1, 1)),
+            "signed_zeros": np.stack([np.array([[1.0, -0.0], [-0.0, 1.0]]), np.eye(2)]),
+        }
+
+
+@pytest.mark.parametrize("case", sorted(_packing_cases()))
+def test_packed_layout_round_trips_bit_for_bit(case):
+    from marketstates.corrmat import _pack_epochs, _packed_chunks, _unpack_epochs
+
+    stack = _packing_cases()[case]
+    n_epochs, N, _ = stack.shape
+    packed = _pack_epochs(stack)
+    assert packed.shape == (n_epochs, N * (N + 1) // 2)
+    upper = np.triu_indices(N, 1)
+    for e, epoch in enumerate(stack):  # strict upper triangle, then the diagonal
+        assert packed[e].tobytes() == np.concatenate([epoch[upper], np.diag(epoch)]).tobytes()
+    # the streamed chunks, each taken before the next reuses its buffer
+    streamed = np.concatenate([rows.copy() for rows in _packed_chunks(stack)])
+    assert streamed.tobytes() == packed.tobytes()
+    assert _unpack_epochs(packed, N).tobytes() == stack.tobytes()
+
+
+def test_archive_packing_rejects_an_asymmetric_epoch_by_its_index():
+    from marketstates.corrmat import _pack_epochs, _packed_chunks
+
+    stack = epoch_correlations(make_panel(np.random.default_rng(32).normal(size=(100, 39))),
+                               EpochSpec(20, 1)).values_stack().copy()
+    stack[16, 5, 2] = np.nextafter(stack[16, 5, 2], 2.0)  # below the diagonal only
+    with pytest.raises(NumericError, match="epoch 16 is not exactly symmetric"):
+        _pack_epochs(stack)
+    chunks = _packed_chunks(stack)
+    assert len(next(chunks)) == 6  # the first chunks stream out before the bad one
+    with pytest.raises(NumericError, match="epoch 16 is not exactly symmetric"):
+        list(chunks)
+
+
+def test_unpacking_rejects_a_width_that_does_not_match_the_labels():
+    from marketstates.corrmat import _unpack_epochs
+
+    for packed, N in ((np.zeros((3, 6)), 2), (np.zeros((3, 6)), 4), (np.zeros(6), 3),
+                      (np.zeros((3, 0)), 0)):
+        with pytest.raises(ValueError, match="packed epochs of shape"):
+            _unpack_epochs(packed, N)

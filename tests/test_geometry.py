@@ -248,11 +248,12 @@ def per_epoch_packing(stack, epsilon):
 
 @pytest.mark.parametrize("eps", [0.0, 0.3])
 def test_chunked_packing_matches_the_per_epoch_loop(eps):
-    from marketstates.geometry import _packed_epochs
+    from marketstates.corrmat import _pack_epochs
 
     # 100 stocks: 6 epochs per 512 KB chunk, so 20 epochs end in a partial chunk
     for stack in (np.tanh(symmetric_stack(17, 20, 100)), signed_stack(5)):
-        assert _packed_epochs(stack, eps).tobytes() == per_epoch_packing(stack, eps).tobytes()
+        got = _pack_epochs(stack, eps, doubled=True)
+        assert got.tobytes() == per_epoch_packing(stack, eps).tobytes()
 
 
 def test_packing_names_the_lowest_bad_epoch_across_chunks():

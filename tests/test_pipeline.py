@@ -101,6 +101,10 @@ def test_config_validate(tmp_path):
     (tmp_path / "p.csv").write_text("date,A\n")
     with pytest.raises(DataError, match="n_inits"):
         PipelineConfig(prices=str(tmp_path / "p.csv"), n_inits=1).validate()
+    # no grid point could meet k_min: fail before the grid runs, not after it
+    with pytest.raises(DataError, match=r"k_min 4 exceeds every k in k_range \[2, 3\]"):
+        PipelineConfig(prices=str(tmp_path / "p.csv"), k_range=[2, 3]).validate()
+    PipelineConfig(prices=str(tmp_path / "p.csv"), k_range=[2, 4], k_min=4).validate()
 
 
 # --------------------------------------------------------------------------
@@ -120,10 +124,20 @@ def corr_series(n_epochs=4, n=3, seed=0):
     return epoch_correlations(panel, EpochSpec(window=10, shift=1))
 
 
+def dense_arrays(series):
+    """The members earlier versions wrote to corr_raw.npz: the dense stack as ``values``."""
+    return {
+        "values": series.values_stack(),
+        "labels": np.array(series.labels),
+        "start_dates": np.array([m.start_date for m in series.matrices]),
+        "end_dates": np.array([m.end_date for m in series.matrices]),
+    }
+
+
 def test_correlation_arrays_round_trip():
     series = corr_series()
     arrays = correlation_arrays(series)
-    assert sorted(arrays) == ["end_dates", "labels", "start_dates", "values"]
+    assert sorted(arrays) == ["end_dates", "labels", "packed", "start_dates"]
     back = series_from_arrays(arrays)
     assert back.labels == series.labels
     np.testing.assert_array_equal(back.values_stack(), series.values_stack())
@@ -133,7 +147,7 @@ def test_correlation_arrays_round_trip():
 
 def test_series_from_arrays_reads_a_zero_epsilon_member_and_refuses_any_other():
     # archives written before the power map left the series carry epsilon 0
-    arrays = correlation_arrays(corr_series())
+    arrays = dense_arrays(corr_series())
     back = series_from_arrays({**arrays, "epsilon": np.array(0.0)})
     assert np.shares_memory(back.values_stack(), arrays["values"])
     with pytest.raises(DataError, match="holds power-mapped matrices; rerun corr"):
@@ -141,20 +155,51 @@ def test_series_from_arrays_reads_a_zero_epsilon_member_and_refuses_any_other():
 
 
 def test_series_from_arrays_rejects_a_stack_that_does_not_match_its_labels():
-    arrays = correlation_arrays(corr_series(n=3))
+    arrays = dense_arrays(corr_series(n=3))
     with pytest.raises(DataError, match=r"shape \(4, 3, 3\) for 2 labels"):
+        series_from_arrays({**arrays, "labels": arrays["labels"][:2]})
+    arrays = correlation_arrays(corr_series(n=3))
+    with pytest.raises(DataError, match=r"packed epochs of shape \(4, 6\) for 2 labels"):
         series_from_arrays({**arrays, "labels": arrays["labels"][:2]})
 
 
 def test_series_from_arrays_holds_the_archive_stack():
-    arrays = correlation_arrays(corr_series())
+    arrays = dense_arrays(corr_series())
     arrays["values"] = arrays["values"].copy()  # as load_arrays returns it: writeable
     series = series_from_arrays(arrays)
-    assert correlation_arrays(series)["values"] is series.values_stack()
     assert np.shares_memory(series.values_stack(), arrays["values"])
     assert not series.values_stack().flags.writeable
     assert arrays["values"].flags.writeable  # the caller's array is left as it was
     assert all(np.shares_memory(m.values, arrays["values"]) for m in series.matrices)
+
+
+def test_corr_archive_streams_the_packed_stack_without_a_whole_copy(tmp_path, peak_bytes):
+    from marketstates.corrmat import _pack_epochs
+
+    series = corr_series(n_epochs=240, n=60)
+    path = tmp_path / "corr_raw.npz"
+    packed_bytes = 240 * (60 * 61 // 2) * 8
+    # streaming holds a chunk's buffers, far less than a whole packed copy
+    assert peak_bytes(lambda: save_arrays(path, **correlation_arrays(series))) < 0.5 * packed_bytes
+    whole = tmp_path / "whole.npz"
+    save_arrays(whole, **{**correlation_arrays(series), "packed": _pack_epochs(series.values_stack())})
+    assert path.read_bytes() == whole.read_bytes()
+    with zipfile.ZipFile(path) as zf:
+        assert zf.namelist() == ["end_dates.npy", "labels.npy", "packed.npy", "start_dates.npy"]
+    back = series_from_arrays(load_arrays(path))
+    assert back.values_stack().tobytes() == series.values_stack().tobytes()
+    assert back.labels == series.labels
+    assert [(m.start_date, m.end_date) for m in back.matrices] == \
+        [(m.start_date, m.end_date) for m in series.matrices]
+
+
+def test_series_from_a_packed_archive_holds_the_unpacked_stack_only(tmp_path, peak_bytes):
+    series = corr_series(n_epochs=240, n=60)
+    save_arrays(tmp_path / "corr_raw.npz", **correlation_arrays(series))
+    stack_bytes = 240 * 60 * 60 * 8
+    # the packed member (0.51 of the stack) plus the one unpacked stack
+    peak = peak_bytes(lambda: series_from_arrays(load_arrays(tmp_path / "corr_raw.npz")))
+    assert peak <= 1.6 * stack_bytes
 
 
 def test_series_from_arrays_requires_all_arrays(tmp_path):
@@ -351,8 +396,8 @@ def test_run_pipeline_full(market, tmp_path):
             assert sha256_file(out / rel) == digest
 
     # epochs: 119 returns, window 20, shift 1
-    arrays = load_arrays(out / "corr_raw.npz")
-    assert arrays["values"].shape == (100, 8, 8)
+    series = series_from_arrays(load_arrays(out / "corr_raw.npz"))
+    assert series.values_stack().shape == (100, 8, 8)
 
     model = read_json(out / "model.json")
     assert model["k"] == 2 and len(model["state_of"]) == 100
@@ -424,7 +469,7 @@ def count_price_parses(monkeypatch):
 
 
 def test_cold_run_parses_prices_once_and_matches_a_run_that_reparses_the_panel(
-        market, tmp_path, monkeypatch):
+        market, tmp_path, monkeypatch, tree_diff):
     import marketstates.pipeline as pipeline
 
     cfg = replace(market_config(market, tmp_path / "handed"), events="")
@@ -433,36 +478,39 @@ def test_cold_run_parses_prices_once_and_matches_a_run_that_reparses_the_panel(
     assert len(calls) == 1  # ingest's parse of prices.csv; corr takes that panel
 
     # the same run with corr parsing panel.csv, as a run whose ingest was skipped does
-    monkeypatch.setattr(pipeline._Run, "hand_over_panel", lambda run, panel: None)
+    hand_over = pipeline._Run.hand_over
+    monkeypatch.setattr(pipeline._Run, "hand_over", lambda run, path, value: (
+        None if path.name == "panel.csv" else hand_over(run, path, value)))
     calls.clear()
     parsed = replace(cfg, out_dir=str(tmp_path / "parsed"))
     assert run_pipeline(parsed)[0] == 0
     assert len(calls) == 2
-    names = sorted(p.name for p in (tmp_path / "handed").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "parsed").iterdir())
-    for name in names:  # manifest.json included
-        assert ((tmp_path / "handed" / name).read_bytes()
-                == (tmp_path / "parsed" / name).read_bytes()), name
+    assert tree_diff(tmp_path / "handed", tmp_path / "parsed") == []  # manifests included
 
 
 def test_handed_panel_is_dropped_when_panel_csv_changes(market, tmp_path, monkeypatch):
+    from marketstates.ingest import load_panel
     from marketstates.pipeline import _Run, write_panel
 
     out = tmp_path / "out"
     out.mkdir()
     run = _Run(out, workers=1)
-    handed = write_panel(market / "prices.csv", "", 2, out / "panel.csv")
-    run.hand_over_panel(handed)
-    assert run.take_panel() is handed
-    assert run.panel is None  # taken once, then released
+    path = out / "panel.csv"
+    handed = write_panel(market / "prices.csv", "", 2, path)
+    run.hand_over(path, handed)
+    assert run.read(path, load_panel) is handed
+    run.release(keep=(path,))
+    assert run.read(path, load_panel) is handed
+    run.release()
+    assert run.handed == {}  # released by the first stage that does not take it
 
-    run.hand_over_panel(handed)
+    run.hand_over(path, handed)
     # a stage rewrites the file, and its old digest is dropped
-    lines = (out / "panel.csv").read_text().splitlines()
-    (out / "panel.csv").write_text("\n".join(lines[:-1]) + "\n")
-    del run.digests[out / "panel.csv"]
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    del run.digests[path]
     calls = count_price_parses(monkeypatch)
-    panel = run.take_panel()
+    panel = run.read(path, load_panel)
     assert len(calls) == 1 and panel is not handed
     assert panel.n_days == handed.n_days - 1
 
@@ -480,7 +528,7 @@ def test_handed_panel_does_not_outlive_a_skipped_corr_stage(tmp_path, monkeypatc
     real_sectors = pipeline._stage_sectors
 
     def recording_sectors(cfg, run):
-        held.append(run.panel)
+        held.append(dict(run.handed))
         return real_sectors(cfg, run)
 
     monkeypatch.setattr(pipeline, "_stage_sectors", recording_sectors)
@@ -488,7 +536,7 @@ def test_handed_panel_does_not_outlive_a_skipped_corr_stage(tmp_path, monkeypatc
     assert code == 0
     statuses = {name: entry["status"] for name, entry in manifest["stages"].items()}
     assert statuses["ingest"] == "ok" and statuses["corr"] == "skipped"
-    assert held == [None]
+    assert held == [{}]  # no panel, and no series from the skipped corr stage
 
 
 def test_corr_stage_holds_one_stack_copy_while_writing(tmp_path, peak_bytes):
@@ -499,12 +547,12 @@ def test_corr_stage_holds_one_stack_copy_while_writing(tmp_path, peak_bytes):
     out.mkdir()
     cfg = market_config(data, out)
     run = _Run(out, workers=1)
-    run.hand_over_panel(write_panel(data / "prices.csv", "", 2, out / "panel.csv"))
+    run.hand_over(out / "panel.csv", write_panel(data / "prices.csv", "", 2, out / "panel.csv"))
     stack_bytes = 240 * 60 * 60 * 8  # 259 returns, window 20, shift 1
     # the epochs are built into the one stack, chunk by chunk, and the archive
-    # is written from that stack's own buffer
+    # is packed from that stack chunk by chunk
     assert peak_bytes(lambda: _stage_corr(cfg, run)) <= 1.4 * stack_bytes
-    assert load_arrays(out / "corr_raw.npz")["values"].nbytes == stack_bytes
+    assert load_arrays(out / "corr_raw.npz")["packed"].shape == (240, 60 * 61 // 2)
 
 
 def test_rerun_over_deflated_archives_skips_every_stage(market, tmp_path, monkeypatch):
@@ -533,7 +581,7 @@ def test_rerun_over_archives_with_a_zero_epsilon_member_skips_every_stage(
     import marketstates.pipeline as pipeline
 
     def arrays_with_epsilon(series):  # the earlier writer's corr_raw.npz members
-        return {**correlation_arrays(series), "epsilon": np.array(0.0)}
+        return {**dense_arrays(series), "epsilon": np.array(0.0)}
 
     out = tmp_path / "out"
     cfg = market_config(market, out)
@@ -552,6 +600,114 @@ def test_rerun_over_archives_with_a_zero_epsilon_member_skips_every_stage(
     assert code == 0
     assert {name: manifest["stages"][name]["status"] for name in ("corr", "states", "sectors")} \
         == {"corr": "skipped", "states": "ok", "sectors": "ok"}
+
+
+def test_tree_with_a_dense_archive_reruns_skipped_and_rebuilds_from_it(
+        market, tmp_path, monkeypatch, tree_diff):
+    import marketstates.pipeline as pipeline
+
+    old = tmp_path / "old"
+    cfg = market_config(market, old)
+    with monkeypatch.context() as patch:  # the earlier writer: the dense stack as ``values``
+        patch.setattr(pipeline, "correlation_arrays", dense_arrays)
+        assert run_pipeline(cfg)[0] == 0
+    assert sorted(load_arrays(old / "corr_raw.npz")) == [
+        "end_dates", "labels", "start_dates", "values"]
+    code, manifest = run_pipeline(cfg)
+    assert code == 0
+    assert {entry["status"] for entry in manifest["stages"].values()} == {"skipped"}
+
+    # the stages that build a series from the dense archive rebuild the same bytes
+    for name in ("map_coords.csv", "surface.csv", "sector_model.json"):
+        (old / name).unlink()
+    code, manifest = run_pipeline(cfg)
+    assert code == 0
+    assert {name: manifest["stages"][name]["status"] for name in
+            ("corr", "mds", "states", "sectors", "rmt")} == {
+        "corr": "skipped", "mds": "ok", "states": "ok", "sectors": "ok", "rmt": "skipped"}
+    fresh = tmp_path / "fresh"
+    assert run_pipeline(replace(cfg, out_dir=str(fresh)))[0] == 0
+    assert tree_diff(old, fresh, skip={"manifest.json", "corr_raw.npz"}) == []
+
+
+def count_archive_loads(monkeypatch):
+    """The members each pipeline load of corr_raw.npz asks for, None for all of them."""
+    import marketstates.pipeline as pipeline
+
+    calls = []
+
+    def counting_load_arrays(path, names=None):
+        if Path(path).name == "corr_raw.npz":
+            calls.append(names)
+        return load_arrays(path, names)
+
+    monkeypatch.setattr(pipeline, "load_arrays", counting_load_arrays)
+    return calls
+
+
+def test_cold_run_reads_the_epoch_stack_from_no_archive(market, tmp_path, monkeypatch):
+    loads = count_archive_loads(monkeypatch)
+    cfg = market_config(market, tmp_path / "out")
+    assert run_pipeline(cfg)[0] == 0
+    assert loads == [["labels"]]  # rmt's; mds, states and sectors take corr's series
+    loads.clear()
+    assert run_pipeline(cfg)[0] == 0
+    assert loads == []
+
+    cfg.k_range = [2, 3, 4]
+    code, manifest = run_pipeline(cfg)
+    assert code == 0
+    again = [name for name in ("mds", "states", "sectors")
+             if manifest["stages"][name]["status"] == "ok"]
+    assert "states" in again and "mds" not in again
+    assert loads == [None] * len(again)  # once in each stage that runs again
+
+
+def test_hand_over_run_matches_a_run_that_reads_every_file(market, tmp_path, monkeypatch,
+                                                           tree_diff):
+    import marketstates.pipeline as pipeline
+
+    loads = count_archive_loads(monkeypatch)
+    assert run_pipeline(market_config(market, tmp_path / "handed"))[0] == 0
+    assert loads == [["labels"]]
+    loads.clear()
+    monkeypatch.setattr(pipeline._Run, "hand_over", lambda run, path, value: None)
+    assert run_pipeline(market_config(market, tmp_path / "read"))[0] == 0
+    assert loads == [None, None, None, ["labels"]]  # mds, states, sectors, rmt
+    assert tree_diff(tmp_path / "handed", tmp_path / "read") == []  # manifests included
+
+
+def test_epoch_series_is_held_from_corr_through_sectors_only(market, tmp_path, monkeypatch):
+    import marketstates.pipeline as pipeline
+
+    held = {}
+    for name in ("corr", "mds", "states", "sectors", "trajectory", "rmt"):
+        def recording(cfg, run, name=name, real=getattr(pipeline, f"_stage_{name}")):
+            held[name] = sorted(path.name for path in run.handed)
+            return real(cfg, run)
+
+        monkeypatch.setattr(pipeline, f"_stage_{name}", recording)
+    assert run_pipeline(market_config(market, tmp_path / "out"))[0] == 0
+    assert held == {"corr": ["panel.csv"], "mds": ["corr_raw.npz"], "states": ["corr_raw.npz"],
+                    "sectors": ["corr_raw.npz"], "trajectory": [], "rmt": []}
+
+
+def test_handed_series_is_dropped_when_corr_raw_changes(tmp_path):
+    from marketstates.pipeline import _Run
+
+    run = _Run(tmp_path, workers=1)
+    path = tmp_path / "corr_raw.npz"
+    series = corr_series()
+    save_arrays(path, **correlation_arrays(series))
+    run.hand_over(path, series)
+    assert run.epoch_series() is series
+
+    other = corr_series(seed=1)
+    save_arrays(path, **correlation_arrays(other))
+    del run.digests[path]  # as run_pipeline drops a digest taken before a rewrite
+    loaded = run.epoch_series()
+    assert loaded is not series
+    assert loaded.values_stack().tobytes() == other.values_stack().tobytes()
 
 
 @pytest.mark.parametrize("grid, pinned", [
@@ -590,7 +746,8 @@ def test_each_epsilon_map_is_built_once_per_run(market, tmp_path, monkeypatch, g
     assert sum(eigh_calls) == distinct
 
 
-def test_rerun_with_only_a_new_k_range_skips_mds_and_matches_a_fresh_run(market, tmp_path):
+def test_rerun_with_only_a_new_k_range_skips_mds_and_matches_a_fresh_run(market, tmp_path,
+                                                                        tree_diff):
     out = tmp_path / "out"
     cfg = market_config(market, out)
     assert run_pipeline(cfg)[0] == 0
@@ -602,10 +759,7 @@ def test_rerun_with_only_a_new_k_range_skips_mds_and_matches_a_fresh_run(market,
 
     fresh = tmp_path / "fresh"
     assert run_pipeline(replace(cfg, out_dir=str(fresh)))[0] == 0
-    names = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
-    assert names == sorted(p.name for p in fresh.iterdir() if p.name != "manifest.json")
-    for name in names:
-        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert tree_diff(out, fresh, skip={"manifest.json"}) == []
 
 
 def test_changed_input_triggers_rerun(market, tmp_path):
@@ -718,6 +872,17 @@ def test_negative_grid_epsilon_fails_states_before_surface(market, tmp_path):
     assert manifest["stages"]["states"]["status"] == "failed"
     assert "epsilon must be >= 0" in manifest["stages"]["states"]["error"]
     assert not (out / "surface.csv").exists()
+
+
+@pytest.mark.parametrize("bad", [{"width_days": 44}, {"trajectory_epsilon": -0.5}])
+def test_bad_trajectory_parameter_fails_the_stage(market, tmp_path, bad):
+    cfg = replace(market_config(market, tmp_path / "out"), **bad)
+    code, manifest = run_pipeline(cfg)
+    assert code == 1
+    entry = manifest["stages"]["trajectory"]
+    assert entry["status"] == "failed" and entry["error"].startswith("ValueError: ")
+    assert manifest["stages"]["rmt"]["status"] == "halted"
+    assert not (tmp_path / "out" / "trajectory_report.json").exists()
 
 
 def test_unexpected_error_still_writes_manifest(market, tmp_path, monkeypatch, capsys):

@@ -276,3 +276,37 @@ def test_state_model_missing_field_is_data_error(tmp_path):
     path.write_text(json.dumps(raw))
     with pytest.raises(DataError, match="missing state-model field"):
         load_state_model(path)
+
+
+def reused_blocks(array, rows):
+    """``array`` in blocks of ``rows`` rows, every block in one reused buffer."""
+    buffer = np.empty((rows,) + array.shape[1:], array.dtype)
+    for r0 in range(0, len(array), rows):
+        block = buffer[:len(array[r0:r0 + rows])]
+        block[...] = array[r0:r0 + rows]
+        yield block
+
+
+@pytest.mark.parametrize("rows", [1, 4, 7, 100])
+def test_streamed_member_bytes_match_writing_the_whole_array(tmp_path, rows):
+    from marketstates.serialize import StreamedArray
+
+    whole = np.random.default_rng(11).standard_normal((30, 10))
+    streamed = StreamedArray(whole.shape, whole.dtype, lambda: reused_blocks(whole, rows))
+    labels = np.array(["a", "b"])
+    save_arrays(tmp_path / "streamed.npz", packed=streamed, labels=labels)
+    save_arrays(tmp_path / "whole.npz", packed=whole, labels=labels)
+    assert (tmp_path / "streamed.npz").read_bytes() == (tmp_path / "whole.npz").read_bytes()
+    assert np.asarray(streamed).tobytes() == whole.tobytes()
+
+
+def test_streamed_member_that_does_not_add_up_leaves_no_archive(tmp_path):
+    from marketstates.serialize import StreamedArray
+
+    whole = np.arange(12.0).reshape(6, 2)
+    path = tmp_path / "short.npz"
+    for shape in ((7, 2), (5, 2), (6, 3)):
+        with pytest.raises(ValueError, match="for a member of shape"):
+            save_arrays(path, labels=np.array(["a"]),
+                        packed=StreamedArray(shape, whole.dtype, lambda: iter([whole])))
+        assert not path.exists()

@@ -419,6 +419,32 @@ def test_state_model_rejects_mapped_series_and_bad_labels():
         build_state_model(fake_series(stack), fake_run([1], k=1))
 
 
+@pytest.mark.parametrize("shape", [(400, 4, 4), (37, 20, 20), (1000, 2, 2), (3, 35, 35)])
+def test_state_averages_match_the_mean_of_member_copies(shape):
+    rng = np.random.default_rng(shape[0])
+    stack = rng.standard_normal(shape)
+    stack = (stack + stack.transpose(0, 2, 1)) / 2
+    labels = rng.integers(1, 4, shape[0])
+    labels[:3] = [1, 2, 3]
+    series = EpochCorrelationSeries([f"l{i}" for i in range(shape[1])], stack,
+                                    [f"d{i}" for i in range(shape[0])], [""] * shape[0])
+    model = build_state_model(series, fake_run(labels, k=3))
+    # oracle: the average over a copy of each cluster's matrices
+    want = {c: stack[labels == c].mean(axis=0).tobytes() for c in (1, 2, 3)}
+    assert sorted(avg.tobytes() for avg in model.avg_corr_matrix) == sorted(want.values())
+
+
+def test_state_averages_copy_no_cluster(peak_bytes):
+    # one cluster holds 90% of the epochs: a copy of its members is 0.9 stack
+    n_epochs, n = 400, 30
+    stack = np.broadcast_to(np.eye(n), (n_epochs, n, n)).copy()
+    series = EpochCorrelationSeries([f"l{i}" for i in range(n)], stack,
+                                    [f"d{i}" for i in range(n_epochs)], [""] * n_epochs)
+    labels = np.where(np.arange(n_epochs) % 10 == 0, 2, 1)
+    run = fake_run(labels, k=2)
+    assert peak_bytes(lambda: build_state_model(series, run)) < 0.1 * stack.nbytes
+
+
 def test_fit_states_end_to_end_on_regime_panel():
     # two regimes in the underlying returns: calm then strongly coupled
     rng = np.random.default_rng(7)

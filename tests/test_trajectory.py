@@ -279,10 +279,19 @@ def test_classify_catalog_empty_and_worker_invariance():
     assert threaded == [serial, serial]
 
 
-def test_classify_catalog_rejects_a_repeated_event_name():
-    catalog = [("crash", "d9998"), ("crash", "d9999"), ("ok", "d0150")]
-    with pytest.raises(ValueError, match="'crash' is listed twice"):
-        classify_catalog(noise_panel(300), catalog)
+@pytest.mark.parametrize("catalog, kwargs, message", [
+    ([("crash", "d9998"), ("crash", "d9999"), ("ok", "d0150")], {}, "'crash' is listed twice"),
+    ([("ok", "d0150")], {"width_days": 124}, "odd number of price days >= 3, got 124"),
+    ([("ok", "d0150")], {"width_days": 1}, "odd number of price days >= 3, got 1"),
+    ([("ok", "d0150")], {"epsilon": -0.5}, "epsilon must be >= 0, got -0.5"),
+], ids=["repeated-name", "even-width", "width-below-3", "negative-epsilon"])
+def test_classify_catalog_rejects_before_any_window_runs(monkeypatch, catalog, kwargs, message):
+    # each of these would otherwise fail every window alike and still return
+    cut = []
+    monkeypatch.setattr(trajectory, "cut_window", lambda *args, **kw: cut.append(args))
+    with pytest.raises(ValueError, match=message):
+        classify_catalog(noise_panel(300), catalog, workers=2, **kwargs)
+    assert cut == []
 
 
 def test_load_event_catalog(tmp_path):
