@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="load prices, apply the continuity policy, save a panel")
+    p = sub.add_parser("ingest", help="load prices, apply the continuity policy, save a panel archive")
     p.add_argument("--prices", required=True)
     p.add_argument("--sectors", default="")
     p.add_argument("--max-gap", type=int, default=2,

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .serialize import check_csv_names, read_json, write_json
+from .serialize import check_csv_names, load_arrays, read_json, save_arrays, write_json
 
 _MISSING = {"", "nan"}
 
@@ -28,6 +28,11 @@ class ContinuityPolicy:
     """Continuity rule applied to raw (unfilled) price columns."""
 
     max_consecutive_missing: int = 2
+
+    def __post_init__(self) -> None:
+        if self.max_consecutive_missing < 0:
+            raise ValueError(
+                f"the longest allowed gap must be >= 0, got {self.max_consecutive_missing}")
 
 
 @dataclass
@@ -59,10 +64,10 @@ class PricePanel:
                 f"price matrix shape {self.prices.shape} does not match "
                 f"{len(self.tickers)} tickers x {len(self.dates)} dates"
             )
-        if self.prices.size and not np.all(self.prices > 0):
-            raise DataError("price panel contains non-positive entries")
         if not np.all(np.isfinite(self.prices)):
             raise DataError("price panel contains non-finite entries")
+        if self.prices.size and not np.all(self.prices > 0):
+            raise DataError("price panel contains non-positive entries")
 
 
 @dataclass
@@ -260,30 +265,63 @@ def load_sector_map(path: str | Path) -> dict[str, str]:
     return mapping
 
 
-def save_panel(panel: PricePanel, path: str | Path) -> None:
-    """Write a panel as CSV plus a ``<path>.meta.json`` sidecar.
+def _sidecar(path: Path) -> Path:
+    return path.with_name(path.name + ".meta.json")
 
-    Floats are written with repr so the round trip is bit-exact.
+
+def save_panel(panel: PricePanel, path: str | Path) -> None:
+    """Write a panel as a stored array archive plus a ``<path>.meta.json`` sidecar.
+
+    The archive holds ``prices`` (float64, stocks x days), ``dates`` and
+    ``tickers``; it is byte-stable and reads back bit-exact.  The sidecar
+    holds the counts, the dropped tickers and the sector map.
     """
     path = Path(path)
-    with path.open("w", newline="\n") as fh:
-        fh.write(",".join(["date"] + panel.tickers) + "\n")
-        for date, row in zip(panel.dates, panel.prices.T.astype(float, copy=False).tolist()):
-            fh.write(",".join([date, *map(repr, row)]) + "\n")
+    save_arrays(path, prices=np.ascontiguousarray(panel.prices, dtype=np.float64),
+                dates=np.array(panel.dates, dtype=str),
+                tickers=np.array(panel.tickers, dtype=str))
     meta = {
         "n_stocks": panel.n_stocks,
         "n_days": panel.n_days,
         "dropped": panel.dropped,
         "sector_of": panel.sector_of,
     }
-    write_json(path.with_name(path.name + ".meta.json"), meta)
+    write_json(_sidecar(path), meta)
 
 
 def load_panel(path: str | Path) -> PricePanel:
-    """Read back a panel written by save_panel (sidecar optional)."""
+    """Read back a panel written by save_panel (sidecar optional).
+
+    The archive gets the checks a parsed price file gets: unique tickers a
+    CSV can hold, strictly increasing ISO dates, and finite, positive prices
+    of the labels' shape.  A file that is not such an archive, such as a
+    price CSV, is a DataError.
+    """
     path = Path(path)
-    panel = load_prices(path, ContinuityPolicy(max_consecutive_missing=0))
-    sidecar = path.with_name(path.name + ".meta.json")
+    try:
+        arrays = load_arrays(path, ["prices", "dates", "tickers"])
+    except DataError as exc:
+        raise DataError(f"{exc}; `marketstates ingest` writes a panel archive") from None
+    prices, dates, tickers = arrays["prices"], arrays["dates"], arrays["tickers"]
+    if prices.dtype != np.float64 or prices.ndim != 2:
+        raise DataError(f"{path}: prices must be a float64 matrix, got {prices.dtype} "
+                        f"of shape {prices.shape}")
+    for name, labels in (("dates", dates), ("tickers", tickers)):
+        if labels.dtype.kind != "U" or labels.ndim != 1:
+            raise DataError(f"{path}: {name} must be a vector of strings, got {labels.dtype} "
+                            f"of shape {labels.shape}")
+    panel = PricePanel(tickers=tickers.tolist(), dates=dates.tolist(), prices=prices)
+    if not panel.tickers or not panel.dates:
+        raise DataError(f"{path}: a panel needs at least one ticker and one date")
+    if len(set(panel.tickers)) != panel.n_stocks:
+        raise DataError(f"{path}: duplicate tickers")
+    check_csv_names(panel.tickers, "ticker", path)
+    try:
+        _parse_iso_dates(panel.dates)
+        panel.validate()
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    sidecar = _sidecar(path)
     if sidecar.exists():
         meta = read_json(sidecar)
         if not isinstance(meta, dict):

@@ -22,6 +22,7 @@ import numpy as np
 from .corrmat import (
     EpochCorrelationSeries,
     EpochSpec,
+    _check_epsilon,
     _packed_chunks,
     _packed_width,
     _unpack_epochs,
@@ -56,9 +57,10 @@ from .serialize import (
     write_json,
 )
 from .states import fit_series, optimize_over_grid, select_optimum
-from .trajectory import classify_catalog, load_event_catalog
+from .trajectory import _check_width, classify_catalog, load_event_catalog
 
 STAGE_ORDER = ("ingest", "corr", "mds", "states", "sectors", "trajectory", "rmt")
+PANEL = "panel.npz"  # the ingest stage's price panel, with PANEL + ".meta.json" beside it
 
 
 def parse_int_range(text: str) -> list[int]:
@@ -172,8 +174,23 @@ class PipelineConfig:
                 raise DataError(f"{label} file {candidate!r} does not exist")
         if self.n_inits < 2:
             raise DataError("n_inits must be at least 2")
-        if self.k_range and max(self.k_range) < self.k_min:
+        if not self.k_range or not self.epsilon_grid:
+            raise DataError("k_range and epsilon_grid must be non-empty")
+        if max(self.k_range) < self.k_min:
             raise DataError(f"k_min {self.k_min} exceeds every k in k_range {self.k_range}")
+        for key, value in (("mds_dim", self.mds_dim), ("k_range", min(self.k_range)),
+                           ("rmt_bins", self.rmt_bins),
+                           ("rmt_realizations", self.rmt_realizations)):
+            if value < 1:
+                raise DataError(f"config {key}: must be >= 1, got {value}")
+        # the rules of the stages that take these values, checked before any stage runs
+        _check_key("window/shift", EpochSpec, self.window, self.shift)
+        _check_key("max_gap", ContinuityPolicy, self.max_gap)
+        for eps in self.epsilon_grid:
+            _check_key("epsilon_grid", _check_epsilon, eps)
+        if self.events:
+            _check_key("width_days", _check_width, self.width_days)
+            _check_key("trajectory_epsilon", _check_epsilon, self.trajectory_epsilon)
 
     def as_manifest_dict(self, out_dir: Path) -> dict:
         payload = {}
@@ -183,6 +200,14 @@ class PipelineConfig:
                 value = _portable_path(value, out_dir)
             payload[f.name] = value
         return payload
+
+
+def _check_key(key: str, check, *values) -> None:
+    """``check(*values)``, its ValueError a DataError naming the config key."""
+    try:
+        check(*values)
+    except ValueError as exc:
+        raise DataError(f"config {key}: {exc}") from None
 
 
 def _portable_path(path: str | Path, out_dir: Path) -> str:
@@ -432,7 +457,7 @@ class _Run:
     the stock fit read and add to it.  It is keyed by the corr_raw.npz
     digest, so a rewritten archive starts empty, and holds no distance
     matrix.  ``handed`` holds what a stage built and wrote to a file, under
-    that file's digest just after the write: ingest's panel (panel.csv) for
+    that file's digest just after the write: ingest's panel (panel.npz) for
     corr, and corr's epoch series (corr_raw.npz) for mds, states and sectors.
     run_pipeline releases each before the first stage that does not take it.
     """
@@ -474,14 +499,14 @@ class _Run:
 
 
 def _stage_ingest(cfg: PipelineConfig, run: _Run) -> list[Path]:
-    path = run.out / "panel.csv"
+    path = run.out / PANEL
     run.hand_over(path, write_panel(cfg.prices, cfg.sectors, cfg.max_gap, path))
-    return [path, run.out / "panel.csv.meta.json"]
+    return [path, run.out / f"{PANEL}.meta.json"]
 
 
 def _stage_corr(cfg: PipelineConfig, run: _Run) -> list[Path]:
     path = run.out / "corr_raw.npz"
-    returns = log_returns(run.read(run.out / "panel.csv", load_panel))
+    returns = log_returns(run.read(run.out / PANEL, load_panel))
     series = epoch_correlations(returns, EpochSpec(cfg.window, cfg.shift))
     save_arrays(path, **correlation_arrays(series))
     run.hand_over(path, series)
@@ -525,7 +550,7 @@ def _stage_states(cfg: PipelineConfig, run: _Run) -> list[Path]:
 
 def _stage_sectors(cfg: PipelineConfig, run: _Run) -> list[Path]:
     out = run.out
-    sector_of = read_json(out / "panel.csv.meta.json").get("sector_of")
+    sector_of = read_json(out / f"{PANEL}.meta.json").get("sector_of")
     if not sector_of:
         raise DataError("panel has no sector map; configure 'sectors'")
     series = sector_series(run.epoch_series(), sector_of)
@@ -542,8 +567,7 @@ def _stage_sectors(cfg: PipelineConfig, run: _Run) -> list[Path]:
 
 def _stage_trajectory(cfg: PipelineConfig, run: _Run) -> list[Path]:
     out = run.out
-    panel = load_panel(out / "panel.csv")
-    returns = log_returns(panel)
+    returns = log_returns(load_panel(out / PANEL))
     catalog = load_event_catalog(cfg.events)
     reports, failures = classify_catalog(
         returns, catalog, threshold=cfg.threshold, width_days=cfg.width_days,
@@ -579,35 +603,36 @@ class _Stage:
     params: dict
     run: object = None
     takes: tuple[Path, ...] = ()  # the files whose handed-over values the stage reads
+    gives: tuple[Path, ...] = ()  # the files of its outputs that later stages read
 
 
 def _plan(cfg: PipelineConfig, out: Path) -> list[_Stage]:
     """The stages of a run, each called with the config and the run's _Run."""
     epoch_params = {"window": cfg.window, "shift": cfg.shift}
+    panel, meta, corr = out / PANEL, out / f"{PANEL}.meta.json", out / "corr_raw.npz"
     stages = [
         _Stage("ingest", True, "", [Path(cfg.prices)] + ([Path(cfg.sectors)] if cfg.sectors else []),
-               {"max_gap": cfg.max_gap}, _stage_ingest),
-        _Stage("corr", True, "", [out / "panel.csv"], dict(epoch_params), _stage_corr,
-               takes=(out / "panel.csv",)),
-        _Stage("mds", True, "", [out / "corr_raw.npz"],
+               {"max_gap": cfg.max_gap}, _stage_ingest, gives=(panel, meta)),
+        _Stage("corr", True, "", [panel], dict(epoch_params), _stage_corr,
+               takes=(panel,), gives=(corr,)),
+        _Stage("mds", True, "", [corr],
                {**epoch_params, "mds_dim": cfg.mds_dim},
-               _stage_mds, takes=(out / "corr_raw.npz",)),
-        _Stage("states", True, "", [out / "corr_raw.npz"],
+               _stage_mds, takes=(corr,)),
+        _Stage("states", True, "", [corr],
                {**epoch_params, "k_range": cfg.k_range, "epsilon_grid": cfg.epsilon_grid,
                 "n_inits": cfg.n_inits, "seed": cfg.seed, "mds_dim": cfg.mds_dim,
                 "k_min": cfg.k_min, "k": cfg.k, "epsilon": cfg.epsilon},
-               _stage_states, takes=(out / "corr_raw.npz",)),
+               _stage_states, takes=(corr,), gives=(out / "selected.json", out / "model.json")),
         _Stage("sectors", bool(cfg.sectors), "no sector map configured",
-               [out / "panel.csv.meta.json", out / "corr_raw.npz", out / "selected.json",
-                out / "model.json"],
+               [meta, corr, out / "selected.json", out / "model.json"],
                {**epoch_params, "sector_k": cfg.sector_k, "sector_epsilon": cfg.sector_epsilon,
                 "n_inits": cfg.n_inits, "seed": cfg.seed, "mds_dim": cfg.mds_dim},
-               _stage_sectors, takes=(out / "corr_raw.npz",)),
+               _stage_sectors, takes=(corr,)),
         _Stage("trajectory", bool(cfg.events), "no event catalog configured",
-               [out / "panel.csv"] + ([Path(cfg.events)] if cfg.events else []),
+               [panel] + ([Path(cfg.events)] if cfg.events else []),
                {**epoch_params, "threshold": cfg.threshold, "width_days": cfg.width_days,
                 "trajectory_epsilon": cfg.trajectory_epsilon}, _stage_trajectory),
-        _Stage("rmt", True, "", [out / "corr_raw.npz"],
+        _Stage("rmt", True, "", [corr],
                {"window": cfg.window, "realizations": cfg.rmt_realizations,
                 "seed": cfg.seed, "bins": cfg.rmt_bins}, _stage_rmt),
     ]
@@ -628,9 +653,14 @@ def _stage_key(input_hashes: dict[str, str], params: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _outputs_fresh(entry: dict, run: _Run) -> bool:
+def _outputs_fresh(entry: dict, stage: _Stage, run: _Run) -> bool:
+    """Every output of a prior entry unchanged, and among them every file the stage gives.
+
+    An entry written under other artifact names (a ``panel.csv`` of earlier
+    versions) may be unchanged and still lack a file that later stages read.
+    """
     outputs = entry.get("outputs", {})
-    if not outputs:
+    if not outputs or any(p.relative_to(run.out).as_posix() not in outputs for p in stage.gives):
         return False
     for rel, digest in outputs.items():
         path = run.out / rel
@@ -677,7 +707,7 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
             prior = previous.get(stage.name, {})
             if (not force and prior.get("key") == key
                     and prior.get("status") in ("ok", "skipped")
-                    and _outputs_fresh(prior, run)):
+                    and _outputs_fresh(prior, stage, run)):
                 manifest["stages"][stage.name] = {
                     "status": "skipped",
                     "key": key,

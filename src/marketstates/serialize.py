@@ -174,7 +174,15 @@ def load_arrays(path: str | Path, names: list[str] | None = None) -> dict[str, n
     """Every array of an archive, or only the members ``names``, which are all that is read."""
     path = Path(path)
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        archive = np.load(path, allow_pickle=False)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # text, empty or truncated
+        raise DataError(f"{path} is not an array archive") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise DataError(f"{path} is a single .npy array, not an array archive")
+    try:
+        with archive:
             return {name: archive[name] for name in (archive.files if names is None else names)}
     except KeyError as exc:  # a name not in the archive
         raise DataError(f"{path}: {exc.args[0]}") from exc

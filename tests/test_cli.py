@@ -23,7 +23,7 @@ def market(tmp_path_factory):
 def workspace(tmp_path_factory, market):
     """Panel + correlation archive prepared once for the read-only commands."""
     work = tmp_path_factory.mktemp("work")
-    panel = work / "panel.csv"
+    panel = work / "panel.npz"
     corr = work / "corr.npz"
     assert main(["ingest", "--prices", str(market / "prices.csv"),
                  "--sectors", str(market / "sectors.csv"), "--out", str(panel)]) == 0
@@ -56,21 +56,33 @@ def test_missing_required_flag_is_usage_error(capsys):
 
 def test_data_error_maps_to_two(tmp_path, capsys):
     code = main(["ingest", "--prices", str(tmp_path / "absent.csv"),
-                 "--out", str(tmp_path / "panel.csv")])
+                 "--out", str(tmp_path / "panel.npz")])
     assert code == 2
     assert "data error" in capsys.readouterr().err
 
 
 def test_corrupt_panel_sidecar_is_a_data_error(workspace, tmp_path, capsys):
-    panel = tmp_path / "panel.csv"
+    panel = tmp_path / "panel.npz"
     panel.write_bytes(workspace["panel"].read_bytes())
-    sidecar = tmp_path / "panel.csv.meta.json"
+    sidecar = tmp_path / "panel.npz.meta.json"
     for text in ("{not json", "[1, 2]"):
         sidecar.write_text(text)
-        with pytest.raises(DataError, match="panel.csv.meta.json"):
+        with pytest.raises(DataError, match="panel.npz.meta.json"):
             load_panel(panel)
         assert main(["corr", "--panel", str(panel), "--out", str(tmp_path / "c.npz")]) == 2
         assert "data error" in capsys.readouterr().err
+
+
+def test_price_csv_as_panel_is_a_data_error(workspace, tmp_path, capsys):
+    prices = str(workspace["market"] / "prices.csv")
+    for argv in (["corr", "--panel", prices, "--out", str(tmp_path / "c.npz")],
+                 ["trajectory", "--panel", prices, "--center", "2020-03-02",
+                  "--out", str(tmp_path / "t.json")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "is not an array archive" in err
+        assert "`marketstates ingest` writes a panel archive" in err
+    assert not (tmp_path / "c.npz").exists()
 
 
 def test_bad_parameter_maps_to_one(workspace, tmp_path, capsys):
@@ -85,10 +97,10 @@ def test_bad_parameter_maps_to_one(workspace, tmp_path, capsys):
 
 
 def test_ingest_reports_and_saves(market, tmp_path, capsys):
-    out = tmp_path / "panel.csv"
+    out = tmp_path / "panel.npz"
     assert main(["ingest", "--prices", str(market / "prices.csv"),
                  "--out", str(out)]) == 0
-    assert out.exists() and out.with_suffix(".csv.meta.json").exists()
+    assert out.exists() and out.with_suffix(".npz.meta.json").exists()
     assert "kept 8 stocks x 120 days" in capsys.readouterr().out
 
 
@@ -315,6 +327,15 @@ def test_run_with_missing_config_is_data_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 2
 
 
+def test_run_with_a_bad_config_value_fails_before_any_stage(market, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"prices = {market / 'prices.csv'}\nout_dir = {tmp_path / 'out'}\n"
+                      "rmt_bins = 0\n")
+    assert main(["run", "--config", str(config)]) == 2
+    assert "data error: config rmt_bins: must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_demo_runs_end_to_end(tmp_path, capsys):
     out = tmp_path / "demo"
     assert main(["demo", "--out-dir", str(out)]) == 0
@@ -342,7 +363,7 @@ def test_cli_writes_the_pipeline_artifacts_byte_for_byte(market, tmp_path, tree_
     staged = tmp_path / "pipeline"
     assert run_pipeline(market_config(market, staged))[0] == 0
     cli = tmp_path / "cli"
-    panel, corr = str(cli / "panel.csv"), str(cli / "corr_raw.npz")
+    panel, corr = str(cli / "panel.npz"), str(cli / "corr_raw.npz")
     fit = ["--k", "2", "--epsilon", "0.0", "--n-inits", "4", "--seed", "0", "--dim", "3"]
     for argv in (
         ["ingest", "--prices", str(market / "prices.csv"),

@@ -1,4 +1,5 @@
 import csv
+import zipfile
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from marketstates.ingest import (
     log_returns,
     save_panel,
 )
+from marketstates.serialize import save_arrays
 
 
 def write_csv(path, text):
@@ -288,21 +290,86 @@ def test_parsed_dates_are_not_the_parsed_cells(tmp_path, monkeypatch):
     assert not any(id(date) in cells for date in panel.dates)
 
 
-def test_save_panel_bytes_match_the_per_cell_writer(tmp_path):
-    rng = np.random.default_rng(29)
+def random_panel(seed=29):
+    rng = np.random.default_rng(seed)
     panel = PricePanel(
         tickers=[f"S{i}" for i in range(6)],
         dates=[f"2020-01-{d + 1:02d}" for d in range(20)],
         prices=np.exp(rng.normal(3.0, 2.0, size=(6, 20))),
     )
     panel.prices[0, :3] = [1e-300, 1e300, 0.1 + 0.2]
-    out = tmp_path / "panel.csv"
-    save_panel(panel, out)
-    lines = [",".join(["date"] + panel.tickers)]
-    for t, date in enumerate(panel.dates):
-        lines.append(",".join([date] + [repr(float(v)) for v in panel.prices[:, t]]))
-    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
-    assert load_panel(out).prices.tobytes() == panel.prices.tobytes()
+    return panel
+
+
+def test_panel_archive_is_bit_exact_and_byte_stable(tmp_path):
+    panel = random_panel()
+    first, second = tmp_path / "panel.npz", tmp_path / "again.npz"
+    save_panel(panel, first)
+    save_panel(panel, second)
+    assert first.read_bytes() == second.read_bytes()
+    with zipfile.ZipFile(first) as zf:
+        assert {i.filename: i.compress_type for i in zf.infolist()} == {
+            "dates.npy": zipfile.ZIP_STORED, "prices.npy": zipfile.ZIP_STORED,
+            "tickers.npy": zipfile.ZIP_STORED}
+    back = load_panel(first)
+    assert back.prices.dtype == np.float64
+    assert back.prices.tobytes() == panel.prices.tobytes()
+    assert (back.tickers, back.dates) == (panel.tickers, panel.dates)
+    assert all(type(label) is str for label in back.tickers + back.dates)
+
+
+def save_members(path, panel, **changes):
+    """A panel archive whose members are those of ``panel`` with ``changes``; None drops one."""
+    members = {"prices": panel.prices, "dates": np.array(panel.dates),
+               "tickers": np.array(panel.tickers), **changes}
+    save_arrays(path, **{name: value for name, value in members.items() if value is not None})
+    return path
+
+
+def bad_prices(value):
+    prices = random_panel().prices.copy()
+    prices[2, 5] = value
+    return prices
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"tickers": np.array(["S0", "S1", "S2", "S1", "S4", "S5"])}, "duplicate tickers"),
+    ({"tickers": np.array(["S0", "S1", "S,2", "S3", "S4", "S5"])}, "contains a comma"),
+    ({"dates": np.array(["2020-01-01"] * 2 + [f"2020-01-{d:02d}" for d in range(3, 21)])},
+     "not strictly increasing at '2020-01-01'"),
+    ({"dates": np.array([f"2020-01-{d:02d}" for d in range(20, 0, -1)])},
+     "not strictly increasing"),
+    ({"dates": np.array(["01/02/2020"] + [f"2020-01-{d:02d}" for d in range(2, 21)])},
+     "bad date '01/02/2020'"),
+    ({"prices": bad_prices(0.0)}, "non-positive"),
+    ({"prices": bad_prices(-1.0)}, "non-positive"),
+    ({"prices": bad_prices(np.nan)}, "non-finite"),
+    ({"prices": bad_prices(np.inf)}, "non-finite"),
+    ({"prices": random_panel().prices[:, :19]}, r"shape \(6, 19\) does not match 6 tickers x 20"),
+    ({"prices": random_panel().prices[:5]}, r"shape \(5, 20\) does not match 6 tickers x 20"),
+    ({"prices": np.ones((6, 20), np.float32)}, "float64 matrix, got float32"),
+    ({"dates": np.arange(20)}, "dates must be a vector of strings"),
+    ({"prices": None}, "prices is not a file in the archive"),
+    ({"dates": None}, "dates is not a file in the archive"),
+    ({"tickers": None}, "tickers is not a file in the archive"),
+])
+def test_load_panel_rejects_a_bad_archive(tmp_path, changes, message):
+    path = save_members(tmp_path / "panel.npz", random_panel(), **changes)
+    with pytest.raises(DataError, match=message):
+        load_panel(path)
+
+
+def test_load_panel_of_a_csv_says_to_run_ingest(tmp_path):
+    panel = random_panel()
+    prices = write_csv(tmp_path / "prices.csv", "date,A,B\n2020-01-01,1.0,2.0\n2020-01-02,1.5,\n")
+    # the text panel earlier versions wrote, header and repr-formatted rows
+    rows = [",".join([d, *map(repr, col.tolist())]) for d, col in zip(panel.dates, panel.prices.T)]
+    old = write_csv(tmp_path / "panel.csv", "\n".join([",".join(["date", *panel.tickers]), *rows]))
+    array = tmp_path / "prices.npy"
+    np.save(array, panel.prices)
+    for path in (prices, old, write_csv(tmp_path / "empty.npz", ""), array):
+        with pytest.raises(DataError, match=r"not an array archive; `marketstates ingest`"):
+            load_panel(path)
 
 
 def test_log_returns_match_definition():
@@ -330,7 +397,7 @@ def test_save_load_round_trip_is_exact(tmp_path):
         sector_of={"A": "tech", "B": "tech", "C": "energy"},
         dropped={"Z": "no prices at all"},
     )
-    out = tmp_path / "panel.csv"
+    out = tmp_path / "panel.npz"
     save_panel(panel, out)
     back = load_panel(out)
     assert back.tickers == panel.tickers
@@ -340,7 +407,7 @@ def test_save_load_round_trip_is_exact(tmp_path):
     np.testing.assert_array_equal(back.prices, panel.prices)
 
     # serialize -> load -> serialize is byte-stable
-    again = tmp_path / "panel2.csv"
+    again = tmp_path / "panel2.npz"
     save_panel(back, again)
     assert again.read_bytes() == out.read_bytes()
 
@@ -357,8 +424,8 @@ def test_sector_map_loading(tmp_path):
 
 @pytest.mark.parametrize("ticker", ['"BRK,B"', '"BRK""B"', '"BRK\nB"', '"BRK\rB"'])
 def test_ticker_panel_csv_cannot_hold_is_a_data_error(tmp_path, ticker):
-    # save_panel writes the header unquoted: such a ticker would make a
-    # panel.csv that load_panel cannot read back
+    # the program's own CSVs quote nothing: such a ticker would break the
+    # header of every per-ticker CSV it writes
     csv_path = write_csv(tmp_path / "p.csv",
                          f"date,{ticker},XOM\n2020-01-01,1.0,2.0\n2020-01-02,1.5,2.5\n")
     with pytest.raises(DataError, match=r"ticker 'BRK.{1,2}B' contains a comma, quote or line break"):

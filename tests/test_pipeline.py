@@ -2,6 +2,7 @@
 
 import datetime
 import math
+import re
 import zipfile
 from collections import Counter
 from dataclasses import replace
@@ -105,6 +106,10 @@ def test_config_validate(tmp_path):
     with pytest.raises(DataError, match=r"k_min 4 exceeds every k in k_range \[2, 3\]"):
         PipelineConfig(prices=str(tmp_path / "p.csv"), k_range=[2, 3]).validate()
     PipelineConfig(prices=str(tmp_path / "p.csv"), k_range=[2, 4], k_min=4).validate()
+    # negative epsilon and sector_epsilon mean "use the optimum"; the event
+    # parameters count only with a catalog
+    PipelineConfig(prices=str(tmp_path / "p.csv"), epsilon=-1.0, sector_epsilon=-0.5,
+                   width_days=44, trajectory_epsilon=-1.0).validate()
 
 
 # --------------------------------------------------------------------------
@@ -451,20 +456,20 @@ def test_each_file_is_hashed_once_per_run(market, tmp_path, monkeypatch):
         assert tmp_path.joinpath("out", "corr_raw.npz").resolve() in calls
 
 
-def count_price_parses(monkeypatch):
-    """Count load_prices calls, wherever the pipeline reaches it from."""
+def count_calls(monkeypatch, name):
+    """Count the calls of an ingest function, wherever the pipeline reaches it from."""
     import marketstates.ingest as ingest
     import marketstates.pipeline as pipeline
 
     calls = []
-    real = ingest.load_prices
+    real = getattr(ingest, name)
 
-    def counting_load_prices(*args, **kwargs):
+    def counting(*args, **kwargs):
         calls.append(args[0])
         return real(*args, **kwargs)
 
     for module in (ingest, pipeline):
-        monkeypatch.setattr(module, "load_prices", counting_load_prices)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -473,29 +478,31 @@ def test_cold_run_parses_prices_once_and_matches_a_run_that_reparses_the_panel(
     import marketstates.pipeline as pipeline
 
     cfg = replace(market_config(market, tmp_path / "handed"), events="")
-    calls = count_price_parses(monkeypatch)
+    calls = count_calls(monkeypatch, "load_prices")
+    reads = count_calls(monkeypatch, "load_panel")
     assert run_pipeline(cfg)[0] == 0
     assert len(calls) == 1  # ingest's parse of prices.csv; corr takes that panel
+    assert reads == []
 
-    # the same run with corr parsing panel.csv, as a run whose ingest was skipped does
+    # the same run with corr reading panel.npz, as a run whose ingest was skipped does
     hand_over = pipeline._Run.hand_over
     monkeypatch.setattr(pipeline._Run, "hand_over", lambda run, path, value: (
-        None if path.name == "panel.csv" else hand_over(run, path, value)))
+        None if path.name == "panel.npz" else hand_over(run, path, value)))
     calls.clear()
     parsed = replace(cfg, out_dir=str(tmp_path / "parsed"))
     assert run_pipeline(parsed)[0] == 0
-    assert len(calls) == 2
+    assert len(calls) == 1 and reads == [tmp_path / "parsed" / "panel.npz"]
     assert tree_diff(tmp_path / "handed", tmp_path / "parsed") == []  # manifests included
 
 
-def test_handed_panel_is_dropped_when_panel_csv_changes(market, tmp_path, monkeypatch):
-    from marketstates.ingest import load_panel
+def test_handed_panel_is_dropped_when_the_panel_file_changes(market, tmp_path):
+    from marketstates.ingest import PricePanel, load_panel, save_panel
     from marketstates.pipeline import _Run, write_panel
 
     out = tmp_path / "out"
     out.mkdir()
     run = _Run(out, workers=1)
-    path = out / "panel.csv"
+    path = out / "panel.npz"
     handed = write_panel(market / "prices.csv", "", 2, path)
     run.hand_over(path, handed)
     assert run.read(path, load_panel) is handed
@@ -506,11 +513,10 @@ def test_handed_panel_is_dropped_when_panel_csv_changes(market, tmp_path, monkey
 
     run.hand_over(path, handed)
     # a stage rewrites the file, and its old digest is dropped
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n")
+    save_panel(PricePanel(handed.tickers, handed.dates[:-1], handed.prices[:, :-1]), path)
     del run.digests[path]
-    calls = count_price_parses(monkeypatch)
-    panel = run.read(path, load_panel)
+    calls = []
+    panel = run.read(path, lambda path: calls.append(path) or load_panel(path))
     assert len(calls) == 1 and panel is not handed
     assert panel.n_days == handed.n_days - 1
 
@@ -547,7 +553,7 @@ def test_corr_stage_holds_one_stack_copy_while_writing(tmp_path, peak_bytes):
     out.mkdir()
     cfg = market_config(data, out)
     run = _Run(out, workers=1)
-    run.hand_over(out / "panel.csv", write_panel(data / "prices.csv", "", 2, out / "panel.csv"))
+    run.hand_over(out / "panel.npz", write_panel(data / "prices.csv", "", 2, out / "panel.npz"))
     stack_bytes = 240 * 60 * 60 * 8  # 259 returns, window 20, shift 1
     # the epochs are built into the one stack, chunk by chunk, and the archive
     # is packed from that stack chunk by chunk
@@ -556,17 +562,18 @@ def test_corr_stage_holds_one_stack_copy_while_writing(tmp_path, peak_bytes):
 
 
 def test_rerun_over_deflated_archives_skips_every_stage(market, tmp_path, monkeypatch):
+    import marketstates.ingest as ingest
     import marketstates.pipeline as pipeline
     import marketstates.serialize as serialize
 
     # an output tree whose .npz archives were deflated by the earlier writer
     cfg = market_config(market, tmp_path / "out")
     with monkeypatch.context() as patch:
-        patch.setattr(pipeline, "save_arrays", save_arrays_deflated)
-        patch.setattr(serialize, "save_arrays", save_arrays_deflated)
+        for module in (ingest, pipeline, serialize):
+            patch.setattr(module, "save_arrays", save_arrays_deflated)
         assert run_pipeline(cfg)[0] == 0
     archives = sorted((tmp_path / "out").glob("*.npz"))
-    assert len(archives) == 3
+    assert len(archives) == 4
     for archive in archives:
         with zipfile.ZipFile(archive) as zf:
             assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_DEFLATED}
@@ -630,6 +637,60 @@ def test_tree_with_a_dense_archive_reruns_skipped_and_rebuilds_from_it(
     assert tree_diff(old, fresh, skip={"manifest.json", "corr_raw.npz"}) == []
 
 
+def save_panel_csv(panel, path):
+    """The text panel and sidecar that earlier versions wrote as panel.csv."""
+    from marketstates.serialize import write_json
+
+    path = Path(path)
+    write_csv(path, ["date"] + panel.tickers,
+              [[date, *column] for date, column in zip(panel.dates, panel.prices.T.tolist())])
+    write_json(path.with_name(path.name + ".meta.json"), {
+        "n_stocks": panel.n_stocks, "n_days": panel.n_days,
+        "dropped": panel.dropped, "sector_of": panel.sector_of})
+
+
+def load_panel_csv(path):
+    """The reader of save_panel_csv's files: the price parser, no gap allowed, plus the sidecar."""
+    from marketstates.ingest import ContinuityPolicy, load_prices
+
+    panel = load_prices(path, ContinuityPolicy(max_consecutive_missing=0))
+    panel.sector_of = read_json(Path(str(path) + ".meta.json"))["sector_of"]
+    return panel
+
+
+def test_rerun_over_a_tree_with_a_text_panel_reruns_ingest(market, tmp_path, monkeypatch,
+                                                           tree_diff):
+    import marketstates.pipeline as pipeline
+
+    old = tmp_path / "old"
+    cfg = market_config(market, old)
+    with monkeypatch.context() as patch:  # the earlier artifact: panel.csv, parsed by its readers
+        patch.setattr(pipeline, "PANEL", "panel.csv")
+        patch.setattr(pipeline, "save_panel", save_panel_csv)
+        patch.setattr(pipeline, "load_panel", load_panel_csv)
+        assert run_pipeline(cfg)[0] == 0
+    assert sorted(read_json(old / "manifest.json")["stages"]["ingest"]["outputs"]) == [
+        "panel.csv", "panel.csv.meta.json"]
+
+    # the ingest entry is unchanged but lacks panel.npz, which corr reads
+    code, manifest = run_pipeline(cfg)
+    assert code == 0
+    assert {name: entry["status"] for name, entry in manifest["stages"].items()} == {
+        "ingest": "ok", "corr": "ok", "mds": "skipped", "states": "skipped",
+        "sectors": "ok", "trajectory": "ok", "rmt": "skipped"}
+    fresh = tmp_path / "fresh"
+    code, fresh_manifest = run_pipeline(replace(cfg, out_dir=str(fresh)))
+    assert code == 0
+    assert tree_diff(old, fresh, skip={"manifest.json", "panel.csv", "panel.csv.meta.json"}) == []
+    for name, entry in manifest["stages"].items():
+        same = ("key", "inputs", "params", "outputs")
+        assert {k: entry[k] for k in same} == {k: fresh_manifest["stages"][name][k] for k in same}
+
+    code, manifest = run_pipeline(cfg)
+    assert code == 0
+    assert {entry["status"] for entry in manifest["stages"].values()} == {"skipped"}
+
+
 def count_archive_loads(monkeypatch):
     """The members each pipeline load of corr_raw.npz asks for, None for all of them."""
     import marketstates.pipeline as pipeline
@@ -688,7 +749,7 @@ def test_epoch_series_is_held_from_corr_through_sectors_only(market, tmp_path, m
 
         monkeypatch.setattr(pipeline, f"_stage_{name}", recording)
     assert run_pipeline(market_config(market, tmp_path / "out"))[0] == 0
-    assert held == {"corr": ["panel.csv"], "mds": ["corr_raw.npz"], "states": ["corr_raw.npz"],
+    assert held == {"corr": ["panel.npz"], "mds": ["corr_raw.npz"], "states": ["corr_raw.npz"],
                     "sectors": ["corr_raw.npz"], "trajectory": [], "rmt": []}
 
 
@@ -863,26 +924,32 @@ def test_panel_with_no_surviving_ticker_fails_ingest(tmp_path):
     assert not (out / "corr_raw.npz").exists()
 
 
-def test_negative_grid_epsilon_fails_states_before_surface(market, tmp_path):
+@pytest.mark.parametrize("bad, message", [
+    pytest.param({"window": 1}, "config window/shift: window must be >= 2, got 1", id="window"),
+    pytest.param({"shift": 0}, "config window/shift: shift must be >= 1, got 0", id="shift"),
+    pytest.param({"mds_dim": 0}, "config mds_dim: must be >= 1, got 0", id="mds_dim"),
+    pytest.param({"k_range": [0, 2]}, "config k_range: must be >= 1, got 0", id="k_range"),
+    pytest.param({"epsilon_grid": [-0.5, 0.0]},
+                 "config epsilon_grid: epsilon must be >= 0, got -0.5", id="epsilon_grid"),
+    pytest.param({"rmt_bins": 0}, "config rmt_bins: must be >= 1, got 0", id="rmt_bins"),
+    pytest.param({"rmt_realizations": 0}, "config rmt_realizations: must be >= 1, got 0",
+                 id="rmt_realizations"),
+    pytest.param({"max_gap": -1},
+                 "config max_gap: the longest allowed gap must be >= 0, got -1", id="max_gap"),
+    pytest.param({"width_days": 44},
+                 "config width_days: width must be an odd number of price days >= 3, got 44",
+                 id="width_days"),
+    pytest.param({"width_days": 1}, "config width_days: width must be an odd number",
+                 id="width_days_short"),
+    pytest.param({"trajectory_epsilon": -0.5},
+                 "config trajectory_epsilon: epsilon must be >= 0, got -0.5",
+                 id="trajectory_epsilon"),
+])
+def test_config_error_fails_before_any_stage(market, tmp_path, bad, message):
     out = tmp_path / "out"
-    cfg = market_config(market, out)
-    cfg.epsilon_grid = parse_float_grid("-0.5,0")
-    code, manifest = run_pipeline(cfg)
-    assert code == 1
-    assert manifest["stages"]["states"]["status"] == "failed"
-    assert "epsilon must be >= 0" in manifest["stages"]["states"]["error"]
-    assert not (out / "surface.csv").exists()
-
-
-@pytest.mark.parametrize("bad", [{"width_days": 44}, {"trajectory_epsilon": -0.5}])
-def test_bad_trajectory_parameter_fails_the_stage(market, tmp_path, bad):
-    cfg = replace(market_config(market, tmp_path / "out"), **bad)
-    code, manifest = run_pipeline(cfg)
-    assert code == 1
-    entry = manifest["stages"]["trajectory"]
-    assert entry["status"] == "failed" and entry["error"].startswith("ValueError: ")
-    assert manifest["stages"]["rmt"]["status"] == "halted"
-    assert not (tmp_path / "out" / "trajectory_report.json").exists()
+    with pytest.raises(DataError, match=re.escape(message)):
+        run_pipeline(replace(market_config(market, out), **bad))
+    assert not out.exists()
 
 
 def test_unexpected_error_still_writes_manifest(market, tmp_path, monkeypatch, capsys):
