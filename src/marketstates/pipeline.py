@@ -40,6 +40,7 @@ from .ingest import (
 )
 from .rmt import (
     WishartSpec,
+    _check_bins,
     l1_to_analytic,
     outside_support_fraction,
     pooled_eigenvalues,
@@ -124,6 +125,7 @@ class PipelineConfig:
     rmt_realizations: int = 50
     rmt_bins: int = 100
 
+    _PATHS = ("prices", "sectors", "events", "out_dir")
     _PARSERS = {
         "max_gap": int, "window": int, "shift": int, "n_inits": int, "seed": int,
         "mds_dim": int, "k_min": int, "k": int, "sector_k": int,
@@ -183,6 +185,8 @@ class PipelineConfig:
                            ("rmt_realizations", self.rmt_realizations)):
             if value < 1:
                 raise DataError(f"config {key}: must be >= 1, got {value}")
+        if self.seed < 0:
+            raise DataError(f"config seed: must be >= 0, got {self.seed}")
         # the rules of the stages that take these values, checked before any stage runs
         _check_key("window/shift", EpochSpec, self.window, self.shift)
         _check_key("max_gap", ContinuityPolicy, self.max_gap)
@@ -192,12 +196,13 @@ class PipelineConfig:
             _check_key("width_days", _check_width, self.width_days)
             _check_key("trajectory_epsilon", _check_epsilon, self.trajectory_epsilon)
 
-    def as_manifest_dict(self, out_dir: Path) -> dict:
+    def as_manifest_dict(self, names: dict[Path, str | None]) -> dict:
+        """Every field; a path inside the output dir by its name there (see ``_portable_names``)."""
         payload = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name in ("prices", "sectors", "events", "out_dir") and value:
-                value = _portable_path(value, out_dir)
+            if f.name in self._PATHS and value:
+                value = names[Path(value)] or value
             payload[f.name] = value
         return payload
 
@@ -210,12 +215,22 @@ def _check_key(key: str, check, *values) -> None:
         raise DataError(f"config {key}: {exc}") from None
 
 
-def _portable_path(path: str | Path, out_dir: Path) -> str:
-    """Relative to the output dir when possible, so manifests are location-free."""
-    try:
-        return Path(path).resolve().relative_to(out_dir.resolve()).as_posix()
-    except ValueError:
-        return str(path)
+def _portable_names(cfg: PipelineConfig, out: Path) -> dict[Path, str | None]:
+    """Each configured path's name relative to the output dir, None when outside it.
+
+    Names relative to the output dir keep manifests location-free.  Each
+    path is resolved here, once per run: with ``..`` a path can lie inside
+    the output dir while lexically it does not, and the reverse.
+    """
+    root = out.resolve()
+    names = {}
+    for value in (getattr(cfg, key) for key in cfg._PATHS):
+        if value:
+            try:
+                names[Path(value)] = Path(value).resolve().relative_to(root).as_posix()
+            except ValueError:
+                names[Path(value)] = None
+    return names
 
 
 def series_from_arrays(arrays: dict[str, np.ndarray]) -> EpochCorrelationSeries:
@@ -427,6 +442,7 @@ def write_trajectory_report(reports, failures: dict[str, str], path: Path) -> No
 
 def rmt_report_payload(spec: WishartSpec, bins: int, epsilon: float = 0.0) -> dict:
     """A sampled Wishart ensemble compared with the analytic law, JSON-safe."""
+    _check_bins(bins)  # before the ensemble is sampled
     eigenvalues = pooled_eigenvalues(spec, epsilon=epsilon)
     density = spectrum_from_eigenvalues(eigenvalues, bins=bins, Q=spec.Q, sigma2=spec.sigma2)
     return {
@@ -450,9 +466,10 @@ def rmt_report_payload(spec: WishartSpec, bins: int, epsilon: float = 0.0) -> di
 class _Run:
     """The state one run_pipeline call keeps between its stages; nothing of it is written.
 
-    ``digests`` holds one sha256 per file: a later stage reading a file, or
-    the freshness check, reuses the digest taken when the file was written or
-    first read.  ``maps`` holds each epsilon's mds_dim-axis map of the epoch
+    ``names`` holds each configured path's manifest name, from
+    ``_portable_names``.  ``digests`` holds one sha256 per file: a later
+    stage reading a file, or the freshness check, reuses the digest taken
+    when the file was written or first read.  ``maps`` holds each epsilon's mds_dim-axis map of the epoch
     stack, built once per call: the mds stage stores epsilon 0, the grid and
     the stock fit read and add to it.  It is keyed by the corr_raw.npz
     digest, so a rewritten archive starts empty, and holds no distance
@@ -464,6 +481,7 @@ class _Run:
 
     out: Path
     workers: int
+    names: dict[Path, str | None] = field(default_factory=dict)
     digests: dict[Path, str] = field(default_factory=dict)
     maps: dict[str, dict[float, Embedding]] = field(default_factory=dict)
     handed: dict[Path, tuple[str, object]] = field(default_factory=dict)
@@ -473,6 +491,12 @@ class _Run:
         if path not in self.digests:
             self.digests[path] = sha256_file(path)
         return self.digests[path]
+
+    def name(self, path: Path) -> str:
+        """The manifest name of a configured path (see ``_portable_names``) or of ``out / name``."""
+        if path in self.names:
+            return self.names[path] or str(path)
+        return path.relative_to(self.out).as_posix()
 
     def epoch_maps(self) -> dict[float, Embedding]:
         return self.maps.setdefault(self.digest(self.out / "corr_raw.npz"), {})
@@ -644,7 +668,7 @@ def _hash_inputs(stage: _Stage, run: _Run) -> dict[str, str]:
     for path in stage.inputs:
         if not path.exists():
             raise DataError(f"stage '{stage.name}' input {path} does not exist")
-        hashes[_portable_path(path, run.out)] = run.digest(path)
+        hashes[run.name(path)] = run.digest(path)
     return hashes
 
 
@@ -685,8 +709,8 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
     previous = {}
     if manifest_path.exists() and not force:
         previous = read_json(manifest_path).get("stages", {})
-    manifest: dict = {"config": cfg.as_manifest_dict(out), "stages": {}}
-    run = _Run(out, workers)
+    run = _Run(out, workers, names=_portable_names(cfg, out))
+    manifest: dict = {"config": cfg.as_manifest_dict(run.names), "stages": {}}
     exit_code = 0
     failed = False
     for stage in _plan(cfg, out):
@@ -725,7 +749,7 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
                 "key": key,
                 "inputs": input_hashes,
                 "params": stage.params,
-                "outputs": {_portable_path(p, out): run.digest(p) for p in written},
+                "outputs": {run.name(p): run.digest(p) for p in written},
             }
         except DataError as exc:
             manifest["stages"][stage.name] = {"status": "failed", "error": str(exc)}

@@ -41,14 +41,16 @@ class WishartSpec:
             raise ValueError("N, T and ensemble_size must all be >= 1")
         if self.sigma2 <= 0:
             raise ValueError(f"sigma2 must be > 0, got {self.sigma2}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def Q(self) -> float:
         return self.T / self.N
 
 
-def sample_realization(spec: WishartSpec, index: int) -> np.ndarray:
-    """Realization ``index`` of the ensemble: W = (1/T) A A'.
+def _draw(spec: WishartSpec, index: int) -> np.ndarray:
+    """The N x T matrix A of realization ``index``, row-demeaned when the spec asks.
 
     Realization i draws from PCG64 seeded with seed XOR i, so any slice of
     the ensemble is reproducible without generating the rest.
@@ -57,6 +59,12 @@ def sample_realization(spec: WishartSpec, index: int) -> np.ndarray:
     A = rng.normal(spec.mean, np.sqrt(spec.sigma2), size=(spec.N, spec.T))
     if spec.demean:
         A -= A.mean(axis=1, keepdims=True)
+    return A
+
+
+def sample_realization(spec: WishartSpec, index: int) -> np.ndarray:
+    """Realization ``index`` of the ensemble: W = (1/T) A A'."""
+    A = _draw(spec, index)
     W = A @ A.T / spec.T
     return (W + W.T) / 2.0
 
@@ -65,12 +73,21 @@ def pooled_eigenvalues(spec: WishartSpec, epsilon: float = 0.0) -> np.ndarray:
     """Eigenvalues of every realization, concatenated in realization order.
 
     Realizations are drawn, power-mapped (unless epsilon is 0) and
-    diagonalized one after another in a fixed order.
+    diagonalized one after another in a fixed order.  Raw realizations with
+    T < N diagonalize the T x T Gram matrix (1/T) A'A instead of W: it has
+    W's nonzero spectrum, and W's other N - T eigenvalues are zero, so they
+    are inserted as exact zeros.  Each realization's eigenvalues stay ascending.
     """
     parts = []
     for index in range(spec.ensemble_size):
-        W = sample_realization(spec, index)
-        parts.append(np.linalg.eigvalsh(power_map(W, epsilon) if epsilon != 0.0 else W))
+        if epsilon == 0.0 and spec.T < spec.N:
+            A = _draw(spec, index)
+            eigs = np.linalg.eigvalsh(A.T @ A / spec.T)
+            at = np.searchsorted(eigs, 0.0)
+            parts += [eigs[:at], np.zeros(spec.N - spec.T), eigs[at:]]
+        else:
+            W = sample_realization(spec, index)
+            parts.append(np.linalg.eigvalsh(power_map(W, epsilon) if epsilon != 0.0 else W))
     return np.concatenate(parts)
 
 
@@ -135,14 +152,18 @@ class SpectralDensity:
         return float(self.density.sum() * self.bin_width)
 
 
+def _check_bins(bins: int) -> None:
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
+
+
 def spectrum_from_eigenvalues(eigenvalues: np.ndarray, bins: int = 100,
                               Q: float = float("nan"), sigma2: float = 1.0) -> SpectralDensity:
     """Pooled-eigenvalue histogram over [0, max], density-normalized."""
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     if eigenvalues.size == 0:
         raise NumericError("no eigenvalues to bin")
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
+    _check_bins(bins)
     nonzero = eigenvalues[np.abs(eigenvalues) >= ZERO_EIGENVALUE_TOL]
     zero_fraction = 1.0 - nonzero.size / eigenvalues.size
     top = float(eigenvalues.max())

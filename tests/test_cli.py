@@ -303,6 +303,11 @@ def test_rmt_validate_writes_plain_json(tmp_path, capsys):
     assert "l1_to_analytic" in capsys.readouterr().out
 
 
+def test_rmt_validate_names_a_negative_seed(capsys):
+    assert main(["rmt-validate", "--n", "6", "--t", "24", "--seed", "-1"]) == 1
+    assert "bad parameter: seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_run_command_prints_statuses(market, tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text(

@@ -24,6 +24,7 @@ from marketstates.pipeline import (
     series_from_arrays,
     trajectory_report_payload,
 )
+from marketstates.rmt import WishartSpec
 from marketstates.serialize import load_arrays, read_json, save_arrays, sha256_file, write_csv
 from test_serialize import save_arrays_deflated
 
@@ -934,6 +935,7 @@ def test_panel_with_no_surviving_ticker_fails_ingest(tmp_path):
     pytest.param({"rmt_bins": 0}, "config rmt_bins: must be >= 1, got 0", id="rmt_bins"),
     pytest.param({"rmt_realizations": 0}, "config rmt_realizations: must be >= 1, got 0",
                  id="rmt_realizations"),
+    pytest.param({"seed": -1}, "config seed: must be >= 0, got -1", id="seed"),
     pytest.param({"max_gap": -1},
                  "config max_gap: the longest allowed gap must be >= 0, got -1", id="max_gap"),
     pytest.param({"width_days": 44},
@@ -988,3 +990,47 @@ def test_manifest_paths_are_portable(market, tmp_path):
     # out_dir itself is stored relative to the manifest, so moving the
     # directory does not invalidate it
     assert manifest["config"]["out_dir"] == "."
+
+
+def test_manifest_names_configured_paths_by_where_they_resolve(market, tmp_path):
+    # lexically under out_dir but resolving outside it, and the reverse
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    (out / "events.csv").write_bytes((market / "events.csv").read_bytes())
+    outside = str(out / ".." / ".." / market.parent.name / market.name / "prices.csv")
+    cfg = replace(market_config(market, out), prices=outside,
+                  events=str(out / "sub" / ".." / "events.csv"))
+    code, manifest = run_pipeline(cfg)
+    assert code == 0
+    assert manifest["config"]["prices"] == outside
+    assert manifest["config"]["events"] == "events.csv"
+    assert outside in manifest["stages"]["ingest"]["inputs"]
+    assert "events.csv" in manifest["stages"]["trajectory"]["inputs"]
+
+
+def test_rerun_resolves_each_configured_path_once(market, tmp_path, monkeypatch):
+    cfg = market_config(market, tmp_path / "out")
+    assert run_pipeline(cfg)[0] == 0
+    calls = []
+    resolve = Path.resolve
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return resolve(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "resolve", counting)
+    assert run_pipeline(cfg)[0] == 0
+    # the output dir, then prices, sectors, events and out_dir
+    assert calls == [Path(cfg.out_dir)] + [Path(p) for p in
+                                           (cfg.prices, cfg.sectors, cfg.events, cfg.out_dir)]
+
+
+def test_rmt_report_checks_bins_before_sampling(monkeypatch):
+    import marketstates.pipeline as pipeline
+
+    def sampling(*args, **kwargs):
+        raise AssertionError("sampled the ensemble")
+
+    monkeypatch.setattr(pipeline, "pooled_eigenvalues", sampling)
+    with pytest.raises(ValueError, match="bins must be >= 1, got 0"):
+        pipeline.rmt_report_payload(WishartSpec(N=200, T=800, ensemble_size=50), bins=0)

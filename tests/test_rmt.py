@@ -3,8 +3,10 @@ import pytest
 from scipy import integrate
 
 from marketstates import rmt
+from marketstates.corrmat import power_map
 from marketstates.errors import NumericError
-from marketstates.rmt import WishartSpec
+from marketstates.pipeline import rmt_report_payload
+from marketstates.rmt import ZERO_EIGENVALUE_TOL, WishartSpec
 
 
 def test_spec_validation():
@@ -14,6 +16,8 @@ def test_spec_validation():
         WishartSpec(N=10, T=10, sigma2=0.0)
     with pytest.raises(ValueError):
         WishartSpec(N=10, T=10, ensemble_size=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        WishartSpec(N=10, T=10, seed=-1)
     assert WishartSpec(N=200, T=800).Q == 4.0
 
 
@@ -194,3 +198,63 @@ def test_powermap_can_match_longer_window_variance():
     best = min(ratios, key=lambda e: abs(ratios[e] - 1.0))
     assert abs(ratios[best] - 1.0) < 0.10
     assert abs(ratios[0.265] - 1.0) < 0.10
+
+
+def dense_pooled_eigenvalues(spec, epsilon=0.0):
+    """The reference: every realization's N x N matrix W, power-mapped and diagonalized."""
+    parts = []
+    for index in range(spec.ensemble_size):
+        W = rmt.sample_realization(spec, index)
+        parts.append(np.linalg.eigvalsh(power_map(W, epsilon) if epsilon != 0.0 else W))
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("demean", [False, True])
+@pytest.mark.parametrize("N, T", [(200, 20), (40, 20), (21, 20)])
+def test_short_window_spectrum_matches_the_dense_reference(N, T, demean):
+    spec = WishartSpec(N=N, T=T, ensemble_size=3, seed=5, mean=0.3, sigma2=2.5, demean=demean)
+    got = rmt.pooled_eigenvalues(spec)
+    want = dense_pooled_eigenvalues(spec)
+    assert got.shape == want.shape
+    for g, w in zip(got.reshape(-1, N), want.reshape(-1, N)):
+        assert np.all(np.diff(g) >= 0)  # ascending within each realization
+        g_zero, w_zero = np.abs(g) < ZERO_EIGENVALUE_TOL, np.abs(w) < ZERO_EIGENVALUE_TOL
+        assert g_zero.sum() == w_zero.sum() >= N - T + demean
+        # eigvalsh is accurate to rounding of the largest eigenvalue, on either path
+        np.testing.assert_allclose(g[~g_zero], w[~w_zero], rtol=0, atol=1e-12 * w.max())
+
+
+@pytest.mark.parametrize("N, T, epsilon", [
+    (20, 20, 0.0), (15, 40, 0.0), (40, 20, 0.3), (15, 40, 0.3),
+])
+def test_spectrum_is_the_dense_one_bit_for_bit_unless_the_window_is_short(N, T, epsilon):
+    spec = WishartSpec(N=N, T=T, ensemble_size=3, seed=9, mean=0.3, sigma2=2.5, demean=True)
+    np.testing.assert_array_equal(rmt.pooled_eigenvalues(spec, epsilon=epsilon),
+                                  dense_pooled_eigenvalues(spec, epsilon=epsilon))
+
+
+def test_short_window_spectrum_diagonalizes_no_n_by_n_matrix(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(M):
+        shapes.append(M.shape)
+        return eigvalsh(M)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    rmt.pooled_eigenvalues(WishartSpec(N=50, T=20, ensemble_size=4))
+    assert shapes == [(20, 20)] * 4
+    shapes.clear()
+    rmt.pooled_eigenvalues(WishartSpec(N=50, T=20, ensemble_size=4), epsilon=0.5)
+    assert shapes == [(50, 50)] * 4  # the power map needs W's entries
+
+
+def test_short_window_report_matches_the_dense_reference(monkeypatch):
+    import marketstates.pipeline as pipeline
+
+    spec = WishartSpec(N=200, T=20, ensemble_size=50, seed=0)
+    got = rmt_report_payload(spec, bins=100)
+    monkeypatch.setattr(pipeline, "pooled_eigenvalues", dense_pooled_eigenvalues)
+    want = rmt_report_payload(spec, bins=100)
+    assert got.pop("l1_to_analytic") == pytest.approx(want.pop("l1_to_analytic"), rel=1e-12, abs=0)
+    assert got == want
