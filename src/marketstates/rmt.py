@@ -210,6 +210,7 @@ def wishart_spectrum(spec: WishartSpec, bins: int = 100, epsilon: float = 0.0) -
     With small T the raw matrices are singular; even a tiny epsilon frees
     the degenerate zero modes into an emerging bulk near zero.
     """
+    _check_bins(bins)  # before sampling the ensemble
     eigs = pooled_eigenvalues(spec, epsilon=epsilon)
     return spectrum_from_eigenvalues(eigs, bins=bins, Q=spec.Q, sigma2=spec.sigma2)
 

@@ -78,18 +78,108 @@ class StateModel:
         return np.bincount(self.state_of, minlength=self.k + 1)[1:]
 
 
-def _assignment_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared point-centroid distances, (n, k), summed one axis at a time.
+def _lloyd(points: np.ndarray, k: int, seeds) -> list[ClusteringRun]:
+    """One k-means run per seed, all stepped together; see kmeans.
 
-    Accumulating an (n, k) array per axis avoids the (n, k, D) difference
-    temporary.  It adds the axes in order, as numpy's sum over fewer than 8
-    axes does; from 8 axes on numpy sums pairwise, so the two can differ in
-    the last bits.
+    Centroids live in one (runs, k, D) array and squared distances in one
+    (runs, k, n) array, accumulated one axis at a time.  That adds the axes
+    in order, as numpy's sum over fewer than 8 axes does; from 8 axes on
+    numpy sums pairwise, so the two can differ in the last bits.  Cluster
+    means come from one bincount per axis over labels offset by run, which
+    adds each run's points in the same order as a bincount of its own.  Empty
+    clusters are repaired run by run, and a run leaves the batch when its
+    assignment stops changing, so every run has the bits it has on its own.
     """
-    d2 = (points[:, 0, None] - centroids[None, :, 0]) ** 2
-    for d in range(1, points.shape[1]):
-        d2 += (points[:, d, None] - centroids[None, :, d]) ** 2
-    return d2
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] == 0:
+        raise ValueError(f"points must be 2-D with at least one axis, got shape {points.shape}")
+    n, dim = points.shape
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in 1..{n}, got {k}")
+    axes = points.T.copy()  # (D, n): each axis contiguous
+    centroids = np.stack([points[np.random.default_rng(s).choice(n, size=k, replace=False)]
+                          for s in seeds])
+    runs = len(centroids)
+    labels = np.full((runs, n), -1)
+    active = np.arange(runs)  # active[b]: the run in batch row b, until it converges
+    traces: list[list[float]] = [[] for _ in range(runs)]
+    final_centroids = np.empty_like(centroids)
+    final_labels = np.empty_like(labels)
+    n_iterations = np.full(runs, MAX_LLOYD_ITERATIONS)
+    converged = np.zeros(runs, dtype=bool)
+    n_repairs = np.zeros(runs, dtype=int)
+    columns = np.arange(n)
+    # every batch row weighs the same points: the first m rows' weights are a prefix
+    weights = np.tile(axes, runs)
+    for iteration in range(1, MAX_LLOYD_ITERATIONS + 1):
+        d2 = np.square(axes[0] - centroids[:, :, 0, None])
+        for d in range(1, dim):
+            d2 += np.square(axes[d] - centroids[:, :, d, None])
+        if iteration > 1:  # the last update's objective, before a repair moves a centroid
+            own = d2[np.arange(len(active))[:, None], labels, columns]
+            for r, total in zip(active, own.sum(axis=1)):
+                traces[r].append(float(total))
+        new_labels = d2.argmin(axis=1)
+        offsets = k * np.arange(len(active))[:, None]  # batch row b's clusters are bins bk..bk+k-1
+        counts = np.bincount((new_labels + offsets).ravel(), minlength=offsets.size * k)
+        counts = counts.reshape(-1, k)
+        # repair empty clusters before the update step
+        for b in np.flatnonzero((counts == 0).any(axis=1)):
+            dist, lab, cnt = d2[b], new_labels[b], counts[b]
+            while (cnt == 0).any():
+                empty = int(np.flatnonzero(cnt == 0)[0])
+                own = dist[lab, columns]
+                movable = cnt[lab] > 1
+                if not movable.any():
+                    break
+                candidate = int(np.flatnonzero(movable)[own[movable].argmax()])
+                cnt[lab[candidate]] -= 1
+                lab[candidate] = empty
+                cnt[empty] += 1
+                centroids[b, empty] = points[candidate]
+                dist[empty] = ((points - points[candidate]) ** 2).sum(axis=1)
+                n_repairs[active[b]] += 1
+        done = (new_labels == labels).all(axis=1)
+        if done.any():
+            finished = active[done]
+            final_centroids[finished] = centroids[done]
+            final_labels[finished] = labels[done]
+            n_iterations[finished] = iteration
+            converged[finished] = True
+            keep = ~done
+            active, centroids = active[keep], centroids[keep]
+            new_labels, counts = new_labels[keep], counts[keep]
+        labels = new_labels
+        if not len(active):
+            break
+        # cluster means, one weighted bincount per axis; an empty cluster
+        # (no movable point was left to repair it) keeps its centroid
+        filled = counts > 0
+        sizes = counts[filled]
+        flat = (labels + offsets[: len(active)]).ravel()
+        for d in range(dim):
+            sums = np.bincount(flat, weights=weights[d, : flat.size],
+                               minlength=len(active) * k).reshape(-1, k)
+            centroids[:, :, d][filled] = sums[filled] / sizes
+    final_centroids[active] = centroids
+    final_labels[active] = labels
+    results = []
+    for r, seed in enumerate(seeds):
+        own = ((points - final_centroids[r][final_labels[r]]) ** 2).sum(axis=1)
+        if not converged[r]:  # the iteration cap: no assignment followed the last update
+            traces[r].append(float(own.sum()))
+        results.append(ClusteringRun(
+            k=k,
+            seed=seed,
+            labels=final_labels[r] + 1,
+            centroids=final_centroids[r],
+            d_intra=float(np.sqrt(own).mean()),
+            objective_trace=traces[r],
+            n_iterations=int(n_iterations[r]),
+            converged=bool(converged[r]),
+            n_repairs=int(n_repairs[r]),
+        ))
+    return results
 
 
 def kmeans(points: np.ndarray, k: int, seed: int) -> ClusteringRun:
@@ -100,67 +190,10 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> ClusteringRun:
     its own centroid (among clusters that can spare a point), which keeps the
     objective non-increasing.  The objective (sum of squared point-centroid
     distances) is recorded once per centroid update, read from the next
-    assignment's distances at the labels of that update.
+    assignment's distances at the labels of that update.  This is one run of
+    the batched loop that best_kmeans and the grid use, with the same bits.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] == 0:
-        raise ValueError(f"points must be 2-D with at least one axis, got shape {points.shape}")
-    n = points.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
-    rng = np.random.default_rng(seed)
-    centroids = points[rng.choice(n, size=k, replace=False)].copy()
-    labels = np.full(n, -1)
-    trace: list[float] = []
-    converged = False
-    iteration = 0
-    n_repairs = 0
-    for iteration in range(1, MAX_LLOYD_ITERATIONS + 1):
-        d2 = _assignment_distances(points, centroids)
-        if iteration > 1:  # the last update's objective, before a repair moves a centroid
-            trace.append(float(d2[np.arange(n), labels].sum()))
-        new_labels = d2.argmin(axis=1)
-        # repair empty clusters before the update step
-        counts = np.bincount(new_labels, minlength=k)
-        while (counts == 0).any():
-            empty = int(np.flatnonzero(counts == 0)[0])
-            own = d2[np.arange(n), new_labels]
-            movable = counts[new_labels] > 1
-            if not movable.any():
-                break
-            candidate = int(np.flatnonzero(movable)[own[movable].argmax()])
-            counts[new_labels[candidate]] -= 1
-            new_labels[candidate] = empty
-            counts[empty] += 1
-            centroids[empty] = points[candidate]
-            d2[:, empty] = ((points - points[candidate]) ** 2).sum(axis=1)
-            n_repairs += 1
-        if (new_labels == labels).all():
-            converged = True
-            break
-        labels = new_labels
-        # cluster means, one weighted bincount per axis; an empty cluster
-        # (no movable point was left to repair it) keeps its centroid
-        filled = np.flatnonzero(counts)
-        sizes = counts[filled]
-        for d in range(points.shape[1]):
-            sums = np.bincount(labels, weights=points[:, d], minlength=k)
-            centroids[filled, d] = sums[filled] / sizes
-    own = ((points - centroids[labels]) ** 2).sum(axis=1)
-    if not converged:  # the iteration cap: no assignment followed the last update
-        trace.append(float(own.sum()))
-    d_intra = float(np.sqrt(own).mean())
-    return ClusteringRun(
-        k=k,
-        seed=seed,
-        labels=labels + 1,
-        centroids=centroids,
-        d_intra=d_intra,
-        objective_trace=trace,
-        n_iterations=iteration,
-        converged=converged,
-        n_repairs=n_repairs,
-    )
+    return _lloyd(points, k, [seed])[0]
 
 
 def init_seeds(seed: int, count: int) -> np.ndarray:
@@ -169,21 +202,30 @@ def init_seeds(seed: int, count: int) -> np.ndarray:
 
 
 def best_kmeans(points: np.ndarray, k: int, n_inits: int, seed: int) -> ClusteringRun:
-    """Lowest-objective run over an ensemble of seeded initializations."""
-    runs = [kmeans(points, k, int(s)) for s in init_seeds(seed, n_inits)]
+    """Lowest-objective run over an ensemble of seeded initializations.
+
+    The ensemble runs as one batch, each run with the bits of
+    ``kmeans(points, k, s)`` for its seed s.
+    """
+    runs = _lloyd(points, k, [int(s) for s in init_seeds(seed, n_inits)])
     return min(runs, key=lambda r: r.objective)
 
 
 def _grid_rows(coords: np.ndarray, eps: float, k_list: list[int], seeds) -> list[GridPoint]:
-    """The grid points of one epsilon: n_inits k-means radii per k on its map."""
+    """The grid points of one epsilon: n_inits k-means radii per k on its map.
+
+    When every run finds the same radius, sigma_d_intra is exactly 0: std()
+    of equal values can leave rounding noise, which would decide ties that
+    select_optimum's tie-break is there to decide.
+    """
     rows = []
     for ki, k in enumerate(k_list):
-        radii = np.array([kmeans(coords, k, int(s)).d_intra for s in seeds[ki]])
+        radii = np.array([run.d_intra for run in _lloyd(coords, k, [int(s) for s in seeds[ki]])])
         rows.append(
             GridPoint(
                 k=k,
                 epsilon=eps,
-                sigma_d_intra=float(radii.std()),
+                sigma_d_intra=0.0 if (radii == radii[0]).all() else float(radii.std()),
                 mean_d_intra=float(radii.mean()),
                 n_inits=len(radii),
             )

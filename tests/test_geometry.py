@@ -110,6 +110,49 @@ def test_packed_kernel_matches_row_by_row_oracle(case, workers):
     assert got.tobytes() == similarity_matrix(stack).tobytes()
 
 
+def subtract_abs_similarity(stack, epsilon):
+    """The kernel before the maximum-sum identity: sum |X[j] - X[i]| over packed rows."""
+    from marketstates.corrmat import _pack_epochs
+
+    X = _pack_epochs(stack, epsilon, doubled=True)
+    n = len(X)
+    out = np.zeros((n, n))
+    for i in range(n - 1):
+        out[i, i + 1:] = np.abs(X[i + 1:] - X[i]).sum(axis=1)
+    out /= stack.shape[1] ** 2
+    return out + out.T
+
+
+def shift_one_stack(seed, n_stocks=64, n_epochs=50):
+    """Window-20, shift-1 epochs of a one-factor panel, with repeated epochs appended."""
+    rng = np.random.default_rng(seed)
+    n_returns = n_epochs + 19
+    returns = 0.6 * rng.normal(size=n_returns) + rng.normal(size=(n_stocks, n_returns))
+    panel = ReturnPanel(tickers=[f"S{i}" for i in range(n_stocks)],
+                        dates=[f"d{t}" for t in range(n_returns)], returns=returns)
+    stack = epoch_correlations(panel, EpochSpec(window=20, shift=1)).values_stack()
+    return np.concatenate([stack, stack[[0, 7, 7]]])
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("eps", [0.0, 0.6])
+def test_max_sum_kernel_matches_subtract_abs_oracle(eps, workers):
+    stack = shift_one_stack(19)
+    n = len(stack) - 3
+    got = similarity_matrix(stack, workers, epsilon=eps)
+    want = subtract_abs_similarity(stack, eps)
+    # the appended copies of epochs 0 and 7 (rows n, n+1, n+2) are exact zeros
+    for a, b in ((0, n), (7, n + 1), (7, n + 2), (n + 1, n + 2)):
+        assert got[a, b] == 0.0 and got[b, a] == 0.0
+    assert np.all(got >= 0.0)
+    positive = want > 0.0
+    assert np.array_equal(positive, got > 0.0)
+    # neighbouring shift-1 epochs share 19 of 20 days: their distances are
+    # the smallest, where the max-sum identity cancels the most
+    assert (np.abs(got - want)[positive] / want[positive]).max() <= 1e-12
+    assert got.tobytes() == similarity_matrix(stack, epsilon=eps).tobytes()
+
+
 def test_kernel_threads_under_fast_switching_match_one_thread():
     # more threads than cores, switching as often as the interpreter allows:
     # a row written twice or never would change the bytes
@@ -129,10 +172,10 @@ def test_failure_in_a_kernel_thread_raises_from_similarity_matrix(monkeypatch):
 
     real_rows = geometry._l1_rows
 
-    def failing_rows(X, out, first, step, block):
+    def failing_rows(X, sums, out, first, *args):
         if first == 1:
             raise RuntimeError("injected kernel failure")
-        real_rows(X, out, first, step, block)
+        real_rows(X, sums, out, first, *args)
 
     monkeypatch.setattr(geometry, "_l1_rows", failing_rows)
     with pytest.raises(RuntimeError, match="injected kernel failure"):

@@ -258,3 +258,12 @@ def test_short_window_report_matches_the_dense_reference(monkeypatch):
     want = rmt_report_payload(spec, bins=100)
     assert got.pop("l1_to_analytic") == pytest.approx(want.pop("l1_to_analytic"), rel=1e-12, abs=0)
     assert got == want
+
+
+def test_wishart_spectrum_checks_bins_before_sampling(monkeypatch):
+    def sampling(*args, **kwargs):
+        raise AssertionError("sampled the ensemble")
+
+    monkeypatch.setattr(rmt, "pooled_eigenvalues", sampling)
+    with pytest.raises(ValueError, match="bins must be >= 1, got 0"):
+        rmt.wishart_spectrum(WishartSpec(N=200, T=800, ensemble_size=50), bins=0)

@@ -229,6 +229,76 @@ def test_kmeans_matches_per_cluster_oracle_in_one_dimension():
     assert repairs > 0
 
 
+def assert_same_run(got, want):
+    assert (got.k, got.seed) == (want.k, want.seed)
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert got.objective_trace == want.objective_trace
+    assert got.d_intra == want.d_intra
+    assert (got.n_iterations, got.n_repairs, got.converged) == (
+        want.n_iterations, want.n_repairs, want.converged)
+
+
+def batches_against_single_runs(D, seeds_per_batch=5):
+    """Each oracle case's k run for several seeds in one batch and one at a time.
+
+    Returns (repairs, batches whose runs stopped at different iterations or
+    for different reasons, runs that hit the iteration cap)."""
+    from marketstates.states import _lloyd
+
+    repairs = mixed = capped = 0
+    for points, k, seed in oracle_cases(D):
+        seeds = [seed + i for i in range(seeds_per_batch)]
+        batch = _lloyd(points, k, seeds)
+        assert len(batch) == len(seeds)
+        for got, s in zip(batch, seeds):
+            assert_same_run(got, kmeans(points, k, s))
+            repairs += got.n_repairs
+            capped += not got.converged
+        mixed += len({(run.n_iterations, run.converged) for run in batch}) > 1
+    return repairs, mixed, capped
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 4, 8, 9])
+def test_batched_lloyd_matches_one_run_per_seed(D):
+    repairs, mixed, _ = batches_against_single_runs(D)
+    assert repairs > 0  # the repair path ran inside batches
+    assert mixed > 0  # runs left a batch while others kept iterating
+
+
+def test_batched_lloyd_at_the_iteration_cap_matches_one_run_per_seed(monkeypatch):
+    from marketstates import states
+
+    monkeypatch.setattr(states, "MAX_LLOYD_ITERATIONS", 2)
+    _, mixed, capped = batches_against_single_runs(3)
+    assert capped > 0 and mixed > 0  # batches mixing converged and capped runs
+
+
+def test_best_kmeans_is_the_best_of_single_runs():
+    from marketstates.states import init_seeds
+
+    points, _ = planted_blobs(8, np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]))
+    runs = [kmeans(points, 4, int(s)) for s in init_seeds(21, 12)]
+    assert_same_run(best_kmeans(points, 4, 12, seed=21), min(runs, key=lambda r: r.objective))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11, 12])
+def test_grid_spread_of_identical_radii_is_exactly_zero(seed):
+    # two tight blobs: every init finds the same split with the same radius,
+    # whose mean over 10 copies is not exactly the radius, so std() > 0
+    from marketstates.states import _grid_rows, init_seeds
+
+    rng = np.random.default_rng(seed)
+    points = np.concatenate([rng.normal(size=(10, 2)) * 0.1,
+                             rng.normal(size=(10, 2)) * 0.1 + [5.0, 0.0]])
+    seeds = init_seeds(seed, 10)
+    radii = np.array([kmeans(points, 2, int(s)).d_intra for s in seeds])
+    assert (radii == radii[0]).all() and radii.std() > 0.0
+    (row,) = _grid_rows(points, 0.3, [2], seeds[None])
+    assert row.sigma_d_intra == 0.0
+    assert row.mean_d_intra == radii.mean()
+
+
 def test_kmeans_deterministic_given_seed():
     rng = np.random.default_rng(3)
     points = rng.normal(size=(50, 3))
