@@ -13,19 +13,16 @@ import os
 import sys
 from pathlib import Path
 
-from .corrmat import EpochSpec, epoch_correlations
+from .corrmat import EpochSpec, epoch_correlations, load_series, save_series
 from .errors import DataError, NumericError
 from .ingest import load_panel, log_returns
 from .pipeline import (
     PipelineConfig,
     attach_sector_map,
-    correlation_arrays,
-    load_arrays,
     parse_float_grid,
     parse_int_range,
     rmt_report_payload,
     run_pipeline,
-    series_from_arrays,
     trajectory_report_payload,
     write_displacement,
     write_fit,
@@ -36,7 +33,7 @@ from .pipeline import (
 )
 from .rmt import WishartSpec
 from .sector import SECTOR_PRESETS, sector_state_pipeline
-from .serialize import load_state_model, save_arrays, write_json
+from .serialize import load_state_model, write_json
 from .states import fit_states, optimize_over_grid, select_optimum
 from .trajectory import analyze_trajectory, classify_catalog, cut_window, load_event_catalog, window_from_dates
 
@@ -87,7 +84,7 @@ def _cmd_corr(args) -> int:
     panel = load_panel(args.panel)
     series = epoch_correlations(log_returns(panel), _epoch_spec(args))
     out = _out_path(args.out)
-    save_arrays(out, **correlation_arrays(series))
+    save_series(series, out)
     print(f"{series.n_epochs} epochs of {series.n_labels}x{series.n_labels} matrices -> {out}")
     return 0
 
@@ -105,7 +102,7 @@ def _cmd_rmt_validate(args) -> int:
 
 
 def _cmd_mds(args) -> int:
-    series = series_from_arrays(load_arrays(args.corr))
+    series = load_series(args.corr)
     dates = [m.start_date for m in series.matrices]
     coords_path, _ = write_map(series.values_stack(), dates, args.dim, _out_path(args.out_dir))
     print(f"{series.n_epochs} epochs -> {coords_path}")

@@ -8,13 +8,16 @@ yields ``floor((L - window)/shift) + 1`` epochs.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DataError, NumericError
 from .ingest import ReturnPanel
+from .serialize import StreamedArray, load_arrays, save_arrays
 
 
 @dataclass(frozen=True)
@@ -93,8 +96,8 @@ def _epochs_per_chunk(epoch_size: int) -> int:
 
 # The packed layout of an epoch stack: one row per epoch, its strict upper
 # triangle in np.triu_indices(N, 1) order, then its N diagonal entries.
-# corr_raw.npz stores it as the member ``packed``; the dissimilarity kernel
-# packs the same rows with the triangle doubled.
+# save_series stores it as the archive member ``packed``; the dissimilarity
+# kernel packs the same rows with the triangle doubled.
 
 
 def _packed_width(n_labels: int) -> int:
@@ -170,6 +173,51 @@ def _unpack_epochs(packed: np.ndarray, n_labels: int) -> np.ndarray:
         epochs[:, lower_at] = rows[:, :k]
         epochs[:, ::n + 1] = rows[:, k:]
     return stack
+
+
+def save_series(series: EpochCorrelationSeries, path: str | Path) -> None:
+    """Write a series to a correlation archive (the pipeline's corr_raw.npz).
+
+    Its members are ``packed``, the stack's packed layout streamed about
+    512 KB of epochs at a time, and ``labels``, ``start_dates`` and
+    ``end_dates``.  Raises NumericError naming the first epoch that is
+    non-finite or not exactly symmetric, and then leaves no archive.
+    """
+    stack = series.values_stack()
+    save_arrays(
+        path,
+        packed=StreamedArray((series.n_epochs, _packed_width(series.n_labels)),
+                             np.dtype(np.float64), lambda: _packed_chunks(stack)),
+        labels=np.array(series.labels),
+        start_dates=np.array([m.start_date for m in series.matrices]),
+        end_dates=np.array([m.end_date for m in series.matrices]),
+    )
+
+
+def load_series(path: str | Path) -> EpochCorrelationSeries:
+    """The series ``save_series`` wrote to ``path``, its stack unpacked bit for bit.
+
+    Raises DataError naming the file and the first member it lacks, as an
+    archive of earlier versions lacks ``packed``, or a stack that does not
+    match the labels or dates.
+    """
+    arrays = load_arrays(path)
+    for name in ("packed", "labels", "start_dates", "end_dates"):
+        if name not in arrays:
+            raise DataError(f"{path} has no {name!r} member; "
+                            "rerun corr (run --force) to rewrite it")
+    labels = [str(s) for s in arrays["labels"]]
+    try:
+        return EpochCorrelationSeries(labels, _unpack_epochs(arrays["packed"], len(labels)),
+                                      [str(s) for s in arrays["start_dates"]],
+                                      [str(s) for s in arrays["end_dates"]])
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def load_series_labels(path: str | Path) -> list[str]:
+    """The labels of the series in a correlation archive; its stack is not read."""
+    return [str(s) for s in load_arrays(path, ["labels"])["labels"]]
 
 
 def _zero_variance(rows: np.ndarray) -> str:
@@ -265,6 +313,8 @@ def _power(values: np.ndarray, epsilon: float) -> np.ndarray:
 
 
 def _check_epsilon(epsilon: float) -> None:
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
 

@@ -163,9 +163,19 @@ def _fix_signs(coords: np.ndarray) -> np.ndarray:
     return coords
 
 
-def _mds_coordinates(values: np.ndarray, D: int, warn: bool = True):
-    n = values.shape[0]
-    B = _double_center(values)
+def classical_mds(dissim: np.ndarray, D: int, warn: bool = True) -> Embedding:
+    """Torgerson MDS: double-center the squared dissimilarities, eigendecompose.
+
+    B = -1/2 J (Z*Z) J with J = I - (1/n) 1 1'; coordinates are eigenvectors
+    scaled by the square root of the top D non-negative eigenvalues.
+    Negative eigenvalues (non-Euclidean input) are dropped; if fewer than D
+    non-negative remain, the missing axes are zero with a warning.
+    ``dissim`` is a square (epochs, epochs) matrix such as similarity_matrix's.
+    """
+    n = _n_epochs(dissim)
+    if not 1 <= D <= n - 1:
+        raise ValueError(f"D must be in 1..{n - 1}, got {D}")
+    B = _double_center(dissim)
     eigval, eigvec = np.linalg.eigh(B)
     order = np.argsort(eigval)[::-1]
     eigval = eigval[order]
@@ -182,34 +192,18 @@ def _mds_coordinates(values: np.ndarray, D: int, warn: bool = True):
             f"only {n_keep} non-negative eigenvalues for {D} requested axes; "
             "remaining coordinates zero-padded",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     retained = np.concatenate([kept, np.zeros(D - n_keep)])
     negatives = eigval[eigval < 0.0]
     total_mass = float(np.abs(eigval).sum())
     clipped_mass = float(np.abs(negatives).sum() / total_mass) if total_mass > 0 else 0.0
-    return _fix_signs(coords), retained, eigval, negatives.size, clipped_mass
-
-
-def classical_mds(dissim: np.ndarray, D: int, warn: bool = True) -> Embedding:
-    """Torgerson MDS: double-center the squared dissimilarities, eigendecompose.
-
-    B = -1/2 J (Z*Z) J with J = I - (1/n) 1 1'; coordinates are eigenvectors
-    scaled by the square root of the top D non-negative eigenvalues.
-    Negative eigenvalues (non-Euclidean input) are dropped; if fewer than D
-    non-negative remain, the missing axes are zero with a warning.
-    ``dissim`` is a square (epochs, epochs) matrix such as similarity_matrix's.
-    """
-    n = _n_epochs(dissim)
-    if not 1 <= D <= n - 1:
-        raise ValueError(f"D must be in 1..{n - 1}, got {D}")
-    coords, retained, full, n_clipped, clipped_mass = _mds_coordinates(dissim, D, warn)
     return Embedding(
-        coordinates=coords,
+        coordinates=_fix_signs(coords),
         eigenvalues=retained,
         D=D,
-        full_eigenvalues=full,
-        n_clipped=n_clipped,
+        full_eigenvalues=eigval,
+        n_clipped=negatives.size,
         clipped_mass=clipped_mass,
     )
 
@@ -243,7 +237,7 @@ def dimension_fidelity(dissim: np.ndarray, dims: list[int]) -> list[tuple[int, f
     n = _n_epochs(dissim)
     if n < 3:
         raise NumericError(f"need at least 3 epochs, got {n}")
-    return step_fidelity(_mds_coordinates(dissim, n - 1, warn=False)[0], dims)
+    return step_fidelity(classical_mds(dissim, n - 1, warn=False).coordinates, dims)
 
 
 def step_fidelity(coordinates: np.ndarray, dims: list[int]) -> list[tuple[int, float]]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import traceback
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -23,10 +24,10 @@ from .corrmat import (
     EpochCorrelationSeries,
     EpochSpec,
     _check_epsilon,
-    _packed_chunks,
-    _packed_width,
-    _unpack_epochs,
     epoch_correlations,
+    load_series,
+    load_series_labels,
+    save_series,
 )
 from .errors import DataError, NumericError
 from .geometry import Embedding, classical_mds, embed_epochs, similarity_matrix, step_fidelity
@@ -48,10 +49,7 @@ from .rmt import (
 )
 from .sector import displacement, sector_series
 from .serialize import (
-    StreamedArray,
-    load_arrays,
     read_json,
-    save_arrays,
     save_state_model,
     sha256_file,
     write_csv,
@@ -185,8 +183,12 @@ class PipelineConfig:
                            ("rmt_realizations", self.rmt_realizations)):
             if value < 1:
                 raise DataError(f"config {key}: must be >= 1, got {value}")
-        if self.seed < 0:
-            raise DataError(f"config seed: must be >= 0, got {self.seed}")
+        for key in ("seed", "k", "sector_k"):
+            if getattr(self, key) < 0:
+                raise DataError(f"config {key}: must be >= 0, got {getattr(self, key)}")
+        for key, parser in self._PARSERS.items():
+            if parser is float and not math.isfinite(getattr(self, key)):
+                raise DataError(f"config {key}: must be finite, got {getattr(self, key)}")
         # the rules of the stages that take these values, checked before any stage runs
         _check_key("window/shift", EpochSpec, self.window, self.shift)
         _check_key("max_gap", ContinuityPolicy, self.max_gap)
@@ -231,44 +233,6 @@ def _portable_names(cfg: PipelineConfig, out: Path) -> dict[Path, str | None]:
             except ValueError:
                 names[Path(value)] = None
     return names
-
-
-def series_from_arrays(arrays: dict[str, np.ndarray]) -> EpochCorrelationSeries:
-    """Rebuild an epoch correlation series from a saved array archive.
-
-    The ``packed`` member, each epoch's upper triangle and diagonal, is
-    unpacked into one new (epochs, N, N) stack, bit for bit.  Archives of
-    earlier versions hold that stack as a ``values`` member instead, and the
-    series holds ``arrays["values"]`` itself, not a copy.  An ``epsilon``
-    member, written by earlier versions, must be 0: mapped matrices are refused.
-    """
-    try:
-        stack = arrays["values"] if "values" in arrays else arrays["packed"]
-        labels = [str(s) for s in arrays["labels"]]
-        starts = [str(s) for s in arrays["start_dates"]]
-        ends = [str(s) for s in arrays["end_dates"]]
-    except KeyError as exc:
-        raise DataError(f"correlation archive is missing array {exc}") from exc
-    if float(arrays.get("epsilon", 0.0)) != 0.0:
-        raise DataError("correlation archive holds power-mapped matrices; rerun corr")
-    try:
-        if "values" not in arrays:
-            stack = _unpack_epochs(np.asarray(stack), len(labels))
-        return EpochCorrelationSeries(labels, stack, starts, ends)
-    except ValueError as exc:
-        raise DataError(f"correlation archive: {exc}") from exc
-
-
-def correlation_arrays(series: EpochCorrelationSeries) -> dict:
-    """The members of a correlation archive; ``packed`` streams the stack's packed layout."""
-    stack = series.values_stack()
-    return {
-        "packed": StreamedArray((series.n_epochs, _packed_width(series.n_labels)),
-                                np.dtype(np.float64), lambda: _packed_chunks(stack)),
-        "labels": np.array(series.labels),
-        "start_dates": np.array([m.start_date for m in series.matrices]),
-        "end_dates": np.array([m.end_date for m in series.matrices]),
-    }
 
 
 def _xyz(coords: np.ndarray) -> np.ndarray:
@@ -469,21 +433,23 @@ class _Run:
     ``names`` holds each configured path's manifest name, from
     ``_portable_names``.  ``digests`` holds one sha256 per file: a later
     stage reading a file, or the freshness check, reuses the digest taken
-    when the file was written or first read.  ``maps`` holds each epsilon's mds_dim-axis map of the epoch
-    stack, built once per call: the mds stage stores epsilon 0, the grid and
-    the stock fit read and add to it.  It is keyed by the corr_raw.npz
-    digest, so a rewritten archive starts empty, and holds no distance
-    matrix.  ``handed`` holds what a stage built and wrote to a file, under
-    that file's digest just after the write: ingest's panel (panel.npz) for
-    corr, and corr's epoch series (corr_raw.npz) for mds, states and sectors.
-    run_pipeline releases each before the first stage that does not take it.
+    when the file was written or first read.  ``maps`` holds each epsilon's
+    mds_dim-axis map of the epoch stack, built once per call: the mds stage
+    stores epsilon 0, the grid and the stock fit read and add to it.  It
+    holds no distance matrix, and all its maps are of one stack: corr runs
+    before mds and states, and no stage rewrites corr_raw.npz after it.
+    ``handed`` holds what a stage built and wrote to a file, under that
+    file's digest just after the write: ingest's panel (panel.npz) for corr,
+    and corr's epoch series (corr_raw.npz) for mds, states and sectors.
+    run_pipeline releases each before the first stage without that file
+    among its inputs.
     """
 
     out: Path
     workers: int
     names: dict[Path, str | None] = field(default_factory=dict)
     digests: dict[Path, str] = field(default_factory=dict)
-    maps: dict[str, dict[float, Embedding]] = field(default_factory=dict)
+    maps: dict[float, Embedding] = field(default_factory=dict)
     handed: dict[Path, tuple[str, object]] = field(default_factory=dict)
 
     def digest(self, path: Path) -> str:
@@ -498,9 +464,6 @@ class _Run:
             return self.names[path] or str(path)
         return path.relative_to(self.out).as_posix()
 
-    def epoch_maps(self) -> dict[float, Embedding]:
-        return self.maps.setdefault(self.digest(self.out / "corr_raw.npz"), {})
-
     def hand_over(self, path: Path, value) -> None:
         """Keep ``value``, just written to ``path``, for the later stages that take it."""
         self.digests.pop(path, None)  # a digest taken before this write is stale
@@ -513,13 +476,12 @@ class _Run:
             return handed[1]
         return load(path)
 
-    def release(self, keep: tuple[Path, ...] = ()) -> None:
+    def release(self, keep: list[Path] | tuple[Path, ...] = ()) -> None:
         """Drop every handed-over value but those for the files ``keep``."""
         self.handed = {path: value for path, value in self.handed.items() if path in keep}
 
     def epoch_series(self) -> EpochCorrelationSeries:
-        return self.read(self.out / "corr_raw.npz",
-                         lambda path: series_from_arrays(load_arrays(path)))
+        return self.read(self.out / "corr_raw.npz", load_series)
 
 
 def _stage_ingest(cfg: PipelineConfig, run: _Run) -> list[Path]:
@@ -532,7 +494,7 @@ def _stage_corr(cfg: PipelineConfig, run: _Run) -> list[Path]:
     path = run.out / "corr_raw.npz"
     returns = log_returns(run.read(run.out / PANEL, load_panel))
     series = epoch_correlations(returns, EpochSpec(cfg.window, cfg.shift))
-    save_arrays(path, **correlation_arrays(series))
+    save_series(series, path)
     run.hand_over(path, series)
     return [path]
 
@@ -541,13 +503,13 @@ def _stage_mds(cfg: PipelineConfig, run: _Run) -> list[Path]:
     series = run.epoch_series()
     dates = [m.start_date for m in series.matrices]
     return write_map(series.values_stack(), dates, cfg.mds_dim, run.out, run.workers,
-                     maps=run.epoch_maps())
+                     maps=run.maps)
 
 
 def _stage_states(cfg: PipelineConfig, run: _Run) -> list[Path]:
     out, workers = run.out, run.workers
     series = run.epoch_series()
-    maps = run.epoch_maps()
+    maps = run.maps
     surface = optimize_over_grid(
         series.values_stack(), cfg.k_range, cfg.epsilon_grid,
         cfg.n_inits, cfg.seed, dim=cfg.mds_dim, workers=workers, maps=maps,
@@ -611,7 +573,7 @@ def _stage_trajectory(cfg: PipelineConfig, run: _Run) -> list[Path]:
 
 def _stage_rmt(cfg: PipelineConfig, run: _Run) -> list[Path]:
     out = run.out
-    n_stocks = len(load_arrays(out / "corr_raw.npz", names=["labels"])["labels"])
+    n_stocks = len(load_series_labels(out / "corr_raw.npz"))
     spec = WishartSpec(N=n_stocks, T=cfg.window,
                        ensemble_size=cfg.rmt_realizations, seed=cfg.seed)
     write_json(out / "rmt_report.json", rmt_report_payload(spec, cfg.rmt_bins))
@@ -626,7 +588,6 @@ class _Stage:
     inputs: list[Path]
     params: dict
     run: object = None
-    takes: tuple[Path, ...] = ()  # the files whose handed-over values the stage reads
     gives: tuple[Path, ...] = ()  # the files of its outputs that later stages read
 
 
@@ -637,21 +598,20 @@ def _plan(cfg: PipelineConfig, out: Path) -> list[_Stage]:
     stages = [
         _Stage("ingest", True, "", [Path(cfg.prices)] + ([Path(cfg.sectors)] if cfg.sectors else []),
                {"max_gap": cfg.max_gap}, _stage_ingest, gives=(panel, meta)),
-        _Stage("corr", True, "", [panel], dict(epoch_params), _stage_corr,
-               takes=(panel,), gives=(corr,)),
+        _Stage("corr", True, "", [panel], dict(epoch_params), _stage_corr, gives=(corr,)),
         _Stage("mds", True, "", [corr],
                {**epoch_params, "mds_dim": cfg.mds_dim},
-               _stage_mds, takes=(corr,)),
+               _stage_mds),
         _Stage("states", True, "", [corr],
                {**epoch_params, "k_range": cfg.k_range, "epsilon_grid": cfg.epsilon_grid,
                 "n_inits": cfg.n_inits, "seed": cfg.seed, "mds_dim": cfg.mds_dim,
                 "k_min": cfg.k_min, "k": cfg.k, "epsilon": cfg.epsilon},
-               _stage_states, takes=(corr,), gives=(out / "selected.json", out / "model.json")),
+               _stage_states, gives=(out / "selected.json", out / "model.json")),
         _Stage("sectors", bool(cfg.sectors), "no sector map configured",
                [meta, corr, out / "selected.json", out / "model.json"],
                {**epoch_params, "sector_k": cfg.sector_k, "sector_epsilon": cfg.sector_epsilon,
                 "n_inits": cfg.n_inits, "seed": cfg.seed, "mds_dim": cfg.mds_dim},
-               _stage_sectors, takes=(corr,)),
+               _stage_sectors),
         _Stage("trajectory", bool(cfg.events), "no event catalog configured",
                [panel] + ([Path(cfg.events)] if cfg.events else []),
                {**epoch_params, "threshold": cfg.threshold, "width_days": cfg.width_days,
@@ -714,9 +674,9 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
     exit_code = 0
     failed = False
     for stage in _plan(cfg, out):
-        # even a skipped or halted stage releases what it does not take: the
-        # panel lives until corr, the epoch series until sectors
-        run.release(keep=stage.takes)
+        # even a skipped or halted stage releases what is not among its
+        # inputs: the panel lives until corr, the epoch series until sectors
+        run.release(keep=stage.inputs)
         if failed:
             manifest["stages"][stage.name] = {"status": "halted",
                                               "reason": "an upstream stage failed"}

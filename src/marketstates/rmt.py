@@ -9,6 +9,7 @@ a pure-noise spectrum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,10 @@ class WishartSpec:
     def __post_init__(self) -> None:
         if self.N < 1 or self.T < 1 or self.ensemble_size < 1:
             raise ValueError("N, T and ensemble_size must all be >= 1")
-        if self.sigma2 <= 0:
-            raise ValueError(f"sigma2 must be > 0, got {self.sigma2}")
+        if not 0 < self.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2}")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

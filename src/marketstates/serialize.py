@@ -85,7 +85,7 @@ class StreamedArray:
 
     ``chunks()`` yields C-ordered blocks of consecutive rows (along the first
     axis) that together make an array of ``shape`` and ``dtype``; a block may
-    reuse the previous one's buffer.  ``np.asarray`` builds the whole array.
+    reuse the previous one's buffer.
     """
 
     shape: tuple[int, ...]
@@ -107,14 +107,6 @@ class StreamedArray:
             yield block
         if rows != self.shape[0]:
             raise ValueError(f"blocks of {rows} rows for a member of shape {self.shape}")
-
-    def __array__(self, dtype=None, copy=None):
-        whole = np.empty(self.shape, self.dtype)
-        row = 0
-        for block in self.blocks():
-            whole[row:row + len(block)] = block
-            row += len(block)
-        return whole if dtype is None else whole.astype(dtype, copy=False)
 
 
 def save_arrays(path: str | Path, **arrays) -> None:

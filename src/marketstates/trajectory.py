@@ -85,6 +85,24 @@ def _check_width(width_days: int) -> None:
         raise ValueError(f"width must be an odd number of price days >= 3, got {width_days}")
 
 
+def _window(panel: ReturnPanel, lo: int, hi: int, name: str, center_date: str,
+            spec: EpochSpec) -> EventWindow:
+    """The window of return columns lo..hi-1, dated by the slice's first and last day."""
+    piece = ReturnPanel(
+        tickers=list(panel.tickers),
+        dates=panel.dates[lo:hi],
+        returns=panel.returns[:, lo:hi],
+        sector_of=panel.sector_of,
+    )
+    return EventWindow(
+        name=name,
+        start_date=piece.dates[0],
+        end_date=piece.dates[-1],
+        center_date=center_date,
+        epochs=epoch_correlations(piece, spec),
+    )
+
+
 def cut_window(panel: ReturnPanel, center_date: str,
                width_days: int = DEFAULT_WIDTH_DAYS, name: str = "",
                spec: EpochSpec = EpochSpec()) -> EventWindow:
@@ -109,20 +127,7 @@ def cut_window(panel: ReturnPanel, center_date: str,
         raise DataError(
             f"window needs {half} price days after {center_date}, only {n - center} available"
         )
-    lo, hi = center - half, center + half
-    piece = ReturnPanel(
-        tickers=list(panel.tickers),
-        dates=panel.dates[lo:hi],
-        returns=panel.returns[:, lo:hi],
-        sector_of=panel.sector_of,
-    )
-    return EventWindow(
-        name=name or center_date,
-        start_date=piece.dates[0],
-        end_date=piece.dates[-1],
-        center_date=center_date,
-        epochs=epoch_correlations(piece, spec),
-    )
+    return _window(panel, center - half, center + half, name or center_date, center_date, spec)
 
 
 def window_from_dates(panel: ReturnPanel, start_date: str, end_date: str,
@@ -138,19 +143,8 @@ def window_from_dates(panel: ReturnPanel, start_date: str, end_date: str,
         raise DataError(f"window boundary is not a trading day of the panel: {exc}") from None
     if hi <= lo:
         raise DataError(f"end date {end_date!r} does not follow start date {start_date!r}")
-    piece = ReturnPanel(
-        tickers=list(panel.tickers),
-        dates=panel.dates[lo:hi + 1],
-        returns=panel.returns[:, lo:hi + 1],
-        sector_of=panel.sector_of,
-    )
-    return EventWindow(
-        name=name or f"{start_date}..{end_date}",
-        start_date=start_date,
-        end_date=end_date,
-        center_date=panel.dates[(lo + hi) // 2],
-        epochs=epoch_correlations(piece, spec),
-    )
+    return _window(panel, lo, hi + 1, name or f"{start_date}..{end_date}",
+                   panel.dates[(lo + hi) // 2], spec)
 
 
 def analyze_trajectory(window: EventWindow, threshold: float = DEFAULT_THRESHOLD,

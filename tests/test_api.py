@@ -20,13 +20,17 @@ def test_all_is_sorted_unique_and_every_public_name():
     assert all(hasattr(marketstates, name) for name in exported)
 
 
-def imported_names():
-    """(file, name) per absolute import in the package; ``from m import x`` gives m and m.x."""
+def imported_names(relative=False):
+    """(file, name) per absolute import in the package; ``from m import x`` gives m and m.x.
+
+    With ``relative``, per import from a package module instead: ``from .m
+    import x`` gives m and m.x.
+    """
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
+            if isinstance(node, ast.Import) and not relative:
                 yield from ((path.name, alias.name) for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            elif isinstance(node, ast.ImportFrom) and (node.level > 0) == relative:
                 yield path.name, node.module
                 yield from ((path.name, f"{node.module}.{alias.name}") for alias in node.names)
 
@@ -45,3 +49,17 @@ def test_package_runs_on_threads_only():
                  or name.startswith("concurrent.futures.process")
                  or name.endswith("ProcessPoolExecutor")]
     assert processes == []
+
+
+def test_only_corrmat_knows_how_the_epoch_stack_is_stored():
+    # corrmat.save_series and load_series own corr_raw.npz; geometry's kernel
+    # packs through corrmat._pack_epochs, and serialize defines StreamedArray
+    storage = {"_packed_chunks", "_packed_width", "_unpack_epochs", "StreamedArray"}
+    leaks = [f"{file}: {name}" for file, name in imported_names(relative=True)
+             if file != "corrmat.py" and name.rpartition(".")[2] in storage]
+    assert leaks == []
+    # the archive member, by name or as a save_arrays keyword
+    members = [path.name for path in sorted(PACKAGE_DIR.glob("*.py"))
+               if path.name != "corrmat.py"
+               and any(word in path.read_text() for word in ('"packed"', "packed="))]
+    assert members == []

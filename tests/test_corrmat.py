@@ -331,6 +331,14 @@ def test_power_map_takes_arrays_only():
         power_map(series.values_stack(), -0.1)
 
 
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+def test_power_map_rejects_a_non_finite_epsilon(epsilon):
+    # nan < 0 is false: a sign test alone passes nan on to a map of NaNs
+    C = pearson_correlation(np.random.default_rng(13).normal(size=(4, 10)))
+    with pytest.raises(ValueError, match=f"epsilon must be finite, got {epsilon}"):
+        power_map(C, epsilon)
+
+
 def test_power_map_lifts_rank_degeneracy():
     # 100 stocks on a 20-day window: at least 81 zero eigenvalues before the
     # map, strictly fewer after even a tiny epsilon.

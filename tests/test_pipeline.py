@@ -11,17 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from marketstates.corrmat import EpochSpec
+from marketstates.corrmat import EpochSpec, load_series, save_series
 from marketstates.errors import DataError
 from marketstates.pipeline import (
     STAGE_ORDER,
     PipelineConfig,
-    correlation_arrays,
     emit_plot_data,
     parse_float_grid,
     parse_int_range,
     run_pipeline,
-    series_from_arrays,
     trajectory_report_payload,
 )
 from marketstates.rmt import WishartSpec
@@ -130,69 +128,49 @@ def corr_series(n_epochs=4, n=3, seed=0):
     return epoch_correlations(panel, EpochSpec(window=10, shift=1))
 
 
-def dense_arrays(series):
-    """The members earlier versions wrote to corr_raw.npz: the dense stack as ``values``."""
+def corr_members(series):
+    """The members save_series writes, each whole in memory: the stack packed at once."""
+    from marketstates.corrmat import _pack_epochs
+
     return {
-        "values": series.values_stack(),
+        "packed": _pack_epochs(series.values_stack()),
         "labels": np.array(series.labels),
         "start_dates": np.array([m.start_date for m in series.matrices]),
         "end_dates": np.array([m.end_date for m in series.matrices]),
     }
 
 
-def test_correlation_arrays_round_trip():
+def test_correlation_arrays_round_trip(tmp_path):
     series = corr_series()
-    arrays = correlation_arrays(series)
-    assert sorted(arrays) == ["end_dates", "labels", "packed", "start_dates"]
-    back = series_from_arrays(arrays)
+    save_series(series, tmp_path / "corr.npz")
+    assert sorted(load_arrays(tmp_path / "corr.npz")) == [
+        "end_dates", "labels", "packed", "start_dates"]
+    back = load_series(tmp_path / "corr.npz")
     assert back.labels == series.labels
     np.testing.assert_array_equal(back.values_stack(), series.values_stack())
     for got, want in zip(back.matrices, series.matrices):
         assert (got.start_date, got.end_date) == (want.start_date, want.end_date)
 
 
-def test_series_from_arrays_reads_a_zero_epsilon_member_and_refuses_any_other():
-    # archives written before the power map left the series carry epsilon 0
-    arrays = dense_arrays(corr_series())
-    back = series_from_arrays({**arrays, "epsilon": np.array(0.0)})
-    assert np.shares_memory(back.values_stack(), arrays["values"])
-    with pytest.raises(DataError, match="holds power-mapped matrices; rerun corr"):
-        series_from_arrays({**arrays, "epsilon": np.array(0.5)})
-
-
-def test_series_from_arrays_rejects_a_stack_that_does_not_match_its_labels():
-    arrays = dense_arrays(corr_series(n=3))
-    with pytest.raises(DataError, match=r"shape \(4, 3, 3\) for 2 labels"):
-        series_from_arrays({**arrays, "labels": arrays["labels"][:2]})
-    arrays = correlation_arrays(corr_series(n=3))
-    with pytest.raises(DataError, match=r"packed epochs of shape \(4, 6\) for 2 labels"):
-        series_from_arrays({**arrays, "labels": arrays["labels"][:2]})
-
-
-def test_series_from_arrays_holds_the_archive_stack():
-    arrays = dense_arrays(corr_series())
-    arrays["values"] = arrays["values"].copy()  # as load_arrays returns it: writeable
-    series = series_from_arrays(arrays)
-    assert np.shares_memory(series.values_stack(), arrays["values"])
-    assert not series.values_stack().flags.writeable
-    assert arrays["values"].flags.writeable  # the caller's array is left as it was
-    assert all(np.shares_memory(m.values, arrays["values"]) for m in series.matrices)
+def test_series_from_arrays_rejects_a_stack_that_does_not_match_its_labels(tmp_path):
+    arrays = corr_members(corr_series(n=3))
+    save_arrays(tmp_path / "corr.npz", **{**arrays, "labels": arrays["labels"][:2]})
+    with pytest.raises(DataError, match=r"corr\.npz: packed epochs of shape \(4, 6\) for 2 labels"):
+        load_series(tmp_path / "corr.npz")
 
 
 def test_corr_archive_streams_the_packed_stack_without_a_whole_copy(tmp_path, peak_bytes):
-    from marketstates.corrmat import _pack_epochs
-
     series = corr_series(n_epochs=240, n=60)
     path = tmp_path / "corr_raw.npz"
     packed_bytes = 240 * (60 * 61 // 2) * 8
     # streaming holds a chunk's buffers, far less than a whole packed copy
-    assert peak_bytes(lambda: save_arrays(path, **correlation_arrays(series))) < 0.5 * packed_bytes
+    assert peak_bytes(lambda: save_series(series, path)) < 0.5 * packed_bytes
     whole = tmp_path / "whole.npz"
-    save_arrays(whole, **{**correlation_arrays(series), "packed": _pack_epochs(series.values_stack())})
+    save_arrays(whole, **corr_members(series))
     assert path.read_bytes() == whole.read_bytes()
     with zipfile.ZipFile(path) as zf:
         assert zf.namelist() == ["end_dates.npy", "labels.npy", "packed.npy", "start_dates.npy"]
-    back = series_from_arrays(load_arrays(path))
+    back = load_series(path)
     assert back.values_stack().tobytes() == series.values_stack().tobytes()
     assert back.labels == series.labels
     assert [(m.start_date, m.end_date) for m in back.matrices] == \
@@ -201,18 +179,31 @@ def test_corr_archive_streams_the_packed_stack_without_a_whole_copy(tmp_path, pe
 
 def test_series_from_a_packed_archive_holds_the_unpacked_stack_only(tmp_path, peak_bytes):
     series = corr_series(n_epochs=240, n=60)
-    save_arrays(tmp_path / "corr_raw.npz", **correlation_arrays(series))
+    save_series(series, tmp_path / "corr_raw.npz")
     stack_bytes = 240 * 60 * 60 * 8
     # the packed member (0.51 of the stack) plus the one unpacked stack
-    peak = peak_bytes(lambda: series_from_arrays(load_arrays(tmp_path / "corr_raw.npz")))
+    peak = peak_bytes(lambda: load_series(tmp_path / "corr_raw.npz"))
     assert peak <= 1.6 * stack_bytes
 
 
 def test_series_from_arrays_requires_all_arrays(tmp_path):
-    arrays = correlation_arrays(corr_series())
+    arrays = corr_members(corr_series())
     del arrays["start_dates"]
-    with pytest.raises(DataError, match="missing array"):
-        series_from_arrays(arrays)
+    save_arrays(tmp_path / "corr_raw.npz", **arrays)
+    with pytest.raises(DataError, match="corr_raw.npz has no 'start_dates' member"):
+        load_series(tmp_path / "corr_raw.npz")
+
+
+def test_archive_without_a_packed_member_asks_to_rerun_corr(tmp_path):
+    # earlier versions stored the dense stack as ``values``, and some an ``epsilon``
+    series = corr_series()
+    arrays = {**corr_members(series), "values": series.values_stack(), "epsilon": np.array(0.0)}
+    del arrays["packed"]
+    path = tmp_path / "corr_raw.npz"
+    save_arrays(path, **arrays)
+    with pytest.raises(DataError, match=re.escape(
+            f"{path} has no 'packed' member; rerun corr (run --force) to rewrite it")):
+        load_series(path)
 
 
 def test_write_map_uses_one_eigendecomposition(tmp_path, monkeypatch):
@@ -402,7 +393,7 @@ def test_run_pipeline_full(market, tmp_path):
             assert sha256_file(out / rel) == digest
 
     # epochs: 119 returns, window 20, shift 1
-    series = series_from_arrays(load_arrays(out / "corr_raw.npz"))
+    series = load_series(out / "corr_raw.npz")
     assert series.values_stack().shape == (100, 8, 8)
 
     model = read_json(out / "model.json")
@@ -563,14 +554,14 @@ def test_corr_stage_holds_one_stack_copy_while_writing(tmp_path, peak_bytes):
 
 
 def test_rerun_over_deflated_archives_skips_every_stage(market, tmp_path, monkeypatch):
+    import marketstates.corrmat as corrmat
     import marketstates.ingest as ingest
-    import marketstates.pipeline as pipeline
     import marketstates.serialize as serialize
 
     # an output tree whose .npz archives were deflated by the earlier writer
     cfg = market_config(market, tmp_path / "out")
     with monkeypatch.context() as patch:
-        for module in (ingest, pipeline, serialize):
+        for module in (ingest, corrmat, serialize):
             patch.setattr(module, "save_arrays", save_arrays_deflated)
         assert run_pipeline(cfg)[0] == 0
     archives = sorted((tmp_path / "out").glob("*.npz"))
@@ -582,60 +573,6 @@ def test_rerun_over_deflated_archives_skips_every_stage(market, tmp_path, monkey
     code, manifest = run_pipeline(cfg)
     assert code == 0
     assert {entry["status"] for entry in manifest["stages"].values()} == {"skipped"}
-
-
-def test_rerun_over_archives_with_a_zero_epsilon_member_skips_every_stage(
-        market, tmp_path, monkeypatch):
-    import marketstates.pipeline as pipeline
-
-    def arrays_with_epsilon(series):  # the earlier writer's corr_raw.npz members
-        return {**dense_arrays(series), "epsilon": np.array(0.0)}
-
-    out = tmp_path / "out"
-    cfg = market_config(market, out)
-    with monkeypatch.context() as patch:
-        patch.setattr(pipeline, "correlation_arrays", arrays_with_epsilon)
-        assert run_pipeline(cfg)[0] == 0
-    assert float(load_arrays(out / "corr_raw.npz")["epsilon"]) == 0.0
-
-    code, manifest = run_pipeline(cfg)
-    assert code == 0
-    assert {entry["status"] for entry in manifest["stages"].values()} == {"skipped"}
-    # the stages that build a series from the archive still read it
-    (out / "surface.csv").unlink()
-    (out / "sector_model.json").unlink()
-    code, manifest = run_pipeline(cfg)
-    assert code == 0
-    assert {name: manifest["stages"][name]["status"] for name in ("corr", "states", "sectors")} \
-        == {"corr": "skipped", "states": "ok", "sectors": "ok"}
-
-
-def test_tree_with_a_dense_archive_reruns_skipped_and_rebuilds_from_it(
-        market, tmp_path, monkeypatch, tree_diff):
-    import marketstates.pipeline as pipeline
-
-    old = tmp_path / "old"
-    cfg = market_config(market, old)
-    with monkeypatch.context() as patch:  # the earlier writer: the dense stack as ``values``
-        patch.setattr(pipeline, "correlation_arrays", dense_arrays)
-        assert run_pipeline(cfg)[0] == 0
-    assert sorted(load_arrays(old / "corr_raw.npz")) == [
-        "end_dates", "labels", "start_dates", "values"]
-    code, manifest = run_pipeline(cfg)
-    assert code == 0
-    assert {entry["status"] for entry in manifest["stages"].values()} == {"skipped"}
-
-    # the stages that build a series from the dense archive rebuild the same bytes
-    for name in ("map_coords.csv", "surface.csv", "sector_model.json"):
-        (old / name).unlink()
-    code, manifest = run_pipeline(cfg)
-    assert code == 0
-    assert {name: manifest["stages"][name]["status"] for name in
-            ("corr", "mds", "states", "sectors", "rmt")} == {
-        "corr": "skipped", "mds": "ok", "states": "ok", "sectors": "ok", "rmt": "skipped"}
-    fresh = tmp_path / "fresh"
-    assert run_pipeline(replace(cfg, out_dir=str(fresh)))[0] == 0
-    assert tree_diff(old, fresh, skip={"manifest.json", "corr_raw.npz"}) == []
 
 
 def save_panel_csv(panel, path):
@@ -693,8 +630,8 @@ def test_rerun_over_a_tree_with_a_text_panel_reruns_ingest(market, tmp_path, mon
 
 
 def count_archive_loads(monkeypatch):
-    """The members each pipeline load of corr_raw.npz asks for, None for all of them."""
-    import marketstates.pipeline as pipeline
+    """The members each load of corr_raw.npz asks for, None for all of them."""
+    import marketstates.corrmat as corrmat
 
     calls = []
 
@@ -703,7 +640,7 @@ def count_archive_loads(monkeypatch):
             calls.append(names)
         return load_arrays(path, names)
 
-    monkeypatch.setattr(pipeline, "load_arrays", counting_load_arrays)
+    monkeypatch.setattr(corrmat, "load_arrays", counting_load_arrays)
     return calls
 
 
@@ -760,12 +697,12 @@ def test_handed_series_is_dropped_when_corr_raw_changes(tmp_path):
     run = _Run(tmp_path, workers=1)
     path = tmp_path / "corr_raw.npz"
     series = corr_series()
-    save_arrays(path, **correlation_arrays(series))
+    save_series(series, path)
     run.hand_over(path, series)
     assert run.epoch_series() is series
 
     other = corr_series(seed=1)
-    save_arrays(path, **correlation_arrays(other))
+    save_series(other, path)
     del run.digests[path]  # as run_pipeline drops a digest taken before a rewrite
     loaded = run.epoch_series()
     assert loaded is not series
@@ -946,6 +883,18 @@ def test_panel_with_no_surviving_ticker_fails_ingest(tmp_path):
     pytest.param({"trajectory_epsilon": -0.5},
                  "config trajectory_epsilon: epsilon must be >= 0, got -0.5",
                  id="trajectory_epsilon"),
+    pytest.param({"epsilon_grid": [0.0, math.nan]},
+                 "config epsilon_grid: epsilon must be finite, got nan", id="epsilon_grid_nan"),
+    pytest.param({"epsilon": math.nan}, "config epsilon: must be finite, got nan",
+                 id="epsilon_nan"),
+    pytest.param({"sector_epsilon": math.inf}, "config sector_epsilon: must be finite, got inf",
+                 id="sector_epsilon_inf"),
+    pytest.param({"threshold": math.nan}, "config threshold: must be finite, got nan",
+                 id="threshold_nan"),
+    pytest.param({"trajectory_epsilon": math.nan},
+                 "config trajectory_epsilon: must be finite, got nan", id="trajectory_epsilon_nan"),
+    pytest.param({"k": -3}, "config k: must be >= 0, got -3", id="k"),
+    pytest.param({"sector_k": -1}, "config sector_k: must be >= 0, got -1", id="sector_k"),
 ])
 def test_config_error_fails_before_any_stage(market, tmp_path, bad, message):
     out = tmp_path / "out"

@@ -18,6 +18,12 @@ def test_spec_validation():
         WishartSpec(N=10, T=10, ensemble_size=0)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         WishartSpec(N=10, T=10, seed=-1)
+    for sigma2 in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"sigma2 must be finite and > 0, got {sigma2}"):
+            WishartSpec(N=10, T=10, sigma2=sigma2)
+    for mean in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match=f"mean must be finite, got {mean}"):
+            WishartSpec(N=10, T=10, mean=mean)
     assert WishartSpec(N=200, T=800).Q == 4.0
 
 
