@@ -16,9 +16,8 @@ from marketstates import (
     ReturnPanel,
     displacement,
     epoch_correlations,
-    fit_states,
+    fit_series,
     sector_series,
-    sector_state_pipeline,
 )
 
 # --- 1. three sectors, one market-wide stress window ---------------------------
@@ -41,7 +40,7 @@ for ticker in tickers:
     rows.append(np.sqrt(market) * factor + sector_factor
                 + np.sqrt(1 - market) * rng.standard_normal(days) * 0.7)
 panel = ReturnPanel(tickers=tickers, dates=[f"d{i:03d}" for i in range(days)],
-                    returns=np.array(rows), sector_of=sector_of)
+                    returns=np.array(rows))
 
 # --- 2. every epoch, averaged by sector ----------------------------------------
 series = epoch_correlations(panel, EpochSpec(window=20, shift=1))
@@ -53,11 +52,9 @@ print("sector matrix for the first epoch:")
 print(np.round(small.values, 3))
 print("note the diagonal: intra-sector averages are informative, not 1.\n")
 
-# --- 3. states at both levels, same operating point ----------------------------
-stock_model, _, _ = fit_states(panel, EpochSpec(20, 1), k=2, epsilon=0.5,
-                               n_inits=8, seed=0)
-sector_model, _, _ = sector_state_pipeline(panel, EpochSpec(20, 1), k=2,
-                                           epsilon=0.5, n_inits=8, seed=0)
+# --- 3. states at both levels, same operating point, one fit path --------------
+stock_model, _, _ = fit_series(series, k=2, epsilon=0.5, n_inits=8, seed=0)
+sector_model, _, _ = fit_series(by_sector, k=2, epsilon=0.5, n_inits=8, seed=0)
 print(f"stock-level occupancy:  {stock_model.occupancy()}")
 print(f"sector-level occupancy: {sector_model.occupancy()}")
 

@@ -59,7 +59,6 @@ from .sector import (
     DisplacementReport,
     displacement,
     sector_series,
-    sector_state_pipeline,
 )
 from .states import (
     ClusteringRun,
@@ -68,7 +67,6 @@ from .states import (
     best_kmeans,
     build_state_model,
     fit_series,
-    fit_states,
     kmeans,
     optimize_over_grid,
     select_optimum,
@@ -124,7 +122,6 @@ __all__ = [
     "epoch_correlations",
     "epoch_count",
     "fit_series",
-    "fit_states",
     "kmeans",
     "l1_to_analytic",
     "load_event_catalog",
@@ -145,7 +142,6 @@ __all__ = [
     "save_panel",
     "save_series",
     "sector_series",
-    "sector_state_pipeline",
     "select_optimum",
     "similarity_matrix",
     "spectral_variance",

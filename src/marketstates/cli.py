@@ -15,10 +15,9 @@ from pathlib import Path
 
 from .corrmat import EpochSpec, epoch_correlations, load_series, save_series
 from .errors import DataError, NumericError
-from .ingest import load_panel, log_returns
+from .ingest import load_panel, load_sector_map, log_returns
 from .pipeline import (
     PipelineConfig,
-    attach_sector_map,
     parse_float_grid,
     parse_int_range,
     rmt_report_payload,
@@ -32,9 +31,9 @@ from .pipeline import (
     write_trajectory_report,
 )
 from .rmt import WishartSpec
-from .sector import SECTOR_PRESETS, sector_state_pipeline
+from .sector import SECTOR_PRESETS, sector_series
 from .serialize import load_state_model, write_json
-from .states import fit_states, optimize_over_grid, select_optimum
+from .states import fit_series, optimize_over_grid, select_optimum
 from .trajectory import analyze_trajectory, classify_catalog, cut_window, load_event_catalog, window_from_dates
 
 
@@ -60,10 +59,6 @@ def _out_path(raw: str) -> Path:
     return path
 
 
-def _epoch_spec(args) -> EpochSpec:
-    return EpochSpec(window=args.window, shift=args.shift)
-
-
 def _add_epoch_flags(parser) -> None:
     parser.add_argument("--window", type=int, default=20,
                         help="return days per epoch (default 20)")
@@ -71,9 +66,17 @@ def _add_epoch_flags(parser) -> None:
                         help="days the epoch advances (default 1)")
 
 
+def _add_fit_flags(parser) -> None:
+    """The epoch archive and the k-means ensemble of a state search or fit."""
+    parser.add_argument("--corr", required=True)
+    parser.add_argument("--n-inits", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--dim", type=int, default=3)
+
+
 def _cmd_ingest(args) -> int:
     out = _out_path(args.out)
-    panel = write_panel(args.prices, args.sectors, args.max_gap, out)
+    panel = write_panel(args.prices, args.max_gap, out)
     print(f"kept {panel.n_stocks} stocks x {panel.n_days} days -> {out}")
     for name, reason in panel.dropped.items():
         print(f"dropped {name}: {reason}")
@@ -81,8 +84,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_corr(args) -> int:
-    panel = load_panel(args.panel)
-    series = epoch_correlations(log_returns(panel), _epoch_spec(args))
+    series = epoch_correlations(log_returns(load_panel(args.panel)), EpochSpec(args.window, args.shift))
     out = _out_path(args.out)
     save_series(series, out)
     print(f"{series.n_epochs} epochs of {series.n_labels}x{series.n_labels} matrices -> {out}")
@@ -110,9 +112,11 @@ def _cmd_mds(args) -> int:
 
 
 def _cmd_states_optimize(args) -> int:
-    panel = load_panel(args.panel)
-    series = epoch_correlations(log_returns(panel), _epoch_spec(args))
-    surface = optimize_over_grid(series.values_stack(), parse_int_range(args.k_range),
+    k_range = parse_int_range(args.k_range)
+    if k_range and max(k_range) < args.k_min:  # PipelineConfig.validate()'s rule
+        raise ValueError(f"--k-min {args.k_min} exceeds every k in --k-range {args.k_range}")
+    series = load_series(args.corr)
+    surface = optimize_over_grid(series.values_stack(), k_range,
                                  parse_float_grid(args.epsilon_grid), args.n_inits,
                                  args.seed, dim=args.dim, workers=args.workers)
     out = _out_path(args.out)
@@ -124,9 +128,8 @@ def _cmd_states_optimize(args) -> int:
 
 
 def _cmd_states_fit(args) -> int:
-    panel = load_panel(args.panel)
-    model, _, embedding = fit_states(log_returns(panel), _epoch_spec(args), args.k,
-                                     args.epsilon, args.n_inits, args.seed, dim=args.dim)
+    model, _, embedding = fit_series(load_series(args.corr), args.k, args.epsilon,
+                                     args.n_inits, args.seed, dim=args.dim)
     out = _out_path(args.out_dir) / "model.json"
     write_fit(model, embedding, out, "states_")
     occupancy = ", ".join(f"S{s + 1}={c}" for s, c in enumerate(model.occupancy()))
@@ -138,19 +141,15 @@ def _cmd_states_fit(args) -> int:
 
 
 def _cmd_sectors_fit(args) -> int:
-    panel = load_panel(args.panel)
-    if args.sectors:
-        attach_sector_map(panel, args.sectors)
-    if args.preset:
-        k, epsilon = SECTOR_PRESETS[args.preset]
-    else:
-        if args.k is None or args.epsilon is None:
-            raise DataError("pass --k and --epsilon, or --preset")
-        k, epsilon = args.k, args.epsilon
-    model, _, embedding = sector_state_pipeline(
-        log_returns(panel), _epoch_spec(args), k, epsilon, args.n_inits,
-        args.seed, dim=args.dim, include_self_pairs=args.include_self_pairs,
-    )
+    point = [flag for flag, value in (("--k", args.k), ("--epsilon", args.epsilon)) if value is not None]
+    if args.preset and point:
+        raise ValueError(f"--preset does not combine with {' and '.join(point)}")
+    if not args.preset and len(point) < 2:
+        raise DataError("pass --k and --epsilon, or --preset")
+    k, epsilon = SECTOR_PRESETS[args.preset] if args.preset else (args.k, args.epsilon)
+    series = sector_series(load_series(args.corr), load_sector_map(args.sectors),
+                           include_self_pairs=args.include_self_pairs)
+    model, _, embedding = fit_series(series, k, epsilon, args.n_inits, args.seed, dim=args.dim)
     out = _out_path(args.out_dir) / "sector_model.json"
     write_fit(model, embedding, out, "sectors_")
     print(f"sector model ({len(model.labels)} sectors, k={k}, epsilon={epsilon}) -> {out}")
@@ -171,7 +170,7 @@ def _cmd_sectors_displace(args) -> int:
 def _cmd_trajectory(args) -> int:
     panel = load_panel(args.panel)
     returns = log_returns(panel)
-    spec = _epoch_spec(args)
+    spec = EpochSpec(args.window, args.shift)
     if args.mode == "catalog":
         # each event's window comes from --events and is mapped on 3 axes
         ignored = [flag for flag, given in (
@@ -191,6 +190,8 @@ def _cmd_trajectory(args) -> int:
         for name, message in failures.items():
             print(f"{name}: FAILED ({message})", file=sys.stderr)
         return 0
+    if args.center and (args.start or args.end):
+        raise ValueError("pass --center or --start and --end, not both")
     if args.start and args.end:
         window = window_from_dates(returns, args.start, args.end,
                                    name=args.name, spec=spec)
@@ -237,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="load prices, apply the continuity policy, save a panel archive")
     p.add_argument("--prices", required=True)
-    p.add_argument("--sectors", default="")
     p.add_argument("--max-gap", type=int, default=2,
                    help="max consecutive missing prices before a ticker is dropped")
     p.add_argument("--out", required=True)
@@ -270,40 +270,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("states", help="market-state search and fit")
     states_sub = p.add_subparsers(dest="states_command", required=True)
     q = states_sub.add_parser("optimize", help="sigma_d_intra over a (k, epsilon) grid")
-    q.add_argument("--panel", required=True)
-    _add_epoch_flags(q)
+    _add_fit_flags(q)
     q.add_argument("--k-range", default="2..8")
     q.add_argument("--epsilon-grid", default="0:0.1:0.9")
-    q.add_argument("--n-inits", type=int, default=10)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--dim", type=int, default=3)
     q.add_argument("--k-min", type=int, default=4)
     q.add_argument("--workers", type=int, default=1)
     q.add_argument("--out", required=True)
     q.set_defaults(func=_cmd_states_optimize)
     q = states_sub.add_parser("fit", help="fit the state model at one operating point")
-    q.add_argument("--panel", required=True)
-    _add_epoch_flags(q)
+    _add_fit_flags(q)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--epsilon", type=float, required=True)
-    q.add_argument("--n-inits", type=int, default=10)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--dim", type=int, default=3)
     q.add_argument("--out-dir", required=True)
     q.set_defaults(func=_cmd_states_fit)
 
     p = sub.add_parser("sectors", help="sector-level states and displacement")
     sectors_sub = p.add_subparsers(dest="sectors_command", required=True)
     q = sectors_sub.add_parser("fit", help="fit sector-level states")
-    q.add_argument("--panel", required=True)
-    q.add_argument("--sectors", default="", help="ticker,sector CSV (else the panel's map)")
-    _add_epoch_flags(q)
+    _add_fit_flags(q)
+    q.add_argument("--sectors", required=True, help="ticker,sector CSV")
     q.add_argument("--k", type=int)
     q.add_argument("--epsilon", type=float)
     q.add_argument("--preset", choices=sorted(SECTOR_PRESETS))
-    q.add_argument("--n-inits", type=int, default=10)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--dim", type=int, default=3)
     q.add_argument("--include-self-pairs", action="store_true",
                    help="keep i=j pairs in intra-sector averages")
     q.add_argument("--out-dir", required=True)

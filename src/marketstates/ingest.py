@@ -47,7 +47,6 @@ class PricePanel:
     tickers: list[str]
     dates: list[str]
     prices: np.ndarray
-    sector_of: dict[str, str] | None = None
     dropped: dict[str, str] = field(default_factory=dict)
 
     @property
@@ -81,7 +80,6 @@ class ReturnPanel:
     tickers: list[str]
     dates: list[str]
     returns: np.ndarray
-    sector_of: dict[str, str] | None = None
 
     @property
     def n_stocks(self) -> int:
@@ -232,12 +230,7 @@ def log_returns(panel: PricePanel) -> ReturnPanel:
     """Per-ticker log-returns: ln of tomorrow's price minus ln of today's."""
     panel.validate()
     logp = np.log(panel.prices)
-    return ReturnPanel(
-        tickers=list(panel.tickers),
-        dates=panel.dates[:-1],
-        returns=logp[:, 1:] - logp[:, :-1],
-        sector_of=panel.sector_of,
-    )
+    return ReturnPanel(list(panel.tickers), panel.dates[:-1], logp[:, 1:] - logp[:, :-1])
 
 
 def read_csv_pairs(path: str | Path, key: str, value: str) -> dict[str, str]:
@@ -274,19 +267,14 @@ def save_panel(panel: PricePanel, path: str | Path) -> None:
 
     The archive holds ``prices`` (float64, stocks x days), ``dates`` and
     ``tickers``; it is byte-stable and reads back bit-exact.  The sidecar
-    holds the counts, the dropped tickers and the sector map.
+    holds the counts and the dropped tickers.
     """
     path = Path(path)
     save_arrays(path, prices=np.ascontiguousarray(panel.prices, dtype=np.float64),
                 dates=np.array(panel.dates, dtype=str),
                 tickers=np.array(panel.tickers, dtype=str))
-    meta = {
-        "n_stocks": panel.n_stocks,
-        "n_days": panel.n_days,
-        "dropped": panel.dropped,
-        "sector_of": panel.sector_of,
-    }
-    write_json(_sidecar(path), meta)
+    write_json(_sidecar(path), {"n_stocks": panel.n_stocks, "n_days": panel.n_days,
+                                "dropped": panel.dropped})
 
 
 def load_panel(path: str | Path) -> PricePanel:
@@ -326,6 +314,5 @@ def load_panel(path: str | Path) -> PricePanel:
         meta = read_json(sidecar)
         if not isinstance(meta, dict):
             raise DataError(f"{sidecar} does not hold a JSON object")
-        panel.sector_of = meta.get("sector_of")
         panel.dropped = meta.get("dropped", {})
     return panel

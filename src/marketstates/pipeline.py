@@ -30,7 +30,7 @@ from .corrmat import (
     save_series,
 )
 from .errors import DataError, NumericError
-from .geometry import Embedding, classical_mds, embed_epochs, similarity_matrix, step_fidelity
+from .geometry import Embedding, classical_mds, similarity_matrix, step_fidelity
 from .ingest import (
     ContinuityPolicy,
     load_panel,
@@ -55,7 +55,7 @@ from .serialize import (
     write_csv,
     write_json,
 )
-from .states import fit_series, optimize_over_grid, select_optimum
+from .states import _check_fit, fit_series, optimize_over_grid, select_optimum
 from .trajectory import _check_width, classify_catalog, load_event_catalog
 
 STAGE_ORDER = ("ingest", "corr", "mds", "states", "sectors", "trajectory", "rmt")
@@ -315,20 +315,12 @@ def trajectory_report_payload(report) -> dict:
 # artifact writers, shared by the pipeline stages and the CLI
 
 
-def attach_sector_map(panel, sectors: str | Path) -> None:
-    """Attach a ``ticker,sector`` file to a panel, restricted to its tickers."""
-    mapping = load_sector_map(sectors)
-    panel.sector_of = {t: mapping[t] for t in panel.tickers if t in mapping}
-
-
-def write_panel(prices: str | Path, sectors: str | Path, max_gap: int, path: Path):
-    """Load prices under the continuity policy, attach the sector map, save.
+def write_panel(prices: str | Path, max_gap: int, path: Path):
+    """Load prices under the continuity policy and save them.
 
     Writes ``path`` and its ``.meta.json`` sidecar; returns the kept panel.
     """
     panel = load_prices(prices, ContinuityPolicy(max_consecutive_missing=max_gap))
-    if sectors:
-        attach_sector_map(panel, sectors)
     save_panel(panel, path)
     return panel
 
@@ -343,6 +335,7 @@ def write_map(stack: np.ndarray, dates: list[str], dim: int, out_dir: Path,
     threads run the dissimilarity kernel.  The ``dim``-axis map is also
     stored in ``maps`` under epsilon 0 when a dict is given.
     """
+    _check_fit(len(stack), [], dim)
     out_dir.mkdir(parents=True, exist_ok=True)
     sim = similarity_matrix(stack, workers)
     full = classical_mds(sim, D=len(sim) - 1, warn=False)
@@ -435,7 +428,7 @@ class _Run:
     stage reading a file, or the freshness check, reuses the digest taken
     when the file was written or first read.  ``maps`` holds each epsilon's
     mds_dim-axis map of the epoch stack, built once per call: the mds stage
-    stores epsilon 0, the grid and the stock fit read and add to it.  It
+    stores epsilon 0, the grid adds the other epsilons, the stock fit reads it.  It
     holds no distance matrix, and all its maps are of one stack: corr runs
     before mds and states, and no stage rewrites corr_raw.npz after it.
     ``handed`` holds what a stage built and wrote to a file, under that
@@ -486,7 +479,7 @@ class _Run:
 
 def _stage_ingest(cfg: PipelineConfig, run: _Run) -> list[Path]:
     path = run.out / PANEL
-    run.hand_over(path, write_panel(cfg.prices, cfg.sectors, cfg.max_gap, path))
+    run.hand_over(path, write_panel(cfg.prices, cfg.max_gap, path))
     return [path, run.out / f"{PANEL}.meta.json"]
 
 
@@ -507,13 +500,10 @@ def _stage_mds(cfg: PipelineConfig, run: _Run) -> list[Path]:
 
 
 def _stage_states(cfg: PipelineConfig, run: _Run) -> list[Path]:
-    out, workers = run.out, run.workers
+    out, workers, maps = run.out, run.workers, run.maps
     series = run.epoch_series()
-    maps = run.maps
-    surface = optimize_over_grid(
-        series.values_stack(), cfg.k_range, cfg.epsilon_grid,
-        cfg.n_inits, cfg.seed, dim=cfg.mds_dim, workers=workers, maps=maps,
-    )
+    surface = optimize_over_grid(series.values_stack(), cfg.k_range, cfg.epsilon_grid,
+                                 cfg.n_inits, cfg.seed, cfg.mds_dim, workers, maps)
     write_surface(surface, out / "surface.csv")
     best_k, best_eps = select_optimum(surface, k_min=cfg.k_min)
     chosen_k = cfg.k if cfg.k > 0 else best_k
@@ -526,20 +516,16 @@ def _stage_states(cfg: PipelineConfig, run: _Run) -> list[Path]:
                        "pinned": bool(cfg.k > 0 or cfg.epsilon >= 0)},
         },
     )
-    if chosen_eps not in maps:  # a pinned epsilon off the grid
-        maps[chosen_eps] = embed_epochs(series.values_stack(), chosen_eps, cfg.mds_dim, workers)
+    # a pinned epsilon off the grid has no map yet, and fit_series builds it
     model, _, embedding = fit_series(series, chosen_k, chosen_eps, cfg.n_inits, cfg.seed,
-                                     embedding=maps[chosen_eps])
+                                     cfg.mds_dim, workers, embedding=maps.get(chosen_eps))
     return ([out / "surface.csv", out / "selected.json"]
             + write_fit(model, embedding, out / "model.json", "states_"))
 
 
 def _stage_sectors(cfg: PipelineConfig, run: _Run) -> list[Path]:
     out = run.out
-    sector_of = read_json(out / f"{PANEL}.meta.json").get("sector_of")
-    if not sector_of:
-        raise DataError("panel has no sector map; configure 'sectors'")
-    series = sector_series(run.epoch_series(), sector_of)
+    series = sector_series(run.epoch_series(), load_sector_map(cfg.sectors))
     fitted = read_json(out / "selected.json")["fitted"]
     k = cfg.sector_k if cfg.sector_k > 0 else int(fitted["k"])
     epsilon = cfg.sector_epsilon if cfg.sector_epsilon >= 0 else float(fitted["epsilon"])
@@ -596,8 +582,8 @@ def _plan(cfg: PipelineConfig, out: Path) -> list[_Stage]:
     epoch_params = {"window": cfg.window, "shift": cfg.shift}
     panel, meta, corr = out / PANEL, out / f"{PANEL}.meta.json", out / "corr_raw.npz"
     stages = [
-        _Stage("ingest", True, "", [Path(cfg.prices)] + ([Path(cfg.sectors)] if cfg.sectors else []),
-               {"max_gap": cfg.max_gap}, _stage_ingest, gives=(panel, meta)),
+        _Stage("ingest", True, "", [Path(cfg.prices)], {"max_gap": cfg.max_gap}, _stage_ingest,
+               gives=(panel, meta)),
         _Stage("corr", True, "", [panel], dict(epoch_params), _stage_corr, gives=(corr,)),
         _Stage("mds", True, "", [corr],
                {**epoch_params, "mds_dim": cfg.mds_dim},
@@ -608,7 +594,8 @@ def _plan(cfg: PipelineConfig, out: Path) -> list[_Stage]:
                 "k_min": cfg.k_min, "k": cfg.k, "epsilon": cfg.epsilon},
                _stage_states, gives=(out / "selected.json", out / "model.json")),
         _Stage("sectors", bool(cfg.sectors), "no sector map configured",
-               [meta, corr, out / "selected.json", out / "model.json"],
+               ([Path(cfg.sectors)] if cfg.sectors else [])
+               + [corr, out / "selected.json", out / "model.json"],
                {**epoch_params, "sector_k": cfg.sector_k, "sector_epsilon": cfg.sector_epsilon,
                 "n_inits": cfg.n_inits, "seed": cfg.seed, "mds_dim": cfg.mds_dim},
                _stage_sectors),

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrmat import EpochCorrelationSeries, EpochSpec, epoch_correlations
+from .corrmat import EpochCorrelationSeries
 from .errors import DataError
-from .ingest import ReturnPanel
-from .states import fit_series
 
 #: Published operating points for the sector-level fit, by market.  The
 #: Nikkei 225 has two: the grid optimum and the point preferred for the final
@@ -104,24 +102,6 @@ def sector_series(series: EpochCorrelationSeries, sector_of,
         average[...] = _block_average(values, membership, include_self_pairs)
     return EpochCorrelationSeries(sectors, averages, [m.start_date for m in series.matrices],
                                   [m.end_date for m in series.matrices])
-
-
-def sector_state_pipeline(panel: ReturnPanel, spec: EpochSpec, k: int,
-                          epsilon: float, n_inits: int, seed: int,
-                          dim: int = 3, sector_of=None,
-                          include_self_pairs: bool = False):
-    """Fit sector-level market states on a return panel.
-
-    Correlations per epoch, block-averaged to sector matrices, then the
-    stock-level fit (``fit_series``); the model's average matrices come from
-    the raw sector matrices.  Returns (model, best run, embedding).
-    """
-    mapping = sector_of if sector_of is not None else panel.sector_of
-    if not mapping:
-        raise DataError("no sector map: pass sector_of or attach one to the panel")
-    series = sector_series(epoch_correlations(panel, spec), mapping,
-                           include_self_pairs=include_self_pairs)
-    return fit_series(series, k, epsilon, n_inits, seed, dim)
 
 
 def displacement(stock_states, sector_states) -> DisplacementReport:

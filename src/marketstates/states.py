@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corrmat import EpochCorrelationSeries, EpochSpec, epoch_correlations
+from .corrmat import EpochCorrelationSeries
 from .geometry import Embedding, embed_epochs
-from .ingest import ReturnPanel
 
 MAX_LLOYD_ITERATIONS = 300
 
@@ -207,6 +206,8 @@ def best_kmeans(points: np.ndarray, k: int, n_inits: int, seed: int) -> Clusteri
     The ensemble runs as one batch, each run with the bits of
     ``kmeans(points, k, s)`` for its seed s.
     """
+    if n_inits < 1:
+        raise ValueError(f"n_inits must be >= 1, got {n_inits}")
     runs = _lloyd(points, k, [int(s) for s in init_seeds(seed, n_inits)])
     return min(runs, key=lambda r: r.objective)
 
@@ -240,17 +241,17 @@ def optimize_over_grid(stack: np.ndarray, k_range, epsilon_grid, n_inits: int,
 
     For each distinct epsilon the geometry is built once: power map,
     dissimilarity on ``workers`` threads, ``dim``-axis MDS; then each k runs
-    n_inits independent k-means.  ``maps`` holds maps of this stack already
-    built, by epsilon: the grid reads an epsilon's map from it, and stores
-    each map it builds there.  Init seeds come from one SeedSequence spanning
-    the flat (epsilon, k, init) grid, so results do not depend on worker count.
+    n_inits independent k-means.  The arguments are checked before the first
+    map is built.  ``maps`` holds maps of this stack already built, by
+    epsilon: the grid reads an epsilon's map from it, and stores each map
+    it builds there.  Init seeds come from one SeedSequence spanning the
+    flat (epsilon, k, init) grid, so results do not depend on worker count.
     """
     k_list = list(k_range)
     eps_list = list(epsilon_grid)
     if not k_list or not eps_list:
         raise ValueError("k_range and epsilon_grid must be non-empty")
-    if n_inits < 2:
-        raise ValueError(f"need n_inits >= 2 to measure a spread, got {n_inits}")
+    _check_fit(len(stack), k_list, dim, n_inits, least_inits=2)  # a spread needs 2 runs
     seeds = init_seeds(seed, len(eps_list) * len(k_list) * n_inits)
     seeds = seeds.reshape(len(eps_list), len(k_list), n_inits)
     maps = {} if maps is None else maps
@@ -260,6 +261,18 @@ def optimize_over_grid(stack: np.ndarray, k_range, epsilon_grid, n_inits: int,
             maps[eps] = embed_epochs(stack, eps, dim, workers)
         grid += _grid_rows(maps[eps].coordinates, eps, k_list, seeds[ei])
     return OptimizationSurface(grid=grid)
+
+
+def _check_fit(n_epochs: int, k_list, dim: int, n_inits: int = 1, least_inits: int = 1) -> None:
+    """Reject, before any kernel call, a k, map dimension or ensemble size a fit cannot take."""
+    if n_inits < least_inits:
+        raise ValueError(f"n_inits must be >= {least_inits}, got {n_inits}")
+    for k in k_list:
+        if not 1 <= k <= n_epochs:
+            raise ValueError(f"k must be in 1..{n_epochs} for {n_epochs} epochs, got {k}")
+    if not 1 <= dim <= n_epochs - 1:
+        raise ValueError(f"map dimension D must be in 1..{n_epochs - 1} for {n_epochs} epochs, "
+                         f"got {dim}")
 
 
 def select_optimum(surface: OptimizationSurface, k_min: int = 4) -> tuple[int, float]:
@@ -326,15 +339,11 @@ def fit_series(series: EpochCorrelationSeries, k: int, epsilon: float, n_inits: 
     of power-mapped matrices, the model averages the raw ones.  Stock-level
     and sector-level series go through this same path; ``workers`` threads
     run the dissimilarity kernel.  An ``embedding`` already built for this
-    series at ``epsilon`` is clustered as it is, with no kernel call.
+    series at ``epsilon`` on ``dim`` axes is clustered as it is, with no
+    kernel call.  ``k``, ``n_inits`` and ``dim`` are checked first.
     """
+    _check_fit(series.n_epochs, [k], dim, n_inits)
     if embedding is None:
         embedding = embed_epochs(series.values_stack(), epsilon, dim, workers)
     run = best_kmeans(embedding.coordinates, k, n_inits, seed)
     return build_state_model(series, run, epsilon), run, embedding
-
-
-def fit_states(panel: ReturnPanel, spec: EpochSpec, k: int, epsilon: float,
-               n_inits: int, seed: int, dim: int = 3):
-    """Full fit at a chosen operating point on a return panel; see fit_series."""
-    return fit_series(epoch_correlations(panel, spec), k, epsilon, n_inits, seed, dim)

@@ -88,12 +88,7 @@ def _check_width(width_days: int) -> None:
 def _window(panel: ReturnPanel, lo: int, hi: int, name: str, center_date: str,
             spec: EpochSpec) -> EventWindow:
     """The window of return columns lo..hi-1, dated by the slice's first and last day."""
-    piece = ReturnPanel(
-        tickers=list(panel.tickers),
-        dates=panel.dates[lo:hi],
-        returns=panel.returns[:, lo:hi],
-        sector_of=panel.sector_of,
-    )
+    piece = ReturnPanel(list(panel.tickers), panel.dates[lo:hi], panel.returns[:, lo:hi])
     return EventWindow(
         name=name,
         start_date=piece.dates[0],

@@ -1,6 +1,8 @@
 """The package surface: its export list and its runtime dependencies."""
 
 import ast
+import dataclasses
+import importlib
 import inspect
 import sys
 from pathlib import Path
@@ -63,3 +65,25 @@ def test_only_corrmat_knows_how_the_epoch_stack_is_stored():
                if path.name != "corrmat.py"
                and any(word in path.read_text() for word in ('"packed"', "packed="))]
     assert members == []
+
+
+def importers(name):
+    """The package modules that import ``name`` from another package module."""
+    return {file for file, imported in imported_names(relative=True)
+            if imported.rpartition(".")[2] == name and file != "__init__.py"}
+
+
+def test_one_route_from_prices_to_states():
+    # corr builds the stock-level epoch stack; states and sectors read its
+    # archive, and only an event window cuts its own epochs from returns
+    assert importers("epoch_correlations") == {"pipeline.py", "cli.py", "trajectory.py"}
+    # only the sector fit reads the sector map, and no record carries it
+    assert importers("load_sector_map") == {"pipeline.py", "cli.py"}
+    carriers = [f"{module.__name__}.{cls.__name__}"
+                for module in (importlib.import_module(f"marketstates.{path.stem}")
+                               for path in sorted(PACKAGE_DIR.glob("*.py"))
+                               if path.stem != "__main__")  # which would run the CLI
+                for cls in vars(module).values()
+                if dataclasses.is_dataclass(cls) and isinstance(cls, type)
+                and "sector_of" in {f.name for f in dataclasses.fields(cls)}]
+    assert carriers == []

@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from marketstates.cli import main
+from marketstates import geometry, pipeline
+from marketstates.cli import build_parser, main
 from marketstates.errors import DataError
 from marketstates.ingest import load_panel
-from marketstates.pipeline import run_pipeline
+from marketstates.pipeline import PipelineConfig, parse_float_grid, parse_int_range, run_pipeline
 from marketstates.serialize import load_arrays, read_json
 
 from test_pipeline import market_config, write_market
@@ -25,10 +26,9 @@ def workspace(tmp_path_factory, market):
     work = tmp_path_factory.mktemp("work")
     panel = work / "panel.npz"
     corr = work / "corr.npz"
-    assert main(["ingest", "--prices", str(market / "prices.csv"),
-                 "--sectors", str(market / "sectors.csv"), "--out", str(panel)]) == 0
+    assert main(["ingest", "--prices", str(market / "prices.csv"), "--out", str(panel)]) == 0
     assert main(["corr", "--panel", str(panel), "--out", str(corr)]) == 0
-    return {"market": market, "panel": panel, "corr": corr}
+    return {"market": market, "panel": panel, "corr": corr, "sectors": market / "sectors.csv"}
 
 
 # --------------------------------------------------------------------------
@@ -86,10 +86,73 @@ def test_price_csv_as_panel_is_a_data_error(workspace, tmp_path, capsys):
 
 
 def test_bad_parameter_maps_to_one(workspace, tmp_path, capsys):
-    code = main(["states", "optimize", "--panel", str(workspace["panel"]),
+    code = main(["states", "optimize", "--corr", str(workspace["corr"]),
                  "--k-range", "nope", "--out", str(tmp_path / "surface.csv")])
     assert code == 1
     assert "bad parameter" in capsys.readouterr().err
+
+
+def count_kernel_calls(monkeypatch):
+    """The dissimilarity kernel's calls, wherever the CLI reaches it from."""
+    calls = []
+    real = geometry.similarity_matrix
+    for module in (geometry, pipeline):
+        monkeypatch.setattr(module, "similarity_matrix",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    return calls
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["states", "optimize", "--k-range", "2,3", "--k-min", "9"],
+     "--k-min 9 exceeds every k in --k-range 2,3"),
+    (["states", "optimize", "--k-range", "2,101", "--k-min", "2"],
+     "k must be in 1..100 for 100 epochs, got 101"),
+    (["states", "optimize", "--dim", "0"], "D must be in 1..99 for 100 epochs, got 0"),
+    (["states", "fit", "--k", "2", "--epsilon", "0", "--n-inits", "0"],
+     "n_inits must be >= 1, got 0"),
+    (["states", "fit", "--k", "2", "--epsilon", "0", "--dim", "0"],
+     "D must be in 1..99 for 100 epochs, got 0"),
+    (["states", "fit", "--k", "0", "--epsilon", "0"], "k must be in 1..100 for 100 epochs, got 0"),
+    (["sectors", "fit", "--sectors", "SECTORS", "--k", "2", "--epsilon", "0", "--dim", "0"],
+     "D must be in 1..99 for 100 epochs, got 0"),
+    (["mds", "--dim", "0"], "D must be in 1..99 for 100 epochs, got 0"),
+    (["mds", "--dim", "100"], "D must be in 1..99 for 100 epochs, got 100"),
+], ids=["optimize_k_min", "optimize_k", "optimize_dim", "fit_n_inits", "fit_dim", "fit_k",
+        "sectors_dim", "mds_dim0", "mds_dim_epochs"])
+def test_bad_arguments_fail_before_the_kernel(workspace, tmp_path, monkeypatch, capsys,
+                                              argv, message):
+    calls = count_kernel_calls(monkeypatch)
+    out = ["--out", str(tmp_path / "surface.csv")] if "optimize" in argv else [
+        "--out-dir", str(tmp_path / "out")]
+    files = {"SECTORS": str(workspace["sectors"])}
+    assert main([files.get(a, a) for a in argv] + ["--corr", str(workspace["corr"]), *out]) == 1
+    err = capsys.readouterr().err
+    assert "bad parameter" in err and message in err
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
+def test_cli_defaults_are_the_config_defaults():
+    # every flag a config key also sets, by the flag's name and by the key it sets
+    config_key = {"window": "window", "shift": "shift", "max_gap": "max_gap",
+                  "k_range": "k_range", "epsilon_grid": "epsilon_grid", "n_inits": "n_inits",
+                  "seed": "seed", "k_min": "k_min", "threshold": "threshold", "dim": "mds_dim",
+                  "width": "width_days", "realizations": "rmt_realizations",
+                  "bins": "rmt_bins"}
+    parse = {"k_range": parse_int_range, "epsilon_grid": parse_float_grid}
+    defaults = PipelineConfig()
+    seen = set()
+    parsers = [build_parser()]
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            if isinstance(action.choices, dict):  # a subcommand's parsers
+                parsers.extend(action.choices.values())
+            elif action.dest in config_key:
+                value = parse.get(action.dest, lambda v: v)(action.default)
+                assert value == getattr(defaults, config_key[action.dest]), (
+                    parser.prog, action.dest)
+                seen.add(action.dest)
+    assert seen == set(config_key)
 
 
 # --------------------------------------------------------------------------
@@ -138,7 +201,7 @@ def test_mds_writes_coordinates_and_meta(workspace, tmp_path):
 
 def test_states_optimize_prints_optimum(workspace, tmp_path, capsys):
     out = tmp_path / "surface.csv"
-    assert main(["states", "optimize", "--panel", str(workspace["panel"]),
+    assert main(["states", "optimize", "--corr", str(workspace["corr"]),
                  "--k-range", "2,3", "--epsilon-grid", "0,0.5",
                  "--n-inits", "4", "--k-min", "2", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
@@ -149,7 +212,7 @@ def test_states_optimize_prints_optimum(workspace, tmp_path, capsys):
 
 def test_states_fit_writes_model_and_plots(workspace, tmp_path, capsys):
     out = tmp_path / "fit"
-    assert main(["states", "fit", "--panel", str(workspace["panel"]),
+    assert main(["states", "fit", "--corr", str(workspace["corr"]),
                  "--k", "2", "--epsilon", "0.0", "--n-inits", "4",
                  "--out-dir", str(out)]) == 0
     model = read_json(out / "model.json")
@@ -167,7 +230,8 @@ def test_states_fit_writes_model_and_plots(workspace, tmp_path, capsys):
 
 def test_sectors_fit_with_explicit_point(workspace, tmp_path):
     out = tmp_path / "sector_fit"
-    assert main(["sectors", "fit", "--panel", str(workspace["panel"]),
+    assert main(["sectors", "fit", "--corr", str(workspace["corr"]),
+                 "--sectors", str(workspace["sectors"]),
                  "--k", "2", "--epsilon", "0.0", "--n-inits", "4",
                  "--out-dir", str(out)]) == 0
     model = read_json(out / "sector_model.json")
@@ -176,24 +240,44 @@ def test_sectors_fit_with_explicit_point(workspace, tmp_path):
 
 
 def test_sectors_fit_requires_point_or_preset(workspace, tmp_path, capsys):
-    code = main(["sectors", "fit", "--panel", str(workspace["panel"]),
-                 "--out-dir", str(tmp_path / "x")])
+    code = main(["sectors", "fit", "--corr", str(workspace["corr"]),
+                 "--sectors", str(workspace["sectors"]), "--out-dir", str(tmp_path / "x")])
     assert code == 2
     assert "pass --k and --epsilon, or --preset" in capsys.readouterr().err
 
 
 def test_sectors_fit_rejects_unknown_preset(workspace, tmp_path):
-    assert main(["sectors", "fit", "--panel", str(workspace["panel"]),
+    assert main(["sectors", "fit", "--corr", str(workspace["corr"]),
+                 "--sectors", str(workspace["sectors"]),
                  "--preset", "ftse", "--out-dir", str(tmp_path / "x")]) == 1
+
+
+def test_sectors_fit_needs_a_sector_map(workspace, tmp_path, capsys):
+    assert main(["sectors", "fit", "--corr", str(workspace["corr"]), "--k", "2",
+                 "--epsilon", "0.0", "--out-dir", str(tmp_path / "x")]) == 1
+    assert "the following arguments are required: --sectors" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("point", [["--k", "3"], ["--epsilon", "0.0"],
+                                   ["--k", "3", "--epsilon", "0.0"]])
+def test_sectors_fit_rejects_a_preset_with_a_point(workspace, tmp_path, capsys, point):
+    out = tmp_path / "x"
+    code = main(["sectors", "fit", "--corr", str(workspace["corr"]),
+                 "--sectors", str(workspace["sectors"]), "--preset", "sp500", *point,
+                 "--out-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "bad parameter" in err and all(flag in err for flag in ["--preset", *point[::2]])
+    assert not out.exists()
 
 
 def test_sectors_displace_between_models(workspace, tmp_path, capsys):
     fit = tmp_path / "fit"
     sector_fit = tmp_path / "sector_fit"
-    main(["states", "fit", "--panel", str(workspace["panel"]), "--k", "2",
+    main(["states", "fit", "--corr", str(workspace["corr"]), "--k", "2",
           "--epsilon", "0.0", "--n-inits", "4", "--out-dir", str(fit)])
-    main(["sectors", "fit", "--panel", str(workspace["panel"]), "--k", "2",
-          "--epsilon", "0.0", "--n-inits", "4", "--out-dir", str(sector_fit)])
+    main(["sectors", "fit", "--corr", str(workspace["corr"]), "--sectors", str(workspace["sectors"]),
+          "--k", "2", "--epsilon", "0.0", "--n-inits", "4", "--out-dir", str(sector_fit)])
     out = tmp_path / "displacement.json"
     assert main(["sectors", "displace", "--stock-model", str(fit / "model.json"),
                  "--sector-model", str(sector_fit / "sector_model.json"),
@@ -241,6 +325,18 @@ def test_trajectory_requires_a_window(workspace, tmp_path, capsys):
                  "--out", str(tmp_path / "r.json")])
     assert code == 2
     assert "--center" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("span", [["--start", "2020-01-02", "--end", "2020-02-01"],
+                                  ["--start", "2020-01-02"], ["--end", "2020-02-01"]])
+def test_trajectory_rejects_a_center_with_a_span(workspace, tmp_path, capsys, span):
+    out = tmp_path / "r.json"
+    code = main(["trajectory", "--panel", str(workspace["panel"]), "--center", "2020-03-02",
+                 *span, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "bad parameter" in err and "--center" in err and "--start" in err and "--end" in err
+    assert not out.exists()
 
 
 def test_trajectory_catalog(workspace, market, tmp_path, capsys):
@@ -371,15 +467,15 @@ def test_cli_writes_the_pipeline_artifacts_byte_for_byte(market, tmp_path, tree_
     panel, corr = str(cli / "panel.npz"), str(cli / "corr_raw.npz")
     fit = ["--k", "2", "--epsilon", "0.0", "--n-inits", "4", "--seed", "0", "--dim", "3"]
     for argv in (
-        ["ingest", "--prices", str(market / "prices.csv"),
-         "--sectors", str(market / "sectors.csv"), "--out", panel],
+        ["ingest", "--prices", str(market / "prices.csv"), "--out", panel],
         ["corr", "--panel", panel, "--out", corr],
         ["mds", "--corr", corr, "--dim", "3", "--out-dir", str(cli)],
-        ["states", "optimize", "--panel", panel, "--k-range", "2,3",
+        ["states", "optimize", "--corr", corr, "--k-range", "2,3",
          "--epsilon-grid", "0,0.5", "--n-inits", "4", "--seed", "0", "--k-min", "2",
          "--out", str(cli / "surface.csv")],
-        ["states", "fit", "--panel", panel, *fit, "--out-dir", str(cli)],
-        ["sectors", "fit", "--panel", panel, *fit, "--out-dir", str(cli)],
+        ["states", "fit", "--corr", corr, *fit, "--out-dir", str(cli)],
+        ["sectors", "fit", "--corr", corr, "--sectors", str(market / "sectors.csv"), *fit,
+         "--out-dir", str(cli)],
         ["sectors", "displace", "--stock-model", str(cli / "model.json"),
          "--sector-model", str(cli / "sector_model.json"),
          "--out", str(cli / "displacement.json")],

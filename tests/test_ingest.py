@@ -394,7 +394,6 @@ def test_save_load_round_trip_is_exact(tmp_path):
         tickers=["A", "B", "C"],
         dates=[f"2020-01-{d + 1:02d}" for d in range(7)],
         prices=prices,
-        sector_of={"A": "tech", "B": "tech", "C": "energy"},
         dropped={"Z": "no prices at all"},
     )
     out = tmp_path / "panel.npz"
@@ -402,7 +401,6 @@ def test_save_load_round_trip_is_exact(tmp_path):
     back = load_panel(out)
     assert back.tickers == panel.tickers
     assert back.dates == panel.dates
-    assert back.sector_of == panel.sector_of
     assert back.dropped == panel.dropped
     np.testing.assert_array_equal(back.prices, panel.prices)
 

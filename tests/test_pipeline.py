@@ -495,7 +495,7 @@ def test_handed_panel_is_dropped_when_the_panel_file_changes(market, tmp_path):
     out.mkdir()
     run = _Run(out, workers=1)
     path = out / "panel.npz"
-    handed = write_panel(market / "prices.csv", "", 2, path)
+    handed = write_panel(market / "prices.csv", 2, path)
     run.hand_over(path, handed)
     assert run.read(path, load_panel) is handed
     run.release(keep=(path,))
@@ -519,6 +519,10 @@ def test_handed_panel_does_not_outlive_a_skipped_corr_stage(tmp_path, monkeypatc
     data = write_market(tmp_path / "data")
     cfg = market_config(data, tmp_path / "out")
     run_pipeline(cfg)
+    # a ticker with no prices: ingest reruns, drops it and writes the same panel.npz
+    rows = (data / "prices.csv").read_text().splitlines()
+    (data / "prices.csv").write_text("\n".join([rows[0] + ",GONE"] + [row + ","
+                                                                     for row in rows[1:]]) + "\n")
     sectors = (data / "sectors.csv").read_text()
     (data / "sectors.csv").write_text(sectors.replace("S00,alpha", "S00,beta"))
 
@@ -545,7 +549,7 @@ def test_corr_stage_holds_one_stack_copy_while_writing(tmp_path, peak_bytes):
     out.mkdir()
     cfg = market_config(data, out)
     run = _Run(out, workers=1)
-    run.hand_over(out / "panel.npz", write_panel(data / "prices.csv", "", 2, out / "panel.npz"))
+    run.hand_over(out / "panel.npz", write_panel(data / "prices.csv", 2, out / "panel.npz"))
     stack_bytes = 240 * 60 * 60 * 8  # 259 returns, window 20, shift 1
     # the epochs are built into the one stack, chunk by chunk, and the archive
     # is packed from that stack chunk by chunk
@@ -583,8 +587,7 @@ def save_panel_csv(panel, path):
     write_csv(path, ["date"] + panel.tickers,
               [[date, *column] for date, column in zip(panel.dates, panel.prices.T.tolist())])
     write_json(path.with_name(path.name + ".meta.json"), {
-        "n_stocks": panel.n_stocks, "n_days": panel.n_days,
-        "dropped": panel.dropped, "sector_of": panel.sector_of})
+        "n_stocks": panel.n_stocks, "n_days": panel.n_days, "dropped": panel.dropped})
 
 
 def load_panel_csv(path):
@@ -592,7 +595,7 @@ def load_panel_csv(path):
     from marketstates.ingest import ContinuityPolicy, load_prices
 
     panel = load_prices(path, ContinuityPolicy(max_consecutive_missing=0))
-    panel.sector_of = read_json(Path(str(path) + ".meta.json"))["sector_of"]
+    panel.dropped = read_json(Path(str(path) + ".meta.json"))["dropped"]
     return panel
 
 
@@ -610,12 +613,13 @@ def test_rerun_over_a_tree_with_a_text_panel_reruns_ingest(market, tmp_path, mon
     assert sorted(read_json(old / "manifest.json")["stages"]["ingest"]["outputs"]) == [
         "panel.csv", "panel.csv.meta.json"]
 
-    # the ingest entry is unchanged but lacks panel.npz, which corr reads
+    # the ingest entry is unchanged but lacks panel.npz, which corr reads; the
+    # sectors stage reads the sector map and corr_raw.npz, whose bytes are the same
     code, manifest = run_pipeline(cfg)
     assert code == 0
     assert {name: entry["status"] for name, entry in manifest["stages"].items()} == {
         "ingest": "ok", "corr": "ok", "mds": "skipped", "states": "skipped",
-        "sectors": "ok", "trajectory": "ok", "rmt": "skipped"}
+        "sectors": "skipped", "trajectory": "ok", "rmt": "skipped"}
     fresh = tmp_path / "fresh"
     code, fresh_manifest = run_pipeline(replace(cfg, out_dir=str(fresh)))
     assert code == 0
@@ -789,13 +793,25 @@ def test_changed_sector_map_refits_sectors(tmp_path):
     code, manifest = run_pipeline(cfg)
     assert code == 0
     statuses = {name: entry["status"] for name, entry in manifest["stages"].items()}
-    assert statuses["ingest"] == "ok" and statuses["corr"] == "skipped"
-    assert statuses["sectors"] == "ok"  # the panel's sector map changed
+    assert statuses["sectors"] == "ok"  # only the sectors stage reads the sector map
+    assert {name for name, status in statuses.items() if status != "skipped"} == {"sectors"}
 
     fresh = tmp_path / "fresh"
     assert run_pipeline(market_config(data, fresh))[0] == 0
     for name in ("sector_model.json", "sector_model_avg_corr.npz", "displacement.json"):
         assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_sector_map_missing_a_kept_ticker_fails_the_sectors_stage(tmp_path):
+    data = write_market(tmp_path / "data")
+    rows = (data / "sectors.csv").read_text().splitlines()
+    (data / "sectors.csv").write_text("\n".join(r for r in rows if not r.startswith("S03,")) + "\n")
+    code, manifest = run_pipeline(market_config(data, tmp_path / "out"))
+    assert code == 2
+    statuses = {name: entry["status"] for name, entry in manifest["stages"].items()}
+    assert statuses["states"] == "ok" and statuses["sectors"] == "failed"
+    assert statuses["trajectory"] == statuses["rmt"] == "halted"
+    assert manifest["stages"]["sectors"]["error"] == "1 stock(s) with no sector assignment: S03"
 
 
 def test_deleted_output_triggers_rerun(market, tmp_path):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from marketstates import corrmat, sector, states
+from marketstates import sector
 from marketstates.corrmat import (
     EpochCorrelationSeries,
     EpochSpec,
@@ -16,12 +16,7 @@ from marketstates.corrmat import (
 from marketstates.errors import DataError
 from marketstates.geometry import embed_epochs
 from marketstates.ingest import ReturnPanel
-from marketstates.sector import (
-    SECTOR_PRESETS,
-    displacement,
-    sector_series,
-    sector_state_pipeline,
-)
+from marketstates.sector import SECTOR_PRESETS, displacement, sector_series
 from marketstates.states import fit_series
 
 
@@ -191,11 +186,6 @@ def test_sector_fit_clusters_the_power_mapped_map_and_records_epsilon():
         assert avg.tobytes() == members.mean(axis=0).tobytes()
 
 
-def test_sector_pipeline_reuses_the_stock_level_machinery():
-    assert sector.fit_series is states.fit_series
-    assert sector.epoch_correlations is corrmat.epoch_correlations
-
-
 def regime_panel(seed=11):
     """Two-regime factor panel: 12 stocks, 3 sectors, correlation 0.1 then 0.75."""
     rng = np.random.default_rng(seed)
@@ -209,15 +199,14 @@ def regime_panel(seed=11):
     tickers = [f"t{i:02d}" for i in range(n)]
     mapping = {t: "ABC"[i % 3] for i, t in enumerate(tickers)}
     dates = [f"d{i:04d}" for i in range(returns.shape[1])]
-    return ReturnPanel(tickers=tickers, dates=dates, returns=returns, sector_of=mapping)
+    return ReturnPanel(tickers=tickers, dates=dates, returns=returns), mapping
 
 
 def test_pipeline_recovers_planted_regimes():
-    panel = regime_panel()
+    panel, mapping = regime_panel()
     spec = EpochSpec(window=20, shift=5)
-    model, run, embedding = sector_state_pipeline(
-        panel, spec, k=2, epsilon=0.5, n_inits=20, seed=5
-    )
+    series = sector_series(epoch_correlations(panel, spec), mapping)
+    model, run, embedding = fit_series(series, k=2, epsilon=0.5, n_inits=20, seed=5)
     n_epochs = (panel.n_returns - spec.window) // spec.shift + 1
     assert model.k == 2
     assert len(model.state_of) == n_epochs
@@ -239,7 +228,7 @@ def test_pipeline_recovers_planted_regimes():
 
 
 def test_single_sector_reduces_to_scalar_mean_correlation():
-    panel = regime_panel(seed=4)
+    panel, _ = regime_panel(seed=4)
     mapping = {t: "all" for t in panel.tickers}
     spec = EpochSpec(window=20, shift=10)
     raw = epoch_correlations(panel, spec)
@@ -251,8 +240,7 @@ def test_single_sector_reduces_to_scalar_mean_correlation():
     for got, src in zip(stack[:, 0, 0], raw.matrices):
         off_mean = (src.values.sum() - n) / (n * (n - 1))
         assert abs(got - off_mean) < 1e-12
-    model, _, _ = sector_state_pipeline(panel, spec, k=2, epsilon=0.0,
-                                        n_inits=10, seed=9, sector_of=mapping)
+    model, _, _ = fit_series(series, k=2, epsilon=0.0, n_inits=10, seed=9)
     # scalar trajectory splits at the regime switch exactly like the values do
     threshold = (model.state_mean_corr[0] + model.state_mean_corr[1]) / 2.0
     want = np.where(stack[:, 0, 0] > threshold, 2, 1)
@@ -260,11 +248,13 @@ def test_single_sector_reduces_to_scalar_mean_correlation():
 
 
 def test_pipeline_requires_a_sector_map():
-    panel = regime_panel(seed=2)
-    panel.sector_of = None
-    with pytest.raises(DataError, match="sector map"):
-        sector_state_pipeline(panel, EpochSpec(window=20, shift=10),
-                              k=2, epsilon=0.0, n_inits=5, seed=0)
+    panel, mapping = regime_panel(seed=2)
+    raw = epoch_correlations(panel, EpochSpec(window=20, shift=10))
+    with pytest.raises(DataError, match=r"12 stock\(s\) with no sector assignment: t00, t01"):
+        sector_series(raw, {})
+    del mapping["t05"]
+    with pytest.raises(DataError, match=r"1 stock\(s\) with no sector assignment: t05$"):
+        sector_series(raw, mapping)
 
 
 def test_displacement_identical_sequences():

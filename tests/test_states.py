@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from marketstates.corrmat import EpochCorrelationSeries, EpochSpec, power_map
+from marketstates import geometry
+from marketstates.corrmat import EpochCorrelationSeries, EpochSpec, epoch_correlations, power_map
 from marketstates.ingest import ReturnPanel
 from marketstates.states import (
     ClusteringRun,
@@ -9,7 +10,7 @@ from marketstates.states import (
     OptimizationSurface,
     best_kmeans,
     build_state_model,
-    fit_states,
+    fit_series,
     kmeans,
     optimize_over_grid,
     select_optimum,
@@ -378,6 +379,41 @@ def test_optimize_over_grid_rejects_bad_parameters():
         optimize_over_grid(stack, [2, 3], [-0.5, 0.0], n_inits=4, seed=1)
 
 
+def test_best_kmeans_names_an_empty_ensemble():
+    points = np.zeros((4, 2))
+    with pytest.raises(ValueError, match="n_inits must be >= 1, got 0"):
+        best_kmeans(points, 2, 0, seed=0)
+
+
+def regime_series():
+    """12 planted epochs of 8 stocks as a series."""
+    stack = regime_stack(per_regime=3)
+    dates = [f"d{i}" for i in range(len(stack))]
+    return EpochCorrelationSeries([f"s{i}" for i in range(stack.shape[1])], stack, dates, dates)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda s: fit_series(s, 0, 0.0, 4, 0), "k must be in 1..12 for 12 epochs, got 0"),
+    (lambda s: fit_series(s, 13, 0.0, 4, 0), "k must be in 1..12 for 12 epochs, got 13"),
+    (lambda s: fit_series(s, 2, 0.0, 0, 0), "n_inits must be >= 1, got 0"),
+    (lambda s: fit_series(s, 2, 0.0, 4, 0, dim=0), "D must be in 1..11 for 12 epochs, got 0"),
+    (lambda s: fit_series(s, 2, 0.0, 4, 0, dim=12), "D must be in 1..11 for 12 epochs, got 12"),
+    (lambda s: optimize_over_grid(s.values_stack(), [2, 13], [0.0], 4, 0),
+     "k must be in 1..12 for 12 epochs, got 13"),
+    (lambda s: optimize_over_grid(s.values_stack(), [2], [0.0], 4, 0, dim=12),
+     "D must be in 1..11 for 12 epochs, got 12"),
+], ids=["fit_k0", "fit_k_above_epochs", "fit_n_inits0", "fit_dim0", "fit_dim_epochs",
+        "grid_k_above_epochs", "grid_dim_epochs"])
+def test_bad_fit_arguments_fail_before_the_kernel(monkeypatch, call, message):
+    calls = []
+    real = geometry.similarity_matrix
+    monkeypatch.setattr(geometry, "similarity_matrix",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    with pytest.raises(ValueError, match=message):
+        call(regime_series())
+    assert calls == []
+
+
 def test_select_optimum_rules():
     surface = OptimizationSurface(
         grid=[
@@ -515,7 +551,7 @@ def test_state_averages_copy_no_cluster(peak_bytes):
     assert peak_bytes(lambda: build_state_model(series, run)) < 0.1 * stack.nbytes
 
 
-def test_fit_states_end_to_end_on_regime_panel():
+def test_fit_series_end_to_end_on_regime_panel():
     # two regimes in the underlying returns: calm then strongly coupled
     rng = np.random.default_rng(7)
     n, L = 10, 120
@@ -528,9 +564,8 @@ def test_fit_states_end_to_end_on_regime_panel():
         dates=[f"d{t}" for t in range(L)],
         returns=returns,
     )
-    model, run, embedding = fit_states(
-        panel, EpochSpec(window=20, shift=5), k=2, epsilon=0.0, n_inits=30, seed=2
-    )
+    series = epoch_correlations(panel, EpochSpec(window=20, shift=5))
+    model, run, embedding = fit_series(series, k=2, epsilon=0.0, n_inits=30, seed=2)
     assert model.k == 2
     assert embedding.coordinates.shape == (21, 3)
     assert model.state_mean_corr[0] < model.state_mean_corr[1]
