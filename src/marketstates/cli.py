@@ -34,7 +34,14 @@ from .rmt import WishartSpec
 from .sector import SECTOR_PRESETS, sector_series
 from .serialize import load_state_model, write_json
 from .states import fit_series, optimize_over_grid, select_optimum
-from .trajectory import analyze_trajectory, classify_catalog, cut_window, load_event_catalog, window_from_dates
+from .trajectory import (
+    DEFAULT_WIDTH_DAYS,
+    analyze_trajectory,
+    classify_catalog,
+    cut_window,
+    load_event_catalog,
+    window_from_dates,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -168,21 +175,21 @@ def _cmd_sectors_displace(args) -> int:
 
 
 def _cmd_trajectory(args) -> int:
-    panel = load_panel(args.panel)
-    returns = log_returns(panel)
     spec = EpochSpec(args.window, args.shift)
+    width = DEFAULT_WIDTH_DAYS if args.width is None else args.width
     if args.mode == "catalog":
         # each event's window comes from --events and is mapped on 3 axes
         ignored = [flag for flag, given in (
-            ("--dim", args.dim != 3), ("--name", args.name), ("--center", args.center),
+            ("--dim", args.dim is not None), ("--name", args.name), ("--center", args.center),
             ("--start", args.start), ("--end", args.end)) if given]
         if ignored:
             raise ValueError(f"trajectory catalog does not take {', '.join(ignored)}")
         if not args.events:
             raise DataError("trajectory catalog needs --events")
+        returns = log_returns(load_panel(args.panel))
         catalog = load_event_catalog(args.events)
         reports, failures = classify_catalog(returns, catalog, threshold=args.threshold,
-                                             width_days=args.width, epsilon=args.epsilon,
+                                             width_days=width, epsilon=args.epsilon,
                                              spec=spec, workers=args.workers)
         write_trajectory_report(reports, failures, _out_path(args.out))
         for report in reports:
@@ -190,18 +197,23 @@ def _cmd_trajectory(args) -> int:
         for name, message in failures.items():
             print(f"{name}: FAILED ({message})", file=sys.stderr)
         return 0
-    if args.center and (args.start or args.end):
+    span = [flag for flag, value in (("--start", args.start), ("--end", args.end)) if value]
+    if args.center and span:
         raise ValueError("pass --center or --start and --end, not both")
-    if args.start and args.end:
-        window = window_from_dates(returns, args.start, args.end,
-                                   name=args.name, spec=spec)
-    elif args.center:
-        window = cut_window(returns, args.center, width_days=args.width,
-                            name=args.name, spec=spec)
-    else:
+    if span and args.width is not None:
+        raise ValueError(f"--width does not combine with {' and '.join(span)}; "
+                         "the span sets the window")
+    if len(span) == 1:
+        raise ValueError(f"{span[0]} needs {'--end' if args.start else '--start'}")
+    if not (span or args.center):
         raise DataError("pass --center (with --width) or --start and --end")
-    report = analyze_trajectory(window, threshold=args.threshold,
-                                epsilon=args.epsilon, dim=args.dim)
+    returns = log_returns(load_panel(args.panel))
+    if span:
+        window = window_from_dates(returns, args.start, args.end, name=args.name, spec=spec)
+    else:
+        window = cut_window(returns, args.center, width_days=width, name=args.name, spec=spec)
+    report = analyze_trajectory(window, threshold=args.threshold, epsilon=args.epsilon,
+                                dim=3 if args.dim is None else args.dim)
     write_json(_out_path(args.out), trajectory_report_payload(report))
     print(f"{report.name}: {window.n_epochs} epochs, "
           f"var_ratio={report.var_ratio:.4f} -> {report.classification}")
@@ -311,9 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--end", default="")
     p.add_argument("--name", default="")
     p.add_argument("--events", default="", help="name,center_date CSV (catalog mode)")
-    p.add_argument("--width", type=int, default=125)
+    p.add_argument("--width", type=int,
+                   help=f"price days per window (default {DEFAULT_WIDTH_DAYS}; not with --start)")
     _add_epoch_flags(p)
-    p.add_argument("--dim", type=int, default=3)
+    p.add_argument("--dim", type=int, help="map axes of a single window (default 3)")
     p.add_argument("--threshold", type=float, default=0.4)
     p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--workers", type=int, default=1)

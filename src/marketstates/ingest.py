@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -172,6 +173,67 @@ def _csv_rows(path: str | Path) -> list[list[str]]:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
+def _numeric_halves(lines, dates: list[str]):
+    """Each data row's text after its first comma; its date goes to ``dates``.
+
+    A blank row is skipped, as the csv path skips it.  A quote raises
+    ValueError, since quoting is the csv path's to decide, and so does an
+    empty cell between two others, so that a file with gaps stops here
+    rather than at the end of the parse.
+    """
+    for line in lines:
+        if not line.strip():
+            continue
+        if '"' in line or ",," in line:
+            raise ValueError("a quote or an empty cell")
+        date, _, rest = line.partition(",")
+        dates.append(date.strip())
+        yield rest
+
+
+def _read_clean(path: str | Path) -> tuple[list[str], list[str], np.ndarray] | None:
+    """Header, dates and (tickers x days) prices of a file with no gap or odd cell; else None.
+
+    The rows stream through one ``np.loadtxt`` pass, so every price is parsed
+    in C and only the numbers stay.  ``loadtxt`` converts through
+    ``PyOS_string_to_double``, as ``float()`` does, and accepts no cell
+    ``float()`` rejects.  A quote, a row whose field count is not the
+    header's, or a cell that is not a finite price > 0 gives None, and so
+    does any file the csv path has to judge.
+    """
+    dates: list[str] = []
+    try:
+        with Path(path).open() as fh:
+            header = fh.readline().rstrip("\n")
+            rows = _numeric_halves(fh, dates)
+            first = next(rows, None)  # loadtxt warns on input with no rows
+            if '"' in header or first is None:
+                return None
+            values = np.loadtxt(itertools.chain((first,), rows), delimiter=",",
+                                comments=None, dtype=float, ndmin=2)
+    except (OSError, ValueError):
+        return None
+    fields = header.split(",")
+    if (values.shape != (len(dates), len(fields) - 1)
+            or not (np.isfinite(values).all() and (values > 0).all())):
+        return None
+    return fields, dates, np.ascontiguousarray(values.T)
+
+
+def _tickers(header: list[str], path: str | Path) -> list[str]:
+    """The ticker names of a header row, checked."""
+    if len(header) < 2:
+        raise DataError(f"{path}: expected header 'date,TICKER1,...'")
+    header = [h.strip() for h in header]
+    if header[0].lower() != "date":
+        raise DataError(f"{path}: first column must be 'date', got {header[0]!r}")
+    tickers = header[1:]
+    if len(set(tickers)) != len(tickers):
+        raise DataError(f"{path}: duplicate ticker columns")
+    check_csv_names(tickers, "ticker", path)
+    return tickers
+
+
 def load_prices(path: str | Path, policy: ContinuityPolicy = ContinuityPolicy()) -> PricePanel:
     """Load a price CSV, drop tickers violating the continuity policy, fill gaps.
 
@@ -180,22 +242,25 @@ def load_prices(path: str | Path, policy: ContinuityPolicy = ContinuityPolicy())
     than the policy allows, or any non-positive/unparsable price.  Remaining
     gaps are forward-filled with the previous day's value.  A file in which
     no ticker survives raises DataError.
-    """
-    rows = _csv_rows(path)
-    if not rows or len(rows[0]) < 2:
-        raise DataError(f"{path}: expected header 'date,TICKER1,...'")
-    header = [h.strip() for h in rows[0]]
-    if header[0].lower() != "date":
-        raise DataError(f"{path}: first column must be 'date', got {header[0]!r}")
-    tickers = header[1:]
-    if len(set(tickers)) != len(tickers):
-        raise DataError(f"{path}: duplicate ticker columns")
-    check_csv_names(tickers, "ticker", path)
 
+    A file whose every cell is a finite price > 0 is parsed in one C pass;
+    any other goes through ``csv.reader`` and the filter column by column.
+    """
+    clean = _read_clean(path)
+    if clean is not None:
+        header, dates, prices = clean
+        tickers = _tickers(header, path)
+        _parse_iso_dates(dates)
+        panel = PricePanel(tickers=tickers, dates=dates, prices=prices)
+        panel.validate()
+        return panel
+
+    rows = _csv_rows(path)
+    tickers = _tickers(rows[0] if rows else [], path)
     body = [row for row in rows[1:] if row and any(cell.strip() for cell in row)]
     for row in body:
-        if len(row) != len(header):
-            raise DataError(f"{path}: row with {len(row)} fields, expected {len(header)}")
+        if len(row) != len(tickers) + 1:
+            raise DataError(f"{path}: row with {len(row)} fields, expected {len(tickers) + 1}")
     # fresh copies: a date that is still the parsed cell's string would keep the
     # allocator arena it was read into, and every freed cell there, resident
     dates = [row[0].strip().encode().decode() for row in body]

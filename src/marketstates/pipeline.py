@@ -276,19 +276,21 @@ def emit_plot_data(model, embedding, out_dir: str | Path, prefix: str = "") -> l
         if not np.array_equal(avg, avg.T):
             raise NumericError(f"state S{s} average matrix is not exactly symmetric")
         path = out_dir / f"{prefix}state_avg_corr_S{s}.csv"
-        rows = zip(model.labels, _mirrored_cells(avg), strict=True)
-        write_csv(path, header, [[label, *cells] for label, cells in rows])
+        write_csv(path, header, list(zip(model.labels, _mirrored_rows(avg), strict=True)))
         written.append(path)
     return written
 
 
-def _mirrored_cells(matrix: np.ndarray) -> list[list[str]]:
-    """repr of every entry of a symmetric matrix, each off-diagonal value formatted once."""
+def _mirrored_rows(matrix: np.ndarray) -> list[str]:
+    """Each row of a symmetric matrix as its entries' reprs joined by commas.
+
+    Each off-diagonal value is formatted once.
+    """
     upper = np.triu_indices(matrix.shape[0])
     text = np.empty(matrix.shape, dtype=object)
     text[upper] = list(map(repr, matrix[upper].tolist()))
     text.T[upper] = text[upper]
-    return text.tolist()
+    return list(map(",".join, text.tolist()))
 
 
 def trajectory_report_payload(report) -> dict:

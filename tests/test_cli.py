@@ -11,6 +11,7 @@ from marketstates.errors import DataError
 from marketstates.ingest import load_panel
 from marketstates.pipeline import PipelineConfig, parse_float_grid, parse_int_range, run_pipeline
 from marketstates.serialize import load_arrays, read_json
+from marketstates.trajectory import DEFAULT_WIDTH_DAYS
 
 from test_pipeline import market_config, write_market
 
@@ -139,6 +140,9 @@ def test_cli_defaults_are_the_config_defaults():
                   "width": "width_days", "realizations": "rmt_realizations",
                   "bins": "rmt_bins"}
     parse = {"k_range": parse_int_range, "epsilon_grid": parse_float_grid}
+    # what `trajectory` uses when --width or --dim is not given
+    unset = {("marketstates trajectory", "width"): DEFAULT_WIDTH_DAYS,
+             ("marketstates trajectory", "dim"): 3}
     defaults = PipelineConfig()
     seen = set()
     parsers = [build_parser()]
@@ -148,7 +152,10 @@ def test_cli_defaults_are_the_config_defaults():
             if isinstance(action.choices, dict):  # a subcommand's parsers
                 parsers.extend(action.choices.values())
             elif action.dest in config_key:
-                value = parse.get(action.dest, lambda v: v)(action.default)
+                default = action.default
+                if default is None:  # a flag that must tell an explicit value apart
+                    default = unset[(parser.prog, action.dest)]
+                value = parse.get(action.dest, lambda v: v)(default)
                 assert value == getattr(defaults, config_key[action.dest]), (
                     parser.prog, action.dest)
                 seen.add(action.dest)
@@ -351,8 +358,36 @@ def test_trajectory_catalog(workspace, market, tmp_path, capsys):
     assert "burst: var_ratio=" in text and "calm: var_ratio=" in text
 
 
+@pytest.mark.parametrize("flags", [["--start", "2020-01-02", "--end", "2020-02-01"],
+                                   ["--start", "2020-01-02"], ["--end", "2020-02-01"]])
+@pytest.mark.parametrize("width", ["45", "125"])
+def test_trajectory_rejects_a_width_with_a_span(workspace, tmp_path, capsys, flags, width):
+    # the span sets the window, so a width, even the default one, would go unused
+    out = tmp_path / "r.json"
+    code = main(["trajectory", "--panel", str(workspace["panel"]), *flags,
+                 "--width", width, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "bad parameter" in err and "--width" in err and flags[0] in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("given, missing", [("--start", "--end"), ("--end", "--start")])
+def test_trajectory_span_needs_both_ends(workspace, market, tmp_path, capsys, given, missing):
+    dates = [line.split(",")[0]
+             for line in (market / "prices.csv").read_text().splitlines()[1:]]
+    out = tmp_path / "r.json"
+    code = main(["trajectory", "--panel", str(workspace["panel"]), given, dates[40],
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "bad parameter" in err and f"{given} needs {missing}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--dim", "2"], ["--dim", "5"], ["--name", "x"],
-                                   ["--center", "nope"], ["--start", "a", "--end", "b"]])
+                                   ["--center", "nope"], ["--start", "a", "--end", "b"],
+                                   ["--dim", "3"]])
 def test_trajectory_catalog_rejects_single_window_flags(workspace, market, tmp_path,
                                                          capsys, flags):
     out = tmp_path / "catalog.json"

@@ -1,5 +1,6 @@
 import csv
 import zipfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -270,11 +271,12 @@ def test_column_parser_matches_per_cell_oracle_on_a_wide_random_panel(tmp_path):
 
 
 def test_parsed_dates_are_not_the_parsed_cells(tmp_path, monkeypatch):
-    # a date string that is a cell of the parse would keep the parse's memory
+    # a date string that is a cell of the parse would keep the parse's memory;
+    # the gap sends the file through csv.reader
     import marketstates.ingest as ingest
 
     path = tmp_path / "prices.csv"
-    path.write_text("date,A,B\n2020-01-02,1.0,2.0\n 2020-01-03 ,1.5,2.5\n2020-01-06,2.0,3.0\n")
+    path.write_text("date,A,B\n2020-01-02,1.0,2.0\n 2020-01-03 ,,2.5\n2020-01-06,2.0,3.0\n")
     rows = []
     real_reader = csv.reader
 
@@ -285,9 +287,89 @@ def test_parsed_dates_are_not_the_parsed_cells(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ingest.csv, "reader", recording_reader)
     panel = load_prices(path)
+    assert rows, "csv.reader did not run"
     assert panel.dates == ["2020-01-02", "2020-01-03", "2020-01-06"]
     cells = {id(cell) for row in rows for cell in row}
     assert not any(id(date) in cells for date in panel.dates)
+
+
+# --------------------------------------------------------------------------
+# the one-pass parse of a clean file against the per-cell oracle
+
+
+@pytest.fixture
+def no_csv_reader(monkeypatch):
+    """ingest without csv.reader; the oracle still reads with the real one."""
+    import marketstates.ingest as ingest
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader ran on a clean file")
+
+    monkeypatch.setattr(ingest, "csv", SimpleNamespace(reader=refuse))
+
+
+def test_clean_wide_panel_is_parsed_without_the_csv_reader(tmp_path, no_csv_reader):
+    rng = np.random.default_rng(31)
+    prices = np.exp(rng.normal(0.0, 8.0, size=(200, 1300)))
+    # 17 significant digits, the longest text a float64 needs, in both notations
+    columns = {f"S{i:03d}": [f"{v:.17g}" for v in prices[i]] for i in range(200)}
+    panel = assert_matches_oracle(write_columns(tmp_path / "p.csv", columns))
+    assert panel.dropped == {}
+    assert panel.prices.flags.c_contiguous
+    assert panel.prices.tobytes() == prices.tobytes()
+
+
+def write_rows(path, rows, newline="\n"):
+    path.write_bytes(newline.join(",".join(row) for row in rows).encode() + newline.encode())
+    return path
+
+
+def clean_rows():
+    """Header and six rows of a clean 3-ticker file, as cell strings."""
+    return [["date", "A", "B", "C"]] + [
+        [f"2020-01-{d + 1:02d}", repr(10.0 + d), repr(20.5 - d), repr(1.0 / (d + 1))]
+        for d in range(6)]
+
+
+@pytest.mark.parametrize("cell", [*ODD_CELLS, "1.5#x", '"12.5"', "\u0661\u0662", "1e-400",
+                                  "12.5 ", "\t12.5"])
+def test_one_odd_cell_in_a_clean_file_matches_the_oracle(tmp_path, cell):
+    for row in (1, 3, 6):
+        rows = clean_rows()
+        rows[row][2] = cell
+        assert_matches_oracle(write_rows(tmp_path / f"p{row}.csv", rows))
+
+
+@pytest.mark.parametrize("newline", ["\r", "\r\n", "\n\n", "\n \n"])
+def test_clean_file_with_other_line_endings_matches_the_oracle(tmp_path, no_csv_reader, newline):
+    assert_matches_oracle(write_rows(tmp_path / "p.csv", clean_rows(), newline))
+
+
+def test_quoted_label_in_a_clean_file_matches_the_oracle(tmp_path):
+    rows = clean_rows()
+    rows[0][2] = '"B"'
+    rows[3][0] = '"2020-01-03"'
+    panel = assert_matches_oracle(write_rows(tmp_path / "p.csv", rows))
+    assert panel.tickers == ["A", "B", "C"] and panel.dates[2] == "2020-01-03"
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda rows: rows[3].append("13.0"), "row with 5 fields, expected 4"),
+    (lambda rows: rows[3].pop(), "row with 3 fields, expected 4"),
+    (lambda rows: [row.pop() for row in rows[1:]], "row with 3 fields, expected 4"),
+    (lambda rows: rows[3].__setitem__(0, ""), "bad date ''"),
+    (lambda rows: rows[3].__setitem__(0, "2020-01-02"), "not strictly increasing"),
+    (lambda rows: rows[0].__setitem__(3, "A"), "duplicate ticker columns"),
+    (lambda rows: rows[0].__setitem__(0, "day"), "first column must be 'date'"),
+    (lambda rows: rows[0].__setitem__(1, '"A,1"'), "ticker 'A,1' contains a comma"),
+    (lambda rows: rows[0].__setitem__(slice(1, None), []), "expected header"),
+    (lambda rows: rows.__delitem__(slice(1, None)), "no data rows"),
+])
+def test_malformed_clean_file_is_the_csv_paths_data_error(tmp_path, change, message):
+    rows = clean_rows()
+    change(rows)
+    with pytest.raises(DataError, match=message):
+        load_prices(write_rows(tmp_path / "p.csv", rows))
 
 
 def random_panel(seed=29):
