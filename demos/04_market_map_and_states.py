@@ -39,7 +39,7 @@ panel = ReturnPanel(
 
 # --- 2. epochs, distances, map ------------------------------------------------
 series = epoch_correlations(panel, EpochSpec(window=20, shift=1))
-zeta = similarity_matrix(series.values_stack())
+zeta = similarity_matrix(series)
 print(f"{series.n_epochs} epochs -> {zeta.shape[0]}x{zeta.shape[1]} distance table")
 
 embedding = classical_mds(zeta, D=3, warn=False)

@@ -112,8 +112,7 @@ def _cmd_rmt_validate(args) -> int:
 
 def _cmd_mds(args) -> int:
     series = load_series(args.corr)
-    dates = [m.start_date for m in series.matrices]
-    coords_path, _ = write_map(series.values_stack(), dates, args.dim, _out_path(args.out_dir))
+    coords_path, _ = write_map(series, args.dim, _out_path(args.out_dir))
     print(f"{series.n_epochs} epochs -> {coords_path}")
     return 0
 
@@ -123,9 +122,8 @@ def _cmd_states_optimize(args) -> int:
     if k_range and max(k_range) < args.k_min:  # PipelineConfig.validate()'s rule
         raise ValueError(f"--k-min {args.k_min} exceeds every k in --k-range {args.k_range}")
     series = load_series(args.corr)
-    surface = optimize_over_grid(series.values_stack(), k_range,
-                                 parse_float_grid(args.epsilon_grid), args.n_inits,
-                                 args.seed, dim=args.dim, workers=args.workers)
+    surface = optimize_over_grid(series, k_range, parse_float_grid(args.epsilon_grid),
+                                 args.n_inits, args.seed, dim=args.dim, workers=args.workers)
     out = _out_path(args.out)
     write_surface(surface, out)
     k, epsilon = select_optimum(surface, k_min=args.k_min)

@@ -8,6 +8,7 @@ yields ``floor((L - window)/shift) + 1`` epochs.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .ingest import ReturnPanel
-from .serialize import StreamedArray, load_arrays, save_arrays
+from .serialize import load_arrays, save_arrays
 
 
 @dataclass(frozen=True)
@@ -50,32 +51,47 @@ def epoch_bounds(epoch_index: int, spec: EpochSpec) -> tuple[int, int]:
 
 @dataclass
 class CorrelationMatrix:
-    """One epoch's correlation matrix and the first and last return day it covers."""
+    """One epoch's correlation matrix and the first and last return day it covers.
 
-    values: np.ndarray
+    ``packed`` is the epoch's row of the packed layout; ``values`` unpacks
+    it into a new N x N array on each access.
+    """
+
+    packed: np.ndarray
     start_date: str
     end_date: str
+
+    @property
+    def values(self) -> np.ndarray:
+        n = (math.isqrt(8 * self.packed.size + 1) - 1) // 2  # size = N(N+1)/2
+        return _unpack_epochs(self.packed[None], n)[0]
 
 
 class EpochCorrelationSeries:
     """Ordered raw correlation matrices of every epoch, one row and column per label.
 
     The one epoch-stack type: stock-level series carry tickers as labels,
-    sector-averaged ones sector names.  It holds one (epochs, N, N) array,
-    read-only and not copied; its records are views into it and
-    ``values_stack()`` is that array.  The power map is no part of a series:
-    the dissimilarity applies it as it compares epochs.
+    sector-averaged ones sector names.  It holds only the packed layout, one
+    read-only (epochs, N(N+1)/2) array: ``epochs`` given as such rows is kept
+    as it is, and a dense (epochs, N, N) stack is packed, a NumericError
+    naming its first epoch that is non-finite or not exactly symmetric.
+    Records unpack their epoch on access; ``values_stack()`` is a dense copy.
+    The power map is no part of a series: the dissimilarity applies it.
     """
 
-    def __init__(self, labels, stack: np.ndarray, start_dates, end_dates):
+    def __init__(self, labels, epochs: np.ndarray, start_dates, end_dates):
         self.labels = list(labels)
         n = len(self.labels)
-        if stack.ndim != 3 or stack.shape[1:] != (n, n):
-            raise ValueError(f"epoch stack of shape {stack.shape} for {n} labels")
-        self._stack = stack.view()
-        self._stack.flags.writeable = False
-        self.matrices = [CorrelationMatrix(values, start, end) for values, start, end
-                         in zip(self._stack, start_dates, end_dates, strict=True)]
+        if epochs.ndim == 3 and epochs.shape[1:] == (n, n):
+            epochs = _pack_epochs(epochs)
+        elif epochs.ndim != 2 or epochs.shape[1] != _packed_width(n) or n == 0:
+            what = "packed epochs" if epochs.ndim == 2 else "epoch stack"
+            raise ValueError(f"{what} of shape {epochs.shape} for {n} labels")
+        self.packed = np.asarray(epochs, dtype=float).view()  # the layout is below
+        self.packed.flags.writeable = False
+        # records hold rows of the array, never the series: no reference cycle
+        self.matrices = [CorrelationMatrix(row, start, end) for row, start, end
+                         in zip(self.packed, start_dates, end_dates, strict=True)]
 
     @property
     def n_epochs(self) -> int:
@@ -85,8 +101,17 @@ class EpochCorrelationSeries:
     def n_labels(self) -> int:
         return len(self.labels)
 
-    def values_stack(self) -> np.ndarray:
-        return self._stack
+    def values_stack(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """A new dense (epochs, N, N) copy of epochs ``start`` to ``stop``, by default all."""
+        return _unpack_epochs(self.packed[start:stop], self.n_labels)
+
+    def mean_of(self, members) -> np.ndarray:
+        """A new dense mean of epochs ``members``, the bits of values_stack()[members].mean(axis=0)."""
+        total = self.packed[members[0]].copy()
+        for e in members[1:]:
+            total += self.packed[e]
+        total /= len(members)
+        return _unpack_epochs(total[None], self.n_labels)[0]
 
 
 def _epochs_per_chunk(epoch_size: int) -> int:
@@ -95,9 +120,9 @@ def _epochs_per_chunk(epoch_size: int) -> int:
 
 
 # The packed layout of an epoch stack: one row per epoch, its strict upper
-# triangle in np.triu_indices(N, 1) order, then its N diagonal entries.
-# save_series stores it as the archive member ``packed``; the dissimilarity
-# kernel packs the same rows with the triangle doubled.
+# triangle in np.triu_indices(N, 1) order, then its N diagonal entries.  A
+# series holds it, save_series stores it as the archive member ``packed``,
+# and _kernel_copy maps it for the dissimilarity kernel.
 
 
 def _packed_width(n_labels: int) -> int:
@@ -105,89 +130,69 @@ def _packed_width(n_labels: int) -> int:
     return n_labels * (n_labels + 1) // 2
 
 
-def _packed_chunks(stack: np.ndarray, epsilon: float = 0.0, doubled: bool = False,
-                   out: np.ndarray | None = None):
-    """Pack an (epochs, N, N) stack about 2^16 float64 (512 KB) of epochs at a time.
+@functools.lru_cache(maxsize=4)
+def _triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the strict upper triangle and its mirror sit in a flattened N x N epoch."""
+    row, col = np.triu_indices(n, 1)
+    upper_at, lower_at = row * n + col, col * n + row
+    upper_at.flags.writeable = lower_at.flags.writeable = False
+    return upper_at, lower_at
 
-    Yields the packed rows of each chunk in epoch order: rows of ``out``
-    when it is given, the whole (epochs, N(N+1)/2) result, else one buffer
-    reused for every chunk.  Each epoch is power-mapped at ``epsilon`` as
-    it is packed, with the bits of mapping the whole stack first, and its
-    triangle is doubled when ``doubled`` is set.  Raises NumericError
-    naming the first epoch that is non-finite after that or not exactly
-    symmetric: the triangle alone cannot stand for it.
+
+def _pack_chunk(chunk: np.ndarray, out: np.ndarray, first: int, symmetric: bool = False) -> None:
+    """Pack (epochs, N, N) ``chunk`` into the rows ``out``; its epoch 0 is epoch ``first``.
+
+    Raises NumericError naming the first epoch that is non-finite or, unless
+    ``symmetric`` vouches for the chunk, not exactly symmetric: the triangle
+    alone cannot stand for it.
     """
-    n, rows, cols = stack.shape
-    if rows != cols or rows == 0:
-        raise NumericError(f"epochs must be non-empty square matrices, got shape {(rows, cols)}")
-    row, col = np.triu_indices(rows, 1)
-    upper_at = row * rows + col  # the strict upper triangle in a flattened epoch
-    k = upper_at.size
-    step = _epochs_per_chunk(rows * rows)
-    whole = out is not None
-    if not whole:
-        out = np.empty((min(step, n), k + rows))
-    for e0 in range(0, n, step):
-        chunk = stack[e0:e0 + step]
-        packed = out[e0:e0 + step] if whole else out[:len(chunk)]
-        flat = chunk.reshape(len(chunk), rows * rows)
-        upper, diag = np.take(flat, upper_at, axis=1), flat[:, ::rows + 1]
-        if epsilon:
-            upper, diag = _power(upper, epsilon), _power(diag, epsilon)
-        np.multiply(upper, 2.0 if doubled else 1.0, out=packed[:, :k])
-        packed[:, k:] = diag
-        finite = np.isfinite(packed).all(axis=1)
+    m, n = chunk.shape[:2]
+    upper_at = _triangle(n)[0]
+    flat = chunk.reshape(m, n * n).astype(float, copy=False)
+    np.take(flat, upper_at, axis=1, out=out[:, :upper_at.size], mode="clip")
+    out[:, upper_at.size:] = flat[:, ::n + 1]
+    finite = np.isfinite(out).all(axis=1)
+    if not symmetric:
         symmetric = (chunk == chunk.transpose(0, 2, 1)).all(axis=(1, 2))
-        if not (finite & symmetric).all():
-            e = int(np.argmin(finite & symmetric))
-            what = "has a non-finite entry" if not finite[e] else "is not exactly symmetric"
-            raise NumericError(f"epoch {e0 + e} {what}")
-        yield packed
+    if not (finite & symmetric).all():
+        e = int(np.argmin(finite & symmetric))
+        what = "has a non-finite entry" if not finite[e] else "is not exactly symmetric"
+        raise NumericError(f"epoch {first + e} {what}")
 
 
-def _pack_epochs(stack: np.ndarray, epsilon: float = 0.0, doubled: bool = False) -> np.ndarray:
-    """The packed layout of a whole stack, one (epochs, N(N+1)/2) array; see _packed_chunks."""
-    out = np.empty((stack.shape[0], _packed_width(stack.shape[1])))
-    for _ in _packed_chunks(stack, epsilon, doubled, out):
-        pass
+def _pack_epochs(stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A dense (epochs, N, N) stack packed 512 KB of epochs at a time, into ``out`` if given."""
+    n, N = stack.shape[:2]
+    out = np.empty((n, _packed_width(N))) if out is None else out
+    step = _epochs_per_chunk(N * N)
+    for e0 in range(0, n, step):
+        _pack_chunk(stack[e0:e0 + step], out[e0:e0 + step], e0)
     return out
 
 
-def _unpack_epochs(packed: np.ndarray, n_labels: int) -> np.ndarray:
-    """The (epochs, N, N) stack whose packed layout is ``packed``, mirrored bit for bit.
-
-    Epochs go through about 512 KB at a time into the one new stack.
-    """
-    n = n_labels
+def _unpack_epochs(packed: np.ndarray, n: int) -> np.ndarray:
+    """The new (epochs, n, n) stack whose packed layout is ``packed``, mirrored bit for bit."""
     if packed.ndim != 2 or packed.shape[1] != _packed_width(n) or n == 0:
         raise ValueError(f"packed epochs of shape {packed.shape} for {n} labels")
-    row, col = np.triu_indices(n, 1)
-    upper_at, lower_at = row * n + col, col * n + row
+    upper_at, lower_at = _triangle(n)
     k = upper_at.size
     stack = np.empty((len(packed), n, n))
     flat = stack.reshape(len(packed), n * n)
-    step = _epochs_per_chunk(n * n)
-    for e0 in range(0, len(packed), step):
-        rows, epochs = packed[e0:e0 + step], flat[e0:e0 + step]
-        epochs[:, upper_at] = rows[:, :k]
-        epochs[:, lower_at] = rows[:, :k]
-        epochs[:, ::n + 1] = rows[:, k:]
+    flat[:, upper_at] = packed[:, :k]
+    flat[:, lower_at] = packed[:, :k]
+    flat[:, ::n + 1] = packed[:, k:]
     return stack
 
 
 def save_series(series: EpochCorrelationSeries, path: str | Path) -> None:
     """Write a series to a correlation archive (the pipeline's corr_raw.npz).
 
-    Its members are ``packed``, the stack's packed layout streamed about
-    512 KB of epochs at a time, and ``labels``, ``start_dates`` and
-    ``end_dates``.  Raises NumericError naming the first epoch that is
-    non-finite or not exactly symmetric, and then leaves no archive.
+    Its members are ``packed``, the series' packed rows as they are, and
+    ``labels``, ``start_dates`` and ``end_dates``.
     """
-    stack = series.values_stack()
     save_arrays(
         path,
-        packed=StreamedArray((series.n_epochs, _packed_width(series.n_labels)),
-                             np.dtype(np.float64), lambda: _packed_chunks(stack)),
+        packed=series.packed,
         labels=np.array(series.labels),
         start_dates=np.array([m.start_date for m in series.matrices]),
         end_dates=np.array([m.end_date for m in series.matrices]),
@@ -195,10 +200,10 @@ def save_series(series: EpochCorrelationSeries, path: str | Path) -> None:
 
 
 def load_series(path: str | Path) -> EpochCorrelationSeries:
-    """The series ``save_series`` wrote to ``path``, its stack unpacked bit for bit.
+    """The series ``save_series`` wrote to ``path``, holding the archive's packed rows.
 
     Raises DataError naming the file and the first member it lacks, as an
-    archive of earlier versions lacks ``packed``, or a stack that does not
+    archive of earlier versions lacks ``packed``, or packed rows that do not
     match the labels or dates.
     """
     arrays = load_arrays(path)
@@ -207,9 +212,11 @@ def load_series(path: str | Path) -> EpochCorrelationSeries:
             raise DataError(f"{path} has no {name!r} member; "
                             "rerun corr (run --force) to rewrite it")
     labels = [str(s) for s in arrays["labels"]]
+    packed = arrays["packed"]
     try:
-        return EpochCorrelationSeries(labels, _unpack_epochs(arrays["packed"], len(labels)),
-                                      [str(s) for s in arrays["start_dates"]],
+        if packed.ndim != 2:  # a dense stack is no archive's member
+            raise ValueError(f"packed epochs of shape {packed.shape} for {len(labels)} labels")
+        return EpochCorrelationSeries(labels, packed, [str(s) for s in arrays["start_dates"]],
                                       [str(s) for s in arrays["end_dates"]])
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
@@ -225,41 +232,37 @@ def _zero_variance(rows: np.ndarray) -> str:
             "their correlations are set to 0")
 
 
-def _pearson_blocks(windows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Pearson correlation of each (N, T) block of ``windows`` into ``out``.
+def _pearson_blocks(windows: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Pearson correlation of each (N, T) block of ``windows`` into ``cov``.
 
-    ``windows`` is (blocks, N, T) with any strides, ``out`` a C-contiguous
-    (blocks, N, N) array.  Blocks go through in chunks of about 2^16 float64
-    (512 KB) of output, one batched product per chunk; every step is the
-    2-D computation done slice by slice, so each block gets the bits it
-    would get alone.  Returns the (blocks, N) mask of zero-variance rows.
+    ``windows`` is (blocks, N, T) with any strides, ``cov`` a C-contiguous
+    (blocks, N, N) array; epoch_correlations passes about 2^16 float64
+    (512 KB) of output at a time.  One batched product serves every block,
+    and every step is the 2-D computation done slice by slice, so each
+    block gets the bits it would get alone.  Returns the (blocks, N) mask
+    of zero-variance rows.
     """
-    n_blocks, n, T = windows.shape
-    flat = np.empty((n_blocks, n), dtype=bool)
-    diagonal = np.arange(n)
-    step = _epochs_per_chunk(n * n)
-    for b0 in range(0, n_blocks, step):
-        # a C-contiguous copy: each row mean is then one pairwise sum over T
-        X = np.array(windows[b0:b0 + step], dtype=float)
-        cov = out[b0:b0 + step]
-        # relative floor catches constant rows whose centering left rounding dust
-        scale = (X * X).mean(axis=2)
-        X -= X.mean(axis=2, keepdims=True)
-        np.matmul(X, X.transpose(0, 2, 1), out=cov)
-        cov /= T
-        var = cov[:, diagonal, diagonal]
-        rows = var <= 1e-24 * np.maximum(scale, 1e-300)
-        var[rows] = 1.0
-        sd = np.sqrt(var)
-        cov /= sd[:, :, None] * sd[:, None, :]
-        cov[rows] = 0.0
-        cov.transpose(0, 2, 1)[rows] = 0.0
-        symmetric = cov + cov.transpose(0, 2, 1)
-        symmetric /= 2.0
-        np.clip(symmetric, -1.0, 1.0, out=cov)
-        cov[:, diagonal, diagonal] = 1.0
-        flat[b0:b0 + step] = rows
-    return flat
+    T = windows.shape[2]
+    diagonal = np.arange(windows.shape[1])
+    # a C-contiguous copy: each row mean is then one pairwise sum over T
+    X = np.array(windows, dtype=float)
+    # relative floor catches constant rows whose centering left rounding dust
+    scale = (X * X).mean(axis=2)
+    X -= X.mean(axis=2, keepdims=True)
+    np.matmul(X, X.transpose(0, 2, 1), out=cov)
+    cov /= T
+    var = cov[:, diagonal, diagonal]
+    rows = var <= 1e-24 * np.maximum(scale, 1e-300)
+    var[rows] = 1.0
+    sd = np.sqrt(var)
+    cov /= sd[:, :, None] * sd[:, None, :]
+    cov[rows] = 0.0
+    cov.transpose(0, 2, 1)[rows] = 0.0
+    symmetric = cov + cov.transpose(0, 2, 1)
+    symmetric /= 2.0
+    np.clip(symmetric, -1.0, 1.0, out=cov)
+    cov[:, diagonal, diagonal] = 1.0
+    return rows
 
 
 def pearson_correlation(X: np.ndarray) -> np.ndarray:
@@ -281,34 +284,72 @@ def pearson_correlation(X: np.ndarray) -> np.ndarray:
 
 
 def epoch_correlations(panel: ReturnPanel, spec: EpochSpec = EpochSpec()) -> EpochCorrelationSeries:
-    """Correlation matrix of every epoch of a return panel, built into one (epochs, N, N) array.
+    """Correlation matrix of every epoch of a return panel, in the packed layout.
 
-    Each epoch with a zero-variance row warns once, naming its 1-based index.
+    Each chunk of about 512 KB of epochs is built in one reused dense buffer
+    and packed into the series' rows, so no dense stack of every epoch
+    exists.  Each epoch with a zero-variance row warns once, naming its
+    1-based index.
     """
     n = epoch_count(panel.n_returns, spec)
     windows = np.lib.stride_tricks.sliding_window_view(panel.returns, spec.window, axis=1)
     windows = windows[:, ::spec.shift].transpose(1, 0, 2)  # (epochs, N, window) views
-    stack = np.empty((n, windows.shape[1], windows.shape[1]))
-    flat = _pearson_blocks(windows, stack)
-    for index in np.flatnonzero(flat.any(axis=1)):
-        warnings.warn(f"epoch {index + 1}: {_zero_variance(flat[index])}",
-                      RuntimeWarning, stacklevel=2)
+    N = windows.shape[1]
+    packed = np.empty((n, _packed_width(N)))
+    step = _epochs_per_chunk(N * N)
+    buffer = np.empty((min(step, n), N, N))
+    for e0 in range(0, n, step):
+        chunk = buffer[:len(packed[e0:e0 + step])]
+        flat = _pearson_blocks(windows[e0:e0 + step], chunk)
+        for index in np.flatnonzero(flat.any(axis=1)):
+            warnings.warn(f"epoch {e0 + index + 1}: {_zero_variance(flat[index])}",
+                          RuntimeWarning, stacklevel=2)
+        # (C + C^T) / 2 is symmetric bit for bit: the sum commutes
+        _pack_chunk(chunk, packed[e0:e0 + step], e0, symmetric=True)
     starts = panel.dates[::spec.shift][:n]
     ends = panel.dates[spec.window - 1::spec.shift][:n]
-    return EpochCorrelationSeries(panel.tickers, stack, starts, ends)
+    return EpochCorrelationSeries(panel.tickers, packed, starts, ends)
 
 
-def _power(values: np.ndarray, epsilon: float) -> np.ndarray:
+def _power(values: np.ndarray, epsilon: float, out: np.ndarray | None = None) -> np.ndarray:
+    """sign(x) |x|^(1+epsilon) of ``values``, into ``out`` when epsilon > 0 and it is given."""
     # epsilon 0 must be a bit-for-bit no-op, so short-circuit before pow
     if epsilon == 0.0:
         return values.copy()
-    # sign(x) * |x| ** (1 + epsilon) in one output and one temporary;
-    # np.copysign would keep -0.0 where np.sign gives +0.0
+    # one temporary besides the output; np.copysign would keep -0.0 where
+    # np.sign gives +0.0
     dtype = np.result_type(values, 1.0)  # integer input maps to float
     magnitude = np.abs(values, dtype=dtype)
     magnitude **= 1.0 + epsilon
-    out = np.sign(values, dtype=dtype)
+    out = np.sign(values, out=out, dtype=dtype)
     out *= magnitude
+    return out
+
+
+def _kernel_copy(epochs, out: np.ndarray, epsilon: float) -> np.ndarray:
+    """Fill ``out`` with the dissimilarity kernel's rows: epochs packed, mapped, triangle doubled.
+
+    An off-diagonal entry is twice in a full matrix, so these rows are as far
+    apart in L1 as the full matrices.  A series' packed rows are read; a dense
+    stack is packed into ``out`` and mapped there, so a dense caller holds one
+    packed copy (test_similarity_working_set_is_below_the_input_stack).
+    NumericError names the first epoch that is non-finite after the map.
+    """
+    if isinstance(epochs, np.ndarray):
+        rows, N = _pack_epochs(epochs, out), epochs.shape[1]
+    else:
+        rows, N = epochs.packed, epochs.n_labels
+    k = N * (N - 1) // 2
+    step = _epochs_per_chunk(out.shape[1])
+    for e0 in range(0, len(out), step):
+        mapped, src = out[e0:e0 + step], rows[e0:e0 + step]
+        if epsilon:
+            src = _power(src, epsilon, out=mapped)
+        np.multiply(src[:, :k], 2.0, out=mapped[:, :k])
+        mapped[:, k:] = src[:, k:]
+        finite = np.isfinite(mapped).all(axis=1)
+        if not finite.all():
+            raise NumericError(f"epoch {e0 + int(np.argmin(finite))} has a non-finite entry")
     return out
 
 

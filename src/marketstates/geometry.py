@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrmat import _check_epsilon, _pack_epochs
+from .corrmat import EpochCorrelationSeries, _check_epsilon, _kernel_copy
 from .errors import NumericError
 
 
@@ -54,16 +54,15 @@ class Embedding:
 
 
 def _l1_rows(X: np.ndarray, sums: np.ndarray, out: np.ndarray, first: int, step: int,
-             block: int) -> None:
-    """Upper-triangle rows first, first + step, ... of ``out``, through a buffer of its own.
+             buf: np.ndarray) -> None:
+    """Upper-triangle rows first, first + step, ... of ``out``, through the buffer ``buf``.
 
     Row i holds sum |X[i] - X[j]| for j > i, computed as
     2 sum max(X[i], X[j]) - sums[i] - sums[j] with ``sums`` the row sums of X:
-    one maximum and one sum per block.  The row is clamped at 0, since
+    one maximum and one sum per block of rows.  The row is clamped at 0, since
     rounding can leave a tiny negative where two rows nearly cancel.
     """
-    n, width = X.shape
-    buf = np.empty((min(block, n - 1), width))
+    n, block = len(X), len(buf)
     for i in range(first, n - 1, step):
         for j0 in range(i + 1, n, block):
             j1 = min(j0 + block, n)
@@ -77,22 +76,22 @@ def _l1_rows(X: np.ndarray, sums: np.ndarray, out: np.ndarray, first: int, step:
         np.maximum(row, 0.0, out=row)
 
 
-def similarity_matrix(stack: np.ndarray, workers: int = 1, epsilon: float = 0.0) -> np.ndarray:
+def similarity_matrix(epochs, workers: int = 1, epsilon: float = 0.0) -> np.ndarray:
     """Mean absolute element-wise difference between every pair of power-mapped epochs.
 
-    Takes an (epochs, N, N) stack and returns the symmetric (epochs, epochs)
-    dissimilarity matrix with a zero diagonal.  The mean runs over all N^2
+    Takes an EpochCorrelationSeries, or an (epochs, N, N) stack that is
+    packed first, and returns the symmetric (epochs, epochs) dissimilarity
+    matrix with a zero diagonal.  The mean runs over all N^2
     ordered entries, diagonal included (diagonal differences are zero for
     raw correlation matrices, so they only dilute by a constant factor).
     Each epoch is compared after the power map at ``epsilon`` (0 leaves it
     as it is), with the bits of ``similarity_matrix(power_map(stack, epsilon))``.
 
-    Every epoch must be finite and exactly symmetric, as correlation,
-    power-mapped and sector-averaged matrices are; otherwise NumericError.
-    The kernel then sums over the packed upper triangle and diagonal only,
-    streaming row maxima through a buffer of about 512 KB, so its
-    working set beyond the input is the half-size packed stack, at any
-    epsilon: the map is applied to about 512 KB of epochs at a time as they are packed.
+    Every epoch must be finite, and a dense one exactly symmetric, as
+    correlation, power-mapped and sector-averaged matrices are; otherwise
+    NumericError.  The kernel sums over one packed copy of the upper
+    triangles and diagonals, at any epsilon, streaming row maxima through a
+    buffer of about 512 KB per thread.
 
     Each pair uses |a - b| = 2 max(a, b) - a - b: the packed rows are summed
     once, and a pair's distance is twice the sum of its element-wise maxima
@@ -102,35 +101,47 @@ def similarity_matrix(stack: np.ndarray, workers: int = 1, epsilon: float = 0.0)
     maxima with itself are summed by the same pairwise reduction as its row
     sum, and no entry is negative.
 
-    ``workers`` threads share the packed stack; row i goes to thread
+    ``workers`` threads share the packed copy; row i goes to thread
     i mod workers.  Each entry is still summed by one thread over the same
     blocks, so the result is bit-identical for any thread count.
     """
     _check_epsilon(epsilon)
-    if not isinstance(stack, np.ndarray):
-        raise TypeError(f"expected an (epochs, N, N) ndarray, got {type(stack).__name__}")
-    if stack.ndim != 3:
-        raise NumericError(f"stack must be 3-D (epochs, N, N), got shape {stack.shape}")
-    n = stack.shape[0]
+    if isinstance(epochs, EpochCorrelationSeries):
+        n, N = epochs.n_epochs, epochs.n_labels
+    elif isinstance(epochs, np.ndarray):
+        if epochs.ndim != 3:
+            raise NumericError(f"stack must be 3-D (epochs, N, N), got shape {epochs.shape}")
+        n, N, cols = epochs.shape
+        if cols != N or N == 0:
+            raise NumericError(f"epochs must be non-empty square matrices, got shape {(N, cols)}")
+    else:
+        raise TypeError("expected an EpochCorrelationSeries or an (epochs, N, N) ndarray, "
+                        f"got {type(epochs).__name__}")
+    width = N * (N + 1) // 2  # entries of one packed epoch
     if n < 2:
         raise NumericError(f"need at least 2 epochs, got {n}")
-    # every off-diagonal difference appears twice in the full matrices: the
-    # L1 distance between doubled packed rows equals theirs
-    X = _pack_epochs(stack.astype(float, copy=False), epsilon, doubled=True)
+    # each thread's reused maximum buffer of about 2^16 float64 (512 KB) stays in cache
+    block = min(max(1, (1 << 16) // width), n - 1)
+    threads = max(1, min(workers, n - 1))
+    # one block for the copy and every buffer: glibc trims a heap whose free top
+    # passes twice its largest freed block, as an event window's separate blocks did
+    whole = np.empty((n + threads * block, width))
+    X = _kernel_copy(epochs, whole[:n], epsilon)
+    bufs = [whole[n + t * block:n + (t + 1) * block] for t in range(threads)]
     sums = X.sum(axis=1)
     out = np.zeros((n, n))
-    # each thread's reused maximum buffer of about 2^16 float64 (512 KB) stays in cache
-    block = max(1, (1 << 16) // X.shape[1])
-    threads = max(1, min(workers, n - 1))
     if threads == 1:
-        _l1_rows(X, sums, out, 0, 1, block)
+        _l1_rows(X, sums, out, 0, 1, bufs[0])
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             # reading every result re-raises a worker's exception here
-            list(pool.map(lambda t: _l1_rows(X, sums, out, t, threads, block), range(threads)))
-    N = stack.shape[1]
+            list(pool.map(lambda t: _l1_rows(X, sums, out, t, threads, bufs[t]), range(threads)))
+    del whole, X, bufs  # freed before out + out.T below takes its temporary
     out /= N * N
-    out += out.T
+    # out + out.T by blocks of about 512 KB of rows, with no (epochs, epochs) temporary
+    step = max(1, (1 << 16) // n)
+    for i0 in range(0, n, step):
+        out[i0:i0 + step] += out[:, i0:i0 + step].T
     return out
 
 
@@ -208,16 +219,17 @@ def classical_mds(dissim: np.ndarray, D: int, warn: bool = True) -> Embedding:
     )
 
 
-def embed_epochs(stack: np.ndarray, epsilon: float, dim: int, workers: int = 1) -> Embedding:
-    """Power map, dissimilarity and ``dim``-axis classical MDS of an epoch stack.
+def embed_epochs(epochs, epsilon: float, dim: int, workers: int = 1) -> Embedding:
+    """Power map, dissimilarity and ``dim``-axis classical MDS of an epoch series.
 
     The one geometry chain behind the grid search, the state fit and the
     event trajectories.  The dissimilarity kernel power-maps each epoch as
-    it packs it and never writes to its input, so no mapped copy of the
-    stack is made; missing axes are zero-padded without a warning.
-    ``workers`` threads run the dissimilarity kernel.
+    it copies it and never writes to its input, so no mapped copy of the
+    series is made; missing axes are zero-padded without a warning.
+    ``workers`` threads run the dissimilarity kernel.  ``epochs`` is
+    anything similarity_matrix takes.
     """
-    return classical_mds(similarity_matrix(stack, workers, epsilon), D=dim, warn=False)
+    return classical_mds(similarity_matrix(epochs, workers, epsilon), D=dim, warn=False)
 
 
 def step_lengths(coordinates: np.ndarray) -> np.ndarray:

@@ -103,72 +103,68 @@ def _parse_iso_dates(raw: list[str]) -> None:
         prev = current
 
 
-def _clean_column(raw: tuple[str, ...]) -> np.ndarray | None:
-    """The column as floats when every cell is a finite price > 0, else None.
-
-    One ``float`` per cell and no per-cell branching, so a gap-free column
-    costs only the conversion.
-    """
-    try:
-        values = np.fromiter(map(float, raw), float, len(raw))
-    except ValueError:
-        return None
-    if np.isfinite(values).all() and (values > 0).all():
-        return values
-    return None
-
-
 def _longest_run(flags: np.ndarray) -> int:
     """Length of the longest run of True in a boolean vector."""
     edges = np.diff(flags.astype(np.int8), prepend=0, append=0)
     return int((np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)).max(initial=0))
 
 
-def _filter_column(raw: tuple[str, ...], policy: ContinuityPolicy) -> tuple[np.ndarray | None, str]:
-    """Apply the continuity rules to one raw ticker column.
+def _price_row(cells: list[str], index: int, bad: dict[int, str]) -> np.ndarray:
+    """One data row's prices, NaN for an empty or ``NaN`` cell.
 
-    Returns (filled values, "") on success or (None, reason) when the ticker
-    must be dropped.  A column with a missing, NaN, infinite, non-positive or
-    unparsable cell goes cell by cell: gaps are tested on the raw column
-    first, then the survivors are forward-filled.
+    A row of finite prices > 0 costs one ``float`` per cell; in any other,
+    an unparsable, non-finite or non-positive cell is NaN, and the first
+    such cell of each column records its drop reason in ``bad``.  ``index``
+    is the row's 0-based position among the data rows.
     """
-    clean = _clean_column(raw)
-    if clean is not None:
-        return clean, ""
-    values = np.full(len(raw), np.nan)
-    for i, cell in enumerate(raw):
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+        if np.isfinite(values).all() and (values > 0).all():
+            return values
+    except ValueError:
+        pass
+    values = np.full(len(cells), np.nan)
+    for j, cell in enumerate(cells):
         token = cell.strip()
         if token.lower() in _MISSING:
             continue
         try:
             price = float(token)
         except ValueError:
-            return None, f"unparsable price {token!r} on {i + 1}-th row"
+            bad.setdefault(j, f"unparsable price {token!r} on {index + 1}-th row")
+            continue
         if not math.isfinite(price) or price <= 0:
-            return None, f"non-positive price {price} on {i + 1}-th row"
-        values[i] = price
+            bad.setdefault(j, f"non-positive price {price} on {index + 1}-th row")
+            continue
+        values[j] = price
+    return values
 
+
+def _fill_column(values: np.ndarray, policy: ContinuityPolicy) -> str:
+    """Forward-fill a parsed price column in place: a missing day takes the last present day's.
+
+    Returns "" when the column is kept under the continuity rules, else why it is dropped.
+    """
     missing = np.isnan(values)
     if missing.all():
-        return None, "no prices at all"
+        return "no prices at all"
     if missing[0]:
-        return None, "missing first entry (nothing to forward-fill from)"
+        return "missing first entry (nothing to forward-fill from)"
     longest = _longest_run(missing)
     if longest > policy.max_consecutive_missing:
-        return None, (
-            f"{longest} consecutive missing entries exceed the allowed "
-            f"{policy.max_consecutive_missing}"
-        )
-    # forward fill: a missing day takes the last present day's value
+        return (f"{longest} consecutive missing entries exceed the allowed "
+                f"{policy.max_consecutive_missing}")
     source = np.where(missing, 0, np.arange(len(values)))
     np.maximum.accumulate(source, out=source)
-    return values[source], ""
+    values[:] = values[source]
+    return ""
 
 
-def _csv_rows(path: str | Path) -> list[list[str]]:
+def _csv_rows(path: str | Path):
+    """The rows of a CSV file, read one at a time."""
     try:
         with Path(path).open(newline="") as fh:
-            return list(csv.reader(fh))
+            yield from csv.reader(fh)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
@@ -243,8 +239,9 @@ def load_prices(path: str | Path, policy: ContinuityPolicy = ContinuityPolicy())
     gaps are forward-filled with the previous day's value.  A file in which
     no ticker survives raises DataError.
 
-    A file whose every cell is a finite price > 0 is parsed in one C pass;
-    any other goes through ``csv.reader`` and the filter column by column.
+    A file whose every cell is a finite price > 0 is parsed in one C pass; any
+    other goes through ``csv.reader`` row by row into one (tickers, days)
+    float array, NaN where a cell is missing, filled or dropped column-wise.
     """
     clean = _read_clean(path)
     if clean is not None:
@@ -256,37 +253,39 @@ def load_prices(path: str | Path, policy: ContinuityPolicy = ContinuityPolicy())
         return panel
 
     rows = _csv_rows(path)
-    tickers = _tickers(rows[0] if rows else [], path)
-    body = [row for row in rows[1:] if row and any(cell.strip() for cell in row)]
-    for row in body:
+    tickers = _tickers(next(rows, []), path)
+    dates: list[str] = []
+    parsed: list[np.ndarray] = []
+    bad: dict[int, str] = {}  # column -> the drop reason of its first bad cell
+    for row in rows:
+        if not row or not any(cell.strip() for cell in row):
+            continue
         if len(row) != len(tickers) + 1:
             raise DataError(f"{path}: row with {len(row)} fields, expected {len(tickers) + 1}")
-    # fresh copies: a date that is still the parsed cell's string would keep the
-    # allocator arena it was read into, and every freed cell there, resident
-    dates = [row[0].strip().encode().decode() for row in body]
+        # a fresh copy: a date that is still the parsed cell's string would keep
+        # the allocator arena it was read into, and every freed cell there, resident
+        dates.append(row[0].strip().encode().decode())
+        parsed.append(_price_row(row[1:], len(parsed), bad))
     if not dates:
         raise DataError(f"{path}: no data rows")
     _parse_iso_dates(dates)
+    prices = np.stack(parsed, axis=1)  # (tickers, days), NaN where a cell is missing
+    del parsed
 
-    kept_names: list[str] = []
-    kept_cols: list[np.ndarray] = []
+    kept: list[int] = []
     dropped: dict[str, str] = {}
-    columns = zip(*body)  # lazily, one column at a time
-    next(columns)  # the dates
-    for name, column in zip(tickers, columns):
-        filled, reason = _filter_column(column, policy)
-        if filled is None:
+    for j, name in enumerate(tickers):
+        reason = bad.get(j) or _fill_column(prices[j], policy)
+        if reason:
             dropped[name] = reason
         else:
-            kept_names.append(name)
-            kept_cols.append(filled)
-
-    if not kept_names:
+            kept.append(j)
+    if not kept:
         first, reason = next(iter(dropped.items()))
         raise DataError(f"{path}: no ticker survives the continuity policy; all "
                         f"{len(dropped)} dropped, the first ({first}) for: {reason}")
-    prices = np.array(kept_cols, dtype=float)
-    panel = PricePanel(tickers=kept_names, dates=dates, prices=prices, dropped=dropped)
+    panel = PricePanel(tickers=[tickers[j] for j in kept], dates=dates, dropped=dropped,
+                       prices=prices[kept] if len(kept) < len(tickers) else prices)
     panel.validate()
     return panel
 
@@ -301,10 +300,10 @@ def log_returns(panel: PricePanel) -> ReturnPanel:
 def read_csv_pairs(path: str | Path, key: str, value: str) -> dict[str, str]:
     """A ``key,value`` CSV as a dict; a row without a value or a repeated key is a DataError."""
     rows = _csv_rows(path)
-    if not rows or [h.strip().lower() for h in rows[0][:2]] != [key, value]:
+    if [h.strip().lower() for h in next(rows, [])[:2]] != [key, value]:
         raise DataError(f"{path}: expected header '{key},{value}'")
     pairs: dict[str, str] = {}
-    for row in rows[1:]:
+    for row in rows:
         if not row or not any(cell.strip() for cell in row):
             continue
         if len(row) < 2 or not row[1].strip():

@@ -327,19 +327,19 @@ def write_panel(prices: str | Path, max_gap: int, path: Path):
     return panel
 
 
-def write_map(stack: np.ndarray, dates: list[str], dim: int, out_dir: Path,
+def write_map(series: EpochCorrelationSeries, dim: int, out_dir: Path,
               workers: int = 1, maps: dict[float, Embedding] | None = None) -> list[Path]:
-    """Classical MDS map of an epoch stack: coordinates plus eigenvalue and fidelity meta.
+    """Classical MDS map of an epoch series: coordinates plus eigenvalue and fidelity meta.
 
-    ``dates`` labels the coordinate rows, one per epoch of ``stack``.  One
+    Each coordinate row is labelled with its epoch's start date.  One
     eigendecomposition serves both: the ``dim``-axis map is the leading
     ``dim`` axes of the full map that the fidelity needs.  ``workers``
     threads run the dissimilarity kernel.  The ``dim``-axis map is also
     stored in ``maps`` under epsilon 0 when a dict is given.
     """
-    _check_fit(len(stack), [], dim)
+    _check_fit(series.n_epochs, [], dim)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sim = similarity_matrix(stack, workers)
+    sim = similarity_matrix(series, workers)
     full = classical_mds(sim, D=len(sim) - 1, warn=False)
     embedding = full.leading(dim)
     if maps is not None:
@@ -348,8 +348,8 @@ def write_map(stack: np.ndarray, dates: list[str], dim: int, out_dir: Path,
     write_csv(
         out_dir / "map_coords.csv",
         ["epoch", "date", "x", "y", "z"],
-        [(i + 1, dates[i], padded[i, 0], padded[i, 1], padded[i, 2])
-         for i in range(padded.shape[0])],
+        [(i + 1, m.start_date, padded[i, 0], padded[i, 1], padded[i, 2])
+         for i, m in enumerate(series.matrices)],
     )
     fidelity = step_fidelity(full.coordinates, [d for d in (1, 2, 3, 4) if d <= full.D])
     write_json(
@@ -429,9 +429,9 @@ class _Run:
     ``_portable_names``.  ``digests`` holds one sha256 per file: a later
     stage reading a file, or the freshness check, reuses the digest taken
     when the file was written or first read.  ``maps`` holds each epsilon's
-    mds_dim-axis map of the epoch stack, built once per call: the mds stage
+    mds_dim-axis map of the epoch series, built once per call: the mds stage
     stores epsilon 0, the grid adds the other epsilons, the stock fit reads it.  It
-    holds no distance matrix, and all its maps are of one stack: corr runs
+    holds no distance matrix, and all its maps are of one series: corr runs
     before mds and states, and no stage rewrites corr_raw.npz after it.
     ``handed`` holds what a stage built and wrote to a file, under that
     file's digest just after the write: ingest's panel (panel.npz) for corr,
@@ -495,16 +495,13 @@ def _stage_corr(cfg: PipelineConfig, run: _Run) -> list[Path]:
 
 
 def _stage_mds(cfg: PipelineConfig, run: _Run) -> list[Path]:
-    series = run.epoch_series()
-    dates = [m.start_date for m in series.matrices]
-    return write_map(series.values_stack(), dates, cfg.mds_dim, run.out, run.workers,
-                     maps=run.maps)
+    return write_map(run.epoch_series(), cfg.mds_dim, run.out, run.workers, maps=run.maps)
 
 
 def _stage_states(cfg: PipelineConfig, run: _Run) -> list[Path]:
     out, workers, maps = run.out, run.workers, run.maps
     series = run.epoch_series()
-    surface = optimize_over_grid(series.values_stack(), cfg.k_range, cfg.epsilon_grid,
+    surface = optimize_over_grid(series, cfg.k_range, cfg.epsilon_grid,
                                  cfg.n_inits, cfg.seed, cfg.mds_dim, workers, maps)
     write_surface(surface, out / "surface.csv")
     best_k, best_eps = select_optimum(surface, k_min=cfg.k_min)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrmat import EpochCorrelationSeries
+from .corrmat import EpochCorrelationSeries, _epochs_per_chunk
 from .errors import DataError
 
 #: Published operating points for the sector-level fit, by market.  The
@@ -98,8 +98,10 @@ def sector_series(series: EpochCorrelationSeries, sector_of,
             stacklevel=2,
         )
     averages = np.empty((series.n_epochs, len(sectors), len(sectors)))
-    for average, values in zip(averages, series.values_stack()):
-        average[...] = _block_average(values, membership, include_self_pairs)
+    step = _epochs_per_chunk(series.n_labels ** 2)  # about 512 KB of unpacked epochs
+    for e0 in range(0, series.n_epochs, step):
+        for average, values in zip(averages[e0:], series.values_stack(e0, e0 + step)):
+            average[...] = _block_average(values, membership, include_self_pairs)
     return EpochCorrelationSeries(sectors, averages, [m.start_date for m in series.matrices],
                                   [m.end_date for m in series.matrices])
 

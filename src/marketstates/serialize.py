@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import zipfile
-from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -79,36 +76,6 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
             fh.write(",".join(map(_cell, row)) + "\n")
 
 
-@dataclass(frozen=True)
-class StreamedArray:
-    """An archive member written block by block, never whole in memory.
-
-    ``chunks()`` yields C-ordered blocks of consecutive rows (along the first
-    axis) that together make an array of ``shape`` and ``dtype``; a block may
-    reuse the previous one's buffer.
-    """
-
-    shape: tuple[int, ...]
-    dtype: np.dtype
-    chunks: Callable[[], Iterable[np.ndarray]]
-
-    @property
-    def nbytes(self) -> int:
-        return math.prod(self.shape) * self.dtype.itemsize
-
-    def blocks(self) -> Iterator[np.ndarray]:
-        """``chunks()`` as C-contiguous arrays of ``dtype``, checked to add up to ``shape``."""
-        rows = 0
-        for block in self.chunks():
-            block = np.ascontiguousarray(block, dtype=self.dtype)
-            if block.shape[1:] != tuple(self.shape[1:]):
-                raise ValueError(f"block of shape {block.shape} for a member of shape {self.shape}")
-            rows += len(block)
-            yield block
-        if rows != self.shape[0]:
-            raise ValueError(f"blocks of {rows} rows for a member of shape {self.shape}")
-
-
 def save_arrays(path: str | Path, **arrays) -> None:
     """npz-compatible archive with fixed timestamps (byte-stable across runs).
 
@@ -116,25 +83,22 @@ def save_arrays(path: str | Path, **arrays) -> None:
     deflate cost far more than the bytes it saved.  Each array streams into
     its member without an in-memory copy of the file, and a C-contiguous
     array of plain numbers, strings or bools is written from its own buffer,
-    with the bytes ``np.lib.format.write_array`` would write.  A
-    ``StreamedArray`` member is written block by block, with the bytes of
-    writing its whole array; if a block fails, the file is removed.
+    with the bytes ``np.lib.format.write_array`` would write.  If a member
+    fails to write, the file is removed.
     """
     path = Path(path)
     zf = zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED)
     try:
         with zf:
             for name in sorted(arrays):
-                array = arrays[name]
-                if not isinstance(array, StreamedArray):
-                    array = np.asarray(array)
+                array = np.asarray(arrays[name])
                 info = zipfile.ZipInfo(f"{name}.npy", date_time=_EPOCH_STAMP)
                 # zipfile's own rule for a member whose size it knows up front;
                 # the .npy header adds well under 64 KiB
                 zip64 = (array.nbytes + (1 << 16)) * 1.05 > zipfile.ZIP64_LIMIT
                 with zf.open(info, "w", force_zip64=zip64) as member:
                     _write_npy(member, array)
-    except BaseException:  # a block that fails to build leaves no truncated archive
+    except BaseException:  # a member that fails leaves no truncated archive
         path.unlink(missing_ok=True)
         raise
 
@@ -144,17 +108,10 @@ def _write_npy(member, array) -> None:
 
     ``write_array`` copies the data through ``tobytes`` chunks of up to
     16 MiB, so a whole epoch stack of that size; an array whose buffer is
-    already the file's data layout is written as it is, and a streamed one
-    block by block.  Such a dtype's header always fits format 1.0, the
-    version write_array tries first.
+    already the file's data layout is written as it is.  Such a dtype's
+    header always fits format 1.0, the version write_array tries first.
     """
-    if isinstance(array, StreamedArray):
-        np.lib.format.write_array_header_1_0(member, {
-            "descr": np.lib.format.dtype_to_descr(array.dtype),
-            "fortran_order": False, "shape": tuple(array.shape)})
-        for block in array.blocks():
-            member.write(block.reshape(-1).view(np.uint8))
-    elif array.flags.c_contiguous and array.dtype.kind in "?biufcSU":
+    if array.flags.c_contiguous and array.dtype.kind in "?biufcSU":
         np.lib.format.write_array_header_1_0(
             member, np.lib.format.header_data_from_array_1_0(array))
         member.write(array.reshape(-1).view(np.uint8))

@@ -234,15 +234,15 @@ def _grid_rows(coords: np.ndarray, eps: float, k_list: list[int], seeds) -> list
     return rows
 
 
-def optimize_over_grid(stack: np.ndarray, k_range, epsilon_grid, n_inits: int,
+def optimize_over_grid(series: EpochCorrelationSeries, k_range, epsilon_grid, n_inits: int,
                        seed: int, dim: int = 3, workers: int = 1,
                        maps: dict[float, Embedding] | None = None) -> OptimizationSurface:
-    """sigma_d_intra over a (k, epsilon) grid for a raw matrix stack.
+    """sigma_d_intra over a (k, epsilon) grid for a raw epoch series.
 
     For each distinct epsilon the geometry is built once: power map,
     dissimilarity on ``workers`` threads, ``dim``-axis MDS; then each k runs
     n_inits independent k-means.  The arguments are checked before the first
-    map is built.  ``maps`` holds maps of this stack already built, by
+    map is built.  ``maps`` holds maps of this series already built, by
     epsilon: the grid reads an epsilon's map from it, and stores each map
     it builds there.  Init seeds come from one SeedSequence spanning the
     flat (epsilon, k, init) grid, so results do not depend on worker count.
@@ -251,14 +251,14 @@ def optimize_over_grid(stack: np.ndarray, k_range, epsilon_grid, n_inits: int,
     eps_list = list(epsilon_grid)
     if not k_list or not eps_list:
         raise ValueError("k_range and epsilon_grid must be non-empty")
-    _check_fit(len(stack), k_list, dim, n_inits, least_inits=2)  # a spread needs 2 runs
+    _check_fit(series.n_epochs, k_list, dim, n_inits, least_inits=2)  # a spread needs 2 runs
     seeds = init_seeds(seed, len(eps_list) * len(k_list) * n_inits)
     seeds = seeds.reshape(len(eps_list), len(k_list), n_inits)
     maps = {} if maps is None else maps
     grid = []
     for ei, eps in enumerate(eps_list):
         if eps not in maps:
-            maps[eps] = embed_epochs(stack, eps, dim, workers)
+            maps[eps] = embed_epochs(series, eps, dim, workers)
         grid += _grid_rows(maps[eps].coordinates, eps, k_list, seeds[ei])
     return OptimizationSurface(grid=grid)
 
@@ -293,8 +293,7 @@ def build_state_model(series: EpochCorrelationSeries, run: ClusteringRun,
 
     ``epsilon`` is the power-map exponent the clustering used, recorded on the model.
     """
-    stack = series.values_stack()
-    n_epochs = len(stack)
+    n_epochs = series.n_epochs
     if len(run.labels) != n_epochs:
         raise ValueError(f"{len(run.labels)} labels for {n_epochs} epochs")
     k = run.k
@@ -304,12 +303,7 @@ def build_state_model(series: EpochCorrelationSeries, run: ClusteringRun,
         members = np.flatnonzero(run.labels == c)
         if not members.size:
             raise ValueError(f"cluster {c} is empty")
-        # the member epochs summed in epoch order into one N x N array, the
-        # bits of stack[members].mean(axis=0) without copying the members
-        avg = stack[members[0]].copy()
-        for e in members[1:]:
-            avg += stack[e]
-        avg /= members.size
+        avg = series.mean_of(members)
         averages.append(avg)
         means[c - 1] = avg.mean()
     order = np.argsort(means, kind="stable")  # old label order by mean corr
@@ -344,6 +338,6 @@ def fit_series(series: EpochCorrelationSeries, k: int, epsilon: float, n_inits: 
     """
     _check_fit(series.n_epochs, [k], dim, n_inits)
     if embedding is None:
-        embedding = embed_epochs(series.values_stack(), epsilon, dim, workers)
+        embedding = embed_epochs(series, epsilon, dim, workers)
     run = best_kmeans(embedding.coordinates, k, n_inits, seed)
     return build_state_model(series, run, epsilon), run, embedding

@@ -153,7 +153,7 @@ def analyze_trajectory(window: EventWindow, threshold: float = DEFAULT_THRESHOLD
     """
     if dim < 2:
         raise ValueError(f"need at least 2 axes for a variance ratio, got dim={dim}")
-    coords = embed_epochs(window.epochs.values_stack(), epsilon, dim).coordinates
+    coords = embed_epochs(window.epochs, epsilon, dim).coordinates
     variances = coords.var(axis=0)
     var_x, var_y = float(variances[0]), float(variances[1])
     var_z = float(variances[2]) if dim >= 3 else 0.0

@@ -227,24 +227,47 @@ def test_pearson_correlation_is_the_one_block_case():
 
 
 def test_epoch_correlations_builds_its_stack_once(peak_bytes):
-    panel = make_panel(np.random.default_rng(23).normal(size=(60, 259)))
-    stack_bytes = 240 * 60 * 60 * 8
-    # the stack plus one chunk's temporaries; stacking per-epoch records took 2x
-    assert peak_bytes(lambda: epoch_correlations(panel).values_stack()) <= 1.35 * stack_bytes
+    for n_stocks, n_returns in ((60, 259), (30, 1019)):
+        panel = make_panel(np.random.default_rng(23).normal(size=(n_stocks, n_returns)))
+        n_epochs = n_returns - 19
+        packed_bytes = n_epochs * (n_stocks * (n_stocks + 1) // 2) * 8
+        stack_bytes = n_epochs * n_stocks * n_stocks * 8
+        # the packed rows plus one 512 KB chunk's Pearson buffer and temporaries;
+        # an (epochs, N, N) array of every epoch would not fit
+        bound = packed_bytes + 4 * (1 << 19)
+        assert bound < stack_bytes
+        assert peak_bytes(lambda: epoch_correlations(panel)) <= bound
 
 
 def test_series_holds_one_read_only_stack_its_records_view():
+    from marketstates.corrmat import _unpack_epochs
+
     panel = make_panel(np.random.default_rng(24).normal(size=(6, 50)))
     series = epoch_correlations(panel, EpochSpec(10, 3))
-    stack = series.values_stack()
-    assert stack is series.values_stack()
-    assert not stack.flags.writeable
-    assert stack.shape == (series.n_epochs, 6, 6)
+    packed = series.packed
+    assert packed is series.packed and not packed.flags.writeable
+    assert packed.shape == (series.n_epochs, 6 * 7 // 2)
+    stack = series.values_stack()  # a dense copy, new on each call
+    assert stack.shape == (series.n_epochs, 6, 6) and stack.flags.writeable
+    assert not np.shares_memory(stack, packed) and stack is not series.values_stack()
+    assert stack.tobytes() == _unpack_epochs(packed, 6).tobytes()
     for e, m in enumerate(series.matrices):
-        assert np.shares_memory(m.values, stack) and m.values is not stack[e]
-        assert m.values.tobytes() == stack[e].tobytes()
+        assert np.shares_memory(m.packed, packed) and m.packed.tobytes() == packed[e].tobytes()
+        assert m.values.tobytes() == stack[e].tobytes()  # unpacked on access
+    series.matrices[0].values[0, 1] = 0.5  # a copy: the series is unchanged
+    assert series.values_stack().tobytes() == stack.tobytes()
     with pytest.raises(ValueError, match="read-only"):
-        series.matrices[0].values[0, 1] = 0.5
+        series.matrices[0].packed[0] = 0.5
+
+
+def test_series_copies_a_range_of_epochs_and_averages_members_in_epoch_order():
+    series = epoch_correlations(make_panel(np.random.default_rng(25).normal(size=(7, 60))),
+                                EpochSpec(10, 2))
+    stack = series.values_stack()
+    assert series.values_stack(3, 9).tobytes() == stack[3:9].tobytes()
+    members = np.array([1, 4, 5, 11, 20])
+    assert series.mean_of(members).tobytes() == stack[members].mean(axis=0).tobytes()
+    assert series.mean_of([6]).tobytes() == stack[6].tobytes()
 
 
 def test_series_holds_its_stack_itself_and_leaves_it_writeable():
@@ -253,15 +276,41 @@ def test_series_holds_its_stack_itself_and_leaves_it_writeable():
     stack = np.stack([np.eye(2), np.full((2, 2), 0.5)])
     series = EpochCorrelationSeries(("a", "b"), stack, ["d0", "d1"], ["e0", "e1"])
     assert series.labels == ["a", "b"] and (series.n_epochs, series.n_labels) == (2, 2)
-    assert np.shares_memory(series.values_stack(), stack) and stack.flags.writeable
+    # a dense stack is packed: triangle, then diagonal
+    assert series.packed.tolist() == [[0.0, 1.0, 1.0], [0.5, 0.5, 0.5]]
+    assert series.values_stack().tobytes() == stack.tobytes()
     assert [(m.start_date, m.end_date) for m in series.matrices] == [("d0", "e0"), ("d1", "e1")]
+    # packed rows are held as they are, and the caller's array stays writeable
+    rows = series.values_stack()[:, [0, 0, 1], [1, 0, 1]]
+    again = EpochCorrelationSeries(("a", "b"), rows, ["d0", "d1"], ["e0", "e1"])
+    assert np.shares_memory(again.packed, rows) and rows.flags.writeable
+    assert again.values_stack().tobytes() == stack.tobytes()
+
+
+def test_series_and_its_rows_are_freed_with_the_last_reference():
+    import gc
+    import weakref
+
+    panel = make_panel(np.random.default_rng(26).normal(size=(8, 60)))
+    gc.collect()
+    gc.disable()  # only reference counting frees what a cycle does not hold
+    try:
+        series = epoch_correlations(panel)
+        rows = series.packed.base if series.packed.base is not None else series.packed
+        refs = [weakref.ref(series), weakref.ref(rows), weakref.ref(series.matrices[0])]
+        matrix = series.matrices[0].values  # an unpacked copy holds nothing of the series
+        del series, rows
+        assert [ref() for ref in refs] == [None, None, None]
+        assert matrix.shape == (8, 8)
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 3), (2, 2, 3), (4, 4), (2, 2, 2, 2)])
 def test_series_rejects_a_stack_that_does_not_match_its_labels(shape):
     from marketstates.corrmat import EpochCorrelationSeries
 
-    with pytest.raises(ValueError, match=r"epoch stack of shape .* for 2 labels"):
+    with pytest.raises(ValueError, match=r"(epoch stack|packed epochs) of shape .* for 2 labels"):
         EpochCorrelationSeries(["a", "b"], np.zeros(shape), ["d0", "d1"], ["d0", "d1"])
     with pytest.raises(ValueError):  # one date per epoch
         EpochCorrelationSeries(["a", "b"], np.zeros((2, 2, 2)), ["d0"], ["d0"])
@@ -377,7 +426,7 @@ def _packing_cases():
 
 @pytest.mark.parametrize("case", sorted(_packing_cases()))
 def test_packed_layout_round_trips_bit_for_bit(case):
-    from marketstates.corrmat import _pack_epochs, _packed_chunks, _unpack_epochs
+    from marketstates.corrmat import EpochCorrelationSeries, _pack_epochs, _unpack_epochs
 
     stack = _packing_cases()[case]
     n_epochs, N, _ = stack.shape
@@ -386,24 +435,24 @@ def test_packed_layout_round_trips_bit_for_bit(case):
     upper = np.triu_indices(N, 1)
     for e, epoch in enumerate(stack):  # strict upper triangle, then the diagonal
         assert packed[e].tobytes() == np.concatenate([epoch[upper], np.diag(epoch)]).tobytes()
-    # the streamed chunks, each taken before the next reuses its buffer
-    streamed = np.concatenate([rows.copy() for rows in _packed_chunks(stack)])
-    assert streamed.tobytes() == packed.tobytes()
+    # a series packs the stack it is given the same way
+    series = EpochCorrelationSeries([f"s{i}" for i in range(N)], stack, [""] * n_epochs,
+                                    [""] * n_epochs)
+    assert series.packed.tobytes() == packed.tobytes()
     assert _unpack_epochs(packed, N).tobytes() == stack.tobytes()
 
 
 def test_archive_packing_rejects_an_asymmetric_epoch_by_its_index():
-    from marketstates.corrmat import _pack_epochs, _packed_chunks
+    from marketstates.corrmat import EpochCorrelationSeries, _pack_epochs
 
     stack = epoch_correlations(make_panel(np.random.default_rng(32).normal(size=(100, 39))),
                                EpochSpec(20, 1)).values_stack().copy()
     stack[16, 5, 2] = np.nextafter(stack[16, 5, 2], 2.0)  # below the diagonal only
     with pytest.raises(NumericError, match="epoch 16 is not exactly symmetric"):
         _pack_epochs(stack)
-    chunks = _packed_chunks(stack)
-    assert len(next(chunks)) == 6  # the first chunks stream out before the bad one
+    # a series cannot hold it: the stack is packed as the series is built
     with pytest.raises(NumericError, match="epoch 16 is not exactly symmetric"):
-        list(chunks)
+        EpochCorrelationSeries([f"s{i}" for i in range(100)], stack, [""] * 20, [""] * 20)
 
 
 def test_unpacking_rejects_a_width_that_does_not_match_the_labels():

@@ -47,7 +47,8 @@ def test_similarity_all_ones_vs_identity():
 
 def test_similarity_matches_triple_loop_oracle():
     series = random_corr_series(1, n_stocks=5, n_returns=45)
-    sim = similarity_matrix(series.values_stack())
+    sim = similarity_matrix(series)
+    assert sim.tobytes() == similarity_matrix(series.values_stack()).tobytes()
     mats = [m.values for m in series.matrices]
     n = len(mats)
     N = mats[0].shape[0]
@@ -112,9 +113,7 @@ def test_packed_kernel_matches_row_by_row_oracle(case, workers):
 
 def subtract_abs_similarity(stack, epsilon):
     """The kernel before the maximum-sum identity: sum |X[j] - X[i]| over packed rows."""
-    from marketstates.corrmat import _pack_epochs
-
-    X = _pack_epochs(stack, epsilon, doubled=True)
+    X = per_epoch_packing(stack, epsilon)
     n = len(X)
     out = np.zeros((n, n))
     for i in range(n - 1):
@@ -206,6 +205,21 @@ def test_kernel_power_map_equals_mapping_the_stack_first(eps, workers):
     assert similarity_matrix(stack, epsilon=0.0).tobytes() == similarity_matrix(stack).tobytes()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("eps", [0.0, 0.4])
+# the last shape has more epochs (600) than packed entries (15): the result dominates
+@pytest.mark.parametrize("n_stocks, n_returns", [(60, 259), (30, 1019), (5, 3015)])
+def test_similarity_of_a_series_holds_one_packed_copy(peak_bytes, n_stocks, n_returns, eps,
+                                                      workers):
+    series = random_corr_series(20, n_stocks, n_returns)
+    n = series.n_epochs
+    # the kernel's packed copy, the result and, per thread, the 512 KB maximum
+    # buffer plus numpy's 64 KB reduction buffer; at epsilon > 0 also one
+    # 512 KB chunk's power-map temporary; no second copy of either
+    bound = series.packed.nbytes + n * n * 8 + workers * (640 << 10) + (eps > 0) * (512 << 10)
+    assert peak_bytes(lambda: similarity_matrix(series, workers, eps)) <= bound
+
+
 def test_embedding_at_positive_epsilon_holds_no_mapped_stack(peak_bytes):
     # the kernel maps each epoch as it packs it: only the half-size packed copy
     stack = symmetric_stack(15, 30, 150)
@@ -255,8 +269,10 @@ def test_similarity_input_validation():
         similarity_matrix(np.stack([np.eye(3)] * 2), epsilon=-0.1)
     with pytest.raises(NumericError, match="3-D"):
         similarity_matrix(np.eye(3))
-    with pytest.raises(TypeError, match="ndarray"):
-        similarity_matrix(random_corr_series(0))
+    with pytest.raises(TypeError, match="ndarray, got list"):
+        similarity_matrix([np.eye(3)] * 2)
+    with pytest.raises(NumericError, match="at least 2 epochs"):
+        similarity_matrix(random_corr_series(0, n_returns=20))
     for shape in ((3, 2, 3), (3, 0, 0)):
         with pytest.raises(NumericError, match="non-empty square"):
             similarity_matrix(np.zeros(shape))
@@ -291,11 +307,13 @@ def per_epoch_packing(stack, epsilon):
 
 @pytest.mark.parametrize("eps", [0.0, 0.3])
 def test_chunked_packing_matches_the_per_epoch_loop(eps):
-    from marketstates.corrmat import _pack_epochs
+    from marketstates.corrmat import EpochCorrelationSeries, _kernel_copy
 
-    # 100 stocks: 6 epochs per 512 KB chunk, so 20 epochs end in a partial chunk
+    # 100 stocks: 12 packed epochs per 512 KB chunk, so 20 epochs end in a partial chunk
     for stack in (np.tanh(symmetric_stack(17, 20, 100)), signed_stack(5)):
-        got = _pack_epochs(stack, eps, doubled=True)
+        n, N = stack.shape[:2]
+        series = EpochCorrelationSeries(range(N), stack, [""] * n, [""] * n)
+        got = _kernel_copy(series, np.empty((n, N * (N + 1) // 2)), eps)
         assert got.tobytes() == per_epoch_packing(stack, eps).tobytes()
 
 

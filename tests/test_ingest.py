@@ -249,9 +249,9 @@ def test_column_parser_matches_per_cell_oracle_on_gaps(tmp_path):
         assert_matches_oracle(path, policy)
 
 
-def test_column_parser_matches_per_cell_oracle_on_a_wide_random_panel(tmp_path):
+def write_wide_gappy(tmp_path, n_stocks=200, n_days=1300):
+    """A 200-stock, 1 300-day price CSV with scattered gaps and a few bad cells."""
     rng = np.random.default_rng(23)
-    n_stocks, n_days = 200, 1300
     prices = np.exp(rng.normal(4.0, 0.5, size=(n_stocks, n_days)))
     columns = {}
     for i in range(n_stocks):
@@ -263,11 +263,25 @@ def test_column_parser_matches_per_cell_oracle_on_a_wide_random_panel(tmp_path):
         if i % 17 == 0:
             cells[rng.integers(n_days)] = ["-2.5", "0", "x", "inf"][i % 4]
         columns[f"S{i:03d}"] = cells
-    path = write_columns(tmp_path / "p.csv", columns)
+    return write_columns(tmp_path / "p.csv", columns)
+
+
+def test_column_parser_matches_per_cell_oracle_on_a_wide_random_panel(tmp_path):
+    path = write_wide_gappy(tmp_path)
     panel = assert_matches_oracle(path)
-    assert 0 < len(panel.dropped) < n_stocks // 2  # both paths are exercised
+    assert 0 < len(panel.dropped) < 200 // 2  # both paths are exercised
     assert any(i % 2 for i in (int(t[1:]) for t in panel.tickers))  # filled gaps kept
     assert_matches_oracle(path, ContinuityPolicy(3))
+
+
+def test_gappy_file_is_read_row_by_row_into_one_float_panel(tmp_path, peak_bytes):
+    path = write_wide_gappy(tmp_path)
+    panel = assert_matches_oracle(path)
+    float_panel = 200 * 1300 * 8
+    # the parsed rows, the (tickers, days) array stacked from them and the kept
+    # rows' copy; every cell held as a string at once took about 12x
+    assert peak_bytes(lambda: load_prices(path)) < 3 * float_panel
+    assert panel.prices.flags.c_contiguous
 
 
 def test_parsed_dates_are_not_the_parsed_cells(tmp_path, monkeypatch):

@@ -177,13 +177,16 @@ def test_corr_archive_streams_the_packed_stack_without_a_whole_copy(tmp_path, pe
         [(m.start_date, m.end_date) for m in series.matrices]
 
 
-def test_series_from_a_packed_archive_holds_the_unpacked_stack_only(tmp_path, peak_bytes):
+def test_series_from_a_packed_archive_holds_the_packed_rows_only(tmp_path, peak_bytes):
     series = corr_series(n_epochs=240, n=60)
     save_series(series, tmp_path / "corr_raw.npz")
-    stack_bytes = 240 * 60 * 60 * 8
-    # the packed member (0.51 of the stack) plus the one unpacked stack
+    packed_bytes = 240 * (60 * 61 // 2) * 8  # 0.51 of the dense stack
+    # the packed member is kept as it is read, through numpy's 256 KB reads:
+    # nothing is unpacked
     peak = peak_bytes(lambda: load_series(tmp_path / "corr_raw.npz"))
-    assert peak <= 1.6 * stack_bytes
+    assert peak <= packed_bytes + (1 << 20)
+    back = load_series(tmp_path / "corr_raw.npz")
+    assert back.packed.tobytes() == series.packed.tobytes() and not back.packed.flags.writeable
 
 
 def test_series_from_arrays_requires_all_arrays(tmp_path):
@@ -211,9 +214,8 @@ def test_write_map_uses_one_eigendecomposition(tmp_path, monkeypatch):
     from marketstates.geometry import classical_mds, dimension_fidelity, similarity_matrix
     from marketstates.pipeline import write_map
 
-    stack = corr_series(n_epochs=15, n=5).values_stack()
-    dates = [f"d{i}" for i in range(len(stack))]
-    sim = similarity_matrix(stack)
+    series = corr_series(n_epochs=15, n=5)
+    sim = similarity_matrix(series)
     for dim in (2, 3):
         # oracle: the map and the fidelity each from their own eigendecomposition
         embedding = classical_mds(sim, D=dim, warn=False)
@@ -222,7 +224,7 @@ def test_write_map_uses_one_eigendecomposition(tmp_path, monkeypatch):
         calls = []
         real_eigh = np.linalg.eigh
         monkeypatch.setattr(geometry.np.linalg, "eigh", lambda m: calls.append(1) or real_eigh(m))
-        write_map(stack, dates, dim, tmp_path)
+        write_map(series, dim, tmp_path)
         monkeypatch.undo()
         assert len(calls) == 1
 
@@ -232,10 +234,11 @@ def test_write_map_uses_one_eigendecomposition(tmp_path, monkeypatch):
                                                              embedding.clipped_mass)
         assert meta["dimension_fidelity"] == {str(d): v for d, v in fidelity.items()}
         rows = (tmp_path / "map_coords.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == [m.start_date for m in series.matrices]
         coords = np.array([[float(v) for v in row.split(",")[2:2 + dim]] for row in rows])
         assert coords.tobytes() == embedding.coordinates.tobytes()
     with pytest.raises(ValueError, match="D must be in"):
-        write_map(stack, dates, len(stack), tmp_path)
+        write_map(series, series.n_epochs, tmp_path)
 
 
 # --------------------------------------------------------------------------
@@ -247,7 +250,7 @@ def fitted_toy():
     from marketstates.states import best_kmeans, build_state_model
 
     series = corr_series(n_epochs=12)
-    embedding = classical_mds(similarity_matrix(series.values_stack()), D=3, warn=False)
+    embedding = classical_mds(similarity_matrix(series), D=3, warn=False)
     run = best_kmeans(embedding.coordinates, 2, 4, seed=0)
     return build_state_model(series, run), run, embedding
 
@@ -726,13 +729,13 @@ def test_each_epsilon_map_is_built_once_per_run(market, tmp_path, monkeypatch, g
     cfg = market_config(market, tmp_path / "out")
     cfg.sectors, cfg.events = "", ""  # only the stock stack is embedded
     cfg.epsilon_grid, cfg.epsilon = grid, pinned
-    stock_shape, n_epochs = (100, 8, 8), 100
+    stock_shape, n_epochs = (100, 8), 100
     kernel_calls, eigh_calls = [], []
     real_similarity, real_eigh = geometry.similarity_matrix, np.linalg.eigh
 
-    def counting_similarity(stack, workers=1, epsilon=0.0):
-        kernel_calls.append(stack.shape == stock_shape)
-        return real_similarity(stack, workers, epsilon)
+    def counting_similarity(series, workers=1, epsilon=0.0):
+        kernel_calls.append((series.n_epochs, series.n_labels) == stock_shape)
+        return real_similarity(series, workers, epsilon)
 
     def counting_eigh(matrix):
         eigh_calls.append(matrix.shape == (n_epochs, n_epochs))

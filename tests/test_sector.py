@@ -161,13 +161,27 @@ def test_sector_series_matches_per_epoch_averages():
         np.testing.assert_allclose(got.values, want, atol=1e-14)
         assert got.start_date == src.start_date
         assert got.end_date == src.end_date
-    # the averages live in one read-only (epochs, sectors, sectors) array
+    # the averages live in one read-only packed (epochs, sectors (sectors + 1) / 2) array
+    assert series.packed.shape == (raw.n_epochs, 3) and not series.packed.flags.writeable
+    assert all(np.shares_memory(m.packed, series.packed) for m in series.matrices)
     stack = series.values_stack()
-    assert stack is series.values_stack() and not stack.flags.writeable
-    assert all(np.shares_memory(m.values, stack) for m in series.matrices)
     membership = sector._sector_layout(raw.labels, mapping)[1]
     want = np.stack([sector._block_average(m.values, membership, False) for m in raw.matrices])
     assert stack.tobytes() == want.tobytes()
+
+
+def test_sector_series_unpacks_chunk_by_chunk_with_the_per_epoch_bits():
+    # 100 stocks: 6 epochs per 512 KB chunk, so 20 epochs end in a partial chunk
+    rng = np.random.default_rng(5)
+    tickers = [f"t{i}" for i in range(100)]
+    panel = ReturnPanel(tickers=tickers, dates=[f"d{i:03d}" for i in range(39)],
+                        returns=rng.standard_normal((100, 39)))
+    raw = epoch_correlations(panel, EpochSpec(window=20, shift=1))
+    mapping = {t: f"s{i % 7}" for i, t in enumerate(tickers)}
+    got = sector_series(raw, mapping).values_stack()
+    membership = sector._sector_layout(raw.labels, mapping)[1]
+    want = np.stack([sector._block_average(m.values, membership, False) for m in raw.matrices])
+    assert raw.n_epochs == 20 and got.tobytes() == want.tobytes()
 
 
 def test_sector_fit_clusters_the_power_mapped_map_and_records_epsilon():

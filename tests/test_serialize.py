@@ -126,17 +126,10 @@ def test_save_arrays_writes_a_stack_from_its_own_buffer(tmp_path, peak_bytes):
 
 
 def save_arrays_deflated(path, **arrays):
-    """The earlier archive writer: deflated members, fixed timestamps.
-
-    A streamed member is gathered into its whole array first.
-    """
-    from marketstates.serialize import StreamedArray
-
+    """The earlier archive writer: deflated members, fixed timestamps."""
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
         for name in sorted(arrays):
             array = arrays[name]
-            if isinstance(array, StreamedArray):  # blocks may share one buffer
-                array = np.concatenate([block.copy() for block in array.blocks()])
             buffer = io.BytesIO()
             np.lib.format.write_array(buffer, np.asarray(array), allow_pickle=False)
             info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
@@ -286,34 +279,9 @@ def test_state_model_missing_field_is_data_error(tmp_path):
         load_state_model(path)
 
 
-def reused_blocks(array, rows):
-    """``array`` in blocks of ``rows`` rows, every block in one reused buffer."""
-    buffer = np.empty((rows,) + array.shape[1:], array.dtype)
-    for r0 in range(0, len(array), rows):
-        block = buffer[:len(array[r0:r0 + rows])]
-        block[...] = array[r0:r0 + rows]
-        yield block
-
-
-@pytest.mark.parametrize("rows", [1, 4, 7, 100])
-def test_streamed_member_bytes_match_writing_the_whole_array(tmp_path, rows):
-    from marketstates.serialize import StreamedArray
-
-    whole = np.random.default_rng(11).standard_normal((30, 10))
-    streamed = StreamedArray(whole.shape, whole.dtype, lambda: reused_blocks(whole, rows))
-    labels = np.array(["a", "b"])
-    save_arrays(tmp_path / "streamed.npz", packed=streamed, labels=labels)
-    save_arrays(tmp_path / "whole.npz", packed=whole, labels=labels)
-    assert (tmp_path / "streamed.npz").read_bytes() == (tmp_path / "whole.npz").read_bytes()
-
-
-def test_streamed_member_that_does_not_add_up_leaves_no_archive(tmp_path):
-    from marketstates.serialize import StreamedArray
-
-    whole = np.arange(12.0).reshape(6, 2)
-    path = tmp_path / "short.npz"
-    for shape in ((7, 2), (5, 2), (6, 3)):
-        with pytest.raises(ValueError, match="for a member of shape"):
-            save_arrays(path, labels=np.array(["a"]),
-                        packed=StreamedArray(shape, whole.dtype, lambda: iter([whole])))
-        assert not path.exists()
+def test_member_that_fails_to_write_leaves_no_archive(tmp_path):
+    path = tmp_path / "bad.npz"
+    # an object array cannot be written without pickling
+    with pytest.raises(ValueError, match="pickle"):
+        save_arrays(path, labels=np.array(["a"]), values=np.array([{}, None], dtype=object))
+    assert not path.exists()

@@ -334,9 +334,8 @@ def regime_stack(noise=0.01, per_regime=12, n=8, levels=(0.1, 0.35, 0.6, 0.85), 
 
 
 def test_optimize_over_grid_surface_is_well_formed():
-    stack = regime_stack()
     surface = optimize_over_grid(
-        stack, k_range=range(2, 7), epsilon_grid=[0.0, 0.5], n_inits=20, seed=11
+        regime_series(), k_range=range(2, 7), epsilon_grid=[0.0, 0.5], n_inits=20, seed=11
     )
     assert len(surface.grid) == 5 * 2
     assert all(g.n_inits == 20 for g in surface.grid)
@@ -364,19 +363,19 @@ def test_planted_regime_count_shows_up_as_radius_elbow():
 
 
 def test_optimize_over_grid_worker_invariance():
-    stack = regime_stack(per_regime=6)
-    a = optimize_over_grid(stack, range(2, 5), [0.0, 0.3], n_inits=8, seed=3, workers=1)
-    b = optimize_over_grid(stack, range(2, 5), [0.0, 0.3], n_inits=8, seed=3, workers=3)
+    series = regime_series(per_regime=6)
+    a = optimize_over_grid(series, range(2, 5), [0.0, 0.3], n_inits=8, seed=3, workers=1)
+    b = optimize_over_grid(series, range(2, 5), [0.0, 0.3], n_inits=8, seed=3, workers=3)
     assert a.grid == b.grid
 
 
 def test_optimize_over_grid_rejects_bad_parameters():
-    stack = regime_stack(per_regime=3)
+    series = regime_series(per_regime=3)
     with pytest.raises(ValueError, match="n_inits"):
-        optimize_over_grid(stack, [2], [0.0], n_inits=1, seed=1)
+        optimize_over_grid(series, [2], [0.0], n_inits=1, seed=1)
     # a negative epsilon is refused, not scored
     with pytest.raises(ValueError, match="epsilon"):
-        optimize_over_grid(stack, [2, 3], [-0.5, 0.0], n_inits=4, seed=1)
+        optimize_over_grid(series, [2, 3], [-0.5, 0.0], n_inits=4, seed=1)
 
 
 def test_best_kmeans_names_an_empty_ensemble():
@@ -385,9 +384,9 @@ def test_best_kmeans_names_an_empty_ensemble():
         best_kmeans(points, 2, 0, seed=0)
 
 
-def regime_series():
-    """12 planted epochs of 8 stocks as a series."""
-    stack = regime_stack(per_regime=3)
+def regime_series(**kwargs):
+    """The planted epochs of ``regime_stack(**kwargs)`` as a series."""
+    stack = regime_stack(**kwargs)
     dates = [f"d{i}" for i in range(len(stack))]
     return EpochCorrelationSeries([f"s{i}" for i in range(stack.shape[1])], stack, dates, dates)
 
@@ -398,9 +397,9 @@ def regime_series():
     (lambda s: fit_series(s, 2, 0.0, 0, 0), "n_inits must be >= 1, got 0"),
     (lambda s: fit_series(s, 2, 0.0, 4, 0, dim=0), "D must be in 1..11 for 12 epochs, got 0"),
     (lambda s: fit_series(s, 2, 0.0, 4, 0, dim=12), "D must be in 1..11 for 12 epochs, got 12"),
-    (lambda s: optimize_over_grid(s.values_stack(), [2, 13], [0.0], 4, 0),
+    (lambda s: optimize_over_grid(s, [2, 13], [0.0], 4, 0),
      "k must be in 1..12 for 12 epochs, got 13"),
-    (lambda s: optimize_over_grid(s.values_stack(), [2], [0.0], 4, 0, dim=12),
+    (lambda s: optimize_over_grid(s, [2], [0.0], 4, 0, dim=12),
      "D must be in 1..11 for 12 epochs, got 12"),
 ], ids=["fit_k0", "fit_k_above_epochs", "fit_n_inits0", "fit_dim0", "fit_dim_epochs",
         "grid_k_above_epochs", "grid_dim_epochs"])
@@ -410,7 +409,7 @@ def test_bad_fit_arguments_fail_before_the_kernel(monkeypatch, call, message):
     monkeypatch.setattr(geometry, "similarity_matrix",
                         lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     with pytest.raises(ValueError, match=message):
-        call(regime_series())
+        call(regime_series(per_regime=3))  # 12 epochs
     assert calls == []
 
 
