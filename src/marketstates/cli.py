@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .corrmat import EpochSpec, epoch_correlations, load_series, save_series
 from .errors import DataError, NumericError
+from .geometry import _check_workers
 from .ingest import load_panel, load_sector_map, log_returns
 from .pipeline import (
     PipelineConfig,
@@ -354,6 +355,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
+        _check_workers(getattr(args, "workers", 1))  # before any subcommand's work
         return args.func(args)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -55,25 +55,31 @@ class Embedding:
 
 def _l1_rows(X: np.ndarray, sums: np.ndarray, out: np.ndarray, first: int, step: int,
              buf: np.ndarray) -> None:
-    """Upper-triangle rows first, first + step, ... of ``out``, through the buffer ``buf``.
+    """Upper-triangle rows of ``out`` by chunks first, first + step, ... of len(buf) rows.
 
-    Row i holds sum |X[i] - X[j]| for j > i, computed as
-    2 sum max(X[i], X[j]) - sums[i] - sums[j] with ``sums`` the row sums of X:
-    one maximum and one sum per block of rows.  The row is clamped at 0, since
-    rounding can leave a tiny negative where two rows nearly cancel.
+    Entry (i, j), j > i, is sum |X[i] - X[j]| = 2 sum max(X[i], X[j]) - sums[i] - sums[j],
+    clamped at 0 against rounding, with ``sums`` the row sums of X.  A chunk
+    of rows a .. a+R-1 meets rows a+d .. a+d+R-1 in one flat maximum into
+    ``buf`` for each offset d, and the row sums go to the d-th diagonal of ``out``.
     """
-    n, block = len(X), len(buf)
-    for i in range(first, n - 1, step):
-        for j0 in range(i + 1, n, block):
-            j1 = min(j0 + block, n)
-            b = buf[: j1 - j0]
-            np.maximum(X[j0:j1], X[i], out=b)
-            b.sum(axis=1, out=out[i, j0:j1])
-        row = out[i, i + 1:]
-        row *= 2.0
-        row -= sums[i]
-        row -= sums[i + 1:]
-        np.maximum(row, 0.0, out=row)
+    n, R = len(X), len(buf)
+    diagonals = out.reshape(-1)  # (i, i + d) sits at i (n + 1) + d
+    for a in range(first * R, n - 1, step * R):
+        for d in range(1, n - a):
+            m = min(R, n - a - d)  # the chunk's rows that have a row d after them
+            np.maximum(X[a + d:a + d + m], X[a:a + m], out=buf[:m])
+            buf[:m].sum(axis=1, out=diagonals[a * (n + 1) + d::n + 1][:m])
+        for i in range(a, min(a + R, n - 1)):
+            row = out[i, i + 1:]
+            row *= 2.0
+            row -= sums[i]
+            row -= sums[i + 1:]
+            np.maximum(row, 0.0, out=row)
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 def similarity_matrix(epochs, workers: int = 1, epsilon: float = 0.0) -> np.ndarray:
@@ -90,8 +96,9 @@ def similarity_matrix(epochs, workers: int = 1, epsilon: float = 0.0) -> np.ndar
     Every epoch must be finite, and a dense one exactly symmetric, as
     correlation, power-mapped and sector-averaged matrices are; otherwise
     NumericError.  The kernel sums over one packed copy of the upper
-    triangles and diagonals, at any epsilon, streaming row maxima through a
-    buffer of about 512 KB per thread.
+    triangles and diagonals, at any epsilon.  It pairs each chunk of about
+    512 KB of rows with the rows d after it, offset by offset, through one
+    buffer per thread: the chunk stays in cache while later rows stream past.
 
     Each pair uses |a - b| = 2 max(a, b) - a - b: the packed rows are summed
     once, and a pair's distance is twice the sum of its element-wise maxima
@@ -101,10 +108,12 @@ def similarity_matrix(epochs, workers: int = 1, epsilon: float = 0.0) -> np.ndar
     maxima with itself are summed by the same pairwise reduction as its row
     sum, and no entry is negative.
 
-    ``workers`` threads share the packed copy; row i goes to thread
-    i mod workers.  Each entry is still summed by one thread over the same
-    blocks, so the result is bit-identical for any thread count.
+    ``workers`` (at least 1) threads share the packed copy; chunk c goes to
+    thread c mod threads, with one thread per chunk at most.  Each entry is
+    the same pairwise sum of the same maxima for any chunking, so the result
+    is bit-identical for any thread count.
     """
+    _check_workers(workers)
     _check_epsilon(epsilon)
     if isinstance(epochs, EpochCorrelationSeries):
         n, N = epochs.n_epochs, epochs.n_labels
@@ -120,9 +129,9 @@ def similarity_matrix(epochs, workers: int = 1, epsilon: float = 0.0) -> np.ndar
     width = N * (N + 1) // 2  # entries of one packed epoch
     if n < 2:
         raise NumericError(f"need at least 2 epochs, got {n}")
-    # each thread's reused maximum buffer of about 2^16 float64 (512 KB) stays in cache
+    # each thread's chunk of about 2^16 float64 (512 KB) and its buffer stay in cache
     block = min(max(1, (1 << 16) // width), n - 1)
-    threads = max(1, min(workers, n - 1))
+    threads = min(workers, -(-(n - 1) // block))  # at most one thread per chunk
     # one block for the copy and every buffer: glibc trims a heap whose free top
     # passes twice its largest freed block, as an event window's separate blocks did
     whole = np.empty((n + threads * block, width))

@@ -30,7 +30,7 @@ from .corrmat import (
     save_series,
 )
 from .errors import DataError, NumericError
-from .geometry import Embedding, classical_mds, similarity_matrix, step_fidelity
+from .geometry import Embedding, _check_workers, classical_mds, similarity_matrix, step_fidelity
 from .ingest import (
     ContinuityPolicy,
     load_panel,
@@ -382,14 +382,9 @@ def write_fit(model, embedding, path: Path, prefix: str) -> list[Path]:
 def write_displacement(stock_states, sector_states, path: Path):
     """Stock-vs-sector state displacement histogram; returns the report."""
     report = displacement(stock_states, sector_states)
-    write_json(
-        path,
-        {
-            "histogram": {str(d): c for d, c in report.histogram.items()},
-            "max_abs_displacement": report.max_abs_displacement,
-            "n_epochs": report.n_epochs,
-        },
-    )
+    write_json(path, {"histogram": {str(d): c for d, c in report.histogram.items()},
+                      "max_abs_displacement": report.max_abs_displacement,
+                      "n_epochs": report.n_epochs})
     return report
 
 
@@ -507,14 +502,10 @@ def _stage_states(cfg: PipelineConfig, run: _Run) -> list[Path]:
     best_k, best_eps = select_optimum(surface, k_min=cfg.k_min)
     chosen_k = cfg.k if cfg.k > 0 else best_k
     chosen_eps = cfg.epsilon if cfg.epsilon >= 0 else best_eps
-    write_json(
-        out / "selected.json",
-        {
-            "grid_optimum": {"k": best_k, "epsilon": best_eps, "k_min": cfg.k_min},
-            "fitted": {"k": chosen_k, "epsilon": chosen_eps,
-                       "pinned": bool(cfg.k > 0 or cfg.epsilon >= 0)},
-        },
-    )
+    write_json(out / "selected.json",
+               {"grid_optimum": {"k": best_k, "epsilon": best_eps, "k_min": cfg.k_min},
+                "fitted": {"k": chosen_k, "epsilon": chosen_eps,
+                           "pinned": bool(cfg.k > 0 or cfg.epsilon >= 0)}})
     # a pinned epsilon off the grid has no map yet, and fit_series builds it
     model, _, embedding = fit_series(series, chosen_k, chosen_eps, cfg.n_inits, cfg.seed,
                                      cfg.mds_dim, workers, embedding=maps.get(chosen_eps))
@@ -646,8 +637,9 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
     The manifest is also written to ``<out_dir>/manifest.json``.  A failing
     stage records its error, halts everything downstream, and maps to the
     exit code of its error family (2 data, 3 numeric, 1 any other exception,
-    whose traceback also goes to stderr).
+    whose traceback also goes to stderr).  ``workers`` below 1 is a ValueError.
     """
+    _check_workers(workers)
     cfg.validate()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -60,21 +60,22 @@ def _sector_layout(tickers, sector_of) -> tuple[list[str], np.ndarray]:
     return sectors, membership
 
 
-def _block_average(values: np.ndarray, membership: np.ndarray,
-                   include_self_pairs: bool) -> np.ndarray:
-    """Average ``values`` over sector blocks; a singleton's undefined diagonal is 1.0."""
+def _block_averages(chunk: np.ndarray, membership: np.ndarray,
+                    include_self_pairs: bool) -> np.ndarray:
+    """Average each epoch of ``chunk`` over sector blocks; a singleton's undefined diagonal is 1.0.
+
+    One batched product serves the chunk, and each epoch gets the bits of the 2-D product.
+    """
     sizes = membership.sum(axis=0)
-    sums = membership.T @ values @ membership
+    sums = membership.T @ chunk @ membership
     pairs = np.outer(sizes, sizes)
-    singletons: list[int] = []
     if not include_self_pairs:
-        np.fill_diagonal(sums, np.diag(sums) - membership.T @ np.diag(values))
-        np.fill_diagonal(pairs, sizes * (sizes - 1.0))
-        singletons = np.flatnonzero(sizes == 1).tolist()
+        at = np.arange(len(sizes))
+        sums[:, at, at] -= (membership.T @ chunk.diagonal(axis1=1, axis2=2)[:, :, None])[:, :, 0]
+        pairs[at, at] = sizes * (sizes - 1.0)
     averaged = sums / np.where(pairs == 0.0, 1.0, pairs)
-    for j in singletons:
-        averaged[j, j] = 1.0
-    return (averaged + averaged.T) / 2.0
+    averaged[:, pairs == 0.0] = 1.0
+    return (averaged + averaged.transpose(0, 2, 1)) / 2.0
 
 
 def sector_series(series: EpochCorrelationSeries, sector_of,
@@ -100,8 +101,8 @@ def sector_series(series: EpochCorrelationSeries, sector_of,
     averages = np.empty((series.n_epochs, len(sectors), len(sectors)))
     step = _epochs_per_chunk(series.n_labels ** 2)  # about 512 KB of unpacked epochs
     for e0 in range(0, series.n_epochs, step):
-        for average, values in zip(averages[e0:], series.values_stack(e0, e0 + step)):
-            average[...] = _block_average(values, membership, include_self_pairs)
+        averages[e0:e0 + step] = _block_averages(series.values_stack(e0, e0 + step), membership,
+                                                 include_self_pairs)
     return EpochCorrelationSeries(sectors, averages, [m.start_date for m in series.matrices],
                                   [m.end_date for m in series.matrices])
 

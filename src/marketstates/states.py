@@ -222,15 +222,9 @@ def _grid_rows(coords: np.ndarray, eps: float, k_list: list[int], seeds) -> list
     rows = []
     for ki, k in enumerate(k_list):
         radii = np.array([run.d_intra for run in _lloyd(coords, k, [int(s) for s in seeds[ki]])])
-        rows.append(
-            GridPoint(
-                k=k,
-                epsilon=eps,
-                sigma_d_intra=0.0 if (radii == radii[0]).all() else float(radii.std()),
-                mean_d_intra=float(radii.mean()),
-                n_inits=len(radii),
-            )
-        )
+        sigma = 0.0 if (radii == radii[0]).all() else float(radii.std())
+        rows.append(GridPoint(k=k, epsilon=eps, sigma_d_intra=sigma,
+                              mean_d_intra=float(radii.mean()), n_inits=len(radii)))
     return rows
 
 

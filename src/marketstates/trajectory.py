@@ -19,7 +19,7 @@ import numpy as np
 
 from .corrmat import EpochCorrelationSeries, EpochSpec, _check_epsilon, epoch_correlations
 from .errors import DataError
-from .geometry import embed_epochs, step_lengths
+from .geometry import _check_workers, embed_epochs, step_lengths
 from .ingest import ReturnPanel, read_csv_pairs
 from .serialize import check_csv_names
 
@@ -196,10 +196,12 @@ def classify_catalog(panel: ReturnPanel, catalog, threshold: float = DEFAULT_THR
     """Cut and analyze every cataloged event; failures are collected, not fatal.
 
     Returns (reports in catalog order, {event name: error message}); a name
-    listed twice, a width no window can have or a negative epsilon raises
-    ValueError before any window runs.  Up to ``workers`` threads share
-    ``panel``, each holding one window's epoch stack at a time.
+    listed twice, a width no window can have, a negative epsilon or
+    ``workers`` below 1 raises ValueError before any window runs.  Up to
+    ``workers`` threads share ``panel``, each holding one window's epoch
+    stack at a time.
     """
+    _check_workers(workers)
     _check_width(width_days)
     _check_epsilon(epsilon)
     entries = list(catalog)

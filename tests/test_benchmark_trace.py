@@ -43,3 +43,18 @@ def test_traced_long_operation_counts_the_kernel_calls_and_epochs(tmp_path):
     assert result["layers_on_path"] == sorted(["corrmat", "geometry", "ingest", "pipeline",
                                                "rmt", "sector", "serialize", "states",
                                                "trajectory"])
+
+
+def test_traced_events_operation_counts_the_window_kernels(tmp_path):
+    work, out, trace = tmp_path / "market", tmp_path / "out", tmp_path / "trace.json"
+    op("setup", "--workload", "events", "--seed", 1, "--market", 0, "--work", work, cwd=tmp_path)
+    result = op("run", "--workload", "events", "--work", work, "--out", out, "--workers", 2,
+                "--trace", trace, cwd=tmp_path)
+    assert result["failures"] == 0 and result["rerun_matches"]
+    layers = result["layers"]
+    # 16 windows of 105 epochs of 60 stocks, classified twice: one kernel call
+    # and 105 epochs per window each time
+    assert layers["geometry.similarity_calls"] == 32
+    assert layers["geometry.pair_elems"] == 628_992_000
+    assert layers["corrmat.epochs_computed"] == 3_360
+    assert json.loads(trace.read_text())

@@ -484,6 +484,25 @@ def test_demo_runs_end_to_end(tmp_path, capsys):
     assert by_name == {"planted crash": "CRITICAL", "quiet stretch": "NORMAL"}
 
 
+@pytest.mark.parametrize("command", ["demo", "run", "optimize", "trajectory"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_worker_counts_below_one_are_a_bad_parameter(workspace, tmp_path, capsys, command,
+                                                     workers):
+    # a single trajectory window runs on one thread and would otherwise ignore the flag
+    out = tmp_path / "out"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"prices = {workspace['market'] / 'prices.csv'}\nout_dir = {out}\n")
+    argv = {"demo": ["demo", "--out-dir", str(out)],
+            "run": ["run", "--config", str(config)],
+            "optimize": ["states", "optimize", "--corr", str(workspace["corr"]),
+                         "--out", str(out / "surface.csv")],
+            "trajectory": ["trajectory", "--panel", str(workspace["panel"]),
+                           "--center", "2020-03-02", "--out", str(out / "report.json")]}
+    assert main(argv[command] + ["--workers", workers]) == 1
+    assert f"bad parameter: workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_dir_env_redirects_relative_outputs(workspace, tmp_path, monkeypatch):
     monkeypatch.setenv("MARKETSTATES_OUT_DIR", str(tmp_path))
     assert main(["corr", "--panel", str(workspace["panel"]),

@@ -177,8 +177,74 @@ def test_failure_in_a_kernel_thread_raises_from_similarity_matrix(monkeypatch):
         real_rows(X, sums, out, first, *args)
 
     monkeypatch.setattr(geometry, "_l1_rows", failing_rows)
+    # 60 stocks: chunks of 35 rows, so 40 epochs make 2 chunks and thread 1 owns one
     with pytest.raises(RuntimeError, match="injected kernel failure"):
-        similarity_matrix(symmetric_stack(15, 6, 5), workers=2)
+        similarity_matrix(symmetric_stack(15, 40, 60), workers=2)
+
+
+def row_order_l1_rows(X, sums, out, first, step, buf):
+    """The kernel's loop before chunks of rows: row i against blocks of the rows after it."""
+    n, block = len(X), len(buf)
+    for i in range(first, n - 1, step):
+        for j0 in range(i + 1, n, block):
+            j1 = min(j0 + block, n)
+            b = buf[: j1 - j0]
+            np.maximum(X[j0:j1], X[i], out=b)
+            b.sum(axis=1, out=out[i, j0:j1])
+        row = out[i, i + 1:]
+        row *= 2.0
+        row -= sums[i]
+        row -= sums[i + 1:]
+        np.maximum(row, 0.0, out=row)
+
+
+def _chunk_cases():
+    series = random_corr_series(21, n_stocks=12, n_returns=140)
+    return {
+        # 40 stocks: chunks of 79 rows, 203 epochs make 2 full and a partial chunk
+        "shift1_40": lambda: shift_one_stack(22, n_stocks=40, n_epochs=200),
+        # 60 stocks: chunks of 35 rows, 103 epochs make 2 full and a partial chunk
+        "shift1_60": lambda: shift_one_stack(23, n_stocks=60, n_epochs=100),
+        "one_chunk": lambda: shift_one_stack(24, n_stocks=40, n_epochs=40),
+        "two_epochs": lambda: symmetric_stack(25, 2, 30),
+        "one_stock": lambda: symmetric_stack(26, 30, 1),
+        "sectors": lambda: sector_series(series, {f"S{i}": f"x{i % 4}" for i in range(12)}),
+        "dense": lambda: symmetric_stack(27, 50, 70),
+    }
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.6])
+@pytest.mark.parametrize("case", sorted(_chunk_cases()))
+def test_chunked_diagonal_kernel_has_the_row_order_bits(monkeypatch, case, eps):
+    from marketstates import geometry
+
+    epochs = _chunk_cases()[case]()
+    got = [similarity_matrix(epochs, workers, eps).tobytes() for workers in (1, 2, 3, 8)]
+    monkeypatch.setattr(geometry, "_l1_rows", row_order_l1_rows)
+    want = similarity_matrix(epochs, 1, eps).tobytes()
+    assert got == [want] * 4
+
+
+@pytest.mark.parametrize("n, N, workers", [(203, 40, 2), (203, 40, 3), (104, 60, 3),
+                                           (40, 60, 2), (80, 40, 8), (2, 30, 8), (9, 1, 3)])
+def test_every_kernel_thread_owns_a_chunk(monkeypatch, n, N, workers):
+    from marketstates import geometry
+
+    calls = []
+    real_rows = geometry._l1_rows
+
+    def recording_rows(X, sums, out, first, step, buf):
+        calls.append((first, step, len(buf)))
+        real_rows(X, sums, out, first, step, buf)
+
+    monkeypatch.setattr(geometry, "_l1_rows", recording_rows)
+    similarity_matrix(symmetric_stack(28, n, N), workers)
+    R = calls[0][2]
+    chunks = -(-(n - 1) // R)
+    assert len(calls) == min(workers, chunks)
+    owned = sorted(c for first, step, _ in calls for c in range(first, chunks, step))
+    assert owned == list(range(chunks))  # every chunk once, and no thread without one
+    assert all(first < chunks and step == len(calls) for first, step, _ in calls)
 
 
 def test_similarity_working_set_is_below_the_input_stack(peak_bytes):
@@ -267,6 +333,9 @@ def test_similarity_input_validation():
         similarity_matrix(np.eye(3)[None])
     with pytest.raises(ValueError, match="epsilon must be >= 0"):
         similarity_matrix(np.stack([np.eye(3)] * 2), epsilon=-0.1)
+    for workers in (0, -3):  # before any work: packing would raise a NumericError
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            similarity_matrix(np.full((3, 2, 2), np.nan), workers)
     with pytest.raises(NumericError, match="3-D"):
         similarity_matrix(np.eye(3))
     with pytest.raises(TypeError, match="ndarray, got list"):

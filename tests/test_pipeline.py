@@ -382,6 +382,14 @@ def market(tmp_path_factory):
     return write_market(tmp_path_factory.mktemp("market") / "data")
 
 
+def test_run_pipeline_rejects_worker_counts_below_one_before_any_stage(market, tmp_path):
+    out = tmp_path / "out"
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_pipeline(market_config(market, out), workers=workers)
+    assert not out.exists()
+
+
 def test_run_pipeline_full(market, tmp_path):
     out = tmp_path / "out"
     code, manifest = run_pipeline(market_config(market, out))

@@ -139,6 +139,22 @@ def test_iid_stocks_give_statistically_flat_blocks():
     assert (np.abs(means) <= 3.0 * errors).all()
 
 
+def block_average(values, membership, include_self_pairs):
+    """One epoch's sector averages, as sector_series computed them before batching by chunk."""
+    sizes = membership.sum(axis=0)
+    sums = membership.T @ values @ membership
+    pairs = np.outer(sizes, sizes)
+    singletons = []
+    if not include_self_pairs:
+        np.fill_diagonal(sums, np.diag(sums) - membership.T @ np.diag(values))
+        np.fill_diagonal(pairs, sizes * (sizes - 1.0))
+        singletons = np.flatnonzero(sizes == 1).tolist()
+    averaged = sums / np.where(pairs == 0.0, 1.0, pairs)
+    for j in singletons:
+        averaged[j, j] = 1.0
+    return (averaged + averaged.T) / 2.0
+
+
 def small_panel_series():
     rng = np.random.default_rng(3)
     panel = ReturnPanel(
@@ -166,7 +182,7 @@ def test_sector_series_matches_per_epoch_averages():
     assert all(np.shares_memory(m.packed, series.packed) for m in series.matrices)
     stack = series.values_stack()
     membership = sector._sector_layout(raw.labels, mapping)[1]
-    want = np.stack([sector._block_average(m.values, membership, False) for m in raw.matrices])
+    want = np.stack([block_average(m.values, membership, False) for m in raw.matrices])
     assert stack.tobytes() == want.tobytes()
 
 
@@ -177,11 +193,18 @@ def test_sector_series_unpacks_chunk_by_chunk_with_the_per_epoch_bits():
     panel = ReturnPanel(tickers=tickers, dates=[f"d{i:03d}" for i in range(39)],
                         returns=rng.standard_normal((100, 39)))
     raw = epoch_correlations(panel, EpochSpec(window=20, shift=1))
-    mapping = {t: f"s{i % 7}" for i, t in enumerate(tickers)}
-    got = sector_series(raw, mapping).values_stack()
-    membership = sector._sector_layout(raw.labels, mapping)[1]
-    want = np.stack([sector._block_average(m.values, membership, False) for m in raw.matrices])
-    assert raw.n_epochs == 20 and got.tobytes() == want.tobytes()
+    assert raw.n_epochs == 20
+    seven = {t: f"s{i % 7}" for i, t in enumerate(tickers)}
+    lone = {**seven, "t99": "alone"}  # a singleton sector beside seven larger ones
+    for mapping in (seven, lone):
+        membership = sector._sector_layout(raw.labels, mapping)[1]
+        for self_pairs in (False, True):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # the singleton's
+                got = sector_series(raw, mapping, include_self_pairs=self_pairs).values_stack()
+            want = np.stack([block_average(m.values, membership, self_pairs)
+                             for m in raw.matrices])
+            assert got.tobytes() == want.tobytes()
 
 
 def test_sector_fit_clusters_the_power_mapped_map_and_records_epsilon():

@@ -284,13 +284,16 @@ def test_classify_catalog_empty_and_worker_invariance():
     ([("ok", "d0150")], {"width_days": 124}, "odd number of price days >= 3, got 124"),
     ([("ok", "d0150")], {"width_days": 1}, "odd number of price days >= 3, got 1"),
     ([("ok", "d0150")], {"epsilon": -0.5}, "epsilon must be >= 0, got -0.5"),
-], ids=["repeated-name", "even-width", "width-below-3", "negative-epsilon"])
+    ([("ok", "d0150")], {"workers": 0}, "workers must be >= 1, got 0"),
+    ([("ok", "d0150"), ("late", "d0390")], {"workers": -3}, "workers must be >= 1, got -3"),
+], ids=["repeated-name", "even-width", "width-below-3", "negative-epsilon", "zero-workers",
+        "negative-workers"])
 def test_classify_catalog_rejects_before_any_window_runs(monkeypatch, catalog, kwargs, message):
-    # each of these would otherwise fail every window alike and still return
+    # each of these would otherwise fail every window alike, or run them inline, and still return
     cut = []
     monkeypatch.setattr(trajectory, "cut_window", lambda *args, **kw: cut.append(args))
     with pytest.raises(ValueError, match=message):
-        classify_catalog(noise_panel(300), catalog, workers=2, **kwargs)
+        classify_catalog(noise_panel(300), catalog, **{"workers": 2, **kwargs})
     assert cut == []
 
 
