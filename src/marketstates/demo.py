@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .geometry import _check_workers
 from .pipeline import PipelineConfig, run_pipeline
 from .serialize import format_float
 
@@ -124,5 +125,9 @@ def demo_config(out_dir: str | Path, seed: int = DEMO_SEED) -> PipelineConfig:
 
 def run_demo(out_dir: str | Path, workers: int = 1, force: bool = False,
              seed: int = DEMO_SEED) -> tuple[int, dict]:
-    """Generate the demo inputs under ``out_dir`` and run the full pipeline."""
+    """Generate the demo inputs under ``out_dir`` and run the full pipeline.
+
+    ``workers`` below 1 is a ValueError, raised before any input is written.
+    """
+    _check_workers(workers)
     return run_pipeline(demo_config(out_dir, seed=seed), force=force, workers=workers)

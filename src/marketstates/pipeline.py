@@ -420,19 +420,16 @@ def rmt_report_payload(spec: WishartSpec, bins: int, epsilon: float = 0.0) -> di
 class _Run:
     """The state one run_pipeline call keeps between its stages; nothing of it is written.
 
-    ``names`` holds each configured path's manifest name, from
-    ``_portable_names``.  ``digests`` holds one sha256 per file: a later
-    stage reading a file, or the freshness check, reuses the digest taken
-    when the file was written or first read.  ``maps`` holds each epsilon's
-    mds_dim-axis map of the epoch series, built once per call: the mds stage
-    stores epsilon 0, the grid adds the other epsilons, the stock fit reads it.  It
-    holds no distance matrix, and all its maps are of one series: corr runs
-    before mds and states, and no stage rewrites corr_raw.npz after it.
-    ``handed`` holds what a stage built and wrote to a file, under that
-    file's digest just after the write: ingest's panel (panel.npz) for corr,
-    and corr's epoch series (corr_raw.npz) for mds, states and sectors.
-    run_pipeline releases each before the first stage without that file
-    among its inputs.
+    Stages share values only through their files and ``maps``: each stage
+    reads its input files itself.  ``names`` holds each configured path's
+    manifest name, from ``_portable_names``.  ``digests`` holds one sha256
+    per file: a later stage reading a file, or the freshness check, reuses
+    the digest taken when the file was written or first read.  ``maps``
+    holds each epsilon's mds_dim-axis map of the epoch series, built once
+    per call: the mds stage stores epsilon 0, the grid adds the other
+    epsilons, the stock fit reads it.  It holds no distance matrix, and all
+    its maps are of one series: corr runs before mds and states, and no
+    stage rewrites corr_raw.npz after it.
     """
 
     out: Path
@@ -440,7 +437,6 @@ class _Run:
     names: dict[Path, str | None] = field(default_factory=dict)
     digests: dict[Path, str] = field(default_factory=dict)
     maps: dict[float, Embedding] = field(default_factory=dict)
-    handed: dict[Path, tuple[str, object]] = field(default_factory=dict)
 
     def digest(self, path: Path) -> str:
         """sha256 of a file, hashed at most once in this run unless a stage rewrites it."""
@@ -454,48 +450,28 @@ class _Run:
             return self.names[path] or str(path)
         return path.relative_to(self.out).as_posix()
 
-    def hand_over(self, path: Path, value) -> None:
-        """Keep ``value``, just written to ``path``, for the later stages that take it."""
-        self.digests.pop(path, None)  # a digest taken before this write is stale
-        self.handed[path] = (self.digest(path), value)
-
-    def read(self, path: Path, load):
-        """The value handed over for ``path`` while the file still has its digest, else ``load(path)``."""
-        handed = self.handed.get(path)
-        if handed is not None and handed[0] == self.digest(path):
-            return handed[1]
-        return load(path)
-
-    def release(self, keep: list[Path] | tuple[Path, ...] = ()) -> None:
-        """Drop every handed-over value but those for the files ``keep``."""
-        self.handed = {path: value for path, value in self.handed.items() if path in keep}
-
-    def epoch_series(self) -> EpochCorrelationSeries:
-        return self.read(self.out / "corr_raw.npz", load_series)
-
 
 def _stage_ingest(cfg: PipelineConfig, run: _Run) -> list[Path]:
     path = run.out / PANEL
-    run.hand_over(path, write_panel(cfg.prices, cfg.max_gap, path))
+    write_panel(cfg.prices, cfg.max_gap, path)
     return [path, run.out / f"{PANEL}.meta.json"]
 
 
 def _stage_corr(cfg: PipelineConfig, run: _Run) -> list[Path]:
     path = run.out / "corr_raw.npz"
-    returns = log_returns(run.read(run.out / PANEL, load_panel))
-    series = epoch_correlations(returns, EpochSpec(cfg.window, cfg.shift))
-    save_series(series, path)
-    run.hand_over(path, series)
+    returns = log_returns(load_panel(run.out / PANEL))
+    save_series(epoch_correlations(returns, EpochSpec(cfg.window, cfg.shift)), path)
     return [path]
 
 
 def _stage_mds(cfg: PipelineConfig, run: _Run) -> list[Path]:
-    return write_map(run.epoch_series(), cfg.mds_dim, run.out, run.workers, maps=run.maps)
+    return write_map(load_series(run.out / "corr_raw.npz"), cfg.mds_dim, run.out, run.workers,
+                     maps=run.maps)
 
 
 def _stage_states(cfg: PipelineConfig, run: _Run) -> list[Path]:
     out, workers, maps = run.out, run.workers, run.maps
-    series = run.epoch_series()
+    series = load_series(out / "corr_raw.npz")
     surface = optimize_over_grid(series, cfg.k_range, cfg.epsilon_grid,
                                  cfg.n_inits, cfg.seed, cfg.mds_dim, workers, maps)
     write_surface(surface, out / "surface.csv")
@@ -515,7 +491,7 @@ def _stage_states(cfg: PipelineConfig, run: _Run) -> list[Path]:
 
 def _stage_sectors(cfg: PipelineConfig, run: _Run) -> list[Path]:
     out = run.out
-    series = sector_series(run.epoch_series(), load_sector_map(cfg.sectors))
+    series = sector_series(load_series(out / "corr_raw.npz"), load_sector_map(cfg.sectors))
     fitted = read_json(out / "selected.json")["fitted"]
     k = cfg.sector_k if cfg.sector_k > 0 else int(fitted["k"])
     epsilon = cfg.sector_epsilon if cfg.sector_epsilon >= 0 else float(fitted["epsilon"])
@@ -652,9 +628,6 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
     exit_code = 0
     failed = False
     for stage in _plan(cfg, out):
-        # even a skipped or halted stage releases what is not among its
-        # inputs: the panel lives until corr, the epoch series until sectors
-        run.release(keep=stage.inputs)
         if failed:
             manifest["stages"][stage.name] = {"status": "halted",
                                               "reason": "an upstream stage failed"}
@@ -678,6 +651,9 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
                     "outputs": prior["outputs"],
                 }
                 continue
+            # the stage reads its input files itself; the digest of each file
+            # it writes is taken below, just after the write, and serves the
+            # later stages that read the file
             before = set(run.digests)
             written = stage.run(cfg, run)
             for path in before.intersection(written):

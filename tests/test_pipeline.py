@@ -476,80 +476,29 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def test_cold_run_parses_prices_once_and_matches_a_run_that_reparses_the_panel(
-        market, tmp_path, monkeypatch, tree_diff):
-    import marketstates.pipeline as pipeline
-
-    cfg = replace(market_config(market, tmp_path / "handed"), events="")
+def test_cold_run_parses_prices_once_and_corr_reads_the_panel_file(market, tmp_path,
+                                                                     monkeypatch):
+    cfg = replace(market_config(market, tmp_path / "out"), events="")
     calls = count_calls(monkeypatch, "load_prices")
     reads = count_calls(monkeypatch, "load_panel")
     assert run_pipeline(cfg)[0] == 0
-    assert len(calls) == 1  # ingest's parse of prices.csv; corr takes that panel
-    assert reads == []
-
-    # the same run with corr reading panel.npz, as a run whose ingest was skipped does
-    hand_over = pipeline._Run.hand_over
-    monkeypatch.setattr(pipeline._Run, "hand_over", lambda run, path, value: (
-        None if path.name == "panel.npz" else hand_over(run, path, value)))
-    calls.clear()
-    parsed = replace(cfg, out_dir=str(tmp_path / "parsed"))
-    assert run_pipeline(parsed)[0] == 0
-    assert len(calls) == 1 and reads == [tmp_path / "parsed" / "panel.npz"]
-    assert tree_diff(tmp_path / "handed", tmp_path / "parsed") == []  # manifests included
+    assert len(calls) == 1  # ingest's parse of prices.csv
+    assert reads == [tmp_path / "out" / "panel.npz"]  # corr's, with no text parsed
 
 
-def test_handed_panel_is_dropped_when_the_panel_file_changes(market, tmp_path):
-    from marketstates.ingest import PricePanel, load_panel, save_panel
-    from marketstates.pipeline import _Run, write_panel
-
-    out = tmp_path / "out"
-    out.mkdir()
-    run = _Run(out, workers=1)
-    path = out / "panel.npz"
-    handed = write_panel(market / "prices.csv", 2, path)
-    run.hand_over(path, handed)
-    assert run.read(path, load_panel) is handed
-    run.release(keep=(path,))
-    assert run.read(path, load_panel) is handed
-    run.release()
-    assert run.handed == {}  # released by the first stage that does not take it
-
-    run.hand_over(path, handed)
-    # a stage rewrites the file, and its old digest is dropped
-    save_panel(PricePanel(handed.tickers, handed.dates[:-1], handed.prices[:, :-1]), path)
-    del run.digests[path]
-    calls = []
-    panel = run.read(path, lambda path: calls.append(path) or load_panel(path))
-    assert len(calls) == 1 and panel is not handed
-    assert panel.n_days == handed.n_days - 1
-
-
-def test_handed_panel_does_not_outlive_a_skipped_corr_stage(tmp_path, monkeypatch):
-    import marketstates.pipeline as pipeline
-
+def test_ingest_rerun_that_writes_the_same_panel_skips_corr(tmp_path):
     data = write_market(tmp_path / "data")
     cfg = market_config(data, tmp_path / "out")
-    run_pipeline(cfg)
+    assert run_pipeline(cfg)[0] == 0
     # a ticker with no prices: ingest reruns, drops it and writes the same panel.npz
     rows = (data / "prices.csv").read_text().splitlines()
     (data / "prices.csv").write_text("\n".join([rows[0] + ",GONE"] + [row + ","
                                                                      for row in rows[1:]]) + "\n")
-    sectors = (data / "sectors.csv").read_text()
-    (data / "sectors.csv").write_text(sectors.replace("S00,alpha", "S00,beta"))
-
-    held = []
-    real_sectors = pipeline._stage_sectors
-
-    def recording_sectors(cfg, run):
-        held.append(dict(run.handed))
-        return real_sectors(cfg, run)
-
-    monkeypatch.setattr(pipeline, "_stage_sectors", recording_sectors)
     code, manifest = run_pipeline(cfg)
     assert code == 0
     statuses = {name: entry["status"] for name, entry in manifest["stages"].items()}
     assert statuses["ingest"] == "ok" and statuses["corr"] == "skipped"
-    assert held == [{}]  # no panel, and no series from the skipped corr stage
+    assert {name for name, status in statuses.items() if status != "skipped"} == {"ingest"}
 
 
 def test_corr_stage_holds_one_stack_copy_while_writing(tmp_path, peak_bytes):
@@ -560,10 +509,10 @@ def test_corr_stage_holds_one_stack_copy_while_writing(tmp_path, peak_bytes):
     out.mkdir()
     cfg = market_config(data, out)
     run = _Run(out, workers=1)
-    run.hand_over(out / "panel.npz", write_panel(data / "prices.csv", 2, out / "panel.npz"))
+    write_panel(data / "prices.csv", 2, out / "panel.npz")
     stack_bytes = 240 * 60 * 60 * 8  # 259 returns, window 20, shift 1
-    # the epochs are built into the one stack, chunk by chunk, and the archive
-    # is packed from that stack chunk by chunk
+    # the stage reads panel.npz, builds the epochs into the one stack, chunk by
+    # chunk, and packs the archive from that stack chunk by chunk
     assert peak_bytes(lambda: _stage_corr(cfg, run)) <= 1.4 * stack_bytes
     assert load_arrays(out / "corr_raw.npz")["packed"].shape == (240, 60 * 61 // 2)
 
@@ -659,11 +608,11 @@ def count_archive_loads(monkeypatch):
     return calls
 
 
-def test_cold_run_reads_the_epoch_stack_from_no_archive(market, tmp_path, monkeypatch):
+def test_each_stage_that_runs_reads_the_epoch_archive_once(market, tmp_path, monkeypatch):
     loads = count_archive_loads(monkeypatch)
     cfg = market_config(market, tmp_path / "out")
     assert run_pipeline(cfg)[0] == 0
-    assert loads == [["labels"]]  # rmt's; mds, states and sectors take corr's series
+    assert loads == [None, None, None, ["labels"]]  # mds, states, sectors, rmt
     loads.clear()
     assert run_pipeline(cfg)[0] == 0
     assert loads == []
@@ -675,53 +624,6 @@ def test_cold_run_reads_the_epoch_stack_from_no_archive(market, tmp_path, monkey
              if manifest["stages"][name]["status"] == "ok"]
     assert "states" in again and "mds" not in again
     assert loads == [None] * len(again)  # once in each stage that runs again
-
-
-def test_hand_over_run_matches_a_run_that_reads_every_file(market, tmp_path, monkeypatch,
-                                                           tree_diff):
-    import marketstates.pipeline as pipeline
-
-    loads = count_archive_loads(monkeypatch)
-    assert run_pipeline(market_config(market, tmp_path / "handed"))[0] == 0
-    assert loads == [["labels"]]
-    loads.clear()
-    monkeypatch.setattr(pipeline._Run, "hand_over", lambda run, path, value: None)
-    assert run_pipeline(market_config(market, tmp_path / "read"))[0] == 0
-    assert loads == [None, None, None, ["labels"]]  # mds, states, sectors, rmt
-    assert tree_diff(tmp_path / "handed", tmp_path / "read") == []  # manifests included
-
-
-def test_epoch_series_is_held_from_corr_through_sectors_only(market, tmp_path, monkeypatch):
-    import marketstates.pipeline as pipeline
-
-    held = {}
-    for name in ("corr", "mds", "states", "sectors", "trajectory", "rmt"):
-        def recording(cfg, run, name=name, real=getattr(pipeline, f"_stage_{name}")):
-            held[name] = sorted(path.name for path in run.handed)
-            return real(cfg, run)
-
-        monkeypatch.setattr(pipeline, f"_stage_{name}", recording)
-    assert run_pipeline(market_config(market, tmp_path / "out"))[0] == 0
-    assert held == {"corr": ["panel.npz"], "mds": ["corr_raw.npz"], "states": ["corr_raw.npz"],
-                    "sectors": ["corr_raw.npz"], "trajectory": [], "rmt": []}
-
-
-def test_handed_series_is_dropped_when_corr_raw_changes(tmp_path):
-    from marketstates.pipeline import _Run
-
-    run = _Run(tmp_path, workers=1)
-    path = tmp_path / "corr_raw.npz"
-    series = corr_series()
-    save_series(series, path)
-    run.hand_over(path, series)
-    assert run.epoch_series() is series
-
-    other = corr_series(seed=1)
-    save_series(other, path)
-    del run.digests[path]  # as run_pipeline drops a digest taken before a rewrite
-    loaded = run.epoch_series()
-    assert loaded is not series
-    assert loaded.values_stack().tobytes() == other.values_stack().tobytes()
 
 
 @pytest.mark.parametrize("grid, pinned", [
@@ -847,6 +749,14 @@ def test_optional_stages_report_not_configured(market, tmp_path):
     assert manifest["stages"]["sectors"]["status"] == "not configured"
     assert manifest["stages"]["trajectory"]["status"] == "not configured"
     assert manifest["stages"]["rmt"]["status"] == "ok"  # still runs
+
+
+def test_run_demo_rejects_a_worker_count_below_one_before_writing(tmp_path):
+    from marketstates.demo import run_demo
+
+    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+        run_demo(tmp_path, workers=0)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failing_stage_halts_downstream(tmp_path):
