@@ -43,16 +43,12 @@ from .pipeline import PipelineConfig, emit_plot_data, run_pipeline
 from .rmt import (
     SpectralDensity,
     WishartSpec,
-    empirical_spectrum,
     l1_to_analytic,
     mp_density,
     mp_support,
-    mp_zero_weight,
     outside_support_fraction,
     pooled_eigenvalues,
     spectrum_from_eigenvalues,
-    spectral_variance,
-    wishart_spectrum,
 )
 from .sector import (
     SECTOR_PRESETS,
@@ -117,7 +113,6 @@ __all__ = [
     "displacement",
     "embed_epochs",
     "emit_plot_data",
-    "empirical_spectrum",
     "epoch_bounds",
     "epoch_correlations",
     "epoch_count",
@@ -132,7 +127,6 @@ __all__ = [
     "log_returns",
     "mp_density",
     "mp_support",
-    "mp_zero_weight",
     "optimize_over_grid",
     "outside_support_fraction",
     "pearson_correlation",
@@ -144,10 +138,8 @@ __all__ = [
     "sector_series",
     "select_optimum",
     "similarity_matrix",
-    "spectral_variance",
     "spectrum_from_eigenvalues",
     "step_fidelity",
     "step_lengths",
     "window_from_dates",
-    "wishart_spectrum",
 ]

@@ -160,10 +160,10 @@ def _pack_chunk(chunk: np.ndarray, out: np.ndarray, first: int, symmetric: bool 
         raise NumericError(f"epoch {first + e} {what}")
 
 
-def _pack_epochs(stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """A dense (epochs, N, N) stack packed 512 KB of epochs at a time, into ``out`` if given."""
+def _pack_epochs(stack: np.ndarray) -> np.ndarray:
+    """A dense (epochs, N, N) stack packed 512 KB of epochs at a time."""
     n, N = stack.shape[:2]
-    out = np.empty((n, _packed_width(N))) if out is None else out
+    out = np.empty((n, _packed_width(N)))
     step = _epochs_per_chunk(N * N)
     for e0 in range(0, n, step):
         _pack_chunk(stack[e0:e0 + step], out[e0:e0 + step], e0)
@@ -326,20 +326,15 @@ def _power(values: np.ndarray, epsilon: float, out: np.ndarray | None = None) ->
     return out
 
 
-def _kernel_copy(epochs, out: np.ndarray, epsilon: float) -> np.ndarray:
-    """Fill ``out`` with the dissimilarity kernel's rows: epochs packed, mapped, triangle doubled.
+def _kernel_copy(epochs: EpochCorrelationSeries, out: np.ndarray, epsilon: float) -> np.ndarray:
+    """Fill ``out`` with the kernel's rows: a series' packed rows mapped, triangle doubled.
 
     An off-diagonal entry is twice in a full matrix, so these rows are as far
-    apart in L1 as the full matrices.  A series' packed rows are read; a dense
-    stack is packed into ``out`` and mapped there, so a dense caller holds one
-    packed copy (test_similarity_working_set_is_below_the_input_stack).
-    NumericError names the first epoch that is non-finite after the map.
+    apart in L1 as the full matrices.  ``out`` is the one packed copy the
+    kernel holds beyond the series.  NumericError names the first epoch that
+    is non-finite after the map.
     """
-    if isinstance(epochs, np.ndarray):
-        rows, N = _pack_epochs(epochs, out), epochs.shape[1]
-    else:
-        rows, N = epochs.packed, epochs.n_labels
-    k = N * (N - 1) // 2
+    rows, k = epochs.packed, epochs.n_labels * (epochs.n_labels - 1) // 2
     step = _epochs_per_chunk(out.shape[1])
     for e0 in range(0, len(out), step):
         mapped, src = out[e0:e0 + step], rows[e0:e0 + step]

@@ -82,23 +82,24 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
 
-def similarity_matrix(epochs, workers: int = 1, epsilon: float = 0.0) -> np.ndarray:
+def similarity_matrix(epochs: EpochCorrelationSeries, workers: int = 1,
+                      epsilon: float = 0.0) -> np.ndarray:
     """Mean absolute element-wise difference between every pair of power-mapped epochs.
 
-    Takes an EpochCorrelationSeries, or an (epochs, N, N) stack that is
-    packed first, and returns the symmetric (epochs, epochs) dissimilarity
-    matrix with a zero diagonal.  The mean runs over all N^2
-    ordered entries, diagonal included (diagonal differences are zero for
-    raw correlation matrices, so they only dilute by a constant factor).
-    Each epoch is compared after the power map at ``epsilon`` (0 leaves it
-    as it is), with the bits of ``similarity_matrix(power_map(stack, epsilon))``.
+    Takes an EpochCorrelationSeries (anything else is a TypeError) and
+    returns the symmetric (epochs, epochs) dissimilarity matrix with a zero
+    diagonal.  The mean runs over all N^2 ordered entries, diagonal included
+    (diagonal differences are zero for raw correlation matrices, so they
+    only dilute by a constant factor).  Each epoch is compared after the
+    power map at ``epsilon`` (0 leaves it as it is), with the bits of
+    ``similarity_matrix`` of a series that holds the mapped epochs.
 
-    Every epoch must be finite, and a dense one exactly symmetric, as
-    correlation, power-mapped and sector-averaged matrices are; otherwise
-    NumericError.  The kernel sums over one packed copy of the upper
-    triangles and diagonals, at any epsilon.  It pairs each chunk of about
-    512 KB of rows with the rows d after it, offset by offset, through one
-    buffer per thread: the chunk stays in cache while later rows stream past.
+    A series' epochs are finite and symmetric by construction; an epoch that
+    the power map makes non-finite is a NumericError.  The kernel sums over
+    one packed copy of the upper triangles and diagonals, at any epsilon.
+    It pairs each chunk of about 512 KB of rows with the rows d after it,
+    offset by offset, through one buffer per thread: the chunk stays in
+    cache while later rows stream past.
 
     Each pair uses |a - b| = 2 max(a, b) - a - b: the packed rows are summed
     once, and a pair's distance is twice the sum of its element-wise maxima
@@ -115,17 +116,9 @@ def similarity_matrix(epochs, workers: int = 1, epsilon: float = 0.0) -> np.ndar
     """
     _check_workers(workers)
     _check_epsilon(epsilon)
-    if isinstance(epochs, EpochCorrelationSeries):
-        n, N = epochs.n_epochs, epochs.n_labels
-    elif isinstance(epochs, np.ndarray):
-        if epochs.ndim != 3:
-            raise NumericError(f"stack must be 3-D (epochs, N, N), got shape {epochs.shape}")
-        n, N, cols = epochs.shape
-        if cols != N or N == 0:
-            raise NumericError(f"epochs must be non-empty square matrices, got shape {(N, cols)}")
-    else:
-        raise TypeError("expected an EpochCorrelationSeries or an (epochs, N, N) ndarray, "
-                        f"got {type(epochs).__name__}")
+    if not isinstance(epochs, EpochCorrelationSeries):
+        raise TypeError(f"expected an EpochCorrelationSeries, got {type(epochs).__name__}")
+    n, N = epochs.n_epochs, epochs.n_labels
     width = N * (N + 1) // 2  # entries of one packed epoch
     if n < 2:
         raise NumericError(f"need at least 2 epochs, got {n}")
@@ -228,15 +221,16 @@ def classical_mds(dissim: np.ndarray, D: int, warn: bool = True) -> Embedding:
     )
 
 
-def embed_epochs(epochs, epsilon: float, dim: int, workers: int = 1) -> Embedding:
+def embed_epochs(epochs: EpochCorrelationSeries, epsilon: float, dim: int,
+                 workers: int = 1) -> Embedding:
     """Power map, dissimilarity and ``dim``-axis classical MDS of an epoch series.
 
     The one geometry chain behind the grid search, the state fit and the
     event trajectories.  The dissimilarity kernel power-maps each epoch as
     it copies it and never writes to its input, so no mapped copy of the
     series is made; missing axes are zero-padded without a warning.
-    ``workers`` threads run the dissimilarity kernel.  ``epochs`` is
-    anything similarity_matrix takes.
+    ``workers`` threads run the dissimilarity kernel.  ``epochs`` is an
+    EpochCorrelationSeries, as for similarity_matrix.
     """
     return classical_mds(similarity_matrix(epochs, workers, epsilon), D=dim, warn=False)
 

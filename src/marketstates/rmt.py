@@ -22,28 +22,19 @@ ZERO_EIGENVALUE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class WishartSpec:
-    """Parameters of one Wishart orthogonal ensemble.
-
-    ``mean`` is exposed because correlation-like behaviour needs mean 0 while
-    some spectral studies use nonzero means; ``demean`` subtracts each row's
-    sample mean before forming W, mimicking the Pearson pipeline.
-    """
+    """Parameters of one Wishart orthogonal ensemble: N x T Gaussians of mean 0, variance sigma2."""
 
     N: int
     T: int
     sigma2: float = 1.0
     ensemble_size: int = 1
     seed: int = 0
-    mean: float = 0.0
-    demean: bool = False
 
     def __post_init__(self) -> None:
         if self.N < 1 or self.T < 1 or self.ensemble_size < 1:
             raise ValueError("N, T and ensemble_size must all be >= 1")
         if not 0 < self.sigma2 < math.inf:
             raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2}")
-        if not math.isfinite(self.mean):
-            raise ValueError(f"mean must be finite, got {self.mean}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -53,16 +44,13 @@ class WishartSpec:
 
 
 def _draw(spec: WishartSpec, index: int) -> np.ndarray:
-    """The N x T matrix A of realization ``index``, row-demeaned when the spec asks.
+    """The N x T matrix A of realization ``index``.
 
     Realization i draws from PCG64 seeded with seed XOR i, so any slice of
     the ensemble is reproducible without generating the rest.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed ^ index))
-    A = rng.normal(spec.mean, np.sqrt(spec.sigma2), size=(spec.N, spec.T))
-    if spec.demean:
-        A -= A.mean(axis=1, keepdims=True)
-    return A
+    return rng.normal(0.0, np.sqrt(spec.sigma2), size=(spec.N, spec.T))
 
 
 def sample_realization(spec: WishartSpec, index: int) -> np.ndarray:
@@ -102,16 +90,11 @@ def mp_support(Q: float, sigma2: float = 1.0) -> tuple[float, float]:
     return sigma2 * (1.0 - root) ** 2, sigma2 * (1.0 + root) ** 2
 
 
-def mp_zero_weight(Q: float) -> float:
-    """Weight of the point mass at zero: 1 - Q for Q < 1, else 0."""
-    return max(0.0, 1.0 - Q)
-
-
 def mp_density(lam, Q: float, sigma2: float = 1.0):
     """Marchenko-Pastur bulk density at lam; 0 outside the support.
 
-    The Q <= 1 point mass at zero is never part of the density; query it via
-    mp_zero_weight.  The bulk integrates to 1 for Q >= 1 and to Q otherwise.
+    The point mass 1 - Q at zero for Q < 1 is never part of the density:
+    the bulk integrates to 1 for Q >= 1 and to Q otherwise.
     """
     lo, hi = mp_support(Q, sigma2)
     lam_arr = np.asarray(lam, dtype=float)
@@ -151,9 +134,6 @@ class SpectralDensity:
     def bin_width(self) -> float:
         return float(self.bin_edges[1] - self.bin_edges[0])
 
-    def integral(self) -> float:
-        return float(self.density.sum() * self.bin_width)
-
 
 def _check_bins(bins: int) -> None:
     if bins < 1:
@@ -190,34 +170,6 @@ def spectrum_from_eigenvalues(eigenvalues: np.ndarray, bins: int = 100,
     )
 
 
-def empirical_spectrum(matrices, bins: int = 100,
-                       Q: float = float("nan"), sigma2: float = 1.0) -> SpectralDensity:
-    """Pooled spectral density of a list of symmetric matrices."""
-    pool = []
-    for k, M in enumerate(matrices):
-        M = np.asarray(M, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise NumericError(f"matrix {k} is not square: shape {M.shape}")
-        scale = max(1.0, float(np.abs(M).max()))
-        if np.abs(M - M.T).max() > 1e-10 * scale:
-            raise NumericError(f"matrix {k} is not symmetric")
-        pool.append(np.linalg.eigvalsh(M))
-    if not pool:
-        raise NumericError("empty matrix list")
-    return spectrum_from_eigenvalues(np.concatenate(pool), bins=bins, Q=Q, sigma2=sigma2)
-
-
-def wishart_spectrum(spec: WishartSpec, bins: int = 100, epsilon: float = 0.0) -> SpectralDensity:
-    """Spectral density of a sampled ensemble, power-mapped at ``epsilon`` (0: raw).
-
-    With small T the raw matrices are singular; even a tiny epsilon frees
-    the degenerate zero modes into an emerging bulk near zero.
-    """
-    _check_bins(bins)  # before sampling the ensemble
-    eigs = pooled_eigenvalues(spec, epsilon=epsilon)
-    return spectrum_from_eigenvalues(eigs, bins=bins, Q=spec.Q, sigma2=spec.sigma2)
-
-
 def l1_to_analytic(sd: SpectralDensity, sigma2: float = 1.0) -> float:
     """L1 distance between a histogram density and the analytic bulk law.
 
@@ -227,17 +179,6 @@ def l1_to_analytic(sd: SpectralDensity, sigma2: float = 1.0) -> float:
         raise NumericError("spectral density has no Q; cannot compare to the analytic law")
     analytic = mp_density(sd.bin_centers, sd.Q, sigma2)
     return float(np.abs(sd.density - analytic).sum() * sd.bin_width)
-
-
-def spectral_variance(sd: SpectralDensity) -> float:
-    """Variance of the binned bulk (zero modes excluded by construction)."""
-    weights = sd.density * sd.bin_width
-    total = weights.sum()
-    if total <= 0:
-        raise NumericError("empty spectral density")
-    centers = sd.bin_centers
-    mean = float((weights * centers).sum() / total)
-    return float((weights * (centers - mean) ** 2).sum() / total)
 
 
 def outside_support_fraction(eigenvalues: np.ndarray, Q: float, sigma2: float = 1.0) -> float:

@@ -27,6 +27,7 @@ from marketstates.corrmat import (
     pearson_correlation,
     power_map,
 )
+from marketstates.demo import write_demo_data
 from marketstates.errors import DataError
 from marketstates.geometry import classical_mds, dimension_fidelity, similarity_matrix
 from marketstates.ingest import ContinuityPolicy, ReturnPanel, load_prices, log_returns
@@ -48,6 +49,7 @@ from marketstates.states import (
 )
 from marketstates.trajectory import CRITICAL, NORMAL, analyze_trajectory, window_from_dates
 
+from test_sector import series_of
 from test_trajectory import planted_window
 
 
@@ -119,7 +121,7 @@ def test_mds_recovery_and_metric_axioms(acceptance):
     stack = np.stack([
         pearson_correlation(rng.standard_normal((12, 30))) for _ in range(40)
     ])
-    zeta = similarity_matrix(stack)
+    zeta = similarity_matrix(series_of(stack))
     symmetric = np.array_equal(zeta, zeta.T)
     zero_diag = np.all(np.diag(zeta) == 0.0)
     non_negative = np.all(zeta >= 0.0)
@@ -233,8 +235,7 @@ def test_variance_ratio_classifier_on_planted_trajectories(acceptance):
         drift = max(drift, abs(base.var_ratio - scaled.var_ratio))
 
     # scaling the dissimilarity matrix itself, not just the inputs
-    stack = planted_window(0.3, 7).epochs.values_stack()
-    zeta = similarity_matrix(stack)
+    zeta = similarity_matrix(planted_window(0.3, 7).epochs)
     for factor in (2.75, 1e3):
         a = classical_mds(zeta, D=3, warn=False).coordinates
         b = classical_mds(factor * zeta, D=3, warn=False).coordinates
@@ -364,7 +365,7 @@ def test_low_dimension_fidelity_pattern_on_reference_data(acceptance):
             window = snapped_window(panel, name, start, end)
         except DataError:
             continue
-        zeta = similarity_matrix(window.epochs.values_stack())
+        zeta = similarity_matrix(window.epochs)
         fidelity = dict(dimension_fidelity(zeta, [1, 2, 3, 4]))
         analyzed.append(name)
         values = [fidelity[d] for d in (1, 2, 3, 4)]
@@ -411,6 +412,23 @@ def test_historical_event_classification_on_reference_data(acceptance):
           f"{normal_bad or 'none'}; unresolved: {unresolved or 'none'}")
 
 
+GRID_EPSILONS = [round(0.1 * i, 10) for i in range(10)]
+
+
+def grid_optimum(path):
+    """Criterion 11's (k, epsilon) for one price panel: window 20, shift 1, k 2-8, k_min 4."""
+    series = epoch_correlations(reference_returns(path), EpochSpec(20, 1))
+    surface = optimize_over_grid(series, range(2, 9), GRID_EPSILONS, n_inits=10, seed=0,
+                                 workers=4)
+    return select_optimum(surface, k_min=4)
+
+
+def test_grid_optimum_runs_on_the_bundled_demo_panel(tmp_path):
+    # criterion 11's own call, on a panel every checkout has
+    k, eps = grid_optimum(write_demo_data(tmp_path)["prices"])
+    assert k in range(4, 9) and eps in GRID_EPSILONS
+
+
 def test_grid_optimum_neighborhood_on_reference_data(acceptance):
     markets = [("sp500", SP500_PRICES, (5, 0.9)), ("nikkei225", NIKKEI_PRICES, (7, 0.0))]
     available = [(label, path, ref) for label, path, ref in markets if path]
@@ -420,13 +438,7 @@ def test_grid_optimum_neighborhood_on_reference_data(acceptance):
         pytest.skip("no reference panels")
     notes = []
     for label, path, (ref_k, ref_eps) in available:
-        panel = reference_returns(path)
-        series = epoch_correlations(panel, EpochSpec(20, 1))
-        surface = optimize_over_grid(
-            series.values_stack(), range(2, 9),
-            [round(0.1 * i, 10) for i in range(10)],
-            n_inits=10, seed=0, workers=4)
-        k, eps = select_optimum(surface, k_min=4)
+        k, eps = grid_optimum(path)
         notes.append(f"{label}: optimum (k={k}, eps={eps}) vs reference "
                      f"(k={ref_k}, eps={ref_eps})")
     # reported, not asserted: the optimum is sensitive to the stock universe

@@ -15,6 +15,7 @@ from marketstates.geometry import (
 )
 from marketstates.ingest import ReturnPanel
 from marketstates.sector import sector_series
+from test_sector import series_of
 
 
 def euclidean_matrix(points):
@@ -34,12 +35,12 @@ def random_corr_series(seed, n_stocks=6, n_returns=60):
 def test_similarity_identical_matrices_is_zero():
     block = np.random.default_rng(0).normal(size=(4, 4))
     block = (block + block.T) / 2
-    sim = similarity_matrix(np.stack([block, block, block]))
+    sim = similarity_matrix(series_of([block, block, block]))
     np.testing.assert_array_equal(sim, np.zeros((3, 3)))
 
 
 def test_similarity_all_ones_vs_identity():
-    sim = similarity_matrix(np.stack([np.ones((2, 2)), np.eye(2)]))
+    sim = similarity_matrix(series_of([np.ones((2, 2)), np.eye(2)]))
     assert sim[0, 1] == 0.5  # (0 + 1 + 1 + 0) / 4
     assert sim[1, 0] == 0.5
     assert sim[0, 0] == 0.0
@@ -48,7 +49,6 @@ def test_similarity_all_ones_vs_identity():
 def test_similarity_matches_triple_loop_oracle():
     series = random_corr_series(1, n_stocks=5, n_returns=45)
     sim = similarity_matrix(series)
-    assert sim.tobytes() == similarity_matrix(series.values_stack()).tobytes()
     mats = [m.values for m in series.matrices]
     n = len(mats)
     N = mats[0].shape[0]
@@ -103,12 +103,12 @@ def _oracle_cases():
 ])
 def test_packed_kernel_matches_row_by_row_oracle(case, workers):
     stack = _oracle_cases()[case]
-    got = similarity_matrix(stack, workers)
+    got = similarity_matrix(series_of(stack), workers)
     want = row_by_row_similarity(stack)
     np.testing.assert_array_equal(got, got.T)
     assert np.all(np.diag(got) == 0.0)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    assert got.tobytes() == similarity_matrix(stack).tobytes()
+    assert got.tobytes() == similarity_matrix(series_of(stack)).tobytes()
 
 
 def subtract_abs_similarity(stack, epsilon):
@@ -138,7 +138,7 @@ def shift_one_stack(seed, n_stocks=64, n_epochs=50):
 def test_max_sum_kernel_matches_subtract_abs_oracle(eps, workers):
     stack = shift_one_stack(19)
     n = len(stack) - 3
-    got = similarity_matrix(stack, workers, epsilon=eps)
+    got = similarity_matrix(series_of(stack), workers, epsilon=eps)
     want = subtract_abs_similarity(stack, eps)
     # the appended copies of epochs 0 and 7 (rows n, n+1, n+2) are exact zeros
     for a, b in ((0, n), (7, n + 1), (7, n + 2), (n + 1, n + 2)):
@@ -149,13 +149,13 @@ def test_max_sum_kernel_matches_subtract_abs_oracle(eps, workers):
     # neighbouring shift-1 epochs share 19 of 20 days: their distances are
     # the smallest, where the max-sum identity cancels the most
     assert (np.abs(got - want)[positive] / want[positive]).max() <= 1e-12
-    assert got.tobytes() == similarity_matrix(stack, epsilon=eps).tobytes()
+    assert got.tobytes() == similarity_matrix(series_of(stack), epsilon=eps).tobytes()
 
 
 def test_kernel_threads_under_fast_switching_match_one_thread():
     # more threads than cores, switching as often as the interpreter allows:
     # a row written twice or never would change the bytes
-    stack = symmetric_stack(16, 40, 12)
+    stack = series_of(symmetric_stack(16, 40, 12))
     serial = similarity_matrix(stack)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -179,7 +179,7 @@ def test_failure_in_a_kernel_thread_raises_from_similarity_matrix(monkeypatch):
     monkeypatch.setattr(geometry, "_l1_rows", failing_rows)
     # 60 stocks: chunks of 35 rows, so 40 epochs make 2 chunks and thread 1 owns one
     with pytest.raises(RuntimeError, match="injected kernel failure"):
-        similarity_matrix(symmetric_stack(15, 40, 60), workers=2)
+        similarity_matrix(series_of(symmetric_stack(15, 40, 60)), workers=2)
 
 
 def row_order_l1_rows(X, sums, out, first, step, buf):
@@ -202,14 +202,14 @@ def _chunk_cases():
     series = random_corr_series(21, n_stocks=12, n_returns=140)
     return {
         # 40 stocks: chunks of 79 rows, 203 epochs make 2 full and a partial chunk
-        "shift1_40": lambda: shift_one_stack(22, n_stocks=40, n_epochs=200),
+        "shift1_40": lambda: series_of(shift_one_stack(22, n_stocks=40, n_epochs=200)),
         # 60 stocks: chunks of 35 rows, 103 epochs make 2 full and a partial chunk
-        "shift1_60": lambda: shift_one_stack(23, n_stocks=60, n_epochs=100),
-        "one_chunk": lambda: shift_one_stack(24, n_stocks=40, n_epochs=40),
-        "two_epochs": lambda: symmetric_stack(25, 2, 30),
-        "one_stock": lambda: symmetric_stack(26, 30, 1),
+        "shift1_60": lambda: series_of(shift_one_stack(23, n_stocks=60, n_epochs=100)),
+        "one_chunk": lambda: series_of(shift_one_stack(24, n_stocks=40, n_epochs=40)),
+        "two_epochs": lambda: series_of(symmetric_stack(25, 2, 30)),
+        "one_stock": lambda: series_of(symmetric_stack(26, 30, 1)),
         "sectors": lambda: sector_series(series, {f"S{i}": f"x{i % 4}" for i in range(12)}),
-        "dense": lambda: symmetric_stack(27, 50, 70),
+        "dense": lambda: series_of(symmetric_stack(27, 50, 70)),
     }
 
 
@@ -238,18 +238,13 @@ def test_every_kernel_thread_owns_a_chunk(monkeypatch, n, N, workers):
         real_rows(X, sums, out, first, step, buf)
 
     monkeypatch.setattr(geometry, "_l1_rows", recording_rows)
-    similarity_matrix(symmetric_stack(28, n, N), workers)
+    similarity_matrix(series_of(symmetric_stack(28, n, N)), workers)
     R = calls[0][2]
     chunks = -(-(n - 1) // R)
     assert len(calls) == min(workers, chunks)
     owned = sorted(c for first, step, _ in calls for c in range(first, chunks, step))
     assert owned == list(range(chunks))  # every chunk once, and no thread without one
     assert all(first < chunks and step == len(calls) for first, step, _ in calls)
-
-
-def test_similarity_working_set_is_below_the_input_stack(peak_bytes):
-    stack = symmetric_stack(14, 30, 300)
-    assert peak_bytes(lambda: similarity_matrix(stack)) < 0.75 * stack.nbytes
 
 
 def signed_stack(seed):
@@ -266,9 +261,11 @@ def signed_stack(seed):
 @pytest.mark.parametrize("eps", [0.1, 0.3, 0.7, 0.9])
 def test_kernel_power_map_equals_mapping_the_stack_first(eps, workers):
     for stack in (signed_stack(3), random_corr_series(4).values_stack()):
-        got = similarity_matrix(stack, workers, epsilon=eps)
-        assert got.tobytes() == similarity_matrix(power_map(stack, eps), workers).tobytes()
-    assert similarity_matrix(stack, epsilon=0.0).tobytes() == similarity_matrix(stack).tobytes()
+        got = similarity_matrix(series_of(stack), workers, epsilon=eps)
+        mapped = similarity_matrix(series_of(power_map(stack, eps)), workers)
+        assert got.tobytes() == mapped.tobytes()
+    series = series_of(stack)
+    assert similarity_matrix(series, epsilon=0.0).tobytes() == similarity_matrix(series).tobytes()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -287,9 +284,9 @@ def test_similarity_of_a_series_holds_one_packed_copy(peak_bytes, n_stocks, n_re
 
 
 def test_embedding_at_positive_epsilon_holds_no_mapped_stack(peak_bytes):
-    # the kernel maps each epoch as it packs it: only the half-size packed copy
-    stack = symmetric_stack(15, 30, 150)
-    assert peak_bytes(lambda: embed_epochs(stack, 0.3, 3)) < 0.75 * stack.nbytes
+    # the kernel maps each epoch as it copies it: its one packed copy, no second
+    series = series_of(symmetric_stack(15, 30, 150))
+    assert peak_bytes(lambda: embed_epochs(series, 0.3, 3)) < 1.5 * series.packed.nbytes
 
 
 def test_double_centering_works_in_one_square_array(peak_bytes):
@@ -306,7 +303,7 @@ def test_double_centering_works_in_one_square_array(peak_bytes):
 
 
 def test_leading_axes_equal_a_map_at_that_dimension():
-    sim = similarity_matrix(power_map(random_corr_series(6).values_stack(), 0.4))
+    sim = similarity_matrix(random_corr_series(6), epsilon=0.4)
     full = classical_mds(sim, D=len(sim) - 1, warn=False)
     for D in (1, 2, 3, 5):
         got, want = full.leading(D), classical_mds(sim, D=D, warn=False)
@@ -320,7 +317,7 @@ def test_leading_axes_equal_a_map_at_that_dimension():
 
 
 def test_similarity_metric_properties():
-    Z = similarity_matrix(random_corr_series(2).values_stack())
+    Z = similarity_matrix(random_corr_series(2))
     np.testing.assert_array_equal(Z, Z.T)
     assert np.all(np.diag(Z) == 0.0)
     assert np.all(Z >= 0.0)
@@ -329,34 +326,41 @@ def test_similarity_metric_properties():
 
 
 def test_similarity_input_validation():
-    with pytest.raises(NumericError):
-        similarity_matrix(np.eye(3)[None])
+    # the kernel takes a series only: a dense stack enters through the constructor
+    for dense in (np.stack([np.eye(3)] * 2), [np.eye(3)] * 2):
+        with pytest.raises(TypeError, match=f"EpochCorrelationSeries, got {type(dense).__name__}"):
+            similarity_matrix(dense)
+        with pytest.raises(TypeError, match="EpochCorrelationSeries"):
+            embed_epochs(dense, 0.0, 1)
     with pytest.raises(ValueError, match="epsilon must be >= 0"):
-        similarity_matrix(np.stack([np.eye(3)] * 2), epsilon=-0.1)
-    for workers in (0, -3):  # before any work: packing would raise a NumericError
+        similarity_matrix(series_of([np.eye(3)] * 2), epsilon=-0.1)
+    for workers in (0, -3):  # before any work: one epoch would raise a NumericError
         with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
-            similarity_matrix(np.full((3, 2, 2), np.nan), workers)
-    with pytest.raises(NumericError, match="3-D"):
-        similarity_matrix(np.eye(3))
-    with pytest.raises(TypeError, match="ndarray, got list"):
-        similarity_matrix([np.eye(3)] * 2)
+            similarity_matrix(series_of([np.eye(2)]), workers)
     with pytest.raises(NumericError, match="at least 2 epochs"):
         similarity_matrix(random_corr_series(0, n_returns=20))
-    for shape in ((3, 2, 3), (3, 0, 0)):
-        with pytest.raises(NumericError, match="non-empty square"):
-            similarity_matrix(np.zeros(shape))
     nonfinite = np.stack([np.eye(3)] * 4)
     nonfinite[2, 1, 1] = np.nan
     with pytest.raises(NumericError, match="epoch 2 has a non-finite"):
-        similarity_matrix(nonfinite)
+        series_of(nonfinite)
     nonfinite[2, 1, 1] = np.inf
     with pytest.raises(NumericError, match="epoch 2 has a non-finite"):
-        similarity_matrix(nonfinite)
+        series_of(nonfinite)
     # packing would silently read only the upper triangle of this stack
     asymmetric = np.stack([np.eye(3)] * 3)
     asymmetric[0, 0, 1] = 0.5
     with pytest.raises(NumericError, match="epoch 0 is not exactly symmetric"):
-        similarity_matrix(asymmetric)
+        series_of(asymmetric)
+
+
+def test_kernel_names_the_first_epoch_the_power_map_makes_non_finite():
+    stack = np.stack([np.eye(3)] * 4)
+    stack[2, 1, 1] = 1e300  # finite, so the series holds it; 1e300 ** 1.5 is not
+    series = series_of(stack)
+    assert similarity_matrix(series).max() > 0.0
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NumericError, match="epoch 2 has a non-finite entry"):
+            similarity_matrix(series, epsilon=0.5)
 
 
 def per_epoch_packing(stack, epsilon):
@@ -391,20 +395,20 @@ def test_packing_names_the_lowest_bad_epoch_across_chunks():
     stack[19, 3, 3] = np.nan
     stack[14, 0, 1] += 0.5
     with pytest.raises(NumericError, match="epoch 14 is not exactly symmetric"):
-        similarity_matrix(stack, epsilon=0.3)
+        series_of(stack)
     stack[15, 2, 2] = np.inf  # later in the same chunk: the earlier epoch still wins
     with pytest.raises(NumericError, match="epoch 14 is not exactly symmetric"):
-        similarity_matrix(stack)
+        series_of(stack)
     stack[13, 4, 1] = np.nan  # only below the diagonal: packing would miss it
     with pytest.raises(NumericError, match="epoch 13 is not exactly symmetric"):
-        similarity_matrix(stack)
+        series_of(stack)
     stack[12, 7, 9] = stack[12, 9, 7] = -np.inf
     with pytest.raises(NumericError, match="epoch 12 has a non-finite entry"):
-        similarity_matrix(stack, epsilon=0.3)
+        series_of(stack)
     stack[7, 0, 0] = np.nan
     stack[7, 0, 1] += 0.5  # both faults in one epoch: non-finite is named
     with pytest.raises(NumericError, match="epoch 7 has a non-finite entry"):
-        similarity_matrix(stack)
+        series_of(stack)
 
 
 def test_mds_unit_square():
@@ -453,7 +457,7 @@ def test_mds_permutation_equivariance():
 
 
 def test_mds_is_deterministic():
-    sim = similarity_matrix(random_corr_series(7).values_stack())
+    sim = similarity_matrix(random_corr_series(7))
     a = classical_mds(sim, D=3).coordinates
     b = classical_mds(sim, D=3).coordinates
     assert a.tobytes() == b.tobytes()
@@ -489,7 +493,7 @@ def test_step_lengths():
 
 
 def test_dimension_fidelity_reference_dimension_is_exact():
-    sim = similarity_matrix(random_corr_series(8).values_stack())
+    sim = similarity_matrix(random_corr_series(8))
     d_max = len(sim) - 1  # an ndarray's size is the square
     results = dict(dimension_fidelity(sim, [1, d_max]))
     assert results[d_max] == 1.0

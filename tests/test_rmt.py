@@ -9,6 +9,21 @@ from marketstates.pipeline import rmt_report_payload
 from marketstates.rmt import ZERO_EIGENVALUE_TOL, WishartSpec
 
 
+def spectrum(spec, bins, epsilon=0.0):
+    """The binned density of the ensemble's pooled eigenvalues, power-mapped at ``epsilon``."""
+    return rmt.spectrum_from_eigenvalues(rmt.pooled_eigenvalues(spec, epsilon), bins, Q=spec.Q)
+
+
+def mass(density):
+    """The binned density's total: 1, less the share of zero modes, which no bin counts."""
+    return density.density.sum() * density.bin_width
+
+
+def nonzero_variance(eigenvalues):
+    """Variance of the bulk: the pooled eigenvalues without the zero modes."""
+    return eigenvalues[np.abs(eigenvalues) >= ZERO_EIGENVALUE_TOL].var()
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         WishartSpec(N=0, T=10)
@@ -21,9 +36,6 @@ def test_spec_validation():
     for sigma2 in (np.nan, np.inf):
         with pytest.raises(ValueError, match=f"sigma2 must be finite and > 0, got {sigma2}"):
             WishartSpec(N=10, T=10, sigma2=sigma2)
-    for mean in (np.nan, -np.inf):
-        with pytest.raises(ValueError, match=f"mean must be finite, got {mean}"):
-            WishartSpec(N=10, T=10, mean=mean)
     assert WishartSpec(N=200, T=800).Q == 4.0
 
 
@@ -64,13 +76,6 @@ def test_large_t_diagonal_near_one():
     assert np.abs(np.diag(W) - 1.0).max() < 0.05
 
 
-def test_mean_parameter_shifts_moments_and_demean_removes_them():
-    raw = rmt.sample_realization(WishartSpec(N=3, T=20000, mean=5.0, seed=8), 0)
-    assert np.abs(np.diag(raw) - 26.0).max() < 0.5  # E[a^2] = mean^2 + sigma2
-    centered = rmt.sample_realization(WishartSpec(N=3, T=20000, mean=5.0, seed=8, demean=True), 0)
-    assert np.abs(np.diag(centered) - 1.0).max() < 0.05
-
-
 def test_mp_support_q4():
     assert rmt.mp_support(4.0, 1.0) == (0.25, 2.25)
     lo, hi = rmt.mp_support(2.0, 3.0)
@@ -105,41 +110,36 @@ def test_mp_density_integrates_to_one_or_q():
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
-def test_mp_zero_weight():
-    assert rmt.mp_zero_weight(4.0) == 0.0
-    assert rmt.mp_zero_weight(1.0) == 0.0
-    assert rmt.mp_zero_weight(0.25) == 0.75
-
-
 def test_empirical_spectrum_identity_matrices():
-    sd = rmt.empirical_spectrum([np.eye(4)] * 3, bins=10)
+    eigenvalues = np.concatenate([np.linalg.eigvalsh(np.eye(4))] * 3)
+    sd = rmt.spectrum_from_eigenvalues(eigenvalues, bins=10)
     nonzero_bins = np.flatnonzero(sd.density)
     assert nonzero_bins.size == 1
     left, right = sd.bin_edges[nonzero_bins[0]], sd.bin_edges[nonzero_bins[0] + 1]
     assert left < 1.0 <= right
-    assert sd.integral() == pytest.approx(1.0, abs=1e-12)
+    assert mass(sd) == pytest.approx(1.0, abs=1e-12)
     assert sd.zero_fraction == 0.0
     assert sd.n_pooled == 12
 
 
 def test_empirical_spectrum_rejects_bad_input():
-    with pytest.raises(NumericError, match="not symmetric"):
-        rmt.empirical_spectrum([np.array([[1.0, 0.5], [0.2, 1.0]])])
-    with pytest.raises(NumericError, match="not square"):
-        rmt.empirical_spectrum([np.ones((2, 3))])
-    with pytest.raises(NumericError):
-        rmt.empirical_spectrum([])
+    with pytest.raises(NumericError, match="no eigenvalues to bin"):
+        rmt.spectrum_from_eigenvalues(np.array([]))
+    with pytest.raises(NumericError, match="no positive eigenvalues"):
+        rmt.spectrum_from_eigenvalues(np.array([0.0, -1.0]))
+    with pytest.raises(ValueError, match="bins must be >= 1, got 0"):
+        rmt.spectrum_from_eigenvalues(np.ones(3), bins=0)
 
 
 def test_spectrum_mass_accounting_across_q():
     # Q > 1: no zero modes, bulk mass exactly 1
-    rich = rmt.wishart_spectrum(WishartSpec(N=40, T=200, ensemble_size=3, seed=2), bins=50)
+    rich = spectrum(WishartSpec(N=40, T=200, ensemble_size=3, seed=2), bins=50)
     assert rich.zero_fraction == 0.0
-    assert rich.integral() == pytest.approx(1.0, abs=1e-12)
+    assert mass(rich) == pytest.approx(1.0, abs=1e-12)
     # Q < 1: rank N*Q, so a (1-Q) fraction of exact zeros
-    poor = rmt.wishart_spectrum(WishartSpec(N=50, T=20, ensemble_size=3, seed=2), bins=50)
+    poor = spectrum(WishartSpec(N=50, T=20, ensemble_size=3, seed=2), bins=50)
     assert poor.zero_fraction == pytest.approx(0.6, abs=1e-12)
-    assert poor.integral() == pytest.approx(0.4, abs=1e-12)
+    assert mass(poor) == pytest.approx(0.4, abs=1e-12)
     assert poor.Q == pytest.approx(0.4)
 
 
@@ -147,9 +147,6 @@ def test_zero_mode_counts_raw_and_demeaned():
     raw = rmt.sample_realization(WishartSpec(N=50, T=20, seed=4), 0)
     n_zero = int(np.sum(np.abs(np.linalg.eigvalsh(raw)) < 1e-10))
     assert n_zero >= 30  # N - T
-    centered = rmt.sample_realization(WishartSpec(N=50, T=20, seed=4, demean=True), 0)
-    n_zero_centered = int(np.sum(np.abs(np.linalg.eigvalsh(centered)) < 1e-10))
-    assert n_zero_centered >= 31  # N - T + 1
 
 
 def test_marchenko_pastur_agreement_at_reference_ensemble():
@@ -163,21 +160,21 @@ def test_marchenko_pastur_agreement_at_reference_ensemble():
 
 def test_powermapped_spectrum_eps0_matches_raw_exactly():
     spec = WishartSpec(N=30, T=60, ensemble_size=4, seed=6)
-    raw = rmt.wishart_spectrum(spec, bins=40)
-    mapped = rmt.wishart_spectrum(spec, bins=40, epsilon=0.0)
+    raw = spectrum(spec, bins=40)
+    mapped = spectrum(spec, bins=40, epsilon=0.0)
     np.testing.assert_array_equal(raw.density, mapped.density)
     np.testing.assert_array_equal(raw.bin_edges, mapped.bin_edges)
     with pytest.raises(ValueError, match="epsilon"):
-        rmt.wishart_spectrum(spec, epsilon=-0.5)
+        rmt.pooled_eigenvalues(spec, epsilon=-0.5)
 
 
 def test_powermap_frees_zero_modes_into_emerging_bulk():
     spec = WishartSpec(N=100, T=20, ensemble_size=5, seed=10)
-    raw = rmt.wishart_spectrum(spec, bins=60)
+    raw = spectrum(spec, bins=60)
     assert raw.zero_fraction == pytest.approx(0.8, abs=1e-12)
-    lifted = rmt.wishart_spectrum(spec, bins=60, epsilon=0.01)
+    lifted = spectrum(spec, bins=60, epsilon=0.01)
     assert lifted.zero_fraction < raw.zero_fraction
-    assert lifted.integral() > raw.integral()
+    assert mass(lifted) > mass(raw)
 
 
 def test_powermap_narrows_noise_spectrum():
@@ -185,22 +182,18 @@ def test_powermap_narrows_noise_spectrum():
     raw = rmt.pooled_eigenvalues(spec, epsilon=0.0)
     mapped = rmt.pooled_eigenvalues(spec, epsilon=0.63)
     assert mapped.max() - mapped.min() < raw.max() - raw.min()
-    raw_sd = rmt.spectrum_from_eigenvalues(raw, bins=80, Q=spec.Q)
-    mapped_sd = rmt.spectrum_from_eigenvalues(mapped, bins=80, Q=spec.Q)
-    assert rmt.spectral_variance(mapped_sd) < rmt.spectral_variance(raw_sd)
+    assert nonzero_variance(mapped) < nonzero_variance(raw)
 
 
 def test_powermap_can_match_longer_window_variance():
     # noise suppression on short windows stands in for longer observation:
     # some eps brings the T=1000 spectrum variance to the raw T=5000 level
-    target = rmt.spectral_variance(
-        rmt.wishart_spectrum(WishartSpec(N=500, T=5000, ensemble_size=2, seed=7), bins=100)
-    )
+    target = nonzero_variance(
+        rmt.pooled_eigenvalues(WishartSpec(N=500, T=5000, ensemble_size=2, seed=7)))
     base = WishartSpec(N=500, T=1000, ensemble_size=2, seed=7)
     ratios = {}
     for eps in [0.15, 0.20, 0.25, 0.265, 0.30, 0.35]:
-        var = rmt.spectral_variance(rmt.wishart_spectrum(base, bins=100, epsilon=eps))
-        ratios[eps] = var / target
+        ratios[eps] = nonzero_variance(rmt.pooled_eigenvalues(base, epsilon=eps)) / target
     best = min(ratios, key=lambda e: abs(ratios[e] - 1.0))
     assert abs(ratios[best] - 1.0) < 0.10
     assert abs(ratios[0.265] - 1.0) < 0.10
@@ -215,17 +208,16 @@ def dense_pooled_eigenvalues(spec, epsilon=0.0):
     return np.concatenate(parts)
 
 
-@pytest.mark.parametrize("demean", [False, True])
 @pytest.mark.parametrize("N, T", [(200, 20), (40, 20), (21, 20)])
-def test_short_window_spectrum_matches_the_dense_reference(N, T, demean):
-    spec = WishartSpec(N=N, T=T, ensemble_size=3, seed=5, mean=0.3, sigma2=2.5, demean=demean)
+def test_short_window_spectrum_matches_the_dense_reference(N, T):
+    spec = WishartSpec(N=N, T=T, ensemble_size=3, seed=5, sigma2=2.5)
     got = rmt.pooled_eigenvalues(spec)
     want = dense_pooled_eigenvalues(spec)
     assert got.shape == want.shape
     for g, w in zip(got.reshape(-1, N), want.reshape(-1, N)):
         assert np.all(np.diff(g) >= 0)  # ascending within each realization
         g_zero, w_zero = np.abs(g) < ZERO_EIGENVALUE_TOL, np.abs(w) < ZERO_EIGENVALUE_TOL
-        assert g_zero.sum() == w_zero.sum() >= N - T + demean
+        assert g_zero.sum() == w_zero.sum() >= N - T
         # eigvalsh is accurate to rounding of the largest eigenvalue, on either path
         np.testing.assert_allclose(g[~g_zero], w[~w_zero], rtol=0, atol=1e-12 * w.max())
 
@@ -234,7 +226,7 @@ def test_short_window_spectrum_matches_the_dense_reference(N, T, demean):
     (20, 20, 0.0), (15, 40, 0.0), (40, 20, 0.3), (15, 40, 0.3),
 ])
 def test_spectrum_is_the_dense_one_bit_for_bit_unless_the_window_is_short(N, T, epsilon):
-    spec = WishartSpec(N=N, T=T, ensemble_size=3, seed=9, mean=0.3, sigma2=2.5, demean=True)
+    spec = WishartSpec(N=N, T=T, ensemble_size=3, seed=9, sigma2=2.5)
     np.testing.assert_array_equal(rmt.pooled_eigenvalues(spec, epsilon=epsilon),
                                   dense_pooled_eigenvalues(spec, epsilon=epsilon))
 
@@ -265,11 +257,3 @@ def test_short_window_report_matches_the_dense_reference(monkeypatch):
     assert got.pop("l1_to_analytic") == pytest.approx(want.pop("l1_to_analytic"), rel=1e-12, abs=0)
     assert got == want
 
-
-def test_wishart_spectrum_checks_bins_before_sampling(monkeypatch):
-    def sampling(*args, **kwargs):
-        raise AssertionError("sampled the ensemble")
-
-    monkeypatch.setattr(rmt, "pooled_eigenvalues", sampling)
-    with pytest.raises(ValueError, match="bins must be >= 1, got 0"):
-        rmt.wishart_spectrum(WishartSpec(N=200, T=800, ensemble_size=50), bins=0)

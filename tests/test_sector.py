@@ -26,11 +26,17 @@ def random_correlation(n, seed):
     return pearson_correlation(X)
 
 
-def series_of(matrices, tickers):
-    """A stock-level series holding the given matrices, one epoch each."""
-    dates = [f"d{i}" for i in range(len(matrices))]
-    return EpochCorrelationSeries(tickers, np.stack([np.asarray(C, dtype=float) for C in matrices]),
-                                  dates, dates)
+def series_of(matrices, tickers=None):
+    """A series holding the given matrices (a list or a dense stack), one epoch each.
+
+    The labels are ``tickers``, by default S0, S1, ...; the constructor
+    raises NumericError naming the first epoch that is non-finite or not
+    exactly symmetric.
+    """
+    stack = np.stack([np.asarray(C, dtype=float) for C in matrices])
+    tickers = [f"S{i}" for i in range(stack.shape[1])] if tickers is None else tickers
+    dates = [f"d{i}" for i in range(len(stack))]
+    return EpochCorrelationSeries(tickers, stack, dates, dates)
 
 
 def sector_matrix(C, tickers, sector_of, **kwargs):
@@ -215,7 +221,8 @@ def test_sector_fit_clusters_the_power_mapped_map_and_records_epsilon():
     assert model.labels == ["x", "y"]
     assert model.epoch_dates == [m.start_date for m in raw.matrices]
     # the fit clusters the map of exactly those power-mapped matrices
-    want = embed_epochs(power_map(sectors.values_stack(), 0.3), 0.0, 3).coordinates
+    mapped = series_of(power_map(sectors.values_stack(), 0.3), sectors.labels)
+    want = embed_epochs(mapped, 0.0, 3).coordinates
     np.testing.assert_array_equal(embedding.coordinates, want)
     # and averages the raw ones
     for s, avg in enumerate(model.avg_corr_matrix, start=1):

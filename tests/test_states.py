@@ -16,6 +16,8 @@ from marketstates.states import (
     select_optimum,
 )
 
+from test_sector import series_of
+
 
 def planted_blobs(seed, centers, per_blob=30, sigma=1.0):
     rng = np.random.default_rng(seed)
@@ -351,10 +353,10 @@ def test_planted_regime_count_shows_up_as_radius_elbow():
     # under both raw and power-mapped geometry
     from marketstates.geometry import embed_epochs
 
-    stack = regime_stack()
+    series = regime_series()
     truth = np.repeat(np.arange(4), 12)
     for eps in (0.0, 0.5):
-        coords = embed_epochs(stack, eps, 3).coordinates
+        coords = embed_epochs(series, eps, 3).coordinates
         best = {k: best_kmeans(coords, k, 40, seed=11) for k in range(2, 7)}
         drop34 = best[3].d_intra - best[4].d_intra
         drop45 = best[4].d_intra - best[5].d_intra
@@ -386,9 +388,7 @@ def test_best_kmeans_names_an_empty_ensemble():
 
 def regime_series(**kwargs):
     """The planted epochs of ``regime_stack(**kwargs)`` as a series."""
-    stack = regime_stack(**kwargs)
-    dates = [f"d{i}" for i in range(len(stack))]
-    return EpochCorrelationSeries([f"s{i}" for i in range(stack.shape[1])], stack, dates, dates)
+    return series_of(regime_stack(**kwargs))
 
 
 @pytest.mark.parametrize("call, message", [
