@@ -27,11 +27,11 @@ eigenvalues = pooled_eigenvalues(spec)
 print(f"N={spec.N}, T={spec.T} -> Q={spec.Q}; pooled {eigenvalues.size} eigenvalues")
 
 # --- 2. compare the histogram to the analytic density ------------------------
-density = spectrum_from_eigenvalues(eigenvalues, bins=60, Q=spec.Q)
+density = spectrum_from_eigenvalues(eigenvalues, bins=60)
 lo, hi = mp_support(spec.Q)
 print(f"analytic support: [{lo}, {hi}]")
 print(f"observed range:   [{eigenvalues.min():.4f}, {eigenvalues.max():.4f}]")
-print(f"L1 distance between histogram and analytic density: {l1_to_analytic(density):.4f}")
+print(f"L1 distance between histogram and analytic density: {l1_to_analytic(density, spec.Q):.4f}")
 print(f"fraction outside the analytic band: {outside_support_fraction(eigenvalues, spec.Q):.4%}\n")
 
 # --- 3. a rough text plot of the density -------------------------------------

@@ -42,7 +42,7 @@ series = epoch_correlations(panel, EpochSpec(window=20, shift=1))
 zeta = similarity_matrix(series)
 print(f"{series.n_epochs} epochs -> {zeta.shape[0]}x{zeta.shape[1]} distance table")
 
-embedding = classical_mds(zeta, D=3, warn=False)
+embedding = classical_mds(zeta, D=3)
 print(f"3-D map spans x: [{embedding.coordinates[:, 0].min():.3f}, "
       f"{embedding.coordinates[:, 0].max():.3f}]")
 

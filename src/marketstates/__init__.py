@@ -58,7 +58,6 @@ from .sector import (
 )
 from .states import (
     ClusteringRun,
-    OptimizationSurface,
     StateModel,
     best_kmeans,
     build_state_model,
@@ -94,7 +93,6 @@ __all__ = [
     "EventWindow",
     "NORMAL",
     "NumericError",
-    "OptimizationSurface",
     "PipelineConfig",
     "PricePanel",
     "ReturnPanel",

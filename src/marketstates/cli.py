@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage or parameter error, 2 data error, 3 numeric
-failure.  If MARKETSTATES_OUT_DIR is set, relative output paths are placed
-under it.  Grid syntaxes: integer ranges '2..10' or '2,3,5'; float grids
-'0:0.1:1' (start:step:stop, inclusive) or '0,0.5,0.9'.
+Exit codes: 0 success, 1 usage or parameter error, 2 data error or an
+output that cannot be written, 3 numeric failure.  If MARKETSTATES_OUT_DIR
+is set, relative output paths are placed under it.  Grid syntaxes: integer
+ranges '2..10' or '2,3,5'; float grids '0:0.1:1' (start:step:stop,
+inclusive) or '0,0.5,0.9'.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .corrmat import EpochSpec, epoch_correlations, load_series, save_series
-from .errors import DataError, NumericError
+from .errors import EXIT_CODES, DataError, exit_code
 from .geometry import _check_workers
 from .ingest import load_panel, load_sector_map, log_returns
 from .pipeline import (
@@ -43,6 +44,8 @@ from .trajectory import (
     load_event_catalog,
     window_from_dates,
 )
+
+_PREFIXES = {1: "bad parameter", 2: "data error", 3: "numeric failure"}  # by exit code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -357,15 +360,10 @@ def main(argv=None) -> int:
     try:
         _check_workers(getattr(args, "workers", 1))  # before any subcommand's work
         return args.func(args)
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"bad parameter: {exc}", file=sys.stderr)
-        return 1
+    except (*EXIT_CODES, ValueError) as exc:
+        code = exit_code(exc)
+        print(f"{_PREFIXES[code]}: {exc}", file=sys.stderr)
+        return code
 
 
 def entrypoint() -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import _check_workers
 from .pipeline import PipelineConfig, run_pipeline
-from .serialize import format_float
+from .serialize import format_float, write_csv
 
 N_SECTORS = 4
 STOCKS_PER_SECTOR = 5
@@ -55,11 +55,11 @@ def _returns(rng: np.random.Generator) -> np.ndarray:
     return 0.012 * np.stack(rows)
 
 
-def write_demo_data(data_dir: str | Path, seed: int = DEMO_SEED) -> dict[str, Path]:
+def write_demo_data(data_dir: str | Path) -> dict[str, Path]:
     """Write prices.csv, sectors.csv, events.csv; returns their paths."""
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEMO_SEED)
     sector_names = ["banks", "energy", "retail", "tech"]
     tickers = [f"{name[:3].upper()}{i}" for name in sector_names
                for i in range(STOCKS_PER_SECTOR)]
@@ -78,33 +78,22 @@ def write_demo_data(data_dir: str | Path, seed: int = DEMO_SEED) -> dict[str, Pa
     for day in range(90, 94):
         gappy[day] = ""
 
-    prices_path = data_dir / "prices.csv"
-    with prices_path.open("w", newline="\n") as fh:
-        fh.write(",".join(["date"] + tickers + ["GAPPY"]) + "\n")
-        for t, date in enumerate(dates):
-            row = [cells[i][t] for i in range(len(tickers))] + [gappy[t]]
-            fh.write(",".join([date] + row) + "\n")
-
-    sectors_path = data_dir / "sectors.csv"
-    with sectors_path.open("w", newline="\n") as fh:
-        fh.write("ticker,sector\n")
-        for i, ticker in enumerate(tickers):
-            fh.write(f"{ticker},{sector_names[i // STOCKS_PER_SECTOR]}\n")
-        fh.write("GAPPY,banks\n")
-
+    paths = {name: data_dir / f"{name}.csv" for name in ("prices", "sectors", "events")}
+    write_csv(paths["prices"], ["date"] + tickers + ["GAPPY"],
+              [[date] + [column[t] for column in cells] + [gappy[t]]
+               for t, date in enumerate(dates)])
+    write_csv(paths["sectors"], ["ticker", "sector"],
+              [(ticker, sector_names[i // STOCKS_PER_SECTOR]) for i, ticker in enumerate(tickers)]
+              + [("GAPPY", "banks")])
     # return-day dates are price dates[:-1]; both centers leave 62 days around
-    events_path = data_dir / "events.csv"
-    with events_path.open("w", newline="\n") as fh:
-        fh.write("name,center_date\n")
-        fh.write(f"planted crash,{dates[160]}\n")
-        fh.write(f"quiet stretch,{dates[250]}\n")
-
-    return {"prices": prices_path, "sectors": sectors_path, "events": events_path}
+    write_csv(paths["events"], ["name", "center_date"],
+              [("planted crash", dates[160]), ("quiet stretch", dates[250])])
+    return paths
 
 
-def demo_config(out_dir: str | Path, seed: int = DEMO_SEED) -> PipelineConfig:
+def demo_config(out_dir: str | Path) -> PipelineConfig:
     out_dir = Path(out_dir)
-    data = write_demo_data(out_dir / "demo_data", seed=seed)
+    data = write_demo_data(out_dir / "demo_data")
     return PipelineConfig(
         prices=str(data["prices"]),
         sectors=str(data["sectors"]),
@@ -123,11 +112,10 @@ def demo_config(out_dir: str | Path, seed: int = DEMO_SEED) -> PipelineConfig:
     )
 
 
-def run_demo(out_dir: str | Path, workers: int = 1, force: bool = False,
-             seed: int = DEMO_SEED) -> tuple[int, dict]:
+def run_demo(out_dir: str | Path, workers: int = 1, force: bool = False) -> tuple[int, dict]:
     """Generate the demo inputs under ``out_dir`` and run the full pipeline.
 
     ``workers`` below 1 is a ValueError, raised before any input is written.
     """
     _check_workers(workers)
-    return run_pipeline(demo_config(out_dir, seed=seed), force=force, workers=workers)
+    return run_pipeline(demo_config(out_dir), force=force, workers=workers)

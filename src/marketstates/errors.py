@@ -1,7 +1,8 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the exit code of each family.
 
-The CLI maps these onto exit codes: DataError -> 2, NumericError -> 3.
-Argument/usage problems exit with 1.
+The CLI and run_pipeline both read EXIT_CODES: a DataError or an OSError (an
+input that cannot be read, an output that cannot be written) exits 2, a
+NumericError 3, any other exception 1, as a CLI usage or parameter error does.
 """
 
 
@@ -11,3 +12,11 @@ class DataError(Exception):
 
 class NumericError(Exception):
     """A computation is undefined or degenerate for the given input."""
+
+
+EXIT_CODES = {DataError: 2, OSError: 2, NumericError: 3}
+
+
+def exit_code(exc: BaseException) -> int:
+    """The exit code of ``exc``'s family in EXIT_CODES, else 1."""
+    return next((code for family, code in EXIT_CODES.items() if isinstance(exc, family)), 1)

@@ -8,13 +8,12 @@ becomes one point and market history becomes a trajectory through that map.
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corrmat import EpochCorrelationSeries, _check_epsilon, _kernel_copy
+from .corrmat import EpochCorrelationSeries, _check_epsilon, _epochs_per_chunk, _kernel_copy
 from .errors import NumericError
 
 
@@ -123,7 +122,7 @@ def similarity_matrix(epochs: EpochCorrelationSeries, workers: int = 1,
     if n < 2:
         raise NumericError(f"need at least 2 epochs, got {n}")
     # each thread's chunk of about 2^16 float64 (512 KB) and its buffer stay in cache
-    block = min(max(1, (1 << 16) // width), n - 1)
+    block = min(_epochs_per_chunk(width), n - 1)
     threads = min(workers, -(-(n - 1) // block))  # at most one thread per chunk
     # one block for the copy and every buffer: glibc trims a heap whose free top
     # passes twice its largest freed block, as an event window's separate blocks did
@@ -141,7 +140,7 @@ def similarity_matrix(epochs: EpochCorrelationSeries, workers: int = 1,
     del whole, X, bufs  # freed before out + out.T below takes its temporary
     out /= N * N
     # out + out.T by blocks of about 512 KB of rows, with no (epochs, epochs) temporary
-    step = max(1, (1 << 16) // n)
+    step = _epochs_per_chunk(n)
     for i0 in range(0, n, step):
         out[i0:i0 + step] += out[:, i0:i0 + step].T
     return out
@@ -176,13 +175,14 @@ def _fix_signs(coords: np.ndarray) -> np.ndarray:
     return coords
 
 
-def classical_mds(dissim: np.ndarray, D: int, warn: bool = True) -> Embedding:
+def classical_mds(dissim: np.ndarray, D: int) -> Embedding:
     """Torgerson MDS: double-center the squared dissimilarities, eigendecompose.
 
     B = -1/2 J (Z*Z) J with J = I - (1/n) 1 1'; coordinates are eigenvectors
     scaled by the square root of the top D non-negative eigenvalues.
-    Negative eigenvalues (non-Euclidean input) are dropped; if fewer than D
-    non-negative remain, the missing axes are zero with a warning.
+    Negative eigenvalues (non-Euclidean input) are dropped and counted in
+    ``n_clipped``; if fewer than D non-negative remain, the missing axes are
+    zero, with eigenvalue 0.
     ``dissim`` is a square (epochs, epochs) matrix such as similarity_matrix's.
     """
     n = _n_epochs(dissim)
@@ -200,13 +200,6 @@ def classical_mds(dissim: np.ndarray, D: int, warn: bool = True) -> Embedding:
     coords = np.zeros((n, D))
     kept = eigval[:n_keep]
     coords[:, :n_keep] = eigvec[:, :n_keep] * np.sqrt(kept)
-    if n_keep < D and warn:
-        warnings.warn(
-            f"only {n_keep} non-negative eigenvalues for {D} requested axes; "
-            "remaining coordinates zero-padded",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     retained = np.concatenate([kept, np.zeros(D - n_keep)])
     negatives = eigval[eigval < 0.0]
     total_mass = float(np.abs(eigval).sum())
@@ -228,11 +221,11 @@ def embed_epochs(epochs: EpochCorrelationSeries, epsilon: float, dim: int,
     The one geometry chain behind the grid search, the state fit and the
     event trajectories.  The dissimilarity kernel power-maps each epoch as
     it copies it and never writes to its input, so no mapped copy of the
-    series is made; missing axes are zero-padded without a warning.
+    series is made; missing axes are zero-padded, as in classical_mds.
     ``workers`` threads run the dissimilarity kernel.  ``epochs`` is an
     EpochCorrelationSeries, as for similarity_matrix.
     """
-    return classical_mds(similarity_matrix(epochs, workers, epsilon), D=dim, warn=False)
+    return classical_mds(similarity_matrix(epochs, workers, epsilon), D=dim)
 
 
 def step_lengths(coordinates: np.ndarray) -> np.ndarray:
@@ -252,7 +245,7 @@ def dimension_fidelity(dissim: np.ndarray, dims: list[int]) -> list[tuple[int, f
     n = _n_epochs(dissim)
     if n < 3:
         raise NumericError(f"need at least 3 epochs, got {n}")
-    return step_fidelity(classical_mds(dissim, n - 1, warn=False).coordinates, dims)
+    return step_fidelity(classical_mds(dissim, n - 1).coordinates, dims)
 
 
 def step_fidelity(coordinates: np.ndarray, dims: list[int]) -> list[tuple[int, float]]:

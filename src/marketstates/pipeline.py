@@ -29,7 +29,7 @@ from .corrmat import (
     load_series_labels,
     save_series,
 )
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, exit_code
 from .geometry import Embedding, _check_workers, classical_mds, similarity_matrix, step_fidelity
 from .ingest import (
     ContinuityPolicy,
@@ -43,6 +43,7 @@ from .rmt import (
     WishartSpec,
     _check_bins,
     l1_to_analytic,
+    mp_support,
     outside_support_fraction,
     pooled_eigenvalues,
     spectrum_from_eigenvalues,
@@ -124,25 +125,19 @@ class PipelineConfig:
     rmt_bins: int = 100
 
     _PATHS = ("prices", "sectors", "events", "out_dir")
-    _PARSERS = {
-        "max_gap": int, "window": int, "shift": int, "n_inits": int, "seed": int,
-        "mds_dim": int, "k_min": int, "k": int, "sector_k": int,
-        "rmt_realizations": int, "rmt_bins": int, "width_days": int,
-        "epsilon": float, "sector_epsilon": float, "threshold": float,
-        "trajectory_epsilon": float,
-        "epsilon_grid": parse_float_grid, "k_range": parse_int_range,
-    }
+    # a field's parser by its annotation, which stays a string under __future__ annotations
+    _PARSERS = {"int": int, "float": float, "str": str,
+                "list[int]": parse_int_range, "list[float]": parse_float_grid}
 
     @classmethod
-    def from_mapping(cls, mapping: dict[str, str], base: "PipelineConfig | None" = None) -> "PipelineConfig":
-        config = base or cls()
-        known = {f.name for f in fields(cls)}
+    def from_mapping(cls, mapping: dict[str, str]) -> "PipelineConfig":
+        config = cls()
+        types = {f.name: f.type for f in fields(cls)}
         for key, value in mapping.items():
-            if key not in known:
+            if key not in types:
                 raise DataError(f"unknown config key {key!r}")
-            parser = cls._PARSERS.get(key, str)
             try:
-                config = replace(config, **{key: parser(value)})
+                config = replace(config, **{key: cls._PARSERS[types[key]](value)})
             except ValueError as exc:
                 raise DataError(f"config key {key!r}: {exc}") from None
         return config
@@ -186,9 +181,9 @@ class PipelineConfig:
         for key in ("seed", "k", "sector_k"):
             if getattr(self, key) < 0:
                 raise DataError(f"config {key}: must be >= 0, got {getattr(self, key)}")
-        for key, parser in self._PARSERS.items():
-            if parser is float and not math.isfinite(getattr(self, key)):
-                raise DataError(f"config {key}: must be finite, got {getattr(self, key)}")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise DataError(f"config {f.name}: must be finite, got {getattr(self, f.name)}")
         # the rules of the stages that take these values, checked before any stage runs
         _check_key("window/shift", EpochSpec, self.window, self.shift)
         _check_key("max_gap", ContinuityPolicy, self.max_gap)
@@ -340,7 +335,7 @@ def write_map(series: EpochCorrelationSeries, dim: int, out_dir: Path,
     _check_fit(series.n_epochs, [], dim)
     out_dir.mkdir(parents=True, exist_ok=True)
     sim = similarity_matrix(series, workers)
-    full = classical_mds(sim, D=len(sim) - 1, warn=False)
+    full = classical_mds(sim, D=len(sim) - 1)
     embedding = full.leading(dim)
     if maps is not None:
         maps[0.0] = embedding
@@ -364,12 +359,12 @@ def write_map(series: EpochCorrelationSeries, dim: int, out_dir: Path,
     return [out_dir / "map_coords.csv", out_dir / "map_meta.json"]
 
 
-def write_surface(surface, path: Path) -> None:
+def write_surface(grid, path: Path) -> None:
     """One CSV row per (k, epsilon) grid point, in grid order."""
     write_csv(
         path,
         ["k", "epsilon", "sigma_d_intra", "mean_d_intra", "n_inits"],
-        [(g.k, g.epsilon, g.sigma_d_intra, g.mean_d_intra, g.n_inits) for g in surface.grid],
+        [(g.k, g.epsilon, g.sigma_d_intra, g.mean_d_intra, g.n_inits) for g in grid],
     )
 
 
@@ -398,14 +393,14 @@ def rmt_report_payload(spec: WishartSpec, bins: int, epsilon: float = 0.0) -> di
     """A sampled Wishart ensemble compared with the analytic law, JSON-safe."""
     _check_bins(bins)  # before the ensemble is sampled
     eigenvalues = pooled_eigenvalues(spec, epsilon=epsilon)
-    density = spectrum_from_eigenvalues(eigenvalues, bins=bins, Q=spec.Q, sigma2=spec.sigma2)
+    density = spectrum_from_eigenvalues(eigenvalues, bins=bins)
     return {
         "N": spec.N,
         "T": spec.T,
         "Q": spec.Q,
         "realizations": spec.ensemble_size,
-        "support": [float(density.lambda_min), float(density.lambda_max)],
-        "l1_to_analytic": float(l1_to_analytic(density, sigma2=spec.sigma2)),
+        "support": [float(v) for v in mp_support(spec.Q, spec.sigma2)],
+        "l1_to_analytic": float(l1_to_analytic(density, spec.Q, spec.sigma2)),
         "outside_support_fraction": float(outside_support_fraction(
             eigenvalues, spec.Q, sigma2=spec.sigma2)),
         "zero_fraction": float(density.zero_fraction),
@@ -472,10 +467,10 @@ def _stage_mds(cfg: PipelineConfig, run: _Run) -> list[Path]:
 def _stage_states(cfg: PipelineConfig, run: _Run) -> list[Path]:
     out, workers, maps = run.out, run.workers, run.maps
     series = load_series(out / "corr_raw.npz")
-    surface = optimize_over_grid(series, cfg.k_range, cfg.epsilon_grid,
-                                 cfg.n_inits, cfg.seed, cfg.mds_dim, workers, maps)
-    write_surface(surface, out / "surface.csv")
-    best_k, best_eps = select_optimum(surface, k_min=cfg.k_min)
+    grid = optimize_over_grid(series, cfg.k_range, cfg.epsilon_grid,
+                              cfg.n_inits, cfg.seed, cfg.mds_dim, workers, maps)
+    write_surface(grid, out / "surface.csv")
+    best_k, best_eps = select_optimum(grid, k_min=cfg.k_min)
     chosen_k = cfg.k if cfg.k > 0 else best_k
     chosen_eps = cfg.epsilon if cfg.epsilon >= 0 else best_eps
     write_json(out / "selected.json",
@@ -612,8 +607,10 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
 
     The manifest is also written to ``<out_dir>/manifest.json``.  A failing
     stage records its error, halts everything downstream, and maps to the
-    exit code of its error family (2 data, 3 numeric, 1 any other exception,
-    whose traceback also goes to stderr).  ``workers`` below 1 is a ValueError.
+    exit code of its error family (``errors.exit_code``: 2 data or an output
+    that cannot be written, 3 numeric, 1 any other exception, whose type
+    prefixes its error and whose traceback also goes to stderr).  ``workers``
+    below 1 is a ValueError.
     """
     _check_workers(workers)
     cfg.validate()
@@ -625,10 +622,9 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
         previous = read_json(manifest_path).get("stages", {})
     run = _Run(out, workers, names=_portable_names(cfg, out))
     manifest: dict = {"config": cfg.as_manifest_dict(run.names), "stages": {}}
-    exit_code = 0
-    failed = False
+    code = 0
     for stage in _plan(cfg, out):
-        if failed:
+        if code:
             manifest["stages"][stage.name] = {"status": "halted",
                                               "reason": "an upstream stage failed"}
             continue
@@ -665,16 +661,11 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
                 "params": stage.params,
                 "outputs": {run.name(p): run.digest(p) for p in written},
             }
-        except DataError as exc:
-            manifest["stages"][stage.name] = {"status": "failed", "error": str(exc)}
-            exit_code, failed = 2, True
-        except NumericError as exc:
-            manifest["stages"][stage.name] = {"status": "failed", "error": str(exc)}
-            exit_code, failed = 3, True
         except Exception as exc:  # noqa: BLE001 - any failure still ends in a manifest
-            traceback.print_exc()
-            manifest["stages"][stage.name] = {"status": "failed",
-                                              "error": f"{type(exc).__name__}: {exc}"}
-            exit_code, failed = 1, True
+            code = exit_code(exc)
+            if code == 1:
+                traceback.print_exc()
+            error = str(exc) if code > 1 else f"{type(exc).__name__}: {exc}"
+            manifest["stages"][stage.name] = {"status": "failed", "error": error}
     write_json(manifest_path, manifest)
-    return exit_code, manifest
+    return code, manifest

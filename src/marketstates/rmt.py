@@ -4,7 +4,8 @@ The ensemble is the null model for correlation matrices of uncorrelated
 series: W = (1/T) A A' with A an N x T matrix of i.i.d. real Gaussians.
 Eigenvalue histograms of sampled ensembles are compared against the analytic
 limiting density, and the same machinery exposes what the power map does to
-a pure-noise spectrum.
+a pure-noise spectrum.  A histogram carries no law: each comparison takes the
+law's Q and sigma^2, both finite and > 0.
 """
 
 from __future__ import annotations
@@ -83,9 +84,9 @@ def pooled_eigenvalues(spec: WishartSpec, epsilon: float = 0.0) -> np.ndarray:
 
 
 def mp_support(Q: float, sigma2: float = 1.0) -> tuple[float, float]:
-    """Analytic bulk support sigma^2 (1 -+ 1/sqrt(Q))^2."""
-    if Q <= 0 or sigma2 <= 0:
-        raise ValueError("Q and sigma2 must be > 0")
+    """Analytic bulk support sigma^2 (1 -+ 1/sqrt(Q))^2; Q and sigma2 finite and > 0."""
+    if not (0 < Q < math.inf and 0 < sigma2 < math.inf):
+        raise ValueError(f"Q and sigma2 must be finite and > 0, got {Q} and {sigma2}")
     root = 1.0 / np.sqrt(Q)
     return sigma2 * (1.0 - root) ** 2, sigma2 * (1.0 + root) ** 2
 
@@ -109,20 +110,16 @@ def mp_density(lam, Q: float, sigma2: float = 1.0):
 
 @dataclass
 class SpectralDensity:
-    """Histogram estimate of an eigenvalue density.
+    """Histogram estimate of an eigenvalue density, with no analytic law attached.
 
     ``density`` is normalized against the full pooled count while near-zero
     modes (|lam| < 1e-10) are excluded from the bins, so the integral is 1
     when there is no zero degeneracy and about Q when a (1-Q) fraction of
-    modes sits at zero.  ``Q``/``lambda_min``/``lambda_max`` are the analytic
-    context when known, else NaN.
+    modes sits at zero.  ``l1_to_analytic`` takes the law's Q and sigma^2.
     """
 
     bin_edges: np.ndarray
     density: np.ndarray
-    Q: float
-    lambda_min: float
-    lambda_max: float
     zero_fraction: float
     n_pooled: int
 
@@ -140,8 +137,7 @@ def _check_bins(bins: int) -> None:
         raise ValueError(f"bins must be >= 1, got {bins}")
 
 
-def spectrum_from_eigenvalues(eigenvalues: np.ndarray, bins: int = 100,
-                              Q: float = float("nan"), sigma2: float = 1.0) -> SpectralDensity:
+def spectrum_from_eigenvalues(eigenvalues: np.ndarray, bins: int = 100) -> SpectralDensity:
     """Pooled-eigenvalue histogram over [0, max], density-normalized."""
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     if eigenvalues.size == 0:
@@ -155,29 +151,20 @@ def spectrum_from_eigenvalues(eigenvalues: np.ndarray, bins: int = 100,
     counts, edges = np.histogram(np.clip(nonzero, 0.0, None), bins=bins, range=(0.0, top))
     width = edges[1] - edges[0]
     density = counts / (eigenvalues.size * width)
-    if np.isnan(Q):
-        lo = hi = float("nan")
-    else:
-        lo, hi = mp_support(Q, sigma2)
     return SpectralDensity(
         bin_edges=edges,
         density=density,
-        Q=Q,
-        lambda_min=lo,
-        lambda_max=hi,
         zero_fraction=zero_fraction,
         n_pooled=int(eigenvalues.size),
     )
 
 
-def l1_to_analytic(sd: SpectralDensity, sigma2: float = 1.0) -> float:
-    """L1 distance between a histogram density and the analytic bulk law.
+def l1_to_analytic(sd: SpectralDensity, Q: float, sigma2: float = 1.0) -> float:
+    """L1 distance between a histogram density and the analytic bulk law at Q, sigma2.
 
     Evaluated at bin centers: sum_i |rho_hat_i - rho(c_i)| * width.
     """
-    if np.isnan(sd.Q):
-        raise NumericError("spectral density has no Q; cannot compare to the analytic law")
-    analytic = mp_density(sd.bin_centers, sd.Q, sigma2)
+    analytic = mp_density(sd.bin_centers, Q, sigma2)
     return float(np.abs(sd.density - analytic).sum() * sd.bin_width)
 
 

@@ -48,14 +48,6 @@ class GridPoint:
 
 
 @dataclass
-class OptimizationSurface:
-    grid: list[GridPoint]
-
-    def entries(self, k_min: int = 0) -> list[GridPoint]:
-        return [g for g in self.grid if g.k >= k_min]
-
-
-@dataclass
 class StateModel:
     """States S1..Sk with their average matrices and transition counts.
 
@@ -230,8 +222,8 @@ def _grid_rows(coords: np.ndarray, eps: float, k_list: list[int], seeds) -> list
 
 def optimize_over_grid(series: EpochCorrelationSeries, k_range, epsilon_grid, n_inits: int,
                        seed: int, dim: int = 3, workers: int = 1,
-                       maps: dict[float, Embedding] | None = None) -> OptimizationSurface:
-    """sigma_d_intra over a (k, epsilon) grid for a raw epoch series.
+                       maps: dict[float, Embedding] | None = None) -> list[GridPoint]:
+    """sigma_d_intra over a (k, epsilon) grid for a raw epoch series, one point per pair.
 
     For each distinct epsilon the geometry is built once: power map,
     dissimilarity on ``workers`` threads, ``dim``-axis MDS; then each k runs
@@ -254,7 +246,7 @@ def optimize_over_grid(series: EpochCorrelationSeries, k_range, epsilon_grid, n_
         if eps not in maps:
             maps[eps] = embed_epochs(series, eps, dim, workers)
         grid += _grid_rows(maps[eps].coordinates, eps, k_list, seeds[ei])
-    return OptimizationSurface(grid=grid)
+    return grid
 
 
 def _check_fit(n_epochs: int, k_list, dim: int, n_inits: int = 1, least_inits: int = 1) -> None:
@@ -269,12 +261,12 @@ def _check_fit(n_epochs: int, k_list, dim: int, n_inits: int = 1, least_inits: i
                          f"got {dim}")
 
 
-def select_optimum(surface: OptimizationSurface, k_min: int = 4) -> tuple[int, float]:
-    """Minimum sigma_d_intra among entries with k >= k_min.
+def select_optimum(grid: list[GridPoint], k_min: int = 4) -> tuple[int, float]:
+    """Minimum sigma_d_intra among grid points with k >= k_min.
 
     Ties prefer larger k, then smaller epsilon.
     """
-    candidates = surface.entries(k_min)
+    candidates = [g for g in grid if g.k >= k_min]
     if not candidates:
         raise ValueError(f"no grid entry has k >= {k_min}")
     best = min(candidates, key=lambda g: (g.sigma_d_intra, -g.k, g.epsilon))

@@ -66,12 +66,12 @@ def test_wishart_spectrum_matches_analytic_density(acceptance):
     spec = WishartSpec(N=200, T=800, ensemble_size=50, seed=0)
     started = time.perf_counter()
     eigenvalues = pooled_eigenvalues(spec)
-    density = spectrum_from_eigenvalues(eigenvalues, bins=100, Q=spec.Q)
-    l1 = l1_to_analytic(density)
+    density = spectrum_from_eigenvalues(eigenvalues, bins=100)
+    l1 = l1_to_analytic(density, spec.Q)
     outside = outside_support_fraction(eigenvalues, spec.Q)
     elapsed = time.perf_counter() - started
 
-    assert mp_support(4.0) == (0.25, 2.25)
+    assert mp_support(spec.Q) == (0.25, 2.25)
     ok = l1 < 0.08 and outside < 0.02 and elapsed < 30.0
     check(acceptance, 1, "wishart spectrum matches the analytic density", ok,
           f"N=200 T=800 x50: L1 {l1:.4f} < 0.08, "
@@ -112,7 +112,7 @@ def test_mds_recovery_and_metric_axioms(acceptance):
     points = rng.standard_normal((50, 3))
     diffs = points[:, None, :] - points[None, :, :]
     distances = np.sqrt((diffs * diffs).sum(axis=2))
-    embedding = classical_mds(distances, D=3, warn=False)
+    embedding = classical_mds(distances, D=3)
     rec = embedding.coordinates
     rec_diffs = rec[:, None, :] - rec[None, :, :]
     rec_distances = np.sqrt((rec_diffs * rec_diffs).sum(axis=2))
@@ -237,8 +237,8 @@ def test_variance_ratio_classifier_on_planted_trajectories(acceptance):
     # scaling the dissimilarity matrix itself, not just the inputs
     zeta = similarity_matrix(planted_window(0.3, 7).epochs)
     for factor in (2.75, 1e3):
-        a = classical_mds(zeta, D=3, warn=False).coordinates
-        b = classical_mds(factor * zeta, D=3, warn=False).coordinates
+        a = classical_mds(zeta, D=3).coordinates
+        b = classical_mds(factor * zeta, D=3).coordinates
         ratio_a = np.var(a[:, 1]) / np.var(a[:, 0])
         ratio_b = np.var(b[:, 1]) / np.var(b[:, 0])
         drift = max(drift, abs(ratio_a - ratio_b))

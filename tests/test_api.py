@@ -97,3 +97,11 @@ def test_one_route_from_prices_to_states():
     assert {f.name for f in dataclasses.fields(_Run)} == {"out", "workers", "names", "digests",
                                                           "maps"}
     assert importers("load_series") == {"pipeline.py", "cli.py"}
+
+
+def test_every_config_field_has_a_parser_for_its_annotation():
+    # from_mapping finds a key's parser by the field's annotation; a missing one is a KeyError
+    from marketstates.pipeline import PipelineConfig
+
+    for f in dataclasses.fields(PipelineConfig):
+        assert f.type in PipelineConfig._PARSERS, f.name

@@ -86,6 +86,25 @@ def test_price_csv_as_panel_is_a_data_error(workspace, tmp_path, capsys):
     assert not (tmp_path / "c.npz").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["mds", "--corr", "{corr}", "--out-dir", "{file}"],
+    ["ingest", "--prices", "{prices}", "--out", "{file}/panel.npz"],
+    ["rmt-validate", "--n", "20", "--t", "40", "--realizations", "2", "--out", "{file}/x.json"],
+    ["run", "--config", "{config}", "--out-dir", "{file}"],
+], ids=["mds_out_dir_is_a_file", "ingest_out_under_a_file", "rmt_out_under_a_file",
+        "run_out_dir_is_a_file"])
+def test_an_output_that_cannot_be_written_is_a_data_error(workspace, tmp_path, capsys, argv):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file where an output directory belongs\n")
+    config = tmp_path / "run.cfg"
+    config.write_text(f"prices = {workspace['market'] / 'prices.csv'}\n")
+    paths = {"corr": workspace["corr"], "file": blocker, "config": config,
+             "prices": workspace["market"] / "prices.csv"}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1  # one line, no traceback
+
+
 def test_bad_parameter_maps_to_one(workspace, tmp_path, capsys):
     code = main(["states", "optimize", "--corr", str(workspace["corr"]),
                  "--k-range", "nope", "--out", str(tmp_path / "surface.csv")])

@@ -218,7 +218,7 @@ def test_write_map_uses_one_eigendecomposition(tmp_path, monkeypatch):
     sim = similarity_matrix(series)
     for dim in (2, 3):
         # oracle: the map and the fidelity each from their own eigendecomposition
-        embedding = classical_mds(sim, D=dim, warn=False)
+        embedding = classical_mds(sim, D=dim)
         fidelity = dict(dimension_fidelity(sim, [1, 2, 3, 4]))
 
         calls = []
@@ -250,7 +250,7 @@ def fitted_toy():
     from marketstates.states import best_kmeans, build_state_model
 
     series = corr_series(n_epochs=12)
-    embedding = classical_mds(similarity_matrix(series), D=3, warn=False)
+    embedding = classical_mds(similarity_matrix(series), D=3)
     run = best_kmeans(embedding.coordinates, 2, 4, seed=0)
     return build_state_model(series, run), run, embedding
 
@@ -773,6 +773,21 @@ def test_failing_stage_halts_downstream(tmp_path):
     for name in STAGE_ORDER[1:]:
         assert manifest["stages"][name]["status"] == "halted"
     assert (out / "manifest.json").exists()  # manifest still written
+
+
+def test_an_output_that_cannot_be_written_is_a_data_error(market, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "corr_raw.npz").mkdir(parents=True)  # the corr stage's output path
+    code, manifest = run_pipeline(market_config(market, out))
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    stages = manifest["stages"]
+    assert stages["ingest"]["status"] == "ok"
+    assert stages["corr"]["status"] == "failed"
+    assert stages["corr"]["error"].startswith("[Errno ")  # str(exc), no type prefix
+    assert "corr_raw.npz" in stages["corr"]["error"]
+    for name in STAGE_ORDER[2:]:
+        assert stages[name]["status"] == "halted"
 
 
 def test_panel_with_no_surviving_ticker_fails_ingest(tmp_path):

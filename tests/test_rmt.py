@@ -11,7 +11,7 @@ from marketstates.rmt import ZERO_EIGENVALUE_TOL, WishartSpec
 
 def spectrum(spec, bins, epsilon=0.0):
     """The binned density of the ensemble's pooled eigenvalues, power-mapped at ``epsilon``."""
-    return rmt.spectrum_from_eigenvalues(rmt.pooled_eigenvalues(spec, epsilon), bins, Q=spec.Q)
+    return rmt.spectrum_from_eigenvalues(rmt.pooled_eigenvalues(spec, epsilon), bins)
 
 
 def mass(density):
@@ -140,7 +140,6 @@ def test_spectrum_mass_accounting_across_q():
     poor = spectrum(WishartSpec(N=50, T=20, ensemble_size=3, seed=2), bins=50)
     assert poor.zero_fraction == pytest.approx(0.6, abs=1e-12)
     assert mass(poor) == pytest.approx(0.4, abs=1e-12)
-    assert poor.Q == pytest.approx(0.4)
 
 
 def test_zero_mode_counts_raw_and_demeaned():
@@ -152,10 +151,32 @@ def test_zero_mode_counts_raw_and_demeaned():
 def test_marchenko_pastur_agreement_at_reference_ensemble():
     spec = WishartSpec(N=200, T=800, ensemble_size=50, seed=42)
     eigs = rmt.pooled_eigenvalues(spec)
-    sd = rmt.spectrum_from_eigenvalues(eigs, bins=100, Q=spec.Q)
-    assert rmt.l1_to_analytic(sd) < 0.08
+    sd = rmt.spectrum_from_eigenvalues(eigs, bins=100)
+    assert rmt.l1_to_analytic(sd, spec.Q) < 0.08
     assert rmt.outside_support_fraction(eigs, spec.Q) < 0.02
-    assert (sd.lambda_min, sd.lambda_max) == (0.25, 2.25)
+    assert rmt.mp_support(spec.Q) == (0.25, 2.25)
+
+
+def test_histogram_is_compared_against_the_law_it_is_given():
+    # the density carries no law: a sigma2 = 2.5 ensemble matches the sigma2 = 2.5
+    # law and not the default sigma2 = 1 one
+    spec = WishartSpec(N=100, T=400, ensemble_size=20, seed=3, sigma2=2.5)
+    sd = spectrum(spec, bins=60)
+    assert rmt.l1_to_analytic(sd, spec.Q, spec.sigma2) < 0.08
+    assert rmt.l1_to_analytic(sd, spec.Q) > 0.5
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("param", ["Q", "sigma2"])
+@pytest.mark.parametrize("call", [
+    lambda Q, sigma2: rmt.mp_support(Q, sigma2),
+    lambda Q, sigma2: rmt.mp_density([0.5, 1.0, 2.0], Q, sigma2),
+    lambda Q, sigma2: rmt.outside_support_fraction([0.5, 1.0, 9.0], Q, sigma2),
+], ids=["mp_support", "mp_density", "outside_support_fraction"])
+def test_the_law_rejects_a_non_finite_q_or_sigma2(call, param, bad):
+    args = {"Q": 4.0, "sigma2": 1.0, param: bad}
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        call(**args)
 
 
 def test_powermapped_spectrum_eps0_matches_raw_exactly():

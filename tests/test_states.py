@@ -7,7 +7,6 @@ from marketstates.ingest import ReturnPanel
 from marketstates.states import (
     ClusteringRun,
     GridPoint,
-    OptimizationSurface,
     best_kmeans,
     build_state_model,
     fit_series,
@@ -336,15 +335,14 @@ def regime_stack(noise=0.01, per_regime=12, n=8, levels=(0.1, 0.35, 0.6, 0.85), 
 
 
 def test_optimize_over_grid_surface_is_well_formed():
-    surface = optimize_over_grid(
+    grid = optimize_over_grid(
         regime_series(), k_range=range(2, 7), epsilon_grid=[0.0, 0.5], n_inits=20, seed=11
     )
-    assert len(surface.grid) == 5 * 2
-    assert all(g.n_inits == 20 for g in surface.grid)
-    assert all(g.sigma_d_intra >= 0 and g.mean_d_intra > 0 for g in surface.grid)
+    assert len(grid) == 5 * 2
+    assert all(g.n_inits == 20 for g in grid)
+    assert all(g.sigma_d_intra >= 0 and g.mean_d_intra > 0 for g in grid)
     # epsilon-major, k-minor ordering
-    assert [(g.k, g.epsilon) for g in surface.grid[:5]] == [(k, 0.0) for k in range(2, 7)]
-    assert len(surface.entries(k_min=4)) == 3 * 2
+    assert [(g.k, g.epsilon) for g in grid[:5]] == [(k, 0.0) for k in range(2, 7)]
 
 
 def test_planted_regime_count_shows_up_as_radius_elbow():
@@ -368,7 +366,7 @@ def test_optimize_over_grid_worker_invariance():
     series = regime_series(per_regime=6)
     a = optimize_over_grid(series, range(2, 5), [0.0, 0.3], n_inits=8, seed=3, workers=1)
     b = optimize_over_grid(series, range(2, 5), [0.0, 0.3], n_inits=8, seed=3, workers=3)
-    assert a.grid == b.grid
+    assert a == b
 
 
 def test_optimize_over_grid_rejects_bad_parameters():
@@ -414,27 +412,23 @@ def test_bad_fit_arguments_fail_before_the_kernel(monkeypatch, call, message):
 
 
 def test_select_optimum_rules():
-    surface = OptimizationSurface(
-        grid=[
-            GridPoint(4, 0.5, 0.02, 0.5, 10),
-            GridPoint(5, 0.9, 0.01, 0.5, 10),
-            GridPoint(2, 0.0, 0.001, 0.5, 10),  # below k_min, must be ignored
-        ]
-    )
-    assert select_optimum(surface, k_min=4) == (5, 0.9)
+    grid = [
+        GridPoint(4, 0.5, 0.02, 0.5, 10),
+        GridPoint(5, 0.9, 0.01, 0.5, 10),
+        GridPoint(2, 0.0, 0.001, 0.5, 10),  # below k_min, must be ignored
+    ]
+    assert select_optimum(grid, k_min=4) == (5, 0.9)
 
-    tied = OptimizationSurface(
-        grid=[
-            GridPoint(5, 0.3, 0.01, 0.5, 10),
-            GridPoint(6, 0.8, 0.01, 0.5, 10),
-            GridPoint(6, 0.4, 0.01, 0.5, 10),
-        ]
-    )
+    tied = [
+        GridPoint(5, 0.3, 0.01, 0.5, 10),
+        GridPoint(6, 0.8, 0.01, 0.5, 10),
+        GridPoint(6, 0.4, 0.01, 0.5, 10),
+    ]
     # ties: larger k first, then smaller epsilon
     assert select_optimum(tied, k_min=4) == (6, 0.4)
 
     with pytest.raises(ValueError):
-        select_optimum(surface, k_min=7)
+        select_optimum(grid, k_min=7)
 
 
 def fake_series(stack):
