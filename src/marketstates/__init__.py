@@ -62,7 +62,6 @@ from .states import (
     best_kmeans,
     build_state_model,
     fit_series,
-    kmeans,
     optimize_over_grid,
     select_optimum,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "epoch_correlations",
     "epoch_count",
     "fit_series",
-    "kmeans",
     "l1_to_analytic",
     "load_event_catalog",
     "load_panel",

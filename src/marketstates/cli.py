@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 usage or parameter error, 2 data error or an
 output that cannot be written, 3 numeric failure.  If MARKETSTATES_OUT_DIR
 is set, relative output paths are placed under it.  Grid syntaxes: integer
 ranges '2..10' or '2,3,5'; float grids '0:0.1:1' (start:step:stop,
-inclusive) or '0,0.5,0.9'.
+inclusive, each finite) or '0,0.5,0.9'.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .sector import SECTOR_PRESETS, sector_series
 from .serialize import load_state_model, write_json
 from .states import fit_series, optimize_over_grid, select_optimum
 from .trajectory import (
+    DEFAULT_THRESHOLD,
     DEFAULT_WIDTH_DAYS,
     analyze_trajectory,
     classify_catalog,
@@ -329,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"price days per window (default {DEFAULT_WIDTH_DAYS}; not with --start)")
     _add_epoch_flags(p)
     p.add_argument("--dim", type=int, help="map axes of a single window (default 3)")
-    p.add_argument("--threshold", type=float, default=0.4)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)

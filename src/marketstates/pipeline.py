@@ -57,9 +57,14 @@ from .serialize import (
     write_json,
 )
 from .states import _check_fit, fit_series, optimize_over_grid, select_optimum
-from .trajectory import _check_width, classify_catalog, load_event_catalog
+from .trajectory import (
+    DEFAULT_THRESHOLD,
+    DEFAULT_WIDTH_DAYS,
+    _check_width,
+    classify_catalog,
+    load_event_catalog,
+)
 
-STAGE_ORDER = ("ingest", "corr", "mds", "states", "sectors", "trajectory", "rmt")
 PANEL = "panel.npz"  # the ingest stage's price panel, with PANEL + ".meta.json" beside it
 
 
@@ -81,13 +86,13 @@ def parse_int_range(text: str) -> list[int]:
 
 
 def parse_float_grid(text: str) -> list[float]:
-    """Float list syntax: '0.5', 'start:step:stop' (inclusive), or '0,0.5,0.9'."""
+    """Float list syntax: '0.5', 'start:step:stop' (inclusive, each finite), or '0,0.5,0.9'."""
     text = text.strip()
     try:
         if ":" in text:
             start, step, stop = (float(part) for part in text.split(":"))
-            if step <= 0 or stop < start:
-                raise ValueError("need step > 0 and stop >= start")
+            if not all(map(math.isfinite, (start, step, stop))) or step <= 0 or stop < start:
+                raise ValueError("need a finite start, step and stop, step > 0 and stop >= start")
             count = int(np.floor((stop - start) / step + 1e-9)) + 1
             return [float(v) for v in np.round(start + step * np.arange(count), 10)]
         if "," in text:
@@ -118,8 +123,8 @@ class PipelineConfig:
     epsilon: float = -1.0  # negative means "use the grid optimum"
     sector_k: int = 0  # 0 means "reuse the stock-level choice"
     sector_epsilon: float = -1.0
-    threshold: float = 0.4
-    width_days: int = 125
+    threshold: float = DEFAULT_THRESHOLD
+    width_days: int = DEFAULT_WIDTH_DAYS
     trajectory_epsilon: float = 0.0
     rmt_realizations: int = 50
     rmt_bins: int = 100
@@ -289,23 +294,14 @@ def _mirrored_rows(matrix: np.ndarray) -> list[str]:
 
 
 def trajectory_report_payload(report) -> dict:
-    """JSON-safe row mirroring the published table columns."""
+    """JSON-safe row: every field of the report but its coordinates, plus ``n_epochs``.
+
+    A NaN var_ratio (a window with no trajectory) is written as null.
+    """
+    payload = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "coordinates"}
     ratio = report.var_ratio
-    return {
-        "name": report.name,
-        "start_date": report.start_date,
-        "end_date": report.end_date,
-        "n_epochs": report.n_epochs,
-        "var_x": report.var_x,
-        "var_y": report.var_y,
-        "var_z": report.var_z,
-        "var_ratio": None if ratio != ratio else ratio,
-        "classification": report.classification,
-        "threshold": report.threshold,
-        "epsilon": report.epsilon,
-        "zero_variance": report.zero_variance,
-        "axis_order_ok": report.axis_order_ok,
-    }
+    payload.update(n_epochs=report.n_epochs, var_ratio=None if ratio != ratio else ratio)
+    return payload
 
 
 # --------------------------------------------------------------------------
@@ -460,13 +456,16 @@ def _stage_corr(cfg: PipelineConfig, run: _Run) -> list[Path]:
 
 
 def _stage_mds(cfg: PipelineConfig, run: _Run) -> list[Path]:
-    return write_map(load_series(run.out / "corr_raw.npz"), cfg.mds_dim, run.out, run.workers,
-                     maps=run.maps)
+    series = load_series(run.out / "corr_raw.npz")
+    _check_key("mds_dim", _check_fit, series.n_epochs, [], cfg.mds_dim)
+    return write_map(series, cfg.mds_dim, run.out, run.workers, maps=run.maps)
 
 
 def _stage_states(cfg: PipelineConfig, run: _Run) -> list[Path]:
     out, workers, maps = run.out, run.workers, run.maps
     series = load_series(out / "corr_raw.npz")
+    for key, k_list in (("k_range", cfg.k_range), ("k", [cfg.k] if cfg.k else [])):
+        _check_key(key, _check_fit, series.n_epochs, k_list, cfg.mds_dim)
     grid = optimize_over_grid(series, cfg.k_range, cfg.epsilon_grid,
                               cfg.n_inits, cfg.seed, cfg.mds_dim, workers, maps)
     write_surface(grid, out / "surface.csv")
@@ -486,7 +485,10 @@ def _stage_states(cfg: PipelineConfig, run: _Run) -> list[Path]:
 
 def _stage_sectors(cfg: PipelineConfig, run: _Run) -> list[Path]:
     out = run.out
-    series = sector_series(load_series(out / "corr_raw.npz"), load_sector_map(cfg.sectors))
+    epochs = load_series(out / "corr_raw.npz")
+    _check_key("sector_k", _check_fit, epochs.n_epochs, [cfg.sector_k] if cfg.sector_k else [],
+               cfg.mds_dim)
+    series = sector_series(epochs, load_sector_map(cfg.sectors))
     fitted = read_json(out / "selected.json")["fitted"]
     k = cfg.sector_k if cfg.sector_k > 0 else int(fitted["k"])
     epsilon = cfg.sector_epsilon if cfg.sector_epsilon >= 0 else float(fitted["epsilon"])
@@ -535,25 +537,21 @@ class _Stage:
     inputs: list[Path]
     params: dict
     run: object = None
-    gives: tuple[Path, ...] = ()  # the files of its outputs that later stages read
 
 
 def _plan(cfg: PipelineConfig, out: Path) -> list[_Stage]:
     """The stages of a run, each called with the config and the run's _Run."""
     epoch_params = {"window": cfg.window, "shift": cfg.shift}
-    panel, meta, corr = out / PANEL, out / f"{PANEL}.meta.json", out / "corr_raw.npz"
-    stages = [
-        _Stage("ingest", True, "", [Path(cfg.prices)], {"max_gap": cfg.max_gap}, _stage_ingest,
-               gives=(panel, meta)),
-        _Stage("corr", True, "", [panel], dict(epoch_params), _stage_corr, gives=(corr,)),
-        _Stage("mds", True, "", [corr],
-               {**epoch_params, "mds_dim": cfg.mds_dim},
-               _stage_mds),
+    panel, corr = out / PANEL, out / "corr_raw.npz"
+    return [
+        _Stage("ingest", True, "", [Path(cfg.prices)], {"max_gap": cfg.max_gap}, _stage_ingest),
+        _Stage("corr", True, "", [panel], dict(epoch_params), _stage_corr),
+        _Stage("mds", True, "", [corr], {**epoch_params, "mds_dim": cfg.mds_dim}, _stage_mds),
         _Stage("states", True, "", [corr],
                {**epoch_params, "k_range": cfg.k_range, "epsilon_grid": cfg.epsilon_grid,
                 "n_inits": cfg.n_inits, "seed": cfg.seed, "mds_dim": cfg.mds_dim,
                 "k_min": cfg.k_min, "k": cfg.k, "epsilon": cfg.epsilon},
-               _stage_states, gives=(out / "selected.json", out / "model.json")),
+               _stage_states),
         _Stage("sectors", bool(cfg.sectors), "no sector map configured",
                ([Path(cfg.sectors)] if cfg.sectors else [])
                + [corr, out / "selected.json", out / "model.json"],
@@ -568,14 +566,14 @@ def _plan(cfg: PipelineConfig, out: Path) -> list[_Stage]:
                {"window": cfg.window, "realizations": cfg.rmt_realizations,
                 "seed": cfg.seed, "bins": cfg.rmt_bins}, _stage_rmt),
     ]
-    return stages
 
 
 def _hash_inputs(stage: _Stage, run: _Run) -> dict[str, str]:
     hashes = {}
     for path in stage.inputs:
         if not path.exists():
-            raise DataError(f"stage '{stage.name}' input {path} does not exist")
+            raise DataError(f"stage '{stage.name}' input {path} does not exist; "
+                            "rerun with --force to rebuild the tree")
         hashes[run.name(path)] = run.digest(path)
     return hashes
 
@@ -585,20 +583,11 @@ def _stage_key(input_hashes: dict[str, str], params: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _outputs_fresh(entry: dict, stage: _Stage, run: _Run) -> bool:
-    """Every output of a prior entry unchanged, and among them every file the stage gives.
-
-    An entry written under other artifact names (a ``panel.csv`` of earlier
-    versions) may be unchanged and still lack a file that later stages read.
-    """
+def _outputs_fresh(entry: dict, run: _Run) -> bool:
+    """A prior entry records outputs, and every one of them is unchanged."""
     outputs = entry.get("outputs", {})
-    if not outputs or any(p.relative_to(run.out).as_posix() not in outputs for p in stage.gives):
-        return False
-    for rel, digest in outputs.items():
-        path = run.out / rel
-        if not path.exists() or run.digest(path) != digest:
-            return False
-    return True
+    return bool(outputs) and all((run.out / rel).exists() and run.digest(run.out / rel) == digest
+                                 for rel, digest in outputs.items())
 
 
 def run_pipeline(cfg: PipelineConfig, force: bool = False,
@@ -638,7 +627,7 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
             prior = previous.get(stage.name, {})
             if (not force and prior.get("key") == key
                     and prior.get("status") in ("ok", "skipped")
-                    and _outputs_fresh(prior, stage, run)):
+                    and _outputs_fresh(prior, run)):
                 manifest["stages"][stage.name] = {
                     "status": "skipped",
                     "key": key,

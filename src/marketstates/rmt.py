@@ -121,7 +121,6 @@ class SpectralDensity:
     bin_edges: np.ndarray
     density: np.ndarray
     zero_fraction: float
-    n_pooled: int
 
     @property
     def bin_centers(self) -> np.ndarray:
@@ -155,7 +154,6 @@ def spectrum_from_eigenvalues(eigenvalues: np.ndarray, bins: int = 100) -> Spect
         bin_edges=edges,
         density=density,
         zero_fraction=zero_fraction,
-        n_pooled=int(eigenvalues.size),
     )
 
 

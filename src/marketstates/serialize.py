@@ -36,9 +36,10 @@ def sha256_file(path: str | Path) -> str:
 
 
 def write_json(path: str | Path, payload) -> None:
+    """Strict JSON: a NaN or infinite float raises ValueError before the file is opened."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with Path(path).open("w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path: str | Path):

@@ -70,7 +70,15 @@ class StateModel:
 
 
 def _lloyd(points: np.ndarray, k: int, seeds) -> list[ClusteringRun]:
-    """One k-means run per seed, all stepped together; see kmeans.
+    """Lloyd's algorithm, one run per seed, all runs stepped together.
+
+    Each run is seeded with k distinct data points chosen uniformly and runs
+    to an assignment fixed point or 300 iterations.  An empty cluster is
+    repaired by re-seeding its centroid at the point currently farthest from
+    its own centroid (among clusters that can spare a point), which keeps the
+    objective non-increasing.  The objective (sum of squared point-centroid
+    distances) is recorded once per centroid update, read from the next
+    assignment's distances at the labels of that update.
 
     Centroids live in one (runs, k, D) array and squared distances in one
     (runs, k, n) array, accumulated one axis at a time.  That adds the axes
@@ -173,20 +181,6 @@ def _lloyd(points: np.ndarray, k: int, seeds) -> list[ClusteringRun]:
     return results
 
 
-def kmeans(points: np.ndarray, k: int, seed: int) -> ClusteringRun:
-    """Lloyd's algorithm seeded with k distinct data points chosen uniformly.
-
-    Runs to an assignment fixed point or 300 iterations.  An empty cluster is
-    repaired by re-seeding its centroid at the point currently farthest from
-    its own centroid (among clusters that can spare a point), which keeps the
-    objective non-increasing.  The objective (sum of squared point-centroid
-    distances) is recorded once per centroid update, read from the next
-    assignment's distances at the labels of that update.  This is one run of
-    the batched loop that best_kmeans and the grid use, with the same bits.
-    """
-    return _lloyd(points, k, [seed])[0]
-
-
 def init_seeds(seed: int, count: int) -> np.ndarray:
     """Deterministic per-init seeds derived from one master seed."""
     return np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
@@ -196,7 +190,7 @@ def best_kmeans(points: np.ndarray, k: int, n_inits: int, seed: int) -> Clusteri
     """Lowest-objective run over an ensemble of seeded initializations.
 
     The ensemble runs as one batch, each run with the bits of
-    ``kmeans(points, k, s)`` for its seed s.
+    ``_lloyd(points, k, [s])`` for its seed s.
     """
     if n_inits < 1:
         raise ValueError(f"n_inits must be >= 1, got {n_inits}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .corrmat import EpochCorrelationSeries, EpochSpec, _check_epsilon, epoch_correlations
 from .errors import DataError
-from .geometry import _check_workers, embed_epochs, step_lengths
+from .geometry import _check_workers, embed_epochs
 from .ingest import ReturnPanel, read_csv_pairs
 from .serialize import check_csv_names
 
@@ -42,7 +42,6 @@ class EventWindow:
     name: str
     start_date: str
     end_date: str
-    center_date: str
     epochs: EpochCorrelationSeries
 
     @property
@@ -64,7 +63,6 @@ class TrajectoryReport:
     start_date: str
     end_date: str
     coordinates: np.ndarray
-    step_lengths: np.ndarray
     var_x: float
     var_y: float
     var_z: float
@@ -85,17 +83,15 @@ def _check_width(width_days: int) -> None:
         raise ValueError(f"width must be an odd number of price days >= 3, got {width_days}")
 
 
-def _window(panel: ReturnPanel, lo: int, hi: int, name: str, center_date: str,
-            spec: EpochSpec) -> EventWindow:
+def _check_threshold(threshold: float) -> None:
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
+
+
+def _window(panel: ReturnPanel, lo: int, hi: int, name: str, spec: EpochSpec) -> EventWindow:
     """The window of return columns lo..hi-1, dated by the slice's first and last day."""
     piece = ReturnPanel(list(panel.tickers), panel.dates[lo:hi], panel.returns[:, lo:hi])
-    return EventWindow(
-        name=name,
-        start_date=piece.dates[0],
-        end_date=piece.dates[-1],
-        center_date=center_date,
-        epochs=epoch_correlations(piece, spec),
-    )
+    return EventWindow(name, piece.dates[0], piece.dates[-1], epoch_correlations(piece, spec))
 
 
 def cut_window(panel: ReturnPanel, center_date: str,
@@ -122,15 +118,12 @@ def cut_window(panel: ReturnPanel, center_date: str,
         raise DataError(
             f"window needs {half} price days after {center_date}, only {n - center} available"
         )
-    return _window(panel, center - half, center + half, name or center_date, center_date, spec)
+    return _window(panel, center - half, center + half, name or center_date, spec)
 
 
 def window_from_dates(panel: ReturnPanel, start_date: str, end_date: str,
                       name: str = "", spec: EpochSpec = EpochSpec()) -> EventWindow:
-    """Slice a window by explicit first/last return day instead of center+width.
-
-    The recorded center is the slice's midpoint trading day, for reference.
-    """
+    """Slice a window by explicit first/last return day instead of center+width."""
     try:
         lo = panel.dates.index(start_date)
         hi = panel.dates.index(end_date)
@@ -138,8 +131,7 @@ def window_from_dates(panel: ReturnPanel, start_date: str, end_date: str,
         raise DataError(f"window boundary is not a trading day of the panel: {exc}") from None
     if hi <= lo:
         raise DataError(f"end date {end_date!r} does not follow start date {start_date!r}")
-    return _window(panel, lo, hi + 1, name or f"{start_date}..{end_date}",
-                   panel.dates[(lo + hi) // 2], spec)
+    return _window(panel, lo, hi + 1, name or f"{start_date}..{end_date}", spec)
 
 
 def analyze_trajectory(window: EventWindow, threshold: float = DEFAULT_THRESHOLD,
@@ -149,8 +141,10 @@ def analyze_trajectory(window: EventWindow, threshold: float = DEFAULT_THRESHOLD
     var_ratio = var(axis 2) / var(axis 1) over the epoch coordinates
     (population variances); CRITICAL when the ratio is below the threshold.
     ``epsilon`` power-maps the window's raw matrices before the
-    dissimilarities are taken (0 analyzes them as they are).
+    dissimilarities are taken (0 analyzes them as they are).  A threshold
+    that is not finite raises ValueError before the map is built.
     """
+    _check_threshold(threshold)
     if dim < 2:
         raise ValueError(f"need at least 2 axes for a variance ratio, got dim={dim}")
     coords = embed_epochs(window.epochs, epsilon, dim).coordinates
@@ -169,7 +163,6 @@ def analyze_trajectory(window: EventWindow, threshold: float = DEFAULT_THRESHOLD
         start_date=window.start_date,
         end_date=window.end_date,
         coordinates=coords,
-        step_lengths=step_lengths(coords),
         var_x=var_x,
         var_y=var_y,
         var_z=var_z,
@@ -196,12 +189,13 @@ def classify_catalog(panel: ReturnPanel, catalog, threshold: float = DEFAULT_THR
     """Cut and analyze every cataloged event; failures are collected, not fatal.
 
     Returns (reports in catalog order, {event name: error message}); a name
-    listed twice, a width no window can have, a negative epsilon or
-    ``workers`` below 1 raises ValueError before any window runs.  Up to
-    ``workers`` threads share ``panel``, each holding one window's epoch
-    stack at a time.
+    listed twice, a threshold that is not finite, a width no window can
+    have, a negative epsilon or ``workers`` below 1 raises ValueError before
+    any window runs.  Up to ``workers`` threads share ``panel``, each
+    holding one window's epoch stack at a time.
     """
     _check_workers(workers)
+    _check_threshold(threshold)
     _check_width(width_days)
     _check_epsilon(epsilon)
     entries = list(catalog)

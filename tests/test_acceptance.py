@@ -43,13 +43,13 @@ from marketstates.states import (
     ClusteringRun,
     best_kmeans,
     build_state_model,
-    kmeans,
     optimize_over_grid,
     select_optimum,
 )
 from marketstates.trajectory import CRITICAL, NORMAL, analyze_trajectory, window_from_dates
 
 from test_sector import series_of
+from test_states import single_run
 from test_trajectory import planted_window
 
 
@@ -149,7 +149,7 @@ def test_kmeans_objective_and_planted_recovery(acceptance):
         n = int(rng.integers(4, 30))
         dim = int(rng.integers(1, 4))
         k = int(rng.integers(1, min(n, 6) + 1))
-        run = kmeans(rng.standard_normal((n, dim)), k, seed=i)
+        run = single_run(rng.standard_normal((n, dim)), k, seed=i)
         trace = np.asarray(run.objective_trace)
         if np.any(np.diff(trace) > 1e-12 * max(1.0, trace[0])):
             monotone = False
@@ -173,7 +173,7 @@ def test_kmeans_objective_and_planted_recovery(acceptance):
         recovered += exact
 
     points = np.random.default_rng(5).standard_normal((40, 3))
-    trivial = kmeans(points, k=40, seed=0)
+    trivial = single_run(points, k=40, seed=0)
     d_zero = trivial.d_intra == 0.0
 
     ok = monotone and recovered == 100 and d_zero

@@ -430,6 +430,23 @@ def test_trajectory_catalog_rejects_a_bad_width_or_epsilon(workspace, market, tm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+@pytest.mark.parametrize("mode", ["catalog", "single"])
+def test_a_trajectory_threshold_that_is_not_finite_is_a_bad_parameter(
+        workspace, market, tmp_path, capsys, mode, threshold):
+    dates = [line.split(",")[0]
+             for line in (market / "prices.csv").read_text().splitlines()[1:]]
+    window = (["catalog", "--events", str(market / "events.csv")] if mode == "catalog"
+              else ["--center", dates[60]])
+    out = tmp_path / "r.json"
+    code = main(["trajectory", *window, "--panel", str(workspace["panel"]), "--width", "45",
+                 "--threshold", threshold, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"bad parameter: threshold must be finite, got {float(threshold)}\n")
+    assert not out.exists()
+
+
 def test_trajectory_catalog_needs_events(workspace, tmp_path, capsys):
     code = main(["trajectory", "catalog", "--panel", str(workspace["panel"]),
                  "--out", str(tmp_path / "r.json")])
@@ -488,6 +505,26 @@ def test_run_with_a_bad_config_value_fails_before_any_stage(market, tmp_path, ca
                       "rmt_bins = 0\n")
     assert main(["run", "--config", str(config)]) == 2
     assert "data error: config rmt_bins: must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grid", ["0:0.5:inf", "0:inf:1"])
+def test_a_grid_bound_that_is_not_finite_is_one_error_line(workspace, market, tmp_path, capsys,
+                                                           grid):
+    rule = f"bad float grid '{grid}': need a finite start, step and stop"
+    out = tmp_path / "surface.csv"
+    assert main(["states", "optimize", "--corr", str(workspace["corr"]), "--epsilon-grid", grid,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"bad parameter: {rule}") and err.count("\n") == 1
+    assert not out.exists()
+    config = tmp_path / "run.cfg"
+    config.write_text(f"prices = {market / 'prices.csv'}\nout_dir = {tmp_path / 'out'}\n"
+                      f"epsilon_grid = {grid}\n")
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: config key 'epsilon_grid': {rule}")
+    assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

@@ -14,7 +14,6 @@ import pytest
 from marketstates.corrmat import EpochSpec, load_series, save_series
 from marketstates.errors import DataError
 from marketstates.pipeline import (
-    STAGE_ORDER,
     PipelineConfig,
     emit_plot_data,
     parse_float_grid,
@@ -25,6 +24,8 @@ from marketstates.pipeline import (
 from marketstates.rmt import WishartSpec
 from marketstates.serialize import load_arrays, read_json, save_arrays, sha256_file, write_csv
 from test_serialize import save_arrays_deflated
+
+STAGES = ("ingest", "corr", "mds", "states", "sectors", "trajectory", "rmt")  # in run order
 
 
 # --------------------------------------------------------------------------
@@ -51,7 +52,9 @@ def test_parse_float_grid_forms():
     assert parse_float_grid("0,0.5,0.9") == [0.0, 0.5, 0.9]
 
 
-@pytest.mark.parametrize("bad", ["", "x", "0:0:1", "1:0.1:0", "0:0.1"])
+# an infinite stop overflowed the point count, and an infinite step made a NaN point
+@pytest.mark.parametrize("bad", ["", "x", "0:0:1", "1:0.1:0", "0:0.1", "0:0.1:inf", "0:inf:1",
+                                 "-inf:0.1:0", "nan:0.1:1", "0:0.1:nan"])
 def test_parse_float_grid_rejects(bad):
     with pytest.raises(ValueError, match="bad float grid"):
         parse_float_grid(bad)
@@ -321,7 +324,7 @@ def test_trajectory_payload_maps_nan_ratio_to_none():
 
     report = TrajectoryReport(
         name="flat", start_date="a", end_date="b",
-        coordinates=np.zeros((3, 3)), step_lengths=np.zeros(2),
+        coordinates=np.zeros((3, 3)),
         var_x=0.0, var_y=0.0, var_z=0.0, var_ratio=float("nan"),
         classification="NORMAL", threshold=0.4, epsilon=0.0,
         zero_variance=True, axis_order_ok=True)
@@ -394,7 +397,7 @@ def test_run_pipeline_full(market, tmp_path):
     out = tmp_path / "out"
     code, manifest = run_pipeline(market_config(market, out))
     assert code == 0
-    assert list(manifest["stages"]) == list(STAGE_ORDER)
+    assert list(manifest["stages"]) == list(STAGES)
     assert all(entry["status"] == "ok" for entry in manifest["stages"].values())
 
     # every recorded output exists and its hash is current
@@ -559,8 +562,8 @@ def load_panel_csv(path):
     return panel
 
 
-def test_rerun_over_a_tree_with_a_text_panel_reruns_ingest(market, tmp_path, monkeypatch,
-                                                           tree_diff):
+def test_rerun_over_a_tree_with_a_text_panel_asks_for_force(market, tmp_path, monkeypatch,
+                                                            tree_diff):
     import marketstates.pipeline as pipeline
 
     old = tmp_path / "old"
@@ -573,19 +576,24 @@ def test_rerun_over_a_tree_with_a_text_panel_reruns_ingest(market, tmp_path, mon
     assert sorted(read_json(old / "manifest.json")["stages"]["ingest"]["outputs"]) == [
         "panel.csv", "panel.csv.meta.json"]
 
-    # the ingest entry is unchanged but lacks panel.npz, which corr reads; the
-    # sectors stage reads the sector map and corr_raw.npz, whose bytes are the same
+    # the ingest entry and its files are unchanged, so ingest is skipped, and
+    # corr finds no panel.npz: a data error that names the file and the way out
     code, manifest = run_pipeline(cfg)
+    assert code == 2
+    assert manifest["stages"]["ingest"]["status"] == "skipped"
+    corr = manifest["stages"]["corr"]
+    assert corr["status"] == "failed"
+    assert "panel.npz" in corr["error"] and "--force" in corr["error"]
+    assert {manifest["stages"][name]["status"] for name in STAGES[2:]} == {"halted"}
+
+    code, manifest = run_pipeline(cfg, force=True)
     assert code == 0
-    assert {name: entry["status"] for name, entry in manifest["stages"].items()} == {
-        "ingest": "ok", "corr": "ok", "mds": "skipped", "states": "skipped",
-        "sectors": "skipped", "trajectory": "ok", "rmt": "skipped"}
     fresh = tmp_path / "fresh"
     code, fresh_manifest = run_pipeline(replace(cfg, out_dir=str(fresh)))
     assert code == 0
     assert tree_diff(old, fresh, skip={"manifest.json", "panel.csv", "panel.csv.meta.json"}) == []
     for name, entry in manifest["stages"].items():
-        same = ("key", "inputs", "params", "outputs")
+        same = ("status", "key", "inputs", "params", "outputs")
         assert {k: entry[k] for k in same} == {k: fresh_manifest["stages"][name][k] for k in same}
 
     code, manifest = run_pipeline(cfg)
@@ -770,7 +778,7 @@ def test_failing_stage_halts_downstream(tmp_path):
     assert code == 2
     assert manifest["stages"]["ingest"]["status"] == "failed"
     assert "bad date" in manifest["stages"]["ingest"]["error"]
-    for name in STAGE_ORDER[1:]:
+    for name in STAGES[1:]:
         assert manifest["stages"][name]["status"] == "halted"
     assert (out / "manifest.json").exists()  # manifest still written
 
@@ -786,8 +794,30 @@ def test_an_output_that_cannot_be_written_is_a_data_error(market, tmp_path, caps
     assert stages["corr"]["status"] == "failed"
     assert stages["corr"]["error"].startswith("[Errno ")  # str(exc), no type prefix
     assert "corr_raw.npz" in stages["corr"]["error"]
-    for name in STAGE_ORDER[2:]:
+    for name in STAGES[2:]:
         assert stages[name]["status"] == "halted"
+
+
+@pytest.mark.parametrize("key, value, stage, first_output, message", [
+    ("k_range", [2, 3, 500], "states", "surface.csv", "k must be in 1..100"),
+    ("k", 500, "states", "surface.csv", "k must be in 1..100"),
+    ("mds_dim", 100, "mds", "map_coords.csv", "map dimension D must be in 1..99"),
+    ("sector_k", 400, "sectors", "sector_model.json", "k must be in 1..100"),
+], ids=["k_range", "k", "mds_dim", "sector_k"])
+def test_a_config_value_the_epoch_archive_cannot_take_is_a_data_error(
+        market, tmp_path, capsys, key, value, stage, first_output, message):
+    # only the archive's epoch count can tell: the stage checks it before its first write
+    out = tmp_path / "out"
+    code, manifest = run_pipeline(replace(market_config(market, out), **{key: value}))
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    stages = manifest["stages"]
+    got = value[-1] if isinstance(value, list) else value
+    assert stages[stage] == {"status": "failed",
+                             "error": f"config {key}: {message} for 100 epochs, got {got}"}
+    assert not (out / first_output).exists()
+    later = STAGES[STAGES.index(stage) + 1:]
+    assert {stages[name]["status"] for name in later} == {"halted"}
 
 
 def test_panel_with_no_surviving_ticker_fails_ingest(tmp_path):
@@ -809,7 +839,7 @@ def test_panel_with_no_surviving_ticker_fails_ingest(tmp_path):
     assert manifest["stages"]["ingest"]["status"] == "failed"
     assert "no ticker survives" in error and "all 2 dropped" in error
     assert "(LEAD)" in error and "missing first entry" in error
-    for name in STAGE_ORDER[1:]:
+    for name in STAGES[1:]:
         assert manifest["stages"][name]["status"] == "halted"
     assert not (out / "corr_raw.npz").exists()
 
@@ -868,7 +898,7 @@ def test_unexpected_error_still_writes_manifest(market, tmp_path, monkeypatch, c
     stages = manifest["stages"]
     assert stages["ingest"]["status"] == "ok"
     assert stages["corr"] == {"status": "failed", "error": "MemoryError: stack does not fit"}
-    for name in STAGE_ORDER[STAGE_ORDER.index("corr") + 1:]:
+    for name in STAGES[STAGES.index("corr") + 1:]:
         assert stages[name]["status"] == "halted"
     assert read_json(out / "manifest.json") == manifest
     assert "Traceback" in capsys.readouterr().err

@@ -119,7 +119,6 @@ def test_empirical_spectrum_identity_matrices():
     assert left < 1.0 <= right
     assert mass(sd) == pytest.approx(1.0, abs=1e-12)
     assert sd.zero_fraction == 0.0
-    assert sd.n_pooled == 12
 
 
 def test_empirical_spectrum_rejects_bad_input():

@@ -38,6 +38,19 @@ def test_write_json_is_byte_stable_and_sorted(tmp_path):
     assert read_json(p1) == payload
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_what_strict_json_cannot_hold(tmp_path, value):
+    # json.dump would write the bare tokens NaN or Infinity, which strict parsers reject
+    kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+    write_json(kept, {"ok": 1.0})
+    before = kept.read_bytes()
+    for path in (kept, fresh):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(path, {"events": [{"var_ratio": value}]})
+    assert kept.read_bytes() == before  # checked before the file is opened
+    assert not fresh.exists()
+
+
 def test_read_json_wraps_errors(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
         read_json(tmp_path / "absent.json")

@@ -7,10 +7,10 @@ from marketstates.ingest import ReturnPanel
 from marketstates.states import (
     ClusteringRun,
     GridPoint,
+    _lloyd,
     best_kmeans,
     build_state_model,
     fit_series,
-    kmeans,
     optimize_over_grid,
     select_optimum,
 )
@@ -28,6 +28,11 @@ def planted_blobs(seed, centers, per_blob=30, sigma=1.0):
     return points, truth
 
 
+def single_run(points, k, seed):
+    """One seeded k-means run: the batched loop with a batch of one."""
+    return _lloyd(points, k, [seed])[0]
+
+
 def partitions_equal(labels_a, labels_b):
     pairs = {(a, b) for a, b in zip(labels_a, labels_b)}
     return len({a for a, _ in pairs}) == len(pairs) == len({b for _, b in pairs})
@@ -36,7 +41,7 @@ def partitions_equal(labels_a, labels_b):
 def test_kmeans_k1_centroid_is_mean():
     rng = np.random.default_rng(0)
     points = rng.normal(size=(40, 3))
-    run = kmeans(points, 1, seed=5)
+    run = single_run(points, 1, seed=5)
     np.testing.assert_allclose(run.centroids[0], points.mean(axis=0), atol=1e-12)
     expected = np.linalg.norm(points - points.mean(axis=0), axis=1).mean()
     assert run.d_intra == pytest.approx(expected, abs=1e-12)
@@ -46,7 +51,7 @@ def test_kmeans_k1_centroid_is_mean():
 def test_kmeans_k_equals_n_is_exact_zero():
     rng = np.random.default_rng(1)
     points = rng.normal(size=(25, 3))
-    run = kmeans(points, 25, seed=9)
+    run = single_run(points, 25, seed=9)
     assert run.d_intra == 0.0
     assert sorted(run.labels) == list(range(1, 26))
     assert run.objective == 0.0
@@ -67,7 +72,7 @@ def test_kmeans_objective_trace_monotone_fuzz():
         d = int(rng.integers(1, 5))
         k = int(rng.integers(1, min(9, n) + 1))
         points = rng.normal(size=(n, d))
-        run = kmeans(points, k, seed=int(rng.integers(0, 2**32)))
+        run = single_run(points, k, seed=int(rng.integers(0, 2**32)))
         trace = np.array(run.objective_trace)
         assert np.all(np.diff(trace) <= 0.0)
         assert run.converged
@@ -79,7 +84,7 @@ def test_kmeans_empty_cluster_repair_with_duplicates():
     points = np.array([[0.0], [0.0], [0.0], [0.0], [10.0]])
     repaired_any = False
     for seed in range(20):
-        run = kmeans(points, 3, seed=seed)
+        run = single_run(points, 3, seed=seed)
         assert np.bincount(run.labels - 1, minlength=3).min() >= 1
         assert np.all(np.diff(run.objective_trace) <= 0)
         repaired_any = repaired_any or run.n_repairs > 0
@@ -89,13 +94,13 @@ def test_kmeans_empty_cluster_repair_with_duplicates():
 def test_kmeans_validation():
     points = np.zeros((4, 2))
     with pytest.raises(ValueError):
-        kmeans(points, 5, seed=0)
+        single_run(points, 5, seed=0)
     with pytest.raises(ValueError):
-        kmeans(points, 0, seed=0)
+        single_run(points, 0, seed=0)
     with pytest.raises(ValueError):
-        kmeans(np.zeros(4), 2, seed=0)
+        single_run(np.zeros(4), 2, seed=0)
     with pytest.raises(ValueError):
-        kmeans(np.zeros((4, 0)), 2, seed=0)
+        single_run(np.zeros((4, 0)), 2, seed=0)
 
 
 def oracle_kmeans(points, k, seed):
@@ -172,7 +177,7 @@ def oracle_cases(D):
 def test_kmeans_matches_per_cluster_oracle_bit_for_bit(D):
     repairs = 0
     for points, k, seed in oracle_cases(D):
-        got, want = kmeans(points, k, seed), oracle_kmeans(points, k, seed)
+        got, want = single_run(points, k, seed), oracle_kmeans(points, k, seed)
         assert np.array_equal(got.labels, want.labels)
         assert got.centroids.tobytes() == want.centroids.tobytes()
         assert got.objective_trace == want.objective_trace
@@ -190,7 +195,7 @@ def test_kmeans_at_the_iteration_cap_matches_the_oracle(monkeypatch):
     monkeypatch.setattr(states, "MAX_LLOYD_ITERATIONS", 2)
     capped = 0
     for points, k, seed in oracle_cases(3):
-        got, want = kmeans(points, k, seed), oracle_kmeans(points, k, seed)
+        got, want = single_run(points, k, seed), oracle_kmeans(points, k, seed)
         assert got.objective_trace == want.objective_trace
         assert got.d_intra == want.d_intra
         assert (got.n_iterations, got.converged) == (want.n_iterations, want.converged)
@@ -204,7 +209,7 @@ def test_kmeans_matches_per_cluster_oracle_from_eight_axes(D):
     # the assignment adds axes in order, numpy's sum over 8 or more pairwise:
     # the objective trace may differ in the last bits, nothing else does
     for points, k, seed in oracle_cases(D):
-        got, want = kmeans(points, k, seed), oracle_kmeans(points, k, seed)
+        got, want = single_run(points, k, seed), oracle_kmeans(points, k, seed)
         assert np.array_equal(got.labels, want.labels)
         assert got.centroids.tobytes() == want.centroids.tobytes()
         np.testing.assert_allclose(got.objective_trace, want.objective_trace,
@@ -219,7 +224,7 @@ def test_kmeans_matches_per_cluster_oracle_in_one_dimension():
     # sums in order, so centroids may differ in the last bits
     repairs = 0
     for points, k, seed in oracle_cases(1):
-        got, want = kmeans(points, k, seed), oracle_kmeans(points, k, seed)
+        got, want = single_run(points, k, seed), oracle_kmeans(points, k, seed)
         assert np.array_equal(got.labels, want.labels)
         np.testing.assert_allclose(got.centroids, want.centroids, rtol=1e-12, atol=0)
         np.testing.assert_allclose(got.objective_trace, want.objective_trace,
@@ -246,15 +251,13 @@ def batches_against_single_runs(D, seeds_per_batch=5):
 
     Returns (repairs, batches whose runs stopped at different iterations or
     for different reasons, runs that hit the iteration cap)."""
-    from marketstates.states import _lloyd
-
     repairs = mixed = capped = 0
     for points, k, seed in oracle_cases(D):
         seeds = [seed + i for i in range(seeds_per_batch)]
         batch = _lloyd(points, k, seeds)
         assert len(batch) == len(seeds)
         for got, s in zip(batch, seeds):
-            assert_same_run(got, kmeans(points, k, s))
+            assert_same_run(got, single_run(points, k, s))
             repairs += got.n_repairs
             capped += not got.converged
         mixed += len({(run.n_iterations, run.converged) for run in batch}) > 1
@@ -280,7 +283,7 @@ def test_best_kmeans_is_the_best_of_single_runs():
     from marketstates.states import init_seeds
 
     points, _ = planted_blobs(8, np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]))
-    runs = [kmeans(points, 4, int(s)) for s in init_seeds(21, 12)]
+    runs = [single_run(points, 4, int(s)) for s in init_seeds(21, 12)]
     assert_same_run(best_kmeans(points, 4, 12, seed=21), min(runs, key=lambda r: r.objective))
 
 
@@ -294,7 +297,7 @@ def test_grid_spread_of_identical_radii_is_exactly_zero(seed):
     points = np.concatenate([rng.normal(size=(10, 2)) * 0.1,
                              rng.normal(size=(10, 2)) * 0.1 + [5.0, 0.0]])
     seeds = init_seeds(seed, 10)
-    radii = np.array([kmeans(points, 2, int(s)).d_intra for s in seeds])
+    radii = np.array([single_run(points, 2, int(s)).d_intra for s in seeds])
     assert (radii == radii[0]).all() and radii.std() > 0.0
     (row,) = _grid_rows(points, 0.3, [2], seeds[None])
     assert row.sigma_d_intra == 0.0
@@ -304,8 +307,8 @@ def test_grid_spread_of_identical_radii_is_exactly_zero(seed):
 def test_kmeans_deterministic_given_seed():
     rng = np.random.default_rng(3)
     points = rng.normal(size=(50, 3))
-    a = kmeans(points, 4, seed=77)
-    b = kmeans(points, 4, seed=77)
+    a = single_run(points, 4, seed=77)
+    b = single_run(points, 4, seed=77)
     assert np.array_equal(a.labels, b.labels)
     assert a.centroids.tobytes() == b.centroids.tobytes()
     assert a.objective_trace == b.objective_trace
@@ -316,7 +319,7 @@ def test_best_of_inits_radius_never_grows_with_k():
     points = rng.normal(size=(60, 3))
     radii = []
     for k in range(1, 8):
-        runs = [kmeans(points, k, seed=s) for s in range(50)]
+        runs = [single_run(points, k, seed=s) for s in range(50)]
         radii.append(min(r.d_intra for r in runs))
     assert all(radii[i + 1] <= radii[i] + 1e-9 for i in range(len(radii) - 1))
 

@@ -71,7 +71,6 @@ def planted_window(ratio, seed, n_epochs=105, n=12, scale=1.0):
         name=f"planted-{ratio}",
         start_date="d0000",
         end_date=f"d{n_epochs - 1:04d}",
-        center_date=f"d{n_epochs // 2:04d}",
         epochs=series,
     )
 
@@ -81,7 +80,6 @@ def test_cut_window_of_exactly_fitting_panel_is_the_whole_panel():
     window = cut_window(panel, panel.dates[62], width_days=125)
     assert window.start_date == panel.dates[0]
     assert window.end_date == panel.dates[-1]
-    assert window.center_date == panel.dates[62]
     assert window.name == panel.dates[62]
     spec = EpochSpec()
     assert window.n_epochs == (124 - spec.window) // spec.shift + 1
@@ -147,7 +145,7 @@ def test_planted_anisotropy_drives_the_classification():
             assert not report.zero_variance
             assert report.threshold == 0.4
             assert report.n_epochs == 105
-            assert report.step_lengths.shape == (104,)
+            assert geometry.step_lengths(report.coordinates).shape == (104,)
 
 
 def test_var_ratio_is_scale_invariant():
@@ -172,7 +170,6 @@ def test_reversal_keeps_variances_and_reverses_steps():
             name=window.name,
             start_date=window.end_date,
             end_date=window.start_date,
-            center_date=window.center_date,
             epochs=reversed_series,
         )
     )
@@ -191,7 +188,6 @@ def test_constant_window_reports_zero_variance_normal():
         name="flat",
         start_date="d0",
         end_date=f"d{n_epochs - 1}",
-        center_date=f"d{n_epochs // 2}",
         epochs=EpochCorrelationSeries(list("abcde"), np.tile(np.eye(n), (n_epochs, 1, 1)),
                                       dates, dates),
     )
@@ -200,7 +196,7 @@ def test_constant_window_reports_zero_variance_normal():
     assert math.isnan(report.var_ratio)
     assert report.classification == NORMAL
     assert (report.coordinates == 0.0).all()
-    assert (report.step_lengths == 0.0).all()
+    assert (geometry.step_lengths(report.coordinates) == 0.0).all()
 
 
 def test_analysis_epsilon_is_applied_and_recorded():
@@ -217,7 +213,6 @@ def test_analysis_epsilon_is_applied_and_recorded():
 
 
 def test_step_lengths_shared_with_geometry_and_jump_detection():
-    assert trajectory.step_lengths is geometry.step_lengths
     line = np.outer(np.arange(12, dtype=float), [1.0, 0.5, -0.25])
     steps = geometry.step_lengths(line)
     assert steps.shape == (11,)
@@ -249,8 +244,9 @@ def test_classify_catalog_on_planted_panel():
     assert set(failures) == {"bad"}
     assert "not a trading day" in failures["bad"]
     # abrupt-increment diagnostic: the burst window has the spikier steps
-    spike = np.max(reports[0].step_lengths) / np.median(reports[0].step_lengths)
-    calm_spike = np.max(reports[1].step_lengths) / np.median(reports[1].step_lengths)
+    burst_steps, calm_steps = (geometry.step_lengths(r.coordinates) for r in reports)
+    spike = np.max(burst_steps) / np.median(burst_steps)
+    calm_spike = np.max(calm_steps) / np.median(calm_steps)
     assert spike > calm_spike
 
 
@@ -286,8 +282,10 @@ def test_classify_catalog_empty_and_worker_invariance():
     ([("ok", "d0150")], {"epsilon": -0.5}, "epsilon must be >= 0, got -0.5"),
     ([("ok", "d0150")], {"workers": 0}, "workers must be >= 1, got 0"),
     ([("ok", "d0150"), ("late", "d0390")], {"workers": -3}, "workers must be >= 1, got -3"),
+    ([("ok", "d0150")], {"threshold": math.nan}, "threshold must be finite, got nan"),
+    ([("ok", "d0150")], {"threshold": math.inf}, "threshold must be finite, got inf"),
 ], ids=["repeated-name", "even-width", "width-below-3", "negative-epsilon", "zero-workers",
-        "negative-workers"])
+        "negative-workers", "nan-threshold", "infinite-threshold"])
 def test_classify_catalog_rejects_before_any_window_runs(monkeypatch, catalog, kwargs, message):
     # each of these would otherwise fail every window alike, or run them inline, and still return
     cut = []
@@ -295,6 +293,13 @@ def test_classify_catalog_rejects_before_any_window_runs(monkeypatch, catalog, k
     with pytest.raises(ValueError, match=message):
         classify_catalog(noise_panel(300), catalog, **{"workers": 2, **kwargs})
     assert cut == []
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_analyze_trajectory_rejects_a_threshold_that_is_not_finite(threshold):
+    # NaN compares false, so every window came out NORMAL; inf made every one CRITICAL
+    with pytest.raises(ValueError, match=f"threshold must be finite, got {threshold}"):
+        analyze_trajectory(planted_window(0.1, seed=0), threshold=threshold)
 
 
 def test_load_event_catalog(tmp_path):
