@@ -3,10 +3,13 @@
 A run executes up to seven stages in dependency order — ingest, corr, mds,
 states, sectors, trajectory, rmt — each writing its artifacts under the
 output directory plus a manifest entry (input hashes, parameters, output
-hashes).  A stage whose inputs, parameters, and outputs all hash the same as
-the previous run is skipped, so reruns are cheap and `--force` is explicit.
-Worker counts never appear in artifacts: a run is byte-reproducible.  Each
-artifact has one writer here, which the CLI subcommands call as well.
+hashes).  ``_STAGES`` declares each stage once: its function, its config
+keys (its parameters) and its input files.  The function sees only those
+keys and files, so its manifest key covers everything it reads.  A stage
+whose inputs, parameters, and outputs all hash the same as the previous run
+is skipped, so reruns are cheap and `--force` is explicit.  Worker counts
+never appear in artifacts: a run is byte-reproducible.  Each artifact has
+one writer here, which the CLI subcommands call as well.
 """
 
 from __future__ import annotations
@@ -15,8 +18,11 @@ import hashlib
 import json
 import math
 import traceback
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,6 +99,8 @@ def parse_float_grid(text: str) -> list[float]:
             start, step, stop = (float(part) for part in text.split(":"))
             if not all(map(math.isfinite, (start, step, stop))) or step <= 0 or stop < start:
                 raise ValueError("need a finite start, step and stop, step > 0 and stop >= start")
+            if not math.isfinite((stop - start) / step):
+                raise ValueError("(stop - start) / step overflows")
             count = int(np.floor((stop - start) / step + 1e-9)) + 1
             return [float(v) for v in np.round(start + step * np.arange(count), 10)]
         if "," in text:
@@ -141,10 +149,7 @@ class PipelineConfig:
         for key, value in mapping.items():
             if key not in types:
                 raise DataError(f"unknown config key {key!r}")
-            try:
-                config = replace(config, **{key: cls._PARSERS[types[key]](value)})
-            except ValueError as exc:
-                raise DataError(f"config key {key!r}: {exc}") from None
+            config = replace(config, **{key: _check_key(key, cls._PARSERS[types[key]], value)})
         return config
 
     @classmethod
@@ -173,11 +178,12 @@ class PipelineConfig:
             if candidate and not Path(candidate).exists():
                 raise DataError(f"{label} file {candidate!r} does not exist")
         if self.n_inits < 2:
-            raise DataError("n_inits must be at least 2")
-        if not self.k_range or not self.epsilon_grid:
-            raise DataError("k_range and epsilon_grid must be non-empty")
+            raise DataError(f"config n_inits: must be >= 2, got {self.n_inits}")
+        for key in ("k_range", "epsilon_grid"):
+            if not getattr(self, key):
+                raise DataError(f"config {key}: must be non-empty")
         if max(self.k_range) < self.k_min:
-            raise DataError(f"k_min {self.k_min} exceeds every k in k_range {self.k_range}")
+            raise DataError(f"config k_min: {self.k_min} exceeds every k in k_range {self.k_range}")
         for key, value in (("mds_dim", self.mds_dim), ("k_range", min(self.k_range)),
                            ("rmt_bins", self.rmt_bins),
                            ("rmt_realizations", self.rmt_realizations)):
@@ -209,10 +215,10 @@ class PipelineConfig:
         return payload
 
 
-def _check_key(key: str, check, *values) -> None:
+def _check_key(key: str, check, *values):
     """``check(*values)``, its ValueError a DataError naming the config key."""
     try:
-        check(*values)
+        return check(*values)
     except ValueError as exc:
         raise DataError(f"config {key}: {exc}") from None
 
@@ -412,8 +418,8 @@ class _Run:
     """The state one run_pipeline call keeps between its stages; nothing of it is written.
 
     Stages share values only through their files and ``maps``: each stage
-    reads its input files itself.  ``names`` holds each configured path's
-    manifest name, from ``_portable_names``.  ``digests`` holds one sha256
+    reads its declared input files itself.  ``names`` holds each configured
+    path's manifest name, from ``_portable_names``.  ``digests`` holds one sha256
     per file: a later stage reading a file, or the freshness check, reuses
     the digest taken when the file was written or first read.  ``maps``
     holds each epsilon's mds_dim-axis map of the epoch series, built once
@@ -442,71 +448,72 @@ class _Run:
         return path.relative_to(self.out).as_posix()
 
 
-def _stage_ingest(cfg: PipelineConfig, run: _Run) -> list[Path]:
+def _stage_ingest(c: Mapping, run: _Run) -> list[Path]:
     path = run.out / PANEL
-    write_panel(cfg.prices, cfg.max_gap, path)
+    write_panel(c["prices"], c["max_gap"], path)
     return [path, run.out / f"{PANEL}.meta.json"]
 
 
-def _stage_corr(cfg: PipelineConfig, run: _Run) -> list[Path]:
+def _stage_corr(c: Mapping, run: _Run) -> list[Path]:
     path = run.out / "corr_raw.npz"
-    returns = log_returns(load_panel(run.out / PANEL))
-    save_series(epoch_correlations(returns, EpochSpec(cfg.window, cfg.shift)), path)
+    returns = log_returns(load_panel(c[PANEL]))
+    save_series(epoch_correlations(returns, EpochSpec(c["window"], c["shift"])), path)
     return [path]
 
 
-def _stage_mds(cfg: PipelineConfig, run: _Run) -> list[Path]:
-    series = load_series(run.out / "corr_raw.npz")
-    _check_key("mds_dim", _check_fit, series.n_epochs, [], cfg.mds_dim)
-    return write_map(series, cfg.mds_dim, run.out, run.workers, maps=run.maps)
+def _stage_mds(c: Mapping, run: _Run) -> list[Path]:
+    series = load_series(c["corr_raw.npz"])
+    _check_key("mds_dim", _check_fit, series.n_epochs, [], c["mds_dim"])
+    return write_map(series, c["mds_dim"], run.out, run.workers, maps=run.maps)
 
 
-def _stage_states(cfg: PipelineConfig, run: _Run) -> list[Path]:
+def _stage_states(c: Mapping, run: _Run) -> list[Path]:
     out, workers, maps = run.out, run.workers, run.maps
-    series = load_series(out / "corr_raw.npz")
-    for key, k_list in (("k_range", cfg.k_range), ("k", [cfg.k] if cfg.k else [])):
-        _check_key(key, _check_fit, series.n_epochs, k_list, cfg.mds_dim)
-    grid = optimize_over_grid(series, cfg.k_range, cfg.epsilon_grid,
-                              cfg.n_inits, cfg.seed, cfg.mds_dim, workers, maps)
+    k, epsilon, n_inits, seed, dim = c["k"], c["epsilon"], c["n_inits"], c["seed"], c["mds_dim"]
+    series = load_series(c["corr_raw.npz"])
+    for key, k_list in (("k_range", c["k_range"]), ("k", [k] if k else [])):
+        _check_key(key, _check_fit, series.n_epochs, k_list, dim)
+    grid = optimize_over_grid(series, c["k_range"], c["epsilon_grid"],
+                              n_inits, seed, dim, workers, maps)
     write_surface(grid, out / "surface.csv")
-    best_k, best_eps = select_optimum(grid, k_min=cfg.k_min)
-    chosen_k = cfg.k if cfg.k > 0 else best_k
-    chosen_eps = cfg.epsilon if cfg.epsilon >= 0 else best_eps
+    best_k, best_eps = select_optimum(grid, k_min=c["k_min"])
+    chosen_k = k if k > 0 else best_k
+    chosen_eps = epsilon if epsilon >= 0 else best_eps
     write_json(out / "selected.json",
-               {"grid_optimum": {"k": best_k, "epsilon": best_eps, "k_min": cfg.k_min},
+               {"grid_optimum": {"k": best_k, "epsilon": best_eps, "k_min": c["k_min"]},
                 "fitted": {"k": chosen_k, "epsilon": chosen_eps,
-                           "pinned": bool(cfg.k > 0 or cfg.epsilon >= 0)}})
+                           "pinned": bool(k > 0 or epsilon >= 0)}})
     # a pinned epsilon off the grid has no map yet, and fit_series builds it
-    model, _, embedding = fit_series(series, chosen_k, chosen_eps, cfg.n_inits, cfg.seed,
-                                     cfg.mds_dim, workers, embedding=maps.get(chosen_eps))
+    model, _, embedding = fit_series(series, chosen_k, chosen_eps, n_inits, seed,
+                                     dim, workers, embedding=maps.get(chosen_eps))
     return ([out / "surface.csv", out / "selected.json"]
             + write_fit(model, embedding, out / "model.json", "states_"))
 
 
-def _stage_sectors(cfg: PipelineConfig, run: _Run) -> list[Path]:
-    out = run.out
-    epochs = load_series(out / "corr_raw.npz")
-    _check_key("sector_k", _check_fit, epochs.n_epochs, [cfg.sector_k] if cfg.sector_k else [],
-               cfg.mds_dim)
-    series = sector_series(epochs, load_sector_map(cfg.sectors))
-    fitted = read_json(out / "selected.json")["fitted"]
-    k = cfg.sector_k if cfg.sector_k > 0 else int(fitted["k"])
-    epsilon = cfg.sector_epsilon if cfg.sector_epsilon >= 0 else float(fitted["epsilon"])
-    model, _, embedding = fit_series(series, k, epsilon, cfg.n_inits, cfg.seed, cfg.mds_dim,
+def _stage_sectors(c: Mapping, run: _Run) -> list[Path]:
+    out, sector_k, sector_epsilon = run.out, c["sector_k"], c["sector_epsilon"]
+    epochs = load_series(c["corr_raw.npz"])
+    _check_key("sector_k", _check_fit, epochs.n_epochs, [sector_k] if sector_k else [],
+               c["mds_dim"])
+    series = sector_series(epochs, load_sector_map(c["sectors"]))
+    fitted = read_json(c["selected.json"])["fitted"]
+    k = sector_k if sector_k > 0 else int(fitted["k"])
+    epsilon = sector_epsilon if sector_epsilon >= 0 else float(fitted["epsilon"])
+    model, _, embedding = fit_series(series, k, epsilon, c["n_inits"], c["seed"], c["mds_dim"],
                                      run.workers)
     written = write_fit(model, embedding, out / "sector_model.json", "sectors_")
-    stock_states = np.array(read_json(out / "model.json")["state_of"], dtype=int)
+    stock_states = np.array(read_json(c["model.json"])["state_of"], dtype=int)
     write_displacement(stock_states, model.state_of, out / "displacement.json")
     return written + [out / "displacement.json"]
 
 
-def _stage_trajectory(cfg: PipelineConfig, run: _Run) -> list[Path]:
+def _stage_trajectory(c: Mapping, run: _Run) -> list[Path]:
     out = run.out
-    returns = log_returns(load_panel(out / PANEL))
-    catalog = load_event_catalog(cfg.events)
+    returns = log_returns(load_panel(c[PANEL]))
+    catalog = load_event_catalog(c["events"])
     reports, failures = classify_catalog(
-        returns, catalog, threshold=cfg.threshold, width_days=cfg.width_days,
-        epsilon=cfg.trajectory_epsilon, spec=EpochSpec(cfg.window, cfg.shift),
+        returns, catalog, threshold=c["threshold"], width_days=c["width_days"],
+        epsilon=c["trajectory_epsilon"], spec=EpochSpec(c["window"], c["shift"]),
         workers=run.workers,
     )
     write_trajectory_report(reports, failures, out / "trajectory_report.json")
@@ -520,62 +527,74 @@ def _stage_trajectory(cfg: PipelineConfig, run: _Run) -> list[Path]:
     return [out / "trajectory_report.json", out / "trajectory_table.csv"]
 
 
-def _stage_rmt(cfg: PipelineConfig, run: _Run) -> list[Path]:
-    out = run.out
-    n_stocks = len(load_series_labels(out / "corr_raw.npz"))
-    spec = WishartSpec(N=n_stocks, T=cfg.window,
-                       ensemble_size=cfg.rmt_realizations, seed=cfg.seed)
-    write_json(out / "rmt_report.json", rmt_report_payload(spec, cfg.rmt_bins))
-    return [out / "rmt_report.json"]
+def _stage_rmt(c: Mapping, run: _Run) -> list[Path]:
+    n_stocks = len(load_series_labels(c["corr_raw.npz"]))
+    spec = WishartSpec(N=n_stocks, T=c["window"],
+                       ensemble_size=c["rmt_realizations"], seed=c["seed"])
+    write_json(run.out / "rmt_report.json", rmt_report_payload(spec, c["rmt_bins"]))
+    return [run.out / "rmt_report.json"]
 
 
-@dataclass
-class _Stage:
+class _Stage(NamedTuple):
+    """A stage: its function, its config keys (its params) and its input files.
+
+    An input named in ``PipelineConfig._PATHS`` is that configured path; any
+    other is a file in the output dir.  The function is called with one
+    read-only mapping of the keys' values and the inputs' paths, so a stage
+    reads nothing its manifest key does not cover.
+    """
+
     name: str
-    enabled: bool
-    reason: str
-    inputs: list[Path]
-    params: dict
-    run: object = None
+    run: Callable
+    keys: tuple[str, ...]
+    inputs: tuple[str, ...]
 
 
-def _plan(cfg: PipelineConfig, out: Path) -> list[_Stage]:
-    """The stages of a run, each called with the config and the run's _Run."""
-    epoch_params = {"window": cfg.window, "shift": cfg.shift}
-    panel, corr = out / PANEL, out / "corr_raw.npz"
-    return [
-        _Stage("ingest", True, "", [Path(cfg.prices)], {"max_gap": cfg.max_gap}, _stage_ingest),
-        _Stage("corr", True, "", [panel], dict(epoch_params), _stage_corr),
-        _Stage("mds", True, "", [corr], {**epoch_params, "mds_dim": cfg.mds_dim}, _stage_mds),
-        _Stage("states", True, "", [corr],
-               {**epoch_params, "k_range": cfg.k_range, "epsilon_grid": cfg.epsilon_grid,
-                "n_inits": cfg.n_inits, "seed": cfg.seed, "mds_dim": cfg.mds_dim,
-                "k_min": cfg.k_min, "k": cfg.k, "epsilon": cfg.epsilon},
-               _stage_states),
-        _Stage("sectors", bool(cfg.sectors), "no sector map configured",
-               ([Path(cfg.sectors)] if cfg.sectors else [])
-               + [corr, out / "selected.json", out / "model.json"],
-               {**epoch_params, "sector_k": cfg.sector_k, "sector_epsilon": cfg.sector_epsilon,
-                "n_inits": cfg.n_inits, "seed": cfg.seed, "mds_dim": cfg.mds_dim},
-               _stage_sectors),
-        _Stage("trajectory", bool(cfg.events), "no event catalog configured",
-               [panel] + ([Path(cfg.events)] if cfg.events else []),
-               {**epoch_params, "threshold": cfg.threshold, "width_days": cfg.width_days,
-                "trajectory_epsilon": cfg.trajectory_epsilon}, _stage_trajectory),
-        _Stage("rmt", True, "", [corr],
-               {"window": cfg.window, "realizations": cfg.rmt_realizations,
-                "seed": cfg.seed, "bins": cfg.rmt_bins}, _stage_rmt),
-    ]
+_EPOCHS = ("window", "shift")
+# in run order; params keep this key order in the manifest
+_STAGES = (
+    _Stage("ingest", _stage_ingest, ("max_gap",), ("prices",)),
+    _Stage("corr", _stage_corr, _EPOCHS, (PANEL,)),
+    _Stage("mds", _stage_mds, (*_EPOCHS, "mds_dim"), ("corr_raw.npz",)),
+    _Stage("states", _stage_states,
+           (*_EPOCHS, "k_range", "epsilon_grid", "n_inits", "seed", "mds_dim", "k_min", "k",
+            "epsilon"), ("corr_raw.npz",)),
+    _Stage("sectors", _stage_sectors,
+           (*_EPOCHS, "sector_k", "sector_epsilon", "n_inits", "seed", "mds_dim"),
+           ("sectors", "corr_raw.npz", "selected.json", "model.json")),
+    _Stage("trajectory", _stage_trajectory,
+           (*_EPOCHS, "threshold", "width_days", "trajectory_epsilon"), (PANEL, "events")),
+    _Stage("rmt", _stage_rmt, ("window", "rmt_realizations", "seed", "rmt_bins"),
+           ("corr_raw.npz",)),
+)
+# why a stage does not run while this path input is empty
+_UNCONFIGURED = {"sectors": "no sector map configured", "events": "no event catalog configured"}
 
 
-def _hash_inputs(stage: _Stage, run: _Run) -> dict[str, str]:
-    hashes = {}
-    for path in stage.inputs:
+def _run_stage(stage: _Stage, cfg: PipelineConfig, run: _Run, prior: dict) -> dict:
+    """Run one stage, or skip it when ``prior`` shows the same key and fresh outputs."""
+    params = {key: getattr(cfg, key) for key in stage.keys}
+    paths = {name: Path(getattr(cfg, name)) if name in cfg._PATHS else run.out / name
+             for name in stage.inputs}
+    for path in paths.values():
         if not path.exists():
             raise DataError(f"stage '{stage.name}' input {path} does not exist; "
                             "rerun with --force to rebuild the tree")
-        hashes[run.name(path)] = run.digest(path)
-    return hashes
+    input_hashes = {run.name(path): run.digest(path) for path in paths.values()}
+    key = _stage_key(input_hashes, params)
+    if (prior.get("key") == key and prior.get("status") in ("ok", "skipped")
+            and _outputs_fresh(prior, run)):
+        status, outputs = "skipped", prior["outputs"]
+    else:
+        # the digest of each file the stage writes is taken just after the
+        # write, and serves the later stages that read the file
+        before = set(run.digests)
+        written = stage.run(MappingProxyType({**params, **paths}), run)
+        for path in before.intersection(written):
+            del run.digests[path]  # taken before the stage rewrote the file
+        status, outputs = "ok", {run.name(p): run.digest(p) for p in written}
+    return {"status": status, "key": key, "inputs": input_hashes, "params": params,
+            "outputs": outputs}
 
 
 def _stage_key(input_hashes: dict[str, str], params: dict) -> str:
@@ -612,49 +631,21 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
     run = _Run(out, workers, names=_portable_names(cfg, out))
     manifest: dict = {"config": cfg.as_manifest_dict(run.names), "stages": {}}
     code = 0
-    for stage in _plan(cfg, out):
+    for stage in _STAGES:
+        unset = [name for name in stage.inputs if name in cfg._PATHS and not getattr(cfg, name)]
         if code:
-            manifest["stages"][stage.name] = {"status": "halted",
-                                              "reason": "an upstream stage failed"}
-            continue
-        if not stage.enabled:
-            manifest["stages"][stage.name] = {"status": "not configured",
-                                              "reason": stage.reason}
-            continue
-        try:
-            input_hashes = _hash_inputs(stage, run)
-            key = _stage_key(input_hashes, stage.params)
-            prior = previous.get(stage.name, {})
-            if (not force and prior.get("key") == key
-                    and prior.get("status") in ("ok", "skipped")
-                    and _outputs_fresh(prior, run)):
-                manifest["stages"][stage.name] = {
-                    "status": "skipped",
-                    "key": key,
-                    "inputs": input_hashes,
-                    "params": stage.params,
-                    "outputs": prior["outputs"],
-                }
-                continue
-            # the stage reads its input files itself; the digest of each file
-            # it writes is taken below, just after the write, and serves the
-            # later stages that read the file
-            before = set(run.digests)
-            written = stage.run(cfg, run)
-            for path in before.intersection(written):
-                del run.digests[path]  # taken before the stage rewrote the file
-            manifest["stages"][stage.name] = {
-                "status": "ok",
-                "key": key,
-                "inputs": input_hashes,
-                "params": stage.params,
-                "outputs": {run.name(p): run.digest(p) for p in written},
-            }
-        except Exception as exc:  # noqa: BLE001 - any failure still ends in a manifest
-            code = exit_code(exc)
-            if code == 1:
-                traceback.print_exc()
-            error = str(exc) if code > 1 else f"{type(exc).__name__}: {exc}"
-            manifest["stages"][stage.name] = {"status": "failed", "error": error}
+            entry = {"status": "halted", "reason": "an upstream stage failed"}
+        elif unset:
+            entry = {"status": "not configured", "reason": _UNCONFIGURED[unset[0]]}
+        else:
+            try:
+                entry = _run_stage(stage, cfg, run, previous.get(stage.name, {}))
+            except Exception as exc:  # noqa: BLE001 - any failure still ends in a manifest
+                code = exit_code(exc)
+                if code == 1:
+                    traceback.print_exc()
+                error = str(exc) if code > 1 else f"{type(exc).__name__}: {exc}"
+                entry = {"status": "failed", "error": error}
+        manifest["stages"][stage.name] = entry
     write_json(manifest_path, manifest)
     return code, manifest

@@ -508,10 +508,16 @@ def test_run_with_a_bad_config_value_fails_before_any_stage(market, tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("grid", ["0:0.5:inf", "0:inf:1"])
+@pytest.mark.parametrize("grid, rule", [
+    pytest.param(grid, rule, id=grid) for grid, rule in (
+        ("0:0.5:inf", "need a finite start, step and stop"),
+        ("0:inf:1", "need a finite start, step and stop"),
+        ("0:0.1:1e308", "(stop - start) / step overflows"),
+    )
+])
 def test_a_grid_bound_that_is_not_finite_is_one_error_line(workspace, market, tmp_path, capsys,
-                                                           grid):
-    rule = f"bad float grid '{grid}': need a finite start, step and stop"
+                                                           grid, rule):
+    rule = f"bad float grid '{grid}': {rule}"
     out = tmp_path / "surface.csv"
     assert main(["states", "optimize", "--corr", str(workspace["corr"]), "--epsilon-grid", grid,
                  "--out", str(out)]) == 1
@@ -523,7 +529,7 @@ def test_a_grid_bound_that_is_not_finite_is_one_error_line(workspace, market, tm
                       f"epsilon_grid = {grid}\n")
     assert main(["run", "--config", str(config)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"data error: config key 'epsilon_grid': {rule}")
+    assert err.startswith(f"data error: config epsilon_grid: {rule}")
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 

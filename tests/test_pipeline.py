@@ -5,7 +5,7 @@ import math
 import re
 import zipfile
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,9 +52,10 @@ def test_parse_float_grid_forms():
     assert parse_float_grid("0,0.5,0.9") == [0.0, 0.5, 0.9]
 
 
-# an infinite stop overflowed the point count, and an infinite step made a NaN point
+# an infinite stop overflowed the point count, and an infinite step made a NaN point; a
+# finite stop far past the step overflowed it too
 @pytest.mark.parametrize("bad", ["", "x", "0:0:1", "1:0.1:0", "0:0.1", "0:0.1:inf", "0:inf:1",
-                                 "-inf:0.1:0", "nan:0.1:1", "0:0.1:nan"])
+                                 "-inf:0.1:0", "nan:0.1:1", "0:0.1:nan", "0:0.1:1e308"])
 def test_parse_float_grid_rejects(bad):
     with pytest.raises(ValueError, match="bad float grid"):
         parse_float_grid(bad)
@@ -87,7 +88,7 @@ threshold = 0.25
 def test_config_rejects_unknown_key_and_bad_value(tmp_path):
     with pytest.raises(DataError, match="unknown config key 'windows'"):
         PipelineConfig.from_mapping({"windows": "20"})
-    with pytest.raises(DataError, match="config key 'window'"):
+    with pytest.raises(DataError, match="config window: invalid literal for int"):
         PipelineConfig.from_mapping({"window": "twenty"})
     path = tmp_path / "run.cfg"
     path.write_text("prices data/prices.csv\n")
@@ -102,10 +103,11 @@ def test_config_validate(tmp_path):
     with pytest.raises(DataError, match="does not exist"):
         cfg.validate()
     (tmp_path / "p.csv").write_text("date,A\n")
-    with pytest.raises(DataError, match="n_inits"):
+    with pytest.raises(DataError, match="config n_inits: must be >= 2, got 1"):
         PipelineConfig(prices=str(tmp_path / "p.csv"), n_inits=1).validate()
     # no grid point could meet k_min: fail before the grid runs, not after it
-    with pytest.raises(DataError, match=r"k_min 4 exceeds every k in k_range \[2, 3\]"):
+    with pytest.raises(DataError,
+                       match=r"config k_min: 4 exceeds every k in k_range \[2, 3\]"):
         PipelineConfig(prices=str(tmp_path / "p.csv"), k_range=[2, 3]).validate()
     PipelineConfig(prices=str(tmp_path / "p.csv"), k_range=[2, 4], k_min=4).validate()
     # negative epsilon and sector_epsilon mean "use the optimum"; the event
@@ -505,18 +507,20 @@ def test_ingest_rerun_that_writes_the_same_panel_skips_corr(tmp_path):
 
 
 def test_corr_stage_holds_one_stack_copy_while_writing(tmp_path, peak_bytes):
+    from types import MappingProxyType
+
     from marketstates.pipeline import _Run, _stage_corr, write_panel
 
     data = write_market(tmp_path / "data", n=60, n_days=260)
     out = tmp_path / "out"
     out.mkdir()
-    cfg = market_config(data, out)
     run = _Run(out, workers=1)
     write_panel(data / "prices.csv", 2, out / "panel.npz")
+    given = MappingProxyType({"window": 20, "shift": 1, "panel.npz": out / "panel.npz"})
     stack_bytes = 240 * 60 * 60 * 8  # 259 returns, window 20, shift 1
     # the stage reads panel.npz, builds the epochs into the one stack, chunk by
     # chunk, and packs the archive from that stack chunk by chunk
-    assert peak_bytes(lambda: _stage_corr(cfg, run)) <= 1.4 * stack_bytes
+    assert peak_bytes(lambda: _stage_corr(given, run)) <= 1.4 * stack_bytes
     assert load_arrays(out / "corr_raw.npz")["packed"].shape == (240, 60 * 61 // 2)
 
 
@@ -570,6 +574,10 @@ def test_rerun_over_a_tree_with_a_text_panel_asks_for_force(market, tmp_path, mo
     cfg = market_config(market, old)
     with monkeypatch.context() as patch:  # the earlier artifact: panel.csv, parsed by its readers
         patch.setattr(pipeline, "PANEL", "panel.csv")
+        patch.setattr(pipeline, "_STAGES", tuple(
+            stage._replace(inputs=tuple("panel.csv" if name == "panel.npz" else name
+                                        for name in stage.inputs))
+            for stage in pipeline._STAGES))
         patch.setattr(pipeline, "save_panel", save_panel_csv)
         patch.setattr(pipeline, "load_panel", load_panel_csv)
         assert run_pipeline(cfg)[0] == 0
@@ -877,6 +885,12 @@ def test_panel_with_no_surviving_ticker_fails_ingest(tmp_path):
                  "config trajectory_epsilon: must be finite, got nan", id="trajectory_epsilon_nan"),
     pytest.param({"k": -3}, "config k: must be >= 0, got -3", id="k"),
     pytest.param({"sector_k": -1}, "config sector_k: must be >= 0, got -1", id="sector_k"),
+    pytest.param({"n_inits": 1}, "config n_inits: must be >= 2, got 1", id="n_inits"),
+    pytest.param({"k_range": []}, "config k_range: must be non-empty", id="k_range_empty"),
+    pytest.param({"epsilon_grid": []}, "config epsilon_grid: must be non-empty",
+                 id="epsilon_grid_empty"),
+    pytest.param({"k_min": 9}, "config k_min: 9 exceeds every k in k_range [2, 3]",
+                 id="k_min"),
 ])
 def test_config_error_fails_before_any_stage(market, tmp_path, bad, message):
     out = tmp_path / "out"
@@ -888,10 +902,10 @@ def test_config_error_fails_before_any_stage(market, tmp_path, bad, message):
 def test_unexpected_error_still_writes_manifest(market, tmp_path, monkeypatch, capsys):
     import marketstates.pipeline as pipeline
 
-    def out_of_memory(cfg, run):
+    def out_of_memory(returns, spec):
         raise MemoryError("stack does not fit")
 
-    monkeypatch.setattr(pipeline, "_stage_corr", out_of_memory)
+    monkeypatch.setattr(pipeline, "epoch_correlations", out_of_memory)
     out = tmp_path / "out"
     code, manifest = run_pipeline(market_config(market, out))
     assert code == 1
@@ -921,6 +935,29 @@ def test_manifest_paths_are_portable(market, tmp_path):
     # out_dir itself is stored relative to the manifest, so moving the
     # directory does not invalidate it
     assert manifest["config"]["out_dir"] == "."
+
+
+def test_each_stage_records_and_reads_only_its_declared_keys(market, tmp_path):
+    import inspect
+
+    import marketstates.pipeline as pipeline
+
+    # every stage runs, each on a mapping that raises KeyError on an undeclared key
+    code, manifest = run_pipeline(market_config(market, tmp_path / "out"))
+    assert code == 0
+    declared = {stage.name: stage.keys for stage in pipeline._STAGES}
+    assert tuple(declared) == STAGES
+    for name, keys in declared.items():
+        assert manifest["stages"][name]["status"] == "ok"
+        assert list(manifest["stages"][name]["params"]) == list(keys)
+    # every config field is a path or some stage's key, so every one can reach a stage's hash
+    assert {f.name for f in fields(PipelineConfig)} == (
+        set(PipelineConfig._PATHS) | {key for keys in declared.values() for key in keys})
+    stage_functions = [value for name, value in vars(pipeline).items()
+                       if name.startswith("_stage_") and inspect.isfunction(value)]
+    assert {stage.run for stage in pipeline._STAGES} <= set(stage_functions)
+    for function in stage_functions:
+        assert "cfg" not in inspect.signature(function).parameters, function.__name__
 
 
 def test_manifest_names_configured_paths_by_where_they_resolve(market, tmp_path):
