@@ -114,9 +114,9 @@ class EpochCorrelationSeries:
         return _unpack_epochs(total[None], self.n_labels)[0]
 
 
-def _epochs_per_chunk(epoch_size: int) -> int:
-    """Epochs of ``epoch_size`` values each that make a chunk of about 2^16 float64 (512 KB)."""
-    return max(1, (1 << 16) // max(epoch_size, 1))
+def _epochs_per_chunk(epoch_bytes: int) -> int:
+    """Epochs of ``epoch_bytes`` bytes each that make a chunk of about 512 KB."""
+    return max(1, (512 << 10) // max(epoch_bytes, 1))
 
 
 # The packed layout of an epoch stack: one row per epoch, its strict upper
@@ -164,7 +164,7 @@ def _pack_epochs(stack: np.ndarray) -> np.ndarray:
     """A dense (epochs, N, N) stack packed 512 KB of epochs at a time."""
     n, N = stack.shape[:2]
     out = np.empty((n, _packed_width(N)))
-    step = _epochs_per_chunk(N * N)
+    step = _epochs_per_chunk(N * N * 8)
     for e0 in range(0, n, step):
         _pack_chunk(stack[e0:e0 + step], out[e0:e0 + step], e0)
     return out
@@ -296,7 +296,7 @@ def epoch_correlations(panel: ReturnPanel, spec: EpochSpec = EpochSpec()) -> Epo
     windows = windows[:, ::spec.shift].transpose(1, 0, 2)  # (epochs, N, window) views
     N = windows.shape[1]
     packed = np.empty((n, _packed_width(N)))
-    step = _epochs_per_chunk(N * N)
+    step = _epochs_per_chunk(N * N * 8)
     buffer = np.empty((min(step, n), N, N))
     for e0 in range(0, n, step):
         chunk = buffer[:len(packed[e0:e0 + step])]
@@ -326,26 +326,49 @@ def _power(values: np.ndarray, epsilon: float, out: np.ndarray | None = None) ->
     return out
 
 
-def _kernel_copy(epochs: EpochCorrelationSeries, out: np.ndarray, epsilon: float) -> np.ndarray:
-    """Fill ``out`` with the kernel's rows: a series' packed rows mapped, triangle doubled.
+def _kernel_copy(epochs: EpochCorrelationSeries, out: np.ndarray, epsilon: float) -> float:
+    """Fill int16 ``out`` with the kernel's rows of a series and return their scale.
 
-    An off-diagonal entry is twice in a full matrix, so these rows are as far
-    apart in L1 as the full matrices.  ``out`` is the one packed copy the
-    kernel holds beyond the series.  NumericError names the first epoch that
-    is non-finite after the map.
+    Each packed column is power-mapped at ``epsilon`` and centred on the
+    midrange of its values over the epochs, which no L1 distance sees.  The
+    strict triangle is weighted 2, since an off-diagonal entry is twice in a
+    full matrix.  One scale rounds the widest weighted column onto -qmax ..
+    qmax, qmax = min(32767, (2^31 - 1) // width), so that a sum over a row
+    fits in int32.  Two rows are then ``scale`` times as far apart in L1 as
+    the full mapped matrices, within half a unit per entry.  A column that
+    never changes, such as the diagonal of raw correlations, is all 0.
+    ``out`` is the one packed copy the kernel holds beyond the series.
+    NumericError names the first epoch that is non-finite after the map.
     """
-    rows, k = epochs.packed, epochs.n_labels * (epochs.n_labels - 1) // 2
-    step = _epochs_per_chunk(out.shape[1])
+    rows, width = epochs.packed, epochs.packed.shape[1]
+    k = width - epochs.n_labels  # the strict triangle comes first
+    qmax = min(32767, (2**31 - 1) // width)
+    # the map is monotone: it takes each column's range to the mapped range
+    lo, hi = _power(np.stack([rows.min(axis=0), rows.max(axis=0)]), epsilon)
+    centre, half = lo / 2 + hi / 2, hi / 2 - lo / 2  # no overflow near the float limit
+    peak = max(half[:k].max(initial=0.0), half[k:].max() / 2)  # the widest weighted half-range / 2
+    # a range under 1e-290 reads as 0, which keeps scale * N^2 finite
+    scale = qmax / 2 / max(peak, 1e-290)
+    weight = np.full(width, scale)
+    weight[:k] *= 2.0
+    step = _epochs_per_chunk(8 * width)
+    stage = np.empty((min(step, len(out)), width))
     for e0 in range(0, len(out), step):
-        mapped, src = out[e0:e0 + step], rows[e0:e0 + step]
+        src = rows[e0:e0 + step]
+        mapped = stage[:len(src)]
         if epsilon:
-            src = _power(src, epsilon, out=mapped)
-        np.multiply(src[:, :k], 2.0, out=mapped[:, :k])
-        mapped[:, k:] = src[:, k:]
-        finite = np.isfinite(mapped).all(axis=1)
-        if not finite.all():
-            raise NumericError(f"epoch {e0 + int(np.argmin(finite))} has a non-finite entry")
-    return out
+            _power(src, epsilon, out=mapped)
+            finite = np.isfinite(mapped).all(axis=1)
+            if not finite.all():
+                raise NumericError(f"epoch {e0 + int(np.argmin(finite))} has a non-finite entry")
+            mapped -= centre
+        else:
+            np.subtract(src, centre, out=mapped)
+        mapped *= weight
+        np.rint(mapped, out=mapped)
+        np.clip(mapped, -qmax, qmax, out=mapped)
+        out[e0:e0 + step] = mapped
+    return scale
 
 
 def _check_epsilon(epsilon: float) -> None:

@@ -52,28 +52,46 @@ class Embedding:
         )
 
 
-def _l1_rows(X: np.ndarray, sums: np.ndarray, out: np.ndarray, first: int, step: int,
-             buf: np.ndarray) -> None:
-    """Upper-triangle rows of ``out`` by chunks first, first + step, ... of len(buf) rows.
+def _l1_rows(X: np.ndarray, sums: np.ndarray, out: np.ndarray, chunks, buf: np.ndarray) -> None:
+    """Upper-triangle rows a .. b-1 of ``out`` for each chunk (a, b) of ``chunks``.
 
     Entry (i, j), j > i, is sum |X[i] - X[j]| = 2 sum max(X[i], X[j]) - sums[i] - sums[j],
-    clamped at 0 against rounding, with ``sums`` the row sums of X.  A chunk
-    of rows a .. a+R-1 meets rows a+d .. a+d+R-1 in one flat maximum into
-    ``buf`` for each offset d, and the row sums go to the d-th diagonal of ``out``.
+    with ``sums`` the row sums of int16 X.  A chunk of rows a .. b-1 meets
+    rows a+d .. b-1+d in one flat maximum into ``buf`` (at least b - a rows)
+    for each offset d, and the int32 row sums go to the d-th diagonal of
+    ``out``.  Every sum is an exact integer, so no entry depends on the chunks.
     """
-    n, R = len(X), len(buf)
+    n = len(X)
     diagonals = out.reshape(-1)  # (i, i + d) sits at i (n + 1) + d
-    for a in range(first * R, n - 1, step * R):
+    for a, b in chunks:
         for d in range(1, n - a):
-            m = min(R, n - a - d)  # the chunk's rows that have a row d after them
+            m = min(b - a, n - a - d)  # the chunk's rows that have a row d after them
             np.maximum(X[a + d:a + d + m], X[a:a + m], out=buf[:m])
-            buf[:m].sum(axis=1, out=diagonals[a * (n + 1) + d::n + 1][:m])
-        for i in range(a, min(a + R, n - 1)):
+            buf[:m].sum(axis=1, dtype=np.int32, out=diagonals[a * (n + 1) + d::n + 1][:m])
+        for i in range(a, b):
             row = out[i, i + 1:]
             row *= 2.0
             row -= sums[i]
             row -= sums[i + 1:]
-            np.maximum(row, 0.0, out=row)
+
+
+def _deal(n: int, width: int, workers: int) -> list[list[tuple[int, int]]]:
+    """Each thread's chunks (a, b) of the rows 0 .. n-2 that the walk pairs with later rows.
+
+    A chunk is at most about 512 KB of int16 rows.  With more than one
+    thread there are a multiple of 2 x threads chunks of near-equal length,
+    dealt in mirror pairs: chunk c with chunks - 1 - c holds about as many
+    pairs as any other two, since an earlier row has more rows after it.
+    """
+    rows = n - 1  # the last row has no row after it
+    chunks = -(-rows // _epochs_per_chunk(2 * width))
+    threads = min(workers, -(-rows // 2))  # every thread owns a mirror pair
+    if threads > 1:
+        chunks = min(-(-chunks // (2 * threads)) * 2 * threads, rows)
+    bounds = [c * rows // chunks for c in range(chunks + 1)]
+    pairs = [sorted({c, chunks - 1 - c}) for c in range((chunks + 1) // 2)]
+    return [[(bounds[c], bounds[c + 1]) for pair in pairs[t::threads] for c in pair]
+            for t in range(threads)]
 
 
 def _check_workers(workers: int) -> None:
@@ -100,18 +118,21 @@ def similarity_matrix(epochs: EpochCorrelationSeries, workers: int = 1,
     offset by offset, through one buffer per thread: the chunk stays in
     cache while later rows stream past.
 
-    Each pair uses |a - b| = 2 max(a, b) - a - b: the packed rows are summed
-    once, and a pair's distance is twice the sum of its element-wise maxima
-    less both row sums.  Each off-diagonal entry is within 1e-12 relative of
-    summing |a - b| directly (a few 1e-14 at worst on shift-1 epochs of 40
-    to 60 stocks); identical epochs still give exactly 0, because a row's
-    maxima with itself are summed by the same pairwise reduction as its row
-    sum, and no entry is negative.
+    The kernel compares int16 rows: ``corrmat._kernel_copy`` centres each
+    packed column on its midrange and rounds it at one scale, so that the
+    widest column spans -qmax .. qmax with qmax = min(32767, (2^31 - 1) //
+    width) for width = N(N+1)/2.  Each pair uses |a - b| = 2 max(a, b) - a -
+    b: the rows are summed once in int64, the maxima of a pair in int32, and
+    both sums are exact.  A distance is that integer divided by scale * N^2
+    once, so it is within width / (scale * N^2) of the float64 value: each
+    entry's rounding moves it by at most half a unit, and a pair has two.
+    Identical epochs give exactly 0, no entry is negative and the triangle
+    inequality holds in the integers.
 
-    ``workers`` (at least 1) threads share the packed copy; chunk c goes to
-    thread c mod threads, with one thread per chunk at most.  Each entry is
-    the same pairwise sum of the same maxima for any chunking, so the result
-    is bit-identical for any thread count.
+    ``workers`` (at least 1) threads share the int16 copy.  With several
+    threads, the rows are cut into at least two chunks per thread and dealt
+    in mirror pairs, which evens the load.  Every sum is exact, so the
+    result is bit-identical for any chunking and thread count.
     """
     _check_workers(workers)
     _check_epsilon(epsilon)
@@ -121,26 +142,27 @@ def similarity_matrix(epochs: EpochCorrelationSeries, workers: int = 1,
     width = N * (N + 1) // 2  # entries of one packed epoch
     if n < 2:
         raise NumericError(f"need at least 2 epochs, got {n}")
-    # each thread's chunk of about 2^16 float64 (512 KB) and its buffer stay in cache
-    block = min(_epochs_per_chunk(width), n - 1)
-    threads = min(workers, -(-(n - 1) // block))  # at most one thread per chunk
+    deal = _deal(n, width, workers)
+    block = max(b - a for chunks in deal for a, b in chunks)
+    out = np.zeros((n, n))  # below the blocks freed before it is returned
     # one block for the copy and every buffer: glibc trims a heap whose free top
     # passes twice its largest freed block, as an event window's separate blocks did
-    whole = np.empty((n + threads * block, width))
-    X = _kernel_copy(epochs, whole[:n], epsilon)
-    bufs = [whole[n + t * block:n + (t + 1) * block] for t in range(threads)]
-    sums = X.sum(axis=1)
-    out = np.zeros((n, n))
-    if threads == 1:
-        _l1_rows(X, sums, out, 0, 1, bufs[0])
+    whole = np.empty((n + len(deal) * block, width), dtype=np.int16)
+    X = whole[:n]
+    scale = _kernel_copy(epochs, X, epsilon)
+    # each thread's chunk and its buffer stay in cache
+    bufs = [whole[n + t * block:n + (t + 1) * block] for t in range(len(deal))]
+    sums = X.sum(axis=1, dtype=np.int64).astype(float)  # exact: each is under 2^31
+    if len(deal) == 1:
+        _l1_rows(X, sums, out, deal[0], bufs[0])
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=len(deal)) as pool:
             # reading every result re-raises a worker's exception here
-            list(pool.map(lambda t: _l1_rows(X, sums, out, t, threads, bufs[t]), range(threads)))
+            list(pool.map(lambda t: _l1_rows(X, sums, out, deal[t], bufs[t]), range(len(deal))))
     del whole, X, bufs  # freed before out + out.T below takes its temporary
-    out /= N * N
+    out /= scale * N * N
     # out + out.T by blocks of about 512 KB of rows, with no (epochs, epochs) temporary
-    step = _epochs_per_chunk(n)
+    step = _epochs_per_chunk(8 * n)
     for i0 in range(0, n, step):
         out[i0:i0 + step] += out[:, i0:i0 + step].T
     return out

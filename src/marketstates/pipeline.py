@@ -91,8 +91,16 @@ def parse_int_range(text: str) -> list[int]:
         raise ValueError(f"bad integer range {text!r}: {exc}") from None
 
 
+# each grid point costs a kernel pass and an MDS map per run, so a range with more
+# points is a mistake, and np.arange would allocate them before any check
+MAX_GRID_POINTS = 1000
+
+
 def parse_float_grid(text: str) -> list[float]:
-    """Float list syntax: '0.5', 'start:step:stop' (inclusive, each finite), or '0,0.5,0.9'."""
+    """Float list syntax: '0.5', 'start:step:stop' (inclusive, each finite), or '0,0.5,0.9'.
+
+    A 'start:step:stop' grid has at most MAX_GRID_POINTS points.
+    """
     text = text.strip()
     try:
         if ":" in text:
@@ -102,6 +110,8 @@ def parse_float_grid(text: str) -> list[float]:
             if not math.isfinite((stop - start) / step):
                 raise ValueError("(stop - start) / step overflows")
             count = int(np.floor((stop - start) / step + 1e-9)) + 1
+            if count > MAX_GRID_POINTS:  # before np.arange allocates them
+                raise ValueError(f"{count} points, more than {MAX_GRID_POINTS}")
             return [float(v) for v in np.round(start + step * np.arange(count), 10)]
         if "," in text:
             return [float(part) for part in text.split(",") if part.strip()]

@@ -99,7 +99,7 @@ def sector_series(series: EpochCorrelationSeries, sector_of,
             stacklevel=2,
         )
     averages = np.empty((series.n_epochs, len(sectors), len(sectors)))
-    step = _epochs_per_chunk(series.n_labels ** 2)  # about 512 KB of unpacked epochs
+    step = _epochs_per_chunk(series.n_labels ** 2 * 8)  # about 512 KB of unpacked epochs
     for e0 in range(0, series.n_epochs, step):
         averages[e0:e0 + step] = _block_averages(series.values_stack(e0, e0 + step), membership,
                                                  include_self_pairs)

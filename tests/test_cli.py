@@ -513,6 +513,7 @@ def test_run_with_a_bad_config_value_fails_before_any_stage(market, tmp_path, ca
         ("0:0.5:inf", "need a finite start, step and stop"),
         ("0:inf:1", "need a finite start, step and stop"),
         ("0:0.1:1e308", "(stop - start) / step overflows"),
+        ("0:1e-9:1", "1000000000 points, more than 1000"),
     )
 ])
 def test_a_grid_bound_that_is_not_finite_is_one_error_line(workspace, market, tmp_path, capsys,

@@ -3,7 +3,13 @@ import sys
 import numpy as np
 import pytest
 
-from marketstates.corrmat import EpochSpec, epoch_correlations, power_map
+from marketstates.corrmat import (
+    EpochCorrelationSeries,
+    EpochSpec,
+    _kernel_copy,
+    epoch_correlations,
+    power_map,
+)
 from marketstates.errors import NumericError
 from marketstates.geometry import (
     Embedding,
@@ -32,6 +38,22 @@ def random_corr_series(seed, n_stocks=6, n_returns=60):
     return epoch_correlations(panel, EpochSpec(window=20, shift=5))
 
 
+def kernel_rows(series, epsilon=0.0):
+    """The kernel's int16 rows of ``series`` at ``epsilon``, and their scale."""
+    rows = np.empty(series.packed.shape, dtype=np.int16)
+    return rows, _kernel_copy(series, rows, epsilon)
+
+
+def kernel_bound(series, epsilon=0.0):
+    """The fixed-point kernel's bound on |D - D_float64|: width / (scale N^2).
+
+    Rounding moves each of a pair's 2 x width int16 entries by at most half
+    a unit, and a distance is its integer sum divided by scale N^2.
+    """
+    N = series.n_labels
+    return series.packed.shape[1] / (kernel_rows(series, epsilon)[1] * N * N)
+
+
 def test_similarity_identical_matrices_is_zero():
     block = np.random.default_rng(0).normal(size=(4, 4))
     block = (block + block.T) / 2
@@ -49,6 +71,7 @@ def test_similarity_all_ones_vs_identity():
 def test_similarity_matches_triple_loop_oracle():
     series = random_corr_series(1, n_stocks=5, n_returns=45)
     sim = similarity_matrix(series)
+    bound = kernel_bound(series)
     mats = [m.values for m in series.matrices]
     n = len(mats)
     N = mats[0].shape[0]
@@ -58,7 +81,7 @@ def test_similarity_matches_triple_loop_oracle():
             for i in range(N):
                 for j in range(N):
                     total += abs(mats[a][i, j] - mats[b][i, j])
-            assert abs(sim[a, b] - total / N**2) < 1e-14
+            assert abs(sim[a, b] - total / N**2) <= bound
 
 
 def row_by_row_similarity(stack):
@@ -107,7 +130,7 @@ def test_packed_kernel_matches_row_by_row_oracle(case, workers):
     want = row_by_row_similarity(stack)
     np.testing.assert_array_equal(got, got.T)
     assert np.all(np.diag(got) == 0.0)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(got - want).max() <= kernel_bound(series_of(stack))
     assert got.tobytes() == similarity_matrix(series_of(stack)).tobytes()
 
 
@@ -140,16 +163,32 @@ def test_max_sum_kernel_matches_subtract_abs_oracle(eps, workers):
     n = len(stack) - 3
     got = similarity_matrix(series_of(stack), workers, epsilon=eps)
     want = subtract_abs_similarity(stack, eps)
+    bound = kernel_bound(series_of(stack), eps)
     # the appended copies of epochs 0 and 7 (rows n, n+1, n+2) are exact zeros
     for a, b in ((0, n), (7, n + 1), (7, n + 2), (n + 1, n + 2)):
         assert got[a, b] == 0.0 and got[b, a] == 0.0
     assert np.all(got >= 0.0)
     positive = want > 0.0
+    # two distinct epochs could round to one int16 row and read 0; here the
+    # nearest (neighbouring shift-1 epochs, which share 19 of 20 days) are
+    # farther apart than the bound, so every positive distance stays positive
+    assert want[positive].min() > bound
     assert np.array_equal(positive, got > 0.0)
-    # neighbouring shift-1 epochs share 19 of 20 days: their distances are
-    # the smallest, where the max-sum identity cancels the most
-    assert (np.abs(got - want)[positive] / want[positive]).max() <= 1e-12
+    assert np.abs(got - want).max() <= bound
     assert got.tobytes() == similarity_matrix(series_of(stack), epsilon=eps).tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("eps", [0.0, 0.6])
+def test_kernel_distances_are_exact_integer_sums_of_its_int16_rows(eps, workers):
+    # 3 threads cut the 62 rows into 6 chunks
+    series = series_of(shift_one_stack(29, n_stocks=40, n_epochs=60))
+    N = series.n_labels
+    rows, scale = kernel_rows(series, eps)
+    rows = rows.astype(np.int64)
+    direct = np.stack([np.abs(rows - row).sum(axis=1) for row in rows])
+    got = similarity_matrix(series, workers, eps)
+    assert got.tobytes() == (direct / (scale * N * N)).tobytes()
 
 
 def test_kernel_threads_under_fast_switching_match_one_thread():
@@ -171,40 +210,43 @@ def test_failure_in_a_kernel_thread_raises_from_similarity_matrix(monkeypatch):
 
     real_rows = geometry._l1_rows
 
-    def failing_rows(X, sums, out, first, *args):
-        if first == 1:
+    def failing_rows(X, sums, out, chunks, buf):
+        if chunks[0][0] > 0:
             raise RuntimeError("injected kernel failure")
-        real_rows(X, sums, out, first, *args)
+        real_rows(X, sums, out, chunks, buf)
 
     monkeypatch.setattr(geometry, "_l1_rows", failing_rows)
-    # 60 stocks: chunks of 35 rows, so 40 epochs make 2 chunks and thread 1 owns one
+    # 2 threads cut the 39 rows into 4 chunks: thread 0 owns the first and
+    # last, thread 1 the two in the middle
     with pytest.raises(RuntimeError, match="injected kernel failure"):
         similarity_matrix(series_of(symmetric_stack(15, 40, 60)), workers=2)
 
 
-def row_order_l1_rows(X, sums, out, first, step, buf):
+def row_order_l1_rows(X, sums, out, chunks, buf):
     """The kernel's loop before chunks of rows: row i against blocks of the rows after it."""
     n, block = len(X), len(buf)
-    for i in range(first, n - 1, step):
-        for j0 in range(i + 1, n, block):
-            j1 = min(j0 + block, n)
-            b = buf[: j1 - j0]
-            np.maximum(X[j0:j1], X[i], out=b)
-            b.sum(axis=1, out=out[i, j0:j1])
-        row = out[i, i + 1:]
-        row *= 2.0
-        row -= sums[i]
-        row -= sums[i + 1:]
-        np.maximum(row, 0.0, out=row)
+    for a, b in chunks:
+        for i in range(a, b):
+            for j0 in range(i + 1, n, block):
+                j1 = min(j0 + block, n)
+                m = buf[: j1 - j0]
+                np.maximum(X[j0:j1], X[i], out=m)
+                m.sum(axis=1, dtype=np.int64, out=out[i, j0:j1])
+            row = out[i, i + 1:]
+            row *= 2.0
+            row -= sums[i]
+            row -= sums[i + 1:]
 
 
 def _chunk_cases():
     series = random_corr_series(21, n_stocks=12, n_returns=140)
     return {
-        # 40 stocks: chunks of 79 rows, 203 epochs make 2 full and a partial chunk
+        # 40 stocks: chunks of at most 319 rows, so 203 epochs make 1 chunk on 1 thread
         "shift1_40": lambda: series_of(shift_one_stack(22, n_stocks=40, n_epochs=200)),
-        # 60 stocks: chunks of 35 rows, 103 epochs make 2 full and a partial chunk
+        # 60 stocks: chunks of at most 143 rows, so 103 epochs make 1 chunk on 1 thread
         "shift1_60": lambda: series_of(shift_one_stack(23, n_stocks=60, n_epochs=100)),
+        # 200 stocks: chunks of at most 13 rows, so 62 epochs make 5 chunks on 1 thread
+        "shift1_200": lambda: series_of(shift_one_stack(30, n_stocks=200, n_epochs=59)),
         "one_chunk": lambda: series_of(shift_one_stack(24, n_stocks=40, n_epochs=40)),
         "two_epochs": lambda: series_of(symmetric_stack(25, 2, 30)),
         "one_stock": lambda: series_of(symmetric_stack(26, 30, 1)),
@@ -226,25 +268,44 @@ def test_chunked_diagonal_kernel_has_the_row_order_bits(monkeypatch, case, eps):
 
 
 @pytest.mark.parametrize("n, N, workers", [(203, 40, 2), (203, 40, 3), (104, 60, 3),
-                                           (40, 60, 2), (80, 40, 8), (2, 30, 8), (9, 1, 3)])
+                                           (40, 60, 2), (80, 40, 8), (2, 30, 8), (9, 1, 3),
+                                           (62, 200, 1)])
 def test_every_kernel_thread_owns_a_chunk(monkeypatch, n, N, workers):
     from marketstates import geometry
 
     calls = []
     real_rows = geometry._l1_rows
 
-    def recording_rows(X, sums, out, first, step, buf):
-        calls.append((first, step, len(buf)))
-        real_rows(X, sums, out, first, step, buf)
+    def recording_rows(X, sums, out, chunks, buf):
+        assert all(b - a <= len(buf) for a, b in chunks)
+        calls.append(list(chunks))
+        real_rows(X, sums, out, chunks, buf)
 
     monkeypatch.setattr(geometry, "_l1_rows", recording_rows)
     similarity_matrix(series_of(symmetric_stack(28, n, N)), workers)
-    R = calls[0][2]
-    chunks = -(-(n - 1) // R)
-    assert len(calls) == min(workers, chunks)
-    owned = sorted(c for first, step, _ in calls for c in range(first, chunks, step))
-    assert owned == list(range(chunks))  # every chunk once, and no thread without one
-    assert all(first < chunks and step == len(calls) for first, step, _ in calls)
+    # one thread per mirror pair of chunks at most, and no thread without one
+    assert len(calls) == min(workers, -(-(n - 1) // 2))
+    assert all(calls)
+    owned = sorted(chunk for chunks in calls for chunk in chunks)
+    assert [a for a, _ in owned] == [0] + [b for _, b in owned[:-1]]  # every row once
+    assert owned[-1][1] == n - 1 and all(a < b for a, b in owned)
+
+
+def pair_shares(n, N, workers):
+    """Each kernel thread's share of the n (n - 1) / 2 pairs, from the chunk layout."""
+    from marketstates.geometry import _deal
+
+    pairs = [sum(n - 1 - i for a, b in chunks for i in range(a, b))
+             for chunks in _deal(n, N * (N + 1) // 2, workers)]
+    assert sum(pairs) == n * (n - 1) // 2
+    return [p / sum(pairs) for p in pairs]
+
+
+@pytest.mark.parametrize("n, N", [(400, 40), (32, 200), (105, 60), (3500, 350)])
+def test_kernel_threads_share_the_pairs_evenly(n, N):
+    # dealt round-robin, thread 0 held 60-67 % of the pairs at 2 threads
+    assert max(pair_shares(n, N, 2)) <= 0.55
+    assert max(pair_shares(n, N, 3)) <= 0.4
 
 
 def signed_stack(seed):
@@ -276,10 +337,12 @@ def test_similarity_of_a_series_holds_one_packed_copy(peak_bytes, n_stocks, n_re
                                                       workers):
     series = random_corr_series(20, n_stocks, n_returns)
     n = series.n_epochs
-    # the kernel's packed copy, the result and, per thread, the 512 KB maximum
-    # buffer plus numpy's 64 KB reduction buffer; at epsilon > 0 also one
-    # 512 KB chunk's power-map temporary; no second copy of either
-    bound = series.packed.nbytes + n * n * 8 + workers * (640 << 10) + (eps > 0) * (512 << 10)
+    # the kernel's int16 copy, a quarter of the float64 rows, the result and,
+    # per thread, the 512 KB maximum buffer plus numpy's 64 KB reduction
+    # buffer; one 512 KB float64 chunk that the copy is rounded from, and at
+    # epsilon > 0 also that chunk's power-map temporary; no second copy of either
+    bound = (series.packed.nbytes // 4 + n * n * 8 + workers * (640 << 10) + (512 << 10)
+             + (eps > 0) * (512 << 10))
     assert peak_bytes(lambda: similarity_matrix(series, workers, eps)) <= bound
 
 
@@ -378,16 +441,79 @@ def per_epoch_packing(stack, epsilon):
     return X
 
 
+def quantized(X):
+    """The kernel's quantizer on weighted, mapped packed rows X: int16 rows and their scale.
+
+    Each column is centred on its midrange over the epochs, and one scale
+    takes the widest column onto -qmax .. qmax.
+    """
+    qmax = min(32767, (2**31 - 1) // X.shape[1])
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    centre, half = lo / 2 + hi / 2, hi / 2 - lo / 2
+    scale = qmax / half.max()
+    return np.clip(np.rint((X - centre) * scale), -qmax, qmax).astype(np.int16), scale
+
+
 @pytest.mark.parametrize("eps", [0.0, 0.3])
 def test_chunked_packing_matches_the_per_epoch_loop(eps):
-    from marketstates.corrmat import EpochCorrelationSeries, _kernel_copy
-
     # 100 stocks: 12 packed epochs per 512 KB chunk, so 20 epochs end in a partial chunk
     for stack in (np.tanh(symmetric_stack(17, 20, 100)), signed_stack(5)):
         n, N = stack.shape[:2]
         series = EpochCorrelationSeries(range(N), stack, [""] * n, [""] * n)
-        got = _kernel_copy(series, np.empty((n, N * (N + 1) // 2)), eps)
-        assert got.tobytes() == per_epoch_packing(stack, eps).tobytes()
+        got, scale = kernel_rows(series, eps)
+        want, want_scale = quantized(per_epoch_packing(stack, eps))
+        assert got.tobytes() == want.tobytes()
+        assert scale == want_scale
+
+
+def pm_one_stack(N):
+    """3 epochs of +-1 entries whose every packed column takes both signs."""
+    rng = np.random.default_rng(31)
+    stack = np.ones((3, N, N))
+    flips = np.triu(rng.random((N, N)) < 0.01)
+    stack[1][flips | flips.T] = -1.0
+    stack[2] = -1.0
+    return stack
+
+
+def test_widest_rows_keep_exact_int32_sums():
+    # width 180 300 takes qmax = (2^31 - 1) // width = 11 910, and epochs 0
+    # and 1 agree on 99 % of their entries: their maxima sum to nearly 2^31
+    N = 600
+    series = series_of(pm_one_stack(N))
+    rows, scale = kernel_rows(series)
+    assert np.abs(rows).max() == (2**31 - 1) // series.packed.shape[1]
+    rows = rows.astype(np.int64)
+    assert np.maximum(rows[0], rows[1]).sum() > 0.98 * 2**31
+    direct = np.stack([np.abs(rows - row).sum(axis=1) for row in rows])
+    for workers in (1, 2):
+        got = similarity_matrix(series, workers)
+        assert got.tobytes() == (direct / (scale * N * N)).tobytes()
+
+
+@pytest.mark.parametrize("factor", [1e6, 1e-6])
+def test_kernel_takes_entries_far_from_the_unit_range(factor):
+    # a series holds any finite symmetric stack: the scale follows the widest column
+    stack = factor * signed_stack(6)
+    series = series_of(stack)
+    rows, _ = kernel_rows(series)
+    assert np.abs(rows.astype(np.int64)).max() == 32767  # no int16 wrap
+    got = similarity_matrix(series)
+    want = row_by_row_similarity(stack)
+    assert np.abs(got - want).max() <= kernel_bound(series)
+    assert np.array_equal(got > 0.0, want > 0.0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kernel_is_scale_covariant(workers):
+    # scaling the input scales the centres and the scale alike: the same int16
+    # rows, so criterion 6's scale-invariant variance ratio holds
+    stack = shift_one_stack(32, n_stocks=30, n_epochs=60)
+    got = similarity_matrix(series_of(3.0 * stack), workers)
+    want = 3.0 * similarity_matrix(series_of(stack), workers)
+    positive = want > 0.0
+    assert np.array_equal(positive, got > 0.0)
+    assert (np.abs(got - want)[positive] / want[positive]).max() <= 1e-12
 
 
 def test_packing_names_the_lowest_bad_epoch_across_chunks():

@@ -50,12 +50,14 @@ def test_parse_float_grid_forms():
     assert parse_float_grid("0:0.1:0.9") == [round(0.1 * i, 10) for i in range(10)]
     assert parse_float_grid("0:0.25:1") == [0.0, 0.25, 0.5, 0.75, 1.0]  # stop inclusive
     assert parse_float_grid("0,0.5,0.9") == [0.0, 0.5, 0.9]
+    assert len(parse_float_grid("0:0.001:0.999")) == 1000  # the most points a range may have
 
 
 # an infinite stop overflowed the point count, and an infinite step made a NaN point; a
-# finite stop far past the step overflowed it too
+# finite stop far past the step overflowed it too; 0:1e-9:1 would allocate 8 GB of points
 @pytest.mark.parametrize("bad", ["", "x", "0:0:1", "1:0.1:0", "0:0.1", "0:0.1:inf", "0:inf:1",
-                                 "-inf:0.1:0", "nan:0.1:1", "0:0.1:nan", "0:0.1:1e308"])
+                                 "-inf:0.1:0", "nan:0.1:1", "0:0.1:nan", "0:0.1:1e308",
+                                 "0:1e-6:1", "0:1e-9:1", "0:0.001:1.0001"])
 def test_parse_float_grid_rejects(bad):
     with pytest.raises(ValueError, match="bad float grid"):
         parse_float_grid(bad)
