@@ -1,9 +1,12 @@
 """Epoch-pair dissimilarity and its low-dimensional map.
 
 Two epochs are compared by the mean absolute difference of their correlation
-matrices, element by element.  Classical (Torgerson) multidimensional scaling
-turns the resulting dissimilarity matrix into coordinates, so that each epoch
-becomes one point and market history becomes a trajectory through that map.
+matrices, element by element.  The kernel computes it in fixed point: each
+epoch's packed entries are rounded to int16 at one scale per call, the sums
+are exact integers, and each distance is within width / (scale N^2) of the
+float64 value.  Classical (Torgerson) multidimensional scaling turns the
+resulting dissimilarity matrix into coordinates, so that each epoch becomes
+one point and market history becomes a trajectory through that map.
 """
 
 from __future__ import annotations
