@@ -326,6 +326,11 @@ def _power(values: np.ndarray, epsilon: float, out: np.ndarray | None = None) ->
     return out
 
 
+# The fewest rounding steps per half-range that _kernel_copy accepts: int32
+# row sums leave (2^31 - 1) // width, which passes it up to N = 4 103 labels.
+QMAX_FLOOR = 255
+
+
 def _kernel_copy(epochs: EpochCorrelationSeries, out: np.ndarray, epsilon: float) -> float:
     """Fill int16 ``out`` with the kernel's rows of a series and return their scale.
 
@@ -338,11 +343,17 @@ def _kernel_copy(epochs: EpochCorrelationSeries, out: np.ndarray, epsilon: float
     the full mapped matrices, within half a unit per entry.  A column that
     never changes, such as the diagonal of raw correlations, is all 0.
     ``out`` is the one packed copy the kernel holds beyond the series.
-    NumericError names the first epoch that is non-finite after the map.
+    qmax falls as 1/N^2 past N = 361; below QMAX_FLOOR (N above 4 103) a
+    distance's bound would pass about 1/255 of the widest half-range, and
+    the call is a NumericError before any work.  NumericError also names the first epoch
+    that is non-finite after the map.
     """
     rows, width = epochs.packed, epochs.packed.shape[1]
     k = width - epochs.n_labels  # the strict triangle comes first
     qmax = min(32767, (2**31 - 1) // width)
+    if qmax < QMAX_FLOOR:
+        raise NumericError(f"{epochs.n_labels} labels leave the int16 kernel {qmax} steps "
+                           f"per half-range, fewer than {QMAX_FLOOR}")
     # the map is monotone: it takes each column's range to the mapped range
     lo, hi = _power(np.stack([rows.min(axis=0), rows.max(axis=0)]), epsilon)
     centre, half = lo / 2 + hi / 2, hi / 2 - lo / 2  # no overflow near the float limit

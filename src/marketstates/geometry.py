@@ -55,46 +55,28 @@ class Embedding:
         )
 
 
-def _l1_rows(X: np.ndarray, sums: np.ndarray, out: np.ndarray, chunks, buf: np.ndarray) -> None:
-    """Upper-triangle rows a .. b-1 of ``out`` for each chunk (a, b) of ``chunks``.
+def _l1_rows(X: np.ndarray, sums: np.ndarray, out: np.ndarray, first: int, step: int,
+             buf: np.ndarray) -> None:
+    """Upper-triangle rows of ``out`` by chunks first, first + step, ... of len(buf) rows.
 
     Entry (i, j), j > i, is sum |X[i] - X[j]| = 2 sum max(X[i], X[j]) - sums[i] - sums[j],
-    with ``sums`` the row sums of int16 X.  A chunk of rows a .. b-1 meets
-    rows a+d .. b-1+d in one flat maximum into ``buf`` (at least b - a rows)
-    for each offset d, and the int32 row sums go to the d-th diagonal of
-    ``out``.  Every sum is an exact integer, so no entry depends on the chunks.
+    with ``sums`` the row sums of int16 X.  A chunk of rows a .. a+R-1 meets
+    rows a+d .. a+d+R-1 in one flat maximum into ``buf`` for each offset d,
+    and the int32 row sums go to the d-th diagonal of ``out``.  Every sum is
+    an exact integer, so no entry depends on the chunks.
     """
-    n = len(X)
+    n, R = len(X), len(buf)
     diagonals = out.reshape(-1)  # (i, i + d) sits at i (n + 1) + d
-    for a, b in chunks:
+    for a in range(first * R, n - 1, step * R):
         for d in range(1, n - a):
-            m = min(b - a, n - a - d)  # the chunk's rows that have a row d after them
+            m = min(R, n - a - d)  # the chunk's rows that have a row d after them
             np.maximum(X[a + d:a + d + m], X[a:a + m], out=buf[:m])
             buf[:m].sum(axis=1, dtype=np.int32, out=diagonals[a * (n + 1) + d::n + 1][:m])
-        for i in range(a, b):
+        for i in range(a, min(a + R, n - 1)):
             row = out[i, i + 1:]
             row *= 2.0
             row -= sums[i]
             row -= sums[i + 1:]
-
-
-def _deal(n: int, width: int, workers: int) -> list[list[tuple[int, int]]]:
-    """Each thread's chunks (a, b) of the rows 0 .. n-2 that the walk pairs with later rows.
-
-    A chunk is at most about 512 KB of int16 rows.  With more than one
-    thread there are a multiple of 2 x threads chunks of near-equal length,
-    dealt in mirror pairs: chunk c with chunks - 1 - c holds about as many
-    pairs as any other two, since an earlier row has more rows after it.
-    """
-    rows = n - 1  # the last row has no row after it
-    chunks = -(-rows // _epochs_per_chunk(2 * width))
-    threads = min(workers, -(-rows // 2))  # every thread owns a mirror pair
-    if threads > 1:
-        chunks = min(-(-chunks // (2 * threads)) * 2 * threads, rows)
-    bounds = [c * rows // chunks for c in range(chunks + 1)]
-    pairs = [sorted({c, chunks - 1 - c}) for c in range((chunks + 1) // 2)]
-    return [[(bounds[c], bounds[c + 1]) for pair in pairs[t::threads] for c in pair]
-            for t in range(threads)]
 
 
 def _check_workers(workers: int) -> None:
@@ -129,13 +111,16 @@ def similarity_matrix(epochs: EpochCorrelationSeries, workers: int = 1,
     both sums are exact.  A distance is that integer divided by scale * N^2
     once, so it is within width / (scale * N^2) of the float64 value: each
     entry's rounding moves it by at most half a unit, and a pair has two.
-    Identical epochs give exactly 0, no entry is negative and the triangle
-    inequality holds in the integers.
+    That bound is about 1/qmax of the widest column's half-range: 3e-5 up to
+    N = 361, then growing as about N^2 / 2^32 (2.3e-4 at N = 1000, 2.1e-3 at
+    N = 3000); past N = 4 103, where qmax would fall below
+    ``corrmat.QMAX_FLOOR``, the call is a NumericError.  Identical epochs
+    give exactly 0, no entry is negative and the triangle inequality holds
+    in the integers.
 
-    ``workers`` (at least 1) threads share the int16 copy.  With several
-    threads, the rows are cut into at least two chunks per thread and dealt
-    in mirror pairs, which evens the load.  Every sum is exact, so the
-    result is bit-identical for any chunking and thread count.
+    ``workers`` (at least 1) threads share the int16 copy; chunk c goes to
+    thread c mod threads, with one thread per chunk at most.  Every sum is
+    exact, so the result is bit-identical for any chunking and thread count.
     """
     _check_workers(workers)
     _check_epsilon(epsilon)
@@ -145,23 +130,23 @@ def similarity_matrix(epochs: EpochCorrelationSeries, workers: int = 1,
     width = N * (N + 1) // 2  # entries of one packed epoch
     if n < 2:
         raise NumericError(f"need at least 2 epochs, got {n}")
-    deal = _deal(n, width, workers)
-    block = max(b - a for chunks in deal for a, b in chunks)
+    # each thread's chunk of about 2^18 int16 (512 KB) and its buffer stay in cache
+    block = min(_epochs_per_chunk(2 * width), n - 1)
+    threads = min(workers, -(-(n - 1) // block))  # at most one thread per chunk
     out = np.zeros((n, n))  # below the blocks freed before it is returned
     # one block for the copy and every buffer: glibc trims a heap whose free top
     # passes twice its largest freed block, as an event window's separate blocks did
-    whole = np.empty((n + len(deal) * block, width), dtype=np.int16)
+    whole = np.empty((n + threads * block, width), dtype=np.int16)
     X = whole[:n]
     scale = _kernel_copy(epochs, X, epsilon)
-    # each thread's chunk and its buffer stay in cache
-    bufs = [whole[n + t * block:n + (t + 1) * block] for t in range(len(deal))]
+    bufs = [whole[n + t * block:n + (t + 1) * block] for t in range(threads)]
     sums = X.sum(axis=1, dtype=np.int64).astype(float)  # exact: each is under 2^31
-    if len(deal) == 1:
-        _l1_rows(X, sums, out, deal[0], bufs[0])
+    if threads == 1:
+        _l1_rows(X, sums, out, 0, 1, bufs[0])
     else:
-        with ThreadPoolExecutor(max_workers=len(deal)) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             # reading every result re-raises a worker's exception here
-            list(pool.map(lambda t: _l1_rows(X, sums, out, deal[t], bufs[t]), range(len(deal))))
+            list(pool.map(lambda t: _l1_rows(X, sums, out, t, threads, bufs[t]), range(threads)))
     del whole, X, bufs  # freed before out + out.T below takes its temporary
     out /= scale * N * N
     # out + out.T by blocks of about 512 KB of rows, with no (epochs, epochs) temporary

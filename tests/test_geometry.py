@@ -1,9 +1,11 @@
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from marketstates.corrmat import (
+    QMAX_FLOOR,
     EpochCorrelationSeries,
     EpochSpec,
     _kernel_copy,
@@ -114,8 +116,8 @@ def _oracle_cases():
         ).values_stack(),
         "one_stock": symmetric_stack(11, 7, 1),
         "two_epochs": symmetric_stack(12, 2, 30),
-        # width 7 260: a row of 19 pairs spans three 9-row buffer blocks
-        "multi_block": symmetric_stack(13, 20, 120),
+        # width 7 260: chunks of 36 rows, so the 39 rows make a full and a partial chunk
+        "multi_block": symmetric_stack(13, 40, 120),
     }
 
 
@@ -181,8 +183,8 @@ def test_max_sum_kernel_matches_subtract_abs_oracle(eps, workers):
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("eps", [0.0, 0.6])
 def test_kernel_distances_are_exact_integer_sums_of_its_int16_rows(eps, workers):
-    # 3 threads cut the 62 rows into 6 chunks
-    series = series_of(shift_one_stack(29, n_stocks=40, n_epochs=60))
+    # 200 stocks: chunks of 13 rows, so 3 threads share the 42 rows' 4 chunks
+    series = series_of(shift_one_stack(29, n_stocks=200, n_epochs=40))
     N = series.n_labels
     rows, scale = kernel_rows(series, eps)
     rows = rows.astype(np.int64)
@@ -210,42 +212,40 @@ def test_failure_in_a_kernel_thread_raises_from_similarity_matrix(monkeypatch):
 
     real_rows = geometry._l1_rows
 
-    def failing_rows(X, sums, out, chunks, buf):
-        if chunks[0][0] > 0:
+    def failing_rows(X, sums, out, first, *args):
+        if first == 1:
             raise RuntimeError("injected kernel failure")
-        real_rows(X, sums, out, chunks, buf)
+        real_rows(X, sums, out, first, *args)
 
     monkeypatch.setattr(geometry, "_l1_rows", failing_rows)
-    # 2 threads cut the 39 rows into 4 chunks: thread 0 owns the first and
-    # last, thread 1 the two in the middle
+    # 120 stocks: chunks of 36 rows, so 40 epochs make 2 chunks and thread 1 owns one
     with pytest.raises(RuntimeError, match="injected kernel failure"):
-        similarity_matrix(series_of(symmetric_stack(15, 40, 60)), workers=2)
+        similarity_matrix(series_of(symmetric_stack(15, 40, 120)), workers=2)
 
 
-def row_order_l1_rows(X, sums, out, chunks, buf):
+def row_order_l1_rows(X, sums, out, first, step, buf):
     """The kernel's loop before chunks of rows: row i against blocks of the rows after it."""
     n, block = len(X), len(buf)
-    for a, b in chunks:
-        for i in range(a, b):
-            for j0 in range(i + 1, n, block):
-                j1 = min(j0 + block, n)
-                m = buf[: j1 - j0]
-                np.maximum(X[j0:j1], X[i], out=m)
-                m.sum(axis=1, dtype=np.int64, out=out[i, j0:j1])
-            row = out[i, i + 1:]
-            row *= 2.0
-            row -= sums[i]
-            row -= sums[i + 1:]
+    for i in range(first, n - 1, step):
+        for j0 in range(i + 1, n, block):
+            j1 = min(j0 + block, n)
+            b = buf[: j1 - j0]
+            np.maximum(X[j0:j1], X[i], out=b)
+            b.sum(axis=1, dtype=np.int64, out=out[i, j0:j1])
+        row = out[i, i + 1:]
+        row *= 2.0
+        row -= sums[i]
+        row -= sums[i + 1:]
 
 
 def _chunk_cases():
     series = random_corr_series(21, n_stocks=12, n_returns=140)
     return {
-        # 40 stocks: chunks of at most 319 rows, so 203 epochs make 1 chunk on 1 thread
+        # 40 stocks: chunks of 319 rows, so 203 epochs make 1 chunk
         "shift1_40": lambda: series_of(shift_one_stack(22, n_stocks=40, n_epochs=200)),
-        # 60 stocks: chunks of at most 143 rows, so 103 epochs make 1 chunk on 1 thread
+        # 60 stocks: chunks of 143 rows, so 103 epochs make 1 chunk
         "shift1_60": lambda: series_of(shift_one_stack(23, n_stocks=60, n_epochs=100)),
-        # 200 stocks: chunks of at most 13 rows, so 62 epochs make 5 chunks on 1 thread
+        # 200 stocks: chunks of 13 rows, so 62 epochs make 4 full and a partial chunk
         "shift1_200": lambda: series_of(shift_one_stack(30, n_stocks=200, n_epochs=59)),
         "one_chunk": lambda: series_of(shift_one_stack(24, n_stocks=40, n_epochs=40)),
         "two_epochs": lambda: series_of(symmetric_stack(25, 2, 30)),
@@ -269,43 +269,25 @@ def test_chunked_diagonal_kernel_has_the_row_order_bits(monkeypatch, case, eps):
 
 @pytest.mark.parametrize("n, N, workers", [(203, 40, 2), (203, 40, 3), (104, 60, 3),
                                            (40, 60, 2), (80, 40, 8), (2, 30, 8), (9, 1, 3),
-                                           (62, 200, 1)])
+                                           (62, 200, 1), (62, 200, 2), (62, 200, 3)])
 def test_every_kernel_thread_owns_a_chunk(monkeypatch, n, N, workers):
     from marketstates import geometry
 
     calls = []
     real_rows = geometry._l1_rows
 
-    def recording_rows(X, sums, out, chunks, buf):
-        assert all(b - a <= len(buf) for a, b in chunks)
-        calls.append(list(chunks))
-        real_rows(X, sums, out, chunks, buf)
+    def recording_rows(X, sums, out, first, step, buf):
+        calls.append((first, step, len(buf)))
+        real_rows(X, sums, out, first, step, buf)
 
     monkeypatch.setattr(geometry, "_l1_rows", recording_rows)
     similarity_matrix(series_of(symmetric_stack(28, n, N)), workers)
-    # one thread per mirror pair of chunks at most, and no thread without one
-    assert len(calls) == min(workers, -(-(n - 1) // 2))
-    assert all(calls)
-    owned = sorted(chunk for chunks in calls for chunk in chunks)
-    assert [a for a, _ in owned] == [0] + [b for _, b in owned[:-1]]  # every row once
-    assert owned[-1][1] == n - 1 and all(a < b for a, b in owned)
-
-
-def pair_shares(n, N, workers):
-    """Each kernel thread's share of the n (n - 1) / 2 pairs, from the chunk layout."""
-    from marketstates.geometry import _deal
-
-    pairs = [sum(n - 1 - i for a, b in chunks for i in range(a, b))
-             for chunks in _deal(n, N * (N + 1) // 2, workers)]
-    assert sum(pairs) == n * (n - 1) // 2
-    return [p / sum(pairs) for p in pairs]
-
-
-@pytest.mark.parametrize("n, N", [(400, 40), (32, 200), (105, 60), (3500, 350)])
-def test_kernel_threads_share_the_pairs_evenly(n, N):
-    # dealt round-robin, thread 0 held 60-67 % of the pairs at 2 threads
-    assert max(pair_shares(n, N, 2)) <= 0.55
-    assert max(pair_shares(n, N, 3)) <= 0.4
+    R = calls[0][2]
+    chunks = -(-(n - 1) // R)
+    assert len(calls) == min(workers, chunks)
+    owned = sorted(c for first, step, _ in calls for c in range(first, chunks, step))
+    assert owned == list(range(chunks))  # every chunk once, and no thread without one
+    assert all(first < chunks and step == len(calls) for first, step, _ in calls)
 
 
 def signed_stack(seed):
@@ -339,10 +321,12 @@ def test_similarity_of_a_series_holds_one_packed_copy(peak_bytes, n_stocks, n_re
     n = series.n_epochs
     # the kernel's int16 copy, a quarter of the float64 rows, the result and,
     # per thread, the 512 KB maximum buffer plus numpy's 64 KB reduction
-    # buffer; one 512 KB float64 chunk that the copy is rounded from, and at
-    # epsilon > 0 also that chunk's power-map temporary; no second copy of either
-    bound = (series.packed.nbytes // 4 + n * n * 8 + workers * (640 << 10) + (512 << 10)
-             + (eps > 0) * (512 << 10))
+    # buffer; one float64 chunk of at most 512 KB of the rows that the copy is
+    # rounded from, and at epsilon > 0 also that chunk's power-map temporary;
+    # no second copy of either
+    chunk = min(series.packed.nbytes, 512 << 10)
+    bound = (series.packed.nbytes // 4 + n * n * 8 + workers * (640 << 10) + chunk
+             + (eps > 0) * chunk)
     assert peak_bytes(lambda: similarity_matrix(series, workers, eps)) <= bound
 
 
@@ -489,6 +473,16 @@ def test_widest_rows_keep_exact_int32_sums():
     for workers in (1, 2):
         got = similarity_matrix(series, workers)
         assert got.tobytes() == (direct / (scale * N * N)).tobytes()
+
+
+@pytest.mark.parametrize("N, qmax", [(4104, 254), (65536, 0)])
+def test_kernel_refuses_widths_that_leave_too_few_steps(N, qmax):
+    # qmax = (2^31 - 1) // width falls below QMAX_FLOOR = 255 past N = 4 103;
+    # a broadcast series of 2 epochs holds no memory for its packed rows
+    assert (2**31 - 1) // (4103 * 4104 // 2) == QMAX_FLOOR
+    epochs = SimpleNamespace(packed=np.broadcast_to(0.0, (2, N * (N + 1) // 2)), n_labels=N)
+    with pytest.raises(NumericError, match=f"{N} labels leave the int16 kernel {qmax} steps"):
+        _kernel_copy(epochs, None, 0.0)
 
 
 @pytest.mark.parametrize("factor", [1e6, 1e-6])
