@@ -117,8 +117,9 @@ def _cmd_rmt_validate(args) -> int:
 
 def _cmd_mds(args) -> int:
     series = load_series(args.corr)
-    coords_path, _ = write_map(series, args.dim, _out_path(args.out_dir))
-    print(f"{series.n_epochs} epochs -> {coords_path}")
+    out_dir = _out_path(args.out_dir)
+    write_map(series, args.dim, out_dir)
+    print(f"{series.n_epochs} epochs -> {out_dir / 'map_coords.csv'}")
     return 0
 
 

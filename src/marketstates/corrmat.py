@@ -346,7 +346,9 @@ def _kernel_copy(epochs: EpochCorrelationSeries, out: np.ndarray, epsilon: float
     qmax falls as 1/N^2 past N = 361; below QMAX_FLOOR (N above 4 103) a
     distance's bound would pass about 1/255 of the widest half-range, and
     the call is a NumericError before any work.  NumericError also names the first epoch
-    that is non-finite after the map.
+    that is non-finite after the map, at any epsilon: the map takes NaN and
+    +-inf to themselves, and is monotone, so a non-finite mapped entry shows
+    in its column's mapped min or max.
     """
     rows, width = epochs.packed, epochs.packed.shape[1]
     k = width - epochs.n_labels  # the strict triangle comes first
@@ -354,24 +356,26 @@ def _kernel_copy(epochs: EpochCorrelationSeries, out: np.ndarray, epsilon: float
     if qmax < QMAX_FLOOR:
         raise NumericError(f"{epochs.n_labels} labels leave the int16 kernel {qmax} steps "
                            f"per half-range, fewer than {QMAX_FLOOR}")
+    step = _epochs_per_chunk(8 * width)
     # the map is monotone: it takes each column's range to the mapped range
     lo, hi = _power(np.stack([rows.min(axis=0), rows.max(axis=0)]), epsilon)
+    if not np.isfinite(lo).all() or not np.isfinite(hi).all():
+        for e0 in range(0, len(rows), step):  # which epoch: only on the way to the error
+            finite = np.isfinite(_power(rows[e0:e0 + step], epsilon)).all(axis=1)
+            if not finite.all():
+                raise NumericError(f"epoch {e0 + int(np.argmin(finite))} has a non-finite entry")
     centre, half = lo / 2 + hi / 2, hi / 2 - lo / 2  # no overflow near the float limit
     peak = max(half[:k].max(initial=0.0), half[k:].max() / 2)  # the widest weighted half-range / 2
     # a range under 1e-290 reads as 0, which keeps scale * N^2 finite
     scale = qmax / 2 / max(peak, 1e-290)
     weight = np.full(width, scale)
     weight[:k] *= 2.0
-    step = _epochs_per_chunk(8 * width)
     stage = np.empty((min(step, len(out)), width))
     for e0 in range(0, len(out), step):
         src = rows[e0:e0 + step]
         mapped = stage[:len(src)]
         if epsilon:
             _power(src, epsilon, out=mapped)
-            finite = np.isfinite(mapped).all(axis=1)
-            if not finite.all():
-                raise NumericError(f"epoch {e0 + int(np.argmin(finite))} has a non-finite entry")
             mapped -= centre
         else:
             np.subtract(src, centre, out=mapped)

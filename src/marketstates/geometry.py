@@ -96,8 +96,9 @@ def similarity_matrix(epochs: EpochCorrelationSeries, workers: int = 1,
     power map at ``epsilon`` (0 leaves it as it is), with the bits of
     ``similarity_matrix`` of a series that holds the mapped epochs.
 
-    A series' epochs are finite and symmetric by construction; an epoch that
-    the power map makes non-finite is a NumericError.  The kernel sums over
+    Packed rows enter a series unchecked, so at any epsilon, 0 included, an
+    epoch that is non-finite after the power map is a NumericError before
+    any pair is compared.  The kernel sums over
     one packed copy of the upper triangles and diagonals, at any epsilon.
     It pairs each chunk of about 512 KB of rows with the rows d after it,
     offset by offset, through one buffer per thread: the chunk stays in

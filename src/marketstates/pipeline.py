@@ -1,7 +1,7 @@
 """Pipeline orchestration: flat-file config, staged runs, and a hash manifest.
 
-A run executes up to seven stages in dependency order — ingest, corr, mds,
-states, sectors, trajectory, rmt — each writing its artifacts under the
+A run executes up to six stages in dependency order — ingest, corr, states,
+sectors, trajectory, rmt — each writing its artifacts under the
 output directory plus a manifest entry (input hashes, parameters, output
 hashes).  ``_STAGES`` declares each stage once: its function, its config
 keys (its parameters) and its input files.  The function sees only those
@@ -335,22 +335,21 @@ def write_panel(prices: str | Path, max_gap: int, path: Path):
 
 
 def write_map(series: EpochCorrelationSeries, dim: int, out_dir: Path,
-              workers: int = 1, maps: dict[float, Embedding] | None = None) -> list[Path]:
+              workers: int = 1) -> Embedding:
     """Classical MDS map of an epoch series: coordinates plus eigenvalue and fidelity meta.
 
-    Each coordinate row is labelled with its epoch's start date.  One
-    eigendecomposition serves both: the ``dim``-axis map is the leading
-    ``dim`` axes of the full map that the fidelity needs.  ``workers``
-    threads run the dissimilarity kernel.  The ``dim``-axis map is also
-    stored in ``maps`` under epsilon 0 when a dict is given.
+    Writes ``map_coords.csv``, each row labelled with its epoch's start
+    date, and ``map_meta.json`` under ``out_dir``; returns the epsilon 0
+    map on ``dim`` axes.  One eigendecomposition serves both: the
+    ``dim``-axis map is the leading ``dim`` axes of the full map that the
+    fidelity needs, which is freed on return.  ``workers`` threads run the
+    dissimilarity kernel.
     """
     _check_fit(series.n_epochs, [], dim)
     out_dir.mkdir(parents=True, exist_ok=True)
     sim = similarity_matrix(series, workers)
     full = classical_mds(sim, D=len(sim) - 1)
     embedding = full.leading(dim)
-    if maps is not None:
-        maps[0.0] = embedding
     padded = _xyz(embedding.coordinates)
     write_csv(
         out_dir / "map_coords.csv",
@@ -368,7 +367,7 @@ def write_map(series: EpochCorrelationSeries, dim: int, out_dir: Path,
             "dimension_fidelity": {str(d): float(v) for d, v in fidelity},
         },
     )
-    return [out_dir / "map_coords.csv", out_dir / "map_meta.json"]
+    return embedding
 
 
 def write_surface(grid, path: Path) -> None:
@@ -427,23 +426,17 @@ def rmt_report_payload(spec: WishartSpec, bins: int, epsilon: float = 0.0) -> di
 class _Run:
     """The state one run_pipeline call keeps between its stages; nothing of it is written.
 
-    Stages share values only through their files and ``maps``: each stage
-    reads its declared input files itself.  ``names`` holds each configured
-    path's manifest name, from ``_portable_names``.  ``digests`` holds one sha256
+    Stages share values only through their files: each stage reads its
+    declared input files itself.  ``names`` holds each configured path's
+    manifest name, from ``_portable_names``.  ``digests`` holds one sha256
     per file: a later stage reading a file, or the freshness check, reuses
-    the digest taken when the file was written or first read.  ``maps``
-    holds each epsilon's mds_dim-axis map of the epoch series, built once
-    per call: the mds stage stores epsilon 0, the grid adds the other
-    epsilons, the stock fit reads it.  It holds no distance matrix, and all
-    its maps are of one series: corr runs before mds and states, and no
-    stage rewrites corr_raw.npz after it.
+    the digest taken when the file was written or first read.
     """
 
     out: Path
     workers: int
     names: dict[Path, str | None] = field(default_factory=dict)
     digests: dict[Path, str] = field(default_factory=dict)
-    maps: dict[float, Embedding] = field(default_factory=dict)
 
     def digest(self, path: Path) -> str:
         """sha256 of a file, hashed at most once in this run unless a stage rewrites it."""
@@ -471,18 +464,15 @@ def _stage_corr(c: Mapping, run: _Run) -> list[Path]:
     return [path]
 
 
-def _stage_mds(c: Mapping, run: _Run) -> list[Path]:
-    series = load_series(c["corr_raw.npz"])
-    _check_key("mds_dim", _check_fit, series.n_epochs, [], c["mds_dim"])
-    return write_map(series, c["mds_dim"], run.out, run.workers, maps=run.maps)
-
-
 def _stage_states(c: Mapping, run: _Run) -> list[Path]:
-    out, workers, maps = run.out, run.workers, run.maps
+    out, workers = run.out, run.workers
     k, epsilon, n_inits, seed, dim = c["k"], c["epsilon"], c["n_inits"], c["seed"], c["mds_dim"]
     series = load_series(c["corr_raw.npz"])
-    for key, k_list in (("k_range", c["k_range"]), ("k", [k] if k else [])):
+    for key, k_list in (("mds_dim", []), ("k_range", c["k_range"]), ("k", [k] if k else [])):
         _check_key(key, _check_fit, series.n_epochs, k_list, dim)
+    # each epsilon's mds_dim-axis map, built once: the map files give epsilon 0,
+    # the grid adds the others and the fit reads the chosen one
+    maps = {0.0: write_map(series, dim, out, workers)}
     grid = optimize_over_grid(series, c["k_range"], c["epsilon_grid"],
                               n_inits, seed, dim, workers, maps)
     write_surface(grid, out / "surface.csv")
@@ -496,8 +486,8 @@ def _stage_states(c: Mapping, run: _Run) -> list[Path]:
     # a pinned epsilon off the grid has no map yet, and fit_series builds it
     model, _, embedding = fit_series(series, chosen_k, chosen_eps, n_inits, seed,
                                      dim, workers, embedding=maps.get(chosen_eps))
-    return ([out / "surface.csv", out / "selected.json"]
-            + write_fit(model, embedding, out / "model.json", "states_"))
+    return ([out / "map_coords.csv", out / "map_meta.json", out / "surface.csv",
+             out / "selected.json"] + write_fit(model, embedding, out / "model.json", "states_"))
 
 
 def _stage_sectors(c: Mapping, run: _Run) -> list[Path]:
@@ -565,7 +555,6 @@ _EPOCHS = ("window", "shift")
 _STAGES = (
     _Stage("ingest", _stage_ingest, ("max_gap",), ("prices",)),
     _Stage("corr", _stage_corr, _EPOCHS, (PANEL,)),
-    _Stage("mds", _stage_mds, (*_EPOCHS, "mds_dim"), ("corr_raw.npz",)),
     _Stage("states", _stage_states,
            (*_EPOCHS, "k_range", "epsilon_grid", "n_inits", "seed", "mds_dim", "k_min", "k",
             "epsilon"), ("corr_raw.npz",)),

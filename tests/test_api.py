@@ -90,12 +90,11 @@ def test_one_route_from_prices_to_states():
                 if dataclasses.is_dataclass(cls) and isinstance(cls, type)
                 and "sector_of" in {f.name for f in dataclasses.fields(cls)}]
     assert carriers == []
-    # stages share values only through their files and the run's map cache,
-    # and only the pipeline's stages and the CLI read corr_raw.npz as a series
+    # stages share values only through their files, and only the pipeline's
+    # stages and the CLI read corr_raw.npz as a series
     from marketstates.pipeline import _Run
 
-    assert {f.name for f in dataclasses.fields(_Run)} == {"out", "workers", "names", "digests",
-                                                          "maps"}
+    assert {f.name for f in dataclasses.fields(_Run)} == {"out", "workers", "names", "digests"}
     assert importers("load_series") == {"pipeline.py", "cli.py"}
 
 

@@ -34,8 +34,9 @@ def test_traced_long_operation_counts_the_kernel_calls_and_epochs(tmp_path):
                 "--trace", trace, cwd=tmp_path)
     assert result["exit"] == [0, 0]
     layers = result["layers"]
-    # 6 kernel calls: the mds map and the grid's 2 other epsilons over 400 epochs
-    # of 40 stocks, the sector fit over 8 sectors, and 2 event windows of 105 epochs
+    # 6 kernel calls: the states stage's ε = 0 map and the grid's 2 other epsilons
+    # over 400 epochs of 40 stocks, the sector fit over 8 sectors, and 2 event
+    # windows of 105 epochs
     assert layers["geometry.similarity_calls"] == 6
     assert layers["geometry.pair_elems"] == 405_619_200
     assert layers["corrmat.epochs_computed"] == 610

@@ -7,6 +7,7 @@ import pytest
 
 from marketstates import geometry, pipeline
 from marketstates.cli import build_parser, main
+from marketstates.corrmat import EpochCorrelationSeries, save_series
 from marketstates.errors import DataError
 from marketstates.ingest import load_panel
 from marketstates.pipeline import PipelineConfig, parse_float_grid, parse_int_range, run_pipeline
@@ -208,9 +209,10 @@ def test_corr_writes_archive_with_epsilon(workspace, tmp_path, capsys):
     assert out.read_bytes() == workspace["corr"].read_bytes()
 
 
-def test_mds_writes_coordinates_and_meta(workspace, tmp_path):
+def test_mds_writes_coordinates_and_meta(workspace, tmp_path, capsys):
     out = tmp_path / "mds"
     assert main(["mds", "--corr", str(workspace["corr"]), "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().out == f"100 epochs -> {out / 'map_coords.csv'}\n"
     lines = (out / "map_coords.csv").read_text().splitlines()
     assert lines[0] == "epoch,date,x,y,z"
     assert len(lines) == 1 + 100
@@ -219,6 +221,26 @@ def test_mds_writes_coordinates_and_meta(workspace, tmp_path):
     fidelity = meta["dimension_fidelity"]
     assert list(fidelity) == ["1", "2", "3", "4"]
     assert all(-1.0 <= v <= 1.0 + 1e-12 for v in fidelity.values())
+
+
+@pytest.mark.parametrize("argv", [
+    ["mds"],
+    ["states", "fit", "--k", "2", "--epsilon", "0"],
+    ["states", "fit", "--k", "2", "--epsilon", "0.6"],
+], ids=["mds", "fit_epsilon0", "fit_epsilon0.6"])
+def test_a_non_finite_archive_entry_is_a_numeric_failure_naming_its_epoch(tmp_path, capsys,
+                                                                          argv):
+    # an archive's packed rows are read as they are: the kernel names the epoch, at any epsilon
+    rng = np.random.default_rng(0)
+    packed = rng.uniform(-1.0, 1.0, (30, 10))
+    packed[2, 3] = np.nan
+    dates = [f"2020-01-{d:02d}" for d in range(1, 31)]
+    corr = tmp_path / "corr.npz"
+    save_series(EpochCorrelationSeries(["A", "B", "C", "D"], packed, dates, dates), corr)
+    out = tmp_path / "out"
+    assert main([*argv, "--corr", str(corr), "--out-dir", str(out)]) == 3
+    assert "numeric failure: epoch 2 has a non-finite entry" in capsys.readouterr().err
+    assert not (out / "map_coords.csv").exists() and not (out / "model.json").exists()
 
 
 # --------------------------------------------------------------------------
@@ -487,7 +509,7 @@ def test_run_command_prints_statuses(market, tmp_path, capsys):
     )
     assert main(["run", "--config", str(config)]) == 0
     text = capsys.readouterr().out
-    for stage in ("ingest", "corr", "mds", "states", "sectors", "trajectory", "rmt"):
+    for stage in ("ingest", "corr", "states", "sectors", "trajectory", "rmt"):
         assert f"{stage}: ok" in text
     assert (tmp_path / "out" / "manifest.json").exists()
 

@@ -410,6 +410,20 @@ def test_kernel_names_the_first_epoch_the_power_map_makes_non_finite():
             similarity_matrix(series, epsilon=0.5)
 
 
+@pytest.mark.filterwarnings("error")  # no cast of NaN to int16 warns on the way
+@pytest.mark.parametrize("epsilon", [0.0, 0.6])
+def test_kernel_names_the_first_non_finite_packed_epoch(epsilon):
+    # packed rows enter a series as they are, so only the kernel can refuse them
+    series = series_of([np.eye(3)] * 4)
+    for value in (np.nan, np.inf, -np.inf):
+        packed = series.packed.copy()
+        packed[2, 1] = value
+        packed[3, 4] = np.nan  # a later epoch too: the first is named
+        bad = EpochCorrelationSeries(series.labels, packed, ["d"] * 4, ["d"] * 4)
+        with pytest.raises(NumericError, match="epoch 2 has a non-finite entry"):
+            similarity_matrix(bad, epsilon=epsilon)
+
+
 def per_epoch_packing(stack, epsilon):
     """The packing loop before chunking: one epoch's triangle and diagonal at a time."""
     n, N, _ = stack.shape

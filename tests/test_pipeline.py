@@ -25,7 +25,7 @@ from marketstates.rmt import WishartSpec
 from marketstates.serialize import load_arrays, read_json, save_arrays, sha256_file, write_csv
 from test_serialize import save_arrays_deflated
 
-STAGES = ("ingest", "corr", "mds", "states", "sectors", "trajectory", "rmt")  # in run order
+STAGES = ("ingest", "corr", "states", "sectors", "trajectory", "rmt")  # in run order
 
 
 # --------------------------------------------------------------------------
@@ -630,7 +630,7 @@ def test_each_stage_that_runs_reads_the_epoch_archive_once(market, tmp_path, mon
     loads = count_archive_loads(monkeypatch)
     cfg = market_config(market, tmp_path / "out")
     assert run_pipeline(cfg)[0] == 0
-    assert loads == [None, None, None, ["labels"]]  # mds, states, sectors, rmt
+    assert loads == [None, None, ["labels"]]  # states, sectors, rmt
     loads.clear()
     assert run_pipeline(cfg)[0] == 0
     assert loads == []
@@ -638,9 +638,9 @@ def test_each_stage_that_runs_reads_the_epoch_archive_once(market, tmp_path, mon
     cfg.k_range = [2, 3, 4]
     code, manifest = run_pipeline(cfg)
     assert code == 0
-    again = [name for name in ("mds", "states", "sectors")
+    again = [name for name in ("states", "sectors")
              if manifest["stages"][name]["status"] == "ok"]
-    assert "states" in again and "mds" not in again
+    assert "states" in again
     assert loads == [None] * len(again)  # once in each stage that runs again
 
 
@@ -680,16 +680,18 @@ def test_each_epsilon_map_is_built_once_per_run(market, tmp_path, monkeypatch, g
     assert sum(eigh_calls) == distinct
 
 
-def test_rerun_with_only_a_new_k_range_skips_mds_and_matches_a_fresh_run(market, tmp_path,
-                                                                        tree_diff):
+def test_rerun_with_only_a_new_k_range_reruns_states_and_matches_a_fresh_run(market, tmp_path,
+                                                                           tree_diff):
     out = tmp_path / "out"
     cfg = market_config(market, out)
     assert run_pipeline(cfg)[0] == 0
+    maps = {name: (out / name).read_bytes() for name in ("map_coords.csv", "map_meta.json")}
     cfg.k_range = [2, 3, 4]
     code, manifest = run_pipeline(cfg)
     assert code == 0
     statuses = {name: entry["status"] for name, entry in manifest["stages"].items()}
-    assert statuses["mds"] == "skipped" and statuses["states"] == "ok"
+    assert statuses["ingest"] == statuses["corr"] == "skipped" and statuses["states"] == "ok"
+    assert {name: (out / name).read_bytes() for name in maps} == maps
 
     fresh = tmp_path / "fresh"
     assert run_pipeline(replace(cfg, out_dir=str(fresh)))[0] == 0
@@ -809,9 +811,9 @@ def test_an_output_that_cannot_be_written_is_a_data_error(market, tmp_path, caps
 
 
 @pytest.mark.parametrize("key, value, stage, first_output, message", [
-    ("k_range", [2, 3, 500], "states", "surface.csv", "k must be in 1..100"),
-    ("k", 500, "states", "surface.csv", "k must be in 1..100"),
-    ("mds_dim", 100, "mds", "map_coords.csv", "map dimension D must be in 1..99"),
+    ("k_range", [2, 3, 500], "states", "map_coords.csv", "k must be in 1..100"),
+    ("k", 500, "states", "map_coords.csv", "k must be in 1..100"),
+    ("mds_dim", 100, "states", "map_coords.csv", "map dimension D must be in 1..99"),
     ("sector_k", 400, "sectors", "sector_model.json", "k must be in 1..100"),
 ], ids=["k_range", "k", "mds_dim", "sector_k"])
 def test_a_config_value_the_epoch_archive_cannot_take_is_a_data_error(
