@@ -39,7 +39,7 @@ from .ingest import (
     log_returns,
     save_panel,
 )
-from .pipeline import PipelineConfig, emit_plot_data, run_pipeline
+from .pipeline import PipelineConfig, run_pipeline
 from .rmt import (
     SpectralDensity,
     WishartSpec,
@@ -109,7 +109,6 @@ __all__ = [
     "dimension_fidelity",
     "displacement",
     "embed_epochs",
-    "emit_plot_data",
     "epoch_bounds",
     "epoch_correlations",
     "epoch_count",

@@ -22,6 +22,7 @@ from .pipeline import (
     PipelineConfig,
     parse_float_grid,
     parse_int_range,
+    read_state_of,
     rmt_report_payload,
     run_pipeline,
     trajectory_report_payload,
@@ -34,7 +35,7 @@ from .pipeline import (
 )
 from .rmt import WishartSpec
 from .sector import SECTOR_PRESETS, sector_series
-from .serialize import load_state_model, write_json
+from .serialize import write_json
 from .states import fit_series, optimize_over_grid, select_optimum
 from .trajectory import (
     DEFAULT_THRESHOLD,
@@ -168,10 +169,9 @@ def _cmd_sectors_fit(args) -> int:
 
 
 def _cmd_sectors_displace(args) -> int:
-    stock = load_state_model(args.stock_model)
-    sect = load_state_model(args.sector_model)
+    stock, sect = read_state_of(args.stock_model), read_state_of(args.sector_model)
     out = _out_path(args.out)
-    report = write_displacement(stock.state_of, sect.state_of, out)
+    report = write_displacement(stock, sect, out)
     for d in sorted(report.histogram):
         print(f"d={d:+d}: {report.histogram[d]} epochs")
     print(f"report -> {out}")

@@ -9,7 +9,8 @@ keys and files, so its manifest key covers everything it reads.  A stage
 whose inputs, parameters, and outputs all hash the same as the previous run
 is skipped, so reruns are cheap and `--force` is explicit.  Worker counts
 never appear in artifacts: a run is byte-reproducible.  Each artifact has
-one writer here, which the CLI subcommands call as well.
+one writer here, which the CLI subcommands call as well, and a state
+model's ``model.json`` has one reader, ``read_state_of``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import traceback
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, fields, replace
@@ -57,7 +59,7 @@ from .rmt import (
 from .sector import displacement, sector_series
 from .serialize import (
     read_json,
-    save_state_model,
+    save_arrays,
     sha256_file,
     write_csv,
     write_json,
@@ -258,45 +260,6 @@ def _xyz(coords: np.ndarray) -> np.ndarray:
     return padded
 
 
-def emit_plot_data(model, embedding, out_dir: str | Path, prefix: str = "") -> list[Path]:
-    """Plot-ready CSVs for a fitted model: the map, transitions, state averages."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    n = embedding.coordinates.shape[0]
-    if len(model.state_of) != n:
-        raise ValueError(f"{len(model.state_of)} states for {n} embedded epochs")
-    padded = _xyz(embedding.coordinates)
-    dates = model.epoch_dates or [""] * n
-    coords_path = out_dir / f"{prefix}coords.csv"
-    write_csv(
-        coords_path,
-        ["epoch", "date", "x", "y", "z", "state"],
-        [
-            (i + 1, dates[i], padded[i, 0], padded[i, 1], padded[i, 2], int(model.state_of[i]))
-            for i in range(n)
-        ],
-    )
-    transitions_path = out_dir / f"{prefix}transitions.csv"
-    write_csv(
-        transitions_path,
-        ["from", "to", "count"],
-        [
-            (a + 1, b + 1, int(model.transition_counts[a, b]))
-            for a in range(model.k)
-            for b in range(model.k)
-        ],
-    )
-    written = [coords_path, transitions_path]
-    header = ["label"] + list(model.labels)
-    for s, avg in enumerate(model.avg_corr_matrix, start=1):
-        if not np.array_equal(avg, avg.T):
-            raise NumericError(f"state S{s} average matrix is not exactly symmetric")
-        path = out_dir / f"{prefix}state_avg_corr_S{s}.csv"
-        write_csv(path, header, list(zip(model.labels, _mirrored_rows(avg), strict=True)))
-        written.append(path)
-    return written
-
-
 def _mirrored_rows(matrix: np.ndarray) -> list[str]:
     """Each row of a symmetric matrix as its entries' reprs joined by commas.
 
@@ -321,7 +284,7 @@ def trajectory_report_payload(report) -> dict:
 
 
 # --------------------------------------------------------------------------
-# artifact writers, shared by the pipeline stages and the CLI
+# artifact writers and the state-model reader, shared by the pipeline stages and the CLI
 
 
 def write_panel(prices: str | Path, max_gap: int, path: Path):
@@ -380,9 +343,65 @@ def write_surface(grid, path: Path) -> None:
 
 
 def write_fit(model, embedding, path: Path, prefix: str) -> list[Path]:
-    """A fitted state model at ``path`` plus its plot CSVs beside it; returns every path."""
-    plots = emit_plot_data(model, embedding, path.parent, prefix=prefix)
-    return save_state_model(model, path) + plots
+    """The one writer of a fitted state model; returns the paths it writes, in order.
+
+    ``path`` gets the model's JSON and ``<stem>_avg_corr.npz`` beside it the
+    per-state average matrices.  The plot CSVs go beside them as well:
+    ``<prefix>coords.csv`` (the map with each epoch's state),
+    ``<prefix>transitions.csv`` and ``<prefix>state_avg_corr_S<s>.csv`` for
+    s = 1..k; one with s > k, left by a fit with more states, is removed.
+    A state sequence that does not match the map is a ValueError and an
+    average that is not exactly symmetric a NumericError, before any write.
+    """
+    n = embedding.coordinates.shape[0]
+    if len(model.state_of) != n:
+        raise ValueError(f"{len(model.state_of)} states for {n} embedded epochs")
+    for s, avg in enumerate(model.avg_corr_matrix, start=1):
+        if not np.array_equal(avg, avg.T):
+            raise NumericError(f"state S{s} average matrix is not exactly symmetric")
+    out = path.parent
+    out.mkdir(parents=True, exist_ok=True)
+    write_json(path, {
+        "k": model.k, "epsilon": model.epsilon, "state_of": [int(s) for s in model.state_of],
+        "state_mean_corr": [float(v) for v in model.state_mean_corr],
+        "transition_counts": [[int(c) for c in row] for row in model.transition_counts],
+        "labels": list(model.labels), "epoch_dates": list(model.epoch_dates)})
+    sidecar = path.with_name(path.stem + "_avg_corr.npz")
+    save_arrays(sidecar, avg_corr=np.stack(model.avg_corr_matrix))
+    coords, transitions = out / f"{prefix}coords.csv", out / f"{prefix}transitions.csv"
+    padded, dates = _xyz(embedding.coordinates), model.epoch_dates or [""] * n
+    write_csv(coords, ["epoch", "date", "x", "y", "z", "state"],
+              [(i + 1, dates[i], *padded[i], int(model.state_of[i])) for i in range(n)])
+    write_csv(transitions, ["from", "to", "count"],
+              [(a + 1, b + 1, int(model.transition_counts[a, b]))
+               for a in range(model.k) for b in range(model.k)])
+    written = [path, sidecar, coords, transitions]
+    header = ["label"] + list(model.labels)
+    for s, avg in enumerate(model.avg_corr_matrix, start=1):
+        written.append(out / f"{prefix}state_avg_corr_S{s}.csv")
+        write_csv(written[-1], header, list(zip(model.labels, _mirrored_rows(avg), strict=True)))
+    per_state = re.compile(rf"{re.escape(prefix)}state_avg_corr_S([1-9][0-9]*)\.csv")
+    for old in out.iterdir():
+        match = per_state.fullmatch(old.name)
+        if match and int(match[1]) > model.k:
+            old.unlink()
+    return written
+
+
+def read_state_of(path: str | Path) -> np.ndarray:
+    """The per-epoch states of a model that ``write_fit`` wrote: the one reader of its JSON.
+
+    A file that is not a JSON object holding a non-empty list of integers
+    >= 1 under ``state_of`` is a DataError.
+    """
+    raw = read_json(path)
+    if not isinstance(raw, dict) or "state_of" not in raw:
+        raise DataError(f"{path} is not a state model: no 'state_of' in a JSON object")
+    states = raw["state_of"]
+    if not (isinstance(states, list) and states
+            and all(type(s) is int and s >= 1 for s in states)):
+        raise DataError(f"{path}: 'state_of' is not a non-empty list of integers >= 1")
+    return np.array(states, dtype=int)
 
 
 def write_displacement(stock_states, sector_states, path: Path):
@@ -502,8 +521,7 @@ def _stage_sectors(c: Mapping, run: _Run) -> list[Path]:
     model, _, embedding = fit_series(series, k, epsilon, c["n_inits"], c["seed"], c["mds_dim"],
                                      run.workers)
     written = write_fit(model, embedding, out / "sector_model.json", "sectors_")
-    stock_states = np.array(read_json(c["model.json"])["state_of"], dtype=int)
-    write_displacement(stock_states, model.state_of, out / "displacement.json")
+    write_displacement(read_state_of(c["model.json"]), model.state_of, out / "displacement.json")
     return written + [out / "displacement.json"]
 
 
@@ -617,7 +635,9 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
     exit code of its error family (``errors.exit_code``: 2 data or an output
     that cannot be written, 3 numeric, 1 any other exception, whose type
     prefixes its error and whose traceback also goes to stderr).  ``workers``
-    below 1 is a ValueError.
+    below 1 is a ValueError.  An earlier manifest that is not an object whose
+    ``stages`` maps to objects, each with any ``outputs`` an object, is a
+    DataError, unless ``force`` ignores it.
     """
     _check_workers(workers)
     cfg.validate()
@@ -626,7 +646,13 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
     manifest_path = out / "manifest.json"
     previous = {}
     if manifest_path.exists() and not force:
-        previous = read_json(manifest_path).get("stages", {})
+        prior = read_json(manifest_path)
+        previous = prior.get("stages", {}) if isinstance(prior, dict) else None
+        if not (isinstance(previous, dict) and all(
+                isinstance(entry, dict) and isinstance(entry.get("outputs", {}), dict)
+                for entry in previous.values())):
+            raise DataError(f"{manifest_path} is not a manifest of stage objects; "
+                            "rerun with --force")
     run = _Run(out, workers, names=_portable_names(cfg, out))
     manifest: dict = {"config": cfg.as_manifest_dict(run.names), "stages": {}}
     code = 0

@@ -3,7 +3,9 @@
 Every writer here is byte-stable: identical in-memory objects produce
 identical files regardless of when or where they are written (np.savez is
 avoided because it embeds zip timestamps).  Floats go through repr, so a
-read-back is bit-exact.
+read-back is bit-exact.  This module knows formats, not domain types: the
+files of a fitted state model are written by ``pipeline.write_fit`` and its
+``model.json`` is read by ``pipeline.read_state_of``.
 """
 
 from __future__ import annotations
@@ -141,57 +143,3 @@ def load_arrays(path: str | Path, names: list[str] | None = None) -> dict[str, n
     except (ValueError, zipfile.BadZipFile) as exc:
         raise DataError(f"{path} is not a readable array archive: {exc}") from exc
 
-
-def _avg_corr_sidecar(path: Path) -> Path:
-    return path.with_name(path.stem + "_avg_corr.npz")
-
-
-def save_state_model(model, path: str | Path) -> list[Path]:
-    """State model as JSON plus an array sidecar for the average matrices.
-
-    The JSON holds everything scalar or label-like; the per-state average
-    correlation matrices go to ``<stem>_avg_corr.npz`` next to it.  Returns
-    the paths written.
-    """
-    path = Path(path)
-    write_json(
-        path,
-        {
-            "k": model.k,
-            "epsilon": model.epsilon,
-            "state_of": [int(s) for s in model.state_of],
-            "state_mean_corr": [float(v) for v in model.state_mean_corr],
-            "transition_counts": [[int(c) for c in row] for row in model.transition_counts],
-            "labels": list(model.labels),
-            "epoch_dates": list(model.epoch_dates),
-        },
-    )
-    if not model.avg_corr_matrix:
-        return [path]
-    sidecar = _avg_corr_sidecar(path)
-    save_arrays(sidecar, avg_corr=np.stack(model.avg_corr_matrix))
-    return [path, sidecar]
-
-
-def load_state_model(path: str | Path):
-    from .states import StateModel
-
-    path = Path(path)
-    raw = read_json(path)
-    try:
-        sidecar = _avg_corr_sidecar(path)
-        averages = []
-        if sidecar.exists():
-            averages = list(load_arrays(sidecar)["avg_corr"])
-        return StateModel(
-            k=int(raw["k"]),
-            epsilon=float(raw["epsilon"]),
-            state_of=np.array(raw["state_of"], dtype=int),
-            state_mean_corr=[float(v) for v in raw["state_mean_corr"]],
-            avg_corr_matrix=averages,
-            transition_counts=np.array(raw["transition_counts"], dtype=int),
-            labels=list(raw["labels"]),
-            epoch_dates=list(raw["epoch_dates"]),
-        )
-    except KeyError as exc:
-        raise DataError(f"{path} is missing state-model field {exc}") from exc

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corrmat import EpochCorrelationSeries
+from .corrmat import EpochCorrelationSeries, _check_epsilon
 from .geometry import Embedding, embed_epochs
 
 MAX_LLOYD_ITERATIONS = 300
@@ -221,17 +221,20 @@ def optimize_over_grid(series: EpochCorrelationSeries, k_range, epsilon_grid, n_
 
     For each distinct epsilon the geometry is built once: power map,
     dissimilarity on ``workers`` threads, ``dim``-axis MDS; then each k runs
-    n_inits independent k-means.  The arguments are checked before the first
-    map is built.  ``maps`` holds maps of this series already built, by
-    epsilon: the grid reads an epsilon's map from it, and stores each map
-    it builds there.  Init seeds come from one SeedSequence spanning the
-    flat (epsilon, k, init) grid, so results do not depend on worker count.
+    n_inits independent k-means.  The arguments, every epsilon of the grid
+    included, are checked before the first map is built.  ``maps`` holds
+    maps of this series already built, by epsilon: the grid reads an
+    epsilon's map from it, and stores each map it builds there.  Init seeds
+    come from one SeedSequence spanning the flat (epsilon, k, init) grid, so
+    results do not depend on worker count.
     """
     k_list = list(k_range)
     eps_list = list(epsilon_grid)
     if not k_list or not eps_list:
         raise ValueError("k_range and epsilon_grid must be non-empty")
     _check_fit(series.n_epochs, k_list, dim, n_inits, least_inits=2)  # a spread needs 2 runs
+    for eps in eps_list:
+        _check_epsilon(eps)
     seeds = init_seeds(seed, len(eps_list) * len(k_list) * n_inits)
     seeds = seeds.reshape(len(eps_list), len(k_list), n_inits)
     maps = {} if maps is None else maps

@@ -98,6 +98,13 @@ def test_one_route_from_prices_to_states():
     assert importers("load_series") == {"pipeline.py", "cli.py"}
 
 
+def test_serialize_knows_formats_and_no_domain_type():
+    # pipeline.write_fit writes a state model's files and pipeline.read_state_of
+    # reads its model.json; serialize takes only its error type from the package
+    assert {name for file, name in imported_names(relative=True)
+            if file == "serialize.py"} == {"errors", "errors.DataError"}
+
+
 def test_every_config_field_has_a_parser_for_its_annotation():
     # from_mapping finds a key's parser by the field's annotation; a missing one is a KeyError
     from marketstates.pipeline import PipelineConfig

@@ -138,8 +138,13 @@ def count_kernel_calls(monkeypatch):
      "D must be in 1..99 for 100 epochs, got 0"),
     (["mds", "--dim", "0"], "D must be in 1..99 for 100 epochs, got 0"),
     (["mds", "--dim", "100"], "D must be in 1..99 for 100 epochs, got 100"),
+    (["states", "optimize", "--k-range", "2,3", "--k-min", "2", "--epsilon-grid", "0,0.3,-0.5"],
+     "epsilon must be >= 0, got -0.5"),
+    (["states", "optimize", "--k-range", "2,3", "--k-min", "2", "--epsilon-grid", "0,0.3,nan"],
+     "epsilon must be finite, got nan"),
 ], ids=["optimize_k_min", "optimize_k", "optimize_dim", "fit_n_inits", "fit_dim", "fit_k",
-        "sectors_dim", "mds_dim0", "mds_dim_epochs"])
+        "sectors_dim", "mds_dim0", "mds_dim_epochs", "optimize_negative_epsilon",
+        "optimize_nan_epsilon"])
 def test_bad_arguments_fail_before_the_kernel(workspace, tmp_path, monkeypatch, capsys,
                                               argv, message):
     calls = count_kernel_calls(monkeypatch)
@@ -272,6 +277,24 @@ def test_states_fit_writes_model_and_plots(workspace, tmp_path, capsys):
     assert "occupancy: S1=" in text and "mean correlation by state" in text
 
 
+@pytest.mark.parametrize("command, prefix, model", [
+    (["states", "fit"], "states_", "model.json"),
+    (["sectors", "fit", "--sectors", "SECTORS"], "sectors_", "sector_model.json"),
+], ids=["states", "sectors"])
+def test_refit_with_fewer_states_leaves_the_tree_of_a_fresh_fit(workspace, tmp_path, tree_diff,
+                                                                command, prefix, model):
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    fit = [str(workspace["sectors"]) if a == "SECTORS" else a for a in command] + [
+        "--corr", str(workspace["corr"]), "--epsilon", "0.0", "--n-inits", "4"]
+    assert main(fit + ["--k", "3", "--out-dir", str(out)]) == 0
+    assert read_json(out / model)["k"] == 3
+    assert (out / f"{prefix}state_avg_corr_S3.csv").exists()
+    assert main(fit + ["--k", "2", "--out-dir", str(out)]) == 0
+    assert main(fit + ["--k", "2", "--out-dir", str(fresh)]) == 0
+    assert not (out / f"{prefix}state_avg_corr_S3.csv").exists()
+    assert tree_diff(out, fresh) == []
+
+
 # --------------------------------------------------------------------------
 # sectors
 
@@ -333,6 +356,29 @@ def test_sectors_displace_between_models(workspace, tmp_path, capsys):
     payload = read_json(out)
     assert sum(payload["histogram"].values()) == payload["n_epochs"] == 100
     assert "epochs" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2, 2]", "is not a state model: no 'state_of' in a JSON object"),
+    ('{"k": 2, "labels": ["x"]}', "is not a state model: no 'state_of' in a JSON object"),
+    ('{"state_of": [1, 2.0, 2]}', "'state_of' is not a non-empty list of integers >= 1"),
+    ('{"state_of": [1, 0, 2]}', "'state_of' is not a non-empty list of integers >= 1"),
+    ('{"state_of": []}', "'state_of' is not a non-empty list of integers >= 1"),
+], ids=["not_an_object", "no_state_of", "non_integer_states", "state_zero", "no_states"])
+def test_sectors_displace_reads_only_each_state_sequence(tmp_path, capsys, text, message):
+    # a file with nothing but a state sequence will do: no sidecar is read
+    good, bad, out = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "d.json"
+    good.write_text('{"state_of": [1, 2, 2]}')
+    bad.write_text(text)
+    displace = ["sectors", "displace", "--sector-model", str(good), "--out", str(out)]
+    assert main(displace + ["--stock-model", str(good)]) == 0
+    assert read_json(out)["histogram"] == {"0": 3}
+    capsys.readouterr()
+    out.unlink()
+    assert main(displace + ["--stock-model", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bad}") and message in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------------
@@ -555,6 +601,18 @@ def test_a_grid_bound_that_is_not_finite_is_one_error_line(workspace, market, tm
     assert err.startswith(f"data error: config epsilon_grid: {rule}")
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_run_over_a_manifest_that_is_not_an_object_is_one_error_line(market, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text("[]\n")
+    config = tmp_path / "run.cfg"
+    config.write_text(f"prices = {market / 'prices.csv'}\nout_dir = {out}\n")
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (f"data error: {out / 'manifest.json'} is not a manifest "
+                                       "of stage objects; rerun with --force\n")
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
 def test_demo_runs_end_to_end(tmp_path, capsys):

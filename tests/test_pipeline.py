@@ -15,11 +15,11 @@ from marketstates.corrmat import EpochSpec, load_series, save_series
 from marketstates.errors import DataError
 from marketstates.pipeline import (
     PipelineConfig,
-    emit_plot_data,
     parse_float_grid,
     parse_int_range,
     run_pipeline,
     trajectory_report_payload,
+    write_fit,
 )
 from marketstates.rmt import WishartSpec
 from marketstates.serialize import load_arrays, read_json, save_arrays, sha256_file, write_csv
@@ -262,12 +262,14 @@ def fitted_toy():
     return build_state_model(series, run), run, embedding
 
 
-def test_emit_plot_data_row_counts_and_values(tmp_path):
+def test_write_fit_row_counts_and_values(tmp_path):
     model, run, embedding = fitted_toy()
-    written = emit_plot_data(model, embedding, tmp_path, prefix="demo_")
+    written = write_fit(model, embedding, tmp_path / "model.json", "demo_")
     names = [p.name for p in written]
-    assert names[:2] == ["demo_coords.csv", "demo_transitions.csv"]
-    assert names[2:] == [f"demo_state_avg_corr_S{s}.csv" for s in range(1, model.k + 1)]
+    assert names[:4] == ["model.json", "model_avg_corr.npz", "demo_coords.csv",
+                         "demo_transitions.csv"]
+    assert names[4:] == [f"demo_state_avg_corr_S{s}.csv" for s in range(1, model.k + 1)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 
     coords_lines = (tmp_path / "demo_coords.csv").read_text().splitlines()
     assert len(coords_lines) == 1 + len(model.state_of)
@@ -295,7 +297,7 @@ def test_state_average_csvs_match_the_row_by_row_writer(tmp_path):
     for case, labels, averages in (("toy", model.labels, model.avg_corr_matrix),
                                    ("wide", [f"L{i}" for i in range(40)], [wide, np.eye(40)])):
         model = replace(model, labels=labels, avg_corr_matrix=averages)
-        written = emit_plot_data(model, embedding, tmp_path / case)
+        written = write_fit(model, embedding, tmp_path / case / "model.json", "")
         for s, avg in enumerate(averages, start=1):
             # oracle: the writer before mirroring, one repr per entry
             write_csv(tmp_path / "want.csv", ["label"] + list(labels),
@@ -313,14 +315,28 @@ def test_state_average_csvs_reject_an_asymmetric_average(tmp_path):
     skewed[0, 1] = np.nextafter(skewed[1, 0], 2.0)
     model.avg_corr_matrix[1] = skewed
     with pytest.raises(NumericError, match="state S2 average matrix is not exactly symmetric"):
-        emit_plot_data(model, embedding, tmp_path)
+        write_fit(model, embedding, tmp_path / "model.json", "")
+    assert list(tmp_path.iterdir()) == []  # checked before any file is written
 
 
-def test_emit_plot_data_rejects_mismatched_lengths(tmp_path):
+def test_write_fit_rejects_mismatched_lengths(tmp_path):
     model, run, embedding = fitted_toy()
     model.state_of = model.state_of[:-1]
     with pytest.raises(ValueError, match="embedded epochs"):
-        emit_plot_data(model, embedding, tmp_path)
+        write_fit(model, embedding, tmp_path / "model.json", "")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_fit_removes_only_its_own_per_state_csvs_beyond_k(tmp_path):
+    model, run, embedding = fitted_toy()
+    kept = ["demo_state_avg_corr_S1.csv", "other_state_avg_corr_S7.csv",
+            "demo_state_avg_corr_S07.csv", "demo_state_avg_corr_S9.csv.bak", "notes.txt"]
+    for name in kept + ["demo_state_avg_corr_S3.csv", "demo_state_avg_corr_S12.csv"]:
+        (tmp_path / name).write_text("old\n")
+    written = write_fit(model, embedding, tmp_path / "model.json", "demo_")
+    assert model.k == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        {p.name for p in written} | set(kept))
 
 
 def test_trajectory_payload_maps_nan_ratio_to_none():
@@ -529,12 +545,12 @@ def test_corr_stage_holds_one_stack_copy_while_writing(tmp_path, peak_bytes):
 def test_rerun_over_deflated_archives_skips_every_stage(market, tmp_path, monkeypatch):
     import marketstates.corrmat as corrmat
     import marketstates.ingest as ingest
-    import marketstates.serialize as serialize
+    import marketstates.pipeline as pipeline
 
     # an output tree whose .npz archives were deflated by the earlier writer
     cfg = market_config(market, tmp_path / "out")
     with monkeypatch.context() as patch:
-        for module in (ingest, corrmat, serialize):
+        for module in (ingest, corrmat, pipeline):
             patch.setattr(module, "save_arrays", save_arrays_deflated)
         assert run_pipeline(cfg)[0] == 0
     archives = sorted((tmp_path / "out").glob("*.npz"))
@@ -757,6 +773,41 @@ def test_deleted_output_triggers_rerun(market, tmp_path):
     assert manifest["stages"]["rmt"]["status"] == "ok"
     assert manifest["stages"]["corr"]["status"] == "skipped"
     assert (out / "rmt_report.json").exists()
+
+
+def test_refit_with_fewer_states_leaves_the_tree_of_a_fresh_run(tmp_path, tree_diff):
+    from marketstates.demo import demo_config
+
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    cfg = demo_config(out)
+    assert (cfg.k, cfg.sector_k) == (2, 2)
+    assert run_pipeline(replace(cfg, k=4, sector_k=3))[0] == 0
+    assert (out / "states_state_avg_corr_S4.csv").exists()
+    assert (out / "sectors_state_avg_corr_S3.csv").exists()
+    code, manifest = run_pipeline(cfg)
+    assert code == 0
+    assert run_pipeline(demo_config(fresh))[0] == 0
+    assert tree_diff(out, fresh, skip={"manifest.json"}) == []
+    # the manifest lists every file of the tree but the inputs and itself
+    listed = {rel for entry in manifest["stages"].values() for rel in entry["outputs"]}
+    tree = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    assert listed == {rel for rel in tree - {"manifest.json"} if not rel.startswith("demo_data/")}
+
+
+@pytest.mark.parametrize("text", ["[]", '{"stages": []}', '{"stages": {"ingest": 3}}',
+                                  '{"stages": {"ingest": {"outputs": ["panel.npz"]}}}'],
+                         ids=["list", "stages_list", "entry_number", "outputs_list"])
+def test_a_manifest_that_is_not_an_object_of_stage_objects_asks_for_force(market, tmp_path,
+                                                                          text):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text(text)
+    cfg = market_config(market, out)
+    with pytest.raises(DataError, match=r"manifest\.json is not a manifest of stage objects; "
+                                        "rerun with --force"):
+        run_pipeline(cfg)
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    assert run_pipeline(cfg, force=True)[0] == 0
 
 
 def test_optional_stages_report_not_configured(market, tmp_path):

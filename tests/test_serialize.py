@@ -1,20 +1,19 @@
 """Deterministic artifact I/O: byte stability, round trips, error wrapping."""
 
 import io
-import json
 import zipfile
 
 import numpy as np
 import pytest
 
 from marketstates.errors import DataError
+from marketstates.geometry import Embedding
+from marketstates.pipeline import read_state_of, write_fit
 from marketstates.serialize import (
     format_float,
     load_arrays,
-    load_state_model,
     read_json,
     save_arrays,
-    save_state_model,
     sha256_file,
     write_csv,
     write_json,
@@ -245,9 +244,9 @@ def test_sha256_file_matches_content_not_name(tmp_path):
     assert sha256_file(a) != sha256_file(b)
 
 
-def toy_model(k=2, n_epochs=5, with_averages=True):
+def toy_model(k=2, n_epochs=5):
     rng = np.random.default_rng(3)
-    averages = [rng.standard_normal((3, 3)) for _ in range(k)] if with_averages else []
+    averages = [a + a.T for a in rng.standard_normal((k, 3, 3))]  # exactly symmetric
     return StateModel(
         k=k,
         epsilon=0.5,
@@ -260,36 +259,41 @@ def toy_model(k=2, n_epochs=5, with_averages=True):
     )
 
 
+def toy_embedding(n_epochs=5):
+    return Embedding(coordinates=np.random.default_rng(4).standard_normal((n_epochs, 3)),
+                     eigenvalues=np.ones(3), D=3, full_eigenvalues=np.ones(n_epochs),
+                     n_clipped=0, clipped_mass=0.0)
+
+
 def test_state_model_round_trip(tmp_path):
+    # write_fit's JSON holds every scalar field and its sidecar every average, bit for bit
     model = toy_model()
     path = tmp_path / "model.json"
-    save_state_model(model, path)
-    assert (tmp_path / "model_avg_corr.npz").exists()
-    back = load_state_model(path)
-    assert back.k == model.k and back.epsilon == model.epsilon
-    np.testing.assert_array_equal(back.state_of, model.state_of)
-    assert back.state_mean_corr == model.state_mean_corr
-    np.testing.assert_array_equal(back.transition_counts, model.transition_counts)
-    assert back.labels == model.labels and back.epoch_dates == model.epoch_dates
-    for got, want in zip(back.avg_corr_matrix, model.avg_corr_matrix):
+    written = write_fit(model, toy_embedding(), path, "states_")
+    sidecar = tmp_path / "model_avg_corr.npz"
+    assert written[:2] == [path, sidecar]
+    assert read_json(path) == {
+        "k": 2, "epsilon": 0.5, "state_of": [1, 1, 2, 2, 1], "state_mean_corr": [0.2, 0.8],
+        "transition_counts": [[1, 1], [1, 1]], "labels": ["x", "y", "z"],
+        "epoch_dates": ["d0", "d1", "d2", "d3", "d4"],
+    }
+    state_of = read_state_of(path)
+    np.testing.assert_array_equal(state_of, model.state_of)
+    assert state_of.dtype == int
+    save_arrays(tmp_path / "want.npz", avg_corr=np.stack(model.avg_corr_matrix))
+    assert sidecar.read_bytes() == (tmp_path / "want.npz").read_bytes()
+    for got, want in zip(load_arrays(sidecar)["avg_corr"], model.avg_corr_matrix, strict=True):
         np.testing.assert_array_equal(got, want)
-
-
-def test_state_model_without_sidecar(tmp_path):
-    path = tmp_path / "model.json"
-    save_state_model(toy_model(with_averages=False), path)
-    assert not (tmp_path / "model_avg_corr.npz").exists()
-    assert load_state_model(path).avg_corr_matrix == []
 
 
 def test_state_model_missing_field_is_data_error(tmp_path):
     path = tmp_path / "model.json"
-    save_state_model(toy_model(), path)
-    raw = json.loads(path.read_text())
-    del raw["transition_counts"]
-    path.write_text(json.dumps(raw))
-    with pytest.raises(DataError, match="missing state-model field"):
-        load_state_model(path)
+    write_fit(toy_model(), toy_embedding(), path, "")
+    raw = read_json(path)
+    del raw["state_of"]
+    write_json(path, raw)
+    with pytest.raises(DataError, match="is not a state model: no 'state_of'"):
+        read_state_of(path)
 
 
 def test_member_that_fails_to_write_leaves_no_archive(tmp_path):

@@ -402,8 +402,13 @@ def regime_series(**kwargs):
      "k must be in 1..12 for 12 epochs, got 13"),
     (lambda s: optimize_over_grid(s, [2], [0.0], 4, 0, dim=12),
      "D must be in 1..11 for 12 epochs, got 12"),
+    (lambda s: optimize_over_grid(s, [2, 3], [0.0, 0.3, -0.5], 3, 0),
+     "epsilon must be >= 0, got -0.5"),
+    (lambda s: optimize_over_grid(s, [2, 3], [0.0, 0.3, float("nan")], 3, 0),
+     "epsilon must be finite, got nan"),
 ], ids=["fit_k0", "fit_k_above_epochs", "fit_n_inits0", "fit_dim0", "fit_dim_epochs",
-        "grid_k_above_epochs", "grid_dim_epochs"])
+        "grid_k_above_epochs", "grid_dim_epochs", "grid_last_epsilon_negative",
+        "grid_last_epsilon_nan"])
 def test_bad_fit_arguments_fail_before_the_kernel(monkeypatch, call, message):
     calls = []
     real = geometry.similarity_matrix
