@@ -19,6 +19,8 @@ from .errors import EXIT_CODES, DataError, exit_code
 from .geometry import _check_workers
 from .ingest import load_panel, load_sector_map, log_returns
 from .pipeline import (
+    EPSILON_GRID,
+    K_RANGE,
     PipelineConfig,
     parse_float_grid,
     parse_int_range,
@@ -38,8 +40,6 @@ from .sector import SECTOR_PRESETS, sector_series
 from .serialize import write_json
 from .states import fit_series, optimize_over_grid, select_optimum
 from .trajectory import (
-    DEFAULT_THRESHOLD,
-    DEFAULT_WIDTH_DAYS,
     analyze_trajectory,
     classify_catalog,
     cut_window,
@@ -48,6 +48,7 @@ from .trajectory import (
 )
 
 _PREFIXES = {1: "bad parameter", 2: "data error", 3: "numeric failure"}  # by exit code
+_DEFAULTS = PipelineConfig()  # every flag that mirrors a config key defaults to its value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,18 +74,18 @@ def _out_path(raw: str) -> Path:
 
 
 def _add_epoch_flags(parser) -> None:
-    parser.add_argument("--window", type=int, default=20,
-                        help="return days per epoch (default 20)")
-    parser.add_argument("--shift", type=int, default=1,
-                        help="days the epoch advances (default 1)")
+    parser.add_argument("--window", type=int, default=_DEFAULTS.window,
+                        help=f"return days per epoch (default {_DEFAULTS.window})")
+    parser.add_argument("--shift", type=int, default=_DEFAULTS.shift,
+                        help=f"days the epoch advances (default {_DEFAULTS.shift})")
 
 
 def _add_fit_flags(parser) -> None:
     """The epoch archive and the k-means ensemble of a state search or fit."""
     parser.add_argument("--corr", required=True)
-    parser.add_argument("--n-inits", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--dim", type=int, default=3)
+    parser.add_argument("--n-inits", type=int, default=_DEFAULTS.n_inits)
+    parser.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    parser.add_argument("--dim", type=int, default=_DEFAULTS.mds_dim)
 
 
 def _cmd_ingest(args) -> int:
@@ -180,7 +181,7 @@ def _cmd_sectors_displace(args) -> int:
 
 def _cmd_trajectory(args) -> int:
     spec = EpochSpec(args.window, args.shift)
-    width = DEFAULT_WIDTH_DAYS if args.width is None else args.width
+    width = _DEFAULTS.width_days if args.width is None else args.width
     if args.mode == "catalog":
         # each event's window comes from --events and is mapped on 3 axes
         ignored = [flag for flag, given in (
@@ -224,14 +225,19 @@ def _cmd_trajectory(args) -> int:
     return 0
 
 
+def _print_stages(manifest: dict) -> None:
+    """One line per stage, ``name: status``, then why it failed or did not run."""
+    for name, entry in manifest["stages"].items():
+        detail = entry.get("error") or entry.get("reason") or ""
+        print(f"{name}: {entry['status']}" + (f" ({detail})" if detail else ""))
+
+
 def _cmd_run(args) -> int:
     cfg = PipelineConfig.from_file(args.config)
     if args.out_dir:
         cfg.out_dir = str(_out_path(args.out_dir))
     code, manifest = run_pipeline(cfg, force=args.force, workers=args.workers)
-    for name, entry in manifest["stages"].items():
-        detail = entry.get("error") or entry.get("reason") or ""
-        print(f"{name}: {entry['status']}" + (f" ({detail})" if detail else ""))
+    _print_stages(manifest)
     print(f"manifest -> {Path(cfg.out_dir) / 'manifest.json'}")
     return code
 
@@ -241,8 +247,7 @@ def _cmd_demo(args) -> int:
 
     out_dir = args.out_dir or os.environ.get("MARKETSTATES_OUT_DIR") or "demo_out"
     code, manifest = run_demo(out_dir, workers=args.workers, force=args.force)
-    for name, entry in manifest["stages"].items():
-        print(f"{name}: {entry['status']}")
+    _print_stages(manifest)
     print(f"artifacts under {out_dir}")
     return code
 
@@ -254,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="load prices, apply the continuity policy, save a panel archive")
     p.add_argument("--prices", required=True)
-    p.add_argument("--max-gap", type=int, default=2,
+    p.add_argument("--max-gap", type=int, default=_DEFAULTS.max_gap,
                    help="max consecutive missing prices before a ticker is dropped")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ingest)
@@ -269,17 +274,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sample a Wishart ensemble and compare to the analytic law")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--realizations", type=int, default=50)
+    p.add_argument("--realizations", type=int, default=_DEFAULTS.rmt_realizations)
     p.add_argument("--sigma2", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--bins", type=int, default=100)
+    p.add_argument("--bins", type=int, default=_DEFAULTS.rmt_bins)
     p.add_argument("--out", default="")
     p.set_defaults(func=_cmd_rmt_validate)
 
     p = sub.add_parser("mds", help="map a correlation archive to low-dimension coordinates")
     p.add_argument("--corr", required=True)
-    p.add_argument("--dim", type=int, default=3)
+    p.add_argument("--dim", type=int, default=_DEFAULTS.mds_dim)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_mds)
 
@@ -287,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     states_sub = p.add_subparsers(dest="states_command", required=True)
     q = states_sub.add_parser("optimize", help="sigma_d_intra over a (k, epsilon) grid")
     _add_fit_flags(q)
-    q.add_argument("--k-range", default="2..8")
-    q.add_argument("--epsilon-grid", default="0:0.1:0.9")
-    q.add_argument("--k-min", type=int, default=4)
+    q.add_argument("--k-range", default=K_RANGE)
+    q.add_argument("--epsilon-grid", default=EPSILON_GRID)
+    q.add_argument("--k-min", type=int, default=_DEFAULTS.k_min)
     q.add_argument("--workers", type=int, default=1)
     q.add_argument("--out", required=True)
     q.set_defaults(func=_cmd_states_optimize)
@@ -327,12 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--end", default="")
     p.add_argument("--name", default="")
     p.add_argument("--events", default="", help="name,center_date CSV (catalog mode)")
-    p.add_argument("--width", type=int,
-                   help=f"price days per window (default {DEFAULT_WIDTH_DAYS}; not with --start)")
+    p.add_argument("--width", type=int, help=f"price days per window "
+                   f"(default {_DEFAULTS.width_days}; not with --start)")
     _add_epoch_flags(p)
     p.add_argument("--dim", type=int, help="map axes of a single window (default 3)")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p.add_argument("--epsilon", type=float, default=0.0)
+    p.add_argument("--threshold", type=float, default=_DEFAULTS.threshold)
+    p.add_argument("--epsilon", type=float, default=_DEFAULTS.trajectory_epsilon)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_trajectory)

@@ -102,13 +102,11 @@ def demo_config(out_dir: str | Path) -> PipelineConfig:
         epsilon_grid=[0.0, 0.5],
         k_range=[2, 3, 4, 5],
         n_inits=8,
-        seed=0,
         k_min=2,
         k=2,
         epsilon=0.5,
         sector_k=2,
         sector_epsilon=0.5,
-        rmt_realizations=50,
     )
 
 

@@ -22,37 +22,19 @@ from .errors import NumericError
 
 @dataclass
 class Embedding:
-    """Classical MDS coordinates plus eigenvalue diagnostics.
+    """Classical MDS coordinates, one row per epoch, plus eigenvalue diagnostics.
 
-    ``eigenvalues`` are the D retained (non-negative, descending) values;
-    padded axes carry eigenvalue 0.  ``full_eigenvalues`` is the entire
-    double-centering spectrum; ``clipped_mass`` is the |negative| share of
-    total |eigenvalue| mass, a measure of how non-Euclidean the input was.
+    ``eigenvalues`` are the axes' (non-negative, descending) values; padded
+    axes carry eigenvalue 0.  ``n_clipped`` counts the negative eigenvalues
+    of the whole double-centering spectrum and ``clipped_mass`` is their
+    share of its total |eigenvalue| mass, a measure of how non-Euclidean the
+    input was.  The first d axes of a map at D are the bytes of the map at d.
     """
 
     coordinates: np.ndarray
     eigenvalues: np.ndarray
-    D: int
-    full_eigenvalues: np.ndarray
     n_clipped: int
     clipped_mass: float
-
-    def leading(self, D: int) -> "Embedding":
-        """This map on its first D axes: the same bytes as classical MDS at D.
-
-        Axes are computed column by column from one eigendecomposition, so a
-        full map truncated to D axes equals ``classical_mds(dissim, D)``.
-        """
-        if not 1 <= D <= self.D:
-            raise ValueError(f"D must be in 1..{self.D}, got {D}")
-        return Embedding(
-            coordinates=self.coordinates[:, :D].copy(),
-            eigenvalues=self.eigenvalues[:D].copy(),
-            D=D,
-            full_eigenvalues=self.full_eigenvalues,
-            n_clipped=self.n_clipped,
-            clipped_mass=self.clipped_mass,
-        )
 
 
 def _l1_rows(X: np.ndarray, sums: np.ndarray, out: np.ndarray, first: int, step: int,
@@ -128,7 +110,7 @@ def similarity_matrix(epochs: EpochCorrelationSeries, workers: int = 1,
     if not isinstance(epochs, EpochCorrelationSeries):
         raise TypeError(f"expected an EpochCorrelationSeries, got {type(epochs).__name__}")
     n, N = epochs.n_epochs, epochs.n_labels
-    width = N * (N + 1) // 2  # entries of one packed epoch
+    width = epochs.packed.shape[1]  # entries of one packed epoch
     if n < 2:
         raise NumericError(f"need at least 2 epochs, got {n}")
     # each thread's chunk of about 2^18 int16 (512 KB) and its buffer stay in cache
@@ -218,8 +200,6 @@ def classical_mds(dissim: np.ndarray, D: int) -> Embedding:
     return Embedding(
         coordinates=_fix_signs(coords),
         eigenvalues=retained,
-        D=D,
-        full_eigenvalues=eigval,
         n_clipped=negatives.size,
         clipped_mass=clipped_mass,
     )

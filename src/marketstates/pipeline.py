@@ -48,6 +48,7 @@ from .ingest import (
     save_panel,
 )
 from .rmt import (
+    SPECTRUM_BINS,
     WishartSpec,
     _check_bins,
     l1_to_analytic,
@@ -64,7 +65,7 @@ from .serialize import (
     write_csv,
     write_json,
 )
-from .states import _check_fit, fit_series, optimize_over_grid, select_optimum
+from .states import K_MIN, MAP_DIM, _check_fit, fit_series, optimize_over_grid, select_optimum
 from .trajectory import (
     DEFAULT_THRESHOLD,
     DEFAULT_WIDTH_DAYS,
@@ -74,6 +75,9 @@ from .trajectory import (
 )
 
 PANEL = "panel.npz"  # the ingest stage's price panel, with PANEL + ".meta.json" beside it
+# the default (k, epsilon) grid, in the syntax of the config file and the CLI
+K_RANGE = "2..8"
+EPSILON_GRID = "0:0.1:0.9"
 
 
 def parse_int_range(text: str) -> list[int]:
@@ -124,21 +128,21 @@ def parse_float_grid(text: str) -> list[float]:
 
 @dataclass
 class PipelineConfig:
-    """Flat key=value configuration for a full pipeline run."""
+    """Flat key=value configuration for a full pipeline run; the CLI's flags default to it."""
 
     prices: str = ""
     sectors: str = ""
     events: str = ""
     out_dir: str = "out"
-    max_gap: int = 2
-    window: int = 20
-    shift: int = 1
-    epsilon_grid: list[float] = field(default_factory=lambda: [round(0.1 * i, 10) for i in range(10)])
-    k_range: list[int] = field(default_factory=lambda: list(range(2, 9)))
+    max_gap: int = ContinuityPolicy.max_consecutive_missing
+    window: int = EpochSpec.window
+    shift: int = EpochSpec.shift
+    epsilon_grid: list[float] = field(default_factory=lambda: parse_float_grid(EPSILON_GRID))
+    k_range: list[int] = field(default_factory=lambda: parse_int_range(K_RANGE))
     n_inits: int = 10
     seed: int = 0
-    mds_dim: int = 3
-    k_min: int = 4
+    mds_dim: int = MAP_DIM
+    k_min: int = K_MIN
     k: int = 0  # 0 means "use the grid optimum"
     epsilon: float = -1.0  # negative means "use the grid optimum"
     sector_k: int = 0  # 0 means "reuse the stock-level choice"
@@ -147,7 +151,7 @@ class PipelineConfig:
     width_days: int = DEFAULT_WIDTH_DAYS
     trajectory_epsilon: float = 0.0
     rmt_realizations: int = 50
-    rmt_bins: int = 100
+    rmt_bins: int = SPECTRUM_BINS
 
     _PATHS = ("prices", "sectors", "events", "out_dir")
     # a field's parser by its annotation, which stays a string under __future__ annotations
@@ -172,14 +176,19 @@ class PipelineConfig:
         except OSError as exc:
             raise DataError(f"cannot read config {path}: {exc}") from exc
         mapping: dict[str, str] = {}
+        set_on: dict[str, int] = {}  # the line that sets each key
         for lineno, raw_line in enumerate(text.splitlines(), start=1):
             line = raw_line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise DataError(f"{path}:{lineno}: expected 'key = value', got {raw_line!r}")
-            key, _, value = line.partition("=")
-            mapping[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in set_on:
+                raise DataError(f"{path}:{lineno}: key {key!r} is set again, "
+                                f"first on line {set_on[key]}")
+            mapping[key] = value
+            set_on[key] = lineno
         return cls.from_mapping(mapping)
 
     def validate(self) -> None:
@@ -303,16 +312,18 @@ def write_map(series: EpochCorrelationSeries, dim: int, out_dir: Path,
 
     Writes ``map_coords.csv``, each row labelled with its epoch's start
     date, and ``map_meta.json`` under ``out_dir``; returns the epsilon 0
-    map on ``dim`` axes.  One eigendecomposition serves both: the
-    ``dim``-axis map is the leading ``dim`` axes of the full map that the
-    fidelity needs, which is freed on return.  ``workers`` threads run the
-    dissimilarity kernel.
+    map on ``dim`` axes.  One eigendecomposition serves both: classical
+    MDS computes each axis on its own, so the first ``dim`` columns and
+    eigenvalues of the full map that the fidelity needs are the bytes of
+    ``classical_mds(sim, dim)``.  The full map is freed on return.
+    ``workers`` threads run the dissimilarity kernel.
     """
     _check_fit(series.n_epochs, [], dim)
     out_dir.mkdir(parents=True, exist_ok=True)
     sim = similarity_matrix(series, workers)
     full = classical_mds(sim, D=len(sim) - 1)
-    embedding = full.leading(dim)
+    embedding = replace(full, coordinates=full.coordinates[:, :dim].copy(),
+                        eigenvalues=full.eigenvalues[:dim].copy())
     padded = _xyz(embedding.coordinates)
     write_csv(
         out_dir / "map_coords.csv",
@@ -320,7 +331,7 @@ def write_map(series: EpochCorrelationSeries, dim: int, out_dir: Path,
         [(i + 1, m.start_date, padded[i, 0], padded[i, 1], padded[i, 2])
          for i, m in enumerate(series.matrices)],
     )
-    fidelity = step_fidelity(full.coordinates, [d for d in (1, 2, 3, 4) if d <= full.D])
+    fidelity = step_fidelity(full.coordinates, [d for d in (1, 2, 3, 4) if d < len(sim)])
     write_json(
         out_dir / "map_meta.json",
         {

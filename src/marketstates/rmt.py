@@ -19,6 +19,7 @@ from .corrmat import power_map
 from .errors import NumericError
 
 ZERO_EIGENVALUE_TOL = 1e-10
+SPECTRUM_BINS = 100  # histogram bins of a pooled spectrum
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,8 @@ def _check_bins(bins: int) -> None:
         raise ValueError(f"bins must be >= 1, got {bins}")
 
 
-def spectrum_from_eigenvalues(eigenvalues: np.ndarray, bins: int = 100) -> SpectralDensity:
+def spectrum_from_eigenvalues(eigenvalues: np.ndarray,
+                              bins: int = SPECTRUM_BINS) -> SpectralDensity:
     """Pooled-eigenvalue histogram over [0, max], density-normalized."""
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     if eigenvalues.size == 0:

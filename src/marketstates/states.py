@@ -17,6 +17,8 @@ from .corrmat import EpochCorrelationSeries, _check_epsilon
 from .geometry import Embedding, embed_epochs
 
 MAX_LLOYD_ITERATIONS = 300
+MAP_DIM = 3  # axes of the map that k-means clusters
+K_MIN = 4  # the fewest states the grid optimum may have
 
 
 @dataclass
@@ -215,7 +217,7 @@ def _grid_rows(coords: np.ndarray, eps: float, k_list: list[int], seeds) -> list
 
 
 def optimize_over_grid(series: EpochCorrelationSeries, k_range, epsilon_grid, n_inits: int,
-                       seed: int, dim: int = 3, workers: int = 1,
+                       seed: int, dim: int = MAP_DIM, workers: int = 1,
                        maps: dict[float, Embedding] | None = None) -> list[GridPoint]:
     """sigma_d_intra over a (k, epsilon) grid for a raw epoch series, one point per pair.
 
@@ -258,7 +260,7 @@ def _check_fit(n_epochs: int, k_list, dim: int, n_inits: int = 1, least_inits: i
                          f"got {dim}")
 
 
-def select_optimum(grid: list[GridPoint], k_min: int = 4) -> tuple[int, float]:
+def select_optimum(grid: list[GridPoint], k_min: int = K_MIN) -> tuple[int, float]:
     """Minimum sigma_d_intra among grid points with k >= k_min.
 
     Ties prefer larger k, then smaller epsilon.
@@ -308,7 +310,7 @@ def build_state_model(series: EpochCorrelationSeries, run: ClusteringRun,
 
 
 def fit_series(series: EpochCorrelationSeries, k: int, epsilon: float, n_inits: int,
-               seed: int, dim: int = 3, workers: int = 1,
+               seed: int, dim: int = MAP_DIM, workers: int = 1,
                embedding: Embedding | None = None):
     """Fit market states to a raw (epsilon 0) series at one operating point.
 

@@ -1,18 +1,21 @@
 """Command-line surface: subcommand behavior, output files, exit codes."""
 
 import json
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from marketstates import geometry, pipeline
 from marketstates.cli import build_parser, main
-from marketstates.corrmat import EpochCorrelationSeries, save_series
+from marketstates.corrmat import EpochCorrelationSeries, EpochSpec, save_series
 from marketstates.errors import DataError
-from marketstates.ingest import load_panel
+from marketstates.ingest import ContinuityPolicy, load_panel
 from marketstates.pipeline import PipelineConfig, parse_float_grid, parse_int_range, run_pipeline
+from marketstates.rmt import SPECTRUM_BINS
 from marketstates.serialize import load_arrays, read_json
-from marketstates.trajectory import DEFAULT_WIDTH_DAYS
+from marketstates.states import K_MIN, MAP_DIM
 
 from test_pipeline import market_config, write_market
 
@@ -157,34 +160,63 @@ def test_bad_arguments_fail_before_the_kernel(workspace, tmp_path, monkeypatch, 
     assert calls == [] and list(tmp_path.iterdir()) == []
 
 
+_FIT_MIRRORS = {"n_inits": "n_inits", "seed": "seed", "dim": "mds_dim"}
+# by subcommand, each flag that a config key also sets: its dest and that key
+_CONFIG_MIRRORS = {
+    ("ingest",): {"max_gap": "max_gap"},
+    ("corr",): {"window": "window", "shift": "shift"},
+    ("rmt-validate",): {"realizations": "rmt_realizations", "seed": "seed", "bins": "rmt_bins"},
+    ("mds",): {"dim": "mds_dim"},
+    ("states", "optimize"): {**_FIT_MIRRORS, "k_range": "k_range",
+                             "epsilon_grid": "epsilon_grid", "k_min": "k_min"},
+    ("states", "fit"): _FIT_MIRRORS,
+    ("sectors", "fit"): _FIT_MIRRORS,
+    ("sectors", "displace"): {},
+    ("trajectory",): {"window": "window", "shift": "shift", "width": "width_days",
+                      "threshold": "threshold", "epsilon": "trajectory_epsilon"},
+    ("run",): {},
+    ("demo",): {},
+}
+# flags named like a config key that set something else: rmt-validate's power map
+_NOT_MIRRORS = {("rmt-validate", "epsilon")}
+
+
+def _subcommands(parser, path=()):
+    """(command words, parser) of every subcommand that takes flags."""
+    groups = [a for a in parser._actions if isinstance(a.choices, dict)]
+    if not groups:
+        return [(path, parser)]
+    return [leaf for name, sub in groups[0].choices.items()
+            for leaf in _subcommands(sub, (*path, name))]
+
+
 def test_cli_defaults_are_the_config_defaults():
-    # every flag a config key also sets, by the flag's name and by the key it sets
-    config_key = {"window": "window", "shift": "shift", "max_gap": "max_gap",
-                  "k_range": "k_range", "epsilon_grid": "epsilon_grid", "n_inits": "n_inits",
-                  "seed": "seed", "k_min": "k_min", "threshold": "threshold", "dim": "mds_dim",
-                  "width": "width_days", "realizations": "rmt_realizations",
-                  "bins": "rmt_bins"}
+    cfg = PipelineConfig()
+    # the config takes each library default from the module that uses it
+    assert (cfg.window, cfg.shift) == (EpochSpec().window, EpochSpec().shift)
+    assert cfg.max_gap == ContinuityPolicy().max_consecutive_missing
+    assert (cfg.mds_dim, cfg.k_min, cfg.rmt_bins) == (MAP_DIM, K_MIN, SPECTRUM_BINS)
     parse = {"k_range": parse_int_range, "epsilon_grid": parse_float_grid}
-    # what `trajectory` uses when --width or --dim is not given
-    unset = {("marketstates trajectory", "width"): DEFAULT_WIDTH_DAYS,
-             ("marketstates trajectory", "dim"): 3}
-    defaults = PipelineConfig()
-    seen = set()
-    parsers = [build_parser()]
-    while parsers:
-        parser = parsers.pop()
-        for action in parser._actions:
-            if isinstance(action.choices, dict):  # a subcommand's parsers
-                parsers.extend(action.choices.values())
-            elif action.dest in config_key:
-                default = action.default
-                if default is None:  # a flag that must tell an explicit value apart
-                    default = unset[(parser.prog, action.dest)]
-                value = parse.get(action.dest, lambda v: v)(default)
-                assert value == getattr(defaults, config_key[action.dest]), (
-                    parser.prog, action.dest)
-                seen.add(action.dest)
-    assert seen == set(config_key)
+    keys = {f.name for f in fields(PipelineConfig)}
+    leaves = _subcommands(build_parser())
+    assert {path for path, _ in leaves} == set(_CONFIG_MIRRORS)
+    for path, parser in leaves:
+        # parsed with only its required flags, each mirror holds its key's default
+        mirrors = _CONFIG_MIRRORS[path]
+        required = [a for a in parser._actions if a.required and a.option_strings]
+        argv = [*path, *(arg for a in required for arg in (a.option_strings[0], "1"))]
+        args = vars(build_parser().parse_args(argv))
+        helps = {a.dest: a.help for a in parser._actions}
+        for dest, key in mirrors.items():
+            want, stated = getattr(cfg, key), re.search(r"\(default ([^;)]*)", helps[dest] or "")
+            if args[dest] is not None:  # None: a flag that tells an explicit value apart
+                assert parse.get(key, lambda v: v)(args[dest]) == want, (path, dest)
+            if args[dest] is None or stated:  # its help states the default
+                assert stated and stated[1] == str(want), (path, dest)
+        # a flag named like a config key, with a default, must be a mirror
+        for a in parser._actions:
+            if a.dest in keys and a.dest not in mirrors and a.default not in (None, ""):
+                assert (path[0], a.dest) in _NOT_MIRRORS, (path, a.dest)
 
 
 # --------------------------------------------------------------------------

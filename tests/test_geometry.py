@@ -349,20 +349,6 @@ def test_double_centering_works_in_one_square_array(peak_bytes):
     assert peak_bytes(lambda: _double_center(Z)) <= 1.05 * Z.nbytes
 
 
-def test_leading_axes_equal_a_map_at_that_dimension():
-    sim = similarity_matrix(random_corr_series(6), epsilon=0.4)
-    full = classical_mds(sim, D=len(sim) - 1)
-    for D in (1, 2, 3, 5):
-        got, want = full.leading(D), classical_mds(sim, D=D)
-        assert got.coordinates.tobytes() == want.coordinates.tobytes()
-        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
-        assert got.full_eigenvalues.tobytes() == want.full_eigenvalues.tobytes()
-        assert (got.D, got.n_clipped, got.clipped_mass) == (D, want.n_clipped,
-                                                            want.clipped_mass)
-    with pytest.raises(ValueError, match="D must be in"):
-        full.leading(len(sim))
-
-
 def test_similarity_metric_properties():
     Z = similarity_matrix(random_corr_series(2))
     np.testing.assert_array_equal(Z, Z.T)
@@ -567,7 +553,6 @@ def test_mds_recovers_random_3d_configuration():
     assert emb.eigenvalues.shape == (3,)
     assert np.all(np.diff(emb.eigenvalues) <= 0)
     assert np.all(emb.eigenvalues >= 0)
-    assert emb.full_eigenvalues.shape == (50,)
 
 
 def test_mds_centering_and_sign_convention():

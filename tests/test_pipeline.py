@@ -98,6 +98,18 @@ def test_config_rejects_unknown_key_and_bad_value(tmp_path):
         PipelineConfig.from_file(path)
 
 
+def test_config_file_that_sets_a_key_twice_names_both_lines(tmp_path, capsys):
+    from marketstates.cli import main
+
+    path = tmp_path / "run.cfg"
+    path.write_text("prices = p.csv\nk_range = 2..4\n# a comment between the two\nk_range = 5\n")
+    message = f"{path}:4: key 'k_range' is set again, first on line 2"
+    with pytest.raises(DataError, match=re.escape(message)):
+        PipelineConfig.from_file(path)
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+
+
 def test_config_validate(tmp_path):
     with pytest.raises(DataError, match="'prices' path"):
         PipelineConfig().validate()
@@ -223,7 +235,7 @@ def test_write_map_uses_one_eigendecomposition(tmp_path, monkeypatch):
 
     series = corr_series(n_epochs=15, n=5)
     sim = similarity_matrix(series)
-    for dim in (2, 3):
+    for dim in (1, 2, 3, 5):
         # oracle: the map and the fidelity each from their own eigendecomposition
         embedding = classical_mds(sim, D=dim)
         fidelity = dict(dimension_fidelity(sim, [1, 2, 3, 4]))
@@ -231,9 +243,13 @@ def test_write_map_uses_one_eigendecomposition(tmp_path, monkeypatch):
         calls = []
         real_eigh = np.linalg.eigh
         monkeypatch.setattr(geometry.np.linalg, "eigh", lambda m: calls.append(1) or real_eigh(m))
-        write_map(series, dim, tmp_path)
+        got = write_map(series, dim, tmp_path)
         monkeypatch.undo()
         assert len(calls) == 1
+        # the returned map is the full map's leading axes, the bytes of the map at dim
+        assert got.coordinates.tobytes() == embedding.coordinates.tobytes()
+        assert got.eigenvalues.tobytes() == embedding.eigenvalues.tobytes()
+        assert (got.n_clipped, got.clipped_mass) == (embedding.n_clipped, embedding.clipped_mass)
 
         meta = read_json(tmp_path / "map_meta.json")
         assert meta["eigenvalues"] == embedding.eigenvalues.tolist()
@@ -242,8 +258,9 @@ def test_write_map_uses_one_eigendecomposition(tmp_path, monkeypatch):
         assert meta["dimension_fidelity"] == {str(d): v for d, v in fidelity.items()}
         rows = (tmp_path / "map_coords.csv").read_text().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == [m.start_date for m in series.matrices]
-        coords = np.array([[float(v) for v in row.split(",")[2:2 + dim]] for row in rows])
-        assert coords.tobytes() == embedding.coordinates.tobytes()
+        shown = min(dim, 3)  # the CSV holds three axes
+        coords = np.array([[float(v) for v in row.split(",")[2:2 + shown]] for row in rows])
+        assert coords.tobytes() == embedding.coordinates[:, :shown].tobytes()
     with pytest.raises(ValueError, match="D must be in"):
         write_map(series, series.n_epochs, tmp_path)
 

@@ -261,8 +261,7 @@ def toy_model(k=2, n_epochs=5):
 
 def toy_embedding(n_epochs=5):
     return Embedding(coordinates=np.random.default_rng(4).standard_normal((n_epochs, 3)),
-                     eigenvalues=np.ones(3), D=3, full_eigenvalues=np.ones(n_epochs),
-                     n_clipped=0, clipped_mass=0.0)
+                     eigenvalues=np.ones(3), n_clipped=0, clipped_mass=0.0)
 
 
 def test_state_model_round_trip(tmp_path):
