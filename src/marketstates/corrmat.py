@@ -239,8 +239,10 @@ def _pearson_blocks(windows: np.ndarray, cov: np.ndarray) -> np.ndarray:
     (blocks, N, N) array; epoch_correlations passes about 2^16 float64
     (512 KB) of output at a time.  One batched product serves every block,
     and every step is the 2-D computation done slice by slice, so each
-    block gets the bits it would get alone.  Returns the (blocks, N) mask
-    of zero-variance rows.
+    block gets the bits it would get alone.  Beyond ``cov`` it holds the
+    C-contiguous window copy, then one scratch chunk of ``cov``'s size for
+    the sd_i sd_j divisor and then cov + cov^T.  Returns the (blocks, N)
+    mask of zero-variance rows.
     """
     T = windows.shape[2]
     diagonal = np.arange(windows.shape[1])
@@ -255,10 +257,12 @@ def _pearson_blocks(windows: np.ndarray, cov: np.ndarray) -> np.ndarray:
     rows = var <= 1e-24 * np.maximum(scale, 1e-300)
     var[rows] = 1.0
     sd = np.sqrt(var)
-    cov /= sd[:, :, None] * sd[:, None, :]
+    del X  # freed before the scratch chunk takes its place
+    scratch = np.empty_like(cov)
+    cov /= np.multiply(sd[:, :, None], sd[:, None, :], out=scratch)
     cov[rows] = 0.0
     cov.transpose(0, 2, 1)[rows] = 0.0
-    symmetric = cov + cov.transpose(0, 2, 1)
+    symmetric = np.add(cov, cov.transpose(0, 2, 1), out=scratch)
     symmetric /= 2.0
     np.clip(symmetric, -1.0, 1.0, out=cov)
     cov[:, diagonal, diagonal] = 1.0

@@ -7,6 +7,15 @@ are exact integers, and each distance is within width / (scale N^2) of the
 float64 value.  Classical (Torgerson) multidimensional scaling turns the
 resulting dissimilarity matrix into coordinates, so that each epoch becomes
 one point and market history becomes a trajectory through that map.
+
+Two solvers give the map's axes.  ``classical_mds`` decomposes the whole
+double-centred matrix, for the callers that read its whole spectrum: the
+full map and its fidelity, and the clipped-eigenvalue counts.
+``embed_epochs`` needs only a few leading axes: under
+``LANCZOS_MIN_EPOCHS`` epochs it calls ``classical_mds`` too, and from there
+on it takes them from Lanczos iterations, which agree with the full
+decomposition to about 1e-12 of the largest coordinate and cost a few dozen
+matrix-vector products instead of an (epochs, epochs) eigenvector matrix.
 """
 
 from __future__ import annotations
@@ -28,13 +37,15 @@ class Embedding:
     axes carry eigenvalue 0.  ``n_clipped`` counts the negative eigenvalues
     of the whole double-centering spectrum and ``clipped_mass`` is their
     share of its total |eigenvalue| mass, a measure of how non-Euclidean the
-    input was.  The first d axes of a map at D are the bytes of the map at d.
+    input was.  Only ``classical_mds`` sees the whole spectrum: a map built
+    from its leading axes alone carries None for both.  The first d axes of
+    a ``classical_mds`` map at D are the bytes of the map at d.
     """
 
     coordinates: np.ndarray
     eigenvalues: np.ndarray
-    n_clipped: int
-    clipped_mass: float
+    n_clipped: int | None
+    clipped_mass: float | None
 
 
 def _l1_rows(X: np.ndarray, sums: np.ndarray, out: np.ndarray, first: int, step: int,
@@ -168,6 +179,30 @@ def _fix_signs(coords: np.ndarray) -> np.ndarray:
     return coords
 
 
+def _check_dim(n: int, D: int) -> None:
+    if not 1 <= D <= n - 1:
+        raise ValueError(f"D must be in 1..{n - 1}, got {D}")
+
+
+def _axes(vectors: np.ndarray, columns: np.ndarray, values: np.ndarray, D: int) -> Embedding:
+    """``D`` map axes: eigenvector ``columns`` scaled by the square roots of their ``values``.
+
+    ``values`` are the kept eigenvalues, non-negative and descending; the
+    axes past them are zero, with eigenvalue 0.  The columns are gathered
+    about 512 KB at a time, straight into the coordinates, so no reordered
+    copy of ``vectors`` is made.  The clip counts are left to the caller.
+    """
+    coords = np.zeros((len(vectors), D))
+    step = _epochs_per_chunk(8 * len(vectors))
+    for j in range(0, len(columns), step):
+        block = columns[j:j + step]
+        np.multiply(vectors[:, block], np.sqrt(values[j:j + step]),
+                    out=coords[:, j:j + len(block)])
+    return Embedding(coordinates=_fix_signs(coords),
+                     eigenvalues=np.concatenate([values, np.zeros(D - len(values))]),
+                     n_clipped=None, clipped_mass=None)
+
+
 def classical_mds(dissim: np.ndarray, D: int) -> Embedding:
     """Torgerson MDS: double-center the squared dissimilarities, eigendecompose.
 
@@ -175,34 +210,127 @@ def classical_mds(dissim: np.ndarray, D: int) -> Embedding:
     scaled by the square root of the top D non-negative eigenvalues.
     Negative eigenvalues (non-Euclidean input) are dropped and counted in
     ``n_clipped``; if fewer than D non-negative remain, the missing axes are
-    zero, with eigenvalue 0.
+    zero, with eigenvalue 0.  The whole spectrum is computed, so this is
+    the solver for a full map and its clip counts; ``embed_epochs`` takes a
+    few leading axes of a large map from ``_leading_mds`` instead.
     ``dissim`` is a square (epochs, epochs) matrix such as similarity_matrix's.
     """
     n = _n_epochs(dissim)
-    if not 1 <= D <= n - 1:
-        raise ValueError(f"D must be in 1..{n - 1}, got {D}")
-    B = _double_center(dissim)
-    eigval, eigvec = np.linalg.eigh(B)
+    _check_dim(n, D)
+    eigval, eigvec = np.linalg.eigh(_double_center(dissim))
     order = np.argsort(eigval)[::-1]
     eigval = eigval[order]
-    eigvec = eigvec[:, order]
-
-    non_negative = eigval >= 0.0
-    n_keep = min(D, int(non_negative[:D].sum()))
     # non-negative eigenvalues always come first in descending order
-    coords = np.zeros((n, D))
-    kept = eigval[:n_keep]
-    coords[:, :n_keep] = eigvec[:, :n_keep] * np.sqrt(kept)
-    retained = np.concatenate([kept, np.zeros(D - n_keep)])
+    n_keep = min(D, int((eigval[:D] >= 0.0).sum()))
+    embedding = _axes(eigvec, order[:n_keep], eigval[:n_keep], D)
     negatives = eigval[eigval < 0.0]
     total_mass = float(np.abs(eigval).sum())
-    clipped_mass = float(np.abs(negatives).sum() / total_mass) if total_mass > 0 else 0.0
-    return Embedding(
-        coordinates=_fix_signs(coords),
-        eigenvalues=retained,
-        n_clipped=negatives.size,
-        clipped_mass=clipped_mass,
-    )
+    embedding.n_clipped = negatives.size
+    embedding.clipped_mass = float(np.abs(negatives).sum() / total_mass) if total_mass > 0 else 0.0
+    return embedding
+
+
+#: ``embed_epochs`` maps of at least this many epochs take their axes from
+#: ``_leading_mds``.  Below it a full decomposition is cheap, and on the
+#: event windows' catalog threads Lanczos was no faster and held more memory.
+LANCZOS_MIN_EPOCHS = 256
+# a wanted Ritz pair is converged at a residual of this times the largest |Ritz value|
+_LANCZOS_TOL = 1e-13
+# a new Lanczos direction this small against |T| closes its block: the basis is invariant
+_LANCZOS_BREAKDOWN = 1e-12
+
+
+def _tridiagonal(diagonal: list[float], off: list[float]) -> np.ndarray:
+    return np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def _lanczos(matvec, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``count`` largest eigenvalues of a symmetric B, descending, and their eigenvectors.
+
+    B is n x n and known by ``matvec(q)``, a new array holding B q.
+
+    Single-vector Lanczos from a fixed seeded start, every new direction
+    orthogonalized twice against the whole basis, so the tridiagonal T is
+    B's projection onto the basis to rounding.  The wanted Ritz pairs are
+    converged when each residual, |beta s_last|, is within _LANCZOS_TOL of
+    the largest |Ritz value|; at basis size n they are exact.
+
+    A step whose new direction vanishes has found an invariant subspace: its
+    block closes and a fresh seeded vector orthogonal to the basis opens the
+    next one, since a single start reaches one vector of each eigenspace.
+    After a closed block, the run ends only once a later block's largest
+    Ritz value is converged and adds no wanted value, so an eigenvalue
+    repeated in the rank-deficient maps of repeated epochs is found as
+    often as it occurs.  An eigenvalue repeated in a spectrum with no small
+    invariant subspace is found once, as by any single-vector method.
+    """
+    rng = np.random.default_rng(0)
+    Q = np.empty((min(n, 64), n))  # the orthonormal basis, one row per vector
+    alpha: list[float] = []  # T's diagonal
+    beta: list[float] = []  # T's off-diagonal, 0 where a block closed
+    start = 0  # the first vector of the open block
+    bound = 0.0  # the largest row sum of |T| so far: a scale for a vanishing direction
+    q = rng.standard_normal(n)
+    while True:
+        m = len(alpha)
+        if m == len(Q):
+            Q = np.concatenate([Q, np.empty((min(n, 2 * m) - m, n))])
+        Q[m] = q / np.linalg.norm(q)
+        w = matvec(Q[m])
+        alpha.append(float(Q[m] @ w))
+        for _ in range(2):  # twice is enough: the second pass removes what rounding left
+            w -= Q[:m + 1].T @ (Q[:m + 1] @ w)
+        b = float(np.linalg.norm(w))
+        m += 1
+        bound = max(bound, abs(alpha[-1]) + b + (beta[-1] if beta else 0.0))
+        closed = m == n or b <= _LANCZOS_BREAKDOWN * bound
+        # T's eigenpairs every 4 steps: they cost more than a step on a small map
+        if m >= count and (closed or (m - count) % 4 == 0):
+            theta, S = np.linalg.eigh(_tridiagonal(alpha, beta))
+            top = np.arange(m - 1, m - 1 - count, -1)
+            tol = _LANCZOS_TOL * np.abs(theta).max()
+            # in a closed block each Ritz pair's residual is below b
+            if closed or (b * np.abs(S[-1, top]) <= tol).all():
+                if m == n or (start == 0 and not closed):
+                    break
+                if start > 0:
+                    rho, s = np.linalg.eigh(_tridiagonal(alpha[start:], beta[start:]))
+                    if ((closed or b * abs(s[-1, -1]) <= tol)
+                            and (rho[-1] <= tol or rho[-1] < theta[top[-1]] - tol)):
+                        break
+        if closed:
+            beta.append(0.0)
+            q = rng.standard_normal(n)
+            for _ in range(2):
+                q -= Q[:m].T @ (Q[:m] @ q)
+            start = m
+        else:
+            beta.append(b)
+            q = w
+    return theta[top], Q[:m].T @ S[:, top]
+
+
+def _leading_mds(dissim: np.ndarray, D: int) -> Embedding:
+    """classical_mds's ``D`` axes from ``_lanczos``, without the whole spectrum.
+
+    The coordinates agree with classical_mds(dissim, D) to about 1e-12 of
+    the largest coordinate, up to a rotation within an axis whose
+    eigenvalue is repeated.  A negative leading eigenvalue gives a zero
+    axis, as in classical_mds; the clip counts are None.
+    """
+    n = _n_epochs(dissim)
+    _check_dim(n, D)
+    squared = dissim * dissim
+
+    def centred(q):  # B q = -1/2 J (Z*Z) J q, with no centred (n, n) copy
+        w = squared @ (q - q.mean())
+        w -= w.mean()
+        w *= -0.5
+        return w
+
+    values, vectors = _lanczos(centred, n, D)
+    n_keep = int((values >= 0.0).sum())  # descending: the non-negative ones come first
+    return _axes(vectors, np.arange(n_keep), values[:n_keep], D)
 
 
 def embed_epochs(epochs: EpochCorrelationSeries, epsilon: float, dim: int,
@@ -213,10 +341,14 @@ def embed_epochs(epochs: EpochCorrelationSeries, epsilon: float, dim: int,
     event trajectories.  The dissimilarity kernel power-maps each epoch as
     it copies it and never writes to its input, so no mapped copy of the
     series is made; missing axes are zero-padded, as in classical_mds.
+    Under LANCZOS_MIN_EPOCHS epochs the map is classical_mds's; from there
+    on it is _leading_mds's, which agrees to about 1e-12 of the largest
+    coordinate and carries no clip counts.
     ``workers`` threads run the dissimilarity kernel.  ``epochs`` is an
     EpochCorrelationSeries, as for similarity_matrix.
     """
-    return classical_mds(similarity_matrix(epochs, workers, epsilon), D=dim)
+    sim = similarity_matrix(epochs, workers, epsilon)
+    return (classical_mds if len(sim) < LANCZOS_MIN_EPOCHS else _leading_mds)(sim, dim)
 
 
 def step_lengths(coordinates: np.ndarray) -> np.ndarray:

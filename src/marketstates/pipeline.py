@@ -126,6 +126,11 @@ def parse_float_grid(text: str) -> list[float]:
         raise ValueError(f"bad float grid {text!r}: {exc}") from None
 
 
+# a '#' opens a config comment at the start of a line or after whitespace,
+# so that a path such as data/run#1/prices.csv keeps its '#'
+_COMMENT = re.compile(r"(?:^|(?<=\s))#")
+
+
 @dataclass
 class PipelineConfig:
     """Flat key=value configuration for a full pipeline run; the CLI's flags default to it."""
@@ -178,7 +183,7 @@ class PipelineConfig:
         mapping: dict[str, str] = {}
         set_on: dict[str, int] = {}  # the line that sets each key
         for lineno, raw_line in enumerate(text.splitlines(), start=1):
-            line = raw_line.split("#", 1)[0].strip()
+            line = _COMMENT.split(raw_line, 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -315,7 +320,10 @@ def write_map(series: EpochCorrelationSeries, dim: int, out_dir: Path,
     map on ``dim`` axes.  One eigendecomposition serves both: classical
     MDS computes each axis on its own, so the first ``dim`` columns and
     eigenvalues of the full map that the fidelity needs are the bytes of
-    ``classical_mds(sim, dim)``.  The full map is freed on return.
+    ``classical_mds(sim, dim)``.  The full map is freed on return.  From
+    ``LANCZOS_MIN_EPOCHS`` epochs on this is a run's one full
+    eigendecomposition: ``embed_epochs`` takes the other maps' leading
+    axes by Lanczos.
     ``workers`` threads run the dissimilarity kernel.
     """
     _check_fit(series.n_epochs, [], dim)

@@ -226,6 +226,17 @@ def test_pearson_correlation_is_the_one_block_case():
     assert C.tobytes() == looped_pearson(X)[0].tobytes()
 
 
+def test_epoch_correlations_holds_one_scratch_chunk_beyond_its_buffer(peak_bytes):
+    for n_stocks, n_returns in ((60, 259), (30, 1019)):
+        panel = make_panel(np.random.default_rng(23).normal(size=(n_stocks, n_returns)))
+        packed_bytes = (n_returns - 19) * (n_stocks * (n_stocks + 1) // 2) * 8
+        # the 512 KB chunk's dense buffer, one scratch chunk for sd_i sd_j and
+        # then C + C^T, the window copy before it and numpy's ufunc buffers: a
+        # second chunk-sized temporary would pass 2.5 chunks
+        bound = packed_bytes + 5 * (1 << 18)
+        assert peak_bytes(lambda: epoch_correlations(panel)) <= bound
+
+
 def test_epoch_correlations_builds_its_stack_once(peak_bytes):
     for n_stocks, n_returns in ((60, 259), (30, 1019)):
         panel = make_panel(np.random.default_rng(23).normal(size=(n_stocks, n_returns)))

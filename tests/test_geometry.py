@@ -14,7 +14,10 @@ from marketstates.corrmat import (
 )
 from marketstates.errors import NumericError
 from marketstates.geometry import (
+    LANCZOS_MIN_EPOCHS,
     Embedding,
+    _lanczos,
+    _leading_mds,
     classical_mds,
     dimension_fidelity,
     embed_epochs,
@@ -603,6 +606,132 @@ def test_mds_dimension_validation():
     # an epoch stack is not a dissimilarity matrix
     with pytest.raises(ValueError, match="square"):
         classical_mds(np.zeros((4, 3, 3)), D=2)
+
+
+def _old_classical_mds_axes(dissim, D):
+    """classical_mds's coordinates as built before: a reordered copy of every eigenvector."""
+    from marketstates.geometry import _double_center, _fix_signs
+
+    eigval, eigvec = np.linalg.eigh(_double_center(dissim))
+    order = np.argsort(eigval)[::-1]
+    eigval, eigvec = eigval[order], eigvec[:, order]
+    n_keep = min(D, int((eigval[:D] >= 0.0).sum()))
+    coords = np.zeros((len(dissim), D))
+    coords[:, :n_keep] = eigvec[:, :n_keep] * np.sqrt(eigval[:n_keep])
+    return _fix_signs(coords)
+
+
+def test_full_map_gathers_its_axes_with_no_reordered_eigenvector_copy(peak_bytes):
+    rng = np.random.default_rng(9)
+    points = rng.normal(size=(600, 2))
+    # L1 distances in the plane: non-Euclidean, so about 2/3 of the axes are clipped
+    Z = np.abs(points[:, None, :] - points[None, :, :]).sum(axis=2)
+    for D in (3, 100, 599):
+        assert classical_mds(Z, D).coordinates.tobytes() == _old_classical_mds_axes(Z, D).tobytes()
+    # the eigenvectors and the coordinates; the double-centred matrix is
+    # freed before the coordinates exist, and a reordered copy of the
+    # eigenvectors would make it 3.3 squares
+    assert peak_bytes(lambda: classical_mds(Z, 599)) <= 2.5 * Z.nbytes
+
+
+def regime_series(n_epochs, n_stocks, seed):
+    """Shift-1 epochs of random returns with a common factor over a sixth of them."""
+    rng = np.random.default_rng(seed)
+    returns = rng.normal(size=(n_stocks, n_epochs + 19))
+    returns[:, n_epochs // 3:n_epochs // 2] += rng.normal(size=n_epochs // 2 - n_epochs // 3)
+    panel = ReturnPanel([f"S{i}" for i in range(n_stocks)],
+                        [f"d{t}" for t in range(n_epochs + 19)], returns)
+    return epoch_correlations(panel, EpochSpec(window=20, shift=1))
+
+
+@pytest.mark.parametrize("n_epochs", [LANCZOS_MIN_EPOCHS, 400, 1500])
+@pytest.mark.parametrize("eps", [0.0, 0.5])
+def test_large_maps_take_lanczos_axes_that_match_the_full_decomposition(n_epochs, eps):
+    series = regime_series(n_epochs, 20, n_epochs)
+    want = classical_mds(similarity_matrix(series, 1, eps), 3)
+    got = embed_epochs(series, eps, 3)
+    scale = np.abs(want.coordinates).max()
+    assert np.abs(got.coordinates - want.coordinates).max() <= 1e-10 * scale
+    np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=1e-12)
+    # a 3-axis map never sees the whole spectrum, so it reports no clip counts
+    assert got.n_clipped is None and got.clipped_mass is None
+
+
+def test_small_maps_stay_on_the_full_decomposition():
+    series = regime_series(LANCZOS_MIN_EPOCHS - 1, 20, 7)
+    want = classical_mds(similarity_matrix(series, 1, 0.5), 3)
+    got = embed_epochs(series, 0.5, 3)
+    assert got.coordinates.tobytes() == want.coordinates.tobytes()
+    assert (got.n_clipped, got.clipped_mass) == (want.n_clipped, want.clipped_mass)
+
+
+def test_large_maps_make_no_full_eigendecomposition(monkeypatch, tmp_path):
+    from marketstates.pipeline import write_map
+
+    sides = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        sides.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    series = regime_series(300, 10, 3)
+    embed_epochs(series, 0.3, 3)
+    assert sides and max(sides) < 300  # only Lanczos' tridiagonal matrices
+    sides.clear()
+    write_map(series, 3, tmp_path)
+    assert sides.count(300) == 1
+
+
+def test_lanczos_maps_are_the_same_bytes_on_any_worker_count():
+    series = regime_series(300, 10, 4)
+    one = embed_epochs(series, 0.4, 3, workers=1)
+    assert embed_epochs(series, 0.4, 3, workers=2).coordinates.tobytes() == one.coordinates.tobytes()
+
+
+def test_lanczos_map_holds_no_eigenvector_matrix(peak_bytes):
+    series = regime_series(600, 8, 5)
+    n = series.n_epochs
+    # the dissimilarities, their squares and a small Lanczos basis; a full
+    # decomposition adds its (n, n) input copy, eigenvectors and workspace
+    assert peak_bytes(lambda: embed_epochs(series, 0.2, 3)) <= 2.5 * n * n * 8
+
+
+def pairwise(coords):
+    return np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
+
+
+@pytest.mark.parametrize("corners, D", [(3, 2), (4, 3), (5, 4)])
+def test_lanczos_finds_every_copy_of_a_repeated_eigenvalue(corners, D):
+    # epochs in equidistant clusters: the spectrum is one eigenvalue, corners - 1
+    # times, then zeros, and a single Lanczos start reaches one copy of it
+    points = np.eye(corners)[np.arange(300) % corners]
+    Z = pairwise(points)
+    want, got = classical_mds(Z, D), _leading_mds(Z, D)
+    np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=1e-12)
+    np.testing.assert_allclose(pairwise(got.coordinates), pairwise(want.coordinates),
+                               atol=1e-10 * np.abs(want.coordinates).max())
+
+
+def test_lanczos_restarts_until_no_wanted_eigenvalue_is_left():
+    d = np.zeros(300)
+    d[:3], d[3:6] = 5.0, 1.0  # 5 three times, 1 three times, then a null space
+    values, vectors = _lanczos(lambda q: d * q, 300, 4)
+    np.testing.assert_allclose(values, [5.0, 5.0, 5.0, 1.0], rtol=1e-13)
+    np.testing.assert_allclose(np.abs(vectors[:3, :3].T @ vectors[:3, :3]), np.eye(3), atol=1e-12)
+
+
+def test_lanczos_map_of_a_low_rank_or_constant_input():
+    points = np.random.default_rng(8).normal(size=(300, 2))
+    Z = pairwise(points)
+    want, got = classical_mds(Z, 2), _leading_mds(Z, 2)
+    np.testing.assert_allclose(pairwise(got.coordinates), pairwise(points), atol=1e-10)
+    np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=1e-12)
+    # identical epochs: every axis is zero, with eigenvalue 0
+    same = series_of([np.eye(4)] * LANCZOS_MIN_EPOCHS)
+    flat = embed_epochs(same, 0.5, 3)
+    assert not flat.coordinates.any() and not flat.eigenvalues.any()
 
 
 def test_step_lengths():

@@ -87,6 +87,18 @@ threshold = 0.25
     assert cfg.shift == 1  # untouched default
 
 
+def test_config_comment_opens_only_at_line_start_or_after_whitespace(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("prices = data/run#1/prices.csv # the first run\n"
+                    "sectors = s#.csv\t# after a tab\n"
+                    "  # an indented comment line\n"
+                    "#events = e.csv\n")
+    cfg = PipelineConfig.from_file(path)
+    assert cfg.prices == "data/run#1/prices.csv"
+    assert cfg.sectors == "s#.csv"
+    assert cfg.events == ""
+
+
 def test_config_rejects_unknown_key_and_bad_value(tmp_path):
     with pytest.raises(DataError, match="unknown config key 'windows'"):
         PipelineConfig.from_mapping({"windows": "20"})
@@ -845,6 +857,31 @@ def test_run_demo_rejects_a_worker_count_below_one_before_writing(tmp_path):
     with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
         run_demo(tmp_path, workers=0)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_demo_keeps_its_pinned_states_choice_and_classifications(tmp_path):
+    # recorded from the demo before the grid's and the fits' 3-axis maps of its
+    # 300 epochs moved from a full eigendecomposition to Lanczos; a numerical
+    # change that moves any of these is a change of results, not of digits
+    import hashlib
+    import json
+
+    from marketstates.demo import run_demo
+
+    code, _ = run_demo(tmp_path)
+    assert code == 0
+    assert read_json(tmp_path / "selected.json") == {
+        "fitted": {"epsilon": 0.5, "k": 2, "pinned": True},
+        "grid_optimum": {"epsilon": 0.0, "k": 2, "k_min": 2}}
+    states = "2f4ea3e1a49e3fc8998ce74f2d63ecfc365139c10949153276724fa98af3ada0"
+    for name in ("model.json", "sector_model.json"):
+        state_of = read_json(tmp_path / name)["state_of"]
+        assert len(state_of) == 300
+        assert hashlib.sha256(json.dumps(state_of).encode()).hexdigest() == states
+    report = read_json(tmp_path / "trajectory_report.json")
+    assert [(e["name"], e["classification"]) for e in report["events"]] == [
+        ("planted crash", "CRITICAL"), ("quiet stretch", "NORMAL")]
+    assert report["failures"] == {}
 
 
 def test_failing_stage_halts_downstream(tmp_path):
