@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .ingest import ReturnPanel
-from .serialize import load_arrays, save_arrays
+from .serialize import StoredArray, load_arrays, save_arrays
 
 
 @dataclass(frozen=True)
@@ -49,34 +49,47 @@ def epoch_bounds(epoch_index: int, spec: EpochSpec) -> tuple[int, int]:
     return start, start + spec.window
 
 
-@dataclass
 class CorrelationMatrix:
-    """One epoch's correlation matrix and the first and last return day it covers.
+    """One epoch of a series: the first and last return day it covers, and its matrix.
 
-    ``packed`` is the epoch's row of the packed layout; ``values`` unpacks
-    it into a new N x N array on each access.
+    ``packed`` is the epoch's read-only row of the packed layout and
+    ``values`` unpacks it into a new N x N array; a series on an archive
+    reads the row from its file on each access.
     """
 
-    packed: np.ndarray
-    start_date: str
-    end_date: str
+    def __init__(self, series: EpochCorrelationSeries, index: int):
+        self._series, self._index = series, index
+
+    @property
+    def start_date(self) -> str:
+        return self._series.start_dates[self._index]
+
+    @property
+    def end_date(self) -> str:
+        return self._series.end_dates[self._index]
+
+    @property
+    def packed(self) -> np.ndarray:
+        return self._series._read(self._index, self._index + 1)[0]
 
     @property
     def values(self) -> np.ndarray:
-        n = (math.isqrt(8 * self.packed.size + 1) - 1) // 2  # size = N(N+1)/2
-        return _unpack_epochs(self.packed[None], n)[0]
+        return self._series.values_stack(self._index, self._index + 1)[0]
 
 
 class EpochCorrelationSeries:
     """Ordered raw correlation matrices of every epoch, one row and column per label.
 
     The one epoch-stack type: stock-level series carry tickers as labels,
-    sector-averaged ones sector names.  It holds only the packed layout, one
-    read-only (epochs, N(N+1)/2) array: ``epochs`` given as such rows is kept
-    as it is, and a dense (epochs, N, N) stack is packed, a NumericError
-    naming its first epoch that is non-finite or not exactly symmetric.
-    Records unpack their epoch on access; ``values_stack()`` is a dense copy.
-    The power map is no part of a series: the dissimilarity applies it.
+    sector-averaged ones sector names.  It holds the packed layout, one
+    read-only (epochs, N(N+1)/2) array, and the epochs' ``start_dates`` and
+    ``end_dates``: ``epochs`` given as such rows is kept as it is, and a
+    dense (epochs, N, N) stack is packed, a NumericError naming its first
+    epoch that is non-finite or not exactly symmetric.  A series that
+    ``load_series`` reads from a stored archive member holds no rows: each
+    pass over them reads them from the file.  ``matrices`` are records
+    made on access, ``values_stack()`` is a dense copy.  The power map is
+    no part of a series: the dissimilarity applies it.
     """
 
     def __init__(self, labels, epochs: np.ndarray, start_dates, end_dates):
@@ -84,34 +97,143 @@ class EpochCorrelationSeries:
         n = len(self.labels)
         if epochs.ndim == 3 and epochs.shape[1:] == (n, n):
             epochs = _pack_epochs(epochs)
-        elif epochs.ndim != 2 or epochs.shape[1] != _packed_width(n) or n == 0:
-            what = "packed epochs" if epochs.ndim == 2 else "epoch stack"
-            raise ValueError(f"{what} of shape {epochs.shape} for {n} labels")
-        self.packed = np.asarray(epochs, dtype=float).view()  # the layout is below
-        self.packed.flags.writeable = False
-        # records hold rows of the array, never the series: no reference cycle
-        self.matrices = [CorrelationMatrix(row, start, end) for row, start, end
-                         in zip(self.packed, start_dates, end_dates, strict=True)]
+        self._set_epochs(epochs.shape, start_dates, end_dates)
+        self._packed = np.asarray(epochs, dtype=float).view()  # the layout is below
+        self._packed.flags.writeable = False
+
+    def _set_epochs(self, shape: tuple[int, ...], start_dates, end_dates) -> None:
+        """Check packed rows of ``shape`` against the labels and the dates, and keep the dates."""
+        n = len(self.labels)
+        if len(shape) != 2 or shape[1] != _packed_width(n) or n == 0:
+            what = "packed epochs" if len(shape) == 2 else "epoch stack"
+            raise ValueError(f"{what} of shape {shape} for {n} labels")
+        self.start_dates, self.end_dates = list(start_dates), list(end_dates)
+        if not shape[0] == len(self.start_dates) == len(self.end_dates):
+            raise ValueError(f"{shape[0]} packed epochs for {len(self.start_dates)} start "
+                             f"and {len(self.end_dates)} end dates")
+
+    @property
+    def packed(self) -> np.ndarray:
+        """The read-only (epochs, N(N+1)/2) packed rows."""
+        return self._packed
 
     @property
     def n_epochs(self) -> int:
-        return len(self.matrices)
+        return len(self.start_dates)
 
     @property
     def n_labels(self) -> int:
         return len(self.labels)
 
+    @property
+    def matrices(self) -> list[CorrelationMatrix]:
+        """A new record of each epoch."""
+        return [CorrelationMatrix(self, e) for e in range(self.n_epochs)]
+
+    def _read(self, start: int, stop: int | None) -> np.ndarray:
+        """The read-only packed rows of epochs ``start`` to ``stop``."""
+        return self._packed[start:stop]
+
+    @property
+    def packed_width(self) -> int:
+        """Entries of one packed epoch: N(N+1)/2."""
+        return _packed_width(self.n_labels)
+
+    def _chunks(self, step: int, writable: bool = False):
+        """Yield (first epoch, packed rows) for ``step`` epochs at a time, in epoch order.
+
+        A chunk is valid until the next one is asked for, and is the
+        caller's to overwrite only if ``writable``: the series' own rows are
+        then copied into one reused buffer.  A series on an archive reads
+        every chunk into such a buffer.
+        """
+        buffer = np.empty((min(step, self.n_epochs), self.packed_width)) if writable else None
+        for e0 in range(0, self.n_epochs, step):
+            rows = self._packed[e0:e0 + step]
+            if writable:
+                buffer[:len(rows)] = rows
+                rows = buffer[:len(rows)]
+            yield e0, rows
+
+    def values_chunks(self, step: int):
+        """Yield (first epoch, new dense (epochs, N, N) copy) for ``step`` epochs at a time.
+
+        One pass over the rows, in epoch order: a series on an archive opens
+        its file once and reads each chunk's rows into one reused buffer.
+        """
+        for e0, rows in self._chunks(step):
+            yield e0, _unpack_epochs(rows, self.n_labels)
+
     def values_stack(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """A new dense (epochs, N, N) copy of epochs ``start`` to ``stop``, by default all."""
-        return _unpack_epochs(self.packed[start:stop], self.n_labels)
+        return _unpack_epochs(self._read(start, stop), self.n_labels)
 
-    def mean_of(self, members) -> np.ndarray:
-        """A new dense mean of epochs ``members``, the bits of values_stack()[members].mean(axis=0)."""
-        total = self.packed[members[0]].copy()
-        for e in members[1:]:
-            total += self.packed[e]
-        total /= len(members)
-        return _unpack_epochs(total[None], self.n_labels)[0]
+    def label_means(self, labels: np.ndarray, k: int) -> list[np.ndarray]:
+        """New dense means of the epochs labelled 1 .. ``k``, from one pass over the rows.
+
+        Each mean has the bits of values_stack()[labels == c].mean(axis=0):
+        each label's rows are added in epoch order onto -0.0, which leaves
+        the first of them as it is.  A label no epoch carries is a ValueError.
+        """
+        labels = np.asarray(labels)
+        counts = np.bincount(labels, minlength=k + 1)
+        if (len(labels) != self.n_epochs or len(counts) != k + 1 or counts[0]
+                or not counts[1:].all()):
+            raise ValueError(f"{len(labels)} labels for {self.n_epochs} epochs "
+                             f"must use each of 1..{k} and no other")
+        sums = np.full((k, self.packed_width), -0.0)
+        for e0, rows in self._chunks(_epochs_per_chunk(sums[0].nbytes)):
+            for label, row in zip(labels[e0:e0 + len(rows)], rows):
+                sums[label - 1] += row
+        sums /= counts[1:, None]
+        return list(_unpack_epochs(sums, self.n_labels))
+
+
+class _ArchivedSeries(EpochCorrelationSeries):
+    """A series whose packed rows stay in a stored archive member.
+
+    Each pass reopens the file and reads the rows it needs; ``packed``
+    reads the whole member into a new read-only array.
+    """
+
+    def __init__(self, labels, member: StoredArray, start_dates, end_dates):
+        self.labels = list(labels)
+        self._set_epochs(member.shape, start_dates, end_dates)
+        self._member = member
+
+    @property
+    def packed(self) -> np.ndarray:
+        return self._read(0, None)
+
+    def _read(self, start: int, stop: int | None) -> np.ndarray:
+        start, stop, _ = slice(start, stop).indices(self.n_epochs)
+        rows = np.empty((max(stop - start, 0), self.packed_width))
+        with self._member.path.open("rb", buffering=0) as fh:
+            fh.seek(self._member.offset + start * rows.itemsize * self.packed_width)
+            _read_rows(fh, rows, self._member.path)
+        rows.flags.writeable = False
+        return rows
+
+    def _chunks(self, step: int, writable: bool = False):
+        buffer = np.empty((min(step, self.n_epochs), self.packed_width))
+        with self._member.path.open("rb", buffering=0) as fh:
+            fh.seek(self._member.offset)
+            for e0 in range(0, self.n_epochs, step):
+                rows = buffer[:min(step, self.n_epochs - e0)]
+                _read_rows(fh, rows, self._member.path)
+                yield e0, rows
+
+
+def _read_rows(fh, rows: np.ndarray, path: Path) -> None:
+    """Fill C-contiguous ``rows`` from the open file ``fh``; a short file is a DataError."""
+    view = memoryview(rows).cast("B")
+    done = 0
+    while done < len(view):
+        size = fh.readinto(view[done:])
+        if not size:
+            raise DataError(f"{path} ended inside its packed member; "
+                            "rerun corr (run --force) to rewrite it")
+        done += size
 
 
 def _epochs_per_chunk(epoch_bytes: int) -> int:
@@ -194,37 +316,43 @@ def save_series(series: EpochCorrelationSeries, path: str | Path) -> None:
         path,
         packed=series.packed,
         labels=np.array(series.labels),
-        start_dates=np.array([m.start_date for m in series.matrices]),
-        end_dates=np.array([m.end_date for m in series.matrices]),
+        start_dates=np.array(series.start_dates),
+        end_dates=np.array(series.end_dates),
     )
 
 
 def load_series(path: str | Path) -> EpochCorrelationSeries:
-    """The series ``save_series`` wrote to ``path``, holding the archive's packed rows.
+    """The series ``save_series`` wrote to ``path``, reading the labels and dates only.
 
-    Raises DataError naming the file and the first member it lacks, as an
-    archive of earlier versions lacks ``packed``, or packed rows that do not
-    match the labels or dates.
+    A stored ``packed`` member, as ``save_series`` writes it, stays in the
+    file: the series reads its rows on each pass over them.  A
+    deflated one, from earlier versions, is read whole.  Raises DataError
+    naming the file and the first member it lacks, as an archive of earlier
+    versions lacks ``packed``, and one for packed rows that are not <f8 in C
+    order, that do not match the labels or dates, or whose stored member
+    does not hold the bytes its header announces.
     """
-    arrays = load_arrays(path)
+    path = Path(path)
+    arrays = load_arrays(path, in_place=("packed",))
     for name in ("packed", "labels", "start_dates", "end_dates"):
         if name not in arrays:
             raise DataError(f"{path} has no {name!r} member; "
                             "rerun corr (run --force) to rewrite it")
     labels = [str(s) for s in arrays["labels"]]
+    dates = [str(s) for s in arrays["start_dates"]], [str(s) for s in arrays["end_dates"]]
     packed = arrays["packed"]
+    stored = isinstance(packed, StoredArray)
+    fortran = packed.fortran_order if stored else not packed.flags.c_contiguous
+    if packed.dtype != np.dtype("<f8") or fortran:
+        order = "Fortran" if fortran else "C"
+        raise DataError(f"{path}: packed rows of dtype {packed.dtype.str} in {order} order; "
+                        "rerun corr (run --force) to rewrite them as <f8 in C order")
     try:
-        if packed.ndim != 2:  # a dense stack is no archive's member
+        if len(packed.shape) != 2:  # a dense stack is no archive's member
             raise ValueError(f"packed epochs of shape {packed.shape} for {len(labels)} labels")
-        return EpochCorrelationSeries(labels, packed, [str(s) for s in arrays["start_dates"]],
-                                      [str(s) for s in arrays["end_dates"]])
+        return (_ArchivedSeries if stored else EpochCorrelationSeries)(labels, packed, *dates)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
-
-
-def load_series_labels(path: str | Path) -> list[str]:
-    """The labels of the series in a correlation archive; its stack is not read."""
-    return [str(s) for s in load_arrays(path, ["labels"])["labels"]]
 
 
 def _zero_variance(rows: np.ndarray) -> str:
@@ -346,7 +474,11 @@ def _kernel_copy(epochs: EpochCorrelationSeries, out: np.ndarray, epsilon: float
     fits in int32.  Two rows are then ``scale`` times as far apart in L1 as
     the full mapped matrices, within half a unit per entry.  A column that
     never changes, such as the diagonal of raw correlations, is all 0.
-    ``out`` is the one packed copy the kernel holds beyond the series.
+    ``out`` is the one packed copy the kernel holds beyond the series.  The
+    rows are read in two passes of about 512 KB at a time, one for each
+    column's range and one to map and round them in the chunk's buffer, so
+    beyond ``out`` the copy holds one chunk (two at epsilon > 0), and no
+    stack of a series on an archive.
     qmax falls as 1/N^2 past N = 361; below QMAX_FLOOR (N above 4 103) a
     distance's bound would pass about 1/255 of the widest half-range, and
     the call is a NumericError before any work.  NumericError also names the first epoch
@@ -354,7 +486,7 @@ def _kernel_copy(epochs: EpochCorrelationSeries, out: np.ndarray, epsilon: float
     +-inf to themselves, and is monotone, so a non-finite mapped entry shows
     in its column's mapped min or max.
     """
-    rows, width = epochs.packed, epochs.packed.shape[1]
+    width = _packed_width(epochs.n_labels)
     k = width - epochs.n_labels  # the strict triangle comes first
     qmax = min(32767, (2**31 - 1) // width)
     if qmax < QMAX_FLOOR:
@@ -362,10 +494,10 @@ def _kernel_copy(epochs: EpochCorrelationSeries, out: np.ndarray, epsilon: float
                            f"per half-range, fewer than {QMAX_FLOOR}")
     step = _epochs_per_chunk(8 * width)
     # the map is monotone: it takes each column's range to the mapped range
-    lo, hi = _power(np.stack([rows.min(axis=0), rows.max(axis=0)]), epsilon)
+    lo, hi = _power(_column_range(epochs, step), epsilon)
     if not np.isfinite(lo).all() or not np.isfinite(hi).all():
-        for e0 in range(0, len(rows), step):  # which epoch: only on the way to the error
-            finite = np.isfinite(_power(rows[e0:e0 + step], epsilon)).all(axis=1)
+        for e0, rows in epochs._chunks(step):  # which epoch: only on the way to the error
+            finite = np.isfinite(_power(rows, epsilon)).all(axis=1)
             if not finite.all():
                 raise NumericError(f"epoch {e0 + int(np.argmin(finite))} has a non-finite entry")
     centre, half = lo / 2 + hi / 2, hi / 2 - lo / 2  # no overflow near the float limit
@@ -374,20 +506,24 @@ def _kernel_copy(epochs: EpochCorrelationSeries, out: np.ndarray, epsilon: float
     scale = qmax / 2 / max(peak, 1e-290)
     weight = np.full(width, scale)
     weight[:k] *= 2.0
-    stage = np.empty((min(step, len(out)), width))
-    for e0 in range(0, len(out), step):
-        src = rows[e0:e0 + step]
-        mapped = stage[:len(src)]
+    for e0, mapped in epochs._chunks(step, writable=True):
         if epsilon:
-            _power(src, epsilon, out=mapped)
-            mapped -= centre
-        else:
-            np.subtract(src, centre, out=mapped)
+            _power(mapped, epsilon, out=mapped)
+        mapped -= centre
         mapped *= weight
         np.rint(mapped, out=mapped)
         np.clip(mapped, -qmax, qmax, out=mapped)
-        out[e0:e0 + step] = mapped
+        out[e0:e0 + len(mapped)] = mapped
     return scale
+
+
+def _column_range(epochs: EpochCorrelationSeries, step: int) -> np.ndarray:
+    """The (2, width) minima and maxima of a series' packed columns, ``step`` epochs at a time."""
+    lo, hi = np.full(epochs.packed_width, np.inf), np.full(epochs.packed_width, -np.inf)
+    for _, rows in epochs._chunks(step):
+        np.minimum(lo, rows.min(axis=0), out=lo)
+        np.maximum(hi, rows.max(axis=0), out=hi)
+    return np.stack([lo, hi])
 
 
 def _check_epsilon(epsilon: float) -> None:

@@ -121,7 +121,7 @@ def similarity_matrix(epochs: EpochCorrelationSeries, workers: int = 1,
     if not isinstance(epochs, EpochCorrelationSeries):
         raise TypeError(f"expected an EpochCorrelationSeries, got {type(epochs).__name__}")
     n, N = epochs.n_epochs, epochs.n_labels
-    width = epochs.packed.shape[1]  # entries of one packed epoch
+    width = epochs.packed_width
     if n < 2:
         raise NumericError(f"need at least 2 epochs, got {n}")
     # each thread's chunk of about 2^18 int16 (512 KB) and its buffer stay in cache
@@ -157,9 +157,9 @@ def _n_epochs(dissim: np.ndarray) -> int:
     return dissim.shape[0]
 
 
-def _double_center(values: np.ndarray) -> np.ndarray:
-    """-1/2 J (Z*Z) J, built in the one (n, n) array that holds Z*Z."""
-    B = values * values
+def _double_center(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """-1/2 J (Z*Z) J, built in the one (n, n) array that holds Z*Z: ``out``, or a new one."""
+    B = np.multiply(values, values, out=out)
     row = B.mean(axis=1, keepdims=True)
     col = B.mean(axis=0, keepdims=True)
     grand = B.mean()
@@ -213,11 +213,27 @@ def classical_mds(dissim: np.ndarray, D: int) -> Embedding:
     zero, with eigenvalue 0.  The whole spectrum is computed, so this is
     the solver for a full map and its clip counts; ``embed_epochs`` takes a
     few leading axes of a large map from ``_leading_mds`` instead.
-    ``dissim`` is a square (epochs, epochs) matrix such as similarity_matrix's.
+    ``dissim`` is a square (epochs, epochs) matrix such as similarity_matrix's;
+    it is not written to.
     """
     n = _n_epochs(dissim)
     _check_dim(n, D)
-    eigval, eigvec = np.linalg.eigh(_double_center(dissim))
+    return _eigen_axes(*np.linalg.eigh(_double_center(dissim)), D)
+
+
+def _mds_in_place(dissim: np.ndarray, D: int) -> Embedding:
+    """classical_mds(dissim, D), double-centred in ``dissim``'s own buffer, which it overwrites.
+
+    The full map's caller holds one (epochs, epochs) array fewer across the
+    eigendecomposition.
+    """
+    n = _n_epochs(dissim)
+    _check_dim(n, D)
+    return _eigen_axes(*np.linalg.eigh(_double_center(dissim, out=dissim)), D)
+
+
+def _eigen_axes(eigval: np.ndarray, eigvec: np.ndarray, D: int) -> Embedding:
+    """classical_mds's ``D`` axes and clip counts from the double-centred matrix's eigenpairs."""
     order = np.argsort(eigval)[::-1]
     eigval = eigval[order]
     # non-negative eigenvalues always come first in descending order

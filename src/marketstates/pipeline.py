@@ -34,11 +34,10 @@ from .corrmat import (
     _check_epsilon,
     epoch_correlations,
     load_series,
-    load_series_labels,
     save_series,
 )
 from .errors import DataError, NumericError, exit_code
-from .geometry import Embedding, _check_workers, classical_mds, similarity_matrix, step_fidelity
+from .geometry import Embedding, _check_workers, _mds_in_place, similarity_matrix, step_fidelity
 from .ingest import (
     ContinuityPolicy,
     load_panel,
@@ -320,26 +319,27 @@ def write_map(series: EpochCorrelationSeries, dim: int, out_dir: Path,
     map on ``dim`` axes.  One eigendecomposition serves both: classical
     MDS computes each axis on its own, so the first ``dim`` columns and
     eigenvalues of the full map that the fidelity needs are the bytes of
-    ``classical_mds(sim, dim)``.  The full map is freed on return.  From
+    ``classical_mds(sim, dim)``.  The dissimilarities are double-centred
+    in their own array, and the full map is freed on return.  From
     ``LANCZOS_MIN_EPOCHS`` epochs on this is a run's one full
     eigendecomposition: ``embed_epochs`` takes the other maps' leading
     axes by Lanczos.
     ``workers`` threads run the dissimilarity kernel.
     """
-    _check_fit(series.n_epochs, [], dim)
+    n = series.n_epochs
+    _check_fit(n, [], dim)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sim = similarity_matrix(series, workers)
-    full = classical_mds(sim, D=len(sim) - 1)
+    full = _mds_in_place(similarity_matrix(series, workers), n - 1)
     embedding = replace(full, coordinates=full.coordinates[:, :dim].copy(),
                         eigenvalues=full.eigenvalues[:dim].copy())
     padded = _xyz(embedding.coordinates)
     write_csv(
         out_dir / "map_coords.csv",
         ["epoch", "date", "x", "y", "z"],
-        [(i + 1, m.start_date, padded[i, 0], padded[i, 1], padded[i, 2])
-         for i, m in enumerate(series.matrices)],
+        [(i + 1, date, padded[i, 0], padded[i, 1], padded[i, 2])
+         for i, date in enumerate(series.start_dates)],
     )
-    fidelity = step_fidelity(full.coordinates, [d for d in (1, 2, 3, 4) if d < len(sim)])
+    fidelity = step_fidelity(full.coordinates, [d for d in (1, 2, 3, 4) if d < n])
     write_json(
         out_dir / "map_meta.json",
         {
@@ -565,7 +565,7 @@ def _stage_trajectory(c: Mapping, run: _Run) -> list[Path]:
 
 
 def _stage_rmt(c: Mapping, run: _Run) -> list[Path]:
-    n_stocks = len(load_series_labels(c["corr_raw.npz"]))
+    n_stocks = load_series(c["corr_raw.npz"]).n_labels
     spec = WishartSpec(N=n_stocks, T=c["window"],
                        ensemble_size=c["rmt_realizations"], seed=c["seed"])
     write_json(run.out / "rmt_report.json", rmt_report_payload(spec, c["rmt_bins"]))

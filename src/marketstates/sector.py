@@ -100,11 +100,9 @@ def sector_series(series: EpochCorrelationSeries, sector_of,
         )
     averages = np.empty((series.n_epochs, len(sectors), len(sectors)))
     step = _epochs_per_chunk(series.n_labels ** 2 * 8)  # about 512 KB of unpacked epochs
-    for e0 in range(0, series.n_epochs, step):
-        averages[e0:e0 + step] = _block_averages(series.values_stack(e0, e0 + step), membership,
-                                                 include_self_pairs)
-    return EpochCorrelationSeries(sectors, averages, [m.start_date for m in series.matrices],
-                                  [m.end_date for m in series.matrices])
+    for e0, chunk in series.values_chunks(step):
+        averages[e0:e0 + len(chunk)] = _block_averages(chunk, membership, include_self_pairs)
+    return EpochCorrelationSeries(sectors, averages, series.start_dates, series.end_dates)
 
 
 def displacement(stock_states, sector_states) -> DisplacementReport:

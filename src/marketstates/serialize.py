@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import struct
 import zipfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -122,8 +125,56 @@ def _write_npy(member, array) -> None:
         np.lib.format.write_array(member, array, allow_pickle=False)
 
 
-def load_arrays(path: str | Path, names: list[str] | None = None) -> dict[str, np.ndarray]:
-    """Every array of an archive, or only the members ``names``, which are all that is read."""
+@dataclass(frozen=True)
+class StoredArray:
+    """An archive's stored .npy member left in its file: its data's offset and its header."""
+
+    path: Path
+    offset: int
+    dtype: np.dtype
+    fortran_order: bool
+    shape: tuple[int, ...]
+
+
+_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                   (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _stored_member(path: Path, zf: zipfile.ZipFile, name: str) -> StoredArray | None:
+    """Member ``name`` of the open archive ``zf`` as a StoredArray; None if it is deflated.
+
+    Only the member's .npy header and its zip local header are read.  A
+    header whose data would not fill the member exactly is a DataError.
+    """
+    info = zf.getinfo(f"{name}.npy")
+    if info.compress_type != zipfile.ZIP_STORED:
+        return None
+    with zf.open(info) as member:
+        version = np.lib.format.read_magic(member)
+        if version not in _HEADER_READERS:  # a 3.0 header: read the member whole
+            return None
+        shape, fortran_order, dtype = _HEADER_READERS[version](member)
+        header = member.tell()
+    need = header + math.prod(shape) * dtype.itemsize
+    if info.file_size != need:
+        raise DataError(f"{path}: member {name!r} holds {info.file_size} bytes "
+                        f"but its header needs {need}")
+    with path.open("rb") as fh:  # the local header: 30 bytes, then the name and extra field
+        fh.seek(info.header_offset)
+        local = fh.read(30)
+    if len(local) < 30 or local[:4] != b"PK\x03\x04":
+        raise DataError(f"{path}: member {name!r} has no local header")
+    skip = 30 + sum(struct.unpack("<HH", local[26:30]))
+    return StoredArray(path, info.header_offset + skip + header, dtype, fortran_order, shape)
+
+
+def load_arrays(path: str | Path, names: list[str] | None = None,
+                in_place: tuple[str, ...] = ()) -> dict[str, np.ndarray | StoredArray]:
+    """Every array of an archive, or only the members ``names``, which are all that is read.
+
+    A member named in ``in_place`` that is stored, not deflated, stays in
+    the file: only its header is read, and it comes back as a StoredArray.
+    """
     path = Path(path)
     try:
         archive = np.load(path, allow_pickle=False)
@@ -135,11 +186,14 @@ def load_arrays(path: str | Path, names: list[str] | None = None) -> dict[str, n
         raise DataError(f"{path} is a single .npy array, not an array archive")
     try:
         with archive:
-            return {name: archive[name] for name in (archive.files if names is None else names)}
+            arrays = {}
+            for name in archive.files if names is None else names:
+                stored = _stored_member(path, archive.zip, name) if name in in_place else None
+                arrays[name] = archive[name] if stored is None else stored
+            return arrays
     except KeyError as exc:  # a name not in the archive
         raise DataError(f"{path}: {exc.args[0]}") from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except (ValueError, zipfile.BadZipFile) as exc:
         raise DataError(f"{path} is not a readable array archive: {exc}") from exc
-

@@ -278,19 +278,9 @@ def build_state_model(series: EpochCorrelationSeries, run: ClusteringRun,
 
     ``epsilon`` is the power-map exponent the clustering used, recorded on the model.
     """
-    n_epochs = series.n_epochs
-    if len(run.labels) != n_epochs:
-        raise ValueError(f"{len(run.labels)} labels for {n_epochs} epochs")
     k = run.k
-    averages = []
-    means = np.empty(k)
-    for c in range(1, k + 1):
-        members = np.flatnonzero(run.labels == c)
-        if not members.size:
-            raise ValueError(f"cluster {c} is empty")
-        avg = series.mean_of(members)
-        averages.append(avg)
-        means[c - 1] = avg.mean()
+    averages = series.label_means(run.labels, k)
+    means = np.array([avg.mean() for avg in averages])
     order = np.argsort(means, kind="stable")  # old label order by mean corr
     rename = np.empty(k, dtype=int)
     rename[order] = np.arange(1, k + 1)
@@ -305,7 +295,7 @@ def build_state_model(series: EpochCorrelationSeries, run: ClusteringRun,
         avg_corr_matrix=[averages[c] for c in order],
         transition_counts=transition_counts,
         labels=list(series.labels),
-        epoch_dates=[m.start_date for m in series.matrices],
+        epoch_dates=list(series.start_dates),
     )
 
 

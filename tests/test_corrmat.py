@@ -276,9 +276,17 @@ def test_series_copies_a_range_of_epochs_and_averages_members_in_epoch_order():
                                 EpochSpec(10, 2))
     stack = series.values_stack()
     assert series.values_stack(3, 9).tobytes() == stack[3:9].tobytes()
-    members = np.array([1, 4, 5, 11, 20])
-    assert series.mean_of(members).tobytes() == stack[members].mean(axis=0).tobytes()
-    assert series.mean_of([6]).tobytes() == stack[6].tobytes()
+    # one pass sums every label's rows in epoch order: a lone member keeps its bits
+    labels = np.full(series.n_epochs, 1)
+    labels[[1, 4, 5, 11, 20]] = 2
+    labels[6] = 3
+    means = series.label_means(labels, 3)
+    for c, mean in enumerate(means, start=1):
+        assert mean.tobytes() == stack[labels == c].mean(axis=0).tobytes()
+    assert means[2].tobytes() == stack[6].tobytes()
+    for bad in (labels[:-1], np.where(labels == 3, 4, labels), np.where(labels == 3, 0, labels)):
+        with pytest.raises(ValueError, match="must use each of 1..3"):
+            series.label_means(bad, 3)
 
 
 def test_series_holds_its_stack_itself_and_leaves_it_writeable():

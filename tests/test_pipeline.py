@@ -1,6 +1,7 @@
 """Config parsing, staged pipeline runs, manifest skipping, and plot exports."""
 
 import datetime
+import io
 import math
 import re
 import zipfile
@@ -218,6 +219,158 @@ def test_series_from_a_packed_archive_holds_the_packed_rows_only(tmp_path, peak_
     assert peak <= packed_bytes + (1 << 20)
     back = load_series(tmp_path / "corr_raw.npz")
     assert back.packed.tobytes() == series.packed.tobytes() and not back.packed.flags.writeable
+
+
+def archived_copy(series, path, deflated=False):
+    """``series`` written to ``path`` by save_series, or deflated as earlier versions did, and read."""
+    if deflated:
+        save_arrays_deflated(path, **corr_members(series))
+    else:
+        save_series(series, path)
+    return load_series(path)
+
+
+@pytest.mark.parametrize("deflated", [False, True])
+def test_an_archived_series_gives_the_bits_of_the_series_in_memory(tmp_path, deflated):
+    from marketstates.corrmat import _ArchivedSeries
+    from marketstates.geometry import similarity_matrix
+    from marketstates.sector import sector_series
+    from marketstates.states import fit_series
+
+    # 150 epochs of 30 stocks: two chunks of packed rows, three of dense epochs
+    series = corr_series(n_epochs=150, n=30, seed=3)
+    back = archived_copy(series, tmp_path / "corr_raw.npz", deflated)
+    assert isinstance(back, _ArchivedSeries) is not deflated  # a deflated member is read whole
+    for epsilon in (0.0, 0.6):
+        for workers in (1, 2):
+            assert (similarity_matrix(back, workers, epsilon).tobytes()
+                    == similarity_matrix(series, workers, epsilon).tobytes())
+    labels = np.arange(150) % 4 + 1
+    assert ([m.tobytes() for m in back.label_means(labels, 4)]
+            == [m.tobytes() for m in series.label_means(labels, 4)])
+    got, want = (fit_series(s, 3, 0.6, 4, seed=0)[0] for s in (back, series))
+    assert got.state_of.tolist() == want.state_of.tolist()
+    assert [a.tobytes() for a in got.avg_corr_matrix] == [a.tobytes() for a in want.avg_corr_matrix]
+    assert got.epoch_dates == want.epoch_dates
+    sector_of = {t: f"s{i % 4}" for i, t in enumerate(series.labels)}
+    got, want = sector_series(back, sector_of), sector_series(series, sector_of)
+    assert got.packed.tobytes() == want.packed.tobytes()
+    assert (got.start_dates, got.end_dates) == (want.start_dates, want.end_dates)
+    assert back.values_stack().tobytes() == series.values_stack().tobytes()
+    assert back.values_stack(138, 143).tobytes() == series.values_stack(138, 143).tobytes()
+    for got, want in zip(back.matrices, series.matrices, strict=True):
+        assert (got.start_date, got.end_date) == (want.start_date, want.end_date)
+    for e in (0, 139, 140, 149):
+        assert back.matrices[e].values.tobytes() == series.matrices[e].values.tobytes()
+        assert not back.matrices[e].packed.flags.writeable
+    assert back.packed.tobytes() == series.packed.tobytes() and not back.packed.flags.writeable
+
+
+def npy_bytes(array):
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, array, allow_pickle=False)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("compression", [zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED])
+@pytest.mark.parametrize("flaw, message", [
+    ("truncated", "holds|not a readable array archive"),
+    ("float32", "dtype <f4 in C order"),
+    ("big-endian", "dtype >f8 in C order"),
+    ("fortran", "dtype <f8 in Fortran order"),
+    ("dates", "12 packed epochs for 11 start and 11 end dates"),
+])
+def test_a_bad_packed_member_is_a_data_error_before_the_kernel(tmp_path, monkeypatch, capsys,
+                                                               compression, flaw, message):
+    from marketstates import geometry
+    from marketstates.cli import main
+
+    series = corr_series(n_epochs=12, n=6)
+    members = {"labels": npy_bytes(np.array(series.labels)),
+               "start_dates": npy_bytes(np.array(series.start_dates)),
+               "end_dates": npy_bytes(np.array(series.end_dates)),
+               "packed": npy_bytes(series.packed)}
+    if flaw == "truncated":
+        members["packed"] = members["packed"][:-8]
+    elif flaw == "float32":
+        members["packed"] = npy_bytes(series.packed.astype("<f4"))
+    elif flaw == "big-endian":
+        members["packed"] = npy_bytes(series.packed.astype(">f8"))
+    elif flaw == "fortran":
+        members["packed"] = npy_bytes(np.asfortranarray(series.packed))
+    else:
+        for name in ("start_dates", "end_dates"):
+            members[name] = npy_bytes(np.array(getattr(series, name)[:-1]))
+    path = tmp_path / "corr_raw.npz"
+    with zipfile.ZipFile(path, "w", compression=compression) as zf:
+        for name, data in members.items():
+            zf.writestr(f"{name}.npy", data)
+
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(geometry, "_kernel_copy", no_kernel)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}.*({message})"):
+        load_series(path)
+    capsys.readouterr()
+    assert main(["mds", "--corr", str(path), "--out-dir", str(tmp_path / "map")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and str(path) in err
+    assert not (tmp_path / "map").exists()
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.6])
+def test_a_non_finite_archived_entry_names_its_epoch(tmp_path, epsilon):
+    from marketstates.corrmat import EpochCorrelationSeries
+    from marketstates.errors import NumericError
+    from marketstates.geometry import similarity_matrix
+
+    series = corr_series(n_epochs=150, n=30)
+    packed = series.packed.copy()
+    packed[141, 7] = np.nan  # in the second chunk of 140 rows
+    bad = EpochCorrelationSeries(series.labels, packed, series.start_dates, series.end_dates)
+    back = archived_copy(bad, tmp_path / "corr_raw.npz")
+    with pytest.raises(NumericError, match="^epoch 141 has a non-finite entry$"):
+        similarity_matrix(back, 1, epsilon)
+
+
+def test_an_archive_cut_short_after_it_was_read_is_a_data_error(tmp_path):
+    from marketstates.geometry import similarity_matrix
+
+    path = tmp_path / "corr_raw.npz"
+    back = archived_copy(corr_series(n_epochs=150, n=30), path)
+    path.write_bytes(path.read_bytes()[:300_000])  # inside the second chunk of rows
+    with pytest.raises(DataError, match=f"{re.escape(str(path))} ended inside its packed member"):
+        similarity_matrix(back)
+
+
+def test_states_and_sectors_hold_no_stack_of_the_archive(tmp_path, peak_bytes):
+    from types import MappingProxyType
+
+    from marketstates.pipeline import _Run, _stage_corr, _stage_sectors, _stage_states, write_panel
+
+    data = write_market(tmp_path / "data", n=100, n_days=140)
+    out = tmp_path / "out"
+    out.mkdir()
+    run = _Run(out, workers=1)
+    write_panel(data / "prices.csv", 2, out / "panel.npz")
+    _stage_corr(MappingProxyType({"window": 20, "shift": 1, "panel.npz": out / "panel.npz"}), run)
+    path = out / "corr_raw.npz"
+    stack = 120 * (100 * 101 // 2) * 8  # 139 returns, window 20: 4.8 MB of packed rows
+    assert load_arrays(path)["packed"].nbytes == stack
+    states = MappingProxyType({
+        "window": 20, "shift": 1, "k_range": [2, 3], "epsilon_grid": [0.0, 0.5], "n_inits": 4,
+        "seed": 0, "mds_dim": 3, "k_min": 2, "k": 0, "epsilon": -1.0, "corr_raw.npz": path})
+    sectors = MappingProxyType({
+        "window": 20, "shift": 1, "sector_k": 0, "sector_epsilon": -1.0, "n_inits": 4, "seed": 0,
+        "mds_dim": 3, "sectors": data / "sectors.csv", "corr_raw.npz": path,
+        "selected.json": out / "selected.json", "model.json": out / "model.json"})
+    # states holds the kernel's int16 copy and one thread's buffer (0.36 of the
+    # stack here), its distance matrix (0.02) and a 512 KB chunk of rows (0.1),
+    # with one more chunk for the power map at epsilon 0.5
+    assert peak_bytes(lambda: _stage_states(states, run)) < 0.7 * stack
+    # sectors holds a chunk of rows, its dense copy and the small sector series
+    assert peak_bytes(lambda: _stage_sectors(sectors, run)) < 0.5 * stack
 
 
 def test_series_from_arrays_requires_all_arrays(tmp_path):
@@ -656,29 +809,46 @@ def test_rerun_over_a_tree_with_a_text_panel_asks_for_force(market, tmp_path, mo
     assert {entry["status"] for entry in manifest["stages"].values()} == {"skipped"}
 
 
-def count_archive_loads(monkeypatch):
-    """The members each load of corr_raw.npz asks for, None for all of them."""
+def count_archive_reads(monkeypatch):
+    """{stage: [loads of corr_raw.npz, packed bytes read from its file]} of each stage that runs."""
     import marketstates.corrmat as corrmat
+    import marketstates.pipeline as pipeline
 
-    calls = []
+    counts, real_read_rows = {}, corrmat._read_rows
 
-    def counting_load_arrays(path, names=None):
+    def counting_load_arrays(path, names=None, in_place=()):
         if Path(path).name == "corr_raw.npz":
-            calls.append(names)
-        return load_arrays(path, names)
+            counts[next(reversed(counts))][0] += 1
+        return load_arrays(path, names, in_place)
+
+    def counting_read_rows(fh, rows, path):
+        real_read_rows(fh, rows, path)
+        counts[next(reversed(counts))][1] += rows.nbytes
+
+    def counted(stage):
+        def run(c, r):
+            counts[stage.name] = [0, 0]
+            return stage.run(c, r)
+        return stage._replace(run=run)
 
     monkeypatch.setattr(corrmat, "load_arrays", counting_load_arrays)
-    return calls
+    monkeypatch.setattr(corrmat, "_read_rows", counting_read_rows)
+    monkeypatch.setattr(pipeline, "_STAGES", tuple(map(counted, pipeline._STAGES)))
+    return counts
 
 
 def test_each_stage_that_runs_reads_the_epoch_archive_once(market, tmp_path, monkeypatch):
-    loads = count_archive_loads(monkeypatch)
+    counts = count_archive_reads(monkeypatch)
     cfg = market_config(market, tmp_path / "out")
     assert run_pipeline(cfg)[0] == 0
-    assert loads == [None, None, ["labels"]]  # states, sectors, rmt
-    loads.clear()
+    stack = load_arrays(tmp_path / "out" / "corr_raw.npz")["packed"].nbytes
+    # states: two passes for each of its 2 kernel calls (epsilon 0 and 0.5), one
+    # for the state averages; sectors: one pass for the sector series; rmt: labels
+    assert counts == {"ingest": [0, 0], "corr": [0, 0], "states": [1, 5 * stack],
+                      "sectors": [1, stack], "trajectory": [0, 0], "rmt": [1, 0]}
+    counts.clear()
     assert run_pipeline(cfg)[0] == 0
-    assert loads == []
+    assert counts == {}
 
     cfg.k_range = [2, 3, 4]
     code, manifest = run_pipeline(cfg)
@@ -686,7 +856,8 @@ def test_each_stage_that_runs_reads_the_epoch_archive_once(market, tmp_path, mon
     again = [name for name in ("states", "sectors")
              if manifest["stages"][name]["status"] == "ok"]
     assert "states" in again
-    assert loads == [None] * len(again)  # once in each stage that runs again
+    want = {"states": [1, 5 * stack], "sectors": [1, stack]}
+    assert counts == {name: want[name] for name in again}  # once in each stage that runs again
 
 
 @pytest.mark.parametrize("grid, pinned", [
