@@ -17,6 +17,7 @@ from .corrmat import (
     load_series,
     pearson_correlation,
     power_map,
+    save_epoch_correlations,
     save_series,
 )
 from .errors import DataError, NumericError
@@ -128,6 +129,7 @@ __all__ = [
     "pooled_eigenvalues",
     "power_map",
     "run_pipeline",
+    "save_epoch_correlations",
     "save_panel",
     "save_series",
     "sector_series",

@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .corrmat import EpochSpec, epoch_correlations, load_series, save_series
+from .corrmat import EpochSpec, epoch_count, load_series, save_epoch_correlations
 from .errors import EXIT_CODES, DataError, exit_code
 from .geometry import _check_workers
 from .ingest import load_panel, load_sector_map, log_returns
@@ -98,10 +98,11 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_corr(args) -> int:
-    series = epoch_correlations(log_returns(load_panel(args.panel)), EpochSpec(args.window, args.shift))
+    returns, spec = log_returns(load_panel(args.panel)), EpochSpec(args.window, args.shift)
     out = _out_path(args.out)
-    save_series(series, out)
-    print(f"{series.n_epochs} epochs of {series.n_labels}x{series.n_labels} matrices -> {out}")
+    save_epoch_correlations(returns, spec, out)
+    n = returns.n_stocks
+    print(f"{epoch_count(returns.n_returns, spec)} epochs of {n}x{n} matrices -> {out}")
     return 0
 
 

@@ -4,6 +4,12 @@ An epoch is a window of ``window`` consecutive return days advanced by
 ``shift`` days at a time.  Epoch tau (1-based) covers return columns
 ``(tau-1)*shift .. (tau-1)*shift + window - 1``, so a panel of L return days
 yields ``floor((L - window)/shift) + 1`` epochs.
+
+A panel's epochs are computed about 512 KB at a time.  ``epoch_correlations``
+packs them into an in-memory series; ``save_epoch_correlations``, the one
+writer of the pipeline's corr_raw.npz, writes each chunk to the archive as
+it is computed, so no stage holds the stack.  ``load_series`` reads the
+archive back and leaves its packed rows in the file.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .ingest import ReturnPanel
-from .serialize import StoredArray, load_arrays, save_arrays
+from .serialize import ChunkedArray, StoredArray, load_arrays, save_arrays
 
 
 @dataclass(frozen=True)
@@ -188,6 +194,21 @@ class EpochCorrelationSeries:
         sums /= counts[1:, None]
         return list(_unpack_epochs(sums, self.n_labels))
 
+    @functools.cached_property
+    def _column_range(self) -> np.ndarray:
+        """The read-only (2, width) minima and maxima of the packed columns.
+
+        One pass over the rows, about 512 KB at a time, on the first access;
+        the series keeps the result for every later one.
+        """
+        lo, hi = np.full(self.packed_width, np.inf), np.full(self.packed_width, -np.inf)
+        for _, rows in self._chunks(_epochs_per_chunk(8 * self.packed_width)):
+            np.minimum(lo, rows.min(axis=0), out=lo)
+            np.maximum(hi, rows.max(axis=0), out=hi)
+        bounds = np.stack([lo, hi])
+        bounds.flags.writeable = False
+        return bounds
+
 
 class _ArchivedSeries(EpochCorrelationSeries):
     """A series whose packed rows stay in a stored archive member.
@@ -307,18 +328,17 @@ def _unpack_epochs(packed: np.ndarray, n: int) -> np.ndarray:
 
 
 def save_series(series: EpochCorrelationSeries, path: str | Path) -> None:
-    """Write a series to a correlation archive (the pipeline's corr_raw.npz).
+    """Write a series to a correlation archive, as the pipeline's corr_raw.npz.
 
     Its members are ``packed``, the series' packed rows as they are, and
     ``labels``, ``start_dates`` and ``end_dates``.
     """
-    save_arrays(
-        path,
-        packed=series.packed,
-        labels=np.array(series.labels),
-        start_dates=np.array(series.start_dates),
-        end_dates=np.array(series.end_dates),
-    )
+    _save_members(path, series.packed, series.labels, series.start_dates, series.end_dates)
+
+
+def _save_members(path, packed, labels, start_dates, end_dates) -> None:
+    save_arrays(path, packed=packed, labels=np.array(labels),
+                start_dates=np.array(start_dates), end_dates=np.array(end_dates))
 
 
 def load_series(path: str | Path) -> EpochCorrelationSeries:
@@ -415,6 +435,44 @@ def pearson_correlation(X: np.ndarray) -> np.ndarray:
     return corr[0]
 
 
+def _epoch_rows(panel: ReturnPanel, spec: EpochSpec, stacklevel: int,
+                packed: np.ndarray | None = None):
+    """Yield the packed rows of a return panel's epochs, about 512 KB of epochs at a time.
+
+    Each chunk is built in one reused dense buffer and packed into the
+    chunk's rows of ``packed`` when it is given, else into one reused
+    buffer of rows, valid until the next chunk is asked for; no dense stack
+    of every epoch exists.  Each epoch with a zero-variance row warns once,
+    naming its 1-based index; ``stacklevel`` counts frames from this one,
+    as warnings.warn does.
+    """
+    n = epoch_count(panel.n_returns, spec)
+    windows = np.lib.stride_tricks.sliding_window_view(panel.returns, spec.window, axis=1)
+    windows = windows[:, ::spec.shift].transpose(1, 0, 2)  # (epochs, N, window) views
+    N = windows.shape[1]
+    step = _epochs_per_chunk(N * N * 8)
+    buffer = np.empty((min(step, n), N, N))
+    whole = packed is not None
+    if not whole:
+        packed = np.empty((min(step, n), _packed_width(N)))
+    for e0 in range(0, n, step):
+        chunk = buffer[:min(step, n - e0)]
+        flat = _pearson_blocks(windows[e0:e0 + step], chunk)
+        for index in np.flatnonzero(flat.any(axis=1)):
+            warnings.warn(f"epoch {e0 + index + 1}: {_zero_variance(flat[index])}",
+                          RuntimeWarning, stacklevel=stacklevel)
+        rows = packed[e0:e0 + len(chunk)] if whole else packed[:len(chunk)]
+        # (C + C^T) / 2 is symmetric bit for bit: the sum commutes
+        _pack_chunk(chunk, rows, e0, symmetric=True)
+        yield rows
+
+
+def _epoch_dates(panel: ReturnPanel, spec: EpochSpec) -> tuple[list[str], list[str]]:
+    """The first and last return day of each epoch of a panel."""
+    n = epoch_count(panel.n_returns, spec)
+    return panel.dates[::spec.shift][:n], panel.dates[spec.window - 1::spec.shift][:n]
+
+
 def epoch_correlations(panel: ReturnPanel, spec: EpochSpec = EpochSpec()) -> EpochCorrelationSeries:
     """Correlation matrix of every epoch of a return panel, in the packed layout.
 
@@ -423,24 +481,27 @@ def epoch_correlations(panel: ReturnPanel, spec: EpochSpec = EpochSpec()) -> Epo
     exists.  Each epoch with a zero-variance row warns once, naming its
     1-based index.
     """
-    n = epoch_count(panel.n_returns, spec)
-    windows = np.lib.stride_tricks.sliding_window_view(panel.returns, spec.window, axis=1)
-    windows = windows[:, ::spec.shift].transpose(1, 0, 2)  # (epochs, N, window) views
-    N = windows.shape[1]
-    packed = np.empty((n, _packed_width(N)))
-    step = _epochs_per_chunk(N * N * 8)
-    buffer = np.empty((min(step, n), N, N))
-    for e0 in range(0, n, step):
-        chunk = buffer[:len(packed[e0:e0 + step])]
-        flat = _pearson_blocks(windows[e0:e0 + step], chunk)
-        for index in np.flatnonzero(flat.any(axis=1)):
-            warnings.warn(f"epoch {e0 + index + 1}: {_zero_variance(flat[index])}",
-                          RuntimeWarning, stacklevel=2)
-        # (C + C^T) / 2 is symmetric bit for bit: the sum commutes
-        _pack_chunk(chunk, packed[e0:e0 + step], e0, symmetric=True)
-    starts = panel.dates[::spec.shift][:n]
-    ends = panel.dates[spec.window - 1::spec.shift][:n]
-    return EpochCorrelationSeries(panel.tickers, packed, starts, ends)
+    packed = np.empty((epoch_count(panel.n_returns, spec), _packed_width(panel.n_stocks)))
+    for _ in _epoch_rows(panel, spec, 3, packed):  # the warnings name the caller
+        pass
+    return EpochCorrelationSeries(panel.tickers, packed, *_epoch_dates(panel, spec))
+
+
+def save_epoch_correlations(panel: ReturnPanel, spec: EpochSpec, path: str | Path) -> None:
+    """Write the archive ``save_series(epoch_correlations(panel, spec), path)`` writes.
+
+    The one writer of the pipeline's corr_raw.npz.  The archive's bytes are
+    the same, but each chunk of about 512 KB of epochs is written to the
+    ``packed`` member as it is computed, so no stack of every epoch exists.
+    An epoch count the panel cannot give is raised before the file is
+    opened; a NumericError or a warning raised as an error mid-stream
+    leaves an earlier file at ``path`` as it was (see ``save_arrays``).
+    """
+    shape = (epoch_count(panel.n_returns, spec), _packed_width(panel.n_stocks))
+    # save_arrays asks for the chunks, and the warnings name the caller
+    rows = _epoch_rows(panel, spec, 6)
+    _save_members(path, ChunkedArray(np.dtype(float), shape, rows), panel.tickers,
+                  *_epoch_dates(panel, spec))
 
 
 def _power(values: np.ndarray, epsilon: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -475,10 +536,11 @@ def _kernel_copy(epochs: EpochCorrelationSeries, out: np.ndarray, epsilon: float
     the full mapped matrices, within half a unit per entry.  A column that
     never changes, such as the diagonal of raw correlations, is all 0.
     ``out`` is the one packed copy the kernel holds beyond the series.  The
-    rows are read in two passes of about 512 KB at a time, one for each
-    column's range and one to map and round them in the chunk's buffer, so
-    beyond ``out`` the copy holds one chunk (two at epsilon > 0), and no
-    stack of a series on an archive.
+    rows are read about 512 KB at a time: each call makes one pass to map
+    and round them in the chunk's buffer, so beyond ``out`` the copy holds
+    one chunk (two at epsilon > 0), and no stack of a series on an archive.
+    The raw column ranges take one more pass, on a series' first call only:
+    the series keeps them, and each epsilon maps them.
     qmax falls as 1/N^2 past N = 361; below QMAX_FLOOR (N above 4 103) a
     distance's bound would pass about 1/255 of the widest half-range, and
     the call is a NumericError before any work.  NumericError also names the first epoch
@@ -494,7 +556,7 @@ def _kernel_copy(epochs: EpochCorrelationSeries, out: np.ndarray, epsilon: float
                            f"per half-range, fewer than {QMAX_FLOOR}")
     step = _epochs_per_chunk(8 * width)
     # the map is monotone: it takes each column's range to the mapped range
-    lo, hi = _power(_column_range(epochs, step), epsilon)
+    lo, hi = _power(epochs._column_range, epsilon)
     if not np.isfinite(lo).all() or not np.isfinite(hi).all():
         for e0, rows in epochs._chunks(step):  # which epoch: only on the way to the error
             finite = np.isfinite(_power(rows, epsilon)).all(axis=1)
@@ -515,15 +577,6 @@ def _kernel_copy(epochs: EpochCorrelationSeries, out: np.ndarray, epsilon: float
         np.clip(mapped, -qmax, qmax, out=mapped)
         out[e0:e0 + len(mapped)] = mapped
     return scale
-
-
-def _column_range(epochs: EpochCorrelationSeries, step: int) -> np.ndarray:
-    """The (2, width) minima and maxima of a series' packed columns, ``step`` epochs at a time."""
-    lo, hi = np.full(epochs.packed_width, np.inf), np.full(epochs.packed_width, -np.inf)
-    for _, rows in epochs._chunks(step):
-        np.minimum(lo, rows.min(axis=0), out=lo)
-        np.maximum(hi, rows.max(axis=0), out=hi)
-    return np.stack([lo, hi])
 
 
 def _check_epsilon(epsilon: float) -> None:

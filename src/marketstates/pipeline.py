@@ -32,9 +32,8 @@ from .corrmat import (
     EpochCorrelationSeries,
     EpochSpec,
     _check_epsilon,
-    epoch_correlations,
     load_series,
-    save_series,
+    save_epoch_correlations,
 )
 from .errors import DataError, NumericError, exit_code
 from .geometry import Embedding, _check_workers, _mds_in_place, similarity_matrix, step_fidelity
@@ -273,16 +272,21 @@ def _xyz(coords: np.ndarray) -> np.ndarray:
     return padded
 
 
-def _mirrored_rows(matrix: np.ndarray) -> list[str]:
-    """Each row of a symmetric matrix as its entries' reprs joined by commas.
+def _mirrored_rows(matrix: np.ndarray):
+    """Yield each row of a symmetric matrix as its entries' reprs joined by commas.
 
-    Each off-diagonal value is formatted once.
+    Each value on or above the diagonal is formatted once, in its row; the
+    texts below the diagonal are those of earlier rows, kept only until the
+    row that needs them is made.
     """
-    upper = np.triu_indices(matrix.shape[0])
-    text = np.empty(matrix.shape, dtype=object)
-    text[upper] = list(map(repr, matrix[upper].tolist()))
-    text.T[upper] = text[upper]
-    return list(map(",".join, text.tolist()))
+    n = matrix.shape[0]
+    below: list[list[str]] = [[] for _ in range(n)]  # row i's texts of columns < i
+    for i in range(n):
+        upper = list(map(repr, matrix[i, i:].tolist()))
+        for later, text in zip(below[i + 1:], upper[1:]):
+            later.append(text)
+        yield ",".join(below[i] + upper)
+        below[i] = []
 
 
 def trajectory_report_payload(report) -> dict:
@@ -398,7 +402,7 @@ def write_fit(model, embedding, path: Path, prefix: str) -> list[Path]:
     header = ["label"] + list(model.labels)
     for s, avg in enumerate(model.avg_corr_matrix, start=1):
         written.append(out / f"{prefix}state_avg_corr_S{s}.csv")
-        write_csv(written[-1], header, list(zip(model.labels, _mirrored_rows(avg), strict=True)))
+        write_csv(written[-1], header, zip(model.labels, _mirrored_rows(avg), strict=True))
     per_state = re.compile(rf"{re.escape(prefix)}state_avg_corr_S([1-9][0-9]*)\.csv")
     for old in out.iterdir():
         match = per_state.fullmatch(old.name)
@@ -498,7 +502,7 @@ def _stage_ingest(c: Mapping, run: _Run) -> list[Path]:
 def _stage_corr(c: Mapping, run: _Run) -> list[Path]:
     path = run.out / "corr_raw.npz"
     returns = log_returns(load_panel(c[PANEL]))
-    save_series(epoch_correlations(returns, EpochSpec(c["window"], c["shift"])), path)
+    save_epoch_correlations(returns, EpochSpec(c["window"], c["shift"]), path)
     return [path]
 
 

@@ -3,9 +3,12 @@
 Every writer here is byte-stable: identical in-memory objects produce
 identical files regardless of when or where they are written (np.savez is
 avoided because it embeds zip timestamps).  Floats go through repr, so a
-read-back is bit-exact.  This module knows formats, not domain types: the
-files of a fitted state model are written by ``pipeline.write_fit`` and its
-``model.json`` is read by ``pipeline.read_state_of``.
+read-back is bit-exact.  An archive is written under a temporary name and
+renamed into place once complete, and a member given as a ``ChunkedArray``
+is written one chunk at a time, so that no writer needs the whole array.
+This module knows formats, not domain types: the files of a fitted state
+model are written by ``pipeline.write_fit`` and its ``model.json`` is read
+by ``pipeline.read_state_of``.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import json
 import math
 import struct
 import zipfile
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,6 +86,24 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
             fh.write(",".join(map(_cell, row)) + "\n")
 
 
+@dataclass(frozen=True)
+class ChunkedArray:
+    """An array that ``save_arrays`` writes chunk by chunk, never whole.
+
+    ``chunks`` yields arrays of ``dtype`` whose bytes, one after the
+    other, are the array's of ``shape`` in C order; each is written before
+    the next is asked for, so a chunk may reuse the buffer of the last.
+    """
+
+    dtype: np.dtype
+    shape: tuple[int, ...]
+    chunks: Iterable[np.ndarray]
+
+    @property
+    def nbytes(self) -> int:
+        return math.prod(self.shape) * np.dtype(self.dtype).itemsize
+
+
 def save_arrays(path: str | Path, **arrays) -> None:
     """npz-compatible archive with fixed timestamps (byte-stable across runs).
 
@@ -89,23 +111,30 @@ def save_arrays(path: str | Path, **arrays) -> None:
     deflate cost far more than the bytes it saved.  Each array streams into
     its member without an in-memory copy of the file, and a C-contiguous
     array of plain numbers, strings or bools is written from its own buffer,
-    with the bytes ``np.lib.format.write_array`` would write.  If a member
-    fails to write, the file is removed.
+    with the bytes ``np.lib.format.write_array`` would write; a
+    ``ChunkedArray`` gets the same bytes one chunk at a time.  The archive
+    is written under ``<name>.tmp`` beside ``path`` and renamed over it once
+    complete: if a member fails to write, the temporary file is removed and
+    a file already at ``path`` keeps its bytes.
     """
     path = Path(path)
-    zf = zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED)
+    partial = path.with_name(path.name + ".tmp")
+    zf = zipfile.ZipFile(partial, "w", compression=zipfile.ZIP_STORED)
     try:
         with zf:
             for name in sorted(arrays):
-                array = np.asarray(arrays[name])
+                array = arrays[name]
+                if not isinstance(array, ChunkedArray):
+                    array = np.asarray(array)
                 info = zipfile.ZipInfo(f"{name}.npy", date_time=_EPOCH_STAMP)
                 # zipfile's own rule for a member whose size it knows up front;
                 # the .npy header adds well under 64 KiB
                 zip64 = (array.nbytes + (1 << 16)) * 1.05 > zipfile.ZIP64_LIMIT
                 with zf.open(info, "w", force_zip64=zip64) as member:
                     _write_npy(member, array)
+        partial.replace(path)
     except BaseException:  # a member that fails leaves no truncated archive
-        path.unlink(missing_ok=True)
+        partial.unlink(missing_ok=True)
         raise
 
 
@@ -114,10 +143,22 @@ def _write_npy(member, array) -> None:
 
     ``write_array`` copies the data through ``tobytes`` chunks of up to
     16 MiB, so a whole epoch stack of that size; an array whose buffer is
-    already the file's data layout is written as it is.  Such a dtype's
-    header always fits format 1.0, the version write_array tries first.
+    already the file's data layout is written as it is, and so is each
+    chunk of a ChunkedArray, whose total must be its shape's bytes.  Such a
+    dtype's header always fits format 1.0, the version write_array tries
+    first.
     """
-    if array.flags.c_contiguous and array.dtype.kind in "?biufcSU":
+    if isinstance(array, ChunkedArray):
+        np.lib.format.write_array_header_1_0(member, {
+            "descr": np.lib.format.dtype_to_descr(np.dtype(array.dtype)),
+            "fortran_order": False, "shape": tuple(map(int, array.shape))})
+        written = 0
+        for chunk in array.chunks:
+            chunk = np.ascontiguousarray(chunk, dtype=array.dtype)
+            written += member.write(chunk.reshape(-1).view(np.uint8))
+        if written != array.nbytes:
+            raise ValueError(f"chunks of {written} bytes for an array of {array.nbytes}")
+    elif array.flags.c_contiguous and array.dtype.kind in "?biufcSU":
         np.lib.format.write_array_header_1_0(
             member, np.lib.format.header_data_from_array_1_0(array))
         member.write(array.reshape(-1).view(np.uint8))

@@ -77,9 +77,11 @@ def importers(name):
 
 
 def test_one_route_from_prices_to_states():
-    # corr builds the stock-level epoch stack; states and sectors read its
-    # archive, and only an event window cuts its own epochs from returns
-    assert importers("epoch_correlations") == {"pipeline.py", "cli.py", "trajectory.py"}
+    # corr streams the stock-level epochs into their archive through one
+    # writer; states and sectors read it, and only an event window cuts its
+    # own epochs from returns into memory
+    assert importers("save_epoch_correlations") == {"pipeline.py", "cli.py"}
+    assert importers("epoch_correlations") == {"trajectory.py"}
     # only the sector fit reads the sector map, and no record carries it
     assert importers("load_sector_map") == {"pipeline.py", "cli.py"}
     carriers = [f"{module.__name__}.{cls.__name__}"

@@ -721,3 +721,36 @@ def test_cli_writes_the_pipeline_artifacts_byte_for_byte(market, tmp_path, tree_
         staged / "rmt_report.json").read_text()
     stage_only = {"manifest.json", "selected.json", "trajectory_table.csv", "rmt_report.json"}
     assert tree_diff(cli, staged, skip=stage_only | {"rmt.json"}) == []
+
+
+def test_corr_that_fails_mid_stream_keeps_the_earlier_archive(workspace, tmp_path):
+    import datetime
+    import os
+    import shutil
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from marketstates.ingest import PricePanel, save_panel
+
+    rng = np.random.default_rng(8)
+    prices = 50.0 * np.exp(np.cumsum(0.01 * rng.standard_normal((60, 90)), axis=1))
+    # flat for 30 days: zero variance in epochs 41 to 50 of 70, in the third
+    # 18-epoch chunk, after two chunks are written
+    prices[7, 40:70] = prices[7, 40]
+    dates = [(datetime.date(2020, 1, 2) + datetime.timedelta(days=t)).isoformat()
+             for t in range(90)]
+    save_panel(PricePanel([f"S{i:02d}" for i in range(60)], dates, prices), tmp_path / "p.npz")
+    out = tmp_path / "corr.npz"
+    shutil.copyfile(workspace["corr"], out)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONWARNINGS": "error",
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "marketstates", "corr", "--panel",
+                           str(tmp_path / "p.npz"), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert "RuntimeWarning: epoch 41: zero variance in rows [7]" in done.stderr
+    assert out.read_bytes() == workspace["corr"].read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corr.npz", "p.npz", "p.npz.meta.json"]
+

@@ -481,3 +481,87 @@ def test_unpacking_rejects_a_width_that_does_not_match_the_labels():
                       (np.zeros((3, 0)), 0)):
         with pytest.raises(ValueError, match="packed epochs of shape"):
             _unpack_epochs(packed, N)
+
+
+# --------------------------------------------------------------------------
+# the streaming writer of corr_raw.npz
+
+
+def _streaming_cases():
+    rng = np.random.default_rng(33)
+    degenerate = rng.normal(size=(60, 90))
+    degenerate[41, :21] = -1.0  # flat over epochs 1 and 2, in the first chunk
+    degenerate[7, 30:62] = 0.5  # flat over epochs 31 to 43, across the second and third
+    return {
+        # 60 stocks: 18 epochs per 512 KB chunk, so 61 epochs make four chunks
+        "several_chunks": (rng.normal(size=(60, 80)), EpochSpec(20, 1)),
+        "shift_3": (rng.normal(size=(60, 200)), EpochSpec(20, 3)),
+        "zero_variance": (degenerate, EpochSpec(20, 1)),
+        "one_epoch": (rng.normal(size=(4, 12)), EpochSpec(12, 1)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_streaming_cases()))
+def test_streamed_archive_is_the_saved_series_byte_for_byte(tmp_path, case):
+    from marketstates.corrmat import save_epoch_correlations, save_series
+
+    returns, spec = _streaming_cases()[case]
+    panel = make_panel(returns)
+    with warnings.catch_warnings(record=True) as saved:
+        warnings.simplefilter("always")
+        save_series(epoch_correlations(panel, spec), tmp_path / "whole.npz")
+    with warnings.catch_warnings(record=True) as streamed:
+        warnings.simplefilter("always")
+        save_epoch_correlations(panel, spec, tmp_path / "streamed.npz")
+    assert (tmp_path / "streamed.npz").read_bytes() == (tmp_path / "whole.npz").read_bytes()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["streamed.npz", "whole.npz"]
+    # the same warnings in the same order, by global 1-based epoch, each at the caller's line
+    messages = looped_epoch_correlations(returns, spec)[1]
+    assert [str(w.message) for w in streamed] == [str(w.message) for w in saved] == messages
+    assert {(w.category, w.filename) for w in streamed + saved} <= {(RuntimeWarning, __file__)}
+    if case == "zero_variance":
+        assert [m.split(":")[0] for m in messages] == [
+            f"epoch {e}" for e in (1, 2, *range(31, 44))]
+
+
+def test_streamed_archive_takes_the_zip64_branch_with_the_same_bytes(tmp_path, monkeypatch):
+    import struct
+    import zipfile
+
+    from marketstates.corrmat import load_series, save_epoch_correlations, save_series
+
+    returns, spec = _streaming_cases()["several_chunks"]
+    panel = make_panel(returns)
+    # the 0.89 MB packed member passes a 256 KB limit, the labels and dates do not
+    monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 1 << 18)
+    series = epoch_correlations(panel, spec)
+    save_series(series, tmp_path / "whole.npz")
+    save_epoch_correlations(panel, spec, tmp_path / "streamed.npz")
+    raw = (tmp_path / "streamed.npz").read_bytes()
+    assert raw == (tmp_path / "whole.npz").read_bytes()
+    with zipfile.ZipFile(tmp_path / "streamed.npz") as zf:
+        offsets = {info.filename: info.header_offset for info in zf.infolist()}
+    extras = {}
+    for name, offset in offsets.items():  # each member's local header and its extra field
+        name_len, extra_len = struct.unpack("<HH", raw[offset + 26:offset + 30])
+        extras[name] = raw[offset + 30 + name_len:offset + 30 + name_len + extra_len]
+    assert extras.pop("packed.npy")[:2] == b"\x01\x00"  # the zip64 extra field's tag
+    assert set(extras.values()) == {b""}
+    assert load_series(tmp_path / "streamed.npz").packed.tobytes() == series.packed.tobytes()
+
+
+def test_streaming_writer_keeps_the_earlier_archive_when_an_epoch_is_not_finite(tmp_path):
+    from marketstates.corrmat import save_epoch_correlations
+
+    returns, spec = _streaming_cases()["several_chunks"]
+    path = tmp_path / "corr_raw.npz"
+    save_epoch_correlations(make_panel(returns), spec, path)
+    before = path.read_bytes()
+    returns = returns.copy()
+    # in the epochs from index 31 on: the first is in the second chunk, which the
+    # error names by its 0-based index, as the packing does
+    returns[5, 50] = np.nan
+    with pytest.raises(NumericError, match="epoch 31 has a non-finite entry"):
+        save_epoch_correlations(make_panel(returns), spec, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["corr_raw.npz"]

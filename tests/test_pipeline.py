@@ -489,6 +489,33 @@ def test_state_average_csvs_match_the_row_by_row_writer(tmp_path):
             assert got.read_bytes() == (tmp_path / "want.csv").read_bytes(), (case, s)
 
 
+def whole_mirrored_rows(matrix):
+    """The rows of a symmetric matrix as the earlier writer made them: every text at once."""
+    upper = np.triu_indices(matrix.shape[0])
+    text = np.empty(matrix.shape, dtype=object)
+    text[upper] = list(map(repr, matrix[upper].tolist()))
+    text.T[upper] = text[upper]
+    return list(map(",".join, text.tolist()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 200])
+def test_mirrored_rows_come_one_at_a_time_with_the_whole_matrix_text(n, peak_bytes):
+    from collections import deque
+
+    from marketstates.pipeline import _mirrored_rows
+
+    half = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, n))
+    matrix = np.triu(half) + np.triu(half, 1).T
+    matrix[-1, 0] = matrix[0, -1] = -0.0 if n > 1 else 1.0
+    rows = _mirrored_rows(matrix)
+    assert iter(rows) is rows  # made as they are asked for
+    assert list(rows) == whole_mirrored_rows(matrix)
+    if n == 200:
+        # the texts below the diagonal wait for their rows: at most a quarter of
+        # the matrix at once, where the whole matrix's text took 3.2 MB
+        assert peak_bytes(lambda: deque(_mirrored_rows(matrix), maxlen=0)) < 1.5e6
+
+
 def test_state_average_csvs_reject_an_asymmetric_average(tmp_path):
     from marketstates.errors import NumericError
 
@@ -706,22 +733,22 @@ def test_ingest_rerun_that_writes_the_same_panel_skips_corr(tmp_path):
     assert {name for name, status in statuses.items() if status != "skipped"} == {"ingest"}
 
 
-def test_corr_stage_holds_one_stack_copy_while_writing(tmp_path, peak_bytes):
+def test_corr_stage_streams_its_archive_with_no_stack(tmp_path, peak_bytes):
     from types import MappingProxyType
 
     from marketstates.pipeline import _Run, _stage_corr, write_panel
 
-    data = write_market(tmp_path / "data", n=60, n_days=260)
+    data = write_market(tmp_path / "data", n=100, n_days=160)
     out = tmp_path / "out"
     out.mkdir()
     run = _Run(out, workers=1)
     write_panel(data / "prices.csv", 2, out / "panel.npz")
     given = MappingProxyType({"window": 20, "shift": 1, "panel.npz": out / "panel.npz"})
-    stack_bytes = 240 * 60 * 60 * 8  # 259 returns, window 20, shift 1
-    # the stage reads panel.npz, builds the epochs into the one stack, chunk by
-    # chunk, and packs the archive from that stack chunk by chunk
-    assert peak_bytes(lambda: _stage_corr(given, run)) <= 1.4 * stack_bytes
-    assert load_arrays(out / "corr_raw.npz")["packed"].shape == (240, 60 * 61 // 2)
+    packed_bytes = 140 * (100 * 101 // 2) * 8  # 159 returns, window 20, shift 1: 5.66 MB
+    # the stage reads panel.npz and writes each chunk of epochs to the archive
+    # as it is computed: one chunk's buffers, never the packed stack
+    assert peak_bytes(lambda: _stage_corr(given, run)) < 0.5 * packed_bytes
+    assert load_arrays(out / "corr_raw.npz")["packed"].shape == (140, 100 * 101 // 2)
 
 
 def test_rerun_over_deflated_archives_skips_every_stage(market, tmp_path, monkeypatch):
@@ -842,9 +869,10 @@ def test_each_stage_that_runs_reads_the_epoch_archive_once(market, tmp_path, mon
     cfg = market_config(market, tmp_path / "out")
     assert run_pipeline(cfg)[0] == 0
     stack = load_arrays(tmp_path / "out" / "corr_raw.npz")["packed"].nbytes
-    # states: two passes for each of its 2 kernel calls (epsilon 0 and 0.5), one
-    # for the state averages; sectors: one pass for the sector series; rmt: labels
-    assert counts == {"ingest": [0, 0], "corr": [0, 0], "states": [1, 5 * stack],
+    # states: one pass for the column ranges, which the series keeps, one for
+    # each of its 2 kernel calls (epsilon 0 and 0.5) and one for the state
+    # averages; sectors: one pass for the sector series; rmt: labels
+    assert counts == {"ingest": [0, 0], "corr": [0, 0], "states": [1, 4 * stack],
                       "sectors": [1, stack], "trajectory": [0, 0], "rmt": [1, 0]}
     counts.clear()
     assert run_pipeline(cfg)[0] == 0
@@ -856,7 +884,7 @@ def test_each_stage_that_runs_reads_the_epoch_archive_once(market, tmp_path, mon
     again = [name for name in ("states", "sectors")
              if manifest["stages"][name]["status"] == "ok"]
     assert "states" in again
-    want = {"states": [1, 5 * stack], "sectors": [1, stack]}
+    want = {"states": [1, 4 * stack], "sectors": [1, stack]}
     assert counts == {name: want[name] for name in again}  # once in each stage that runs again
 
 
@@ -1182,10 +1210,10 @@ def test_config_error_fails_before_any_stage(market, tmp_path, bad, message):
 def test_unexpected_error_still_writes_manifest(market, tmp_path, monkeypatch, capsys):
     import marketstates.pipeline as pipeline
 
-    def out_of_memory(returns, spec):
+    def out_of_memory(returns, spec, path):
         raise MemoryError("stack does not fit")
 
-    monkeypatch.setattr(pipeline, "epoch_correlations", out_of_memory)
+    monkeypatch.setattr(pipeline, "save_epoch_correlations", out_of_memory)
     out = tmp_path / "out"
     code, manifest = run_pipeline(market_config(market, out))
     assert code == 1

@@ -10,6 +10,7 @@ from marketstates.errors import DataError
 from marketstates.geometry import Embedding
 from marketstates.pipeline import read_state_of, write_fit
 from marketstates.serialize import (
+    ChunkedArray,
     format_float,
     load_arrays,
     read_json,
@@ -142,6 +143,8 @@ def save_arrays_deflated(path, **arrays):
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
         for name in sorted(arrays):
             array = arrays[name]
+            if isinstance(array, ChunkedArray):  # each chunk copied before the next
+                array = np.concatenate([c.copy() for c in array.chunks]).reshape(array.shape)
             buffer = io.BytesIO()
             np.lib.format.write_array(buffer, np.asarray(array), allow_pickle=False)
             info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
@@ -300,4 +303,20 @@ def test_member_that_fails_to_write_leaves_no_archive(tmp_path):
     # an object array cannot be written without pickling
     with pytest.raises(ValueError, match="pickle"):
         save_arrays(path, labels=np.array(["a"]), values=np.array([{}, None], dtype=object))
-    assert not path.exists()
+    assert list(tmp_path.iterdir()) == []  # nor its temporary file
+
+
+def test_chunked_member_has_the_whole_arrays_bytes_and_a_short_one_keeps_the_earlier_file(
+        tmp_path):
+    values = np.random.default_rng(6).standard_normal((7, 5))
+    labels = np.array(["a", "b"])
+    whole, chunked = tmp_path / "whole.npz", tmp_path / "chunked.npz"
+    save_arrays(whole, labels=labels, values=values)
+    rows = (values[e:e + 3] for e in range(0, 7, 3))
+    save_arrays(chunked, labels=labels, values=ChunkedArray(values.dtype, values.shape, rows))
+    assert chunked.read_bytes() == whole.read_bytes()
+    before = chunked.read_bytes()
+    with pytest.raises(ValueError, match="chunks of 200 bytes for an array of 280"):
+        save_arrays(chunked, values=ChunkedArray(values.dtype, values.shape, iter([values[:5]])))
+    assert chunked.read_bytes() == before  # the short archive never takes its name
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chunked.npz", "whole.npz"]
