@@ -203,6 +203,8 @@ def _cmd_trajectory(args) -> int:
         for name, message in failures.items():
             print(f"{name}: FAILED ({message})", file=sys.stderr)
         return 0
+    if args.events:
+        raise ValueError("trajectory without catalog does not take --events")
     span = [flag for flag, value in (("--start", args.start), ("--end", args.end)) if value]
     if args.center and span:
         raise ValueError("pass --center or --start and --end, not both")

@@ -3,13 +3,15 @@
 An epoch is a window of ``window`` consecutive return days advanced by
 ``shift`` days at a time.  Epoch tau (1-based) covers return columns
 ``(tau-1)*shift .. (tau-1)*shift + window - 1``, so a panel of L return days
-yields ``floor((L - window)/shift) + 1`` epochs.
+yields ``floor((L - window)/shift) + 1`` epochs.  Every message names an
+epoch by this 1-based index.
 
 A panel's epochs are computed about 512 KB at a time.  ``epoch_correlations``
-packs them into an in-memory series; ``save_epoch_correlations``, the one
-writer of the pipeline's corr_raw.npz, writes each chunk to the archive as
-it is computed, so no stage holds the stack.  ``load_series`` reads the
-archive back and leaves its packed rows in the file.
+packs them into an in-memory series; ``save_epoch_correlations``, the
+pipeline's writer of corr_raw.npz, writes each chunk to the archive as it
+is computed, so no stage holds the stack.  ``load_series`` reads the
+archive back into a series whose packed rows stay in the file, and
+``save_series`` streams any series' rows into the same member layout.
 """
 
 from __future__ import annotations
@@ -56,12 +58,7 @@ def epoch_bounds(epoch_index: int, spec: EpochSpec) -> tuple[int, int]:
 
 
 class CorrelationMatrix:
-    """One epoch of a series: the first and last return day it covers, and its matrix.
-
-    ``packed`` is the epoch's read-only row of the packed layout and
-    ``values`` unpacks it into a new N x N array; a series on an archive
-    reads the row from its file on each access.
-    """
+    """One epoch of a series: its first and last return day, and its matrix as a new array."""
 
     def __init__(self, series: EpochCorrelationSeries, index: int):
         self._series, self._index = series, index
@@ -75,10 +72,6 @@ class CorrelationMatrix:
         return self._series.end_dates[self._index]
 
     @property
-    def packed(self) -> np.ndarray:
-        return self._series._read(self._index, self._index + 1)[0]
-
-    @property
     def values(self) -> np.ndarray:
         return self._series.values_stack(self._index, self._index + 1)[0]
 
@@ -87,29 +80,23 @@ class EpochCorrelationSeries:
     """Ordered raw correlation matrices of every epoch, one row and column per label.
 
     The one epoch-stack type: stock-level series carry tickers as labels,
-    sector-averaged ones sector names.  It holds the packed layout, one
-    read-only (epochs, N(N+1)/2) array, and the epochs' ``start_dates`` and
-    ``end_dates``: ``epochs`` given as such rows is kept as it is, and a
-    dense (epochs, N, N) stack is packed, a NumericError naming its first
-    epoch that is non-finite or not exactly symmetric.  A series that
-    ``load_series`` reads from a stored archive member holds no rows: each
-    pass over them reads them from the file.  ``matrices`` are records
-    made on access, ``values_stack()`` is a dense copy.  The power map is
-    no part of a series: the dissimilarity applies it.
+    sector-averaged ones sector names.  It holds the epochs' ``start_dates``
+    and ``end_dates`` and their packed (epochs, N(N+1)/2) rows.  ``epochs``
+    given as such rows is kept as it is, read-only, and a dense (epochs, N,
+    N) stack is packed, a NumericError naming its first epoch that is
+    non-finite or not exactly symmetric.  ``epochs`` given as the StoredArray
+    of an archive member, as by ``load_series``, stays in the file, which
+    each pass over the rows reopens; only ``_read`` and ``_chunks`` read
+    either.  ``matrices`` are records made on access, ``values_stack()``
+    a dense copy.  The dissimilarity, not the series, applies the power map.
     """
 
-    def __init__(self, labels, epochs: np.ndarray, start_dates, end_dates):
+    def __init__(self, labels, epochs: np.ndarray | StoredArray, start_dates, end_dates):
         self.labels = list(labels)
         n = len(self.labels)
-        if epochs.ndim == 3 and epochs.shape[1:] == (n, n):
+        if len(epochs.shape) == 3 and epochs.shape[1:] == (n, n):
             epochs = _pack_epochs(epochs)
-        self._set_epochs(epochs.shape, start_dates, end_dates)
-        self._packed = np.asarray(epochs, dtype=float).view()  # the layout is below
-        self._packed.flags.writeable = False
-
-    def _set_epochs(self, shape: tuple[int, ...], start_dates, end_dates) -> None:
-        """Check packed rows of ``shape`` against the labels and the dates, and keep the dates."""
-        n = len(self.labels)
+        shape = epochs.shape
         if len(shape) != 2 or shape[1] != _packed_width(n) or n == 0:
             what = "packed epochs" if len(shape) == 2 else "epoch stack"
             raise ValueError(f"{what} of shape {shape} for {n} labels")
@@ -117,11 +104,15 @@ class EpochCorrelationSeries:
         if not shape[0] == len(self.start_dates) == len(self.end_dates):
             raise ValueError(f"{shape[0]} packed epochs for {len(self.start_dates)} start "
                              f"and {len(self.end_dates)} end dates")
+        if isinstance(epochs, np.ndarray):  # a view, so that the caller's array stays writeable
+            epochs = np.asarray(epochs, dtype=float).view()
+            epochs.flags.writeable = False
+        self._rows = epochs  # the layout is below
 
     @property
     def packed(self) -> np.ndarray:
-        """The read-only (epochs, N(N+1)/2) packed rows."""
-        return self._packed
+        """The read-only (epochs, N(N+1)/2) packed rows, read whole from a file that holds them."""
+        return self._read(0, None)
 
     @property
     def n_epochs(self) -> int:
@@ -136,36 +127,53 @@ class EpochCorrelationSeries:
         """A new record of each epoch."""
         return [CorrelationMatrix(self, e) for e in range(self.n_epochs)]
 
-    def _read(self, start: int, stop: int | None) -> np.ndarray:
-        """The read-only packed rows of epochs ``start`` to ``stop``."""
-        return self._packed[start:stop]
-
     @property
     def packed_width(self) -> int:
         """Entries of one packed epoch: N(N+1)/2."""
         return _packed_width(self.n_labels)
 
+    def _read(self, start: int, stop: int | None) -> np.ndarray:
+        """The read-only packed rows of epochs ``start`` to ``stop``: a view, or read anew."""
+        if isinstance(self._rows, np.ndarray):
+            return self._rows[start:stop]
+        start, stop, _ = slice(start, stop).indices(self.n_epochs)
+        rows = np.empty((max(stop - start, 0), self.packed_width))
+        with self._rows.path.open("rb", buffering=0) as fh:
+            fh.seek(self._rows.offset + start * rows.itemsize * self.packed_width)
+            _read_rows(fh, rows, self._rows.path)
+        rows.flags.writeable = False
+        return rows
+
     def _chunks(self, step: int, writable: bool = False):
         """Yield (first epoch, packed rows) for ``step`` epochs at a time, in epoch order.
 
         A chunk is valid until the next one is asked for, and is the
-        caller's to overwrite only if ``writable``: the series' own rows are
-        then copied into one reused buffer.  A series on an archive reads
-        every chunk into such a buffer.
+        caller's to overwrite only if ``writable``: rows in memory are then
+        copied into one reused buffer.  Rows in a file are read into such a
+        buffer, in one pass that opens the file once.
         """
-        buffer = np.empty((min(step, self.n_epochs), self.packed_width)) if writable else None
-        for e0 in range(0, self.n_epochs, step):
-            rows = self._packed[e0:e0 + step]
-            if writable:
-                buffer[:len(rows)] = rows
-                rows = buffer[:len(rows)]
-            yield e0, rows
+        n, source = self.n_epochs, self._rows
+        if isinstance(source, np.ndarray):
+            buffer = np.empty((min(step, n), self.packed_width)) if writable else None
+            for e0 in range(0, n, step):
+                rows = source[e0:e0 + step]
+                if writable:
+                    buffer[:len(rows)] = rows
+                    rows = buffer[:len(rows)]
+                yield e0, rows
+            return
+        buffer = np.empty((min(step, n), self.packed_width))
+        with source.path.open("rb", buffering=0) as fh:
+            fh.seek(source.offset)
+            for e0 in range(0, n, step):
+                rows = buffer[:min(step, n - e0)]
+                _read_rows(fh, rows, source.path)
+                yield e0, rows
 
     def values_chunks(self, step: int):
         """Yield (first epoch, new dense (epochs, N, N) copy) for ``step`` epochs at a time.
 
-        One pass over the rows, in epoch order: a series on an archive opens
-        its file once and reads each chunk's rows into one reused buffer.
+        One pass over the rows, in epoch order (see ``_chunks``).
         """
         for e0, rows in self._chunks(step):
             yield e0, _unpack_epochs(rows, self.n_labels)
@@ -210,41 +218,6 @@ class EpochCorrelationSeries:
         return bounds
 
 
-class _ArchivedSeries(EpochCorrelationSeries):
-    """A series whose packed rows stay in a stored archive member.
-
-    Each pass reopens the file and reads the rows it needs; ``packed``
-    reads the whole member into a new read-only array.
-    """
-
-    def __init__(self, labels, member: StoredArray, start_dates, end_dates):
-        self.labels = list(labels)
-        self._set_epochs(member.shape, start_dates, end_dates)
-        self._member = member
-
-    @property
-    def packed(self) -> np.ndarray:
-        return self._read(0, None)
-
-    def _read(self, start: int, stop: int | None) -> np.ndarray:
-        start, stop, _ = slice(start, stop).indices(self.n_epochs)
-        rows = np.empty((max(stop - start, 0), self.packed_width))
-        with self._member.path.open("rb", buffering=0) as fh:
-            fh.seek(self._member.offset + start * rows.itemsize * self.packed_width)
-            _read_rows(fh, rows, self._member.path)
-        rows.flags.writeable = False
-        return rows
-
-    def _chunks(self, step: int, writable: bool = False):
-        buffer = np.empty((min(step, self.n_epochs), self.packed_width))
-        with self._member.path.open("rb", buffering=0) as fh:
-            fh.seek(self._member.offset)
-            for e0 in range(0, self.n_epochs, step):
-                rows = buffer[:min(step, self.n_epochs - e0)]
-                _read_rows(fh, rows, self._member.path)
-                yield e0, rows
-
-
 def _read_rows(fh, rows: np.ndarray, path: Path) -> None:
     """Fill C-contiguous ``rows`` from the open file ``fh``; a short file is a DataError."""
     view = memoryview(rows).cast("B")
@@ -285,9 +258,9 @@ def _triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _pack_chunk(chunk: np.ndarray, out: np.ndarray, first: int, symmetric: bool = False) -> None:
     """Pack (epochs, N, N) ``chunk`` into the rows ``out``; its epoch 0 is epoch ``first``.
 
-    Raises NumericError naming the first epoch that is non-finite or, unless
-    ``symmetric`` vouches for the chunk, not exactly symmetric: the triangle
-    alone cannot stand for it.
+    Raises NumericError naming the first epoch, 1-based, that is non-finite
+    or, unless ``symmetric`` vouches for the chunk, not exactly symmetric:
+    the triangle alone cannot stand for it.
     """
     m, n = chunk.shape[:2]
     upper_at = _triangle(n)[0]
@@ -300,7 +273,7 @@ def _pack_chunk(chunk: np.ndarray, out: np.ndarray, first: int, symmetric: bool 
     if not (finite & symmetric).all():
         e = int(np.argmin(finite & symmetric))
         what = "has a non-finite entry" if not finite[e] else "is not exactly symmetric"
-        raise NumericError(f"epoch {first + e} {what}")
+        raise NumericError(f"epoch {first + e + 1} {what}")
 
 
 def _pack_epochs(stack: np.ndarray) -> np.ndarray:
@@ -331,13 +304,18 @@ def save_series(series: EpochCorrelationSeries, path: str | Path) -> None:
     """Write a series to a correlation archive, as the pipeline's corr_raw.npz.
 
     Its members are ``packed``, the series' packed rows as they are, and
-    ``labels``, ``start_dates`` and ``end_dates``.
+    ``labels``, ``start_dates`` and ``end_dates``.  The rows are written
+    about 512 KB at a time, as ``save_epoch_correlations`` writes them: a
+    series on an archive is copied without reading its stack.
     """
-    _save_members(path, series.packed, series.labels, series.start_dates, series.end_dates)
+    chunks = (rows for _, rows in series._chunks(_epochs_per_chunk(8 * series.packed_width)))
+    _save_members(path, (series.n_epochs, series.packed_width), chunks, series.labels,
+                  series.start_dates, series.end_dates)
 
 
-def _save_members(path, packed, labels, start_dates, end_dates) -> None:
-    save_arrays(path, packed=packed, labels=np.array(labels),
+def _save_members(path, shape, rows, labels, start_dates, end_dates) -> None:
+    """Write an archive whose ``packed`` member of ``shape`` is the chunks ``rows`` yields."""
+    save_arrays(path, packed=ChunkedArray(np.dtype(float), shape, rows), labels=np.array(labels),
                 start_dates=np.array(start_dates), end_dates=np.array(end_dates))
 
 
@@ -370,7 +348,7 @@ def load_series(path: str | Path) -> EpochCorrelationSeries:
     try:
         if len(packed.shape) != 2:  # a dense stack is no archive's member
             raise ValueError(f"packed epochs of shape {packed.shape} for {len(labels)} labels")
-        return (_ArchivedSeries if stored else EpochCorrelationSeries)(labels, packed, *dates)
+        return EpochCorrelationSeries(labels, packed, *dates)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -490,8 +468,8 @@ def epoch_correlations(panel: ReturnPanel, spec: EpochSpec = EpochSpec()) -> Epo
 def save_epoch_correlations(panel: ReturnPanel, spec: EpochSpec, path: str | Path) -> None:
     """Write the archive ``save_series(epoch_correlations(panel, spec), path)`` writes.
 
-    The one writer of the pipeline's corr_raw.npz.  The archive's bytes are
-    the same, but each chunk of about 512 KB of epochs is written to the
+    The pipeline's writer of corr_raw.npz.  The archive's bytes are the
+    same, but each chunk of about 512 KB of epochs is written to the
     ``packed`` member as it is computed, so no stack of every epoch exists.
     An epoch count the panel cannot give is raised before the file is
     opened; a NumericError or a warning raised as an error mid-stream
@@ -499,8 +477,7 @@ def save_epoch_correlations(panel: ReturnPanel, spec: EpochSpec, path: str | Pat
     """
     shape = (epoch_count(panel.n_returns, spec), _packed_width(panel.n_stocks))
     # save_arrays asks for the chunks, and the warnings name the caller
-    rows = _epoch_rows(panel, spec, 6)
-    _save_members(path, ChunkedArray(np.dtype(float), shape, rows), panel.tickers,
+    _save_members(path, shape, _epoch_rows(panel, spec, 6), panel.tickers,
                   *_epoch_dates(panel, spec))
 
 
@@ -561,7 +538,7 @@ def _kernel_copy(epochs: EpochCorrelationSeries, out: np.ndarray, epsilon: float
         for e0, rows in epochs._chunks(step):  # which epoch: only on the way to the error
             finite = np.isfinite(_power(rows, epsilon)).all(axis=1)
             if not finite.all():
-                raise NumericError(f"epoch {e0 + int(np.argmin(finite))} has a non-finite entry")
+                raise NumericError(f"epoch {e0 + np.argmin(finite) + 1} has a non-finite entry")
     centre, half = lo / 2 + hi / 2, hi / 2 - lo / 2  # no overflow near the float limit
     peak = max(half[:k].max(initial=0.0), half[k:].max() / 2)  # the widest weighted half-range / 2
     # a range under 1e-290 reads as 0, which keeps scale * N^2 finite

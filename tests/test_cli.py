@@ -270,13 +270,13 @@ def test_a_non_finite_archive_entry_is_a_numeric_failure_naming_its_epoch(tmp_pa
     # an archive's packed rows are read as they are: the kernel names the epoch, at any epsilon
     rng = np.random.default_rng(0)
     packed = rng.uniform(-1.0, 1.0, (30, 10))
-    packed[2, 3] = np.nan
+    packed[2, 3] = np.nan  # epoch 3
     dates = [f"2020-01-{d:02d}" for d in range(1, 31)]
     corr = tmp_path / "corr.npz"
     save_series(EpochCorrelationSeries(["A", "B", "C", "D"], packed, dates, dates), corr)
     out = tmp_path / "out"
     assert main([*argv, "--corr", str(corr), "--out-dir", str(out)]) == 3
-    assert "numeric failure: epoch 2 has a non-finite entry" in capsys.readouterr().err
+    assert "numeric failure: epoch 3 has a non-finite entry" in capsys.readouterr().err
     assert not (out / "map_coords.csv").exists() and not (out / "model.json").exists()
 
 
@@ -544,6 +544,19 @@ def test_a_trajectory_threshold_that_is_not_finite_is_a_bad_parameter(
     assert code == 1
     assert capsys.readouterr().err == (
         f"bad parameter: threshold must be finite, got {float(threshold)}\n")
+    assert not out.exists()
+
+
+def test_trajectory_single_window_rejects_events(workspace, market, tmp_path, capsys):
+    # one window's report has no use for a catalog: --events is refused, not ignored
+    dates = [line.split(",")[0]
+             for line in (market / "prices.csv").read_text().splitlines()[1:]]
+    out = tmp_path / "r.json"
+    code = main(["trajectory", "--panel", str(workspace["panel"]), "--center", dates[60],
+                 "--width", "45", "--events", str(market / "events.csv"), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "bad parameter: trajectory without catalog does not take --events\n")
     assert not out.exists()
 
 

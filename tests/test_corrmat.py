@@ -255,20 +255,19 @@ def test_series_holds_one_read_only_stack_its_records_view():
 
     panel = make_panel(np.random.default_rng(24).normal(size=(6, 50)))
     series = epoch_correlations(panel, EpochSpec(10, 3))
-    packed = series.packed
-    assert packed is series.packed and not packed.flags.writeable
+    packed = series.packed  # a read-only view of the one stack, new on each access
+    assert np.shares_memory(packed, series.packed) and not packed.flags.writeable
     assert packed.shape == (series.n_epochs, 6 * 7 // 2)
     stack = series.values_stack()  # a dense copy, new on each call
     assert stack.shape == (series.n_epochs, 6, 6) and stack.flags.writeable
     assert not np.shares_memory(stack, packed) and stack is not series.values_stack()
     assert stack.tobytes() == _unpack_epochs(packed, 6).tobytes()
     for e, m in enumerate(series.matrices):
-        assert np.shares_memory(m.packed, packed) and m.packed.tobytes() == packed[e].tobytes()
         assert m.values.tobytes() == stack[e].tobytes()  # unpacked on access
     series.matrices[0].values[0, 1] = 0.5  # a copy: the series is unchanged
     assert series.values_stack().tobytes() == stack.tobytes()
     with pytest.raises(ValueError, match="read-only"):
-        series.matrices[0].packed[0] = 0.5
+        series.packed[0, 0] = 0.5
 
 
 def test_series_copies_a_range_of_epochs_and_averages_members_in_epoch_order():
@@ -467,10 +466,11 @@ def test_archive_packing_rejects_an_asymmetric_epoch_by_its_index():
     stack = epoch_correlations(make_panel(np.random.default_rng(32).normal(size=(100, 39))),
                                EpochSpec(20, 1)).values_stack().copy()
     stack[16, 5, 2] = np.nextafter(stack[16, 5, 2], 2.0)  # below the diagonal only
-    with pytest.raises(NumericError, match="epoch 16 is not exactly symmetric"):
+    # the error names the epoch by its 1-based number
+    with pytest.raises(NumericError, match="^epoch 17 is not exactly symmetric$"):
         _pack_epochs(stack)
     # a series cannot hold it: the stack is packed as the series is built
-    with pytest.raises(NumericError, match="epoch 16 is not exactly symmetric"):
+    with pytest.raises(NumericError, match="^epoch 17 is not exactly symmetric$"):
         EpochCorrelationSeries([f"s{i}" for i in range(100)], stack, [""] * 20, [""] * 20)
 
 
@@ -559,9 +559,9 @@ def test_streaming_writer_keeps_the_earlier_archive_when_an_epoch_is_not_finite(
     before = path.read_bytes()
     returns = returns.copy()
     # in the epochs from index 31 on: the first is in the second chunk, which the
-    # error names by its 0-based index, as the packing does
+    # error names by its 1-based number, as the zero-variance warnings do
     returns[5, 50] = np.nan
-    with pytest.raises(NumericError, match="epoch 31 has a non-finite entry"):
+    with pytest.raises(NumericError, match="^epoch 32 has a non-finite entry$"):
         save_epoch_correlations(make_panel(returns), spec, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["corr_raw.npz"]

@@ -376,26 +376,26 @@ def test_similarity_input_validation():
     with pytest.raises(NumericError, match="at least 2 epochs"):
         similarity_matrix(random_corr_series(0, n_returns=20))
     nonfinite = np.stack([np.eye(3)] * 4)
-    nonfinite[2, 1, 1] = np.nan
-    with pytest.raises(NumericError, match="epoch 2 has a non-finite"):
+    nonfinite[2, 1, 1] = np.nan  # epoch 3: errors name epochs 1-based
+    with pytest.raises(NumericError, match="^epoch 3 has a non-finite"):
         series_of(nonfinite)
     nonfinite[2, 1, 1] = np.inf
-    with pytest.raises(NumericError, match="epoch 2 has a non-finite"):
+    with pytest.raises(NumericError, match="^epoch 3 has a non-finite"):
         series_of(nonfinite)
     # packing would silently read only the upper triangle of this stack
     asymmetric = np.stack([np.eye(3)] * 3)
     asymmetric[0, 0, 1] = 0.5
-    with pytest.raises(NumericError, match="epoch 0 is not exactly symmetric"):
+    with pytest.raises(NumericError, match="^epoch 1 is not exactly symmetric$"):
         series_of(asymmetric)
 
 
 def test_kernel_names_the_first_epoch_the_power_map_makes_non_finite():
     stack = np.stack([np.eye(3)] * 4)
-    stack[2, 1, 1] = 1e300  # finite, so the series holds it; 1e300 ** 1.5 is not
+    stack[2, 1, 1] = 1e300  # epoch 3 is finite, so the series holds it; 1e300 ** 1.5 is not
     series = series_of(stack)
     assert similarity_matrix(series).max() > 0.0
     with pytest.warns(RuntimeWarning, match="overflow"):
-        with pytest.raises(NumericError, match="epoch 2 has a non-finite entry"):
+        with pytest.raises(NumericError, match="^epoch 3 has a non-finite entry$"):
             similarity_matrix(series, epsilon=0.5)
 
 
@@ -406,10 +406,10 @@ def test_kernel_names_the_first_non_finite_packed_epoch(epsilon):
     series = series_of([np.eye(3)] * 4)
     for value in (np.nan, np.inf, -np.inf):
         packed = series.packed.copy()
-        packed[2, 1] = value
+        packed[2, 1] = value  # epoch 3
         packed[3, 4] = np.nan  # a later epoch too: the first is named
         bad = EpochCorrelationSeries(series.labels, packed, ["d"] * 4, ["d"] * 4)
-        with pytest.raises(NumericError, match="epoch 2 has a non-finite entry"):
+        with pytest.raises(NumericError, match="^epoch 3 has a non-finite entry$"):
             similarity_matrix(bad, epsilon=epsilon)
 
 
@@ -516,21 +516,21 @@ def test_kernel_is_scale_covariant(workers):
 def test_packing_names_the_lowest_bad_epoch_across_chunks():
     stack = np.tanh(symmetric_stack(18, 20, 100))  # chunks of epochs 0-5, 6-11, 12-17, 18-19
     stack[19, 3, 3] = np.nan
-    stack[14, 0, 1] += 0.5
-    with pytest.raises(NumericError, match="epoch 14 is not exactly symmetric"):
+    stack[14, 0, 1] += 0.5  # epoch 15: errors name epochs 1-based
+    with pytest.raises(NumericError, match="^epoch 15 is not exactly symmetric$"):
         series_of(stack)
     stack[15, 2, 2] = np.inf  # later in the same chunk: the earlier epoch still wins
-    with pytest.raises(NumericError, match="epoch 14 is not exactly symmetric"):
+    with pytest.raises(NumericError, match="^epoch 15 is not exactly symmetric$"):
         series_of(stack)
     stack[13, 4, 1] = np.nan  # only below the diagonal: packing would miss it
-    with pytest.raises(NumericError, match="epoch 13 is not exactly symmetric"):
+    with pytest.raises(NumericError, match="^epoch 14 is not exactly symmetric$"):
         series_of(stack)
     stack[12, 7, 9] = stack[12, 9, 7] = -np.inf
-    with pytest.raises(NumericError, match="epoch 12 has a non-finite entry"):
+    with pytest.raises(NumericError, match="^epoch 13 has a non-finite entry$"):
         series_of(stack)
     stack[7, 0, 0] = np.nan
     stack[7, 0, 1] += 0.5  # both faults in one epoch: non-finite is named
-    with pytest.raises(NumericError, match="epoch 7 has a non-finite entry"):
+    with pytest.raises(NumericError, match="^epoch 8 has a non-finite entry$"):
         series_of(stack)
 
 

@@ -221,6 +221,16 @@ def test_series_from_a_packed_archive_holds_the_packed_rows_only(tmp_path, peak_
     assert back.packed.tobytes() == series.packed.tobytes() and not back.packed.flags.writeable
 
 
+def test_resaving_a_loaded_archive_streams_it_byte_for_byte(tmp_path, peak_bytes):
+    series = corr_series(n_epochs=240, n=60)  # 3.5 MB of packed rows: seven 512 KB chunks
+    save_series(series, tmp_path / "corr_raw.npz")
+    # the rows go from one file to the other through one chunk's buffer
+    peak = peak_bytes(lambda: save_series(load_series(tmp_path / "corr_raw.npz"),
+                                          tmp_path / "again.npz"))
+    assert peak <= (512 << 10) + (256 << 10)
+    assert (tmp_path / "again.npz").read_bytes() == (tmp_path / "corr_raw.npz").read_bytes()
+
+
 def archived_copy(series, path, deflated=False):
     """``series`` written to ``path`` by save_series, or deflated as earlier versions did, and read."""
     if deflated:
@@ -232,15 +242,19 @@ def archived_copy(series, path, deflated=False):
 
 @pytest.mark.parametrize("deflated", [False, True])
 def test_an_archived_series_gives_the_bits_of_the_series_in_memory(tmp_path, deflated):
-    from marketstates.corrmat import _ArchivedSeries
+    from marketstates.corrmat import EpochCorrelationSeries
     from marketstates.geometry import similarity_matrix
+    from marketstates.serialize import StoredArray
     from marketstates.sector import sector_series
     from marketstates.states import fit_series
 
     # 150 epochs of 30 stocks: two chunks of packed rows, three of dense epochs
     series = corr_series(n_epochs=150, n=30, seed=3)
     back = archived_copy(series, tmp_path / "corr_raw.npz", deflated)
-    assert isinstance(back, _ArchivedSeries) is not deflated  # a deflated member is read whole
+    # one class: a stored member keeps no rows in memory, a deflated one is read whole
+    assert type(back) is EpochCorrelationSeries
+    assert isinstance(back._rows, StoredArray) is not deflated
+    assert isinstance(back._rows, np.ndarray) is deflated
     for epsilon in (0.0, 0.6):
         for workers in (1, 2):
             assert (similarity_matrix(back, workers, epsilon).tobytes()
@@ -262,7 +276,12 @@ def test_an_archived_series_gives_the_bits_of_the_series_in_memory(tmp_path, def
         assert (got.start_date, got.end_date) == (want.start_date, want.end_date)
     for e in (0, 139, 140, 149):
         assert back.matrices[e].values.tobytes() == series.matrices[e].values.tobytes()
-        assert not back.matrices[e].packed.flags.writeable
+    for step in (1, 64, 150):
+        got, want = list(back.values_chunks(step)), list(series.values_chunks(step))
+        assert [e0 for e0, _ in got] == [e0 for e0, _ in want] == list(range(0, 150, step))
+        assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, want, strict=True))
+    assert back._column_range.tobytes() == series._column_range.tobytes()
+    assert not back._column_range.flags.writeable
     assert back.packed.tobytes() == series.packed.tobytes() and not back.packed.flags.writeable
 
 
@@ -327,10 +346,10 @@ def test_a_non_finite_archived_entry_names_its_epoch(tmp_path, epsilon):
 
     series = corr_series(n_epochs=150, n=30)
     packed = series.packed.copy()
-    packed[141, 7] = np.nan  # in the second chunk of 140 rows
+    packed[141, 7] = np.nan  # epoch 142, in the second chunk of 140 rows
     bad = EpochCorrelationSeries(series.labels, packed, series.start_dates, series.end_dates)
     back = archived_copy(bad, tmp_path / "corr_raw.npz")
-    with pytest.raises(NumericError, match="^epoch 141 has a non-finite entry$"):
+    with pytest.raises(NumericError, match="^epoch 142 has a non-finite entry$"):
         similarity_matrix(back, 1, epsilon)
 
 

