@@ -49,6 +49,8 @@ from .trajectory import (
 
 _PREFIXES = {1: "bad parameter", 2: "data error", 3: "numeric failure"}  # by exit code
 _DEFAULTS = PipelineConfig()  # every flag that mirrors a config key defaults to its value
+_PIPELINE_WORKERS = ("threads for the distance kernel, the event windows and the file "
+                     "digests (default 1)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -203,8 +205,11 @@ def _cmd_trajectory(args) -> int:
         for name, message in failures.items():
             print(f"{name}: FAILED ({message})", file=sys.stderr)
         return 0
-    if args.events:
-        raise ValueError("trajectory without catalog does not take --events")
+    # one window needs no catalog and maps in one thread
+    ignored = [flag for flag, given in (("--events", args.events),
+                                        ("--workers", args.workers != 1)) if given]
+    if ignored:
+        raise ValueError(f"trajectory without catalog does not take {', '.join(ignored)}")
     span = [flag for flag, value in (("--start", args.start), ("--end", args.end)) if value]
     if args.center and span:
         raise ValueError("pass --center or --start and --end, not both")
@@ -348,13 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the full pipeline from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--force", action="store_true", help="rerun stages even if up to date")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_PIPELINE_WORKERS)
     p.add_argument("--out-dir", default="", help="override the config's output directory")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("demo", help="generate the bundled synthetic market and run everything")
     p.add_argument("--out-dir", default="")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_PIPELINE_WORKERS)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_demo)
 

@@ -20,7 +20,8 @@ import json
 import math
 import re
 import traceback
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
@@ -470,21 +471,55 @@ class _Run:
 
     Stages share values only through their files: each stage reads its
     declared input files itself.  ``names`` holds each configured path's
-    manifest name, from ``_portable_names``.  ``digests`` holds one sha256
-    per file: a later stage reading a file, or the freshness check, reuses
-    the digest taken when the file was written or first read.
+    manifest name, from ``_portable_names``.  ``digests`` maps a file to its
+    sha256, or to the pending digest that ``prefetch`` handed to the run's
+    thread pool: a later stage reading a file, or the freshness check, reuses
+    the digest taken when the file was written, first read or prefetched.
     """
 
     out: Path
     workers: int
     names: dict[Path, str | None] = field(default_factory=dict)
-    digests: dict[Path, str] = field(default_factory=dict)
+    digests: dict[Path, str | Future] = field(default_factory=dict)
 
     def digest(self, path: Path) -> str:
-        """sha256 of a file, hashed at most once in this run unless a stage rewrites it."""
-        if path not in self.digests:
-            self.digests[path] = sha256_file(path)
-        return self.digests[path]
+        """sha256 of a file, hashed at most once in this run unless a stage rewrites it.
+
+        A pending digest is waited for.  One that failed was speculative, so
+        it is taken again here and raises as an inline digest would.
+        """
+        value = self.digests.get(path)
+        if isinstance(value, Future):
+            try:
+                value = value.result()
+            except OSError:  # the file vanished or cannot be read
+                value = None
+        if value is None:
+            value = sha256_file(path)
+        self.digests[path] = value
+        return value
+
+    def prefetch(self, pool: ThreadPoolExecutor | None, paths: Iterable[Path]) -> None:
+        """Hand each existing file of ``paths`` that has no digest yet to ``pool``, largest first.
+
+        Without a pool (one worker) nothing is handed on: each digest is
+        then taken inline, when a stage or the manifest asks for it.
+        """
+        if pool is None:
+            return
+        sizes = {}
+        for path in paths:
+            if path not in self.digests:
+                try:
+                    sizes[path] = path.stat().st_size
+                except OSError:  # nothing to read ahead
+                    pass
+        for path in sorted(sizes, key=sizes.__getitem__, reverse=True):
+            self.digests[path] = pool.submit(sha256_file, path)
+
+    def settle(self) -> None:
+        """Wait for every pending digest, so that no file is read while a stage rewrites it."""
+        wait([value for value in self.digests.values() if isinstance(value, Future)])
 
     def name(self, path: Path) -> str:
         """The manifest name of a configured path (see ``_portable_names``) or of ``out / name``."""
@@ -611,9 +646,15 @@ _STAGES = (
 _UNCONFIGURED = {"sectors": "no sector map configured", "events": "no event catalog configured"}
 
 
-def _run_stage(stage: _Stage, cfg: PipelineConfig, run: _Run, prior: dict) -> dict:
+def _params(stage: _Stage, cfg: PipelineConfig) -> dict:
+    """A stage's manifest params: the current values of its config keys."""
+    return {key: getattr(cfg, key) for key in stage.keys}
+
+
+def _run_stage(stage: _Stage, cfg: PipelineConfig, run: _Run, prior: dict,
+               pool: ThreadPoolExecutor | None) -> dict:
     """Run one stage, or skip it when ``prior`` shows the same key and fresh outputs."""
-    params = {key: getattr(cfg, key) for key in stage.keys}
+    params = _params(stage, cfg)
     paths = {name: Path(getattr(cfg, name)) if name in cfg._PATHS else run.out / name
              for name in stage.inputs}
     for path in paths.values():
@@ -628,10 +669,12 @@ def _run_stage(stage: _Stage, cfg: PipelineConfig, run: _Run, prior: dict) -> di
     else:
         # the digest of each file the stage writes is taken just after the
         # write, and serves the later stages that read the file
+        run.settle()
         before = set(run.digests)
         written = stage.run(MappingProxyType({**params, **paths}), run)
         for path in before.intersection(written):
             del run.digests[path]  # taken before the stage rewrote the file
+        run.prefetch(pool, written)
         status, outputs = "ok", {run.name(p): run.digest(p) for p in written}
     return {"status": status, "key": key, "inputs": input_hashes, "params": params,
             "outputs": outputs}
@@ -649,6 +692,21 @@ def _outputs_fresh(entry: dict, run: _Run) -> bool:
                                  for rel, digest in outputs.items())
 
 
+def _prior_files(cfg: PipelineConfig, run: _Run, previous: dict) -> list[Path]:
+    """The files a rerun is likely to hash: the configured inputs, and each output of a
+    prior entry that ran or was skipped with the current params.
+
+    A stage's other inputs are outputs of the stages before it, so they are
+    listed with those stages' entries.
+    """
+    files = [Path(value) for value in (cfg.prices, cfg.sectors, cfg.events) if value]
+    for stage in _STAGES:
+        entry = previous.get(stage.name, {})
+        if entry.get("status") in ("ok", "skipped") and entry.get("params") == _params(stage, cfg):
+            files += [run.out / rel for rel in entry.get("outputs", {})]
+    return files
+
+
 def run_pipeline(cfg: PipelineConfig, force: bool = False,
                  workers: int = 1) -> tuple[int, dict]:
     """Run every configured stage; returns (exit code, manifest).
@@ -659,8 +717,17 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
     that cannot be written, 3 numeric, 1 any other exception, whose type
     prefixes its error and whose traceback also goes to stderr).  ``workers``
     below 1 is a ValueError.  An earlier manifest that is not an object whose
-    ``stages`` maps to objects, each with any ``outputs`` an object, is a
-    DataError, unless ``force`` ignores it.
+    ``stages`` maps to objects, each with any ``inputs``, ``params`` and
+    ``outputs`` an object, is a DataError before any file is hashed, unless
+    ``force`` ignores it.
+
+    With ``workers`` above 1 the digests are taken on that many threads of
+    one pool: a rerun hands them the configured inputs and the files that
+    ``_prior_files`` lists at once, and each stage that runs hands them its
+    outputs as one batch after it writes them.  A stage that runs first
+    waits for every pending digest; a file that it then rewrites is hashed
+    again.  With one worker every digest is taken inline, when it is needed.
+    The digests, and so the manifest, are the same at any worker count.
     """
     _check_workers(workers)
     cfg.validate()
@@ -672,28 +739,36 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
         prior = read_json(manifest_path)
         previous = prior.get("stages", {}) if isinstance(prior, dict) else None
         if not (isinstance(previous, dict) and all(
-                isinstance(entry, dict) and isinstance(entry.get("outputs", {}), dict)
+                isinstance(entry, dict) and all(isinstance(entry.get(part, {}), dict)
+                                                for part in ("inputs", "params", "outputs"))
                 for entry in previous.values())):
             raise DataError(f"{manifest_path} is not a manifest of stage objects; "
                             "rerun with --force")
     run = _Run(out, workers, names=_portable_names(cfg, out))
     manifest: dict = {"config": cfg.as_manifest_dict(run.names), "stages": {}}
     code = 0
-    for stage in _STAGES:
-        unset = [name for name in stage.inputs if name in cfg._PATHS and not getattr(cfg, name)]
-        if code:
-            entry = {"status": "halted", "reason": "an upstream stage failed"}
-        elif unset:
-            entry = {"status": "not configured", "reason": _UNCONFIGURED[unset[0]]}
-        else:
-            try:
-                entry = _run_stage(stage, cfg, run, previous.get(stage.name, {}))
-            except Exception as exc:  # noqa: BLE001 - any failure still ends in a manifest
-                code = exit_code(exc)
-                if code == 1:
-                    traceback.print_exc()
-                error = str(exc) if code > 1 else f"{type(exc).__name__}: {exc}"
-                entry = {"status": "failed", "error": error}
-        manifest["stages"][stage.name] = entry
+    pool = ThreadPoolExecutor(workers) if workers > 1 else None
+    try:
+        run.prefetch(pool, _prior_files(cfg, run, previous) if previous else [])
+        for stage in _STAGES:
+            unset = [name for name in stage.inputs
+                     if name in cfg._PATHS and not getattr(cfg, name)]
+            if code:
+                entry = {"status": "halted", "reason": "an upstream stage failed"}
+            elif unset:
+                entry = {"status": "not configured", "reason": _UNCONFIGURED[unset[0]]}
+            else:
+                try:
+                    entry = _run_stage(stage, cfg, run, previous.get(stage.name, {}), pool)
+                except Exception as exc:  # noqa: BLE001 - any failure still ends in a manifest
+                    code = exit_code(exc)
+                    if code == 1:
+                        traceback.print_exc()
+                    error = str(exc) if code > 1 else f"{type(exc).__name__}: {exc}"
+                    entry = {"status": "failed", "error": error}
+            manifest["stages"][stage.name] = entry
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)  # drops the digests no stage asked for
     write_json(manifest_path, manifest)
     return code, manifest

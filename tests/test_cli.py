@@ -560,6 +560,19 @@ def test_trajectory_single_window_rejects_events(workspace, market, tmp_path, ca
     assert not out.exists()
 
 
+def test_trajectory_single_window_rejects_workers(workspace, market, tmp_path, capsys):
+    # one window maps in one thread: a worker count other than 1 is refused, not ignored
+    dates = [line.split(",")[0]
+             for line in (market / "prices.csv").read_text().splitlines()[1:]]
+    out = tmp_path / "r.json"
+    code = main(["trajectory", "--panel", str(workspace["panel"]), "--center", dates[60],
+                 "--width", "45", "--workers", "2", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "bad parameter: trajectory without catalog does not take --workers\n")
+    assert not out.exists()
+
+
 def test_trajectory_catalog_needs_events(workspace, tmp_path, capsys):
     code = main(["trajectory", "catalog", "--panel", str(workspace["panel"]),
                  "--out", str(tmp_path / "r.json")])

@@ -700,14 +700,89 @@ def test_each_file_is_hashed_once_per_run(market, tmp_path, monkeypatch):
         return sha256_file(path)
 
     monkeypatch.setattr(pipeline, "sha256_file", counting_sha256)
-    cfg = market_config(market, tmp_path / "out")
-    for label in ("cold run", "rerun"):
-        calls.clear()
-        code, _ = run_pipeline(cfg)
+    for workers in (1, 2):
+        cfg = market_config(market, tmp_path / f"out-{workers}")
+        for label in ("cold run", "rerun"):
+            calls.clear()
+            code, _ = run_pipeline(cfg, workers=workers)
+            assert code == 0
+            repeated = {str(p): n for p, n in Counter(calls).items() if n > 1}
+            assert not repeated, (f"{label} on {workers} workers hashed these files "
+                                  f"more than once: {repeated}")
+            assert tmp_path.joinpath(f"out-{workers}", "corr_raw.npz").resolve() in calls
+
+
+def test_trees_and_rerun_manifests_are_the_same_at_one_and_two_workers(market, tmp_path,
+                                                                      tree_diff):
+    outs = {workers: tmp_path / f"out-{workers}" for workers in (1, 2)}
+    cfgs = {workers: market_config(market, out) for workers, out in outs.items()}
+    for workers, cfg in cfgs.items():
+        assert run_pipeline(cfg, workers=workers)[0] == 0
+    # the manifests name their files relative to the output dir, so they compare too
+    assert tree_diff(outs[1], outs[2]) == []
+    for workers, cfg in cfgs.items():
+        code, manifest = run_pipeline(cfg, workers=workers)
         assert code == 0
-        repeated = {str(p): n for p, n in Counter(calls).items() if n > 1}
-        assert not repeated, f"{label} hashed these files more than once: {repeated}"
-        assert tmp_path.joinpath("out", "corr_raw.npz").resolve() in calls
+        assert all(entry["status"] == "skipped" for entry in manifest["stages"].values())
+    assert (outs[1] / "manifest.json").read_bytes() == (outs[2] / "manifest.json").read_bytes()
+
+
+def test_a_rerun_on_two_workers_records_the_digests_of_the_files_it_rewrote(market, tmp_path):
+    out = tmp_path / "out"
+    cfg = replace(market_config(market, out), k=0, epsilon=-1.0)  # fit the grid optimum
+    assert run_pipeline(cfg, workers=2)[0] == 0
+    sector_model = (out / "sector_model.json").read_bytes()
+    # the grid optimum moves, and the sectors stage refits at it: its outputs were
+    # read ahead, and then rewritten with other bytes
+    code, manifest = run_pipeline(replace(cfg, k_range=[3]), workers=2)
+    assert code == 0
+    statuses = {name: entry["status"] for name, entry in manifest["stages"].items()}
+    assert {name for name, status in statuses.items() if status == "ok"} == {"states", "sectors"}
+    assert (out / "sector_model.json").read_bytes() != sector_model
+    for entry in manifest["stages"].values():
+        # an input outside the output dir is named by its absolute path
+        for rel, digest in (entry["inputs"] | entry["outputs"]).items():
+            assert digest == sha256_file(out / rel), rel
+
+
+def test_a_read_ahead_digest_that_fails_is_taken_again_where_it_is_needed(market, tmp_path,
+                                                                          monkeypatch):
+    import marketstates.pipeline as pipeline
+
+    out = tmp_path / "out"
+    cfg = market_config(market, out)
+    for _ in ("cold run", "rerun"):
+        assert run_pipeline(cfg, workers=2)[0] == 0
+    expected = (out / "manifest.json").read_bytes()
+    calls = []
+
+    def fails_once_on_the_rmt_report(path):
+        calls.append(Path(path).name)
+        if calls.count("rmt_report.json") == 1 and Path(path).name == "rmt_report.json":
+            raise PermissionError(f"cannot read {path}")
+        return sha256_file(path)
+
+    monkeypatch.setattr(pipeline, "sha256_file", fails_once_on_the_rmt_report)
+    code, manifest = run_pipeline(cfg, workers=2)
+    assert code == 0
+    assert all(entry["status"] == "skipped" for entry in manifest["stages"].values())
+    assert calls.count("rmt_report.json") == 2
+    assert (out / "manifest.json").read_bytes() == expected
+
+
+def test_a_rerun_on_two_workers_restores_an_output_changed_on_disk(market, tmp_path):
+    out = tmp_path / "out"
+    cfg = market_config(market, out)
+    assert run_pipeline(cfg, workers=2)[0] == 0
+    surface = (out / "surface.csv").read_bytes()
+    with (out / "surface.csv").open("ab") as fh:
+        fh.write(b"\n")
+    code, manifest = run_pipeline(cfg, workers=2)
+    assert code == 0
+    statuses = {name: entry["status"] for name, entry in manifest["stages"].items()}
+    assert {name for name, status in statuses.items() if status != "skipped"} == {"states"}
+    assert (out / "surface.csv").read_bytes() == surface
+    assert manifest["stages"]["states"]["outputs"]["surface.csv"] == sha256_file(out / "surface.csv")
 
 
 def count_calls(monkeypatch, name):
@@ -1011,15 +1086,16 @@ def test_sector_map_missing_a_kept_ticker_fails_the_sectors_stage(tmp_path):
 
 
 def test_deleted_output_triggers_rerun(market, tmp_path):
-    out = tmp_path / "out"
-    cfg = market_config(market, out)
-    run_pipeline(cfg)
-    (out / "rmt_report.json").unlink()
-    code, manifest = run_pipeline(cfg)
-    assert code == 0
-    assert manifest["stages"]["rmt"]["status"] == "ok"
-    assert manifest["stages"]["corr"]["status"] == "skipped"
-    assert (out / "rmt_report.json").exists()
+    for workers in (1, 2):
+        out = tmp_path / f"out-{workers}"
+        cfg = market_config(market, out)
+        run_pipeline(cfg, workers=workers)
+        (out / "rmt_report.json").unlink()
+        code, manifest = run_pipeline(cfg, workers=workers)
+        assert code == 0
+        assert manifest["stages"]["rmt"]["status"] == "ok"
+        assert manifest["stages"]["corr"]["status"] == "skipped"
+        assert (out / "rmt_report.json").exists()
 
 
 def test_refit_with_fewer_states_leaves_the_tree_of_a_fresh_run(tmp_path, tree_diff):
@@ -1042,17 +1118,27 @@ def test_refit_with_fewer_states_leaves_the_tree_of_a_fresh_run(tmp_path, tree_d
 
 
 @pytest.mark.parametrize("text", ["[]", '{"stages": []}', '{"stages": {"ingest": 3}}',
-                                  '{"stages": {"ingest": {"outputs": ["panel.npz"]}}}'],
-                         ids=["list", "stages_list", "entry_number", "outputs_list"])
+                                  '{"stages": {"ingest": {"outputs": ["panel.npz"]}}}',
+                                  '{"stages": {"ingest": {"inputs": ["prices.csv"]}}}',
+                                  '{"stages": {"ingest": {"status": "ok", "params": 3}}}'],
+                         ids=["list", "stages_list", "entry_number", "outputs_list",
+                              "inputs_list", "params_number"])
 def test_a_manifest_that_is_not_an_object_of_stage_objects_asks_for_force(market, tmp_path,
-                                                                          text):
+                                                                          monkeypatch, text):
+    import marketstates.pipeline as pipeline
+
+    hashed = []
+    monkeypatch.setattr(pipeline, "sha256_file", lambda path: hashed.append(path) or "")
     out = tmp_path / "out"
     out.mkdir()
     (out / "manifest.json").write_text(text)
     cfg = market_config(market, out)
-    with pytest.raises(DataError, match=r"manifest\.json is not a manifest of stage objects; "
-                                        "rerun with --force"):
-        run_pipeline(cfg)
+    for workers in (1, 2):
+        with pytest.raises(DataError, match=r"manifest\.json is not a manifest of stage objects; "
+                                            "rerun with --force"):
+            run_pipeline(cfg, workers=workers)
+    assert hashed == []
+    monkeypatch.undo()
     assert [p.name for p in out.iterdir()] == ["manifest.json"]
     assert run_pipeline(cfg, force=True)[0] == 0
 
