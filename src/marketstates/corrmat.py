@@ -110,11 +110,6 @@ class EpochCorrelationSeries:
         self._rows = epochs  # the layout is below
 
     @property
-    def packed(self) -> np.ndarray:
-        """The read-only (epochs, N(N+1)/2) packed rows, read whole from a file that holds them."""
-        return self._read(0, None)
-
-    @property
     def n_epochs(self) -> int:
         return len(self.start_dates)
 

@@ -21,7 +21,8 @@ import math
 import re
 import traceback
 from collections.abc import Callable, Iterable, Mapping
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
@@ -472,60 +473,54 @@ class _Run:
     Stages share values only through their files: each stage reads its
     declared input files itself.  ``names`` holds each configured path's
     manifest name, from ``_portable_names``.  ``digests`` maps a file to its
-    sha256, or to the pending digest that ``prefetch`` handed to the run's
-    thread pool: a later stage reading a file, or the freshness check, reuses
-    the digest taken when the file was written, first read or prefetched.
+    sha256 hex string: a later stage reading a file, or the freshness check,
+    reuses the digest taken when the file was written, first read or read
+    ahead by ``prefetch``.
     """
 
     out: Path
     workers: int
     names: dict[Path, str | None] = field(default_factory=dict)
-    digests: dict[Path, str | Future] = field(default_factory=dict)
+    digests: dict[Path, str] = field(default_factory=dict)
 
     def digest(self, path: Path) -> str:
-        """sha256 of a file, hashed at most once in this run unless a stage rewrites it.
-
-        A pending digest is waited for.  One that failed was speculative, so
-        it is taken again here and raises as an inline digest would.
-        """
-        value = self.digests.get(path)
-        if isinstance(value, Future):
-            try:
-                value = value.result()
-            except OSError:  # the file vanished or cannot be read
-                value = None
-        if value is None:
-            value = sha256_file(path)
-        self.digests[path] = value
-        return value
+        """A file's sha256 hex string, hashed at most once per run unless a stage rewrites it."""
+        if path not in self.digests:
+            self.digests[path] = sha256_file(path)
+        return self.digests[path]
 
     def prefetch(self, pool: ThreadPoolExecutor | None, paths: Iterable[Path]) -> None:
-        """Hand each existing file of ``paths`` that has no digest yet to ``pool``, largest first.
+        """Hash each existing file of ``paths`` that has no digest yet on ``pool``, largest first.
 
-        Without a pool (one worker) nothing is handed on: each digest is
-        then taken inline, when a stage or the manifest asks for it.
+        Returns once every digest is taken.  A file that cannot be stat'ed or
+        read gets none: the stage or check that needs it hashes it inline
+        and raises there.  Without a pool (one worker) nothing is done.
         """
         if pool is None:
             return
         sizes = {}
         for path in paths:
             if path not in self.digests:
-                try:
+                with suppress(OSError):  # a file that cannot be stat'ed is not read ahead
                     sizes[path] = path.stat().st_size
-                except OSError:  # nothing to read ahead
-                    pass
-        for path in sorted(sizes, key=sizes.__getitem__, reverse=True):
-            self.digests[path] = pool.submit(sha256_file, path)
-
-    def settle(self) -> None:
-        """Wait for every pending digest, so that no file is read while a stage rewrites it."""
-        wait([value for value in self.digests.values() if isinstance(value, Future)])
+        order = sorted(sizes, key=sizes.__getitem__, reverse=True)
+        for path, value in zip(order, pool.map(_sha256_or_none, order)):
+            if value is not None:
+                self.digests[path] = value
 
     def name(self, path: Path) -> str:
         """The manifest name of a configured path (see ``_portable_names``) or of ``out / name``."""
         if path in self.names:
             return self.names[path] or str(path)
         return path.relative_to(self.out).as_posix()
+
+
+def _sha256_or_none(path: Path) -> str | None:
+    """sha256 of a file, or None when it cannot be read."""
+    try:
+        return sha256_file(path)
+    except OSError:
+        return None
 
 
 def _stage_ingest(c: Mapping, run: _Run) -> list[Path]:
@@ -669,11 +664,9 @@ def _run_stage(stage: _Stage, cfg: PipelineConfig, run: _Run, prior: dict,
     else:
         # the digest of each file the stage writes is taken just after the
         # write, and serves the later stages that read the file
-        run.settle()
-        before = set(run.digests)
         written = stage.run(MappingProxyType({**params, **paths}), run)
-        for path in before.intersection(written):
-            del run.digests[path]  # taken before the stage rewrote the file
+        for path in written:
+            run.digests.pop(path, None)  # taken before the stage rewrote the file
         run.prefetch(pool, written)
         status, outputs = "ok", {run.name(p): run.digest(p) for p in written}
     return {"status": status, "key": key, "inputs": input_hashes, "params": params,
@@ -721,13 +714,13 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
     ``outputs`` an object, is a DataError before any file is hashed, unless
     ``force`` ignores it.
 
-    With ``workers`` above 1 the digests are taken on that many threads of
-    one pool: a rerun hands them the configured inputs and the files that
-    ``_prior_files`` lists at once, and each stage that runs hands them its
-    outputs as one batch after it writes them.  A stage that runs first
-    waits for every pending digest; a file that it then rewrites is hashed
-    again.  With one worker every digest is taken inline, when it is needed.
-    The digests, and so the manifest, are the same at any worker count.
+    With ``workers`` above 1 the digests are taken in batches on that many
+    threads of one pool: before its first stage a rerun hashes the
+    configured inputs and the files that ``_prior_files`` lists, and each
+    stage that runs hashes its outputs right after it writes them.  The run
+    waits for each batch, so every digest it keeps is a string.  With one
+    worker every digest is taken inline, when it is needed.  The digests,
+    and so the manifest, are the same at any worker count.
     """
     _check_workers(workers)
     cfg.validate()
@@ -747,8 +740,7 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
     run = _Run(out, workers, names=_portable_names(cfg, out))
     manifest: dict = {"config": cfg.as_manifest_dict(run.names), "stages": {}}
     code = 0
-    pool = ThreadPoolExecutor(workers) if workers > 1 else None
-    try:
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         run.prefetch(pool, _prior_files(cfg, run, previous) if previous else [])
         for stage in _STAGES:
             unset = [name for name in stage.inputs
@@ -767,8 +759,5 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
                     error = str(exc) if code > 1 else f"{type(exc).__name__}: {exc}"
                     entry = {"status": "failed", "error": error}
             manifest["stages"][stage.name] = entry
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)  # drops the digests no stage asked for
     write_json(manifest_path, manifest)
     return code, manifest

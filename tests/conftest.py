@@ -1,10 +1,11 @@
-"""Shared test plumbing: the acceptance-criteria summary section, a memory probe, a tree comparator.
+"""Shared test plumbing: the acceptance ledger, a memory probe, a tree comparator, a row reader.
 
 Tests that verify a numbered shipping criterion record exactly one line via
 the ``acceptance`` fixture; the lines are printed together at the end of the
 run so every ``pytest`` invocation shows a compact pass/fail ledger.  The
 ``peak_bytes`` fixture measures the working set of one call, and
-``tree_diff`` compares two output trees file by file.
+``tree_diff`` compares two output trees file by file.  ``packed_rows``
+reads a series' packed rows whole, for the tests that compare or inspect them.
 """
 
 import tracemalloc
@@ -13,6 +14,12 @@ from pathlib import Path
 import pytest
 
 _RESULTS: list[tuple[int, str, str, str]] = []
+
+
+def packed_rows(series):
+    """The read-only (epochs, N(N+1)/2) packed rows of a series: a view of rows in memory, or
+    a new array read whole from the file that holds them."""
+    return series._read(0, None)
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import packed_rows
 from marketstates.corrmat import (
     EpochSpec,
     epoch_bounds,
@@ -255,8 +256,8 @@ def test_series_holds_one_read_only_stack_its_records_view():
 
     panel = make_panel(np.random.default_rng(24).normal(size=(6, 50)))
     series = epoch_correlations(panel, EpochSpec(10, 3))
-    packed = series.packed  # a read-only view of the one stack, new on each access
-    assert np.shares_memory(packed, series.packed) and not packed.flags.writeable
+    packed = packed_rows(series)  # a read-only view of the one stack, new on each read
+    assert np.shares_memory(packed, packed_rows(series)) and not packed.flags.writeable
     assert packed.shape == (series.n_epochs, 6 * 7 // 2)
     stack = series.values_stack()  # a dense copy, new on each call
     assert stack.shape == (series.n_epochs, 6, 6) and stack.flags.writeable
@@ -267,7 +268,7 @@ def test_series_holds_one_read_only_stack_its_records_view():
     series.matrices[0].values[0, 1] = 0.5  # a copy: the series is unchanged
     assert series.values_stack().tobytes() == stack.tobytes()
     with pytest.raises(ValueError, match="read-only"):
-        series.packed[0, 0] = 0.5
+        packed_rows(series)[0, 0] = 0.5
 
 
 def test_series_copies_a_range_of_epochs_and_averages_members_in_epoch_order():
@@ -295,13 +296,13 @@ def test_series_holds_its_stack_itself_and_leaves_it_writeable():
     series = EpochCorrelationSeries(("a", "b"), stack, ["d0", "d1"], ["e0", "e1"])
     assert series.labels == ["a", "b"] and (series.n_epochs, series.n_labels) == (2, 2)
     # a dense stack is packed: triangle, then diagonal
-    assert series.packed.tolist() == [[0.0, 1.0, 1.0], [0.5, 0.5, 0.5]]
+    assert packed_rows(series).tolist() == [[0.0, 1.0, 1.0], [0.5, 0.5, 0.5]]
     assert series.values_stack().tobytes() == stack.tobytes()
     assert [(m.start_date, m.end_date) for m in series.matrices] == [("d0", "e0"), ("d1", "e1")]
     # packed rows are held as they are, and the caller's array stays writeable
     rows = series.values_stack()[:, [0, 0, 1], [1, 0, 1]]
     again = EpochCorrelationSeries(("a", "b"), rows, ["d0", "d1"], ["e0", "e1"])
-    assert np.shares_memory(again.packed, rows) and rows.flags.writeable
+    assert np.shares_memory(packed_rows(again), rows) and rows.flags.writeable
     assert again.values_stack().tobytes() == stack.tobytes()
 
 
@@ -314,7 +315,7 @@ def test_series_and_its_rows_are_freed_with_the_last_reference():
     gc.disable()  # only reference counting frees what a cycle does not hold
     try:
         series = epoch_correlations(panel)
-        rows = series.packed.base if series.packed.base is not None else series.packed
+        rows = packed_rows(series).base  # rows in memory are read as a view of them
         refs = [weakref.ref(series), weakref.ref(rows), weakref.ref(series.matrices[0])]
         matrix = series.matrices[0].values  # an unpacked copy holds nothing of the series
         del series, rows
@@ -456,7 +457,7 @@ def test_packed_layout_round_trips_bit_for_bit(case):
     # a series packs the stack it is given the same way
     series = EpochCorrelationSeries([f"s{i}" for i in range(N)], stack, [""] * n_epochs,
                                     [""] * n_epochs)
-    assert series.packed.tobytes() == packed.tobytes()
+    assert packed_rows(series).tobytes() == packed.tobytes()
     assert _unpack_epochs(packed, N).tobytes() == stack.tobytes()
 
 
@@ -547,7 +548,8 @@ def test_streamed_archive_takes_the_zip64_branch_with_the_same_bytes(tmp_path, m
         extras[name] = raw[offset + 30 + name_len:offset + 30 + name_len + extra_len]
     assert extras.pop("packed.npy")[:2] == b"\x01\x00"  # the zip64 extra field's tag
     assert set(extras.values()) == {b""}
-    assert load_series(tmp_path / "streamed.npz").packed.tobytes() == series.packed.tobytes()
+    back = load_series(tmp_path / "streamed.npz")
+    assert packed_rows(back).tobytes() == packed_rows(series).tobytes()
 
 
 def test_streaming_writer_keeps_the_earlier_archive_when_an_epoch_is_not_finite(tmp_path):

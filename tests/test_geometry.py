@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import packed_rows
 from marketstates.corrmat import (
     QMAX_FLOOR,
     EpochCorrelationSeries,
@@ -45,7 +46,7 @@ def random_corr_series(seed, n_stocks=6, n_returns=60):
 
 def kernel_rows(series, epsilon=0.0):
     """The kernel's int16 rows of ``series`` at ``epsilon``, and their scale."""
-    rows = np.empty(series.packed.shape, dtype=np.int16)
+    rows = np.empty(packed_rows(series).shape, dtype=np.int16)
     return rows, _kernel_copy(series, rows, epsilon)
 
 
@@ -56,7 +57,7 @@ def kernel_bound(series, epsilon=0.0):
     a unit, and a distance is its integer sum divided by scale N^2.
     """
     N = series.n_labels
-    return series.packed.shape[1] / (kernel_rows(series, epsilon)[1] * N * N)
+    return packed_rows(series).shape[1] / (kernel_rows(series, epsilon)[1] * N * N)
 
 
 def test_similarity_identical_matrices_is_zero():
@@ -327,8 +328,8 @@ def test_similarity_of_a_series_holds_one_packed_copy(peak_bytes, n_stocks, n_re
     # buffer; one float64 chunk of at most 512 KB of the rows that the copy is
     # rounded from, and at epsilon > 0 also that chunk's power-map temporary;
     # no second copy of either
-    chunk = min(series.packed.nbytes, 512 << 10)
-    bound = (series.packed.nbytes // 4 + n * n * 8 + workers * (640 << 10) + chunk
+    chunk = min(packed_rows(series).nbytes, 512 << 10)
+    bound = (packed_rows(series).nbytes // 4 + n * n * 8 + workers * (640 << 10) + chunk
              + (eps > 0) * chunk)
     assert peak_bytes(lambda: similarity_matrix(series, workers, eps)) <= bound
 
@@ -336,7 +337,7 @@ def test_similarity_of_a_series_holds_one_packed_copy(peak_bytes, n_stocks, n_re
 def test_embedding_at_positive_epsilon_holds_no_mapped_stack(peak_bytes):
     # the kernel maps each epoch as it copies it: its one packed copy, no second
     series = series_of(symmetric_stack(15, 30, 150))
-    assert peak_bytes(lambda: embed_epochs(series, 0.3, 3)) < 1.5 * series.packed.nbytes
+    assert peak_bytes(lambda: embed_epochs(series, 0.3, 3)) < 1.5 * packed_rows(series).nbytes
 
 
 def test_double_centering_works_in_one_square_array(peak_bytes):
@@ -405,7 +406,7 @@ def test_kernel_names_the_first_non_finite_packed_epoch(epsilon):
     # packed rows enter a series as they are, so only the kernel can refuse them
     series = series_of([np.eye(3)] * 4)
     for value in (np.nan, np.inf, -np.inf):
-        packed = series.packed.copy()
+        packed = packed_rows(series).copy()
         packed[2, 1] = value  # epoch 3
         packed[3, 4] = np.nan  # a later epoch too: the first is named
         bad = EpochCorrelationSeries(series.labels, packed, ["d"] * 4, ["d"] * 4)
@@ -469,7 +470,7 @@ def test_widest_rows_keep_exact_int32_sums():
     N = 600
     series = series_of(pm_one_stack(N))
     rows, scale = kernel_rows(series)
-    assert np.abs(rows).max() == (2**31 - 1) // series.packed.shape[1]
+    assert np.abs(rows).max() == (2**31 - 1) // packed_rows(series).shape[1]
     rows = rows.astype(np.int64)
     assert np.maximum(rows[0], rows[1]).sum() > 0.98 * 2**31
     direct = np.stack([np.abs(rows - row).sum(axis=1) for row in rows])

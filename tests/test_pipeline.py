@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import packed_rows
 from marketstates.corrmat import EpochSpec, load_series, save_series
 from marketstates.errors import DataError
 from marketstates.pipeline import (
@@ -218,7 +219,8 @@ def test_series_from_a_packed_archive_holds_the_packed_rows_only(tmp_path, peak_
     peak = peak_bytes(lambda: load_series(tmp_path / "corr_raw.npz"))
     assert peak <= packed_bytes + (1 << 20)
     back = load_series(tmp_path / "corr_raw.npz")
-    assert back.packed.tobytes() == series.packed.tobytes() and not back.packed.flags.writeable
+    rows = packed_rows(back)
+    assert rows.tobytes() == packed_rows(series).tobytes() and not rows.flags.writeable
 
 
 def test_resaving_a_loaded_archive_streams_it_byte_for_byte(tmp_path, peak_bytes):
@@ -268,7 +270,7 @@ def test_an_archived_series_gives_the_bits_of_the_series_in_memory(tmp_path, def
     assert got.epoch_dates == want.epoch_dates
     sector_of = {t: f"s{i % 4}" for i, t in enumerate(series.labels)}
     got, want = sector_series(back, sector_of), sector_series(series, sector_of)
-    assert got.packed.tobytes() == want.packed.tobytes()
+    assert packed_rows(got).tobytes() == packed_rows(want).tobytes()
     assert (got.start_dates, got.end_dates) == (want.start_dates, want.end_dates)
     assert back.values_stack().tobytes() == series.values_stack().tobytes()
     assert back.values_stack(138, 143).tobytes() == series.values_stack(138, 143).tobytes()
@@ -282,7 +284,8 @@ def test_an_archived_series_gives_the_bits_of_the_series_in_memory(tmp_path, def
         assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, want, strict=True))
     assert back._column_range.tobytes() == series._column_range.tobytes()
     assert not back._column_range.flags.writeable
-    assert back.packed.tobytes() == series.packed.tobytes() and not back.packed.flags.writeable
+    rows = packed_rows(back)
+    assert rows.tobytes() == packed_rows(series).tobytes() and not rows.flags.writeable
 
 
 def npy_bytes(array):
@@ -308,15 +311,15 @@ def test_a_bad_packed_member_is_a_data_error_before_the_kernel(tmp_path, monkeyp
     members = {"labels": npy_bytes(np.array(series.labels)),
                "start_dates": npy_bytes(np.array(series.start_dates)),
                "end_dates": npy_bytes(np.array(series.end_dates)),
-               "packed": npy_bytes(series.packed)}
+               "packed": npy_bytes(packed_rows(series))}
     if flaw == "truncated":
         members["packed"] = members["packed"][:-8]
     elif flaw == "float32":
-        members["packed"] = npy_bytes(series.packed.astype("<f4"))
+        members["packed"] = npy_bytes(packed_rows(series).astype("<f4"))
     elif flaw == "big-endian":
-        members["packed"] = npy_bytes(series.packed.astype(">f8"))
+        members["packed"] = npy_bytes(packed_rows(series).astype(">f8"))
     elif flaw == "fortran":
-        members["packed"] = npy_bytes(np.asfortranarray(series.packed))
+        members["packed"] = npy_bytes(np.asfortranarray(packed_rows(series)))
     else:
         for name in ("start_dates", "end_dates"):
             members[name] = npy_bytes(np.array(getattr(series, name)[:-1]))
@@ -345,7 +348,7 @@ def test_a_non_finite_archived_entry_names_its_epoch(tmp_path, epsilon):
     from marketstates.geometry import similarity_matrix
 
     series = corr_series(n_epochs=150, n=30)
-    packed = series.packed.copy()
+    packed = packed_rows(series).copy()
     packed[141, 7] = np.nan  # epoch 142, in the second chunk of 140 rows
     bad = EpochCorrelationSeries(series.labels, packed, series.start_dates, series.end_dates)
     back = archived_copy(bad, tmp_path / "corr_raw.npz")
@@ -785,6 +788,34 @@ def test_a_rerun_on_two_workers_restores_an_output_changed_on_disk(market, tmp_p
     assert manifest["stages"]["states"]["outputs"]["surface.csv"] == sha256_file(out / "surface.csv")
 
 
+def test_the_read_ahead_batch_keeps_only_the_digests_it_could_take(tmp_path, monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    import marketstates.pipeline as pipeline
+    from marketstates.pipeline import _Run
+
+    files = {name: tmp_path / name for name in ("small.bin", "large.bin", "locked.bin")}
+    for size, path in enumerate(files.values(), start=1):
+        path.write_bytes(bytes(range(256)) * 100 * size)
+    paths = [files["small.bin"], files["large.bin"], tmp_path / "missing.bin", files["locked.bin"]]
+
+    def refuses_the_locked_file(path):
+        if Path(path).name == "locked.bin":
+            raise PermissionError(f"cannot read {path}")
+        return sha256_file(path)
+
+    monkeypatch.setattr(pipeline, "sha256_file", refuses_the_locked_file)
+    run = _Run(tmp_path, workers=2)
+    run.prefetch(None, paths)  # one worker: nothing is read ahead
+    assert run.digests == {}
+    with ThreadPoolExecutor(2) as pool:
+        run.prefetch(pool, paths)
+        # every digest is taken by the time the call returns, the pool still open
+        assert run.digests == {path: sha256_file(path)
+                               for path in (files["small.bin"], files["large.bin"])}
+        assert all(isinstance(value, str) for value in run.digests.values())
+
+
 def count_calls(monkeypatch, name):
     """Count the calls of an ingest function, wherever the pipeline reaches it from."""
     import marketstates.ingest as ingest
@@ -1085,17 +1116,23 @@ def test_sector_map_missing_a_kept_ticker_fails_the_sectors_stage(tmp_path):
     assert manifest["stages"]["sectors"]["error"] == "1 stock(s) with no sector assignment: S03"
 
 
-def test_deleted_output_triggers_rerun(market, tmp_path):
+def test_deleted_output_triggers_rerun(market, tmp_path, tree_diff):
+    import shutil
+
     for workers in (1, 2):
         out = tmp_path / f"out-{workers}"
         cfg = market_config(market, out)
-        run_pipeline(cfg, workers=workers)
-        (out / "rmt_report.json").unlink()
-        code, manifest = run_pipeline(cfg, workers=workers)
-        assert code == 0
-        assert manifest["stages"]["rmt"]["status"] == "ok"
-        assert manifest["stages"]["corr"]["status"] == "skipped"
-        assert (out / "rmt_report.json").exists()
+        assert run_pipeline(cfg, workers=workers)[0] == 0
+        shutil.copytree(out, tmp_path / f"cold-{workers}")
+        # a rerun on 2 workers reads the prior outputs ahead, the deleted one among them
+        for deleted, stage in (("rmt_report.json", "rmt"), ("map_meta.json", "states")):
+            (out / deleted).unlink()
+            code, manifest = run_pipeline(cfg, workers=workers)
+            assert code == 0
+            statuses = {name: entry["status"] for name, entry in manifest["stages"].items()}
+            assert {name for name, status in statuses.items() if status != "skipped"} == {stage}
+            assert statuses[stage] == "ok"
+            assert tree_diff(out, tmp_path / f"cold-{workers}", skip=("manifest.json",)) == []
 
 
 def test_refit_with_fewer_states_leaves_the_tree_of_a_fresh_run(tmp_path, tree_diff):

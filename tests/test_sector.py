@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import packed_rows
 from marketstates import sector
 from marketstates.corrmat import (
     EpochCorrelationSeries,
@@ -184,8 +185,9 @@ def test_sector_series_matches_per_epoch_averages():
         assert got.start_date == src.start_date
         assert got.end_date == src.end_date
     # the averages live in one read-only packed (epochs, sectors (sectors + 1) / 2) array
-    assert series.packed.shape == (raw.n_epochs, 3) and not series.packed.flags.writeable
-    assert np.shares_memory(series.packed, series.packed)  # in memory: each access views it
+    rows = packed_rows(series)
+    assert rows.shape == (raw.n_epochs, 3) and not rows.flags.writeable
+    assert np.shares_memory(rows, packed_rows(series))  # in memory: each read views it
     stack = series.values_stack()
     membership = sector._sector_layout(raw.labels, mapping)[1]
     want = np.stack([block_average(m.values, membership, False) for m in raw.matrices])
