@@ -318,12 +318,12 @@ def load_series(path: str | Path) -> EpochCorrelationSeries:
     """The series ``save_series`` wrote to ``path``, reading the labels and dates only.
 
     A stored ``packed`` member, as ``save_series`` writes it, stays in the
-    file: the series reads its rows on each pass over them.  A
-    deflated one, from earlier versions, is read whole.  Raises DataError
-    naming the file and the first member it lacks, as an archive of earlier
-    versions lacks ``packed``, and one for packed rows that are not <f8 in C
-    order, that do not match the labels or dates, or whose stored member
-    does not hold the bytes its header announces.
+    file: the series reads its rows on each pass over them.  A deflated one,
+    as other tools such as ``np.savez_compressed`` write it, is read whole.
+    Raises DataError naming the file and the first member it lacks, as an
+    archive of earlier versions lacks ``packed``, and one for packed rows
+    that are not <f8 in C order, that do not match the labels or dates, or
+    whose stored member does not hold the bytes its header announces.
     """
     path = Path(path)
     arrays = load_arrays(path, in_place=("packed",))

@@ -65,7 +65,15 @@ from .serialize import (
     write_csv,
     write_json,
 )
-from .states import K_MIN, MAP_DIM, _check_fit, fit_series, optimize_over_grid, select_optimum
+from .states import (
+    K_MIN,
+    MAP_DIM,
+    _check_distinct,
+    _check_fit,
+    fit_series,
+    optimize_over_grid,
+    select_optimum,
+)
 from .trajectory import (
     DEFAULT_THRESHOLD,
     DEFAULT_WIDTH_DAYS,
@@ -208,6 +216,7 @@ class PipelineConfig:
         for key in ("k_range", "epsilon_grid"):
             if not getattr(self, key):
                 raise DataError(f"config {key}: must be non-empty")
+            _check_key(key, _check_distinct, key, getattr(self, key))
         if max(self.k_range) < self.k_min:
             raise DataError(f"config k_min: {self.k_min} exceeds every k in k_range {self.k_range}")
         for key, value in (("mds_dim", self.mds_dim), ("k_range", min(self.k_range)),

@@ -30,14 +30,10 @@ class ClusteringRun:
     labels: np.ndarray
     centroids: np.ndarray
     d_intra: float
-    objective_trace: list[float]
+    objective: float
     n_iterations: int
     converged: bool
     n_repairs: int = 0
-
-    @property
-    def objective(self) -> float:
-        return self.objective_trace[-1]
 
 
 @dataclass(frozen=True)
@@ -78,9 +74,9 @@ def _lloyd(points: np.ndarray, k: int, seeds) -> list[ClusteringRun]:
     to an assignment fixed point or 300 iterations.  An empty cluster is
     repaired by re-seeding its centroid at the point currently farthest from
     its own centroid (among clusters that can spare a point), which keeps the
-    objective non-increasing.  The objective (sum of squared point-centroid
-    distances) is recorded once per centroid update, read from the next
-    assignment's distances at the labels of that update.
+    objective non-increasing.  Each run's objective (sum of squared
+    point-centroid distances) is taken once, from its final labels and
+    centroids, in the numpy sum over the axes that gives ``d_intra``.
 
     Centroids live in one (runs, k, D) array and squared distances in one
     (runs, k, n) array, accumulated one axis at a time.  That adds the axes
@@ -103,7 +99,6 @@ def _lloyd(points: np.ndarray, k: int, seeds) -> list[ClusteringRun]:
     runs = len(centroids)
     labels = np.full((runs, n), -1)
     active = np.arange(runs)  # active[b]: the run in batch row b, until it converges
-    traces: list[list[float]] = [[] for _ in range(runs)]
     final_centroids = np.empty_like(centroids)
     final_labels = np.empty_like(labels)
     n_iterations = np.full(runs, MAX_LLOYD_ITERATIONS)
@@ -116,10 +111,6 @@ def _lloyd(points: np.ndarray, k: int, seeds) -> list[ClusteringRun]:
         d2 = np.square(axes[0] - centroids[:, :, 0, None])
         for d in range(1, dim):
             d2 += np.square(axes[d] - centroids[:, :, d, None])
-        if iteration > 1:  # the last update's objective, before a repair moves a centroid
-            own = d2[np.arange(len(active))[:, None], labels, columns]
-            for r, total in zip(active, own.sum(axis=1)):
-                traces[r].append(float(total))
         new_labels = d2.argmin(axis=1)
         offsets = k * np.arange(len(active))[:, None]  # batch row b's clusters are bins bk..bk+k-1
         counts = np.bincount((new_labels + offsets).ravel(), minlength=offsets.size * k)
@@ -167,15 +158,13 @@ def _lloyd(points: np.ndarray, k: int, seeds) -> list[ClusteringRun]:
     results = []
     for r, seed in enumerate(seeds):
         own = ((points - final_centroids[r][final_labels[r]]) ** 2).sum(axis=1)
-        if not converged[r]:  # the iteration cap: no assignment followed the last update
-            traces[r].append(float(own.sum()))
         results.append(ClusteringRun(
             k=k,
             seed=seed,
             labels=final_labels[r] + 1,
             centroids=final_centroids[r],
             d_intra=float(np.sqrt(own).mean()),
-            objective_trace=traces[r],
+            objective=float(own.sum()),
             n_iterations=int(n_iterations[r]),
             converged=bool(converged[r]),
             n_repairs=int(n_repairs[r]),
@@ -221,20 +210,21 @@ def optimize_over_grid(series: EpochCorrelationSeries, k_range, epsilon_grid, n_
                        maps: dict[float, Embedding] | None = None) -> list[GridPoint]:
     """sigma_d_intra over a (k, epsilon) grid for a raw epoch series, one point per pair.
 
-    For each distinct epsilon the geometry is built once: power map,
-    dissimilarity on ``workers`` threads, ``dim``-axis MDS; then each k runs
-    n_inits independent k-means.  The arguments, every epsilon of the grid
-    included, are checked before the first map is built.  ``maps`` holds
-    maps of this series already built, by epsilon: the grid reads an
-    epsilon's map from it, and stores each map it builds there.  Init seeds
-    come from one SeedSequence spanning the flat (epsilon, k, init) grid, so
-    results do not depend on worker count.
+    Each epsilon's map (power map, dissimilarity on ``workers`` threads,
+    ``dim``-axis MDS) is built once; then each k runs n_inits k-means runs.
+    Every argument, each epsilon and a k or epsilon listed twice included,
+    is checked before the first map.  ``maps`` holds the series' maps already
+    built, by epsilon: the grid reads an epsilon's map from it and stores
+    each map it builds there.  Init seeds come from one SeedSequence over the
+    flat (epsilon, k, init) grid, so results do not depend on worker count.
     """
     k_list = list(k_range)
     eps_list = list(epsilon_grid)
     if not k_list or not eps_list:
         raise ValueError("k_range and epsilon_grid must be non-empty")
-    _check_fit(series.n_epochs, k_list, dim, n_inits, least_inits=2)  # a spread needs 2 runs
+    _check_fit(series.n_epochs, k_list, dim, n_inits, least_inits=2, seed=seed)  # 2 for a spread
+    _check_distinct("k_range", k_list)
+    _check_distinct("epsilon_grid", eps_list)
     for eps in eps_list:
         _check_epsilon(eps)
     seeds = init_seeds(seed, len(eps_list) * len(k_list) * n_inits)
@@ -248,8 +238,10 @@ def optimize_over_grid(series: EpochCorrelationSeries, k_range, epsilon_grid, n_
     return grid
 
 
-def _check_fit(n_epochs: int, k_list, dim: int, n_inits: int = 1, least_inits: int = 1) -> None:
-    """Reject, before any kernel call, a k, map dimension or ensemble size a fit cannot take."""
+def _check_fit(n_epochs: int, k_list, dim: int, n_inits=1, least_inits=1, seed=0) -> None:
+    """Reject, before any kernel call, a k, map dimension, ensemble size or seed a fit cannot take."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if n_inits < least_inits:
         raise ValueError(f"n_inits must be >= {least_inits}, got {n_inits}")
     for k in k_list:
@@ -258,6 +250,13 @@ def _check_fit(n_epochs: int, k_list, dim: int, n_inits: int = 1, least_inits: i
     if not 1 <= dim <= n_epochs - 1:
         raise ValueError(f"map dimension D must be in 1..{n_epochs - 1} for {n_epochs} epochs, "
                          f"got {dim}")
+
+
+def _check_distinct(key: str, values) -> None:
+    """Reject a grid value listed twice: each copy would draw its own seeds and chance to win."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{key} lists {value} more than once")
 
 
 def select_optimum(grid: list[GridPoint], k_min: int = K_MIN) -> tuple[int, float]:
@@ -309,9 +308,9 @@ def fit_series(series: EpochCorrelationSeries, k: int, epsilon: float, n_inits: 
     and sector-level series go through this same path; ``workers`` threads
     run the dissimilarity kernel.  An ``embedding`` already built for this
     series at ``epsilon`` on ``dim`` axes is clustered as it is, with no
-    kernel call.  ``k``, ``n_inits`` and ``dim`` are checked first.
+    kernel call.  ``k``, ``n_inits``, ``dim`` and ``seed`` are checked first.
     """
-    _check_fit(series.n_epochs, [k], dim, n_inits)
+    _check_fit(series.n_epochs, [k], dim, n_inits, seed=seed)
     if embedding is None:
         embedding = embed_epochs(series, epsilon, dim, workers)
     run = best_kmeans(embedding.coordinates, k, n_inits, seed)

@@ -49,7 +49,7 @@ from marketstates.states import (
 from marketstates.trajectory import CRITICAL, NORMAL, analyze_trajectory, window_from_dates
 
 from test_sector import series_of
-from test_states import single_run
+from test_states import oracle_kmeans, single_run
 from test_trajectory import planted_window
 
 
@@ -143,15 +143,18 @@ def test_mds_recovery_and_metric_axioms(acceptance):
 
 
 def test_kmeans_objective_and_planted_recovery(acceptance):
+    # the per-update objective trace of the loop the k-means is checked against
+    # never rises, and each run's objective is the trace's last entry
     rng = np.random.default_rng(0)
     monotone = True
     for i in range(10_000):
         n = int(rng.integers(4, 30))
         dim = int(rng.integers(1, 4))
         k = int(rng.integers(1, min(n, 6) + 1))
-        run = single_run(rng.standard_normal((n, dim)), k, seed=i)
-        trace = np.asarray(run.objective_trace)
-        if np.any(np.diff(trace) > 1e-12 * max(1.0, trace[0])):
+        points = rng.standard_normal((n, dim))
+        run, (_, trace) = single_run(points, k, seed=i), oracle_kmeans(points, k, seed=i)
+        tol = 1e-12 * max(1.0, trace[0])
+        if np.any(np.diff(trace) > tol) or abs(run.objective - trace[-1]) > tol:
             monotone = False
             break
 
@@ -200,7 +203,7 @@ def test_transition_count_identities(acceptance):
             ["a", "b", "c", "d"], pool[:n_epochs], dates[:n_epochs], dates[:n_epochs])
         run = ClusteringRun(
             k=k, seed=trial, labels=labels,
-            centroids=np.zeros((k, 3)), d_intra=0.0, objective_trace=[0.0],
+            centroids=np.zeros((k, 3)), d_intra=0.0, objective=0.0,
             n_iterations=1, converged=True, n_repairs=0)
         model = build_state_model(series, run)
         counts = model.transition_counts

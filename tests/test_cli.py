@@ -145,9 +145,18 @@ def count_kernel_calls(monkeypatch):
      "epsilon must be >= 0, got -0.5"),
     (["states", "optimize", "--k-range", "2,3", "--k-min", "2", "--epsilon-grid", "0,0.3,nan"],
      "epsilon must be finite, got nan"),
+    (["states", "fit", "--k", "2", "--epsilon", "0", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["sectors", "fit", "--sectors", "SECTORS", "--k", "2", "--epsilon", "0", "--seed", "-1"],
+     "seed must be >= 0, got -1"),
+    (["states", "optimize", "--k-range", "2,3", "--k-min", "2", "--seed", "-1"],
+     "seed must be >= 0, got -1"),
+    (["states", "optimize", "--k-range", "4,4,5", "--k-min", "4"], "k_range lists 4 more than once"),
+    (["states", "optimize", "--k-range", "2,3", "--k-min", "2", "--epsilon-grid", "0,0"],
+     "epsilon_grid lists 0.0 more than once"),
 ], ids=["optimize_k_min", "optimize_k", "optimize_dim", "fit_n_inits", "fit_dim", "fit_k",
         "sectors_dim", "mds_dim0", "mds_dim_epochs", "optimize_negative_epsilon",
-        "optimize_nan_epsilon"])
+        "optimize_nan_epsilon", "fit_negative_seed", "sectors_negative_seed",
+        "optimize_negative_seed", "optimize_repeated_k", "optimize_repeated_epsilon"])
 def test_bad_arguments_fail_before_the_kernel(workspace, tmp_path, monkeypatch, capsys,
                                               argv, message):
     calls = count_kernel_calls(monkeypatch)

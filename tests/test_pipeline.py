@@ -234,7 +234,7 @@ def test_resaving_a_loaded_archive_streams_it_byte_for_byte(tmp_path, peak_bytes
 
 
 def archived_copy(series, path, deflated=False):
-    """``series`` written to ``path`` by save_series, or deflated as earlier versions did, and read."""
+    """``series`` saved to ``path`` (deflated as other tools write it, if asked) and read back."""
     if deflated:
         save_arrays_deflated(path, **corr_members(series))
     else:
@@ -1015,7 +1015,7 @@ def test_each_stage_that_runs_reads_the_epoch_archive_once(market, tmp_path, mon
 
 @pytest.mark.parametrize("grid, pinned", [
     ([0.0, 0.5], 0.0),       # the map's epsilon 0, the grid, the fit: two maps
-    ([0.5, 0.5], -1.0),      # a duplicate grid epsilon and the grid's optimum
+    ([0.5, 0.9], -1.0),      # no 0 on the grid and the grid's optimum
     ([0.3, 0.6], 0.9),       # no 0 on the grid and a pinned epsilon off it
     ([0.0, 0.3, 0.6], 0.6),  # a pinned epsilon on the grid
 ])
@@ -1341,6 +1341,11 @@ def test_panel_with_no_surviving_ticker_fails_ingest(tmp_path):
                  id="epsilon_grid_empty"),
     pytest.param({"k_min": 9}, "config k_min: 9 exceeds every k in k_range [2, 3]",
                  id="k_min"),
+    pytest.param({"k_range": [2, 3, 3]}, "config k_range: k_range lists 3 more than once",
+                 id="k_range_repeated"),
+    pytest.param({"epsilon_grid": [0.0, 0.0]},
+                 "config epsilon_grid: epsilon_grid lists 0.0 more than once",
+                 id="epsilon_grid_repeated"),
 ])
 def test_config_error_fails_before_any_stage(market, tmp_path, bad, message):
     out = tmp_path / "out"

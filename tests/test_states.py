@@ -66,15 +66,20 @@ def test_kmeans_recovers_planted_blobs():
 
 
 def test_kmeans_objective_trace_monotone_fuzz():
+    # the oracle's per-update trace never rises, and the run ends at its last entry
     rng = np.random.default_rng(2)
     for _ in range(300):
         n = int(rng.integers(5, 60))
         d = int(rng.integers(1, 5))
         k = int(rng.integers(1, min(9, n) + 1))
         points = rng.normal(size=(n, d))
-        run = single_run(points, k, seed=int(rng.integers(0, 2**32)))
-        trace = np.array(run.objective_trace)
+        seed = int(rng.integers(0, 2**32))
+        run, (_, trace) = single_run(points, k, seed), oracle_kmeans(points, k, seed)
         assert np.all(np.diff(trace) <= 0.0)
+        if d > 1:
+            assert run.objective == trace[-1]
+        else:  # 1-D centroids may differ in the last bits (see the 1-D oracle test)
+            assert run.objective == pytest.approx(trace[-1], rel=1e-12, abs=0)
         assert run.converged
         assert run.labels.min() >= 1 and run.labels.max() <= k
         assert np.bincount(run.labels - 1, minlength=k).min() >= 1
@@ -84,9 +89,10 @@ def test_kmeans_empty_cluster_repair_with_duplicates():
     points = np.array([[0.0], [0.0], [0.0], [0.0], [10.0]])
     repaired_any = False
     for seed in range(20):
-        run = single_run(points, 3, seed=seed)
+        run, (_, trace) = single_run(points, 3, seed=seed), oracle_kmeans(points, 3, seed)
         assert np.bincount(run.labels - 1, minlength=3).min() >= 1
-        assert np.all(np.diff(run.objective_trace) <= 0)
+        assert np.all(np.diff(trace) <= 0)
+        assert run.objective == trace[-1]
         repaired_any = repaired_any or run.n_repairs > 0
     assert repaired_any
 
@@ -105,7 +111,9 @@ def test_kmeans_validation():
 
 def oracle_kmeans(points, k, seed):
     """The Lloyd loop as it was before the whole-array step: a per-cluster
-    mean loop and an (n, k, D) difference temporary."""
+    mean loop and an (n, k, D) difference temporary.
+
+    Returns the run and its objective after each centroid update."""
     from marketstates.states import MAX_LLOYD_ITERATIONS
 
     points = np.asarray(points, dtype=float)
@@ -146,9 +154,10 @@ def oracle_kmeans(points, k, seed):
         final_d2 = ((points - centroids[labels]) ** 2).sum(axis=1)
         trace.append(float(final_d2.sum()))
     d_intra = float(np.sqrt(((points - centroids[labels]) ** 2).sum(axis=1)).mean())
-    return ClusteringRun(k=k, seed=seed, labels=labels + 1,
-                         centroids=centroids, d_intra=d_intra, objective_trace=trace,
-                         n_iterations=iteration, converged=converged, n_repairs=n_repairs)
+    run = ClusteringRun(k=k, seed=seed, labels=labels + 1,
+                        centroids=centroids, d_intra=d_intra, objective=trace[-1],
+                        n_iterations=iteration, converged=converged, n_repairs=n_repairs)
+    return run, trace
 
 
 def oracle_cases(D):
@@ -177,10 +186,10 @@ def oracle_cases(D):
 def test_kmeans_matches_per_cluster_oracle_bit_for_bit(D):
     repairs = 0
     for points, k, seed in oracle_cases(D):
-        got, want = single_run(points, k, seed), oracle_kmeans(points, k, seed)
+        got, (want, _) = single_run(points, k, seed), oracle_kmeans(points, k, seed)
         assert np.array_equal(got.labels, want.labels)
         assert got.centroids.tobytes() == want.centroids.tobytes()
-        assert got.objective_trace == want.objective_trace
+        assert got.objective == want.objective
         assert got.d_intra == want.d_intra
         assert (got.n_iterations, got.n_repairs, got.converged) == (
             want.n_iterations, want.n_repairs, want.converged)
@@ -189,31 +198,30 @@ def test_kmeans_matches_per_cluster_oracle_bit_for_bit(D):
 
 
 def test_kmeans_at_the_iteration_cap_matches_the_oracle(monkeypatch):
-    # the last update's objective then has no next assignment to come from
+    # a capped run ends at its last update, with no assignment after it
     from marketstates import states
 
     monkeypatch.setattr(states, "MAX_LLOYD_ITERATIONS", 2)
     capped = 0
     for points, k, seed in oracle_cases(3):
-        got, want = single_run(points, k, seed), oracle_kmeans(points, k, seed)
-        assert got.objective_trace == want.objective_trace
+        got, (want, trace) = single_run(points, k, seed), oracle_kmeans(points, k, seed)
+        assert got.objective == want.objective
         assert got.d_intra == want.d_intra
         assert (got.n_iterations, got.converged) == (want.n_iterations, want.converged)
-        assert len(got.objective_trace) == got.n_iterations - got.converged
+        assert len(trace) == got.n_iterations - got.converged
         capped += not got.converged
     assert capped > 0
 
 
 @pytest.mark.parametrize("D", [8, 9])
 def test_kmeans_matches_per_cluster_oracle_from_eight_axes(D):
-    # the assignment adds axes in order, numpy's sum over 8 or more pairwise:
-    # the objective trace may differ in the last bits, nothing else does
+    # the assignment adds axes in order, numpy's sum over 8 or more pairwise;
+    # the objective is taken with numpy's sum, as the oracle takes it
     for points, k, seed in oracle_cases(D):
-        got, want = single_run(points, k, seed), oracle_kmeans(points, k, seed)
+        got, (want, _) = single_run(points, k, seed), oracle_kmeans(points, k, seed)
         assert np.array_equal(got.labels, want.labels)
         assert got.centroids.tobytes() == want.centroids.tobytes()
-        np.testing.assert_allclose(got.objective_trace, want.objective_trace,
-                                   rtol=1e-15, atol=0)
+        assert got.objective == want.objective
         assert got.d_intra == want.d_intra
         assert (got.n_iterations, got.n_repairs, got.converged) == (
             want.n_iterations, want.n_repairs, want.converged)
@@ -224,11 +232,10 @@ def test_kmeans_matches_per_cluster_oracle_in_one_dimension():
     # sums in order, so centroids may differ in the last bits
     repairs = 0
     for points, k, seed in oracle_cases(1):
-        got, want = single_run(points, k, seed), oracle_kmeans(points, k, seed)
+        got, (want, _) = single_run(points, k, seed), oracle_kmeans(points, k, seed)
         assert np.array_equal(got.labels, want.labels)
         np.testing.assert_allclose(got.centroids, want.centroids, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(got.objective_trace, want.objective_trace,
-                                   rtol=1e-12, atol=0)
+        assert got.objective == pytest.approx(want.objective, rel=1e-12, abs=0)
         assert got.d_intra == pytest.approx(want.d_intra, rel=1e-12, abs=0)
         assert (got.n_iterations, got.n_repairs, got.converged) == (
             want.n_iterations, want.n_repairs, want.converged)
@@ -240,7 +247,7 @@ def assert_same_run(got, want):
     assert (got.k, got.seed) == (want.k, want.seed)
     assert got.labels.tobytes() == want.labels.tobytes()
     assert got.centroids.tobytes() == want.centroids.tobytes()
-    assert got.objective_trace == want.objective_trace
+    assert got.objective == want.objective
     assert got.d_intra == want.d_intra
     assert (got.n_iterations, got.n_repairs, got.converged) == (
         want.n_iterations, want.n_repairs, want.converged)
@@ -311,7 +318,7 @@ def test_kmeans_deterministic_given_seed():
     b = single_run(points, 4, seed=77)
     assert np.array_equal(a.labels, b.labels)
     assert a.centroids.tobytes() == b.centroids.tobytes()
-    assert a.objective_trace == b.objective_trace
+    assert a.objective == b.objective
 
 
 def test_best_of_inits_radius_never_grows_with_k():
@@ -406,9 +413,15 @@ def regime_series(**kwargs):
      "epsilon must be >= 0, got -0.5"),
     (lambda s: optimize_over_grid(s, [2, 3], [0.0, 0.3, float("nan")], 3, 0),
      "epsilon must be finite, got nan"),
+    (lambda s: fit_series(s, 2, 0.0, 4, -1), "seed must be >= 0, got -1"),
+    (lambda s: optimize_over_grid(s, [2, 3], [0.0], 3, -1), "seed must be >= 0, got -1"),
+    (lambda s: optimize_over_grid(s, [2, 3, 2], [0.0], 3, 0), "k_range lists 2 more than once"),
+    (lambda s: optimize_over_grid(s, [2, 3], [0.0, 0.3, 0.0], 3, 0),
+     "epsilon_grid lists 0.0 more than once"),
 ], ids=["fit_k0", "fit_k_above_epochs", "fit_n_inits0", "fit_dim0", "fit_dim_epochs",
         "grid_k_above_epochs", "grid_dim_epochs", "grid_last_epsilon_negative",
-        "grid_last_epsilon_nan"])
+        "grid_last_epsilon_nan", "fit_negative_seed", "grid_negative_seed", "grid_repeated_k",
+        "grid_repeated_epsilon"])
 def test_bad_fit_arguments_fail_before_the_kernel(monkeypatch, call, message):
     calls = []
     real = geometry.similarity_matrix
@@ -448,7 +461,7 @@ def fake_run(labels, k):
     labels = np.asarray(labels)
     return ClusteringRun(
         k=k, seed=0, labels=labels,
-        centroids=np.zeros((k, 3)), d_intra=0.0, objective_trace=[0.0],
+        centroids=np.zeros((k, 3)), d_intra=0.0, objective=0.0,
         n_iterations=1, converged=True,
     )
 
