@@ -16,7 +16,6 @@ from marketstates import (
     ReturnPanel,
     epoch_correlations,
     epoch_count,
-    pearson_correlation,
     power_map,
 )
 
@@ -34,19 +33,26 @@ spec = EpochSpec(window=20, shift=1)
 series = epoch_correlations(panel, spec)
 print(f"{n_days} return days, window {spec.window}, shift {spec.shift}"
       f" -> {series.n_epochs} epochs (formula: {epoch_count(n_days, spec)})")
-first = series.matrices[0]
-print(f"epoch 1 covers {first.start_date}..{first.end_date}")
-print(f"epoch 2 starts {series.matrices[1].start_date} (one day later)\n")
+print(f"epoch 1 covers {series.start_dates[0]}..{series.end_dates[0]}")
+print(f"epoch 2 starts {series.start_dates[1]} (one day later)\n")
 
+# values_chunks yields dense copies of the epochs, a given number at a time;
+# these 41 small epochs fit in one chunk
+_, stack = next(series.values_chunks(series.n_epochs))
 # consecutive epochs share window-1 days, so they are highly similar:
-delta = np.abs(series.matrices[0].values - series.matrices[1].values).mean()
-far = np.abs(series.matrices[0].values - series.matrices[-1].values).mean()
+delta = np.abs(stack[0] - stack[1]).mean()
+far = np.abs(stack[0] - stack[-1]).mean()
 print(f"mean |delta| to the next epoch:  {delta:.4f}")
 print(f"mean |delta| to the last epoch:  {far:.4f}\n")
 
 # --- 3. the power map on a singular correlation matrix ----------------------
 # 40 stocks observed over 20 days: rank <= 19, so most eigenvalues are 0.
-wide = pearson_correlation(rng.standard_normal((40, 20)))
+short = ReturnPanel(
+    tickers=[f"w{i}" for i in range(40)],
+    dates=[f"d{i:03d}" for i in range(20)],
+    returns=rng.standard_normal((40, 20)),
+)
+_, (wide,) = next(epoch_correlations(short, EpochSpec(window=20)).values_chunks(1))
 before = np.linalg.eigvalsh(wide)
 lifted = np.linalg.eigvalsh(power_map(wide, 0.001))
 print("eigenvalues within 1e-10 of zero,")

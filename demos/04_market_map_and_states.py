@@ -17,9 +17,9 @@ from marketstates import (
     best_kmeans,
     build_state_model,
     classical_mds,
-    dimension_fidelity,
     epoch_correlations,
     similarity_matrix,
+    step_fidelity,
 )
 
 # --- 1. a market with two regimes --------------------------------------------
@@ -47,8 +47,9 @@ print(f"3-D map spans x: [{embedding.coordinates[:, 0].min():.3f}, "
       f"{embedding.coordinates[:, 0].max():.3f}]")
 
 # how faithful is a D-dimensional map to the full-dimension one?
+full = classical_mds(zeta, D=len(zeta) - 1)
 print("step-pattern fidelity by dimension:")
-for d, value in dimension_fidelity(zeta, [1, 2, 3, 4]):
+for d, value in step_fidelity(full.coordinates, [1, 2, 3, 4]):
     print(f"  D={d}: {value:.4f}")
 
 # --- 3. cluster the map into states --------------------------------------------

@@ -45,11 +45,13 @@ panel = ReturnPanel(tickers=tickers, dates=[f"d{i:03d}" for i in range(days)],
 # --- 2. every epoch, averaged by sector ----------------------------------------
 series = epoch_correlations(panel, EpochSpec(window=20, shift=1))
 by_sector = sector_series(series, sector_of)  # the same series type, sector labels
-example, small = series.matrices[0], by_sector.matrices[0]
-print(f"stock matrix {example.values.shape} -> sector matrix {small.values.shape}")
+# values_chunks(1) yields each epoch as a dense (1, N, N) copy; take the first
+_, (example,) = next(series.values_chunks(1))
+_, (small,) = next(by_sector.values_chunks(1))
+print(f"stock matrix {example.shape} -> sector matrix {small.shape}")
 print(f"sectors (sorted): {by_sector.labels}")
 print("sector matrix for the first epoch:")
-print(np.round(small.values, 3))
+print(np.round(small, 3))
 print("note the diagonal: intra-sector averages are informative, not 1.\n")
 
 # --- 3. states at both levels, same operating point, one fit path --------------

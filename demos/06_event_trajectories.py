@@ -16,7 +16,6 @@ from marketstates import (
     analyze_trajectory,
     classify_catalog,
     cut_window,
-    step_lengths,
 )
 
 # --- 1. a long market history with one crash ----------------------------------
@@ -42,9 +41,11 @@ for window in (crash, calm):
           f"ratio={report.var_ratio:.3f} -> {report.classification}")
 
 # --- 3. the step-length signature ------------------------------------------------
-# Crash windows show intermittent large jumps between consecutive epochs.
-crash_steps = step_lengths(analyze_trajectory(crash).coordinates)
-calm_steps = step_lengths(analyze_trajectory(calm).coordinates)
+# Crash windows show intermittent large jumps between consecutive epochs:
+# the distance on the map from each epoch to the next.
+crash_steps, calm_steps = (
+    np.linalg.norm(np.diff(analyze_trajectory(window).coordinates, axis=0), axis=1)
+    for window in (crash, calm))
 print(f"\nlargest step / median step: crash {crash_steps.max() / np.median(crash_steps):.1f}, "
       f"calm {calm_steps.max() / np.median(calm_steps):.1f}")
 

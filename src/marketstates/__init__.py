@@ -11,11 +11,9 @@ from .corrmat import (
     CorrelationMatrix,
     EpochCorrelationSeries,
     EpochSpec,
-    epoch_bounds,
     epoch_correlations,
     epoch_count,
     load_series,
-    pearson_correlation,
     power_map,
     save_epoch_correlations,
     save_series,
@@ -24,11 +22,9 @@ from .errors import DataError, NumericError
 from .geometry import (
     Embedding,
     classical_mds,
-    dimension_fidelity,
     embed_epochs,
     similarity_matrix,
     step_fidelity,
-    step_lengths,
 )
 from .ingest import (
     ContinuityPolicy,
@@ -107,10 +103,8 @@ __all__ = [
     "classical_mds",
     "classify_catalog",
     "cut_window",
-    "dimension_fidelity",
     "displacement",
     "embed_epochs",
-    "epoch_bounds",
     "epoch_correlations",
     "epoch_count",
     "fit_series",
@@ -125,7 +119,6 @@ __all__ = [
     "mp_support",
     "optimize_over_grid",
     "outside_support_fraction",
-    "pearson_correlation",
     "pooled_eigenvalues",
     "power_map",
     "run_pipeline",
@@ -137,6 +130,5 @@ __all__ = [
     "similarity_matrix",
     "spectrum_from_eigenvalues",
     "step_fidelity",
-    "step_lengths",
     "window_from_dates",
 ]

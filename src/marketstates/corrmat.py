@@ -49,14 +49,6 @@ def epoch_count(n_returns: int, spec: EpochSpec) -> int:
     return (n_returns - spec.window) // spec.shift + 1
 
 
-def epoch_bounds(epoch_index: int, spec: EpochSpec) -> tuple[int, int]:
-    """Half-open return-column range covered by a 1-based epoch index."""
-    if epoch_index < 1:
-        raise ValueError(f"epoch indices are 1-based, got {epoch_index}")
-    start = (epoch_index - 1) * spec.shift
-    return start, start + spec.window
-
-
 class CorrelationMatrix:
     """One epoch of a series: its first and last return day, and its matrix as a new array."""
 
@@ -388,24 +380,6 @@ def _pearson_blocks(windows: np.ndarray, cov: np.ndarray) -> np.ndarray:
     np.clip(symmetric, -1.0, 1.0, out=cov)
     cov[:, diagonal, diagonal] = 1.0
     return rows
-
-
-def pearson_correlation(X: np.ndarray) -> np.ndarray:
-    """Population-normalized Pearson correlation of an N x T sample block.
-
-    C_ij = (<x_i x_j> - <x_i><x_j>) / (sigma_i sigma_j) with all moments
-    taken as plain means over the T columns.  A row with zero variance gets
-    correlation 0 with every other row and 1 with itself, plus a warning, so
-    an isolated degenerate window cannot poison downstream dissimilarities.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] < 2:
-        raise NumericError(f"need an N x T block with T >= 2, got shape {X.shape}")
-    corr = np.empty((1, X.shape[0], X.shape[0]))
-    flat = _pearson_blocks(X[None], corr)[0]
-    if flat.any():
-        warnings.warn(_zero_variance(flat), RuntimeWarning, stacklevel=2)
-    return corr[0]
 
 
 def _epoch_rows(panel: ReturnPanel, spec: EpochSpec, stacklevel: int,

@@ -367,31 +367,15 @@ def embed_epochs(epochs: EpochCorrelationSeries, epsilon: float, dim: int,
     return (classical_mds if len(sim) < LANCZOS_MIN_EPOCHS else _leading_mds)(sim, dim)
 
 
-def step_lengths(coordinates: np.ndarray) -> np.ndarray:
-    """Euclidean distances between consecutive rows of a coordinate matrix."""
-    return np.linalg.norm(np.diff(coordinates, axis=0), axis=1)
-
-
-def dimension_fidelity(dissim: np.ndarray, dims: list[int]) -> list[tuple[int, float]]:
+def step_fidelity(coordinates: np.ndarray, dims: list[int]) -> list[tuple[int, float]]:
     """How well each low dimension reproduces the full map's local motion.
 
-    For every requested D the length-(Fr-1) sequence of consecutive-epoch
-    embedded distances is correlated (Pearson) against the same sequence at
-    the reference dimension D_max = Fr-1.  Truncation is nested: dimension D
-    uses the first D axes of the full embedding.  ``dissim`` is a square
-    (epochs, epochs) matrix, as for classical_mds.
-    """
-    n = _n_epochs(dissim)
-    if n < 3:
-        raise NumericError(f"need at least 3 epochs, got {n}")
-    return step_fidelity(classical_mds(dissim, n - 1).coordinates, dims)
-
-
-def step_fidelity(coordinates: np.ndarray, dims: list[int]) -> list[tuple[int, float]]:
-    """dimension_fidelity on a full map already computed.
-
     ``coordinates`` holds all Fr-1 axes of a classical MDS map of Fr epochs,
-    such as ``classical_mds(dissim, Fr - 1).coordinates``.
+    such as ``classical_mds(dissim, Fr - 1).coordinates``.  For every
+    requested D the length-(Fr-1) sequence of consecutive-epoch embedded
+    distances is correlated (Pearson) against the same sequence at the
+    reference dimension D_max = Fr-1.  Truncation is nested: dimension D
+    uses the first D axes of the map.
     """
     n = coordinates.shape[0]
     if n < 3:

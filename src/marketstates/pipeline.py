@@ -88,8 +88,16 @@ K_RANGE = "2..8"
 EPSILON_GRID = "0:0.1:0.9"
 
 
+# each grid point costs a kernel pass, an MDS map or a k-means ensemble per run, so a
+# range with more points is a mistake, and listing it would allocate them before any check
+MAX_GRID_POINTS = 1000
+
+
 def parse_int_range(text: str) -> list[int]:
-    """Integer list syntax: '4', '2..10' (inclusive), or '2,3,5'."""
+    """Integer list syntax: '4', '2..10' (inclusive), or '2,3,5'.
+
+    A 'lo..hi' range has at most MAX_GRID_POINTS points.
+    """
     text = text.strip()
     try:
         if ".." in text:
@@ -97,17 +105,14 @@ def parse_int_range(text: str) -> list[int]:
             lo, hi = int(lo), int(hi)
             if hi < lo:
                 raise ValueError(f"empty range {text!r}")
+            if hi - lo + 1 > MAX_GRID_POINTS:  # before range lists them
+                raise ValueError(f"{hi - lo + 1} points, more than {MAX_GRID_POINTS}")
             return list(range(lo, hi + 1))
         if "," in text:
             return [int(part) for part in text.split(",") if part.strip()]
         return [int(text)]
     except ValueError as exc:
         raise ValueError(f"bad integer range {text!r}: {exc}") from None
-
-
-# each grid point costs a kernel pass and an MDS map per run, so a range with more
-# points is a mistake, and np.arange would allocate them before any check
-MAX_GRID_POINTS = 1000
 
 
 def parse_float_grid(text: str) -> list[float]:

@@ -5,12 +5,14 @@ the ``acceptance`` fixture; the lines are printed together at the end of the
 run so every ``pytest`` invocation shows a compact pass/fail ledger.  The
 ``peak_bytes`` fixture measures the working set of one call, and
 ``tree_diff`` compares two output trees file by file.  ``packed_rows``
-reads a series' packed rows whole, for the tests that compare or inspect them.
+reads a series' packed rows whole, for the tests that compare or inspect them,
+and ``correlation_of`` gives the tests that only need a correlation matrix one.
 """
 
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _RESULTS: list[tuple[int, str, str, str]] = []
@@ -20,6 +22,18 @@ def packed_rows(series):
     """The read-only (epochs, N(N+1)/2) packed rows of a series: a view of rows in memory, or
     a new array read whole from the file that holds them."""
     return series._read(0, None)
+
+
+def correlation_of(X):
+    """The correlation matrix of the rows of sample block ``X``, exactly symmetric, unit diagonal.
+
+    np.corrcoef alone may differ from its transpose in the last bits, and a
+    series refuses a matrix that is not exactly symmetric.
+    """
+    C = np.corrcoef(X)
+    C = (C + C.T) / 2.0
+    np.fill_diagonal(C, 1.0)
+    return C
 
 
 @pytest.fixture

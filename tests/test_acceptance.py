@@ -24,12 +24,11 @@ from marketstates.corrmat import (
     EpochSpec,
     epoch_correlations,
     epoch_count,
-    pearson_correlation,
     power_map,
 )
 from marketstates.demo import write_demo_data
 from marketstates.errors import DataError
-from marketstates.geometry import classical_mds, dimension_fidelity, similarity_matrix
+from marketstates.geometry import classical_mds, similarity_matrix, step_fidelity
 from marketstates.ingest import ContinuityPolicy, ReturnPanel, load_prices, log_returns
 from marketstates.rmt import (
     WishartSpec,
@@ -48,6 +47,7 @@ from marketstates.states import (
 )
 from marketstates.trajectory import CRITICAL, NORMAL, analyze_trajectory, window_from_dates
 
+from conftest import correlation_of
 from test_sector import series_of
 from test_states import oracle_kmeans, single_run
 from test_trajectory import planted_window
@@ -86,7 +86,7 @@ def test_power_map_identity_and_zero_mode_lift(acceptance):
     lifts = []
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        corr = pearson_correlation(rng.standard_normal((100, 20)))
+        corr = correlation_of(rng.standard_normal((100, 20)))
 
         same = power_map(corr, 0.0)
         assert np.array_equal(same, corr)  # bit-exact no-op
@@ -119,7 +119,7 @@ def test_mds_recovery_and_metric_axioms(acceptance):
     max_err = float(np.abs(rec_distances - distances).max())
 
     stack = np.stack([
-        pearson_correlation(rng.standard_normal((12, 30))) for _ in range(40)
+        correlation_of(rng.standard_normal((12, 30))) for _ in range(40)
     ])
     zeta = similarity_matrix(series_of(stack))
     symmetric = np.array_equal(zeta, zeta.T)
@@ -191,7 +191,7 @@ def test_kmeans_objective_and_planted_recovery(acceptance):
 
 def test_transition_count_identities(acceptance):
     rng = np.random.default_rng(2)
-    pool = np.stack([pearson_correlation(rng.standard_normal((4, 8))) for _ in range(60)])
+    pool = np.stack([correlation_of(rng.standard_normal((4, 8))) for _ in range(60)])
     dates = [f"d{t:03d}" for t in range(60)]
     exact = 0
     for trial in range(1000):
@@ -369,7 +369,8 @@ def test_low_dimension_fidelity_pattern_on_reference_data(acceptance):
         except DataError:
             continue
         zeta = similarity_matrix(window.epochs)
-        fidelity = dict(dimension_fidelity(zeta, [1, 2, 3, 4]))
+        full = classical_mds(zeta, D=len(zeta) - 1)
+        fidelity = dict(step_fidelity(full.coordinates, [1, 2, 3, 4]))
         analyzed.append(name)
         values = [fidelity[d] for d in (1, 2, 3, 4)]
         if any(b < a - 1e-12 for a, b in zip(values, values[1:])):

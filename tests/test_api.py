@@ -22,6 +22,22 @@ def test_all_is_sorted_unique_and_every_public_name():
     assert all(hasattr(marketstates, name) for name in exported)
 
 
+def test_every_export_is_read_by_a_package_module():
+    # a public name that no module of the package reads serves only the tests;
+    # save_series stays as the tests' reference writer of save_epoch_correlations'
+    # bytes, and CI re-saves the demo archive with it
+    read = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert sorted(set(marketstates.__all__) - read - {"save_series"}) == []
+
+
 def imported_names(relative=False):
     """(file, name) per absolute import in the package; ``from m import x`` gives m and m.x.
 

@@ -153,10 +153,13 @@ def count_kernel_calls(monkeypatch):
     (["states", "optimize", "--k-range", "4,4,5", "--k-min", "4"], "k_range lists 4 more than once"),
     (["states", "optimize", "--k-range", "2,3", "--k-min", "2", "--epsilon-grid", "0,0"],
      "epsilon_grid lists 0.0 more than once"),
+    (["states", "optimize", "--k-range", "2..1002", "--k-min", "2"],
+     "bad integer range '2..1002': 1001 points, more than 1000"),
 ], ids=["optimize_k_min", "optimize_k", "optimize_dim", "fit_n_inits", "fit_dim", "fit_k",
         "sectors_dim", "mds_dim0", "mds_dim_epochs", "optimize_negative_epsilon",
         "optimize_nan_epsilon", "fit_negative_seed", "sectors_negative_seed",
-        "optimize_negative_seed", "optimize_repeated_k", "optimize_repeated_epsilon"])
+        "optimize_negative_seed", "optimize_repeated_k", "optimize_repeated_epsilon",
+        "optimize_oversized_k_range"])
 def test_bad_arguments_fail_before_the_kernel(workspace, tmp_path, monkeypatch, capsys,
                                               argv, message):
     calls = count_kernel_calls(monkeypatch)

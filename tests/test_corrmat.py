@@ -4,12 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import packed_rows
+from conftest import correlation_of, packed_rows
 from marketstates.corrmat import (
     EpochSpec,
-    epoch_bounds,
     epoch_count,
-    pearson_correlation,
     power_map,
     epoch_correlations,
 )
@@ -39,6 +37,23 @@ def oracle_pearson(X):
     return C
 
 
+def one_epoch(X):
+    """epoch_correlations' matrix of the one epoch that spans all the columns of ``X``.
+
+    It is looped_pearson's, bit for bit.
+    """
+    series = epoch_correlations(make_panel(X), EpochSpec(window=X.shape[1]))
+    _, (C,) = next(series.values_chunks(1))
+    assert C.tobytes() == looped_pearson(X)[0].tobytes()
+    return C
+
+
+def epoch_columns(index, spec):
+    """The half-open return-column range of 1-based epoch ``index``."""
+    start = (index - 1) * spec.shift
+    return start, start + spec.window
+
+
 def test_epoch_count_formula():
     assert epoch_count(3522, EpochSpec(20, 1)) == 3503
     assert epoch_count(3458, EpochSpec(20, 1)) == 3439
@@ -50,11 +65,13 @@ def test_epoch_count_formula():
 
 
 def test_epoch_bounds_are_one_based_and_half_open():
-    assert epoch_bounds(1, EpochSpec(20, 1)) == (0, 20)
-    assert epoch_bounds(2, EpochSpec(20, 1)) == (1, 21)
-    assert epoch_bounds(3, EpochSpec(20, 10)) == (20, 40)
-    with pytest.raises(ValueError):
-        epoch_bounds(0, EpochSpec(20, 1))
+    # epoch k spans return days (k - 1) * shift up to, not including, (k - 1) * shift + window
+    panel = make_panel(np.random.default_rng(2).normal(size=(3, 45)))
+    one = epoch_correlations(panel, EpochSpec(20, 1))
+    assert (one.start_dates[:2], one.end_dates[:2]) == (["d00000", "d00001"],
+                                                        ["d00019", "d00020"])
+    ten = epoch_correlations(panel, EpochSpec(20, 10))
+    assert (ten.start_dates[2], ten.end_dates[2]) == ("d00020", "d00039")
 
 
 def test_spec_validation():
@@ -67,7 +84,7 @@ def test_spec_validation():
 def test_pearson_matches_scalar_oracle_and_numpy():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(6, 25))
-    C = pearson_correlation(X)
+    C = one_epoch(X)
     np.testing.assert_allclose(C, oracle_pearson(X), atol=1e-12)
     np.testing.assert_allclose(C, np.corrcoef(X), atol=1e-12)
     assert np.array_equal(C, C.T)
@@ -79,13 +96,13 @@ def test_pearson_scale_and_shift_invariance():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(4, 30))
     Y = 3.5 * X + rng.normal(size=(4, 1))  # per-row affine change
-    np.testing.assert_allclose(pearson_correlation(Y), pearson_correlation(X), atol=1e-12)
+    np.testing.assert_allclose(one_epoch(Y), one_epoch(X), atol=1e-12)
 
 
 def test_pearson_perfect_correlation_hits_one():
     t = np.linspace(0.0, 1.0, 20)
     X = np.vstack([t, 2 * t + 1, -t])
-    C = pearson_correlation(X)
+    C = one_epoch(X)
     np.testing.assert_allclose(C[0, 1], 1.0, atol=1e-12)
     np.testing.assert_allclose(C[0, 2], -1.0, atol=1e-12)
 
@@ -93,7 +110,7 @@ def test_pearson_perfect_correlation_hits_one():
 def test_pearson_zero_variance_zeroes_row_with_warning():
     X = np.vstack([np.ones(10), np.arange(10.0), -np.arange(10.0)])
     with pytest.warns(RuntimeWarning, match="zero variance"):
-        C = pearson_correlation(X)
+        C = one_epoch(X)
     assert C[0, 0] == 1.0
     assert np.all(C[0, 1:] == 0.0) and np.all(C[1:, 0] == 0.0)
     np.testing.assert_allclose(C[1, 2], -1.0, atol=1e-12)
@@ -104,7 +121,7 @@ def test_pearson_zero_variance_zeroes_row_with_warning():
 def test_pearson_raw_matrices_are_psd():
     rng = np.random.default_rng(13)
     for n, T in [(5, 30), (40, 20), (100, 20)]:
-        C = pearson_correlation(rng.normal(size=(n, T)))
+        C = one_epoch(rng.normal(size=(n, T)))
         assert np.linalg.eigvalsh(C).min() > -1e-8
 
 
@@ -116,12 +133,10 @@ def test_epoch_correlations_epochs_and_dates():
     assert series.n_epochs == 3
     assert series.labels == panel.tickers
     for k, mat in enumerate(series.matrices):
-        lo, hi = epoch_bounds(k + 1, spec)
+        lo, hi = epoch_columns(k + 1, spec)
         assert mat.start_date == panel.dates[lo]
         assert mat.end_date == panel.dates[hi - 1]
-        np.testing.assert_allclose(
-            mat.values, pearson_correlation(panel.returns[:, lo:hi]), atol=0
-        )
+        assert mat.values.tobytes() == looped_pearson(panel.returns[:, lo:hi])[0].tobytes()
     assert series.values_stack().shape == (3, 4, 4)
 
 
@@ -167,7 +182,7 @@ def looped_epoch_correlations(returns, spec):
     """
     matrices, messages = [], []
     for index in range(1, epoch_count(returns.shape[1], spec) + 1):
-        lo, hi = epoch_bounds(index, spec)
+        lo, hi = epoch_columns(index, spec)
         corr, flat = looped_pearson(returns[:, lo:hi])
         if flat.any():
             messages.append(f"epoch {index}: zero variance in rows "
@@ -207,7 +222,7 @@ def test_batched_epoch_correlations_match_the_per_epoch_loop(case):
     assert all(w.category is RuntimeWarning for w in caught)
     assert series.values_stack().tobytes() == want.tobytes()
     for index, m in enumerate(series.matrices, start=1):
-        lo, hi = epoch_bounds(index, spec)
+        lo, hi = epoch_columns(index, spec)
         assert (m.start_date, m.end_date) == (f"d{lo:05d}", f"d{hi - 1:05d}")
         assert m.values.tobytes() == want[index - 1].tobytes()
     if case == "zero_variance":
@@ -215,15 +230,16 @@ def test_batched_epoch_correlations_match_the_per_epoch_loop(case):
 
 
 def test_pearson_correlation_is_the_one_block_case():
+    # an epoch that spans the whole panel is one block of the batched computation
     rng = np.random.default_rng(22)
     for X in (rng.normal(size=(5, 30)), rng.normal(size=(40, 20)), rng.normal(size=(1, 9))):
-        assert pearson_correlation(X).tobytes() == looped_pearson(X)[0].tobytes()
+        assert one_epoch(X).tobytes() == looped_pearson(X)[0].tobytes()
     X = rng.normal(size=(4, 15))
     X[2] = 7.0
     with pytest.warns(RuntimeWarning) as record:
-        C = pearson_correlation(X)
+        C = one_epoch(X)
     assert [str(w.message) for w in record] == [
-        "zero variance in rows [2]; their correlations are set to 0"]
+        "epoch 1: zero variance in rows [2]; their correlations are set to 0"]
     assert C.tobytes() == looped_pearson(X)[0].tobytes()
 
 
@@ -343,7 +359,7 @@ def test_window_too_long_names_both_lengths():
 
 def test_power_map_zero_epsilon_is_bit_exact_copy():
     rng = np.random.default_rng(8)
-    C = pearson_correlation(rng.normal(size=(5, 12)))
+    C = correlation_of(rng.normal(size=(5, 12)))
     out = power_map(C, 0.0)
     assert np.array_equal(out, C)
     assert out.tobytes() == C.tobytes()
@@ -352,7 +368,7 @@ def test_power_map_zero_epsilon_is_bit_exact_copy():
 
 def test_power_map_values_signs_and_diagonal():
     rng = np.random.default_rng(9)
-    C = pearson_correlation(rng.normal(size=(6, 15)))
+    C = correlation_of(rng.normal(size=(6, 15)))
     eps = 0.6
     M = power_map(C, eps)
     np.testing.assert_allclose(M, np.sign(C) * np.abs(C) ** (1 + eps), atol=0)
@@ -402,7 +418,7 @@ def test_power_map_takes_arrays_only():
 @pytest.mark.parametrize("epsilon", [np.nan, np.inf])
 def test_power_map_rejects_a_non_finite_epsilon(epsilon):
     # nan < 0 is false: a sign test alone passes nan on to a map of NaNs
-    C = pearson_correlation(np.random.default_rng(13).normal(size=(4, 10)))
+    C = correlation_of(np.random.default_rng(13).normal(size=(4, 10)))
     with pytest.raises(ValueError, match=f"epsilon must be finite, got {epsilon}"):
         power_map(C, epsilon)
 
@@ -411,7 +427,7 @@ def test_power_map_lifts_rank_degeneracy():
     # 100 stocks on a 20-day window: at least 81 zero eigenvalues before the
     # map, strictly fewer after even a tiny epsilon.
     rng = np.random.default_rng(12)
-    C = pearson_correlation(rng.normal(size=(100, 20)))
+    C = correlation_of(rng.normal(size=(100, 20)))
     before = np.linalg.eigvalsh(C)
     n_zero_before = int(np.sum(np.abs(before) < 1e-10))
     assert n_zero_before >= 81

@@ -20,10 +20,9 @@ from marketstates.geometry import (
     _lanczos,
     _leading_mds,
     classical_mds,
-    dimension_fidelity,
     embed_epochs,
     similarity_matrix,
-    step_lengths,
+    step_fidelity,
 )
 from marketstates.ingest import ReturnPanel
 from marketstates.sector import sector_series
@@ -735,15 +734,10 @@ def test_lanczos_map_of_a_low_rank_or_constant_input():
     assert not flat.coordinates.any() and not flat.eigenvalues.any()
 
 
-def test_step_lengths():
-    coords = np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 4.0]])
-    np.testing.assert_allclose(step_lengths(coords), [5.0, 0.0])
-
-
 def test_dimension_fidelity_reference_dimension_is_exact():
     sim = similarity_matrix(random_corr_series(8))
     d_max = len(sim) - 1  # an ndarray's size is the square
-    results = dict(dimension_fidelity(sim, [1, d_max]))
+    results = dict(step_fidelity(classical_mds(sim, d_max).coordinates, [1, d_max]))
     assert results[d_max] == 1.0
     assert -1.0 <= results[1] <= 1.0
 
@@ -752,24 +746,22 @@ def test_dimension_fidelity_monotone_on_anisotropic_cloud():
     rng = np.random.default_rng(3)
     scales = np.array([5.0, 2.5, 1.2, 0.6, 0.3, 0.15])
     points = rng.normal(size=(40, 6)) * scales
-    sim = euclidean_matrix(points)
-    values = [r for _, r in dimension_fidelity(sim, [1, 2, 3, 4])]
+    full = classical_mds(euclidean_matrix(points), len(points) - 1)
+    values = [r for _, r in step_fidelity(full.coordinates, [1, 2, 3, 4])]
     assert all(values[i] <= values[i + 1] + 1e-12 for i in range(3))
     assert values[3] > 0.9
 
 
 def test_dimension_fidelity_validation_and_degenerate_input():
-    sim = np.zeros((2, 2))
-    with pytest.raises(NumericError):
-        dimension_fidelity(sim, [1])
+    with pytest.raises(NumericError, match="at least 3 epochs"):
+        step_fidelity(classical_mds(np.zeros((2, 2)), 1).coordinates, [1])
     with pytest.raises(ValueError, match="square"):
-        dimension_fidelity(np.zeros((4, 5)), [1])
-    line = np.arange(5.0)[:, None]
-    sim_line = euclidean_matrix(line)
+        classical_mds(np.zeros((4, 5)), 1)
+    line = classical_mds(euclidean_matrix(np.arange(5.0)[:, None]), 4).coordinates
     with pytest.raises(ValueError):
-        dimension_fidelity(sim_line, [])
+        step_fidelity(line, [])
     with pytest.raises(ValueError):
-        dimension_fidelity(sim_line, [5])
+        step_fidelity(line, [5])
     # equally spaced collinear points: every step sequence is constant
     with pytest.raises(NumericError, match="constant"):
-        dimension_fidelity(sim_line, [1])
+        step_fidelity(line, [1])

@@ -39,9 +39,11 @@ def test_parse_int_range_forms():
     assert parse_int_range("2..10") == [2, 3, 4, 5, 6, 7, 8, 9, 10]
     assert parse_int_range("2,3,5") == [2, 3, 5]
     assert parse_int_range(" 7 ") == [7]
+    assert len(parse_int_range("3..1002")) == 1000  # the most points a range may have
 
 
-@pytest.mark.parametrize("bad", ["", "x", "2..x", "5..2", "1,,y"])
+# 2..1000000000 would list a billion ints before any check
+@pytest.mark.parametrize("bad", ["", "x", "2..x", "5..2", "1,,y", "2..1002"])
 def test_parse_int_range_rejects(bad):
     with pytest.raises(ValueError, match="bad integer range"):
         parse_int_range(bad)
@@ -122,6 +124,20 @@ def test_config_file_that_sets_a_key_twice_names_both_lines(tmp_path, capsys):
         PipelineConfig.from_file(path)
     assert main(["run", "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"data error: {message}\n"
+
+
+def test_config_file_with_an_oversized_k_range_fails_before_any_stage(tmp_path, capsys):
+    from marketstates.cli import main
+
+    path = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    path.write_text(f"prices = p.csv\nout_dir = {out}\nk_range = 2..1002\n")
+    message = "config k_range: bad integer range '2..1002': 1001 points, more than 1000"
+    with pytest.raises(DataError, match=re.escape(message)):
+        PipelineConfig.from_file(path)
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not out.exists()
 
 
 def test_config_validate(tmp_path):
@@ -417,7 +433,7 @@ def test_archive_without_a_packed_member_asks_to_rerun_corr(tmp_path):
 
 def test_write_map_uses_one_eigendecomposition(tmp_path, monkeypatch):
     from marketstates import geometry
-    from marketstates.geometry import classical_mds, dimension_fidelity, similarity_matrix
+    from marketstates.geometry import classical_mds, similarity_matrix, step_fidelity
     from marketstates.pipeline import write_map
 
     series = corr_series(n_epochs=15, n=5)
@@ -425,7 +441,8 @@ def test_write_map_uses_one_eigendecomposition(tmp_path, monkeypatch):
     for dim in (1, 2, 3, 5):
         # oracle: the map and the fidelity each from their own eigendecomposition
         embedding = classical_mds(sim, D=dim)
-        fidelity = dict(dimension_fidelity(sim, [1, 2, 3, 4]))
+        full = classical_mds(sim, D=len(sim) - 1)
+        fidelity = dict(step_fidelity(full.coordinates, [1, 2, 3, 4]))
 
         calls = []
         real_eigh = np.linalg.eigh

@@ -5,13 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import packed_rows
+from conftest import correlation_of, packed_rows
 from marketstates import sector
 from marketstates.corrmat import (
     EpochCorrelationSeries,
     EpochSpec,
     epoch_correlations,
-    pearson_correlation,
     power_map,
 )
 from marketstates.errors import DataError
@@ -24,7 +23,7 @@ from marketstates.states import fit_series
 def random_correlation(n, seed):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, 5 * n))
-    return pearson_correlation(X)
+    return correlation_of(X)
 
 
 def series_of(matrices, tickers=None):
@@ -139,7 +138,7 @@ def test_iid_stocks_give_statistically_flat_blocks():
     rng = np.random.default_rng(7)
     tickers = [f"t{i}" for i in range(12)]
     sector_of = {t: "abc"[min(i // 4, 2)] for i, t in enumerate(tickers)}
-    draws = [pearson_correlation(rng.standard_normal((12, 40))) for _ in range(300)]
+    draws = [correlation_of(rng.standard_normal((12, 40))) for _ in range(300)]
     reps = sector_series(series_of(draws, tickers), sector_of).values_stack()
     means = reps.mean(axis=0)
     errors = reps.std(axis=0) / np.sqrt(reps.shape[0])

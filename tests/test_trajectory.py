@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from marketstates import geometry, trajectory
+from marketstates import trajectory
 from marketstates.corrmat import EpochCorrelationSeries, EpochSpec, epoch_correlations
 from marketstates.errors import DataError
 from marketstates.ingest import ReturnPanel
@@ -20,6 +20,11 @@ from marketstates.trajectory import (
     load_event_catalog,
     window_from_dates,
 )
+
+
+def step_distances(coordinates):
+    """The distance on the map from each epoch to the next."""
+    return np.linalg.norm(np.diff(coordinates, axis=0), axis=1)
 
 
 def noise_panel(n_returns, n_stocks=6, seed=0):
@@ -145,7 +150,7 @@ def test_planted_anisotropy_drives_the_classification():
             assert not report.zero_variance
             assert report.threshold == 0.4
             assert report.n_epochs == 105
-            assert geometry.step_lengths(report.coordinates).shape == (104,)
+            assert step_distances(report.coordinates).shape == (104,)
 
 
 def test_var_ratio_is_scale_invariant():
@@ -176,8 +181,8 @@ def test_reversal_keeps_variances_and_reverses_steps():
     assert backward.classification == forward.classification
     assert np.isclose(backward.var_ratio, forward.var_ratio, rtol=1e-9)
     # as an operation on a coordinate path, reversal flips steps bit-exactly
-    steps = geometry.step_lengths(forward.coordinates)
-    flipped = geometry.step_lengths(forward.coordinates[::-1])
+    steps = step_distances(forward.coordinates)
+    flipped = step_distances(forward.coordinates[::-1])
     np.testing.assert_array_equal(flipped, steps[::-1])
 
 
@@ -196,7 +201,7 @@ def test_constant_window_reports_zero_variance_normal():
     assert math.isnan(report.var_ratio)
     assert report.classification == NORMAL
     assert (report.coordinates == 0.0).all()
-    assert (geometry.step_lengths(report.coordinates) == 0.0).all()
+    assert (step_distances(report.coordinates) == 0.0).all()
 
 
 def test_analysis_epsilon_is_applied_and_recorded():
@@ -210,18 +215,6 @@ def test_analysis_epsilon_is_applied_and_recorded():
         analyze_trajectory(window, epsilon=-0.1)
     with pytest.raises(ValueError, match="dim"):
         analyze_trajectory(window, dim=1)
-
-
-def test_step_lengths_shared_with_geometry_and_jump_detection():
-    line = np.outer(np.arange(12, dtype=float), [1.0, 0.5, -0.25])
-    steps = geometry.step_lengths(line)
-    assert steps.shape == (11,)
-    assert np.ptp(steps) == 0.0  # collinear equally spaced -> constant
-    jumped = line.copy()
-    jumped[6:] += np.array([10.0, 0.0, 0.0])  # one inserted jump
-    jumpy = geometry.step_lengths(jumped)
-    big = jumpy > 5.0 * np.median(jumpy)
-    assert big.sum() == 1
 
 
 def test_threshold_sweep_is_monotone_on_planted_benchmark():
@@ -244,7 +237,7 @@ def test_classify_catalog_on_planted_panel():
     assert set(failures) == {"bad"}
     assert "not a trading day" in failures["bad"]
     # abrupt-increment diagnostic: the burst window has the spikier steps
-    burst_steps, calm_steps = (geometry.step_lengths(r.coordinates) for r in reports)
+    burst_steps, calm_steps = (step_distances(r.coordinates) for r in reports)
     spike = np.max(burst_steps) / np.median(burst_steps)
     calm_spike = np.max(calm_steps) / np.median(calm_steps)
     assert spike > calm_spike
