@@ -90,6 +90,16 @@ def _add_fit_flags(parser) -> None:
     parser.add_argument("--dim", type=int, default=_DEFAULTS.mds_dim)
 
 
+def _add_trajectory_flags(parser) -> None:
+    parser.add_argument("--panel", required=True)
+    parser.add_argument("--width", type=int,
+                        help=f"price days per window (default {_DEFAULTS.width_days})")
+    _add_epoch_flags(parser)
+    parser.add_argument("--threshold", type=float, default=_DEFAULTS.threshold)
+    parser.add_argument("--epsilon", type=float, default=_DEFAULTS.trajectory_epsilon)
+    parser.add_argument("--out", required=True)
+
+
 def _cmd_ingest(args) -> int:
     out = _out_path(args.out)
     panel = write_panel(args.prices, args.max_gap, out)
@@ -157,11 +167,8 @@ def _cmd_states_fit(args) -> int:
 
 
 def _cmd_sectors_fit(args) -> int:
-    point = [flag for flag, value in (("--k", args.k), ("--epsilon", args.epsilon)) if value is not None]
-    if args.preset and point:
-        raise ValueError(f"--preset does not combine with {' and '.join(point)}")
-    if not args.preset and len(point) < 2:
-        raise DataError("pass --k and --epsilon, or --preset")
+    if (args.k is None) != (args.epsilon is None):  # the group takes --k or --preset
+        raise ValueError("--k needs --epsilon" if args.epsilon is None else "--epsilon needs --k")
     k, epsilon = SECTOR_PRESETS[args.preset] if args.preset else (args.k, args.epsilon)
     series = sector_series(load_series(args.corr), load_sector_map(args.sectors),
                            include_self_pairs=args.include_self_pairs)
@@ -174,6 +181,8 @@ def _cmd_sectors_fit(args) -> int:
 
 def _cmd_sectors_displace(args) -> int:
     stock, sect = read_state_of(args.stock_model), read_state_of(args.sector_model)
+    if len(stock) != len(sect):
+        raise DataError(f"{args.stock_model} has {len(stock)} states, {args.sector_model} {len(sect)}")
     out = _out_path(args.out)
     report = write_displacement(stock, sect, out)
     for d in sorted(report.histogram):
@@ -182,51 +191,31 @@ def _cmd_sectors_displace(args) -> int:
     return 0
 
 
-def _cmd_trajectory(args) -> int:
-    spec = EpochSpec(args.window, args.shift)
-    width = _DEFAULTS.width_days if args.width is None else args.width
-    if args.mode == "catalog":
-        # each event's window comes from --events and is mapped on 3 axes
-        ignored = [flag for flag, given in (
-            ("--dim", args.dim is not None), ("--name", args.name), ("--center", args.center),
-            ("--start", args.start), ("--end", args.end)) if given]
-        if ignored:
-            raise ValueError(f"trajectory catalog does not take {', '.join(ignored)}")
-        if not args.events:
-            raise DataError("trajectory catalog needs --events")
-        returns = log_returns(load_panel(args.panel))
-        catalog = load_event_catalog(args.events)
-        reports, failures = classify_catalog(returns, catalog, threshold=args.threshold,
-                                             width_days=width, epsilon=args.epsilon,
-                                             spec=spec, workers=args.workers)
-        write_trajectory_report(reports, failures, _out_path(args.out))
-        for report in reports:
-            print(f"{report.name}: var_ratio={report.var_ratio:.4f} {report.classification}")
-        for name, message in failures.items():
-            print(f"{name}: FAILED ({message})", file=sys.stderr)
-        return 0
-    # one window needs no catalog and maps in one thread
-    ignored = [flag for flag, given in (("--events", args.events),
-                                        ("--workers", args.workers != 1)) if given]
-    if ignored:
-        raise ValueError(f"trajectory without catalog does not take {', '.join(ignored)}")
-    span = [flag for flag, value in (("--start", args.start), ("--end", args.end)) if value]
-    if args.center and span:
-        raise ValueError("pass --center or --start and --end, not both")
-    if span and args.width is not None:
-        raise ValueError(f"--width does not combine with {' and '.join(span)}; "
-                         "the span sets the window")
-    if len(span) == 1:
-        raise ValueError(f"{span[0]} needs {'--end' if args.start else '--start'}")
-    if not (span or args.center):
-        raise DataError("pass --center (with --width) or --start and --end")
-    returns = log_returns(load_panel(args.panel))
-    if span:
+def _cmd_trajectory_catalog(args) -> int:
+    reports, failures = classify_catalog(
+        log_returns(load_panel(args.panel)), load_event_catalog(args.events),
+        threshold=args.threshold, width_days=args.width, epsilon=args.epsilon,
+        spec=EpochSpec(args.window, args.shift), workers=args.workers)
+    write_trajectory_report(reports, failures, _out_path(args.out))
+    for report in reports:
+        print(f"{report.name}: var_ratio={report.var_ratio:.4f} {report.classification}")
+    for name, message in failures.items():
+        print(f"{name}: FAILED ({message})", file=sys.stderr)
+    return 0
+
+
+def _cmd_trajectory_window(args) -> int:
+    if args.start is not None and args.width is not None:
+        raise ValueError("--width does not combine with --start; the span sets the window")
+    if (args.start is None) != (args.end is None):  # the group takes --center or --start
+        raise ValueError("--end needs --start" if args.start is None else "--start needs --end")
+    returns, spec = log_returns(load_panel(args.panel)), EpochSpec(args.window, args.shift)
+    if args.start is not None:
         window = window_from_dates(returns, args.start, args.end, name=args.name, spec=spec)
     else:
+        width = _DEFAULTS.width_days if args.width is None else args.width
         window = cut_window(returns, args.center, width_days=width, name=args.name, spec=spec)
-    report = analyze_trajectory(window, threshold=args.threshold, epsilon=args.epsilon,
-                                dim=3 if args.dim is None else args.dim)
+    report = analyze_trajectory(window, threshold=args.threshold, epsilon=args.epsilon, dim=args.dim)
     write_json(_out_path(args.out), trajectory_report_payload(report))
     print(f"{report.name}: {window.n_epochs} epochs, "
           f"var_ratio={report.var_ratio:.4f} -> {report.classification}")
@@ -318,9 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     q = sectors_sub.add_parser("fit", help="fit sector-level states")
     _add_fit_flags(q)
     q.add_argument("--sectors", required=True, help="ticker,sector CSV")
-    q.add_argument("--k", type=int)
+    point = q.add_mutually_exclusive_group(required=True)
+    point.add_argument("--k", type=int, help="states, with --epsilon")
+    point.add_argument("--preset", choices=sorted(SECTOR_PRESETS))
     q.add_argument("--epsilon", type=float)
-    q.add_argument("--preset", choices=sorted(SECTOR_PRESETS))
     q.add_argument("--include-self-pairs", action="store_true",
                    help="keep i=j pairs in intra-sector averages")
     q.add_argument("--out-dir", required=True)
@@ -332,23 +322,21 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_sectors_displace)
 
     p = sub.add_parser("trajectory", help="event-window trajectory analysis")
-    p.add_argument("mode", nargs="?", choices=["catalog"],
-                   help="'catalog' batch-classifies an events CSV")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--center", default="", help="event day (window midpoint)")
-    p.add_argument("--start", default="", help="first window day (with --end)")
-    p.add_argument("--end", default="")
-    p.add_argument("--name", default="")
-    p.add_argument("--events", default="", help="name,center_date CSV (catalog mode)")
-    p.add_argument("--width", type=int, help=f"price days per window "
-                   f"(default {_DEFAULTS.width_days}; not with --start)")
-    _add_epoch_flags(p)
-    p.add_argument("--dim", type=int, help="map axes of a single window (default 3)")
-    p.add_argument("--threshold", type=float, default=_DEFAULTS.threshold)
-    p.add_argument("--epsilon", type=float, default=_DEFAULTS.trajectory_epsilon)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_trajectory)
+    trajectory_sub = p.add_subparsers(dest="trajectory_command", required=True)
+    q = trajectory_sub.add_parser("window", help="classify one window, mapped in one thread")
+    _add_trajectory_flags(q)
+    window = q.add_mutually_exclusive_group(required=True)
+    window.add_argument("--center", help="event day (window midpoint)")
+    window.add_argument("--start", help="first window day (with --end; not with --width)")
+    q.add_argument("--end", help="last window day (with --start)")
+    q.add_argument("--name", default="")
+    q.add_argument("--dim", type=int, default=3, help="map axes (default 3)")
+    q.set_defaults(func=_cmd_trajectory_window)
+    q = trajectory_sub.add_parser("catalog", help="classify each window of an events CSV")
+    _add_trajectory_flags(q)
+    q.add_argument("--events", required=True, help="name,center_date CSV")
+    q.add_argument("--workers", type=int, default=1)
+    q.set_defaults(func=_cmd_trajectory_catalog, width=_DEFAULTS.width_days)
 
     p = sub.add_parser("run", help="run the full pipeline from a config file")
     p.add_argument("--config", required=True)

@@ -161,11 +161,11 @@ def _fill_column(values: np.ndarray, policy: ContinuityPolicy) -> str:
 
 
 def _csv_rows(path: str | Path):
-    """The rows of a CSV file, read one at a time."""
+    """The rows of a UTF-8 CSV file, read one at a time; a leading BOM is skipped."""
     try:
-        with Path(path).open(newline="") as fh:
+        with Path(path).open(newline="", encoding="utf-8-sig") as fh:
             yield from csv.reader(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
@@ -199,7 +199,7 @@ def _read_clean(path: str | Path) -> tuple[list[str], list[str], np.ndarray] | N
     """
     dates: list[str] = []
     try:
-        with Path(path).open() as fh:
+        with Path(path).open(encoding="utf-8-sig") as fh:
             header = fh.readline().rstrip("\n")
             rows = _numeric_halves(fh, dates)
             first = next(rows, None)  # loadtxt warns on input with no rows

@@ -190,8 +190,8 @@ class PipelineConfig:
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         path = Path(path)
         try:
-            text = path.read_text()
-        except OSError as exc:
+            text = path.read_text(encoding="utf-8-sig")
+        except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read config {path}: {exc}") from exc
         mapping: dict[str, str] = {}
         set_on: dict[str, int] = {}  # the line that sets each key

@@ -9,13 +9,15 @@ import pytest
 
 from marketstates import geometry, pipeline
 from marketstates.cli import build_parser, main
-from marketstates.corrmat import EpochCorrelationSeries, EpochSpec, save_series
+from marketstates.corrmat import EpochCorrelationSeries, EpochSpec, load_series, save_series
 from marketstates.errors import DataError
-from marketstates.ingest import ContinuityPolicy, load_panel
-from marketstates.pipeline import PipelineConfig, parse_float_grid, parse_int_range, run_pipeline
+from marketstates.ingest import ContinuityPolicy, load_panel, load_sector_map
+from marketstates.pipeline import (PipelineConfig, parse_float_grid, parse_int_range,
+                                   run_pipeline, write_fit)
 from marketstates.rmt import SPECTRUM_BINS
+from marketstates.sector import SECTOR_PRESETS, sector_series
 from marketstates.serialize import load_arrays, read_json
-from marketstates.states import K_MIN, MAP_DIM
+from marketstates.states import K_MIN, MAP_DIM, fit_series
 
 from test_pipeline import market_config, write_market
 
@@ -54,6 +56,11 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
 
 
+def assert_usage_error(err, message):
+    """One argparse usage line or more, then ``message`` on the error line."""
+    assert err.startswith("usage: marketstates ") and f": error: {message}\n" in err
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["ingest", "--prices", "p.csv"]) == 1  # no --out
     assert "--out" in capsys.readouterr().err
@@ -64,6 +71,23 @@ def test_data_error_maps_to_two(tmp_path, capsys):
                  "--out", str(tmp_path / "panel.npz")])
     assert code == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_prices_that_are_not_utf8_are_a_data_error(market, tmp_path, capsys):
+    header, rest = (market / "prices.csv").read_bytes().split(b"\n", 1)
+    prices = tmp_path / "prices.csv"
+    prices.write_bytes(header.replace(b"S01", "S01\u00c9".encode("latin-1"), 1) + b"\n" + rest)
+    panel = tmp_path / "panel.npz"
+    assert main(["ingest", "--prices", str(prices), "--out", str(panel)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot read {prices}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1 and not panel.exists()
+    config = tmp_path / "run.cfg"
+    config.write_text(f"prices = {prices}\nout_dir = {tmp_path / 'out'}\n")
+    assert main(["run", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""  # no traceback: a data error, not an unexpected exception
+    assert captured.out.startswith(f"ingest: failed (cannot read {prices}: 'utf-8' codec")
 
 
 def test_corrupt_panel_sidecar_is_a_data_error(workspace, tmp_path, capsys):
@@ -81,7 +105,7 @@ def test_corrupt_panel_sidecar_is_a_data_error(workspace, tmp_path, capsys):
 def test_price_csv_as_panel_is_a_data_error(workspace, tmp_path, capsys):
     prices = str(workspace["market"] / "prices.csv")
     for argv in (["corr", "--panel", prices, "--out", str(tmp_path / "c.npz")],
-                 ["trajectory", "--panel", prices, "--center", "2020-03-02",
+                 ["trajectory", "window", "--panel", prices, "--center", "2020-03-02",
                   "--out", str(tmp_path / "t.json")]):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -173,6 +197,8 @@ def test_bad_arguments_fail_before_the_kernel(workspace, tmp_path, monkeypatch, 
 
 
 _FIT_MIRRORS = {"n_inits": "n_inits", "seed": "seed", "dim": "mds_dim"}
+_TRAJECTORY_MIRRORS = {"window": "window", "shift": "shift", "width": "width_days",
+                       "threshold": "threshold", "epsilon": "trajectory_epsilon"}
 # by subcommand, each flag that a config key also sets: its dest and that key
 _CONFIG_MIRRORS = {
     ("ingest",): {"max_gap": "max_gap"},
@@ -184,8 +210,8 @@ _CONFIG_MIRRORS = {
     ("states", "fit"): _FIT_MIRRORS,
     ("sectors", "fit"): _FIT_MIRRORS,
     ("sectors", "displace"): {},
-    ("trajectory",): {"window": "window", "shift": "shift", "width": "width_days",
-                      "threshold": "threshold", "epsilon": "trajectory_epsilon"},
+    ("trajectory", "window"): _TRAJECTORY_MIRRORS,
+    ("trajectory", "catalog"): _TRAJECTORY_MIRRORS,
     ("run",): {},
     ("demo",): {},
 }
@@ -213,9 +239,11 @@ def test_cli_defaults_are_the_config_defaults():
     leaves = _subcommands(build_parser())
     assert {path for path, _ in leaves} == set(_CONFIG_MIRRORS)
     for path, parser in leaves:
-        # parsed with only its required flags, each mirror holds its key's default
+        # parsed with only its required flags, and the first flag of each required
+        # group, each mirror holds its key's default
         mirrors = _CONFIG_MIRRORS[path]
-        required = [a for a in parser._actions if a.required and a.option_strings]
+        required = [a for a in parser._actions if a.required and a.option_strings] + [
+            g._group_actions[0] for g in parser._mutually_exclusive_groups if g.required]
         argv = [*path, *(arg for a in required for arg in (a.option_strings[0], "1"))]
         args = vars(build_parser().parse_args(argv))
         helps = {a.dest: a.help for a in parser._actions}
@@ -354,11 +382,48 @@ def test_sectors_fit_with_explicit_point(workspace, tmp_path):
     assert len(model["state_of"]) == 100
 
 
+def test_sectors_fit_preset_writes_the_files_of_its_point(workspace, tmp_path, tree_diff):
+    fit = ["sectors", "fit", "--corr", str(workspace["corr"]),
+           "--sectors", str(workspace["sectors"]), "--n-inits", "4"]
+    assert SECTOR_PRESETS["sp500"] == (5, 0.2)
+    assert main(fit + ["--preset", "sp500", "--out-dir", str(tmp_path / "preset")]) == 0
+    assert main(fit + ["--k", "5", "--epsilon", "0.2", "--out-dir", str(tmp_path / "point")]) == 0
+    assert tree_diff(tmp_path / "preset", tmp_path / "point") == []
+
+
+def test_sectors_fit_include_self_pairs_reaches_the_sector_series(workspace, tmp_path,
+                                                                  tree_diff):
+    fit = ["sectors", "fit", "--corr", str(workspace["corr"]),
+           "--sectors", str(workspace["sectors"]), "--k", "2", "--epsilon", "0.0",
+           "--n-inits", "4", "--seed", "0", "--dim", "3"]
+    cli, default = tmp_path / "cli", tmp_path / "default"
+    assert main(fit + ["--include-self-pairs", "--out-dir", str(cli)]) == 0
+    assert main(fit + ["--out-dir", str(default)]) == 0
+    series = sector_series(load_series(workspace["corr"]), load_sector_map(workspace["sectors"]),
+                           include_self_pairs=True)
+    model, _, embedding = fit_series(series, 2, 0.0, 4, 0, dim=3)
+    write_fit(model, embedding, tmp_path / "library" / "sector_model.json", "sectors_")
+    assert tree_diff(cli, tmp_path / "library") == []
+    assert "sector_model_avg_corr.npz" in tree_diff(cli, default)
+
+
 def test_sectors_fit_requires_point_or_preset(workspace, tmp_path, capsys):
+    out = tmp_path / "x"
     code = main(["sectors", "fit", "--corr", str(workspace["corr"]),
-                 "--sectors", str(workspace["sectors"]), "--out-dir", str(tmp_path / "x")])
-    assert code == 2
-    assert "pass --k and --epsilon, or --preset" in capsys.readouterr().err
+                 "--sectors", str(workspace["sectors"]), "--out-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert_usage_error(err, "one of the arguments --k --preset is required")
+    assert not out.exists()
+
+
+def test_sectors_fit_k_needs_epsilon(workspace, tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main(["sectors", "fit", "--corr", str(workspace["corr"]),
+                 "--sectors", str(workspace["sectors"]), "--k", "3", "--out-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "bad parameter: --k needs --epsilon\n"
+    assert not out.exists()
 
 
 def test_sectors_fit_rejects_unknown_preset(workspace, tmp_path):
@@ -382,7 +447,10 @@ def test_sectors_fit_rejects_a_preset_with_a_point(workspace, tmp_path, capsys, 
                  "--out-dir", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert "bad parameter" in err and all(flag in err for flag in ["--preset", *point[::2]])
+    if point[0] == "--k":  # the parser's group
+        assert_usage_error(err, "argument --k: not allowed with argument --preset")
+    else:
+        assert err == "bad parameter: --epsilon needs --k\n"
     assert not out.exists()
 
 
@@ -400,6 +468,16 @@ def test_sectors_displace_between_models(workspace, tmp_path, capsys):
     payload = read_json(out)
     assert sum(payload["histogram"].values()) == payload["n_epochs"] == 100
     assert "epochs" in capsys.readouterr().out
+
+
+def test_sectors_displace_of_models_of_different_lengths_is_a_data_error(tmp_path, capsys):
+    stock, sector, out = tmp_path / "stock.json", tmp_path / "sector.json", tmp_path / "d.json"
+    stock.write_text('{"state_of": [1, 2, 2]}')
+    sector.write_text('{"state_of": [1, 2, 2, 1]}')
+    assert main(["sectors", "displace", "--stock-model", str(stock),
+                 "--sector-model", str(sector), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"data error: {stock} has 3 states, {sector} 4\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, message", [
@@ -429,11 +507,14 @@ def test_sectors_displace_reads_only_each_state_sequence(tmp_path, capsys, text,
 # trajectory
 
 
+def price_dates(market):
+    return [line.split(",")[0] for line in (market / "prices.csv").read_text().splitlines()[1:]]
+
+
 def test_trajectory_single_window(workspace, market, tmp_path, capsys):
-    dates = [line.split(",")[0]
-             for line in (market / "prices.csv").read_text().splitlines()[1:]]
+    dates = price_dates(market)
     out = tmp_path / "report.json"
-    assert main(["trajectory", "--panel", str(workspace["panel"]),
+    assert main(["trajectory", "window", "--panel", str(workspace["panel"]),
                  "--center", dates[60], "--width", "45",
                  "--name", "probe", "--out", str(out)]) == 0
     payload = read_json(out)
@@ -444,13 +525,12 @@ def test_trajectory_single_window(workspace, market, tmp_path, capsys):
 
 
 def test_trajectory_start_end_equals_center(workspace, market, tmp_path):
-    dates = [line.split(",")[0]
-             for line in (market / "prices.csv").read_text().splitlines()[1:]]
+    dates = price_dates(market)
     by_center, by_span = tmp_path / "center.json", tmp_path / "span.json"
-    main(["trajectory", "--panel", str(workspace["panel"]), "--center", dates[60],
+    main(["trajectory", "window", "--panel", str(workspace["panel"]), "--center", dates[60],
           "--width", "45", "--out", str(by_center)])
     center_payload = read_json(by_center)
-    main(["trajectory", "--panel", str(workspace["panel"]),
+    main(["trajectory", "window", "--panel", str(workspace["panel"]),
           "--start", center_payload["start_date"], "--end", center_payload["end_date"],
           "--out", str(by_span)])
     span_payload = read_json(by_span)
@@ -459,21 +539,25 @@ def test_trajectory_start_end_equals_center(workspace, market, tmp_path):
 
 
 def test_trajectory_requires_a_window(workspace, tmp_path, capsys):
-    code = main(["trajectory", "--panel", str(workspace["panel"]),
-                 "--out", str(tmp_path / "r.json")])
-    assert code == 2
-    assert "--center" in capsys.readouterr().err
+    out = tmp_path / "r.json"
+    code = main(["trajectory", "window", "--panel", str(workspace["panel"]), "--out", str(out)])
+    assert code == 1
+    assert_usage_error(capsys.readouterr().err, "one of the arguments --center --start is required")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("span", [["--start", "2020-01-02", "--end", "2020-02-01"],
                                   ["--start", "2020-01-02"], ["--end", "2020-02-01"]])
 def test_trajectory_rejects_a_center_with_a_span(workspace, tmp_path, capsys, span):
     out = tmp_path / "r.json"
-    code = main(["trajectory", "--panel", str(workspace["panel"]), "--center", "2020-03-02",
-                 *span, "--out", str(out)])
+    code = main(["trajectory", "window", "--panel", str(workspace["panel"]),
+                 "--center", "2020-03-02", *span, "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert "bad parameter" in err and "--center" in err and "--start" in err and "--end" in err
+    if "--start" in span:  # the parser's group
+        assert_usage_error(err, "argument --start: not allowed with argument --center")
+    else:
+        assert err == "bad parameter: --end needs --start\n"
     assert not out.exists()
 
 
@@ -495,24 +579,29 @@ def test_trajectory_catalog(workspace, market, tmp_path, capsys):
 def test_trajectory_rejects_a_width_with_a_span(workspace, tmp_path, capsys, flags, width):
     # the span sets the window, so a width, even the default one, would go unused
     out = tmp_path / "r.json"
-    code = main(["trajectory", "--panel", str(workspace["panel"]), *flags,
+    code = main(["trajectory", "window", "--panel", str(workspace["panel"]), *flags,
                  "--width", width, "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert "bad parameter" in err and "--width" in err and flags[0] in err
+    if "--start" in flags:
+        assert err == ("bad parameter: --width does not combine with --start; "
+                       "the span sets the window\n")
+    else:  # --end alone is no window
+        assert_usage_error(err, "one of the arguments --center --start is required")
     assert not out.exists()
 
 
 @pytest.mark.parametrize("given, missing", [("--start", "--end"), ("--end", "--start")])
 def test_trajectory_span_needs_both_ends(workspace, market, tmp_path, capsys, given, missing):
-    dates = [line.split(",")[0]
-             for line in (market / "prices.csv").read_text().splitlines()[1:]]
     out = tmp_path / "r.json"
-    code = main(["trajectory", "--panel", str(workspace["panel"]), given, dates[40],
-                 "--out", str(out)])
+    code = main(["trajectory", "window", "--panel", str(workspace["panel"]),
+                 given, price_dates(market)[40], "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert "bad parameter" in err and f"{given} needs {missing}" in err
+    if given == "--start":
+        assert err == "bad parameter: --start needs --end\n"
+    else:  # the parser asks for the start that the group requires
+        assert_usage_error(err, "one of the arguments --center --start is required")
     assert not out.exists()
 
 
@@ -526,8 +615,7 @@ def test_trajectory_catalog_rejects_single_window_flags(workspace, market, tmp_p
                  "--events", str(market / "events.csv"), "--width", "45",
                  *flags, "--out", str(out)])
     assert code == 1
-    err = capsys.readouterr().err
-    assert "bad parameter" in err and flags[0] in err and flags[-2] in err
+    assert_usage_error(capsys.readouterr().err, f"unrecognized arguments: {' '.join(flags)}")
     assert not out.exists()
 
 
@@ -546,10 +634,8 @@ def test_trajectory_catalog_rejects_a_bad_width_or_epsilon(workspace, market, tm
 @pytest.mark.parametrize("mode", ["catalog", "single"])
 def test_a_trajectory_threshold_that_is_not_finite_is_a_bad_parameter(
         workspace, market, tmp_path, capsys, mode, threshold):
-    dates = [line.split(",")[0]
-             for line in (market / "prices.csv").read_text().splitlines()[1:]]
     window = (["catalog", "--events", str(market / "events.csv")] if mode == "catalog"
-              else ["--center", dates[60]])
+              else ["window", "--center", price_dates(market)[60]])
     out = tmp_path / "r.json"
     code = main(["trajectory", *window, "--panel", str(workspace["panel"]), "--width", "45",
                  "--threshold", threshold, "--out", str(out)])
@@ -561,35 +647,34 @@ def test_a_trajectory_threshold_that_is_not_finite_is_a_bad_parameter(
 
 def test_trajectory_single_window_rejects_events(workspace, market, tmp_path, capsys):
     # one window's report has no use for a catalog: --events is refused, not ignored
-    dates = [line.split(",")[0]
-             for line in (market / "prices.csv").read_text().splitlines()[1:]]
     out = tmp_path / "r.json"
-    code = main(["trajectory", "--panel", str(workspace["panel"]), "--center", dates[60],
-                 "--width", "45", "--events", str(market / "events.csv"), "--out", str(out)])
+    events = str(market / "events.csv")
+    code = main(["trajectory", "window", "--panel", str(workspace["panel"]),
+                 "--center", price_dates(market)[60], "--width", "45", "--events", events,
+                 "--out", str(out)])
     assert code == 1
-    assert capsys.readouterr().err == (
-        "bad parameter: trajectory without catalog does not take --events\n")
+    assert_usage_error(capsys.readouterr().err, f"unrecognized arguments: --events {events}")
     assert not out.exists()
 
 
 def test_trajectory_single_window_rejects_workers(workspace, market, tmp_path, capsys):
-    # one window maps in one thread: a worker count other than 1 is refused, not ignored
-    dates = [line.split(",")[0]
-             for line in (market / "prices.csv").read_text().splitlines()[1:]]
+    # one window maps in one thread: any worker count, even 1, is refused, not ignored
     out = tmp_path / "r.json"
-    code = main(["trajectory", "--panel", str(workspace["panel"]), "--center", dates[60],
-                 "--width", "45", "--workers", "2", "--out", str(out)])
-    assert code == 1
-    assert capsys.readouterr().err == (
-        "bad parameter: trajectory without catalog does not take --workers\n")
-    assert not out.exists()
+    for workers in ("1", "2"):
+        code = main(["trajectory", "window", "--panel", str(workspace["panel"]),
+                     "--center", price_dates(market)[60], "--width", "45", "--workers", workers,
+                     "--out", str(out)])
+        assert code == 1
+        assert_usage_error(capsys.readouterr().err, f"unrecognized arguments: --workers {workers}")
+        assert not out.exists()
 
 
 def test_trajectory_catalog_needs_events(workspace, tmp_path, capsys):
-    code = main(["trajectory", "catalog", "--panel", str(workspace["panel"]),
-                 "--out", str(tmp_path / "r.json")])
-    assert code == 2
-    assert "--events" in capsys.readouterr().err
+    out = tmp_path / "r.json"
+    code = main(["trajectory", "catalog", "--panel", str(workspace["panel"]), "--out", str(out)])
+    assert code == 1
+    assert_usage_error(capsys.readouterr().err, "the following arguments are required: --events")
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------------
@@ -701,7 +786,6 @@ def test_demo_runs_end_to_end(tmp_path, capsys):
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_worker_counts_below_one_are_a_bad_parameter(workspace, tmp_path, capsys, command,
                                                      workers):
-    # a single trajectory window runs on one thread and would otherwise ignore the flag
     out = tmp_path / "out"
     config = tmp_path / "run.cfg"
     config.write_text(f"prices = {workspace['market'] / 'prices.csv'}\nout_dir = {out}\n")
@@ -709,8 +793,9 @@ def test_worker_counts_below_one_are_a_bad_parameter(workspace, tmp_path, capsys
             "run": ["run", "--config", str(config)],
             "optimize": ["states", "optimize", "--corr", str(workspace["corr"]),
                          "--out", str(out / "surface.csv")],
-            "trajectory": ["trajectory", "--panel", str(workspace["panel"]),
-                           "--center", "2020-03-02", "--out", str(out / "report.json")]}
+            "trajectory": ["trajectory", "catalog", "--panel", str(workspace["panel"]),
+                           "--events", str(workspace["market"] / "events.csv"),
+                           "--out", str(out / "report.json")]}
     assert main(argv[command] + ["--workers", workers]) == 1
     assert f"bad parameter: workers must be >= 1, got {workers}" in capsys.readouterr().err
     assert not out.exists()

@@ -1,10 +1,12 @@
 import csv
+import re
 import zipfile
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from marketstates.demo import write_demo_data
 from marketstates.errors import DataError
 from marketstates.ingest import (
     ContinuityPolicy,
@@ -384,6 +386,53 @@ def test_malformed_clean_file_is_the_csv_paths_data_error(tmp_path, change, mess
     change(rows)
     with pytest.raises(DataError, match=message):
         load_prices(write_rows(tmp_path / "p.csv", rows))
+
+
+# --------------------------------------------------------------------------
+# text encoding: UTF-8, with or without the BOM that Excel's "CSV UTF-8" writes
+
+BOM = b"\xef\xbb\xbf"
+
+
+def with_bom(path):
+    """A copy of ``path`` beside it with a UTF-8 byte order mark in front."""
+    copy = path.with_name("bom_" + path.name)
+    copy.write_bytes(BOM + path.read_bytes())
+    return copy
+
+
+def assert_same_panel(a, b):
+    assert (a.tickers, a.dates, a.dropped) == (b.tickers, b.dates, b.dropped)
+    assert a.prices.tobytes() == b.prices.tobytes()
+
+
+def test_a_bom_before_a_clean_file_is_skipped(tmp_path, no_csv_reader):
+    path = write_rows(tmp_path / "p.csv", clean_rows())
+    assert_same_panel(load_prices(with_bom(path)), load_prices(path))
+
+
+def test_a_bom_before_the_demo_prices_is_skipped(tmp_path):
+    # the demo's file has gaps, so it is read row by row
+    path = write_demo_data(tmp_path)["prices"]
+    panel = load_prices(with_bom(path))
+    assert panel.dropped  # the csv path's filter ran
+    assert_same_panel(panel, load_prices(path))
+
+
+def test_a_bom_before_a_sector_map_is_skipped(tmp_path):
+    path = write_csv(tmp_path / "s.csv", "ticker,sector\nAAA,tech\nBBB,energy\n")
+    assert load_sector_map(with_bom(path)) == load_sector_map(path) == {"AAA": "tech",
+                                                                        "BBB": "energy"}
+
+
+@pytest.mark.parametrize("row", [0, 4], ids=["header", "data_row"])
+def test_prices_that_are_not_utf8_are_a_data_error_naming_the_file(tmp_path, row):
+    rows = clean_rows()
+    rows[row][1] += "\u00c9"  # Latin-1 0xC9 below: a ticker or a cell
+    path = tmp_path / "p.csv"
+    path.write_bytes("\n".join(",".join(r) for r in rows).encode("latin-1") + b"\n")
+    with pytest.raises(DataError, match=re.escape(f"cannot read {path}: 'utf-8' codec can't")):
+        load_prices(path)
 
 
 def random_panel(seed=29):

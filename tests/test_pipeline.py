@@ -25,6 +25,7 @@ from marketstates.pipeline import (
 )
 from marketstates.rmt import WishartSpec
 from marketstates.serialize import load_arrays, read_json, save_arrays, sha256_file, write_csv
+from test_ingest import with_bom
 from test_serialize import save_arrays_deflated
 
 STAGES = ("ingest", "corr", "states", "sectors", "trajectory", "rmt")  # in run order
@@ -89,6 +90,18 @@ threshold = 0.25
     assert cfg.k_range == [2, 3, 4]
     assert cfg.threshold == 0.25
     assert cfg.shift == 1  # untouched default
+
+
+def test_config_file_is_utf8_and_a_bom_is_skipped(tmp_path):
+    text = "prices = data/pr\u00e9ces.csv\nwindow = 30\n"
+    path = tmp_path / "run.cfg"
+    path.write_bytes(text.encode())
+    assert PipelineConfig.from_file(with_bom(path)) == PipelineConfig.from_file(path)
+    assert PipelineConfig.from_file(path).prices == "data/pr\u00e9ces.csv"
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(text.encode("latin-1"))
+    with pytest.raises(DataError, match=re.escape(f"cannot read config {latin1}: 'utf-8'")):
+        PipelineConfig.from_file(latin1)
 
 
 def test_config_comment_opens_only_at_line_start_or_after_whitespace(tmp_path):

@@ -21,6 +21,8 @@ from marketstates.trajectory import (
     window_from_dates,
 )
 
+from test_ingest import with_bom
+
 
 def step_distances(coordinates):
     """The distance on the map from each epoch to the next."""
@@ -310,6 +312,13 @@ def test_load_event_catalog(tmp_path):
     missing.write_text("name,center_date\nlonely,\n")
     with pytest.raises(DataError, match="lacks a center date"):
         load_event_catalog(missing)
+
+
+def test_a_bom_before_an_event_catalog_is_skipped(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_text("name,center_date\ncrash,2020-02-20\n")
+    assert load_event_catalog(with_bom(path)) == load_event_catalog(path) == [
+        ("crash", "2020-02-20")]
 
 
 def test_event_listed_twice_is_a_data_error(tmp_path):
