@@ -46,10 +46,10 @@ embedding = classical_mds(zeta, D=3)
 print(f"3-D map spans x: [{embedding.coordinates[:, 0].min():.3f}, "
       f"{embedding.coordinates[:, 0].max():.3f}]")
 
-# how faithful is a D-dimensional map to the full-dimension one?
-full = classical_mds(zeta, D=len(zeta) - 1)
+# how faithful is a D-dimensional map to the measured steps zeta(t, t+1)?
+wider = classical_mds(zeta, D=4)
 print("step-pattern fidelity by dimension:")
-for d, value in step_fidelity(full.coordinates, [1, 2, 3, 4]):
+for d, value in step_fidelity(wider.coordinates, np.diagonal(zeta, 1), [1, 2, 3, 4]):
     print(f"  D={d}: {value:.4f}")
 
 # --- 3. cluster the map into states --------------------------------------------

@@ -8,12 +8,10 @@ float64 value.  Classical (Torgerson) multidimensional scaling turns the
 resulting dissimilarity matrix into coordinates, so that each epoch becomes
 one point and market history becomes a trajectory through that map.
 
-Two solvers give the map's axes.  ``classical_mds`` decomposes the whole
-double-centred matrix, for the callers that read its whole spectrum: the
-full map and its fidelity, and the clipped-eigenvalue counts.
-``embed_epochs`` needs only a few leading axes: under
-``LANCZOS_MIN_EPOCHS`` epochs it calls ``classical_mds`` too, and from there
-on it takes them from Lanczos iterations, which agree with the full
+Two solvers give the map's axes, and ``_mds`` picks between them for every
+map: under ``LANCZOS_MIN_EPOCHS`` epochs ``classical_mds`` decomposes the
+whole double-centred matrix, and from there on ``_leading_mds`` takes the
+leading axes from Lanczos iterations, which agree with the full
 decomposition to about 1e-12 of the largest coordinate and cost a few dozen
 matrix-vector products instead of an (epochs, epochs) eigenvector matrix.
 """
@@ -31,21 +29,15 @@ from .errors import NumericError
 
 @dataclass
 class Embedding:
-    """Classical MDS coordinates, one row per epoch, plus eigenvalue diagnostics.
+    """Classical MDS coordinates, one row per epoch, and the axes' eigenvalues.
 
-    ``eigenvalues`` are the axes' (non-negative, descending) values; padded
-    axes carry eigenvalue 0.  ``n_clipped`` counts the negative eigenvalues
-    of the whole double-centering spectrum and ``clipped_mass`` is their
-    share of its total |eigenvalue| mass, a measure of how non-Euclidean the
-    input was.  Only ``classical_mds`` sees the whole spectrum: a map built
-    from its leading axes alone carries None for both.  The first d axes of
-    a ``classical_mds`` map at D are the bytes of the map at d.
+    ``eigenvalues`` are non-negative and descending; padded axes carry
+    eigenvalue 0.  The first d axes of a ``classical_mds`` map at D are the
+    bytes of the map at d.
     """
 
     coordinates: np.ndarray
     eigenvalues: np.ndarray
-    n_clipped: int | None
-    clipped_mass: float | None
 
 
 def _l1_rows(X: np.ndarray, sums: np.ndarray, out: np.ndarray, first: int, step: int,
@@ -190,7 +182,7 @@ def _axes(vectors: np.ndarray, columns: np.ndarray, values: np.ndarray, D: int) 
     ``values`` are the kept eigenvalues, non-negative and descending; the
     axes past them are zero, with eigenvalue 0.  The columns are gathered
     about 512 KB at a time, straight into the coordinates, so no reordered
-    copy of ``vectors`` is made.  The clip counts are left to the caller.
+    copy of ``vectors`` is made.
     """
     coords = np.zeros((len(vectors), D))
     step = _epochs_per_chunk(8 * len(vectors))
@@ -199,8 +191,7 @@ def _axes(vectors: np.ndarray, columns: np.ndarray, values: np.ndarray, D: int) 
         np.multiply(vectors[:, block], np.sqrt(values[j:j + step]),
                     out=coords[:, j:j + len(block)])
     return Embedding(coordinates=_fix_signs(coords),
-                     eigenvalues=np.concatenate([values, np.zeros(D - len(values))]),
-                     n_clipped=None, clipped_mass=None)
+                     eigenvalues=np.concatenate([values, np.zeros(D - len(values))]))
 
 
 def classical_mds(dissim: np.ndarray, D: int) -> Embedding:
@@ -208,42 +199,35 @@ def classical_mds(dissim: np.ndarray, D: int) -> Embedding:
 
     B = -1/2 J (Z*Z) J with J = I - (1/n) 1 1'; coordinates are eigenvectors
     scaled by the square root of the top D non-negative eigenvalues.
-    Negative eigenvalues (non-Euclidean input) are dropped and counted in
-    ``n_clipped``; if fewer than D non-negative remain, the missing axes are
-    zero, with eigenvalue 0.  The whole spectrum is computed, so this is
-    the solver for a full map and its clip counts; ``embed_epochs`` takes a
-    few leading axes of a large map from ``_leading_mds`` instead.
-    ``dissim`` is a square (epochs, epochs) matrix such as similarity_matrix's;
-    it is not written to.
+    Negative eigenvalues (non-Euclidean input) are dropped; if fewer than D
+    non-negative remain, the missing axes are zero, with eigenvalue 0.  The
+    whole spectrum is computed, so ``_mds`` takes the axes of a large map
+    from ``_leading_mds`` instead.  ``dissim`` is a square (epochs, epochs)
+    matrix such as similarity_matrix's; it is not written to.
     """
     n = _n_epochs(dissim)
     _check_dim(n, D)
-    return _eigen_axes(*np.linalg.eigh(_double_center(dissim)), D)
-
-
-def _mds_in_place(dissim: np.ndarray, D: int) -> Embedding:
-    """classical_mds(dissim, D), double-centred in ``dissim``'s own buffer, which it overwrites.
-
-    The full map's caller holds one (epochs, epochs) array fewer across the
-    eigendecomposition.
-    """
-    n = _n_epochs(dissim)
-    _check_dim(n, D)
-    return _eigen_axes(*np.linalg.eigh(_double_center(dissim, out=dissim)), D)
-
-
-def _eigen_axes(eigval: np.ndarray, eigvec: np.ndarray, D: int) -> Embedding:
-    """classical_mds's ``D`` axes and clip counts from the double-centred matrix's eigenpairs."""
-    order = np.argsort(eigval)[::-1]
-    eigval = eigval[order]
+    eigval, eigvec = np.linalg.eigh(_double_center(dissim))
+    order = np.argsort(eigval)[::-1][:D]
     # non-negative eigenvalues always come first in descending order
-    n_keep = min(D, int((eigval[:D] >= 0.0).sum()))
-    embedding = _axes(eigvec, order[:n_keep], eigval[:n_keep], D)
-    negatives = eigval[eigval < 0.0]
-    total_mass = float(np.abs(eigval).sum())
-    embedding.n_clipped = negatives.size
-    embedding.clipped_mass = float(np.abs(negatives).sum() / total_mass) if total_mass > 0 else 0.0
-    return embedding
+    n_keep = int((eigval[order] >= 0.0).sum())
+    return _axes(eigvec, order[:n_keep], eigval[order[:n_keep]], D)
+
+
+def _clipped(dissim: np.ndarray) -> tuple[int, float]:
+    """How non-Euclidean ``dissim`` is: its double-centred spectrum's negative part.
+
+    Returns the count of eigenvalues below -n eps max|eigenvalue| (the
+    tolerance of ``np.linalg.matrix_rank``, so rounding noise is not
+    counted) and their share of the total |eigenvalue| mass.  The
+    eigenvalues come from one ``eigvalsh``, with no eigenvectors; ``dissim``
+    is double-centred in its own buffer, which it overwrites.
+    """
+    eigval = np.linalg.eigvalsh(_double_center(dissim, out=dissim))
+    magnitude = np.abs(eigval)
+    total = float(magnitude.sum())
+    negatives = eigval[eigval < -len(eigval) * np.finfo(float).eps * magnitude.max()]
+    return negatives.size, float(np.abs(negatives).sum() / total) if total > 0 else 0.0
 
 
 #: ``embed_epochs`` maps of at least this many epochs take their axes from
@@ -332,7 +316,7 @@ def _leading_mds(dissim: np.ndarray, D: int) -> Embedding:
     The coordinates agree with classical_mds(dissim, D) to about 1e-12 of
     the largest coordinate, up to a rotation within an axis whose
     eigenvalue is repeated.  A negative leading eigenvalue gives a zero
-    axis, as in classical_mds; the clip counts are None.
+    axis, as in classical_mds.
     """
     n = _n_epochs(dissim)
     _check_dim(n, D)
@@ -349,6 +333,15 @@ def _leading_mds(dissim: np.ndarray, D: int) -> Embedding:
     return _axes(vectors, np.arange(n_keep), values[:n_keep], D)
 
 
+def _mds(dissim: np.ndarray, D: int) -> Embedding:
+    """The ``D``-axis map that every caller takes.
+
+    It is classical_mds's under LANCZOS_MIN_EPOCHS epochs and _leading_mds's
+    from there on, so no large map makes a full eigendecomposition.
+    """
+    return (classical_mds if len(dissim) < LANCZOS_MIN_EPOCHS else _leading_mds)(dissim, D)
+
+
 def embed_epochs(epochs: EpochCorrelationSeries, epsilon: float, dim: int,
                  workers: int = 1) -> Embedding:
     """Power map, dissimilarity and ``dim``-axis classical MDS of an epoch series.
@@ -357,36 +350,36 @@ def embed_epochs(epochs: EpochCorrelationSeries, epsilon: float, dim: int,
     event trajectories.  The dissimilarity kernel power-maps each epoch as
     it copies it and never writes to its input, so no mapped copy of the
     series is made; missing axes are zero-padded, as in classical_mds.
-    Under LANCZOS_MIN_EPOCHS epochs the map is classical_mds's; from there
-    on it is _leading_mds's, which agrees to about 1e-12 of the largest
-    coordinate and carries no clip counts.
-    ``workers`` threads run the dissimilarity kernel.  ``epochs`` is an
-    EpochCorrelationSeries, as for similarity_matrix.
+    The axes come from ``_mds``.  ``workers`` threads run the dissimilarity
+    kernel.  ``epochs`` is an EpochCorrelationSeries, as for
+    similarity_matrix.
     """
-    sim = similarity_matrix(epochs, workers, epsilon)
-    return (classical_mds if len(sim) < LANCZOS_MIN_EPOCHS else _leading_mds)(sim, dim)
+    return _mds(similarity_matrix(epochs, workers, epsilon), dim)
 
 
-def step_fidelity(coordinates: np.ndarray, dims: list[int]) -> list[tuple[int, float]]:
-    """How well each low dimension reproduces the full map's local motion.
+def step_fidelity(coordinates: np.ndarray, steps: np.ndarray,
+                  dims: list[int]) -> list[tuple[int, float]]:
+    """How well each low dimension of a map reproduces a reference of its local motion.
 
-    ``coordinates`` holds all Fr-1 axes of a classical MDS map of Fr epochs,
-    such as ``classical_mds(dissim, Fr - 1).coordinates``.  For every
+    ``coordinates`` is a classical MDS map of Fr epochs with at least
+    max(dims) axes, and ``steps`` the Fr-1 reference lengths between
+    consecutive epochs: the measured dissimilarities ``np.diagonal(dissim,
+    1)``, or the step lengths of the full (Fr-1)-axis map.  For every
     requested D the length-(Fr-1) sequence of consecutive-epoch embedded
-    distances is correlated (Pearson) against the same sequence at the
-    reference dimension D_max = Fr-1.  Truncation is nested: dimension D
-    uses the first D axes of the map.
+    distances on the map's first D axes is correlated (Pearson) against
+    ``steps``.
     """
-    n = coordinates.shape[0]
+    n, width = coordinates.shape
     if n < 3:
         raise NumericError(f"need at least 3 epochs, got {n}")
+    if np.shape(steps) != (n - 1,):
+        raise ValueError(f"steps must hold {n - 1} lengths, got shape {np.shape(steps)}")
     if not dims:
         raise ValueError("dims must not be empty")
-    d_max = n - 1
     for D in dims:
-        if not 1 <= D <= d_max:
-            raise ValueError(f"dimension {D} outside 1..{d_max}")
-    diffs = np.diff(coordinates, axis=0)
+        if not 1 <= D <= width:
+            raise ValueError(f"dimension {D} outside 1..{width}")
+    diffs = np.diff(coordinates[:, :max(dims)], axis=0)
     # nested truncation: cumulative squared steps along axes
     cumulative = np.cumsum(diffs * diffs, axis=1)
 
@@ -394,13 +387,12 @@ def step_fidelity(coordinates: np.ndarray, dims: list[int]) -> list[tuple[int, f
         # rounding dust on a flat sequence still counts as constant
         return seq.std() <= 1e-12 * max(float(np.abs(seq).max()), 1e-300)
 
-    reference = np.sqrt(cumulative[:, d_max - 1])
-    if constant(reference):
+    if constant(steps):
         raise NumericError("reference step sequence is constant; correlation undefined")
     results = []
     for D in dims:
         seq = np.sqrt(cumulative[:, D - 1])
         if constant(seq):
             raise NumericError(f"step sequence at D={D} is constant; correlation undefined")
-        results.append((D, float(np.corrcoef(seq, reference)[0, 1])))
+        results.append((D, float(np.corrcoef(seq, steps)[0, 1])))
     return results

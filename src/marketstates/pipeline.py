@@ -38,7 +38,7 @@ from .corrmat import (
     save_epoch_correlations,
 )
 from .errors import DataError, NumericError, exit_code
-from .geometry import Embedding, _check_workers, _mds_in_place, similarity_matrix, step_fidelity
+from .geometry import Embedding, _check_workers, _clipped, _mds, similarity_matrix, step_fidelity
 from .ingest import (
     ContinuityPolicy,
     load_panel,
@@ -336,22 +336,22 @@ def write_map(series: EpochCorrelationSeries, dim: int, out_dir: Path,
 
     Writes ``map_coords.csv``, each row labelled with its epoch's start
     date, and ``map_meta.json`` under ``out_dir``; returns the epsilon 0
-    map on ``dim`` axes.  One eigendecomposition serves both: classical
-    MDS computes each axis on its own, so the first ``dim`` columns and
-    eigenvalues of the full map that the fidelity needs are the bytes of
-    ``classical_mds(sim, dim)``.  The dissimilarities are double-centred
-    in their own array, and the full map is freed on return.  From
-    ``LANCZOS_MIN_EPOCHS`` epochs on this is a run's one full
-    eigendecomposition: ``embed_epochs`` takes the other maps' leading
-    axes by Lanczos.
+    map on ``dim`` axes.  One map of min(max(dim, 4), epochs - 1) axes from
+    the solver every map takes (``geometry._mds``) serves both: the
+    returned map is its first ``dim`` axes, and ``dimension_fidelity``
+    correlates its first D <= 4 axes' step lengths with the measured
+    matrix-space steps zeta(t, t+1).  ``n_clipped`` and ``clipped_mass``
+    come from the distances' eigenvalues alone, taken in their own buffer
+    after the map.
     ``workers`` threads run the dissimilarity kernel.
     """
     n = series.n_epochs
     _check_fit(n, [], dim)
     out_dir.mkdir(parents=True, exist_ok=True)
-    full = _mds_in_place(similarity_matrix(series, workers), n - 1)
-    embedding = replace(full, coordinates=full.coordinates[:, :dim].copy(),
-                        eigenvalues=full.eigenvalues[:dim].copy())
+    sim = similarity_matrix(series, workers)
+    full = _mds(sim, min(max(dim, 4), n - 1))
+    embedding = Embedding(coordinates=full.coordinates[:, :dim].copy(),
+                          eigenvalues=full.eigenvalues[:dim].copy())
     padded = _xyz(embedding.coordinates)
     write_csv(
         out_dir / "map_coords.csv",
@@ -359,13 +359,15 @@ def write_map(series: EpochCorrelationSeries, dim: int, out_dir: Path,
         [(i + 1, date, padded[i, 0], padded[i, 1], padded[i, 2])
          for i, date in enumerate(series.start_dates)],
     )
-    fidelity = step_fidelity(full.coordinates, [d for d in (1, 2, 3, 4) if d < n])
+    fidelity = step_fidelity(full.coordinates, np.diagonal(sim, 1),
+                             [d for d in (1, 2, 3, 4) if d < n])
+    n_clipped, clipped_mass = _clipped(sim)
     write_json(
         out_dir / "map_meta.json",
         {
             "eigenvalues": [float(v) for v in embedding.eigenvalues],
-            "n_clipped": full.n_clipped,
-            "clipped_mass": full.clipped_mass,
+            "n_clipped": n_clipped,
+            "clipped_mass": clipped_mass,
             "dimension_fidelity": {str(d): float(v) for d, v in fidelity},
         },
     )

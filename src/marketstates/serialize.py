@@ -47,15 +47,16 @@ def sha256_file(path: str | Path) -> str:
 def write_json(path: str | Path, payload) -> None:
     """Strict JSON: a NaN or infinite float raises ValueError before the file is opened."""
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    with Path(path).open("w", newline="\n") as fh:
+    with Path(path).open("w", newline="\n", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 
 def read_json(path: str | Path):
+    """The JSON value of a UTF-8 file; a file that cannot be read or decoded is a DataError."""
     path = Path(path)
     try:
-        return json.loads(path.read_text())
-    except OSError as exc:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
@@ -79,8 +80,8 @@ def check_csv_names(names, kind: str, source) -> None:
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:
-    """Plain CSV with a header row, nothing quoted; floats via repr, everything else via str."""
-    with Path(path).open("w", newline="\n") as fh:
+    """Plain UTF-8 CSV with a header row, nothing quoted; floats via repr, the rest via str."""
+    with Path(path).open("w", newline="\n", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(map(_cell, row)) + "\n")

@@ -369,8 +369,10 @@ def test_low_dimension_fidelity_pattern_on_reference_data(acceptance):
         except DataError:
             continue
         zeta = similarity_matrix(window.epochs)
-        full = classical_mds(zeta, D=len(zeta) - 1)
-        fidelity = dict(step_fidelity(full.coordinates, [1, 2, 3, 4]))
+        # the paper's reference: the step lengths of the full (n - 1)-axis map
+        full = classical_mds(zeta, D=len(zeta) - 1).coordinates
+        steps = np.linalg.norm(np.diff(full, axis=0), axis=1)
+        fidelity = dict(step_fidelity(full, steps, [1, 2, 3, 4]))
         analyzed.append(name)
         values = [fidelity[d] for d in (1, 2, 3, 4)]
         if any(b < a - 1e-12 for a, b in zip(values, values[1:])):

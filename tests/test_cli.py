@@ -503,6 +503,17 @@ def test_sectors_displace_reads_only_each_state_sequence(tmp_path, capsys, text,
     assert not out.exists()
 
 
+def test_sectors_displace_of_a_model_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    good, bad, out = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "d.json"
+    good.write_text('{"state_of": [1, 2, 2]}')
+    bad.write_bytes(b'{"state_of": [1, 2, 2], "name": "\xff"}')
+    assert main(["sectors", "displace", "--stock-model", str(bad), "--sector-model", str(good),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot read {bad}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1 and not out.exists()
+
+
 # --------------------------------------------------------------------------
 # trajectory
 

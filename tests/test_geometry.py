@@ -17,8 +17,10 @@ from marketstates.errors import NumericError
 from marketstates.geometry import (
     LANCZOS_MIN_EPOCHS,
     Embedding,
+    _clipped,
     _lanczos,
     _leading_mds,
+    _mds,
     classical_mds,
     embed_epochs,
     similarity_matrix,
@@ -592,10 +594,21 @@ def test_mds_clips_negative_eigenvalues_and_pads():
     gap = np.abs(ang[:, None] - ang[None, :])
     geo = np.minimum(gap, 2 * np.pi - gap)
     emb = classical_mds(geo, D=7)  # tier-1 fails on any RuntimeWarning, so none fires
-    assert emb.n_clipped >= 3
-    assert emb.clipped_mass > 0.1
     assert np.all(emb.coordinates[:, -1] == 0.0)
     assert emb.eigenvalues[-1] == 0.0
+    n_clipped, clipped_mass = _clipped(geo.copy())
+    assert n_clipped >= 3
+    assert clipped_mass > 0.1
+
+
+def test_a_euclidean_input_has_nothing_clipped():
+    # an exactly Euclidean configuration's spectrum has only rounding noise below 0,
+    # the centring's null vector among it
+    points = np.random.default_rng(4).normal(size=(50, 3))
+    Z = euclidean_matrix(points)
+    n_clipped, clipped_mass = _clipped(Z)
+    assert n_clipped == 0
+    assert clipped_mass == 0.0 and not np.signbit(clipped_mass)  # JSON writes -0.0 as such
 
 
 def test_mds_dimension_validation():
@@ -653,8 +666,6 @@ def test_large_maps_take_lanczos_axes_that_match_the_full_decomposition(n_epochs
     scale = np.abs(want.coordinates).max()
     assert np.abs(got.coordinates - want.coordinates).max() <= 1e-10 * scale
     np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=1e-12)
-    # a 3-axis map never sees the whole spectrum, so it reports no clip counts
-    assert got.n_clipped is None and got.clipped_mass is None
 
 
 def test_small_maps_stay_on_the_full_decomposition():
@@ -662,26 +673,35 @@ def test_small_maps_stay_on_the_full_decomposition():
     want = classical_mds(similarity_matrix(series, 1, 0.5), 3)
     got = embed_epochs(series, 0.5, 3)
     assert got.coordinates.tobytes() == want.coordinates.tobytes()
-    assert (got.n_clipped, got.clipped_mass) == (want.n_clipped, want.clipped_mass)
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
 
 
 def test_large_maps_make_no_full_eigendecomposition(monkeypatch, tmp_path):
     from marketstates.pipeline import write_map
+    from marketstates.serialize import read_json
 
-    sides = []
-    eigh = np.linalg.eigh
-
-    def counted(a):
-        sides.append(len(a))
-        return eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
     series = regime_series(300, 10, 3)
+    sim = similarity_matrix(series)
+    want = _mds(sim, 4)  # the 4-axis map that the fidelity reads
+    fidelity = step_fidelity(want.coordinates, np.diagonal(sim, 1), [1, 2, 3, 4])
+
+    sides = {"eigh": [], "eigvalsh": []}
+    for name, real in [(name, getattr(np.linalg, name)) for name in sides]:
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, name=name, real=real: sides[name].append(len(a)) or real(a))
     embed_epochs(series, 0.3, 3)
-    assert sides and max(sides) < 300  # only Lanczos' tridiagonal matrices
-    sides.clear()
-    write_map(series, 3, tmp_path)
-    assert sides.count(300) == 1
+    assert sides["eigh"] and max(sides["eigh"]) < 300  # only Lanczos' tridiagonal matrices
+    assert not sides["eigvalsh"]
+    sides["eigh"].clear()
+    got = write_map(series, 3, tmp_path)
+    assert max(sides["eigh"]) < 300
+    assert sides["eigvalsh"] == [300]  # the clip counts' eigenvalues alone
+    monkeypatch.undo()
+    assert got.coordinates.tobytes() == want.coordinates[:, :3].tobytes()
+    assert got.eigenvalues.tobytes() == want.eigenvalues[:3].tobytes()
+    meta = read_json(tmp_path / "map_meta.json")
+    assert meta["dimension_fidelity"] == {str(d): v for d, v in fidelity}
+    assert meta["n_clipped"] == _clipped(sim)[0]
 
 
 def test_lanczos_maps_are_the_same_bytes_on_any_worker_count():
@@ -734,34 +754,58 @@ def test_lanczos_map_of_a_low_rank_or_constant_input():
     assert not flat.coordinates.any() and not flat.eigenvalues.any()
 
 
+def full_map_steps(coordinates):
+    """The step lengths of a map on all its axes, summed as step_fidelity sums them."""
+    diffs = np.diff(coordinates, axis=0)
+    return np.sqrt(np.cumsum(diffs * diffs, axis=1)[:, -1])
+
+
 def test_dimension_fidelity_reference_dimension_is_exact():
     sim = similarity_matrix(random_corr_series(8))
     d_max = len(sim) - 1  # an ndarray's size is the square
-    results = dict(step_fidelity(classical_mds(sim, d_max).coordinates, [1, d_max]))
+    full = classical_mds(sim, d_max).coordinates
+    results = dict(step_fidelity(full, full_map_steps(full), [1, d_max]))
     assert results[d_max] == 1.0
     assert -1.0 <= results[1] <= 1.0
+
+
+def test_measured_steps_and_full_map_steps_agree_on_a_euclidean_input():
+    # nothing is clipped, so the full map reproduces every distance, the steps among them
+    points = np.random.default_rng(11).normal(size=(40, 5))
+    Z = euclidean_matrix(points)
+    full = classical_mds(Z, len(points) - 1).coordinates
+    measured = step_fidelity(full, np.diagonal(Z, 1), [1, 2, 3, 4])
+    own = step_fidelity(full, full_map_steps(full), [1, 2, 3, 4])
+    np.testing.assert_allclose([r for _, r in measured], [r for _, r in own], rtol=0, atol=1e-12)
 
 
 def test_dimension_fidelity_monotone_on_anisotropic_cloud():
     rng = np.random.default_rng(3)
     scales = np.array([5.0, 2.5, 1.2, 0.6, 0.3, 0.15])
     points = rng.normal(size=(40, 6)) * scales
-    full = classical_mds(euclidean_matrix(points), len(points) - 1)
-    values = [r for _, r in step_fidelity(full.coordinates, [1, 2, 3, 4])]
+    full = classical_mds(euclidean_matrix(points), len(points) - 1).coordinates
+    values = [r for _, r in step_fidelity(full, full_map_steps(full), [1, 2, 3, 4])]
     assert all(values[i] <= values[i + 1] + 1e-12 for i in range(3))
     assert values[3] > 0.9
 
 
 def test_dimension_fidelity_validation_and_degenerate_input():
     with pytest.raises(NumericError, match="at least 3 epochs"):
-        step_fidelity(classical_mds(np.zeros((2, 2)), 1).coordinates, [1])
+        step_fidelity(classical_mds(np.zeros((2, 2)), 1).coordinates, np.ones(1), [1])
     with pytest.raises(ValueError, match="square"):
         classical_mds(np.zeros((4, 5)), 1)
-    line = classical_mds(euclidean_matrix(np.arange(5.0)[:, None]), 4).coordinates
+    Z = euclidean_matrix(np.arange(5.0)[:, None])
+    line, steps = classical_mds(Z, 4).coordinates, np.diagonal(Z, 1)
     with pytest.raises(ValueError):
-        step_fidelity(line, [])
-    with pytest.raises(ValueError):
-        step_fidelity(line, [5])
+        step_fidelity(line, steps, [])
+    with pytest.raises(ValueError, match="outside 1..4"):
+        step_fidelity(line, steps, [5])
+    with pytest.raises(ValueError, match="outside 1..2"):
+        step_fidelity(line[:, :2], steps, [3])
+    with pytest.raises(ValueError, match="steps must hold 4 lengths"):
+        step_fidelity(line, steps[1:], [1])
     # equally spaced collinear points: every step sequence is constant
-    with pytest.raises(NumericError, match="constant"):
-        step_fidelity(line, [1])
+    with pytest.raises(NumericError, match="reference step sequence is constant"):
+        step_fidelity(line, steps, [1])
+    with pytest.raises(NumericError, match="at D=1 is constant"):
+        step_fidelity(line, np.arange(4.0), [1])

@@ -445,33 +445,32 @@ def test_archive_without_a_packed_member_asks_to_rerun_corr(tmp_path):
 
 
 def test_write_map_uses_one_eigendecomposition(tmp_path, monkeypatch):
-    from marketstates import geometry
-    from marketstates.geometry import classical_mds, similarity_matrix, step_fidelity
+    from marketstates.geometry import _clipped, classical_mds, similarity_matrix, step_fidelity
     from marketstates.pipeline import write_map
 
     series = corr_series(n_epochs=15, n=5)
     sim = similarity_matrix(series)
     for dim in (1, 2, 3, 5):
-        # oracle: the map and the fidelity each from their own eigendecomposition
+        # oracle: the map at dim, and the fidelity on the first 4 axes of a map of max(dim, 4)
         embedding = classical_mds(sim, D=dim)
-        full = classical_mds(sim, D=len(sim) - 1)
-        fidelity = dict(step_fidelity(full.coordinates, [1, 2, 3, 4]))
+        wide = classical_mds(sim, D=max(dim, 4)).coordinates
+        fidelity = dict(step_fidelity(wide, np.diagonal(sim, 1), [1, 2, 3, 4]))
 
-        calls = []
-        real_eigh = np.linalg.eigh
-        monkeypatch.setattr(geometry.np.linalg, "eigh", lambda m: calls.append(1) or real_eigh(m))
+        calls = {"eigh": [], "eigvalsh": []}
+        for name, real in [(name, getattr(np.linalg, name)) for name in calls]:
+            monkeypatch.setattr(np.linalg, name, lambda a, name=name, real=real:
+                                calls[name].append(len(a)) or real(a))
         got = write_map(series, dim, tmp_path)
         monkeypatch.undo()
-        assert len(calls) == 1
-        # the returned map is the full map's leading axes, the bytes of the map at dim
+        # one full decomposition for the map, and the eigenvalues alone for the clip counts
+        assert calls == {"eigh": [15], "eigvalsh": [15]}
+        # the returned map is the wider map's leading axes, the bytes of the map at dim
         assert got.coordinates.tobytes() == embedding.coordinates.tobytes()
         assert got.eigenvalues.tobytes() == embedding.eigenvalues.tobytes()
-        assert (got.n_clipped, got.clipped_mass) == (embedding.n_clipped, embedding.clipped_mass)
 
         meta = read_json(tmp_path / "map_meta.json")
         assert meta["eigenvalues"] == embedding.eigenvalues.tolist()
-        assert (meta["n_clipped"], meta["clipped_mass"]) == (embedding.n_clipped,
-                                                             embedding.clipped_mass)
+        assert (meta["n_clipped"], meta["clipped_mass"]) == _clipped(sim.copy())
         assert meta["dimension_fidelity"] == {str(d): v for d, v in fidelity.items()}
         rows = (tmp_path / "map_coords.csv").read_text().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == [m.start_date for m in series.matrices]

@@ -1,7 +1,11 @@
 """Deterministic artifact I/O: byte stability, round trips, error wrapping."""
 
 import io
+import os
+import subprocess
+import sys
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +62,28 @@ def test_read_json_wraps_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(DataError, match="not valid JSON"):
         read_json(bad)
+
+
+def test_read_json_of_a_file_that_is_not_utf8_is_a_data_error_naming_it(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"name": "\xff"}')
+    with pytest.raises(DataError, match=f"^cannot read {bad}: 'utf-8' codec can't decode"):
+        read_json(bad)
+
+
+def test_csv_and_json_are_written_as_utf8_under_an_ascii_locale(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    script = ("import sys; from marketstates.serialize import write_csv, write_json; "
+              "write_csv(sys.argv[1], ['ticker'], [['Soci\\u00e9t\\u00e9']]); "
+              "write_json(sys.argv[2], {'ticker': 'Soci\\u00e9t\\u00e9'})")
+    done = subprocess.run([sys.executable, "-X", "utf8=0", "-c", script, str(tmp_path / "t.csv"),
+                           str(tmp_path / "t.json")], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "t.csv").read_bytes() == "ticker\nSoci\u00e9t\u00e9\n".encode("utf-8")
+    assert read_json(tmp_path / "t.json") == {"ticker": "Soci\u00e9t\u00e9"}
 
 
 def test_write_csv_floats_are_lossless(tmp_path):
@@ -264,7 +290,7 @@ def toy_model(k=2, n_epochs=5):
 
 def toy_embedding(n_epochs=5):
     return Embedding(coordinates=np.random.default_rng(4).standard_normal((n_epochs, 3)),
-                     eigenvalues=np.ones(3), n_clipped=0, clipped_mass=0.0)
+                     eigenvalues=np.ones(3))
 
 
 def test_state_model_round_trip(tmp_path):
