@@ -36,9 +36,9 @@ print(f"{n_days} return days, window {spec.window}, shift {spec.shift}"
 print(f"epoch 1 covers {series.start_dates[0]}..{series.end_dates[0]}")
 print(f"epoch 2 starts {series.start_dates[1]} (one day later)\n")
 
-# values_chunks yields dense copies of the epochs, a given number at a time;
-# these 41 small epochs fit in one chunk
-_, stack = next(series.values_chunks(series.n_epochs))
+# values_stack makes a dense (epochs, N, N) copy of a range of epochs, by
+# default all of them; these 41 small epochs fit in memory at once
+stack = series.values_stack()
 # consecutive epochs share window-1 days, so they are highly similar:
 delta = np.abs(stack[0] - stack[1]).mean()
 far = np.abs(stack[0] - stack[-1]).mean()
@@ -52,7 +52,7 @@ short = ReturnPanel(
     dates=[f"d{i:03d}" for i in range(20)],
     returns=rng.standard_normal((40, 20)),
 )
-_, (wide,) = next(epoch_correlations(short, EpochSpec(window=20)).values_chunks(1))
+(wide,) = epoch_correlations(short, EpochSpec(window=20)).values_stack(0, 1)
 before = np.linalg.eigvalsh(wide)
 lifted = np.linalg.eigvalsh(power_map(wide, 0.001))
 print("eigenvalues within 1e-10 of zero,")

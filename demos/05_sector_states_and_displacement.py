@@ -45,9 +45,9 @@ panel = ReturnPanel(tickers=tickers, dates=[f"d{i:03d}" for i in range(days)],
 # --- 2. every epoch, averaged by sector ----------------------------------------
 series = epoch_correlations(panel, EpochSpec(window=20, shift=1))
 by_sector = sector_series(series, sector_of)  # the same series type, sector labels
-# values_chunks(1) yields each epoch as a dense (1, N, N) copy; take the first
-_, (example,) = next(series.values_chunks(1))
-_, (small,) = next(by_sector.values_chunks(1))
+# values_stack(e, e + 1) is epoch e as a dense (1, N, N) copy; take the first
+(example,) = series.values_stack(0, 1)
+(small,) = by_sector.values_stack(0, 1)
 print(f"stock matrix {example.shape} -> sector matrix {small.shape}")
 print(f"sectors (sorted): {by_sector.labels}")
 print("sector matrix for the first epoch:")

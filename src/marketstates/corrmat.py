@@ -157,14 +157,6 @@ class EpochCorrelationSeries:
                 _read_rows(fh, rows, source.path)
                 yield e0, rows
 
-    def values_chunks(self, step: int):
-        """Yield (first epoch, new dense (epochs, N, N) copy) for ``step`` epochs at a time.
-
-        One pass over the rows, in epoch order (see ``_chunks``).
-        """
-        for e0, rows in self._chunks(step):
-            yield e0, _unpack_epochs(rows, self.n_labels)
-
     def values_stack(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """A new dense (epochs, N, N) copy of epochs ``start`` to ``stop``, by default all."""
         return _unpack_epochs(self._read(start, stop), self.n_labels)
@@ -188,6 +180,35 @@ class EpochCorrelationSeries:
                 sums[label - 1] += row
         sums /= counts[1:, None]
         return list(_unpack_epochs(sums, self.n_labels))
+
+    def block_sums(self, groups: np.ndarray, self_pairs: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Each epoch's sums of C_ij over the label pairs of each two groups, and the pair counts.
+
+        ``groups`` numbers each label's group from 0; both come back packed for
+        the G groups, the sums as new (epochs, G(G+1)/2) rows.  Pairs i == j
+        count only with ``self_pairs``.  Each chunk's packed columns are weighted
+        in place (1 across two groups, 2 inside one for C_ij and C_ji, 1 or 0 on
+        the diagonal) and one bincount adds each entry's columns in column
+        order: the bits depend on neither the chunking nor the BLAS.
+        """
+        n = int(groups.max()) + 1
+        upper, width = np.triu_indices(n, 1), _packed_width(n)
+        where = np.empty((n, n), dtype=np.intp)  # each pair of groups' packed column
+        where[upper] = where[upper[::-1]] = np.arange(len(upper[0]))
+        where[np.diag_indices(n)] = np.arange(len(upper[0]), width)
+        a, b = (groups[side] for side in np.triu_indices(self.n_labels, 1))
+        columns = np.concatenate([where[a, b], where[groups, groups]])
+        weights = np.concatenate([np.where(a == b, 2.0, 1.0),
+                                  np.full(self.n_labels, float(self_pairs))])
+        sums = np.empty((self.n_epochs, width))
+        step = _epochs_per_chunk(16 * self.packed_width)  # 256 KB of rows, 256 KB of bins
+        bins = columns + width * np.arange(min(step, self.n_epochs))[:, None]
+        for e0, rows in self._chunks(step, writable=True):
+            rows *= weights
+            m = len(rows)
+            sums[e0:e0 + m] = np.bincount(bins[:m].ravel(), rows.ravel(),
+                                          minlength=m * width).reshape(m, width)
+        return sums, np.bincount(columns, weights, minlength=width)
 
     @functools.cached_property
     def _column_range(self) -> np.ndarray:

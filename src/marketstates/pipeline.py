@@ -757,7 +757,8 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False,
     manifest: dict = {"config": cfg.as_manifest_dict(run.names), "stages": {}}
     code = 0
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        run.prefetch(pool, _prior_files(cfg, run, previous) if previous else [])
+        if pool is not None and previous:
+            run.prefetch(pool, _prior_files(cfg, run, previous))
         for stage in _STAGES:
             unset = [name for name in stage.inputs
                      if name in cfg._PATHS and not getattr(cfg, name)]

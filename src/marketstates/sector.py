@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrmat import EpochCorrelationSeries, _epochs_per_chunk
+from .corrmat import EpochCorrelationSeries
 from .errors import DataError
 
 #: Published operating points for the sector-level fit, by market.  The
@@ -47,35 +47,14 @@ class DisplacementReport:
 
 
 def _sector_layout(tickers, sector_of) -> tuple[list[str], np.ndarray]:
-    """Sorted sector names and the N x N_S one-hot membership matrix."""
+    """Sorted sector names and each stock's index among them."""
     unmapped = [t for t in tickers if t not in sector_of]
     if unmapped:
         shown = ", ".join(unmapped[:5])
         raise DataError(f"{len(unmapped)} stock(s) with no sector assignment: {shown}")
     sectors = sorted({sector_of[t] for t in tickers})
     column_of = {name: j for j, name in enumerate(sectors)}
-    membership = np.zeros((len(tickers), len(sectors)))
-    for row, ticker in enumerate(tickers):
-        membership[row, column_of[sector_of[ticker]]] = 1.0
-    return sectors, membership
-
-
-def _block_averages(chunk: np.ndarray, membership: np.ndarray,
-                    include_self_pairs: bool) -> np.ndarray:
-    """Average each epoch of ``chunk`` over sector blocks; a singleton's undefined diagonal is 1.0.
-
-    One batched product serves the chunk, and each epoch gets the bits of the 2-D product.
-    """
-    sizes = membership.sum(axis=0)
-    sums = membership.T @ chunk @ membership
-    pairs = np.outer(sizes, sizes)
-    if not include_self_pairs:
-        at = np.arange(len(sizes))
-        sums[:, at, at] -= (membership.T @ chunk.diagonal(axis1=1, axis2=2)[:, :, None])[:, :, 0]
-        pairs[at, at] = sizes * (sizes - 1.0)
-    averaged = sums / np.where(pairs == 0.0, 1.0, pairs)
-    averaged[:, pairs == 0.0] = 1.0
-    return (averaged + averaged.transpose(0, 2, 1)) / 2.0
+    return sectors, np.array([column_of[sector_of[t]] for t in tickers], dtype=np.intp)
 
 
 def sector_series(series: EpochCorrelationSeries, sector_of,
@@ -87,21 +66,18 @@ def sector_series(series: EpochCorrelationSeries, sector_of,
     ``include_self_pairs`` is set.  A singleton sector leaves its
     intra-sector mean undefined, which falls back to 1.0 with a warning.
     The result is a series like its source: the sorted sector names as
-    labels and the source epochs' dates.
+    labels and the source epochs' dates.  The means come from the packed
+    rows (``series.block_sums``), with bits that depend on neither the
+    chunking nor the BLAS.
     """
-    sectors, membership = _sector_layout(series.labels, sector_of)
-    sizes = membership.sum(axis=0)
-    if not include_self_pairs and (sizes == 1).any():
-        names = ", ".join(sectors[j] for j in np.flatnonzero(sizes == 1))
-        warnings.warn(
-            f"singleton sector(s) {names}: intra-sector mean undefined, set to 1.0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    averages = np.empty((series.n_epochs, len(sectors), len(sectors)))
-    step = _epochs_per_chunk(series.n_labels ** 2 * 8)  # about 512 KB of unpacked epochs
-    for e0, chunk in series.values_chunks(step):
-        averages[e0:e0 + len(chunk)] = _block_averages(chunk, membership, include_self_pairs)
+    sectors, index = _sector_layout(series.labels, sector_of)
+    lone = [sectors[j] for j in np.flatnonzero(np.bincount(index) == 1)]
+    if lone and not include_self_pairs:
+        warnings.warn(f"singleton sector(s) {', '.join(lone)}: intra-sector mean undefined, "
+                      "set to 1.0", RuntimeWarning, stacklevel=2)
+    averages, pairs = series.block_sums(index, include_self_pairs)
+    averages /= np.where(pairs == 0.0, 1.0, pairs)
+    averages[:, pairs == 0.0] = 1.0
     return EpochCorrelationSeries(sectors, averages, series.start_dates, series.end_dates)
 
 

@@ -73,7 +73,7 @@ def test_only_corrmat_knows_how_the_epoch_stack_is_stored():
     # corrmat.save_series and load_series own corr_raw.npz, and corrmat alone
     # lays out the packed rows: geometry's kernel gets its rows from
     # corrmat._kernel_copy, and the state averages and the sector series
-    # read dense matrices through the series' own methods
+    # read the rows through the series' own methods
     storage = {"_packed_width", "_triangle", "_pack_chunk", "_pack_epochs", "_unpack_epochs",
                "_power"}
     leaks = [f"{file}: {name}" for file, name in imported_names(relative=True)

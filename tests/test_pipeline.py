@@ -279,7 +279,7 @@ def test_an_archived_series_gives_the_bits_of_the_series_in_memory(tmp_path, def
     from marketstates.sector import sector_series
     from marketstates.states import fit_series
 
-    # 150 epochs of 30 stocks: two chunks of packed rows, three of dense epochs
+    # 150 epochs of 30 stocks: two 512 KB chunks of packed rows, three of the sector means'
     series = corr_series(n_epochs=150, n=30, seed=3)
     back = archived_copy(series, tmp_path / "corr_raw.npz", deflated)
     # one class: a stored member keeps no rows in memory, a deflated one is read whole
@@ -307,10 +307,12 @@ def test_an_archived_series_gives_the_bits_of_the_series_in_memory(tmp_path, def
         assert (got.start_date, got.end_date) == (want.start_date, want.end_date)
     for e in (0, 139, 140, 149):
         assert back.matrices[e].values.tobytes() == series.matrices[e].values.tobytes()
-    for step in (1, 64, 150):
-        got, want = list(back.values_chunks(step)), list(series.values_chunks(step))
-        assert [e0 for e0, _ in got] == [e0 for e0, _ in want] == list(range(0, 150, step))
-        assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, want, strict=True))
+    for step in (1, 64, 150):  # a chunk is valid until the next is asked for
+        starts = []
+        for (e0, got), (f0, want) in zip(back._chunks(step), series._chunks(step), strict=True):
+            assert e0 == f0 and got.tobytes() == want.tobytes()
+            starts.append(e0)
+        assert starts == list(range(0, 150, step))
     assert back._column_range.tobytes() == series._column_range.tobytes()
     assert not back._column_range.flags.writeable
     rows = packed_rows(back)
@@ -420,7 +422,7 @@ def test_states_and_sectors_hold_no_stack_of_the_archive(tmp_path, peak_bytes):
     # stack here), its distance matrix (0.02) and a 512 KB chunk of rows (0.1),
     # with one more chunk for the power map at epsilon 0.5
     assert peak_bytes(lambda: _stage_states(states, run)) < 0.7 * stack
-    # sectors holds a chunk of rows, its dense copy and the small sector series
+    # sectors holds a chunk of rows, its bins and the small sector series
     assert peak_bytes(lambda: _stage_sectors(sectors, run)) < 0.5 * stack
 
 
@@ -720,6 +722,20 @@ def test_rerun_skips_and_force_rewrites(market, tmp_path):
 
     after = {p.name: sha256_file(p) for p in out.iterdir() if p.name != "manifest.json"}
     assert after == before  # reruns are byte-identical
+
+
+def test_only_a_rerun_with_a_pool_lists_the_files_to_read_ahead(market, tmp_path, monkeypatch):
+    import marketstates.pipeline as pipeline
+
+    cfg = market_config(market, tmp_path / "out")
+    assert run_pipeline(cfg)[0] == 0
+    listed = []
+    real = pipeline._prior_files
+    monkeypatch.setattr(pipeline, "_prior_files", lambda *a: listed.append(1) or real(*a))
+    for workers, want in ((1, []), (2, [1])):
+        code, manifest = run_pipeline(cfg, workers=workers)
+        assert code == 0 and listed == want
+        assert all(entry["status"] == "skipped" for entry in manifest["stages"].values())
 
 
 def test_each_file_is_hashed_once_per_run(market, tmp_path, monkeypatch):

@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 
 from conftest import correlation_of, packed_rows
-from marketstates import sector
+from marketstates import corrmat
 from marketstates.corrmat import (
     EpochCorrelationSeries,
     EpochSpec,
     epoch_correlations,
+    load_series,
     power_map,
+    save_series,
 )
 from marketstates.errors import DataError
 from marketstates.geometry import embed_epochs
 from marketstates.ingest import ReturnPanel
 from marketstates.sector import SECTOR_PRESETS, displacement, sector_series
+from marketstates.serialize import StoredArray
 from marketstates.states import fit_series
 
 
@@ -145,8 +148,15 @@ def test_iid_stocks_give_statistically_flat_blocks():
     assert (np.abs(means) <= 3.0 * errors).all()
 
 
-def block_average(values, membership, include_self_pairs):
-    """One epoch's sector averages, as sector_series computed them before batching by chunk."""
+def sector_index(tickers, sector_of):
+    """Each stock's index among the sorted sector names."""
+    names = sorted(set(sector_of[t] for t in tickers))
+    return np.array([names.index(sector_of[t]) for t in tickers]), len(names)
+
+
+def block_average(values, index, n_sectors, include_self_pairs):
+    """One epoch's sector averages by dense one-hot products, as sector_series once made them."""
+    membership = np.eye(n_sectors)[index]
     sizes = membership.sum(axis=0)
     sums = membership.T @ values @ membership
     pairs = np.outer(sizes, sizes)
@@ -159,6 +169,31 @@ def block_average(values, membership, include_self_pairs):
     for j in singletons:
         averaged[j, j] = 1.0
     return (averaged + averaged.T) / 2.0
+
+
+def packed_column_average(rows, index, n_sectors, include_self_pairs):
+    """Packed sector means from packed stock ``rows`` by a plain loop over the columns.
+
+    Each sector entry adds its weighted stock columns onto 0.0 in packed-column
+    order and divides by its pair count, the sum of those weights; an entry
+    with no pair is 1.0.  A pair across two sectors weighs 1, a strict pair
+    inside one 2 (C_ij and C_ji), and a diagonal entry 1 or 0.
+    """
+    n = len(index)
+    stock_pairs = [*zip(*np.triu_indices(n, 1)), *((i, i) for i in range(n))]
+    sector_pairs = [*zip(*np.triu_indices(n_sectors, 1)), *((a, a) for a in range(n_sectors))]
+    column_of = {(int(a), int(b)): s for s, (a, b) in enumerate(sector_pairs)}
+    sums = np.zeros((len(rows), len(sector_pairs)))
+    counts = np.zeros(len(sector_pairs))
+    for c, (i, j) in enumerate(stock_pairs):
+        a, b = sorted((int(index[i]), int(index[j])))
+        weight = float(include_self_pairs) if i == j else 2.0 if a == b else 1.0
+        s = column_of[(a, b)]
+        sums[:, s] += weight * rows[:, c]
+        counts[s] += weight
+    sums /= np.where(counts == 0.0, 1.0, counts)
+    sums[:, counts == 0.0] = 1.0
+    return sums
 
 
 def small_panel_series():
@@ -187,31 +222,54 @@ def test_sector_series_matches_per_epoch_averages():
     rows = packed_rows(series)
     assert rows.shape == (raw.n_epochs, 3) and not rows.flags.writeable
     assert np.shares_memory(rows, packed_rows(series))  # in memory: each read views it
-    stack = series.values_stack()
-    membership = sector._sector_layout(raw.labels, mapping)[1]
-    want = np.stack([block_average(m.values, membership, False) for m in raw.matrices])
-    assert stack.tobytes() == want.tobytes()
+    index, n_sectors = sector_index(raw.labels, mapping)
+    want = packed_column_average(packed_rows(raw), index, n_sectors, False)
+    assert rows.tobytes() == want.tobytes()
+    dense = np.stack([block_average(m.values, index, n_sectors, False) for m in raw.matrices])
+    np.testing.assert_allclose(series.values_stack(), dense, rtol=0, atol=2e-15)
 
 
-def test_sector_series_unpacks_chunk_by_chunk_with_the_per_epoch_bits():
-    # 100 stocks: 6 epochs per 512 KB chunk, so 20 epochs end in a partial chunk
+def test_sector_series_has_the_column_order_bits_at_any_chunking(tmp_path, monkeypatch):
+    # 100 stocks: 6 epochs per 256 KB chunk, so 20 epochs end in a partial chunk
     rng = np.random.default_rng(5)
     tickers = [f"t{i}" for i in range(100)]
     panel = ReturnPanel(tickers=tickers, dates=[f"d{i:03d}" for i in range(39)],
                         returns=rng.standard_normal((100, 39)))
     raw = epoch_correlations(panel, EpochSpec(window=20, shift=1))
     assert raw.n_epochs == 20
+    save_series(raw, tmp_path / "corr_raw.npz")
+    sources = {"memory": raw, "archive": load_series(tmp_path / "corr_raw.npz")}
+    assert isinstance(sources["archive"]._rows, StoredArray)
     seven = {t: f"s{i % 7}" for i, t in enumerate(tickers)}
     lone = {**seven, "t99": "alone"}  # a singleton sector beside seven larger ones
     for mapping in (seven, lone):
-        membership = sector._sector_layout(raw.labels, mapping)[1]
+        index, n_sectors = sector_index(tickers, mapping)
         for self_pairs in (False, True):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # the singleton's
-                got = sector_series(raw, mapping, include_self_pairs=self_pairs).values_stack()
-            want = np.stack([block_average(m.values, membership, self_pairs)
-                             for m in raw.matrices])
-            assert got.tobytes() == want.tobytes()
+            want = packed_column_average(packed_rows(raw), index, n_sectors, self_pairs)
+            for source in sources.values():
+                for step in (None, 20):  # 6 epochs a chunk, or one chunk of all 20
+                    with monkeypatch.context() as patch, warnings.catch_warnings():
+                        if step is not None:
+                            patch.setattr(corrmat, "_epochs_per_chunk", lambda _, s=step: s)
+                        warnings.simplefilter("ignore", RuntimeWarning)  # the singleton's
+                        got = sector_series(source, mapping, include_self_pairs=self_pairs)
+                    assert packed_rows(got).tobytes() == want.tobytes()
+            dense = np.stack([block_average(m.values, index, n_sectors, self_pairs)
+                              for m in raw.matrices])
+            np.testing.assert_allclose(got.values_stack(), dense, rtol=0, atol=2e-15)
+
+
+def test_sector_series_unpacks_no_epoch(tmp_path, monkeypatch):
+    _, mapping, raw = small_panel_series()
+    save_series(raw, tmp_path / "corr_raw.npz")
+    want = sector_series(raw, mapping)
+
+    def refuse(*_):
+        raise AssertionError("a dense epoch was unpacked")
+
+    monkeypatch.setattr(corrmat, "_unpack_epochs", refuse)
+    for source in (raw, load_series(tmp_path / "corr_raw.npz")):
+        assert packed_rows(sector_series(source, mapping)).tobytes() == packed_rows(want).tobytes()
 
 
 def test_sector_fit_clusters_the_power_mapped_map_and_records_epsilon():
