@@ -731,7 +731,12 @@ def test_only_a_rerun_with_a_pool_lists_the_files_to_read_ahead(market, tmp_path
     assert run_pipeline(cfg)[0] == 0
     listed = []
     real = pipeline._prior_files
-    monkeypatch.setattr(pipeline, "_prior_files", lambda *a: listed.append(1) or real(*a))
+
+    def counting(*args):
+        listed.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, "_prior_files", counting)
     for workers, want in ((1, []), (2, [1])):
         code, manifest = run_pipeline(cfg, workers=workers)
         assert code == 0 and listed == want
