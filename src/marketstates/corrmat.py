@@ -373,9 +373,11 @@ def _pearson_blocks(windows: np.ndarray, cov: np.ndarray) -> np.ndarray:
     (blocks, N, N) array; epoch_correlations passes about 2^16 float64
     (512 KB) of output at a time.  One batched product serves every block,
     and every step is the 2-D computation done slice by slice, so each
-    block gets the bits it would get alone.  Beyond ``cov`` it holds the
-    C-contiguous window copy, then one scratch chunk of ``cov``'s size for
-    the sd_i sd_j divisor and then cov + cov^T.  Returns the (blocks, N)
+    block gets the bits it would get alone.  X X^T is exactly symmetric:
+    numpy hands a product with its own transpose to BLAS syrk, which fills
+    one triangle and mirrors it, and every later step keeps it so.  Beyond
+    ``cov`` it holds the C-contiguous window copy, then one scratch chunk
+    of ``cov``'s size for the sd_i sd_j divisor.  Returns the (blocks, N)
     mask of zero-variance rows.
     """
     T = windows.shape[2]
@@ -396,9 +398,7 @@ def _pearson_blocks(windows: np.ndarray, cov: np.ndarray) -> np.ndarray:
     cov /= np.multiply(sd[:, :, None], sd[:, None, :], out=scratch)
     cov[rows] = 0.0
     cov.transpose(0, 2, 1)[rows] = 0.0
-    symmetric = np.add(cov, cov.transpose(0, 2, 1), out=scratch)
-    symmetric /= 2.0
-    np.clip(symmetric, -1.0, 1.0, out=cov)
+    np.clip(cov, -1.0, 1.0, out=cov)
     cov[:, diagonal, diagonal] = 1.0
     return rows
 
@@ -430,7 +430,7 @@ def _epoch_rows(panel: ReturnPanel, spec: EpochSpec, stacklevel: int,
             warnings.warn(f"epoch {e0 + index + 1}: {_zero_variance(flat[index])}",
                           RuntimeWarning, stacklevel=stacklevel)
         rows = packed[e0:e0 + len(chunk)] if whole else packed[:len(chunk)]
-        # (C + C^T) / 2 is symmetric bit for bit: the sum commutes
+        # exactly symmetric (see _pearson_blocks); only the upper triangle is read
         _pack_chunk(chunk, rows, e0, symmetric=True)
         yield rows
 

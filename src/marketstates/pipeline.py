@@ -288,23 +288,6 @@ def _xyz(coords: np.ndarray) -> np.ndarray:
     return padded
 
 
-def _mirrored_rows(matrix: np.ndarray):
-    """Yield each row of a symmetric matrix as its entries' reprs joined by commas.
-
-    Each value on or above the diagonal is formatted once, in its row; the
-    texts below the diagonal are those of earlier rows, kept only until the
-    row that needs them is made.
-    """
-    n = matrix.shape[0]
-    below: list[list[str]] = [[] for _ in range(n)]  # row i's texts of columns < i
-    for i in range(n):
-        upper = list(map(repr, matrix[i, i:].tolist()))
-        for later, text in zip(below[i + 1:], upper[1:]):
-            later.append(text)
-        yield ",".join(below[i] + upper)
-        below[i] = []
-
-
 def trajectory_report_payload(report) -> dict:
     """JSON-safe row: every field of the report but its coordinates, plus ``n_epochs``.
 
@@ -387,10 +370,11 @@ def write_fit(model, embedding, path: Path, prefix: str) -> list[Path]:
     """The one writer of a fitted state model; returns the paths it writes, in order.
 
     ``path`` gets the model's JSON and ``<stem>_avg_corr.npz`` beside it the
-    per-state average matrices.  The plot CSVs go beside them as well:
-    ``<prefix>coords.csv`` (the map with each epoch's state),
-    ``<prefix>transitions.csv`` and ``<prefix>state_avg_corr_S<s>.csv`` for
-    s = 1..k; one with s > k, left by a fit with more states, is removed.
+    per-state average matrices, as one (k, N, N) ``avg_corr`` in S1..Sk
+    order.  The plot CSVs go beside them as well: ``<prefix>coords.csv``
+    (the map with each epoch's state) and ``<prefix>transitions.csv``.
+    Every ``<prefix>state_avg_corr_S<s>.csv`` in the directory, a per-state
+    CSV of earlier releases, is removed.
     A state sequence that does not match the map is a ValueError and an
     average that is not exactly symmetric a NumericError, before any write.
     """
@@ -416,17 +400,11 @@ def write_fit(model, embedding, path: Path, prefix: str) -> list[Path]:
     write_csv(transitions, ["from", "to", "count"],
               [(a + 1, b + 1, int(model.transition_counts[a, b]))
                for a in range(model.k) for b in range(model.k)])
-    written = [path, sidecar, coords, transitions]
-    header = ["label"] + list(model.labels)
-    for s, avg in enumerate(model.avg_corr_matrix, start=1):
-        written.append(out / f"{prefix}state_avg_corr_S{s}.csv")
-        write_csv(written[-1], header, zip(model.labels, _mirrored_rows(avg), strict=True))
-    per_state = re.compile(rf"{re.escape(prefix)}state_avg_corr_S([1-9][0-9]*)\.csv")
+    per_state = re.compile(rf"{re.escape(prefix)}state_avg_corr_S[1-9][0-9]*\.csv")
     for old in out.iterdir():
-        match = per_state.fullmatch(old.name)
-        if match and int(match[1]) > model.k:
+        if per_state.fullmatch(old.name):
             old.unlink()
-    return written
+    return [path, sidecar, coords, transitions]
 
 
 def read_state_of(path: str | Path) -> np.ndarray:

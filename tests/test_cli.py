@@ -342,9 +342,8 @@ def test_states_fit_writes_model_and_plots(workspace, tmp_path, capsys):
                  "--out-dir", str(out)]) == 0
     model = read_json(out / "model.json")
     assert model["k"] == 2 and len(model["state_of"]) == 100
-    for name in ("states_coords.csv", "states_transitions.csv",
-                 "states_state_avg_corr_S1.csv", "states_state_avg_corr_S2.csv"):
-        assert (out / name).exists()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "model.json", "model_avg_corr.npz", "states_coords.csv", "states_transitions.csv"]
     text = capsys.readouterr().out
     assert "occupancy: S1=" in text and "mean correlation by state" in text
 
@@ -360,10 +359,11 @@ def test_refit_with_fewer_states_leaves_the_tree_of_a_fresh_fit(workspace, tmp_p
         "--corr", str(workspace["corr"]), "--epsilon", "0.0", "--n-inits", "4"]
     assert main(fit + ["--k", "3", "--out-dir", str(out)]) == 0
     assert read_json(out / model)["k"] == 3
-    assert (out / f"{prefix}state_avg_corr_S3.csv").exists()
+    stem = model.removesuffix(".json")
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [model, f"{stem}_avg_corr.npz", f"{prefix}coords.csv", f"{prefix}transitions.csv"])
     assert main(fit + ["--k", "2", "--out-dir", str(out)]) == 0
     assert main(fit + ["--k", "2", "--out-dir", str(fresh)]) == 0
-    assert not (out / f"{prefix}state_avg_corr_S3.csv").exists()
     assert tree_diff(out, fresh) == []
 
 

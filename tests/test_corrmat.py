@@ -125,6 +125,20 @@ def test_pearson_raw_matrices_are_psd():
         assert np.linalg.eigvalsh(C).min() > -1e-8
 
 
+@pytest.mark.parametrize("n_stocks", [1, 5, 60, 350])
+def test_pearson_blocks_are_their_own_transpose_bit_for_bit(n_stocks):
+    # only a chunk's upper triangle is packed, and it must stand for the whole matrix
+    from marketstates.corrmat import _pearson_blocks
+
+    returns = np.random.default_rng(n_stocks).normal(size=(n_stocks, 80))
+    returns[0, 10:40] = 0.5  # a flat stretch: a zero-variance row in some epochs
+    windows = np.lib.stride_tricks.sliding_window_view(returns, 20, axis=1)
+    windows = windows[:, ::15].transpose(1, 0, 2)  # (4 epochs, N, 20) strided views
+    chunk = np.empty((windows.shape[0], n_stocks, n_stocks))
+    assert _pearson_blocks(windows, chunk)[:, 0].any()
+    assert chunk.tobytes() == np.ascontiguousarray(chunk.transpose(0, 2, 1)).tobytes()
+
+
 def test_epoch_correlations_epochs_and_dates():
     rng = np.random.default_rng(5)
     panel = make_panel(rng.normal(size=(4, 47)))

@@ -24,7 +24,14 @@ from marketstates.pipeline import (
     write_fit,
 )
 from marketstates.rmt import WishartSpec
-from marketstates.serialize import load_arrays, read_json, save_arrays, sha256_file, write_csv
+from marketstates.serialize import (
+    load_arrays,
+    read_json,
+    save_arrays,
+    sha256_file,
+    write_csv,
+    write_json,
+)
 from test_ingest import with_bom
 from test_serialize import save_arrays_deflated
 
@@ -497,14 +504,19 @@ def fitted_toy():
     return build_state_model(series, run), run, embedding
 
 
+FIT_FILES = ["model.json", "model_avg_corr.npz", "demo_coords.csv", "demo_transitions.csv"]
+
+
 def test_write_fit_row_counts_and_values(tmp_path):
     model, run, embedding = fitted_toy()
     written = write_fit(model, embedding, tmp_path / "model.json", "demo_")
-    names = [p.name for p in written]
-    assert names[:4] == ["model.json", "model_avg_corr.npz", "demo_coords.csv",
-                         "demo_transitions.csv"]
-    assert names[4:] == [f"demo_state_avg_corr_S{s}.csv" for s in range(1, model.k + 1)]
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    assert written == [tmp_path / name for name in FIT_FILES]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(FIT_FILES)
+    # the sidecar holds the state averages bit for bit, in S1..Sk order
+    averages = load_arrays(tmp_path / "model_avg_corr.npz")["avg_corr"]
+    want = corr_series(n_epochs=12).label_means(model.state_of, model.k)
+    assert averages.shape == (model.k, *want[0].shape)
+    assert [a.tobytes() for a in averages] == [a.tobytes() for a in want]
 
     coords_lines = (tmp_path / "demo_coords.csv").read_text().splitlines()
     assert len(coords_lines) == 1 + len(model.state_of)
@@ -518,55 +530,6 @@ def test_write_fit_row_counts_and_values(tmp_path):
     assert len(transition_lines) == 1 + model.k * model.k
     total = sum(int(line.split(",")[2]) for line in transition_lines[1:])
     assert total == len(model.state_of) - 1
-
-
-def test_state_average_csvs_match_the_row_by_row_writer(tmp_path):
-    model, run, embedding = fitted_toy()
-    rng = np.random.default_rng(7)
-    wide = rng.normal(size=(40, 40))
-    # a wide average with -0.0, integral values and +-1 off the diagonal
-    wide = (wide + wide.T) / 2
-    wide[0, 1] = wide[1, 0] = -0.0
-    wide[2, 3] = wide[3, 2] = 1.0
-    wide[4, 5] = wide[5, 4] = -1.0
-    for case, labels, averages in (("toy", model.labels, model.avg_corr_matrix),
-                                   ("wide", [f"L{i}" for i in range(40)], [wide, np.eye(40)])):
-        model = replace(model, labels=labels, avg_corr_matrix=averages)
-        written = write_fit(model, embedding, tmp_path / case / "model.json", "")
-        for s, avg in enumerate(averages, start=1):
-            # oracle: the writer before mirroring, one repr per entry
-            write_csv(tmp_path / "want.csv", ["label"] + list(labels),
-                      [[labels[i]] + avg[i].tolist() for i in range(avg.shape[0])])
-            got = tmp_path / case / f"state_avg_corr_S{s}.csv"
-            assert got in written
-            assert got.read_bytes() == (tmp_path / "want.csv").read_bytes(), (case, s)
-
-
-def whole_mirrored_rows(matrix):
-    """The rows of a symmetric matrix as the earlier writer made them: every text at once."""
-    upper = np.triu_indices(matrix.shape[0])
-    text = np.empty(matrix.shape, dtype=object)
-    text[upper] = list(map(repr, matrix[upper].tolist()))
-    text.T[upper] = text[upper]
-    return list(map(",".join, text.tolist()))
-
-
-@pytest.mark.parametrize("n", [1, 2, 200])
-def test_mirrored_rows_come_one_at_a_time_with_the_whole_matrix_text(n, peak_bytes):
-    from collections import deque
-
-    from marketstates.pipeline import _mirrored_rows
-
-    half = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, n))
-    matrix = np.triu(half) + np.triu(half, 1).T
-    matrix[-1, 0] = matrix[0, -1] = -0.0 if n > 1 else 1.0
-    rows = _mirrored_rows(matrix)
-    assert iter(rows) is rows  # made as they are asked for
-    assert list(rows) == whole_mirrored_rows(matrix)
-    if n == 200:
-        # the texts below the diagonal wait for their rows: at most a quarter of
-        # the matrix at once, where the whole matrix's text took 3.2 MB
-        assert peak_bytes(lambda: deque(_mirrored_rows(matrix), maxlen=0)) < 1.5e6
 
 
 def test_state_average_csvs_reject_an_asymmetric_average(tmp_path):
@@ -589,11 +552,26 @@ def test_write_fit_rejects_mismatched_lengths(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_write_fit_writes_the_same_files_at_any_k(tmp_path):
+    from marketstates.geometry import classical_mds, similarity_matrix
+    from marketstates.states import best_kmeans, build_state_model
+
+    series = corr_series(n_epochs=12)
+    embedding = classical_mds(similarity_matrix(series), D=3)
+    for k in (2, 4):
+        model = build_state_model(series, best_kmeans(embedding.coordinates, k, 4, seed=0))
+        assert model.k == k
+        written = write_fit(model, embedding, tmp_path / str(k) / "model.json", "demo_")
+        assert [p.name for p in written] == FIT_FILES
+
+
 def test_write_fit_removes_only_its_own_per_state_csvs_beyond_k(tmp_path):
+    # a per-state CSV of an earlier release goes at any s, within k or beyond it
     model, run, embedding = fitted_toy()
-    kept = ["demo_state_avg_corr_S1.csv", "other_state_avg_corr_S7.csv",
-            "demo_state_avg_corr_S07.csv", "demo_state_avg_corr_S9.csv.bak", "notes.txt"]
-    for name in kept + ["demo_state_avg_corr_S3.csv", "demo_state_avg_corr_S12.csv"]:
+    kept = ["other_state_avg_corr_S7.csv", "demo_state_avg_corr_S07.csv",
+            "demo_state_avg_corr_S9.csv.bak", "notes.txt"]
+    for name in kept + ["demo_state_avg_corr_S1.csv", "demo_state_avg_corr_S3.csv",
+                        "demo_state_avg_corr_S12.csv"]:
         (tmp_path / name).write_text("old\n")
     written = write_fit(model, embedding, tmp_path / "model.json", "demo_")
     assert model.k == 2
@@ -694,6 +672,17 @@ def test_run_pipeline_full(market, tmp_path):
 
     model = read_json(out / "model.json")
     assert model["k"] == 2 and len(model["state_of"]) == 100
+
+    # each sidecar holds its series' state averages bit for bit, in S1..Sk order
+    from marketstates.ingest import load_sector_map
+    from marketstates.sector import sector_series
+
+    sectors = sector_series(series, load_sector_map(market / "sectors.csv"))
+    for stem, fitted in (("model", series), ("sector_model", sectors)):
+        fit = read_json(out / f"{stem}.json")
+        averages = load_arrays(out / f"{stem}_avg_corr.npz")["avg_corr"]
+        want = fitted.label_means(np.array(fit["state_of"]), fit["k"])
+        assert [a.tobytes() for a in averages] == [a.tobytes() for a in want], stem
 
     # burst event should look anisotropic, calm should not
     events = {e["name"]: e for e in read_json(out / "trajectory_report.json")["events"]}
@@ -1192,16 +1181,63 @@ def test_refit_with_fewer_states_leaves_the_tree_of_a_fresh_run(tmp_path, tree_d
     cfg = demo_config(out)
     assert (cfg.k, cfg.sector_k) == (2, 2)
     assert run_pipeline(replace(cfg, k=4, sector_k=3))[0] == 0
-    assert (out / "states_state_avg_corr_S4.csv").exists()
-    assert (out / "sectors_state_avg_corr_S3.csv").exists()
+    more = sorted(p.relative_to(out) for p in out.rglob("*"))
     code, manifest = run_pipeline(cfg)
     assert code == 0
+    assert sorted(p.relative_to(out) for p in out.rglob("*")) == more  # a fit's files whatever k
     assert run_pipeline(demo_config(fresh))[0] == 0
     assert tree_diff(out, fresh, skip={"manifest.json"}) == []
     # the manifest lists every file of the tree but the inputs and itself
     listed = {rel for entry in manifest["stages"].values() for rel in entry["outputs"]}
     tree = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
     assert listed == {rel for rel in tree - {"manifest.json"} if not rel.startswith("demo_data/")}
+
+
+def plant_per_state_csvs(out, manifest):
+    """Add the per-state CSVs an earlier release wrote beside each fit, listed in the manifest."""
+    for stage, prefix in (("states", "states_"), ("sectors", "sectors_")):
+        for s in (1, 2):
+            path = out / f"{prefix}state_avg_corr_S{s}.csv"
+            path.write_text(f"label,S00\nS00,{s}.0\n")
+            manifest["stages"][stage]["outputs"][path.name] = sha256_file(path)
+    write_json(out / "manifest.json", manifest)
+    return manifest
+
+
+def per_state_csvs(out):
+    return sorted(p.name for p in out.glob("*state_avg_corr_S*.csv"))
+
+
+def test_rerun_over_a_tree_with_per_state_csvs_skips_or_removes_them(market, tmp_path,
+                                                                     tree_diff):
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    cfg = market_config(market, out)
+    assert run_pipeline(cfg)[0] == 0
+    old = plant_per_state_csvs(out, read_json(out / "manifest.json"))["stages"]
+
+    # an unchanged key skips with the entry that lists the CSVs
+    code, manifest = run_pipeline(cfg)
+    assert code == 0
+    for name, entry in manifest["stages"].items():
+        assert entry == {**old[name], "status": "skipped"}, name
+    assert len(per_state_csvs(out)) == 4
+
+    # a sectors fit that reruns removes its own CSVs; the skipped states keep theirs
+    code, manifest = run_pipeline(replace(cfg, sector_k=3))
+    assert code == 0
+    assert manifest["stages"]["sectors"]["status"] == "ok"
+    assert manifest["stages"]["states"] == {**old["states"], "status": "skipped"}
+    assert per_state_csvs(out) == ["states_state_avg_corr_S1.csv", "states_state_avg_corr_S2.csv"]
+
+    # a states fit that reruns removes the rest: the tree of a fresh run
+    cfg.k = 3
+    code, manifest = run_pipeline(cfg)
+    assert code == 0 and manifest["stages"]["states"]["status"] == "ok"
+    assert per_state_csvs(out) == []
+    listed = {rel for entry in manifest["stages"].values() for rel in entry["outputs"]}
+    assert listed == {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert run_pipeline(replace(cfg, out_dir=str(fresh)))[0] == 0
+    assert tree_diff(out, fresh, skip={"manifest.json"}) == []
 
 
 @pytest.mark.parametrize("text", ["[]", '{"stages": []}', '{"stages": {"ingest": 3}}',
