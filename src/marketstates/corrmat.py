@@ -73,25 +73,20 @@ class EpochCorrelationSeries:
 
     The one epoch-stack type: stock-level series carry tickers as labels,
     sector-averaged ones sector names.  It holds the epochs' ``start_dates``
-    and ``end_dates`` and their packed (epochs, N(N+1)/2) rows.  ``epochs``
-    given as such rows is kept as it is, read-only, and a dense (epochs, N,
-    N) stack is packed, a NumericError naming its first epoch that is
-    non-finite or not exactly symmetric.  ``epochs`` given as the StoredArray
-    of an archive member, as by ``load_series``, stays in the file, which
-    each pass over the rows reopens; only ``_read`` and ``_chunks`` read
-    either.  ``matrices`` are records made on access, ``values_stack()``
-    a dense copy.  The dissimilarity, not the series, applies the power map.
+    and ``end_dates`` and their packed (epochs, N(N+1)/2) rows (the layout
+    is below).  ``epochs`` given as such rows in memory is kept as it is,
+    read-only; given as the StoredArray of an archive member, as by
+    ``load_series``, it stays in the file, which each pass over the rows
+    reopens.  Only ``_read`` and ``_chunks`` read either.  ``matrices`` are
+    records made on access, ``values_stack()`` a dense copy.  The
+    dissimilarity, not the series, applies the power map.
     """
 
     def __init__(self, labels, epochs: np.ndarray | StoredArray, start_dates, end_dates):
         self.labels = list(labels)
-        n = len(self.labels)
-        if len(epochs.shape) == 3 and epochs.shape[1:] == (n, n):
-            epochs = _pack_epochs(epochs)
-        shape = epochs.shape
+        n, shape = len(self.labels), epochs.shape
         if len(shape) != 2 or shape[1] != _packed_width(n) or n == 0:
-            what = "packed epochs" if len(shape) == 2 else "epoch stack"
-            raise ValueError(f"{what} of shape {shape} for {n} labels")
+            raise ValueError(f"packed epochs of shape {shape} for {n} labels")
         self.start_dates, self.end_dates = list(start_dates), list(end_dates)
         if not shape[0] == len(self.start_dates) == len(self.end_dates):
             raise ValueError(f"{shape[0]} packed epochs for {len(self.start_dates)} start "
@@ -99,7 +94,8 @@ class EpochCorrelationSeries:
         if isinstance(epochs, np.ndarray):  # a view, so that the caller's array stays writeable
             epochs = np.asarray(epochs, dtype=float).view()
             epochs.flags.writeable = False
-        self._rows = epochs  # the layout is below
+        self._rows = epochs
+        self._range = None  # the column ranges, from one pass on the first access
 
     @property
     def n_epochs(self) -> int:
@@ -210,20 +206,24 @@ class EpochCorrelationSeries:
                                           minlength=m * width).reshape(m, width)
         return sums, np.bincount(columns, weights, minlength=width)
 
-    @functools.cached_property
+    @property
     def _column_range(self) -> np.ndarray:
         """The read-only (2, width) minima and maxima of the packed columns.
 
         One pass over the rows, about 512 KB at a time, on the first access;
-        the series keeps the result for every later one.
+        the series keeps the result for every later one.  The cache is the
+        instance's own, so a pass over one series never holds up another's
+        (functools.cached_property locks per class before Python 3.12).
         """
-        lo, hi = np.full(self.packed_width, np.inf), np.full(self.packed_width, -np.inf)
-        for _, rows in self._chunks(_epochs_per_chunk(8 * self.packed_width)):
-            np.minimum(lo, rows.min(axis=0), out=lo)
-            np.maximum(hi, rows.max(axis=0), out=hi)
-        bounds = np.stack([lo, hi])
-        bounds.flags.writeable = False
-        return bounds
+        if self._range is None:
+            lo, hi = np.full(self.packed_width, np.inf), np.full(self.packed_width, -np.inf)
+            for _, rows in self._chunks(_epochs_per_chunk(8 * self.packed_width)):
+                np.minimum(lo, rows.min(axis=0), out=lo)
+                np.maximum(hi, rows.max(axis=0), out=hi)
+            bounds = np.stack([lo, hi])
+            bounds.flags.writeable = False
+            self._range = bounds
+        return self._range
 
 
 def _read_rows(fh, rows: np.ndarray, path: Path) -> None:
@@ -263,35 +263,20 @@ def _triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
     return upper_at, lower_at
 
 
-def _pack_chunk(chunk: np.ndarray, out: np.ndarray, first: int, symmetric: bool = False) -> None:
-    """Pack (epochs, N, N) ``chunk`` into the rows ``out``; its epoch 0 is epoch ``first``.
+def _pack_chunk(chunk: np.ndarray, out: np.ndarray, first: int) -> None:
+    """Pack exactly symmetric (epochs, N, N) ``chunk`` into the rows ``out``.
 
-    Raises NumericError naming the first epoch, 1-based, that is non-finite
-    or, unless ``symmetric`` vouches for the chunk, not exactly symmetric:
-    the triangle alone cannot stand for it.
+    Only the upper triangle is read.  Raises NumericError naming the first
+    epoch, 1-based, that is non-finite; the chunk's epoch 0 is epoch ``first``.
     """
     m, n = chunk.shape[:2]
     upper_at = _triangle(n)[0]
-    flat = chunk.reshape(m, n * n).astype(float, copy=False)
+    flat = chunk.reshape(m, n * n)
     np.take(flat, upper_at, axis=1, out=out[:, :upper_at.size], mode="clip")
     out[:, upper_at.size:] = flat[:, ::n + 1]
     finite = np.isfinite(out).all(axis=1)
-    if not symmetric:
-        symmetric = (chunk == chunk.transpose(0, 2, 1)).all(axis=(1, 2))
-    if not (finite & symmetric).all():
-        e = int(np.argmin(finite & symmetric))
-        what = "has a non-finite entry" if not finite[e] else "is not exactly symmetric"
-        raise NumericError(f"epoch {first + e + 1} {what}")
-
-
-def _pack_epochs(stack: np.ndarray) -> np.ndarray:
-    """A dense (epochs, N, N) stack packed 512 KB of epochs at a time."""
-    n, N = stack.shape[:2]
-    out = np.empty((n, _packed_width(N)))
-    step = _epochs_per_chunk(N * N * 8)
-    for e0 in range(0, n, step):
-        _pack_chunk(stack[e0:e0 + step], out[e0:e0 + step], e0)
-    return out
+    if not finite.all():
+        raise NumericError(f"epoch {first + int(np.argmin(finite)) + 1} has a non-finite entry")
 
 
 def _unpack_epochs(packed: np.ndarray, n: int) -> np.ndarray:
@@ -354,8 +339,6 @@ def load_series(path: str | Path) -> EpochCorrelationSeries:
         raise DataError(f"{path}: packed rows of dtype {packed.dtype.str} in {order} order; "
                         "rerun corr (run --force) to rewrite them as <f8 in C order")
     try:
-        if len(packed.shape) != 2:  # a dense stack is no archive's member
-            raise ValueError(f"packed epochs of shape {packed.shape} for {len(labels)} labels")
         return EpochCorrelationSeries(labels, packed, *dates)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
@@ -395,7 +378,7 @@ def _pearson_blocks(windows: np.ndarray, cov: np.ndarray) -> np.ndarray:
     sd = np.sqrt(var)
     del X  # freed before the scratch chunk takes its place
     scratch = np.empty_like(cov)
-    cov /= np.multiply(sd[:, :, None], sd[:, None, :], out=scratch)
+    cov /= np.einsum("bi,bj->bij", sd, sd, out=scratch)
     cov[rows] = 0.0
     cov.transpose(0, 2, 1)[rows] = 0.0
     np.clip(cov, -1.0, 1.0, out=cov)
@@ -430,8 +413,7 @@ def _epoch_rows(panel: ReturnPanel, spec: EpochSpec, stacklevel: int,
             warnings.warn(f"epoch {e0 + index + 1}: {_zero_variance(flat[index])}",
                           RuntimeWarning, stacklevel=stacklevel)
         rows = packed[e0:e0 + len(chunk)] if whole else packed[:len(chunk)]
-        # exactly symmetric (see _pearson_blocks); only the upper triangle is read
-        _pack_chunk(chunk, rows, e0, symmetric=True)
+        _pack_chunk(chunk, rows, e0)  # exactly symmetric: see _pearson_blocks
         yield rows
 
 

@@ -179,17 +179,11 @@ def _check_dim(n: int, D: int) -> None:
 def _axes(vectors: np.ndarray, columns: np.ndarray, values: np.ndarray, D: int) -> Embedding:
     """``D`` map axes: eigenvector ``columns`` scaled by the square roots of their ``values``.
 
-    ``values`` are the kept eigenvalues, non-negative and descending; the
-    axes past them are zero, with eigenvalue 0.  The columns are gathered
-    about 512 KB at a time, straight into the coordinates, so no reordered
-    copy of ``vectors`` is made.
+    ``values`` are the kept eigenvalues, non-negative and descending, at
+    most D of them; the axes past them are zero, with eigenvalue 0.
     """
     coords = np.zeros((len(vectors), D))
-    step = _epochs_per_chunk(8 * len(vectors))
-    for j in range(0, len(columns), step):
-        block = columns[j:j + step]
-        np.multiply(vectors[:, block], np.sqrt(values[j:j + step]),
-                    out=coords[:, j:j + len(block)])
+    np.multiply(vectors[:, columns], np.sqrt(values), out=coords[:, :len(columns)])
     return Embedding(coordinates=_fix_signs(coords),
                      eigenvalues=np.concatenate([values, np.zeros(D - len(values))]))
 

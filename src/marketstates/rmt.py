@@ -58,8 +58,8 @@ def _draw(spec: WishartSpec, index: int) -> np.ndarray:
 def sample_realization(spec: WishartSpec, index: int) -> np.ndarray:
     """Realization ``index`` of the ensemble: W = (1/T) A A'."""
     A = _draw(spec, index)
-    W = A @ A.T / spec.T
-    return (W + W.T) / 2.0
+    # exactly symmetric: numpy hands a product with its own transpose to BLAS syrk
+    return A @ A.T / spec.T
 
 
 def pooled_eigenvalues(spec: WishartSpec, epsilon: float = 0.0) -> np.ndarray:

@@ -6,7 +6,8 @@ run so every ``pytest`` invocation shows a compact pass/fail ledger.  The
 ``peak_bytes`` fixture measures the working set of one call, and
 ``tree_diff`` compares two output trees file by file.  ``packed_rows``
 reads a series' packed rows whole, for the tests that compare or inspect them,
-and ``correlation_of`` gives the tests that only need a correlation matrix one.
+``pack`` packs a dense stack into the rows a series takes, and
+``correlation_of`` gives the tests that only need a correlation matrix one.
 """
 
 import tracemalloc
@@ -24,11 +25,25 @@ def packed_rows(series):
     return series._read(0, None)
 
 
+def pack(stack):
+    """The new packed rows of a dense (epochs, N, N) stack, by README's recipe.
+
+    Each epoch's strict upper triangle in np.triu_indices(N, 1) order, then
+    its diagonal.  The lower triangle is not read, so the stack must be
+    exactly symmetric; NaN counts as equal to itself.
+    """
+    stack = np.asarray(stack, dtype=float)
+    assert np.array_equal(stack, stack.transpose(0, 2, 1), equal_nan=True), "not symmetric"
+    upper = np.triu_indices(stack.shape[1], 1)
+    return np.concatenate([stack[:, upper[0], upper[1]],
+                           np.diagonal(stack, axis1=1, axis2=2)], axis=1)
+
+
 def correlation_of(X):
     """The correlation matrix of the rows of sample block ``X``, exactly symmetric, unit diagonal.
 
-    np.corrcoef alone may differ from its transpose in the last bits, and a
-    series refuses a matrix that is not exactly symmetric.
+    np.corrcoef alone may differ from its transpose in the last bits, and
+    the packed layout keeps only one triangle.
     """
     C = np.corrcoef(X)
     C = (C + C.T) / 2.0

@@ -47,7 +47,7 @@ from marketstates.states import (
 )
 from marketstates.trajectory import CRITICAL, NORMAL, analyze_trajectory, window_from_dates
 
-from conftest import correlation_of
+from conftest import correlation_of, pack
 from test_sector import series_of
 from test_states import oracle_kmeans, single_run
 from test_trajectory import planted_window
@@ -191,7 +191,7 @@ def test_kmeans_objective_and_planted_recovery(acceptance):
 
 def test_transition_count_identities(acceptance):
     rng = np.random.default_rng(2)
-    pool = np.stack([correlation_of(rng.standard_normal((4, 8))) for _ in range(60)])
+    pool = pack([correlation_of(rng.standard_normal((4, 8))) for _ in range(60)])
     dates = [f"d{t:03d}" for t in range(60)]
     exact = 0
     for trial in range(1000):

@@ -74,8 +74,7 @@ def test_only_corrmat_knows_how_the_epoch_stack_is_stored():
     # lays out the packed rows: geometry's kernel gets its rows from
     # corrmat._kernel_copy, and the state averages and the sector series
     # read the rows through the series' own methods
-    storage = {"_packed_width", "_triangle", "_pack_chunk", "_pack_epochs", "_unpack_epochs",
-               "_power"}
+    storage = {"_packed_width", "_triangle", "_pack_chunk", "_unpack_epochs", "_power"}
     leaks = [f"{file}: {name}" for file, name in imported_names(relative=True)
              if file != "corrmat.py" and name.rpartition(".")[2] in storage]
     assert leaks == []

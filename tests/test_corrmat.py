@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import correlation_of, packed_rows
+from conftest import correlation_of, pack, packed_rows
 from marketstates.corrmat import (
     EpochSpec,
     epoch_count,
@@ -323,17 +323,48 @@ def test_series_holds_its_stack_itself_and_leaves_it_writeable():
     from marketstates.corrmat import EpochCorrelationSeries
 
     stack = np.stack([np.eye(2), np.full((2, 2), 0.5)])
-    series = EpochCorrelationSeries(("a", "b"), stack, ["d0", "d1"], ["e0", "e1"])
+    rows = pack(stack)  # triangle, then diagonal
+    assert rows.tolist() == [[0.0, 1.0, 1.0], [0.5, 0.5, 0.5]]
+    series = EpochCorrelationSeries(("a", "b"), rows, ["d0", "d1"], ["e0", "e1"])
     assert series.labels == ["a", "b"] and (series.n_epochs, series.n_labels) == (2, 2)
-    # a dense stack is packed: triangle, then diagonal
-    assert packed_rows(series).tolist() == [[0.0, 1.0, 1.0], [0.5, 0.5, 0.5]]
     assert series.values_stack().tobytes() == stack.tobytes()
     assert [(m.start_date, m.end_date) for m in series.matrices] == [("d0", "e0"), ("d1", "e1")]
     # packed rows are held as they are, and the caller's array stays writeable
-    rows = series.values_stack()[:, [0, 0, 1], [1, 0, 1]]
-    again = EpochCorrelationSeries(("a", "b"), rows, ["d0", "d1"], ["e0", "e1"])
-    assert np.shares_memory(packed_rows(again), rows) and rows.flags.writeable
-    assert again.values_stack().tobytes() == stack.tobytes()
+    assert np.shares_memory(packed_rows(series), rows) and rows.flags.writeable
+
+
+def test_a_series_in_its_range_pass_holds_up_no_other_series():
+    import threading
+
+    rng = np.random.default_rng(34)
+    held, other = (epoch_correlations(make_panel(rng.normal(size=(6, 40)))) for _ in range(2))
+    inside, release, passes = threading.Event(), threading.Event(), []
+    chunks = held._chunks
+
+    def holding_chunks(step, writable=False):  # held inside its one range pass
+        passes.append(step)
+        inside.set()
+        release.wait(10)
+        yield from chunks(step, writable)
+
+    held._chunks = holding_chunks
+    first = threading.Thread(target=lambda: held._column_range)
+    first.start()
+    try:
+        assert inside.wait(10)
+        second = threading.Thread(target=lambda: other._column_range)
+        second.start()
+        second.join(2)
+        assert not second.is_alive(), "another series' pass waited for this one's"
+    finally:
+        release.set()
+        first.join(10)
+    assert not first.is_alive()
+    for series in (held, other):  # each series keeps the ranges of its one pass
+        rows = packed_rows(series)
+        assert series._column_range.tobytes() == np.stack([rows.min(0), rows.max(0)]).tobytes()
+        assert series._column_range is series._column_range
+    assert len(passes) == 1
 
 
 def test_series_and_its_rows_are_freed_with_the_last_reference():
@@ -355,14 +386,15 @@ def test_series_and_its_rows_are_freed_with_the_last_reference():
         gc.enable()
 
 
-@pytest.mark.parametrize("shape", [(2, 3, 3), (2, 2, 3), (4, 4), (2, 2, 2, 2)])
+# (2, 2, 2): a dense stack is no series' input, even one whose shape matches the labels
+@pytest.mark.parametrize("shape", [(2, 3, 3), (2, 2, 3), (4, 4), (2, 2, 2, 2), (2, 2, 2)])
 def test_series_rejects_a_stack_that_does_not_match_its_labels(shape):
     from marketstates.corrmat import EpochCorrelationSeries
 
-    with pytest.raises(ValueError, match=r"(epoch stack|packed epochs) of shape .* for 2 labels"):
+    with pytest.raises(ValueError, match=r"^packed epochs of shape .* for 2 labels$"):
         EpochCorrelationSeries(["a", "b"], np.zeros(shape), ["d0", "d1"], ["d0", "d1"])
-    with pytest.raises(ValueError):  # one date per epoch
-        EpochCorrelationSeries(["a", "b"], np.zeros((2, 2, 2)), ["d0"], ["d0"])
+    with pytest.raises(ValueError, match="2 packed epochs for 1 start and 1 end dates"):
+        EpochCorrelationSeries(["a", "b"], np.zeros((2, 3)), ["d0"], ["d0"])
 
 
 def test_window_too_long_names_both_lengths():
@@ -462,7 +494,8 @@ def _packing_cases():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return {
-            # 100 stocks: 6 epochs per 512 KB chunk, so 20 epochs end in a partial chunk
+            # 100 stocks: epoch_correlations packs 6 epochs per 512 KB chunk, so 20 end
+            # in a partial chunk
             "partial_chunk": epoch_correlations(
                 make_panel(rng.normal(size=(100, 39))), EpochSpec(20, 1)).values_stack(),
             "one_chunk": epoch_correlations(
@@ -475,34 +508,24 @@ def _packing_cases():
 
 @pytest.mark.parametrize("case", sorted(_packing_cases()))
 def test_packed_layout_round_trips_bit_for_bit(case):
-    from marketstates.corrmat import EpochCorrelationSeries, _pack_epochs, _unpack_epochs
+    from marketstates.corrmat import EpochCorrelationSeries, _pack_chunk, _unpack_epochs
 
     stack = _packing_cases()[case]
     n_epochs, N, _ = stack.shape
-    packed = _pack_epochs(stack)
+    packed = pack(stack)
     assert packed.shape == (n_epochs, N * (N + 1) // 2)
     upper = np.triu_indices(N, 1)
     for e, epoch in enumerate(stack):  # strict upper triangle, then the diagonal
         assert packed[e].tobytes() == np.concatenate([epoch[upper], np.diag(epoch)]).tobytes()
-    # a series packs the stack it is given the same way
-    series = EpochCorrelationSeries([f"s{i}" for i in range(N)], stack, [""] * n_epochs,
+    rows = np.empty_like(packed)  # the package's packer of computed epochs agrees
+    _pack_chunk(stack, rows, 0)
+    assert rows.tobytes() == packed.tobytes()
+    # a series holds the rows as they are, and unpacks them to the stack
+    series = EpochCorrelationSeries([f"s{i}" for i in range(N)], packed, [""] * n_epochs,
                                     [""] * n_epochs)
     assert packed_rows(series).tobytes() == packed.tobytes()
+    assert series.values_stack().tobytes() == stack.tobytes()
     assert _unpack_epochs(packed, N).tobytes() == stack.tobytes()
-
-
-def test_archive_packing_rejects_an_asymmetric_epoch_by_its_index():
-    from marketstates.corrmat import EpochCorrelationSeries, _pack_epochs
-
-    stack = epoch_correlations(make_panel(np.random.default_rng(32).normal(size=(100, 39))),
-                               EpochSpec(20, 1)).values_stack().copy()
-    stack[16, 5, 2] = np.nextafter(stack[16, 5, 2], 2.0)  # below the diagonal only
-    # the error names the epoch by its 1-based number
-    with pytest.raises(NumericError, match="^epoch 17 is not exactly symmetric$"):
-        _pack_epochs(stack)
-    # a series cannot hold it: the stack is packed as the series is built
-    with pytest.raises(NumericError, match="^epoch 17 is not exactly symmetric$"):
-        EpochCorrelationSeries([f"s{i}" for i in range(100)], stack, [""] * 20, [""] * 20)
 
 
 def test_unpacking_rejects_a_width_that_does_not_match_the_labels():

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import packed_rows
+from conftest import pack, packed_rows
 from marketstates.corrmat import (
     QMAX_FLOOR,
     EpochCorrelationSeries,
@@ -364,7 +364,7 @@ def test_similarity_metric_properties():
 
 
 def test_similarity_input_validation():
-    # the kernel takes a series only: a dense stack enters through the constructor
+    # the kernel takes a series only: a dense stack enters as its packed rows
     for dense in (np.stack([np.eye(3)] * 2), [np.eye(3)] * 2):
         with pytest.raises(TypeError, match=f"EpochCorrelationSeries, got {type(dense).__name__}"):
             similarity_matrix(dense)
@@ -377,23 +377,11 @@ def test_similarity_input_validation():
             similarity_matrix(series_of([np.eye(2)]), workers)
     with pytest.raises(NumericError, match="at least 2 epochs"):
         similarity_matrix(random_corr_series(0, n_returns=20))
-    nonfinite = np.stack([np.eye(3)] * 4)
-    nonfinite[2, 1, 1] = np.nan  # epoch 3: errors name epochs 1-based
-    with pytest.raises(NumericError, match="^epoch 3 has a non-finite"):
-        series_of(nonfinite)
-    nonfinite[2, 1, 1] = np.inf
-    with pytest.raises(NumericError, match="^epoch 3 has a non-finite"):
-        series_of(nonfinite)
-    # packing would silently read only the upper triangle of this stack
-    asymmetric = np.stack([np.eye(3)] * 3)
-    asymmetric[0, 0, 1] = 0.5
-    with pytest.raises(NumericError, match="^epoch 1 is not exactly symmetric$"):
-        series_of(asymmetric)
 
 
 def test_kernel_names_the_first_epoch_the_power_map_makes_non_finite():
     stack = np.stack([np.eye(3)] * 4)
-    stack[2, 1, 1] = 1e300  # epoch 3 is finite, so the series holds it; 1e300 ** 1.5 is not
+    stack[2, 1, 1] = 1e300  # epoch 3 is finite; 1e300 ** 1.5 is not
     series = series_of(stack)
     assert similarity_matrix(series).max() > 0.0
     with pytest.warns(RuntimeWarning, match="overflow"):
@@ -448,7 +436,7 @@ def test_chunked_packing_matches_the_per_epoch_loop(eps):
     # 100 stocks: 12 packed epochs per 512 KB chunk, so 20 epochs end in a partial chunk
     for stack in (np.tanh(symmetric_stack(17, 20, 100)), signed_stack(5)):
         n, N = stack.shape[:2]
-        series = EpochCorrelationSeries(range(N), stack, [""] * n, [""] * n)
+        series = EpochCorrelationSeries(range(N), pack(stack), [""] * n, [""] * n)
         got, scale = kernel_rows(series, eps)
         want, want_scale = quantized(per_epoch_packing(stack, eps))
         assert got.tobytes() == want.tobytes()
@@ -492,7 +480,7 @@ def test_kernel_refuses_widths_that_leave_too_few_steps(N, qmax):
 
 @pytest.mark.parametrize("factor", [1e6, 1e-6])
 def test_kernel_takes_entries_far_from_the_unit_range(factor):
-    # a series holds any finite symmetric stack: the scale follows the widest column
+    # a series holds any packed rows: the scale follows the widest column
     stack = factor * signed_stack(6)
     series = series_of(stack)
     rows, _ = kernel_rows(series)
@@ -513,27 +501,6 @@ def test_kernel_is_scale_covariant(workers):
     positive = want > 0.0
     assert np.array_equal(positive, got > 0.0)
     assert (np.abs(got - want)[positive] / want[positive]).max() <= 1e-12
-
-
-def test_packing_names_the_lowest_bad_epoch_across_chunks():
-    stack = np.tanh(symmetric_stack(18, 20, 100))  # chunks of epochs 0-5, 6-11, 12-17, 18-19
-    stack[19, 3, 3] = np.nan
-    stack[14, 0, 1] += 0.5  # epoch 15: errors name epochs 1-based
-    with pytest.raises(NumericError, match="^epoch 15 is not exactly symmetric$"):
-        series_of(stack)
-    stack[15, 2, 2] = np.inf  # later in the same chunk: the earlier epoch still wins
-    with pytest.raises(NumericError, match="^epoch 15 is not exactly symmetric$"):
-        series_of(stack)
-    stack[13, 4, 1] = np.nan  # only below the diagonal: packing would miss it
-    with pytest.raises(NumericError, match="^epoch 14 is not exactly symmetric$"):
-        series_of(stack)
-    stack[12, 7, 9] = stack[12, 9, 7] = -np.inf
-    with pytest.raises(NumericError, match="^epoch 13 has a non-finite entry$"):
-        series_of(stack)
-    stack[7, 0, 0] = np.nan
-    stack[7, 0, 1] += 0.5  # both faults in one epoch: non-finite is named
-    with pytest.raises(NumericError, match="^epoch 8 has a non-finite entry$"):
-        series_of(stack)
 
 
 def test_mds_unit_square():

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import packed_rows
+from conftest import pack, packed_rows
 from marketstates.corrmat import EpochSpec, load_series, save_series
 from marketstates.errors import DataError
 from marketstates.pipeline import (
@@ -199,10 +199,8 @@ def corr_series(n_epochs=4, n=3, seed=0):
 
 def corr_members(series):
     """The members save_series writes, each whole in memory: the stack packed at once."""
-    from marketstates.corrmat import _pack_epochs
-
     return {
-        "packed": _pack_epochs(series.values_stack()),
+        "packed": pack(series.values_stack()),
         "labels": np.array(series.labels),
         "start_dates": np.array([m.start_date for m in series.matrices]),
         "end_dates": np.array([m.end_date for m in series.matrices]),

@@ -57,6 +57,14 @@ def test_realizations_are_symmetric_psd():
         assert np.linalg.eigvalsh(W).min() > -1e-8
 
 
+@pytest.mark.parametrize("N, T", [(5, 3), (20, 20), (40, 20), (60, 125)])
+def test_a_realization_is_its_own_transpose_bit_for_bit(N, T):
+    # A A' goes to BLAS syrk, which fills one triangle and mirrors it: no symmetrizing step
+    for index in range(3):
+        W = rmt.sample_realization(WishartSpec(N=N, T=T, ensemble_size=3, seed=7), index)
+        assert W.tobytes() == np.ascontiguousarray(W.T).tobytes()
+
+
 def test_scalar_wishart_estimates_variance():
     spec = WishartSpec(N=1, T=40000, sigma2=2.5, seed=5)
     W = rmt.sample_realization(spec, 0)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import correlation_of, packed_rows
+from conftest import correlation_of, pack, packed_rows
 from marketstates import corrmat
 from marketstates.corrmat import (
     EpochCorrelationSeries,
@@ -30,16 +30,14 @@ def random_correlation(n, seed):
 
 
 def series_of(matrices, tickers=None):
-    """A series holding the given matrices (a list or a dense stack), one epoch each.
+    """A series holding the given exactly symmetric matrices (a list or a dense stack).
 
-    The labels are ``tickers``, by default S0, S1, ...; the constructor
-    raises NumericError naming the first epoch that is non-finite or not
-    exactly symmetric.
+    One epoch each; the labels are ``tickers``, by default S0, S1, ...
     """
     stack = np.stack([np.asarray(C, dtype=float) for C in matrices])
     tickers = [f"S{i}" for i in range(stack.shape[1])] if tickers is None else tickers
     dates = [f"d{i}" for i in range(len(stack))]
-    return EpochCorrelationSeries(tickers, stack, dates, dates)
+    return EpochCorrelationSeries(tickers, pack(stack), dates, dates)
 
 
 def sector_matrix(C, tickers, sector_of, **kwargs):
@@ -117,9 +115,10 @@ def test_unmapped_ticker_raises():
 
 
 def test_shape_validation():
-    with pytest.raises(ValueError, match=r"shape \(1, 2, 3\) for 2 labels"):
-        sector_matrix(np.zeros((2, 3)), ["a", "b"], {"a": "x", "b": "x"})
-    with pytest.raises(ValueError, match="for 2 labels"):
+    # a dense stack is no series' input, whatever its shape
+    with pytest.raises(ValueError, match=r"^packed epochs of shape \(1, 2, 3\) for 2 labels$"):
+        EpochCorrelationSeries(["a", "b"], np.zeros((1, 2, 3)), ["d0"], ["d0"])
+    with pytest.raises(ValueError, match=r"^packed epochs of shape \(1, 6\) for 2 labels$"):
         sector_matrix(np.eye(3), ["a", "b"], {"a": "x", "b": "x"})
 
 

@@ -15,6 +15,7 @@ from marketstates.states import (
     select_optimum,
 )
 
+from conftest import pack
 from test_sector import series_of
 
 
@@ -454,7 +455,7 @@ def test_select_optimum_rules():
 
 def fake_series(stack):
     dates = [f"d{i}" for i in range(len(stack))]
-    return EpochCorrelationSeries(["a", "b"], stack, dates, [""] * len(stack))
+    return EpochCorrelationSeries(["a", "b"], pack(stack), dates, [""] * len(stack))
 
 
 def fake_run(labels, k):
@@ -546,7 +547,7 @@ def test_state_averages_match_the_mean_of_member_copies(shape):
     stack = (stack + stack.transpose(0, 2, 1)) / 2
     labels = rng.integers(1, 4, shape[0])
     labels[:3] = [1, 2, 3]
-    series = EpochCorrelationSeries([f"l{i}" for i in range(shape[1])], stack,
+    series = EpochCorrelationSeries([f"l{i}" for i in range(shape[1])], pack(stack),
                                     [f"d{i}" for i in range(shape[0])], [""] * shape[0])
     model = build_state_model(series, fake_run(labels, k=3))
     # oracle: the average over a copy of each cluster's matrices
@@ -558,7 +559,7 @@ def test_state_averages_copy_no_cluster(peak_bytes):
     # one cluster holds 90% of the epochs: a copy of its members is 0.9 stack
     n_epochs, n = 400, 30
     stack = np.broadcast_to(np.eye(n), (n_epochs, n, n)).copy()
-    series = EpochCorrelationSeries([f"l{i}" for i in range(n)], stack,
+    series = EpochCorrelationSeries([f"l{i}" for i in range(n)], pack(stack),
                                     [f"d{i}" for i in range(n_epochs)], [""] * n_epochs)
     labels = np.where(np.arange(n_epochs) % 10 == 0, 2, 1)
     run = fake_run(labels, k=2)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import pack
 from marketstates import trajectory
 from marketstates.corrmat import EpochCorrelationSeries, EpochSpec, epoch_correlations
 from marketstates.errors import DataError
@@ -73,7 +74,7 @@ def planted_window(ratio, seed, n_epochs=105, n=12, scale=1.0):
         second[i, j] = second[j, i] = 0.1
     stack = np.eye(n) + a[:, None, None] * first + b[:, None, None] * second
     dates = [f"d{t:04d}" for t in range(n_epochs)]
-    series = EpochCorrelationSeries([f"s{i}" for i in range(n)], stack, dates, dates)
+    series = EpochCorrelationSeries([f"s{i}" for i in range(n)], pack(stack), dates, dates)
     return EventWindow(
         name=f"planted-{ratio}",
         start_date="d0000",
@@ -168,7 +169,7 @@ def test_reversal_keeps_variances_and_reverses_steps():
     forward = analyze_trajectory(window)
     epochs = window.epochs
     reversed_series = EpochCorrelationSeries(
-        epochs.labels, epochs.values_stack()[::-1],
+        epochs.labels, pack(epochs.values_stack()[::-1]),
         [m.start_date for m in reversed(epochs.matrices)],
         [m.end_date for m in reversed(epochs.matrices)],
     )
@@ -195,7 +196,7 @@ def test_constant_window_reports_zero_variance_normal():
         name="flat",
         start_date="d0",
         end_date=f"d{n_epochs - 1}",
-        epochs=EpochCorrelationSeries(list("abcde"), np.tile(np.eye(n), (n_epochs, 1, 1)),
+        epochs=EpochCorrelationSeries(list("abcde"), pack(np.tile(np.eye(n), (n_epochs, 1, 1))),
                                       dates, dates),
     )
     report = analyze_trajectory(window)
